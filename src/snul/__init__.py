@@ -37,6 +37,7 @@ from .laguerre_hahn import (
     MagnusRiccatiData,
     RiccatiData,
     StructureCoeffs,
+    Workspace,
     certify,
     corollary_coeffs,
     corollary_recursion,
@@ -63,8 +64,8 @@ from .orthopoly import (
     smop_from_recurrence,
 )
 from .poly import Poly
-from .series import LaurentSeries, series_inverse, series_mul, sqrt_series
-from .surd import SurdPoly, surd_exact_div, surd_mul
+from .series import LaurentSeries, sqrt_series
+from .surd import SurdPoly, surd_exact_div
 
 __version__ = "0.1.0"
 

@@ -447,9 +447,5 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
-def run():
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

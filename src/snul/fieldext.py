@@ -15,7 +15,7 @@ from .errors import FieldTooSmall
 
 Rational = Fraction
 
-_SMALL_PRIME_LIMIT = 100_000
+_ZERO = Fraction(0)
 
 
 def parse_rational(text) -> Fraction:
@@ -36,9 +36,11 @@ def format_rational(value: Fraction) -> str:
 def square_free_split(n: int) -> tuple[int, int]:
     """Write |n| = m^2 * s with s square-free; return (m, sign(n) * s).
 
-    Trial division up to a fixed bound, then a perfect-square check on the
-    cofactor.  Inputs here come from small conic coefficients, so the bound
-    is never the limiting factor at desk scale.
+    Trial division while p^3 <= the remaining cofactor.  What is left then
+    has no prime factor below p and is below p^3, so it is 1, a prime, a
+    prime square or a product of two distinct primes, and a perfect-square
+    check settles it.  The work grows like the cube root of |n|, which is
+    small for the conic coefficients this is used on.
     """
     if n == 0:
         return 0, 0
@@ -46,7 +48,7 @@ def square_free_split(n: int) -> tuple[int, int]:
     n = abs(n)
     m, s = 1, 1
     p = 2
-    while p <= _SMALL_PRIME_LIMIT and p * p <= n:
+    while p * p * p <= n:
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -161,10 +163,12 @@ class QuadNumber:
 
     __slots__ = ("field", "a", "b")
 
-    def __init__(self, field: QuadField, a: Fraction, b: Fraction = Fraction(0)):
-        if b and field.d == 1:
+    def __init__(self, field: QuadField, a: Fraction, b: Fraction = _ZERO):
+        if not b:
+            b = _ZERO          # one shared zero: most elements are rational
+        elif field.d == 1:
             a = a + b
-            b = Fraction(0)
+            b = _ZERO
         self.field = field
         self.a = a
         self.b = b

@@ -55,15 +55,22 @@ def classify_invariants(lam: Fraction, tau: Fraction) -> LatticeClass:
 class Lattice:
     """Immutable lattice data: conic coefficients, p, r, invariants, field.
 
-    The only interior state is memoization of series expansions; concurrent
-    recomputation is idempotent, so instances are safe to share across
+    The only interior state is memoization of series expansions: 1/y_j per
+    window, the expansion of sqrt(r), and for each branch j one table of the
+    powers w_j^k = (1/y_j)^k, k = 1, 2, ...  The last two are kept at the
+    deepest window asked for so far and read at shallower windows.  Every
+    entry is exact within its window, so recomputing one gives the same
+    value.  Nothing is changed in place: a longer or deeper table is built
+    aside and swapped in by a single assignment.  A reader therefore always
+    sees a complete table, two threads that grow the same table at once only
+    repeat each other's work, and instances are safe to share across
     threads.
     """
 
     __slots__ = (
         "a_hat", "b_hat", "c_hat", "d_hat", "e_hat", "f_hat",
         "field", "p", "r", "lam", "tau", "q_trace", "lattice_class",
-        "_sqrtr_cache", "_invy_cache",
+        "_sqrt_r", "_invy_cache", "_invy_powers",
     )
 
     def __init__(self, a_hat, b_hat, c_hat, d_hat, e_hat, f_hat, field,
@@ -81,8 +88,9 @@ class Lattice:
         self.tau = tau
         self.q_trace = q_trace
         self.lattice_class = lattice_class
-        self._sqrtr_cache = {}
+        self._sqrt_r = None
         self._invy_cache = {}
+        self._invy_powers = {}
 
     # -- derived objects ------------------------------------------------------
     def y_surd(self, j: int) -> SurdPoly:
@@ -95,11 +103,12 @@ class Lattice:
         return self.r * 4
 
     def sqrt_r_series(self, order: int) -> LaurentSeries:
-        cached = self._sqrtr_cache.get(order)
-        if cached is None:
-            cached = sqrt_series(self.r, order)
-            self._sqrtr_cache[order] = cached
-        return cached
+        """Expansion of sqrt(r) at infinity down to x^(-order), read from the
+        one expansion kept at the deepest window asked for so far."""
+        cached = self._sqrt_r
+        if cached is None or cached.truncation_order < order:
+            cached = self._sqrt_r = sqrt_series(self.r, order)
+        return cached if cached.truncation_order == order else cached.restrict(order)
 
     def inv_y_series(self, j: int, order: int) -> LaurentSeries:
         """Expansion of 1/y_j at infinity (leading exponent -1)."""
@@ -117,6 +126,27 @@ class Lattice:
         w = y.inverse()
         self._invy_cache[key] = w
         return w
+
+    def inv_y_powers(self, j: int, depth: int, count: int) -> tuple[LaurentSeries, ...]:
+        """(w, w^2, ..., w^count) or more, w = 1/y_j, each exact down to at
+        least x^(-depth).
+
+        Each power is formed as w^(k-1) * w from the expansion of w at the
+        table's window and kept down to x^(-window): it is exact there, and
+        no reader of the table goes deeper.
+        """
+        table_depth, powers = self._invy_powers.get(j, (-1, ()))
+        if table_depth < depth:
+            table_depth, powers = depth, (self.inv_y_series(j, depth),)
+        elif len(powers) >= count:
+            return powers
+        w = powers[0]
+        grown = list(powers)
+        while len(grown) < count:
+            grown.append((grown[-1] * w).restrict(table_depth))
+        powers = tuple(grown)
+        self._invy_powers[j] = (table_depth, powers)
+        return powers
 
     def conic_value(self, x: float, y: float) -> float:
         """Float evaluation of the conic (diagnostics only)."""
@@ -209,8 +239,9 @@ def apply_E_series(lattice: Lattice, s: LaurentSeries, j: int,
                    order: int | None = None) -> LaurentSeries:
     """Compose a Laurent series with y_j, honestly windowed.
 
-    Negative powers of x go through the expansion of 1/y_j; nonnegative
-    powers through the surd powers of y_j.  The result window never exceeds
+    Negative powers of x become a linear combination of the rows of the
+    lattice's table of powers of 1/y_j; nonnegative powers go through the
+    surd powers of y_j.  The result window never exceeds
     the window of s (an unknown tail coefficient of s perturbs the
     composition at its own exponent and below).
     """
@@ -237,31 +268,41 @@ def apply_E_series(lattice: Lattice, s: LaurentSeries, j: int,
     else:
         bottom = 0
     if bottom <= -1:
-        w = lattice.inv_y_series(j, depth)
-        wpow = None
-        for e in range(-1, bottom - 1, -1):
-            wpow = w if wpow is None else wpow * w
-            c = s._padded(e)
-            if not c.is_zero:
-                acc = acc + wpow * c
+        # sum of c_k w^k down to x^(-depth)
+        powers = lattice.inv_y_powers(j, depth, -bottom)
+        out = [field.zero] * depth          # exponents -1 .. -depth
+        for k in range(1, -bottom + 1):
+            c = s._padded(-k)
+            if c.is_zero:
+                continue
+            wk = powers[k - 1]
+            start = -wk.lowest_power - 1
+            for i, a in enumerate(wk.coefficients[: depth - start]):
+                out[start + i] = out[start + i] + a * c
+        acc = acc + LaurentSeries(field, -1, out, depth)
     return acc.restrict(min(acc.truncation_order, n_s))
+
+
+def _operator_series(lattice: Lattice, s: LaurentSeries, order: int | None = None):
+    """(E1 s, E2 s, D s, M s); the one place where D and M are formed from
+    the two compositions."""
+    e1 = apply_E_series(lattice, s, 1, order)
+    e2 = apply_E_series(lattice, s, 2, order)
+    diff = e2 - e1
+    delta = lattice.sqrt_r_series(diff.truncation_order + 4) * 2
+    return e1, e2, diff * delta.inverse(), (e1 + e2) * Fraction(1, 2)
 
 
 def apply_D_series(lattice: Lattice, s: LaurentSeries,
                    order: int | None = None) -> LaurentSeries:
     """(E2 s - E1 s) / (2 sqrt(r)) with window-aware series division."""
-    e1 = apply_E_series(lattice, s, 1, order)
-    e2 = apply_E_series(lattice, s, 2, order)
-    diff = e2 - e1
-    delta = lattice.sqrt_r_series(diff.truncation_order + 4) * 2
-    return diff * delta.inverse()
+    return _operator_series(lattice, s, order)[2]
 
 
 def apply_M_series(lattice: Lattice, s: LaurentSeries,
                    order: int | None = None) -> LaurentSeries:
-    e1 = apply_E_series(lattice, s, 1, order)
-    e2 = apply_E_series(lattice, s, 2, order)
-    return (e1 + e2) * Fraction(1, 2)
+    """(E1 s + E2 s) / 2."""
+    return _operator_series(lattice, s, order)[3]
 
 
 # -- floating-point lattice point diagnostics ----------------------------------

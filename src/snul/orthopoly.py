@@ -205,7 +205,8 @@ def second_kind_series(data: SMOPData, s: LaurentSeries, n: int) -> LaurentSerie
     """q_n = P_n S - P1_{n-1}, cross-checked against the three-term recurrence
     and against the required O(x^(-n-1)) decay.
 
-    q_{-1} is the constant series 1.
+    q_{-1} is the constant series 1.  Raises InvalidRecurrence when either
+    check fails, InsufficientTruncation when S is too short for level n.
     """
     if n == -1:
         return LaurentSeries.constant(data.field, 1, s.truncation_order)
@@ -224,10 +225,11 @@ def second_kind_series(data: SMOPData, s: LaurentSeries, n: int) -> LaurentSerie
     for k in range(n):
         q_nxt = q_cur.mul_poly(x - data.beta[k]) - q_prev * data.gamma[k]
         q_prev, q_cur = q_cur, q_nxt
-    if q_def.first_disagreement(q_cur) is not None:
-        raise AssertionError(
-            f"q_{n} by definition and by recurrence disagree at "
-            f"x^{q_def.first_disagreement(q_cur)}"
+    mismatch = q_def.first_disagreement(q_cur)
+    if mismatch is not None:
+        raise InvalidRecurrence(
+            f"q_{n} by definition and by recurrence disagree at x^{mismatch}: "
+            "P_n, P1_n do not follow beta, gamma"
         )
     for e in range(q_def._effective_top(), -n - 1, -1):
         if not q_def.coefficient(e).is_zero:

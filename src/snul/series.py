@@ -307,16 +307,6 @@ class LaurentSeries:
         return " + ".join(parts) + tail + f" + O(x^-{self.truncation_order + 1})"
 
 
-def series_mul(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
-    """Cauchy product with conservative window propagation."""
-    return f * g
-
-
-def series_inverse(f: LaurentSeries) -> LaurentSeries:
-    """Reciprocal by the standard recursive inversion."""
-    return f.inverse()
-
-
 def sqrt_series(r: Poly, order: int) -> LaurentSeries:
     """Expansion of sqrt(r) at infinity for a degree-2 polynomial r.
 

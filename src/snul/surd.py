@@ -117,13 +117,6 @@ class SurdPoly:
         return f"({self.u}) + ({self.v})*sqrt({self.r})"
 
 
-def surd_mul(f: SurdPoly, g: SurdPoly) -> SurdPoly:
-    """Product in K[x][sqrt(r)]; operands must share the same r."""
-    if not isinstance(g, SurdPoly):
-        raise TypeError("surd_mul expects two SurdPoly operands")
-    return f * g
-
-
 def surd_exact_div(f: SurdPoly, g: SurdPoly) -> SurdPoly:
     """Exact quotient h with h*g = f.
 

@@ -22,6 +22,13 @@ def test_square_free_split():
     assert square_free_split(0) == (0, 0)
 
 
+def test_square_free_split_large_prime_square():
+    # both primes lie above any fixed trial-division bound of 10^5
+    assert square_free_split(100003 ** 2 * 100019) == (100003, 100019)
+    assert square_free_split(-(100019 ** 2) * 7) == (100019, -7)
+    assert square_free_split(100003 * 100019) == (1, 100003 * 100019)
+
+
 def test_field_collapse_on_square_radicand():
     field = QuadField.for_radicand(F(9, 16))
     assert field.is_rational

@@ -8,6 +8,7 @@ from snul import (
     FreeMoment,
     Inconsistent,
     InsufficientTruncation,
+    InvalidRecurrence,
     LaurentSeries,
     NotLaguerreHahn,
     Poly,
@@ -301,6 +302,15 @@ class TestRelations:
         with pytest.raises(InsufficientTruncation):
             verify_second_kind_relations(ric, data, coeffs, short, 3)
 
+    def test_workspace_for_other_series_rejected(self, semiclassical):
+        from snul import Workspace
+        ric, data, coeffs = semiclassical
+        other = LaurentSeries.from_moments(ric.lattice.field, data.moments[:-1])
+        ws = Workspace(ric.lattice, other, data)
+        with pytest.raises(ValueError):
+            verify_second_kind_relations(ric, data, coeffs, data.stieltjes(), 1,
+                                         workspace=ws)
+
     def test_gathered_zero(self, semiclassical, corecursive):
         from snul import gathered_relations
         for ric, data, coeffs in (semiclassical, corecursive):
@@ -455,6 +465,42 @@ class TestCertify:
         assert cert.check("riccati").verdict == "pass"
         assert cert.check("quasi-definite").verdict == "fail"
         assert "n = 1" in cert.check("quasi-definite").detail
+
+    def test_stage_timings_are_durations(self, reference_lattice):
+        cert = certify(qhermite_riccati(reference_lattice), n_max=3, order=16)
+        stages = {k: v for k, v in cert.timings.items() if k != "total"}
+        assert set(stages) == {c.name for c in cert.checks}
+        assert all(v >= 0 for v in stages.values())
+        # durations of consecutive stages add up to at most the whole run
+        assert sum(stages.values()) <= cert.timings["total"] + 1e-6
+
+    def test_second_kind_errors_recorded_not_raised(self, reference_lattice, monkeypatch):
+        import snul.laguerre_hahn as lh
+
+        def rejecting(data, s, n):
+            raise InvalidRecurrence(f"q_{n} rejected")
+
+        monkeypatch.setattr(lh, "second_kind_series", rejecting)
+        cert = certify(qhermite_riccati(reference_lattice), n_max=3, order=16)
+        assert not cert.passed
+        assert cert.check("second-kind-1").verdict == "fail"
+        assert "rejected" in cert.check("second-kind-1").detail
+        assert cert.check("second-kind-2").verdict == "skip"
+        assert cert.check("gathered").verdict == "fail"
+        assert cert.check("reconstruction").verdict == "pass"
+
+    def test_each_q_formed_once(self, reference_lattice, monkeypatch):
+        import snul.laguerre_hahn as lh
+        levels = []
+
+        def counting(data, s, n):
+            levels.append(n)
+            return second_kind_series(data, s, n)
+
+        monkeypatch.setattr(lh, "second_kind_series", counting)
+        cert = certify(qhermite_corecursive_riccati(reference_lattice), n_max=4, order=18)
+        assert cert.passed
+        assert sorted(levels) == list(range(-1, 5))
 
     def test_certificate_json_roundtrip(self, reference_lattice):
         ric = qhermite_riccati(reference_lattice)

@@ -23,7 +23,14 @@ from snul import (
 )
 from snul.lattice import classify_invariants
 
-from conftest import IMAGINARY_CONIC, random_poly, random_rational_lattice
+from conftest import (
+    IMAGINARY_CONIC,
+    REFERENCE_CONIC,
+    SURD_CONIC,
+    random_fraction,
+    random_poly,
+    random_rational_lattice,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +293,95 @@ class TestSeriesOperators:
         s = LaurentSeries(lat.field, -1, [1], 6)
         with pytest.raises(DegenerateLattice):
             apply_E_series(lat, s, 2)
+
+
+def repeated_product_E_series(lat, s, j, order=None):
+    """Composition with y_j where every power of 1/y_j comes from a fresh
+    run of repeated products, w^k = w^(k-1) * w: the oracle for the power
+    table behind apply_E_series."""
+    n_s = s.truncation_order
+    depth = max(order if order is not None else n_s, n_s) + 2
+    acc = LaurentSeries.zero(lat.field, depth)
+    top = s._effective_top()
+    if top >= 0:
+        poly_part = Poly(lat.field, [s._padded(e) for e in range(top + 1)])
+        if not poly_part.is_zero:
+            image = apply_shift(lat, poly_part, j)
+            ser = LaurentSeries.from_poly(image.u, depth)
+            if not image.v.is_zero:
+                ser = ser + lat.sqrt_r_series(depth).mul_poly(image.v)
+            acc = acc + ser
+    bottom = max(-n_s, s.lowest_power - len(s.coefficients) + 1) if s.coefficients else 0
+    if bottom <= -1:
+        w = lat.inv_y_series(j, depth)
+        wpow = w
+        for e in range(-1, bottom - 1, -1):
+            if e < -1:
+                wpow = wpow * w
+            c = s._padded(e)
+            if not c.is_zero:
+                acc = acc + wpow * c
+    return acc.restrict(min(acc.truncation_order, n_s))
+
+
+def random_field_series(rng, field, window):
+    top = rng.randint(-3, 2)
+    coeffs = [field(random_fraction(rng), random_fraction(rng))
+              for _ in range(rng.randint(1, top + window + 1))]
+    return LaurentSeries(field, top, coeffs, window)
+
+
+class TestPowerTable:
+    @pytest.mark.parametrize("conic", [REFERENCE_CONIC, SURD_CONIC, IMAGINARY_CONIC])
+    def test_matches_repeated_products(self, conic):
+        lat = build_lattice(*conic)          # a fresh lattice: empty tables
+        rng = random.Random(1306)
+        # windows 12 and 16 (and the order 18 request) go deeper than the
+        # table holds at that point; 4 and 9 read a deeper table
+        for window, order in ((6, None), (4, None), (12, None), (9, None),
+                              (16, None), (7, 18)):
+            for _ in range(3):
+                s = random_field_series(rng, lat.field, window)
+                for j in (1, 2):
+                    got = apply_E_series(lat, s, j, order)
+                    assert got == repeated_product_E_series(lat, s, j, order)
+        for j in (1, 2):
+            depth, powers = lat._invy_powers[j]
+            assert depth == 20
+            # every stored power is exact down to x^-depth at least
+            assert all(w.truncation_order >= depth for w in powers)
+
+    def test_shared_lattice_across_threads(self):
+        import sys
+        import threading
+
+        rng = random.Random(1307)
+        oracle_lat = build_lattice(*REFERENCE_CONIC)
+        cases = [(random_field_series(rng, oracle_lat.field, window), j)
+                 for window in (5, 14, 8, 18, 11, 3) for j in (1, 2)]
+        expected = [repeated_product_E_series(oracle_lat, s, j) for s, j in cases]
+        lat = build_lattice(*REFERENCE_CONIC)     # tables grown and rebuilt concurrently
+        results = {}
+
+        def worker(w):
+            order = cases[w:] + cases[:w]
+            for rep in range(3):
+                for idx, (s, j) in enumerate(order):
+                    got = apply_E_series(lat, s, j)
+                    results[(w, idx, rep)] = got == expected[(idx + w) % len(cases)]
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(w,)) for w in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(results) == 6 * 3 * len(cases) and all(results.values())
 
 
 # ---------------------------------------------------------------------------

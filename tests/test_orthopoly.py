@@ -170,6 +170,23 @@ class TestSecondKind:
         with pytest.raises(InvalidRecurrence):
             second_kind_series(self.data, s_bad, 3)
 
+    def test_inconsistent_smop_moments_typed_error(self):
+        # the SMOPData carries moments that its own recurrence does not produce
+        bad = list(self.data.moments)
+        bad[4] -= F(1, 3)
+        data = build(self.beta[:13], self.gamma[:13], 12, moments=bad)
+        with pytest.raises(InvalidRecurrence):
+            second_kind_series(data, data.stieltjes(), 5)
+
+    def test_polynomials_off_recurrence_typed_error(self):
+        # P_3 no longer follows beta, gamma: definition and recurrence routes
+        # for q_3 disagree, reported as a SnulError rather than an assertion
+        data = build(self.beta[:13], self.gamma[:13], 12,
+                     moments=self.data.moments)
+        data.P[3] = data.P[3] + Poly.constant(FIELD, 1)
+        with pytest.raises(InvalidRecurrence, match="disagree"):
+            second_kind_series(data, data.stieltjes(), 3)
+
 
 class TestLiouville:
     def test_level_zero(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snul import DivisionNotExact, Poly, QuadField, SurdPoly, surd_exact_div, surd_mul
+from snul import DivisionNotExact, Poly, QuadField, SurdPoly, surd_exact_div
 
 from conftest import random_poly
 
@@ -67,7 +67,7 @@ class TestSurdPoly:
 
     def test_sqrt_r_squares_to_r(self):
         s = self.sqrt_r()
-        assert surd_mul(s, s) == SurdPoly.from_poly(self.r, self.r)
+        assert s * s == SurdPoly.from_poly(self.r, self.r)
 
     def test_conjugate_product_is_polynomial(self):
         # (p - sqrt r)(p + sqrt r) = p^2 - r; on the reference lattice
@@ -75,7 +75,7 @@ class TestSurdPoly:
         p = Poly(FIELD, [0, F(5, 4)])
         y1 = SurdPoly(p, Poly.constant(FIELD, -1), self.r)
         y2 = SurdPoly(p, Poly.constant(FIELD, 1), self.r)
-        prod = surd_mul(y1, y2)
+        prod = y1 * y2
         assert prod.is_polynomial
         assert prod.u == Poly(FIELD, [1, 0, 1])
 
@@ -93,20 +93,20 @@ class TestSurdPoly:
         # checked by multiplying back
         quotient = surd_exact_div(SurdPoly.from_poly(Poly(FIELD, [1, 0, 1]), self.r), y2)
         assert quotient == y1
-        assert surd_mul(quotient, y2).u == Poly(FIELD, [1, 0, 1])
+        assert (quotient * y2).u == Poly(FIELD, [1, 0, 1])
 
     def test_mismatched_moduli_rejected(self):
         other_r = Poly(FIELD, [1, 0, 1])
         f = SurdPoly.from_poly(Poly.one(FIELD), self.r)
         g = SurdPoly.from_poly(Poly.one(FIELD), other_r)
         with pytest.raises(ValueError):
-            surd_mul(f, g)
+            f * g
 
     def test_div_after_mul_roundtrip(self):
         for _ in range(25):
             f = SurdPoly(random_poly(self.rng, FIELD, 4), random_poly(self.rng, FIELD, 3), self.r)
             g = SurdPoly(random_poly(self.rng, FIELD, 3), random_poly(self.rng, FIELD, 2), self.r)
-            assert surd_exact_div(surd_mul(f, g), g) == f
+            assert surd_exact_div(f * g, g) == f
 
     def test_ring_laws_random(self):
         for _ in range(15):

@@ -9,8 +9,6 @@ from snul import (
     LaurentSeries,
     Poly,
     QuadField,
-    series_inverse,
-    series_mul,
     sqrt_series,
 )
 
@@ -79,7 +77,7 @@ class TestArithmetic:
     def test_geometric_inverse(self):
         # 1/(x - 1) = x^-1 + x^-2 + ..., and multiplying back gives 1
         f = LaurentSeries.from_poly(Poly(FIELD, [-1, 1]), 8)
-        inv = series_inverse(f)
+        inv = f.inverse()
         for e in range(-1, -9, -1):
             assert inv.coefficient(e) == 1
         assert (inv * f).agrees_with(LaurentSeries.constant(FIELD, 1, 8))
@@ -107,7 +105,7 @@ class TestArithmetic:
             f = random_series(self.rng)
             if f.is_zero_within_window() or f.leading_coefficient().is_zero:
                 continue
-            prod = f * series_inverse(f)
+            prod = f * f.inverse()
             assert prod.agrees_with(LaurentSeries.constant(FIELD, 1, prod.truncation_order))
 
 
@@ -157,8 +155,3 @@ class TestSqrtSeries:
     def test_degree_two_required(self):
         with pytest.raises(ValueError):
             sqrt_series(Poly(FIELD, [1, 1]), 4)
-
-
-def test_series_mul_alias():
-    f = LaurentSeries(FIELD, -1, [1, 2], 4)
-    assert series_mul(f, f) == f * f
