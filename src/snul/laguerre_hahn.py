@@ -33,7 +33,14 @@ from .errors import (
     Underdetermined,
 )
 from .fieldext import QuadNumber
-from .lattice import Lattice, _operator_series, apply_shift
+from .lattice import (
+    Lattice,
+    _operator_series,
+    apply_E_series,
+    apply_M_series,
+    apply_shift,
+    e1e2_series,
+)
 from .orthopoly import SMOPData, second_kind_series
 from .poly import Poly
 from .series import LaurentSeries
@@ -217,11 +224,11 @@ class Certificate:
 class Workspace:
     """The operator images of one certify job, each computed on first use.
 
-    Holds q_n = P_n S - P1_{n-1}; the (E1, E2, D, M) images of S and of each
-    q_n; and the shifts E_j P_n, E_j P1_n.  S defaults to the Stieltjes
-    series of `data`.  `data` may be attached after construction: the
-    Riccati check needs only S, and the recurrence exists only once it has
-    passed.
+    Holds q_n = P_n S - P1_{n-1}; the (D, M) images of S and of each q_n, and
+    their (E1, E2) images where a relation reads them; and the shifts
+    E_j P_n, E_j P1_n.  S defaults to the Stieltjes series of `data`.
+    `data` may be attached after construction: the Riccati check needs only
+    S, and the recurrence exists only once it has passed.
     """
 
     def __init__(self, lattice: Lattice, s: LaurentSeries | None = None,
@@ -240,10 +247,21 @@ class Workspace:
     def q(self, n: int) -> LaurentSeries:
         return self._get(("q", n), lambda: second_kind_series(self.data, self.s, n))
 
-    def images(self, n: int | None = None, order: int | None = None):
-        """(E1 f, E2 f, D f, M f) for f = S (n None) or f = q_n."""
-        return self._get(("images", n, order), lambda: _operator_series(
-            self.lattice, self.s if n is None else self.q(n), order))
+    def series(self, n: int | None = None) -> LaurentSeries:
+        """S (n None) or q_n."""
+        return self.s if n is None else self.q(n)
+
+    def dm(self, n: int | None = None, order: int | None = None):
+        """(D f, M f) for f = S (n None) or f = q_n."""
+        return self._get(("dm", n, order), lambda: _operator_series(
+            self.lattice, self.series(n), order))
+
+    def shifted(self, n: int | None = None, order: int | None = None):
+        """(E1 f, E2 f) for f = S (n None) or f = q_n."""
+        return self._get(("E", n, order), lambda: tuple(
+            apply_E_series(self.lattice, self.series(n), j, order,
+                           dm=self.dm(n, order))
+            for j in (1, 2)))
 
     def poly_shifts(self, n: int) -> tuple[SurdPoly, SurdPoly]:
         """(E1 P_n, E2 P_n); D P_n and M P_n are the two parts of E2 P_n."""
@@ -315,10 +333,10 @@ def riccati_residual(ric: RiccatiData, s: LaurentSeries,
     zero within its window.
     """
     ws = _workspace(workspace, ric.lattice, s)
-    e1, e2, ds, ms = ws.images(order=order)
+    ds, ms = ws.dm(order=order)
     res = ds.mul_poly(ric.A) - ms.mul_poly(ric.C)
     if not ric.B.is_zero:
-        res = res - (e1 * e2).mul_poly(ric.B)
+        res = res - e1e2_series(ric.lattice, ws.s, ds, ms).mul_poly(ric.B)
     res = res - LaurentSeries.from_poly(ric.D, res.truncation_order)
     if res.truncation_order < 1:
         raise InsufficientTruncation(
@@ -338,6 +356,10 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
     it with u_0 only at lower powers).  Raises Inconsistent(k) when an
     equation cannot be satisfied, FreeMoment(k) when the equation is vacuous
     and no value for u_k was supplied in free_values.
+
+    DS and MS are kept as running sums of the rows of the lattice's D/M
+    table, and E1S E2S enters as (MS)^2 - r (DS)^2, so each equation costs
+    the few residual coefficients it reads: O(count) work per moment.
     """
     lattice = ric.lattice
     field = lattice.field
@@ -350,31 +372,41 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
     m0 = max(deg_terms)
     top_res = max(m0, D.degree if not D.is_zero else m0)
     max_deg = max(d.degree for d in (A, B, C, D) if not d.is_zero)
-    depth = count + max_deg + abs(m0) + 8
+    # the equation for u_k sits at x^(m0 - k) and reads DS, MS and E1S E2S
+    # at most max_deg powers lower
+    depth = count - m0 + max_deg
+    rows = lattice.dm_table(depth, count + 1)
+    r0, r1, r2 = (lattice.r.coefficient(i).rational_value() for i in range(3))
+    zero = Fraction(0)
+    # DS and MS of the moments so far, u_0 = 1: coefficients of x^0 .. x^-depth
+    d1, m1 = rows[1]
+    ds, ms = list(d1[: depth + 1]), list(m1[: depth + 1])
 
-    # w_j^k = E_j x^(-k), k = 1..count+1, from the lattice's power table
-    w1s, w2s = (
-        [w.restrict(depth) for w in lattice.inv_y_powers(j, depth, count + 1)[: count + 1]]
-        for j in (1, 2)
-    )
-    inv_delta = (lattice.sqrt_r_series(depth) * 2).inverse()
+    def conv(f, g, m, low):
+        """Coefficient of x^-m in f g, both without terms above x^-low."""
+        return sum((f[a] * g[m - a] for a in range(low, m - low + 1)), zero)
 
-    def d_and_m(f1: LaurentSeries, f2: LaurentSeries) -> LaurentSeries:
-        """A D f - C M f from the two images of f."""
-        return ((f2 - f1) * inv_delta).mul_poly(A) - ((f1 + f2) * HALF).mul_poly(C)
+    def cross(d1, m1, d2, m2, m):
+        """Coefficient of x^-m in M1 M2 - r D1 D2 (D has no term above x^-2,
+        M none above x^-1)."""
+        return (conv(m1, m2, m, 1) - r0 * conv(d1, d2, m, 2)
+                - r1 * conv(d1, d2, m + 1, 2) - r2 * conv(d1, d2, m + 2, 2))
+
+    def at_power(poly, e, value):
+        """Coefficient of x^e in poly times the series whose x^-m
+        coefficient is value(m)."""
+        return sum((c * value(i - e) for i, c in enumerate(poly.coeffs)
+                    if not c.is_zero and i - e > 0), field.zero)
+
+    def residual(e):
+        out = (at_power(A, e, ds.__getitem__) - at_power(C, e, ms.__getitem__)
+               - at_power(B, e, lambda m: cross(ds, ms, ds, ms, m)))
+        return out - D.coefficient(e) if e >= 0 else out
 
     free_values = free_values or {}
     moments = [Fraction(1)]
-    e1s, e2s = w1s[0], w2s[0]
-
-    # the residual with u_0 alone; u_k enters S with x^(-k-1), whose images
-    # are w1pow, w2pow, and adds u_k alpha - u_k^2 B w1pow w2pow, where alpha
-    # holds the B cross terms with the earlier moments
-    base = d_and_m(e1s, e2s) - LaurentSeries.from_poly(D, depth)
-    if not B.is_zero:
-        base = base - (e1s * e2s).mul_poly(B)
     for e in range(top_res, m0 - 1, -1):
-        c = base.coefficient(e)
+        c = residual(e)
         if not c.is_zero:
             raise Inconsistent(
                 0, f"residual coefficient at x^{e} is {c} with u_0 alone; "
@@ -382,13 +414,14 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
             )
 
     for k in range(1, count + 1):
-        w1pow, w2pow = w1s[k], w2s[k]
+        # u_k enters S with x^(-k-1), whose images are row k + 1
+        dk, mk = rows[k + 1]
         target = m0 - k
-        beta_k = base.coefficient(target)
-        alpha = d_and_m(w1pow, w2pow)
-        if not B.is_zero:
-            alpha = alpha - (e1s * w2pow + w1pow * e2s).mul_poly(B)
-        alpha_k = alpha.coefficient(target)
+        beta_k = residual(target)
+        alpha_k = (
+            at_power(A, target, dk.__getitem__) - at_power(C, target, mk.__getitem__)
+            - at_power(B, target, lambda m: 2 * cross(ds, ms, dk, mk, m))
+        )
         if alpha_k.is_zero:
             if beta_k.is_zero:
                 if k in free_values:
@@ -401,12 +434,12 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
             uk = -beta_k / alpha_k
         if not uk.is_rational:
             raise Inconsistent(k, f"moment u_{k} = {uk} is not rational")
-        moments.append(uk.rational_value())
-        base = base + alpha * uk
-        if not B.is_zero:
-            base = base - (w1pow * w2pow).mul_poly(B) * (uk * uk)
-            e1s = e1s + w1pow * uk
-            e2s = e2s + w2pow * uk
+        u = uk.rational_value()
+        moments.append(u)
+        for i in range(k + 2, depth + 1):
+            ds[i] += u * dk[i]
+        for i in range(k + 1, depth + 1):
+            ms[i] += u * mk[i]
     return moments
 
 
@@ -481,8 +514,8 @@ def riccati_nullspace(lattice: Lattice, s: LaurentSeries,
     """
     field = lattice.field
     da, db, dc, dd = degree_bounds
-    e1, e2, ds, ms = _operator_series(lattice, s, order)
-    q = e1 * e2
+    ds, ms = _operator_series(lattice, s, order)
+    q = e1e2_series(lattice, s, ds, ms)
     sizes = [da + 1, db + 1, dc + 1, dd + 1]
     ncols = sum(sizes)
     e_top = max(
@@ -675,9 +708,10 @@ def verify_second_kind_relations(ric: RiccatiData, data: SMOPData,
     theta = coeffs.theta_at(n - 1)
 
     ws = _workspace(workspace, lattice, s, data)
-    e1_qn, e2_qn, d_qn, _ = ws.images(n, order)
-    e1_qprev, e2_qprev, _, _ = ws.images(n - 1, order)
-    e1_s, e2_s, _, _ = ws.images(order=order)
+    e1_qn, e2_qn = ws.shifted(n, order)
+    d_qn = ws.dm(n, order)[0]
+    e1_qprev, e2_qprev = ws.shifted(n - 1, order)
+    e1_s, e2_s = ws.shifted(order=order)
 
     w = min(x.truncation_order for x in (d_qn, e1_qn, e2_qn, e1_qprev, e2_qprev))
     l_plus = _surd_coeff_series(lattice, l, pi, +1, w)
@@ -735,17 +769,17 @@ def gathered_relations(ric: RiccatiData, data: SMOPData,
     l_prev = coeffs.l_at(n - 1)
     theta_prev = coeffs.theta_at(n - 1)
     a_n = coeffs.A_at(n)
-    _, _, d_qn, m_qn = ws.images(n)
-    m_qprev = ws.images(n - 1)[3]
+    d_qn, m_qn = ws.dm(n)
+    m_qprev = ws.dm(n - 1)[1]
     res_q = (
         d_qn.mul_poly(a_n)
         - m_qn.mul_poly(l_prev + half_C)
         - m_qprev.mul_poly(theta_prev)
     )
     if not B.is_zero:
-        m_s = ws.images()[3]
-        # S q_n is used at this level only, so its images are not kept
-        m_sq = _operator_series(ric.lattice, s * ws.q(n))[3]
+        m_s = ws.dm()[1]
+        # S q_n is used at this level only, so its image is not kept
+        m_sq = apply_M_series(ric.lattice, s * ws.q(n))
         res_q = res_q - (m_s * m_qn * 2 - m_sq).mul_poly(B)
     return res_p, res_p1, res_q
 
@@ -1022,7 +1056,7 @@ def certify(ric: RiccatiData, n_max: int, order: int,
                            residual_summary=_series_summary(res)))
         if not ok:
             return abort()
-    except InsufficientTruncation as exc:
+    except SnulError as exc:
         record(CheckResult("riccati", "fail", detail=str(exc)))
         return abort()
 

@@ -10,8 +10,11 @@ and the operators act by
 
 On polynomials the images of E_j live in K[x][sqrt(r)]; D and M are read off
 the two components of a single E2 expansion, which makes the cancellation of
-Delta_y = 2 sqrt(r) exact by construction.  On Laurent series the operators
-act through the expansion of 1/y_j at infinity.
+Delta_y = 2 sqrt(r) exact by construction.  On Laurent series D and M act
+through one rational table: with N = y1 y2 = p^2 - r, both take x^(-k) to
+rational functions over Q, whose expansions the lattice keeps row by row
+(`Lattice.dm_table`).  D s and M s are linear combinations of those rows, and
+E_j s = M s -/+ sqrt(r) D s is the only image that needs sqrt(r).
 """
 from __future__ import annotations
 
@@ -24,10 +27,13 @@ from .errors import (
     InvalidConic,
     UnsupportedLatticeClass,
 )
-from .fieldext import QuadField, Rational
+from .fieldext import QuadField, QuadNumber, Rational
 from .poly import Poly
 from .series import LaurentSeries, sqrt_series
 from .surd import SurdPoly
+
+
+_ZERO = Fraction(0)
 
 
 class LatticeClass(Enum):
@@ -56,21 +62,23 @@ class Lattice:
     """Immutable lattice data: conic coefficients, p, r, invariants, field.
 
     The only interior state is memoization of series expansions: 1/y_j per
-    window, the expansion of sqrt(r), and for each branch j one table of the
-    powers w_j^k = (1/y_j)^k, k = 1, 2, ...  The last two are kept at the
-    deepest window asked for so far and read at shallower windows.  Every
-    entry is exact within its window, so recomputing one gives the same
-    value.  Nothing is changed in place: a longer or deeper table is built
-    aside and swapped in by a single assignment.  A reader therefore always
-    sees a complete table, two threads that grow the same table at once only
-    repeat each other's work, and instances are safe to share across
-    threads.
+    window (an oracle; the operators do not read it), the expansion of
+    sqrt(r), and one table whose row k holds the expansions of D x^(-k) and
+    M x^(-k), k = 0, 1, 2, ..., with rational coefficients.  The last two are
+    kept at the deepest window asked for so far and read at shallower
+    windows.  Every entry is exact within its window, so recomputing one
+    gives the same value.  Nothing is changed in place: a longer or deeper
+    table is built aside as a new tuple and swapped in by a single
+    assignment, and each reader keeps the tuple it was handed.  A reader
+    therefore always sees a complete table, two threads that grow the same
+    table at once only repeat each other's work, and instances are safe to
+    share across threads.
     """
 
     __slots__ = (
         "a_hat", "b_hat", "c_hat", "d_hat", "e_hat", "f_hat",
         "field", "p", "r", "lam", "tau", "q_trace", "lattice_class",
-        "_sqrt_r", "_invy_cache", "_invy_powers",
+        "_sqrt_r", "_invy_cache", "_dm_table",
     )
 
     def __init__(self, a_hat, b_hat, c_hat, d_hat, e_hat, f_hat, field,
@@ -90,7 +98,7 @@ class Lattice:
         self.lattice_class = lattice_class
         self._sqrt_r = None
         self._invy_cache = {}
-        self._invy_powers = {}
+        self._dm_table = (-1, ())
 
     # -- derived objects ------------------------------------------------------
     def y_surd(self, j: int) -> SurdPoly:
@@ -127,26 +135,64 @@ class Lattice:
         self._invy_cache[key] = w
         return w
 
-    def inv_y_powers(self, j: int, depth: int, count: int) -> tuple[LaurentSeries, ...]:
-        """(w, w^2, ..., w^count) or more, w = 1/y_j, each exact down to at
-        least x^(-depth).
+    def dm_table(self, depth: int, count: int) -> tuple:
+        """Rows k = 0..count (or more) of the table of D x^(-k) and M x^(-k).
 
-        Each power is formed as w^(k-1) * w from the expansion of w at the
-        table's window and kept down to x^(-window): it is exact there, and
-        no reader of the table goes deeper.
+        Row k is a pair of tuples (d, m) with d[i], m[i] the rational
+        coefficients of x^(-i) in D x^(-k) and M x^(-k), i = 0..table depth,
+        where the table depth is at least `depth`.  With N = y1 y2 = p^2 - r,
+
+            D x^(-k-1) = (p D x^(-k) - M x^(-k)) / N,
+            M x^(-k-1) = (p M x^(-k) - r D x^(-k)) / N,
+
+        from D 1 = 0, M 1 = 1.  Dividing by the quadratic N is a three-term
+        recurrence, so each row costs O(depth) rational operations, and a
+        row that is exact down to x^(-depth) gives the next one exact there.
         """
-        table_depth, powers = self._invy_powers.get(j, (-1, ()))
+        table_depth, rows = self._dm_table
         if table_depth < depth:
-            table_depth, powers = depth, (self.inv_y_series(j, depth),)
-        elif len(powers) >= count:
-            return powers
-        w = powers[0]
-        grown = list(powers)
-        while len(grown) < count:
-            grown.append((grown[-1] * w).restrict(table_depth))
-        powers = tuple(grown)
-        self._invy_powers[j] = (table_depth, powers)
-        return powers
+            table_depth = max(depth, 2)     # M x^-1 = p/N reaches x^-2
+            rows = (((_ZERO,) * (table_depth + 1),
+                     (Fraction(1),) + (_ZERO,) * table_depth),)
+        elif len(rows) > count:
+            return rows
+        p0, p1 = (self.p.coefficient(i).rational_value() for i in (0, 1))
+        r0, r1, r2 = (self.r.coefficient(i).rational_value() for i in (0, 1, 2))
+        n0, n1, n2 = p0 * p0 - r0, 2 * p0 * p1 - r1, p1 * p1 - r2
+        if n2 == 0:
+            # y1 y2 has lost its x^2 term: one branch, p -/+ sqrt(r), has no
+            # x term
+            j = 1 if self.field.sqrt(r2) == p1 else 2
+            raise DegenerateLattice(
+                f"y_{j} has degenerate leading behaviour; 1/y_{j} expansion impossible"
+            )
+        inv_n2 = 1 / n2
+        zeros = (_ZERO,) * (table_depth + 1)
+
+        def over_n(numerator, lead, x1=_ZERO):
+            # g = f / N, f[i] = numerator(i) the x^(-i) coefficient; g has
+            # x1 at x^-1 and is zero above x^(-lead) otherwise
+            g = list(zeros)
+            g[1] = x1
+            for j in range(lead, table_depth + 1):
+                g[j] = (numerator(j - 2) - n1 * g[j - 1] - n0 * g[j - 2]) * inv_n2
+            return tuple(g)
+
+        grown = list(rows)
+        while len(grown) <= count:
+            # D x^(-k-1) leads at x^(-k-2) at the highest, M x^(-k-1) at
+            # x^(-k-1); only p M 1 = p reaches x^1, where M x^-1 = p/N starts
+            k = len(grown) - 1
+            d, m = grown[-1]
+            grown.append((
+                over_n(lambda i: p0 * d[i] + p1 * d[i + 1] - m[i], k + 2),
+                over_n(lambda i: (p0 * m[i] + p1 * m[i + 1]
+                                  - r0 * d[i] - r1 * d[i + 1] - r2 * d[i + 2]),
+                       max(k + 1, 2), p1 * inv_n2 if k == 0 else _ZERO),
+            ))
+        rows = tuple(grown)
+        self._dm_table = (table_depth, rows)
+        return rows
 
     def conic_value(self, x: float, y: float) -> float:
         """Float evaluation of the conic (diagnostics only)."""
@@ -235,74 +281,112 @@ def apply_M(lattice: Lattice, f: Poly) -> Poly:
 
 # -- operators on Laurent series ----------------------------------------------
 
-def apply_E_series(lattice: Lattice, s: LaurentSeries, j: int,
-                   order: int | None = None) -> LaurentSeries:
-    """Compose a Laurent series with y_j, honestly windowed.
+def _read_window(s: LaurentSeries, order: int | None) -> LaurentSeries:
+    """s cut to x^(-order) when `order` is shallower than its window."""
+    if order is not None and order < s.truncation_order:
+        return s.restrict(order)
+    return s
 
-    Negative powers of x become a linear combination of the rows of the
-    lattice's table of powers of 1/y_j; nonnegative powers go through the
-    surd powers of y_j.  The result window never exceeds
-    the window of s (an unknown tail coefficient of s perturbs the
-    composition at its own exponent and below).
+
+def _operator_series(lattice: Lattice, s: LaurentSeries, order: int | None = None,
+                     need_d: bool = True):
+    """(D s, M s), the one place where D and M of a series are formed; D s is
+    None when need_d is false.
+
+    With n the window of s (read down to x^(-order) at most), D s is known
+    down to x^(-(n+1)) and M s down to x^(-n): an unknown coefficient of s at
+    x^(-n-1) changes D s from x^(-n-2) and M s from x^(-n-1) on.  Negative
+    powers of x are a linear combination of the rows of the lattice's D/M
+    table, formed separately on the rational and the sqrt(d) part of the
+    coefficients; nonnegative powers go through the polynomial images.
+    """
+    if s.field != lattice.field:
+        raise ValueError("series over a different field than the lattice")
+    s = _read_window(s, order)
+    n = s.truncation_order
+    field = lattice.field
+    # the rational and the sqrt(d) parts of D s (x^0 .. x^-(n+1)) and of
+    # M s (x^0 .. x^-n)
+    d_parts = ([_ZERO] * (n + 2), [_ZERO] * (n + 2))
+    m_parts = ([_ZERO] * (n + 1), [_ZERO] * (n + 1))
+    bottom = s.lowest_power - len(s.coefficients) + 1 if s.coefficients else 0
+    if bottom <= -1:
+        rows = lattice.dm_table(n + 1, -bottom)
+        for k in range(max(1, -s.lowest_power), -bottom + 1):
+            c = s._padded(-k)
+            d, m = rows[k]
+            for acc_d, acc_m, value in zip(d_parts, m_parts, (c.a, c.b)):
+                if not value:
+                    continue
+                if need_d:
+                    for i in range(k + 1, n + 2):
+                        acc_d[i] += value * d[i]
+                for i in range(k, n + 1):
+                    acc_m[i] += value * m[i]
+
+    def assemble(parts, window):
+        return LaurentSeries(field, 0, [QuadNumber(field, a, b) for a, b in zip(*parts)],
+                             window)
+
+    ds = assemble(d_parts, n + 1) if need_d else None
+    ms = assemble(m_parts, n)
+    top = s._effective_top()
+    if top >= 0:
+        poly_part = Poly(field, [s._padded(e) for e in range(top + 1)])
+        if not poly_part.is_zero:
+            image = apply_shift(lattice, poly_part, 2)
+            if need_d:
+                ds = ds + LaurentSeries.from_poly(image.v, n + 1)
+            ms = ms + LaurentSeries.from_poly(image.u, n)
+    return ds, ms
+
+
+def apply_E_series(lattice: Lattice, s: LaurentSeries, j: int,
+                   order: int | None = None, dm=None) -> LaurentSeries:
+    """Compose a Laurent series with y_j: E_j s = M s -/+ sqrt(r) D s.
+
+    The one place where E_j of a series is formed.  `dm` may hold (D s, M s)
+    from `_operator_series` at the same window.  With n the window of s, the
+    result is known down to x^(-n), like M s; sqrt(r) D s is too, since D s
+    reaches one step deeper and sqrt(r) has leading exponent 1.
     """
     if j not in (1, 2):
         raise ValueError("shift index must be 1 or 2")
-    if s.field != lattice.field:
-        raise ValueError("series over a different field than the lattice")
-    n_s = s.truncation_order
-    depth = max(order if order is not None else n_s, n_s) + 2
-    field = lattice.field
-    acc = LaurentSeries.zero(field, depth)
-    top = s._effective_top()
-    if top >= 0:
-        # polynomial part: sum c_e * y_j^e embedded as a series
-        poly_part = Poly(field, [s._padded(e) for e in range(0, top + 1)])
-        if not poly_part.is_zero:
-            image = apply_shift(lattice, poly_part, j)
-            ser = LaurentSeries.from_poly(image.u, depth)
-            if not image.v.is_zero:
-                ser = ser + lattice.sqrt_r_series(depth).mul_poly(image.v)
-            acc = acc + ser
-    if s.coefficients:
-        bottom = max(-n_s, s.lowest_power - len(s.coefficients) + 1)
-    else:
-        bottom = 0
-    if bottom <= -1:
-        # sum of c_k w^k down to x^(-depth)
-        powers = lattice.inv_y_powers(j, depth, -bottom)
-        out = [field.zero] * depth          # exponents -1 .. -depth
-        for k in range(1, -bottom + 1):
-            c = s._padded(-k)
-            if c.is_zero:
-                continue
-            wk = powers[k - 1]
-            start = -wk.lowest_power - 1
-            for i, a in enumerate(wk.coefficients[: depth - start]):
-                out[start + i] = out[start + i] + a * c
-        acc = acc + LaurentSeries(field, -1, out, depth)
-    return acc.restrict(min(acc.truncation_order, n_s))
-
-
-def _operator_series(lattice: Lattice, s: LaurentSeries, order: int | None = None):
-    """(E1 s, E2 s, D s, M s); the one place where D and M are formed from
-    the two compositions."""
-    e1 = apply_E_series(lattice, s, 1, order)
-    e2 = apply_E_series(lattice, s, 2, order)
-    diff = e2 - e1
-    delta = lattice.sqrt_r_series(diff.truncation_order + 4) * 2
-    return e1, e2, diff * delta.inverse(), (e1 + e2) * Fraction(1, 2)
+    ds, ms = dm if dm is not None else _operator_series(lattice, s, order)
+    n = ms.truncation_order
+    if ds.is_zero_within_window():
+        return ms
+    # root * ds is known down to x^(-n) once root reaches x^(-(n + L)),
+    # L the leading exponent of D s
+    root = lattice.sqrt_r_series(max(n + ds.leading_exponent(), 1))
+    prod = (root * ds).restrict(n)
+    return ms - prod if j == 1 else ms + prod
 
 
 def apply_D_series(lattice: Lattice, s: LaurentSeries,
                    order: int | None = None) -> LaurentSeries:
-    """(E2 s - E1 s) / (2 sqrt(r)) with window-aware series division."""
-    return _operator_series(lattice, s, order)[2]
+    """(E2 s - E1 s) / (y2 - y1), known one step deeper than s."""
+    return _operator_series(lattice, s, order)[0]
 
 
 def apply_M_series(lattice: Lattice, s: LaurentSeries,
                    order: int | None = None) -> LaurentSeries:
-    """(E1 s + E2 s) / 2."""
-    return _operator_series(lattice, s, order)[3]
+    """(E1 s + E2 s) / 2, known as deep as s."""
+    return _operator_series(lattice, s, order, need_d=False)[1]
+
+
+def e1e2_series(lattice: Lattice, s: LaurentSeries, ds: LaurentSeries,
+                ms: LaurentSeries) -> LaurentSeries:
+    """E1 s E2 s = (M s)^2 - r (D s)^2, over Q when s is, from the images
+    (D s, M s) of `_operator_series`.
+
+    Claimed as deep as the product of the two compositions would be: each
+    E_j s is known down to x^(-n) and leads with the exponent L of s, so the
+    product is known down to x^(-(n - L)).
+    """
+    n = ms.truncation_order
+    prod = ms * ms - (ds * ds).mul_poly(lattice.r)
+    return prod.restrict(n - _read_window(s, n)._effective_top())
 
 
 # -- floating-point lattice point diagnostics ----------------------------------

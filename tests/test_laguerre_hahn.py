@@ -474,6 +474,22 @@ class TestCertify:
         # durations of consecutive stages add up to at most the whole run
         assert sum(stages.values()) <= cert.timings["total"] + 1e-6
 
+    def test_riccati_stage_errors_recorded_not_raised(self):
+        # c = 0: y1 y2 loses its x^2 term and y_2 its x term, so no operator
+        # image of S exists; certify records the error instead of raising
+        from snul import build_lattice
+        lat = build_lattice(1, 2, 0, 0, 1, 1)
+        field = lat.field
+        ric = RiccatiData(Poly(field, [1, 0, 1]), Poly.zero(field),
+                          Poly(field, [0, 1]), Poly.one(field), lat)
+        cert = certify(ric, 2, 8, moments=[F(1)] + [F(0)] * 9)
+        assert not cert.passed
+        riccati = cert.check("riccati")
+        assert riccati.verdict == "fail"
+        assert riccati.detail == ("y_2 has degenerate leading behaviour; "
+                                  "1/y_2 expansion impossible")
+        assert [c.verdict for c in cert.checks[2:]] == ["skip"] * (len(cert.checks) - 2)
+
     def test_second_kind_errors_recorded_not_raised(self, reference_lattice, monkeypatch):
         import snul.laguerre_hahn as lh
 

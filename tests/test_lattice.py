@@ -331,6 +331,39 @@ def random_field_series(rng, field, window):
     return LaurentSeries(field, top, coeffs, window)
 
 
+class TestSeriesWindows:
+    """D S, M S and E_j S of a moment series with window n are known down to
+    x^-(n+1), x^-n and x^-n: each result is claimed exactly as deep as its
+    arithmetic goes, and every claimed coefficient is right."""
+
+    @pytest.mark.parametrize("conic", [REFERENCE_CONIC, SURD_CONIC, IMAGINARY_CONIC])
+    def test_windows_are_tight(self, conic):
+        lat = build_lattice(*conic)
+        rng = random.Random(1308)
+        moments = [F(1)] + [random_fraction(rng) or F(1) for _ in range(12)]
+        inv_delta = (lat.sqrt_r_series(24) * 2).inverse()
+        windows = {}
+        for cut in (0, 1):
+            s = LaurentSeries.from_moments(lat.field, moments[:len(moments) - cut])
+            n = s.truncation_order
+            ds, ms = apply_D_series(lat, s), apply_M_series(lat, s)
+            es = [apply_E_series(lat, s, j) for j in (1, 2)]
+            windows[cut] = [ds.truncation_order, ms.truncation_order] + [
+                e.truncation_order for e in es]
+            assert windows[cut] == [n + 1, n, n, n]
+            # the deepest claimed coefficient of each, against the
+            # repeated-product oracle
+            o1, o2 = (repeated_product_E_series(lat, s, j) for j in (1, 2))
+            o_d = (o2 - o1) * inv_delta
+            o_m = (o1 + o2) * F(1, 2)
+            assert ds.coefficient(-(n + 1)) == o_d.coefficient(-(n + 1))
+            assert ms.coefficient(-n) == o_m.coefficient(-n)
+            assert es[0].coefficient(-n) == o1.coefficient(-n)
+            assert es[1].coefficient(-n) == o2.coefficient(-n)
+        # dropping the last moment shortens every window by exactly one
+        assert [a - b for a, b in zip(windows[0], windows[1])] == [1, 1, 1, 1]
+
+
 class TestPowerTable:
     @pytest.mark.parametrize("conic", [REFERENCE_CONIC, SURD_CONIC, IMAGINARY_CONIC])
     def test_matches_repeated_products(self, conic):
@@ -345,11 +378,32 @@ class TestPowerTable:
                 for j in (1, 2):
                     got = apply_E_series(lat, s, j, order)
                     assert got == repeated_product_E_series(lat, s, j, order)
-        for j in (1, 2):
-            depth, powers = lat._invy_powers[j]
-            assert depth == 20
-            # every stored power is exact down to x^-depth at least
-            assert all(w.truncation_order >= depth for w in powers)
+        depth, rows = lat._dm_table
+        assert depth == 17          # window 16, and D s reaches one step deeper
+        # every stored row is complete down to x^-depth
+        assert all(len(d) == len(m) == depth + 1 for d, m in rows)
+
+    @pytest.mark.parametrize("conic", [REFERENCE_CONIC, SURD_CONIC, IMAGINARY_CONIC])
+    def test_rows_match_repeated_products(self, conic):
+        # row k holds D x^-k and M x^-k; the oracle forms them from the
+        # branch expansions, (E2 - E1)/(2 sqrt(r)) and (E1 + E2)/2 with
+        # E_j x^-k = (1/y_j)^k by repeated products
+        lat = build_lattice(*conic)
+        depth = 24
+        rows = lat.dm_table(depth, 20)
+        assert lat._dm_table[0] == depth
+        inv_delta = (lat.sqrt_r_series(depth + 4) * 2).inverse()
+        w1, w2 = (lat.inv_y_series(j, depth + 2) for j in (1, 2))
+        e1 = e2 = LaurentSeries.constant(lat.field, 1, depth + 2)
+        for k in range(0, 21):
+            if k:
+                e1, e2 = e1 * w1, e2 * w2
+            d_oracle = (e2 - e1) * inv_delta
+            m_oracle = (e1 + e2) * F(1, 2)
+            assert min(d_oracle.truncation_order, m_oracle.truncation_order) >= depth
+            d, m = rows[k]
+            assert LaurentSeries(lat.field, 0, d, depth).agrees_with(d_oracle)
+            assert LaurentSeries(lat.field, 0, m, depth).agrees_with(m_oracle)
 
     def test_shared_lattice_across_threads(self):
         import sys
