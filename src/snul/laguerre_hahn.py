@@ -36,9 +36,11 @@ from .fieldext import QuadNumber
 from .lattice import (
     Lattice,
     _operator_series,
+    add_dm_row,
     apply_E_series,
     apply_M_series,
     apply_shift,
+    e1e2_coefficient,
     e1e2_series,
 )
 from .orthopoly import SMOPData, second_kind_series
@@ -251,16 +253,15 @@ class Workspace:
         """S (n None) or q_n."""
         return self.s if n is None else self.q(n)
 
-    def dm(self, n: int | None = None, order: int | None = None):
+    def dm(self, n: int | None = None):
         """(D f, M f) for f = S (n None) or f = q_n."""
-        return self._get(("dm", n, order), lambda: _operator_series(
-            self.lattice, self.series(n), order))
+        return self._get(("dm", n), lambda: _operator_series(
+            self.lattice, self.series(n)))
 
-    def shifted(self, n: int | None = None, order: int | None = None):
+    def shifted(self, n: int | None = None):
         """(E1 f, E2 f) for f = S (n None) or f = q_n."""
-        return self._get(("E", n, order), lambda: tuple(
-            apply_E_series(self.lattice, self.series(n), j, order,
-                           dm=self.dm(n, order))
+        return self._get(("E", n), lambda: tuple(
+            apply_E_series(self.lattice, self.series(n), j, dm=self.dm(n))
             for j in (1, 2)))
 
     def poly_shifts(self, n: int) -> tuple[SurdPoly, SurdPoly]:
@@ -325,7 +326,6 @@ def _e1e2_of_linear(lattice: Lattice, beta) -> Poly:
 # ---------------------------------------------------------------------------
 
 def riccati_residual(ric: RiccatiData, s: LaurentSeries,
-                     order: int | None = None,
                      workspace: Workspace | None = None) -> LaurentSeries:
     """A DS - B E1S E2S - C MS - D as a series with an explicit window.
 
@@ -333,7 +333,7 @@ def riccati_residual(ric: RiccatiData, s: LaurentSeries,
     zero within its window.
     """
     ws = _workspace(workspace, ric.lattice, s)
-    ds, ms = ws.dm(order=order)
+    ds, ms = ws.dm()
     res = ds.mul_poly(ric.A) - ms.mul_poly(ric.C)
     if not ric.B.is_zero:
         res = res - e1e2_series(ric.lattice, ws.s, ds, ms).mul_poly(ric.B)
@@ -376,21 +376,9 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
     # at most max_deg powers lower
     depth = count - m0 + max_deg
     rows = lattice.dm_table(depth, count + 1)
-    r0, r1, r2 = (lattice.r.coefficient(i).rational_value() for i in range(3))
-    zero = Fraction(0)
     # DS and MS of the moments so far, u_0 = 1: coefficients of x^0 .. x^-depth
-    d1, m1 = rows[1]
-    ds, ms = list(d1[: depth + 1]), list(m1[: depth + 1])
-
-    def conv(f, g, m, low):
-        """Coefficient of x^-m in f g, both without terms above x^-low."""
-        return sum((f[a] * g[m - a] for a in range(low, m - low + 1)), zero)
-
-    def cross(d1, m1, d2, m2, m):
-        """Coefficient of x^-m in M1 M2 - r D1 D2 (D has no term above x^-2,
-        M none above x^-1)."""
-        return (conv(m1, m2, m, 1) - r0 * conv(d1, d2, m, 2)
-                - r1 * conv(d1, d2, m + 1, 2) - r2 * conv(d1, d2, m + 2, 2))
+    ds, ms = [Fraction(0)] * (depth + 1), [Fraction(0)] * (depth + 1)
+    add_dm_row(ds, ms, Fraction(1), rows[1], 1)
 
     def at_power(poly, e, value):
         """Coefficient of x^e in poly times the series whose x^-m
@@ -400,7 +388,7 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
 
     def residual(e):
         out = (at_power(A, e, ds.__getitem__) - at_power(C, e, ms.__getitem__)
-               - at_power(B, e, lambda m: cross(ds, ms, ds, ms, m)))
+               - at_power(B, e, lambda m: e1e2_coefficient(lattice, ds, ms, ds, ms, m)))
         return out - D.coefficient(e) if e >= 0 else out
 
     free_values = free_values or {}
@@ -415,12 +403,14 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
 
     for k in range(1, count + 1):
         # u_k enters S with x^(-k-1), whose images are row k + 1
-        dk, mk = rows[k + 1]
+        row = rows[k + 1]
+        dk, mk = row
         target = m0 - k
         beta_k = residual(target)
         alpha_k = (
             at_power(A, target, dk.__getitem__) - at_power(C, target, mk.__getitem__)
-            - at_power(B, target, lambda m: 2 * cross(ds, ms, dk, mk, m))
+            - at_power(B, target,
+                       lambda m: 2 * e1e2_coefficient(lattice, ds, ms, dk, mk, m))
         )
         if alpha_k.is_zero:
             if beta_k.is_zero:
@@ -436,10 +426,7 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
             raise Inconsistent(k, f"moment u_{k} = {uk} is not rational")
         u = uk.rational_value()
         moments.append(u)
-        for i in range(k + 2, depth + 1):
-            ds[i] += u * dk[i]
-        for i in range(k + 1, depth + 1):
-            ms[i] += u * mk[i]
+        add_dm_row(ds, ms, u, row, k + 1)
     return moments
 
 
@@ -505,8 +492,7 @@ def _normalize_vector(vec: list[QuadNumber], field) -> list[QuadNumber]:
 
 
 def riccati_nullspace(lattice: Lattice, s: LaurentSeries,
-                      degree_bounds: tuple[int, int, int, int],
-                      order: int | None = None) -> list[list[QuadNumber]]:
+                      degree_bounds: tuple[int, int, int, int]) -> list[list[QuadNumber]]:
     """Nullspace of the linear map (A, B, C, D) -> residual coefficients.
 
     Returns raw coefficient vectors laid out A then B then C then D,
@@ -514,7 +500,7 @@ def riccati_nullspace(lattice: Lattice, s: LaurentSeries,
     """
     field = lattice.field
     da, db, dc, dd = degree_bounds
-    ds, ms = _operator_series(lattice, s, order)
+    ds, ms = _operator_series(lattice, s)
     q = e1e2_series(lattice, s, ds, ms)
     sizes = [da + 1, db + 1, dc + 1, dd + 1]
     ncols = sum(sizes)
@@ -545,8 +531,7 @@ def riccati_nullspace(lattice: Lattice, s: LaurentSeries,
 
 
 def fit_riccati(lattice: Lattice, s: LaurentSeries,
-                degree_bounds: tuple[int, int, int, int],
-                order: int | None = None) -> list[RiccatiData]:
+                degree_bounds: tuple[int, int, int, int]) -> list[RiccatiData]:
     """Candidate Riccati data within the degree bounds, from the exact
     nullspace.  Basis vectors whose A-part vanishes are dropped (A != 0 is
     part of the definition); an empty list is a valid 'not Laguerre-Hahn
@@ -554,7 +539,7 @@ def fit_riccati(lattice: Lattice, s: LaurentSeries,
     da, db, dc, dd = degree_bounds
     field = lattice.field
     out = []
-    for vec in riccati_nullspace(lattice, s, degree_bounds, order):
+    for vec in riccati_nullspace(lattice, s, degree_bounds):
         a = Poly(field, vec[: da + 1])
         b = Poly(field, vec[da + 1: da + db + 2])
         c = Poly(field, vec[da + db + 2: da + db + dc + 3])
@@ -694,8 +679,7 @@ def verify_structure_relations(ric: RiccatiData, data: SMOPData,
 
 def verify_second_kind_relations(ric: RiccatiData, data: SMOPData,
                                  coeffs: StructureCoeffs, s: LaurentSeries,
-                                 n: int, order: int | None = None,
-                                 workspace: Workspace | None = None):
+                                 n: int, workspace: Workspace | None = None):
     """Residuals of the two second-kind difference relations at level n >= 0,
     as windowed series (both must vanish within their windows).  At n = 0
     they reduce to the Riccati equation itself."""
@@ -708,10 +692,10 @@ def verify_second_kind_relations(ric: RiccatiData, data: SMOPData,
     theta = coeffs.theta_at(n - 1)
 
     ws = _workspace(workspace, lattice, s, data)
-    e1_qn, e2_qn = ws.shifted(n, order)
-    d_qn = ws.dm(n, order)[0]
-    e1_qprev, e2_qprev = ws.shifted(n - 1, order)
-    e1_s, e2_s = ws.shifted(order=order)
+    e1_qn, e2_qn = ws.shifted(n)
+    d_qn = ws.dm(n)[0]
+    e1_qprev, e2_qprev = ws.shifted(n - 1)
+    e1_s, e2_s = ws.shifted()
 
     w = min(x.truncation_order for x in (d_qn, e1_qn, e2_qn, e1_qprev, e2_qprev))
     l_plus = _surd_coeff_series(lattice, l, pi, +1, w)

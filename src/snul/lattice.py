@@ -281,28 +281,32 @@ def apply_M(lattice: Lattice, f: Poly) -> Poly:
 
 # -- operators on Laurent series ----------------------------------------------
 
-def _read_window(s: LaurentSeries, order: int | None) -> LaurentSeries:
-    """s cut to x^(-order) when `order` is shallower than its window."""
-    if order is not None and order < s.truncation_order:
-        return s.restrict(order)
-    return s
+def add_dm_row(ds: list, ms: list, value, row, k: int) -> None:
+    """ds += value D x^(-k) and ms += value M x^(-k), in place, for row k of
+    `Lattice.dm_table` and coefficient lists indexed by the power of 1/x.
+
+    D x^(-k) has no term above x^(-k-1) and M x^(-k) none above x^(-k); each
+    list is updated as deep as it goes (the table must reach that deep).
+    """
+    d, m = row
+    for i in range(k + 1, len(ds)):
+        ds[i] += value * d[i]
+    for i in range(k, len(ms)):
+        ms[i] += value * m[i]
 
 
-def _operator_series(lattice: Lattice, s: LaurentSeries, order: int | None = None,
-                     need_d: bool = True):
-    """(D s, M s), the one place where D and M of a series are formed; D s is
-    None when need_d is false.
+def _operator_series(lattice: Lattice, s: LaurentSeries):
+    """(D s, M s), the one place where D and M of a series are formed.
 
-    With n the window of s (read down to x^(-order) at most), D s is known
-    down to x^(-(n+1)) and M s down to x^(-n): an unknown coefficient of s at
-    x^(-n-1) changes D s from x^(-n-2) and M s from x^(-n-1) on.  Negative
-    powers of x are a linear combination of the rows of the lattice's D/M
-    table, formed separately on the rational and the sqrt(d) part of the
-    coefficients; nonnegative powers go through the polynomial images.
+    With n the window of s, D s is known down to x^(-(n+1)) and M s down to
+    x^(-n): an unknown coefficient of s at x^(-n-1) changes D s from
+    x^(-n-2) and M s from x^(-n-1) on.  Negative powers of x are a linear
+    combination of the rows of the lattice's D/M table, formed separately on
+    the rational and the sqrt(d) part of the coefficients; nonnegative
+    powers go through the polynomial images.
     """
     if s.field != lattice.field:
         raise ValueError("series over a different field than the lattice")
-    s = _read_window(s, order)
     n = s.truncation_order
     field = lattice.field
     # the rational and the sqrt(d) parts of D s (x^0 .. x^-(n+1)) and of
@@ -314,45 +318,42 @@ def _operator_series(lattice: Lattice, s: LaurentSeries, order: int | None = Non
         rows = lattice.dm_table(n + 1, -bottom)
         for k in range(max(1, -s.lowest_power), -bottom + 1):
             c = s._padded(-k)
-            d, m = rows[k]
             for acc_d, acc_m, value in zip(d_parts, m_parts, (c.a, c.b)):
-                if not value:
-                    continue
-                if need_d:
-                    for i in range(k + 1, n + 2):
-                        acc_d[i] += value * d[i]
-                for i in range(k, n + 1):
-                    acc_m[i] += value * m[i]
+                if value:
+                    add_dm_row(acc_d, acc_m, value, rows[k], k)
 
     def assemble(parts, window):
         return LaurentSeries(field, 0, [QuadNumber(field, a, b) for a, b in zip(*parts)],
                              window)
 
-    ds = assemble(d_parts, n + 1) if need_d else None
+    ds = assemble(d_parts, n + 1)
     ms = assemble(m_parts, n)
     top = s._effective_top()
     if top >= 0:
         poly_part = Poly(field, [s._padded(e) for e in range(top + 1)])
         if not poly_part.is_zero:
             image = apply_shift(lattice, poly_part, 2)
-            if need_d:
-                ds = ds + LaurentSeries.from_poly(image.v, n + 1)
+            ds = ds + LaurentSeries.from_poly(image.v, n + 1)
             ms = ms + LaurentSeries.from_poly(image.u, n)
     return ds, ms
 
 
 def apply_E_series(lattice: Lattice, s: LaurentSeries, j: int,
-                   order: int | None = None, dm=None) -> LaurentSeries:
+                   dm=None) -> LaurentSeries:
     """Compose a Laurent series with y_j: E_j s = M s -/+ sqrt(r) D s.
 
     The one place where E_j of a series is formed.  `dm` may hold (D s, M s)
-    from `_operator_series` at the same window.  With n the window of s, the
-    result is known down to x^(-n), like M s; sqrt(r) D s is too, since D s
-    reaches one step deeper and sqrt(r) has leading exponent 1.
+    from `_operator_series`.  With n the window of s, the result is known
+    down to x^(-n), like M s; sqrt(r) D s is too, since D s reaches one step
+    deeper and sqrt(r) has leading exponent 1.
+
+    Both branches go through the D/M table, which needs N = y1 y2 to keep its
+    x^2 term: when one branch has no x term (c = 0 in the conic), E_1 and
+    E_2 of a series with negative powers both raise DegenerateLattice.
     """
     if j not in (1, 2):
         raise ValueError("shift index must be 1 or 2")
-    ds, ms = dm if dm is not None else _operator_series(lattice, s, order)
+    ds, ms = dm if dm is not None else _operator_series(lattice, s)
     n = ms.truncation_order
     if ds.is_zero_within_window():
         return ms
@@ -363,16 +364,14 @@ def apply_E_series(lattice: Lattice, s: LaurentSeries, j: int,
     return ms - prod if j == 1 else ms + prod
 
 
-def apply_D_series(lattice: Lattice, s: LaurentSeries,
-                   order: int | None = None) -> LaurentSeries:
+def apply_D_series(lattice: Lattice, s: LaurentSeries) -> LaurentSeries:
     """(E2 s - E1 s) / (y2 - y1), known one step deeper than s."""
-    return _operator_series(lattice, s, order)[0]
+    return _operator_series(lattice, s)[0]
 
 
-def apply_M_series(lattice: Lattice, s: LaurentSeries,
-                   order: int | None = None) -> LaurentSeries:
+def apply_M_series(lattice: Lattice, s: LaurentSeries) -> LaurentSeries:
     """(E1 s + E2 s) / 2, known as deep as s."""
-    return _operator_series(lattice, s, order, need_d=False)[1]
+    return _operator_series(lattice, s)[1]
 
 
 def e1e2_series(lattice: Lattice, s: LaurentSeries, ds: LaurentSeries,
@@ -386,7 +385,22 @@ def e1e2_series(lattice: Lattice, s: LaurentSeries, ds: LaurentSeries,
     """
     n = ms.truncation_order
     prod = ms * ms - (ds * ds).mul_poly(lattice.r)
-    return prod.restrict(n - _read_window(s, n)._effective_top())
+    return prod.restrict(n - s._effective_top())
+
+
+def e1e2_coefficient(lattice: Lattice, d1, m1, d2, m2, i: int):
+    """The x^(-i) coefficient of M f1 M f2 - r D f1 D f2, which is
+    (E1 f1 E2 f2 + E2 f1 E1 f2) / 2, from coefficient lists of the images
+    indexed by the power of 1/x, for series f1, f2 without terms above
+    x^-1 (so D f has none above x^-2 and M f none above x^-1)."""
+    r0, r1, r2 = (lattice.r.coefficient(e).rational_value() for e in range(3))
+
+    def conv(f, g, m, low):
+        # the x^-m coefficient of f g, neither with terms above x^-low
+        return sum((f[a] * g[m - a] for a in range(low, m - low + 1)), _ZERO)
+
+    return (conv(m1, m2, i, 1) - r0 * conv(d1, d2, i, 2)
+            - r1 * conv(d1, d2, i + 1, 2) - r2 * conv(d1, d2, i + 2, 2))
 
 
 # -- floating-point lattice point diagnostics ----------------------------------

@@ -293,14 +293,18 @@ class TestSeriesOperators:
         s = LaurentSeries(lat.field, -1, [1], 6)
         with pytest.raises(DegenerateLattice):
             apply_E_series(lat, s, 2)
+        # y_1 keeps its x term, but E_1 goes through the same D/M table,
+        # which needs y1 y2 to keep its x^2 term
+        with pytest.raises(DegenerateLattice, match="y_2 has degenerate"):
+            apply_E_series(lat, s, 1)
 
 
-def repeated_product_E_series(lat, s, j, order=None):
+def repeated_product_E_series(lat, s, j):
     """Composition with y_j where every power of 1/y_j comes from a fresh
     run of repeated products, w^k = w^(k-1) * w: the oracle for the power
     table behind apply_E_series."""
     n_s = s.truncation_order
-    depth = max(order if order is not None else n_s, n_s) + 2
+    depth = n_s + 2
     acc = LaurentSeries.zero(lat.field, depth)
     top = s._effective_top()
     if top >= 0:
@@ -369,17 +373,16 @@ class TestPowerTable:
     def test_matches_repeated_products(self, conic):
         lat = build_lattice(*conic)          # a fresh lattice: empty tables
         rng = random.Random(1306)
-        # windows 12 and 16 (and the order 18 request) go deeper than the
-        # table holds at that point; 4 and 9 read a deeper table
-        for window, order in ((6, None), (4, None), (12, None), (9, None),
-                              (16, None), (7, 18)):
+        # windows 12, 16 and 20 go deeper than the table holds at that
+        # point; 4, 9 and 7 read a deeper table
+        for window in (6, 4, 12, 9, 16, 7, 20):
             for _ in range(3):
                 s = random_field_series(rng, lat.field, window)
                 for j in (1, 2):
-                    got = apply_E_series(lat, s, j, order)
-                    assert got == repeated_product_E_series(lat, s, j, order)
+                    got = apply_E_series(lat, s, j)
+                    assert got == repeated_product_E_series(lat, s, j)
         depth, rows = lat._dm_table
-        assert depth == 17          # window 16, and D s reaches one step deeper
+        assert depth == 21          # window 20, and D s reaches one step deeper
         # every stored row is complete down to x^-depth
         assert all(len(d) == len(m) == depth + 1 for d, m in rows)
 
