@@ -5,11 +5,14 @@ Q(sqrt(d)) for a square-free integer d.  d = 1 means the field collapsed to
 plain Q (the radicand requested at construction was a perfect square), in
 which case every element keeps b = 0 and arithmetic stays on the fast
 rational path.
+
+`convolve` is the one exact product kernel for coefficient sequences: it
+works on integer numerators and so needs the (a, b) layout of QuadNumber.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import FieldTooSmall
 
@@ -285,3 +288,61 @@ class QuadNumber:
         if self.field.d < 0 and self.b:
             raise ValueError("no real embedding for negative discriminant")
         return float(self.a) + float(self.b) * (self.field.d ** 0.5 if self.b else 0.0)
+
+
+def _numerators(field: QuadField, cs) -> tuple[list[int], list[int] | None, int]:
+    """Integer numerators of the a and b parts of `cs` over one least common
+    denominator; None in place of the b numerators when every b is zero."""
+    parts = [c.a for c in cs]
+    surd = field.d != 1 and any(c.b for c in cs)
+    if surd:
+        parts += [c.b for c in cs]
+    dens = [f.denominator for f in parts]
+    den = lcm(*dens)
+    nums = [f.numerator * (den // q) for f, q in zip(parts, dens)]
+    return nums[:len(cs)], (nums[len(cs):] if surd else None), den
+
+
+def _int_convolution(xs: list[int], ys: list[int], length: int) -> list[int]:
+    """Entries 0..length-1 of the convolution of two integer sequences, cut
+    at the end of the full convolution."""
+    n = max(0, min(length, len(xs) + len(ys) - 1))
+    out = [0] * n
+    for j, b in enumerate(ys[:n]):
+        if b:
+            for i, a in enumerate(xs[:n - j], j):
+                out[i] += a * b
+    return out
+
+
+def convolve(field: QuadField, xs, ys, length: int) -> list[QuadNumber]:
+    """Coefficients 0..length-1 of the product of two coefficient sequences.
+
+    Output k is the sum of xs[i] * ys[k - i]; entries past the end of the
+    full product are zero.  This is the one exact product kernel behind
+    `Poly`, `LaurentSeries` and `mul_poly`.  Each operand's rational parts
+    are written as integer numerators over that operand's least common
+    denominator and the plain ints are convolved, so the gcd that
+    normalises a Fraction runs once per output coefficient instead of once
+    per multiply-add.  Over Q(sqrt d) the a and b parts give
+    a*a + d*b*b and a*b + b*a.
+    """
+    xa, xb, x_den = _numerators(field, xs)
+    ya, yb, y_den = _numerators(field, ys)
+    a_part = _int_convolution(xa, ya, length)
+    b_part = [0] * len(a_part)
+    if xb and yb:
+        d = field.d
+        a_part = [s + d * t for s, t in zip(a_part, _int_convolution(xb, yb, length))]
+    if yb:
+        b_part = _int_convolution(xa, yb, length)
+    if xb:
+        b_part = [s + t for s, t in zip(b_part, _int_convolution(xb, ya, length))]
+    den = x_den * y_den
+    zero = field.zero
+    out = [
+        QuadNumber(field, Fraction(a, den), Fraction(b, den) if b else _ZERO)
+        if a or b else zero
+        for a, b in zip(a_part, b_part)
+    ]
+    return out + [zero] * (length - len(out))

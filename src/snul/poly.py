@@ -3,6 +3,10 @@
 Coefficients are stored ascending (index = degree) with trailing zeros
 trimmed.  The zero polynomial has degree None, a deliberate sentinel: degree
 arithmetic on zero must fail loudly instead of propagating -1.
+
+Products of two polynomials are computed by `fieldext.convolve`, the one
+exact product kernel, which `SurdPoly` products and `surd_exact_div` reach
+through `Poly.__mul__`.
 """
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import DivisionNotExact
-from .fieldext import QuadField, QuadNumber
+from .fieldext import QuadField, QuadNumber, convolve
 
 
 class Poly:
@@ -123,14 +127,8 @@ class Poly:
             raise ValueError("mixed coefficient fields")
         if not self.coeffs or not other.coeffs:
             return Poly.zero(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+        n = len(self.coeffs) + len(other.coeffs) - 1
+        return Poly(self.field, convolve(self.field, self.coeffs, other.coeffs, n))
 
     __rmul__ = __mul__
 

@@ -10,6 +10,9 @@ Window propagation is pessimistic by design: a product or inverse is only
 claimed on exponents that are fully determined by the known coefficients of
 the operands.  Equality questions therefore only ever compare the common
 valid window.
+
+Products (`__mul__` and `mul_poly`) are computed by `fieldext.convolve`, the
+one exact product kernel, cut at the length of the result's window.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import FieldTooSmall, InsufficientTruncation
-from .fieldext import QuadField, QuadNumber
+from .fieldext import QuadField, QuadNumber, convolve
 from .poly import Poly
 
 
@@ -175,18 +178,7 @@ class LaurentSeries:
         top = self.lowest_power + o.lowest_power
         if top < -order:
             return LaurentSeries.zero(self.field, order)
-        out = [self.field.zero] * (top + order + 1)
-        for i, a in enumerate(self.coefficients):
-            if a.is_zero:
-                continue
-            ea = self.lowest_power - i
-            for j, b in enumerate(o.coefficients):
-                if b.is_zero:
-                    continue
-                e = ea + o.lowest_power - j
-                if e < -order:
-                    break
-                out[top - e] = out[top - e] + a * b
+        out = convolve(self.field, self.coefficients, o.coefficients, top + order + 1)
         return LaurentSeries(self.field, top, out, order)
 
     __rmul__ = __mul__
@@ -199,19 +191,10 @@ class LaurentSeries:
         if not self.coefficients:
             return LaurentSeries.zero(self.field, order)
         top = self.lowest_power + p.degree
-        out = [self.field.zero] * (top + order + 1)
-        if top + order + 1 <= 0:
+        if top < -order:
             return LaurentSeries.zero(self.field, order)
-        for k, c in enumerate(p.coeffs):
-            if c.is_zero:
-                continue
-            for i, a in enumerate(self.coefficients):
-                if a.is_zero:
-                    continue
-                e = self.lowest_power - i + k
-                if e < -order:
-                    break
-                out[top - e] = out[top - e] + a * c
+        # p's coefficients in descending powers, like the series' own
+        out = convolve(self.field, self.coefficients, p.coeffs[::-1], top + order + 1)
         return LaurentSeries(self.field, top, out, order)
 
     def inverse(self) -> "LaurentSeries":

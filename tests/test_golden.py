@@ -1,11 +1,15 @@
-"""certify output pinned byte for byte, apart from `timings`.
+"""certify, derive and fit output pinned byte for byte, apart from `timings`.
 
 The files under tests/data/certify_*.json were written by the version of
 snul that still recomputed every operator image (each power of 1/y_j by
 repeated series products, each q_n once per use), so they are an oracle
-independent of the power table and the per-certify workspace.  To
+independent of the power table and the per-certify workspace.  The
+derive_*.json and fit_*.json files were written by the version whose Poly
+and LaurentSeries products were schoolbook loops over Fraction, so they are
+an oracle independent of the integer-numerator product kernel.  To
 regenerate after an intended change of the output, run
-`snul certify <problem>` and delete the "timings" entry.
+`snul <command> <problem>` and, for certify, delete the "timings" entry; the
+file is tests/data/<command>_<problem stem>.json.
 """
 import io
 import json
@@ -19,15 +23,31 @@ from snul.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
 PROBLEMS = sorted((ROOT / "problems").glob("qhermite*.json")) + [DATA / "surd_conic.json"]
+CASES = (
+    [("certify", p) for p in PROBLEMS]
+    + [("derive", p) for p in PROBLEMS if p.stem != "qhermite_recurrence"]
+    + [("fit", ROOT / "problems" / "qhermite_recurrence.json")]
+)
 
 
-@pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: p.stem)
-def test_certify_output_matches_golden(problem):
+def _case_id(case):
+    command, problem = case
+    return problem.stem if command == "certify" else f"{command}-{problem.stem}"
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_certify_output_matches_golden(case):
+    command, problem = case
     out = io.StringIO()
     with redirect_stdout(out):
-        code = main(["certify", str(problem)])
-    cert = json.loads(out.getvalue())
-    assert code == (0 if cert["passed"] else 1)
-    assert set(cert.pop("timings")) >= {"total"}
-    golden = (DATA / f"certify_{problem.stem}.json").read_text(encoding="utf-8")
-    assert json.dumps(cert, indent=2) + "\n" == golden
+        code = main([command, str(problem)])
+    doc = json.loads(out.getvalue())
+    if command == "certify":
+        assert code == (0 if doc["passed"] else 1)
+        assert set(doc.pop("timings")) >= {"total"}
+    elif command == "derive":
+        assert code == (0 if doc["agreement"] else 1)
+    else:
+        assert code == 0
+    golden = (DATA / f"{command}_{problem.stem}.json").read_text(encoding="utf-8")
+    assert json.dumps(doc, indent=2) + "\n" == golden
