@@ -38,6 +38,7 @@ from .fieldext import QuadNumber, format_rational, parse_rational
 from .laguerre_hahn import (
     CheckResult,
     RiccatiData,
+    Workspace,
     certify,
     corollary_coeffs,
     fit_riccati,
@@ -269,21 +270,23 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _fit_candidates(problem: ProblemFile, lattice: Lattice) -> tuple[list, LaurentSeries]:
+def _fit_candidates(problem: ProblemFile, lattice: Lattice) -> tuple[list, Workspace]:
+    """The fitted candidates and the workspace of S in which they were found,
+    so that each candidate's residual reuses the images of S."""
     moments = problem.moment_list(problem.trunc)
     if moments is None:
         raise ProblemFileError("fit needs a 'moments' or 'recurrence' flavor")
-    s = LaurentSeries.from_moments(lattice.field, moments)
-    return fit_riccati(lattice, s, problem.deg_bounds), s
+    ws = Workspace(lattice, LaurentSeries.from_moments(lattice.field, moments))
+    return fit_riccati(lattice, ws.s, problem.deg_bounds, workspace=ws), ws
 
 
 def cmd_fit(args) -> int:
     problem = _load_problem(args)
     lattice = problem.build_lattice()
-    candidates, s = _fit_candidates(problem, lattice)
+    candidates, ws = _fit_candidates(problem, lattice)
     entries = []
     for cand in candidates:
-        res = riccati_residual(cand, s)
+        res = riccati_residual(cand, ws.s, workspace=ws)
         entries.append({
             "A": _poly_coeffs(cand.A),
             "B": _poly_coeffs(cand.B),
@@ -313,16 +316,16 @@ def cmd_certify(args) -> int:
         ric = problem.riccati_data(lattice)
         moments = problem.moment_list(order)
     else:
-        candidates, s = _fit_candidates(problem, lattice)
+        candidates, ws = _fit_candidates(problem, lattice)
         verified = [c for c in candidates
-                    if riccati_residual(c, s).is_zero_within_window()]
+                    if riccati_residual(c, ws.s, workspace=ws).is_zero_within_window()]
         if not verified:
             cert_dict = {
                 "instance": problem.echo(),
                 "options": {"n_max": problem.n_max, "trunc": order},
                 "passed": False,
                 "checks": [{
-                    "name": "riccati", "verdict": "fail", "window": s.truncation_order,
+                    "name": "riccati", "verdict": "fail", "window": ws.s.truncation_order,
                     "residual_summary": "",
                     "detail": f"no Laguerre-Hahn relation within degree bounds "
                               f"{list(problem.deg_bounds)}",

@@ -19,6 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import (
@@ -224,10 +225,11 @@ class Certificate:
 # ---------------------------------------------------------------------------
 
 class Workspace:
-    """The operator images of one certify job, each computed on first use.
+    """The operator images of one certify or fit job, each computed on first
+    use.
 
     Holds q_n = P_n S - P1_{n-1}; the (D, M) images of S and of each q_n, and
-    their (E1, E2) images where a relation reads them; and the shifts
+    their (E1, E2) images where a relation reads them; E1S E2S; and the shifts
     E_j P_n, E_j P1_n.  S defaults to the Stieltjes series of `data`.
     `data` may be attached after construction: the Riccati check needs only
     S, and the recurrence exists only once it has passed.
@@ -257,6 +259,10 @@ class Workspace:
         """(D f, M f) for f = S (n None) or f = q_n."""
         return self._get(("dm", n), lambda: _operator_series(
             self.lattice, self.series(n)))
+
+    def e1e2(self) -> LaurentSeries:
+        """E1S E2S = (MS)^2 - r (DS)^2."""
+        return self._get("e1e2", lambda: e1e2_series(self.lattice, self.s, *self.dm()))
 
     def shifted(self, n: int | None = None):
         """(E1 f, E2 f) for f = S (n None) or f = q_n."""
@@ -336,7 +342,7 @@ def riccati_residual(ric: RiccatiData, s: LaurentSeries,
     ds, ms = ws.dm()
     res = ds.mul_poly(ric.A) - ms.mul_poly(ric.C)
     if not ric.B.is_zero:
-        res = res - e1e2_series(ric.lattice, ws.s, ds, ms).mul_poly(ric.B)
+        res = res - ws.e1e2().mul_poly(ric.B)
     res = res - LaurentSeries.from_poly(ric.D, res.truncation_order)
     if res.truncation_order < 1:
         raise InsufficientTruncation(
@@ -434,76 +440,86 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
 # exact linear fit of Riccati data from a series
 # ---------------------------------------------------------------------------
 
-def _nullspace(rows: list[list[QuadNumber]], ncols: int, field) -> list[list[QuadNumber]]:
-    """Exact nullspace basis of a matrix over the field (Gauss-Jordan)."""
-    m = [row[:] for row in rows]
+def _nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[int]]:
+    """Primitive integer basis of the nullspace of a matrix over Q.
+
+    Each row is scaled by the lcm of its denominators, which does not change
+    the nullspace, and the integer matrix is brought to reduced row echelon
+    form by fraction-free Gauss-Jordan elimination: with pivot value a, every
+    other row with b in the pivot column becomes a*row - b*pivot_row, divided
+    by the gcd of its entries, so the numbers stay near the size of the
+    minors (as in Bareiss 1968, where the common factor is a known minor).
+    No Fraction is formed.  The basis vector of free column c is
+    the reduced-row-echelon one (1 at c, minus each pivot row's entry in
+    column c at its pivot column), cleared to integers, divided by its content
+    and signed so that its first nonzero entry is positive.  That vector is
+    unique, so the basis depends neither on the row scaling nor on the choice
+    of pivot rows.
+    """
+    m = []
+    for row in rows:
+        den = lcm(*(c.denominator for c in row))
+        ints = [c.numerator * (den // c.denominator) for c in row]
+        g = gcd(*ints)
+        if g:
+            m.append([v // g for v in ints] if g > 1 else ints)
     pivots: list[int] = []
-    rank = 0
     for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(m)):
-            if not m[r][col].is_zero:
-                pivot_row = r
-                break
-        if pivot_row is None:
+        rank = len(pivots)
+        found = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if found is None:
             continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        inv = m[rank][col].inverse()
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and not m[r][col].is_zero:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        m[rank], m[found] = m[found], m[rank]
+        pivot_row = m[rank]
+        a = pivot_row[col]
+        for r, row in enumerate(m):
+            b = row[col]
+            if b and r != rank:
+                new = [a * x - b * y for x, y in zip(row, pivot_row)]
+                g = gcd(*new)
+                m[r] = [v // g for v in new] if g > 1 else new
         pivots.append(col)
-        rank += 1
-    free_cols = [c for c in range(ncols) if c not in pivots]
+        # rows below the pivots that are now zero take no further part
+        m[rank + 1:] = [row for row in m[rank + 1:] if any(row)]
     basis = []
-    for fc in free_cols:
-        vec = [field.zero] * ncols
-        vec[fc] = field.one
-        for prow, pcol in enumerate(pivots):
-            vec[pcol] = -m[prow][fc]
-        basis.append(vec)
+    for fc in (c for c in range(ncols) if c not in pivots):
+        entries = [(pc, m[i][pc], m[i][fc]) for i, pc in enumerate(pivots) if m[i][fc]]
+        scale = lcm(*(abs(a) for _, a, _ in entries))
+        vec = [0] * ncols
+        vec[fc] = scale
+        for pc, a, v in entries:
+            vec[pc] = -v * (scale // a)
+        g = gcd(*vec)
+        sign = -1 if next(v for v in vec if v) < 0 else 1
+        basis.append([sign * v // g for v in vec])
     return basis
 
 
-def _normalize_vector(vec: list[QuadNumber], field) -> list[QuadNumber]:
-    """Scale a nullspace vector so all parts are integral and primitive."""
-    from math import gcd, lcm
-    dens = [1]
-    for q in vec:
-        for part in (q.a, q.b):
-            if part:
-                dens.append(part.denominator)
-    cleared = [q * Fraction(lcm(*dens)) for q in vec]
-    g = 0
-    for q in cleared:
-        for part in (q.a, q.b):
-            g = gcd(g, abs(part.numerator))
-    if g > 1:
-        cleared = [q * Fraction(1, g) for q in cleared]
-    for q in cleared:
-        lead = q.a if q.a else q.b
-        if lead:
-            if lead < 0:
-                cleared = [-c for c in cleared]
-            break
-    return cleared
+def _rational_coefficients(f: LaurentSeries) -> dict[int, Fraction]:
+    """Exponent -> coefficient of f over Q; ValueError on a coefficient with
+    a sqrt(d) part."""
+    return {f.lowest_power - i: c.rational_value() for i, c in enumerate(f.coefficients)}
 
 
 def riccati_nullspace(lattice: Lattice, s: LaurentSeries,
-                      degree_bounds: tuple[int, int, int, int]) -> list[list[QuadNumber]]:
+                      degree_bounds: tuple[int, int, int, int],
+                      workspace: Workspace | None = None) -> list[list[QuadNumber]]:
     """Nullspace of the linear map (A, B, C, D) -> residual coefficients.
 
-    Returns raw coefficient vectors laid out A then B then C then D,
-    ascending degree inside each block.
+    Returns the primitive integer basis vectors of `_nullspace`, as field
+    elements, laid out A then B then C then D, ascending degree inside each
+    block.  S must be over Q (CLI moments always are): D S, M S and E1S E2S
+    are then over Q too, each row of the map is a list of rationals and the
+    elimination runs over the integers.  A series with a coefficient that has
+    a sqrt(d) part raises ValueError.
     """
     field = lattice.field
     da, db, dc, dd = degree_bounds
-    ds, ms = _operator_series(lattice, s)
-    q = e1e2_series(lattice, s, ds, ms)
-    sizes = [da + 1, db + 1, dc + 1, dd + 1]
-    ncols = sum(sizes)
+    ws = _workspace(workspace, lattice, s)
+    ds, ms = ws.dm()
+    q = ws.e1e2()
+    ds_c, q_c, ms_c = (_rational_coefficients(f) for f in (ds, q, ms))
+    ncols = da + db + dc + dd + 4
     e_top = max(
         da + ds._effective_top(),
         db + q._effective_top(),
@@ -517,29 +533,26 @@ def riccati_nullspace(lattice: Lattice, s: LaurentSeries,
     )
     rows = []
     for e in range(e_top, e_min - 1, -1):
-        row = []
-        for i in range(da + 1):
-            row.append(ds._padded(e - i))
-        for i in range(db + 1):
-            row.append(-q._padded(e - i))
-        for i in range(dc + 1):
-            row.append(-ms._padded(e - i))
-        for i in range(dd + 1):
-            row.append(-(field.one if e == i else field.zero))
+        row = [ds_c.get(e - i, 0) for i in range(da + 1)]
+        row += [-q_c.get(e - i, 0) for i in range(db + 1)]
+        row += [-ms_c.get(e - i, 0) for i in range(dc + 1)]
+        row += [-1 if e == i else 0 for i in range(dd + 1)]
         rows.append(row)
-    return [_normalize_vector(v, field) for v in _nullspace(rows, ncols, field)]
+    return [[field(v) for v in vec] for vec in _nullspace(rows, ncols)]
 
 
 def fit_riccati(lattice: Lattice, s: LaurentSeries,
-                degree_bounds: tuple[int, int, int, int]) -> list[RiccatiData]:
+                degree_bounds: tuple[int, int, int, int],
+                workspace: Workspace | None = None) -> list[RiccatiData]:
     """Candidate Riccati data within the degree bounds, from the exact
     nullspace.  Basis vectors whose A-part vanishes are dropped (A != 0 is
     part of the definition); an empty list is a valid 'not Laguerre-Hahn
-    within these bounds/window' answer."""
+    within these bounds/window' answer.  A workspace for S lets the caller
+    check each candidate's residual on the images the fit formed."""
     da, db, dc, dd = degree_bounds
     field = lattice.field
     out = []
-    for vec in riccati_nullspace(lattice, s, degree_bounds):
+    for vec in riccati_nullspace(lattice, s, degree_bounds, workspace=workspace):
         a = Poly(field, vec[: da + 1])
         b = Poly(field, vec[da + 1: da + db + 2])
         c = Poly(field, vec[da + db + 2: da + db + dc + 3])
@@ -1000,6 +1013,14 @@ def certify(ric: RiccatiData, n_max: int, order: int,
         cert.timings[result.name] = now - stage_start
         stage_start = now
 
+    def guarded(name: str, run):
+        """Record the stage's result, or a SnulError it raises as a fail."""
+        try:
+            result = run()
+        except SnulError as exc:
+            result = CheckResult(name, "fail", detail=str(exc))
+        record(result)
+
     def abort():
         for nm in _CERTIFY_STAGES:
             if nm not in done:
@@ -1056,9 +1077,11 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     data = smop_from_recurrence(field, beta, gamma, n_max, moments=list(moments))
     ws.data = data
 
-    bad = [n for n in range(n_max) if not liouville_defect(data, n).is_zero]
-    record(CheckResult("liouville", "pass" if not bad else "fail",
-                       detail="" if not bad else f"nonzero defect at n = {bad[0]}"))
+    def liouville():
+        bad = [n for n in range(n_max) if not liouville_defect(data, n).is_zero]
+        return CheckResult("liouville", "pass" if not bad else "fail",
+                           detail="" if not bad else f"nonzero defect at n = {bad[0]}")
+    guarded("liouville", liouville)
 
     # constructive (a) => (b)
     try:
@@ -1121,29 +1144,31 @@ def certify(ric: RiccatiData, n_max: int, order: int,
         record(CheckResult("gathered", "fail", detail=str(exc)))
 
     # recursion oracles
-    cor = corollary_coeffs(ric, data, n_max)
-    ok = coeffs.same_as(cor)
-    record(CheckResult("recursion-corollary", "pass" if ok else "fail",
-                       detail="" if ok else "level recursion disagrees with direct route"))
+    def corollary():
+        ok = coeffs.same_as(corollary_coeffs(ric, data, n_max))
+        return CheckResult("recursion-corollary", "pass" if ok else "fail",
+                           detail="" if ok else "level recursion disagrees with direct route")
+    guarded("recursion-corollary", corollary)
 
-    ok, first_bad = True, None
-    for n in range(0, coeffs.max_level):
-        stepped = magnus_step(
-            magnus_data_from_coeffs(ric, data, coeffs, n),
-            data.beta[n + 1], data.gamma[n + 1], ric.lattice,
-        )
-        direct = magnus_data_from_coeffs(ric, data, coeffs, n + 1)
-        if stepped.as_tuple() != direct.as_tuple():
-            ok, first_bad = False, n
-            break
-    record(CheckResult("recursion-magnus", "pass" if ok else "fail",
-                       detail="" if ok else f"step {first_bad} -> {first_bad + 1} disagrees"))
+    def magnus():
+        for n in range(0, coeffs.max_level):
+            stepped = magnus_step(
+                magnus_data_from_coeffs(ric, data, coeffs, n),
+                data.beta[n + 1], data.gamma[n + 1], ric.lattice,
+            )
+            if stepped.as_tuple() != magnus_data_from_coeffs(ric, data, coeffs, n + 1).as_tuple():
+                return CheckResult("recursion-magnus", "fail",
+                                   detail=f"step {n} -> {n + 1} disagrees")
+        return CheckResult("recursion-magnus", "pass")
+    guarded("recursion-magnus", magnus)
 
     # telescopes
-    bad = [n for n, lres, tres in telescope_residuals(ric, data, coeffs)
-           if not (lres.is_zero and tres.is_zero)]
-    record(CheckResult("telescopes", "pass" if not bad else "fail",
-                       detail="" if not bad else f"nonzero at n = {bad[0]}"))
+    def telescopes():
+        bad = [n for n, lres, tres in telescope_residuals(ric, data, coeffs)
+               if not (lres.is_zero and tres.is_zero)]
+        return CheckResult("telescopes", "pass" if not bad else "fail",
+                           detail="" if not bad else f"nonzero at n = {bad[0]}")
+    guarded("telescopes", telescopes)
 
     # reconstruction
     try:

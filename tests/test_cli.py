@@ -165,6 +165,31 @@ class TestFitCommand:
         assert cand["verified"] is True
         assert cand["semiclassical"] is True
 
+    @pytest.mark.parametrize("bounds", ["2,0,1,0", "4,4,4,4"])
+    def test_images_of_s_formed_once(self, capsys, monkeypatch, bounds):
+        # the fit and every candidate's residual read D S, M S and E1S E2S
+        # from one workspace
+        import snul.laguerre_hahn as lh
+        import snul.lattice as lattice
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (lh, lattice):
+            for name in ("_operator_series", "e1e2_series"):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        code = main(["fit", str(PROBLEMS / "qhermite_recurrence.json"),
+                     "--deg-bounds", bounds])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["count"] >= 1
+        assert all(c["verified"] for c in out["candidates"])
+        assert sorted(calls) == ["_operator_series", "e1e2_series"]
+
     def test_fit_needs_moment_source(self, capsys):
         assert main(["fit", str(PROBLEMS / "qhermite.json")]) == 2
 

@@ -4,12 +4,16 @@ The files under tests/data/certify_*.json were written by the version of
 snul that still recomputed every operator image (each power of 1/y_j by
 repeated series products, each q_n once per use), so they are an oracle
 independent of the power table and the per-certify workspace.  The
-derive_*.json and fit_*.json files were written by the version whose Poly
-and LaurentSeries products were schoolbook loops over Fraction, so they are
-an oracle independent of the integer-numerator product kernel.  To
+derive_*.json and fit_qhermite_recurrence.json files were written by the
+version whose Poly and LaurentSeries products were schoolbook loops over
+Fraction, so they are an oracle independent of the integer-numerator product
+kernel.  The cases with extra arguments and fit_random_moments.json were
+written by the version whose fit nullspace was Gauss-Jordan over Fraction,
+so they are an oracle independent of the integer elimination.  To
 regenerate after an intended change of the output, run
-`snul <command> <problem>` and, for certify, delete the "timings" entry; the
-file is tests/data/<command>_<problem stem>.json.
+`snul <command> <problem> <extra arguments>` and, for certify, delete the
+"timings" entry; the file is tests/data/<command>_<name>.json, with <name>
+as `_name` builds it.
 """
 import io
 import json
@@ -23,24 +27,39 @@ from snul.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
 PROBLEMS = sorted((ROOT / "problems").glob("qhermite*.json")) + [DATA / "surd_conic.json"]
+RECURRENCE = ROOT / "problems" / "qhermite_recurrence.json"
+# a basis of dimension 3, and the fit inside certify
+WIDE_BOUNDS = ["--deg-bounds", "4,4,4,4"]
+# (command, problem file, extra arguments)
 CASES = (
-    [("certify", p) for p in PROBLEMS]
-    + [("derive", p) for p in PROBLEMS if p.stem != "qhermite_recurrence"]
-    + [("fit", ROOT / "problems" / "qhermite_recurrence.json")]
+    [("certify", p, []) for p in PROBLEMS]
+    + [("derive", p, []) for p in PROBLEMS if p.stem != "qhermite_recurrence"]
+    + [("fit", RECURRENCE, []),
+       ("fit", RECURRENCE, WIDE_BOUNDS),
+       ("certify", RECURRENCE, WIDE_BOUNDS),
+       # 34 random moments on the reference conic: no relation found
+       ("fit", DATA / "random_moments.json", [])]
 )
 
 
+def _name(case):
+    """The problem stem, then each extra argument without its dashes and
+    commas: qhermite_recurrence_deg-bounds_4444."""
+    _, problem, extra = case
+    return "_".join([problem.stem] + [a.lstrip("-").replace(",", "") for a in extra])
+
+
 def _case_id(case):
-    command, problem = case
-    return problem.stem if command == "certify" else f"{command}-{problem.stem}"
+    command = case[0]
+    return _name(case) if command == "certify" else f"{command}-{_name(case)}"
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_certify_output_matches_golden(case):
-    command, problem = case
+    command, problem, extra = case
     out = io.StringIO()
     with redirect_stdout(out):
-        code = main([command, str(problem)])
+        code = main([command, str(problem)] + extra)
     doc = json.loads(out.getvalue())
     if command == "certify":
         assert code == (0 if doc["passed"] else 1)
@@ -49,5 +68,5 @@ def test_certify_output_matches_golden(case):
         assert code == (0 if doc["agreement"] else 1)
     else:
         assert code == 0
-    golden = (DATA / f"{command}_{problem.stem}.json").read_text(encoding="utf-8")
+    golden = (DATA / f"{command}_{_name(case)}.json").read_text(encoding="utf-8")
     assert json.dumps(doc, indent=2) + "\n" == golden

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +41,7 @@ from conftest import (
     qhermite_riccati,
 )
 
+DATA = Path(__file__).resolve().parent / "data"
 N_MAX = 6
 ORDER = 2 * N_MAX + 12
 
@@ -164,6 +166,28 @@ class TestFit:
         moments = [F(1)] + [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(33)]
         s = LaurentSeries.from_moments(field, moments)
         assert fit_riccati(reference_lattice, s, (4, 4, 4, 4)) == []
+
+    def test_surd_series_refused(self, surd_lattice):
+        # the nullspace is computed over Q: a coefficient with a sqrt(5) part
+        # is refused, not rounded away
+        field = surd_lattice.field
+        moments = [field(1), field(0, 1)] + [field(F(k, 3)) for k in range(16)]
+        s = LaurentSeries.from_moments(field, moments)
+        with pytest.raises(ValueError, match="surd part"):
+            riccati_nullspace(surd_lattice, s, (2, 0, 1, 0))
+
+    def test_recovers_surd_conic_data(self):
+        # the lattice is over Q(sqrt 5), its moments are rational
+        from snul.cli import ProblemFile
+        problem = ProblemFile.load(str(DATA / "surd_conic.json"))
+        lattice = problem.build_lattice()
+        assert not lattice.field.is_rational
+        ric = problem.riccati_data(lattice)
+        moments = solve_moments_from_riccati(ric, problem.trunc)
+        s = LaurentSeries.from_moments(lattice.field, moments)
+        cands = fit_riccati(lattice, s, (2, 0, 1, 0))
+        assert len(cands) == 1
+        assert cands[0].proportional_to(ric)
 
     def test_constant_bounds_rejected_by_A_filter(self, reference_lattice):
         field = reference_lattice.field
@@ -504,6 +528,27 @@ class TestCertify:
         assert cert.check("second-kind-2").verdict == "skip"
         assert cert.check("gathered").verdict == "fail"
         assert cert.check("reconstruction").verdict == "pass"
+
+    @pytest.mark.parametrize("stage, module, name", [
+        ("liouville", "snul.orthopoly", "liouville_defect"),
+        ("recursion-corollary", "snul.laguerre_hahn", "corollary_coeffs"),
+        ("recursion-magnus", "snul.laguerre_hahn", "magnus_step"),
+        ("telescopes", "snul.laguerre_hahn", "telescope_residuals"),
+    ])
+    def test_oracle_stage_errors_recorded_not_raised(self, reference_lattice, monkeypatch,
+                                                     stage, module, name):
+        import importlib
+
+        def rejecting(*args, **kwargs):
+            raise InvalidRecurrence(f"{name} rejected")
+
+        monkeypatch.setattr(importlib.import_module(module), name, rejecting)
+        cert = certify(qhermite_riccati(reference_lattice), n_max=3, order=16)
+        assert not cert.passed
+        failed = [c for c in cert.checks if c.verdict != "pass"]
+        assert [(c.name, c.verdict, c.detail) for c in failed] == [
+            (stage, "fail", f"{name} rejected")]
+        assert set(cert.timings) >= {stage, "total"}
 
     def test_each_q_formed_once(self, reference_lattice, monkeypatch):
         import snul.laguerre_hahn as lh
