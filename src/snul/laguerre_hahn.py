@@ -7,10 +7,10 @@ Everything here revolves around the Riccati equation
 for a formal Stieltjes function S on a q-quadratic lattice.  The module
 checks the equation on truncated series, solves for moments sequentially,
 fits (A, B, C, D) by exact linear algebra, constructs the structure
-coefficients l_n, pi_n, Theta_n the constructive way (every polynomiality
-and divisibility fact the construction relies on becomes a runtime
-assertion), verifies the difference relations of the characterization in
-all their variants, runs two independent level recursions as oracles,
+coefficients l_n, pi_n, Theta_n the constructive way (every divisibility
+fact the construction relies on becomes a runtime assertion), verifies the
+difference relations of the characterization in all their variants, runs
+two independent level recursions as oracles,
 reconstructs the Riccati data from the coefficients, and bundles the
 verdicts into a certificate.
 """
@@ -24,7 +24,6 @@ from typing import Sequence
 
 from .errors import (
     DegreeBoundExceeded,
-    DivisionNotExact,
     FreeMoment,
     Inconsistent,
     InsufficientTruncation,
@@ -40,7 +39,6 @@ from .lattice import (
     add_dm_row,
     apply_E_series,
     apply_M_series,
-    apply_shift,
     e1e2_coefficient,
     e1e2_series,
 )
@@ -228,11 +226,13 @@ class Workspace:
     """The operator images of one certify or fit job, each computed on first
     use.
 
-    Holds q_n = P_n S - P1_{n-1}; the (D, M) images of S and of each q_n, and
-    their (E1, E2) images where a relation reads them; E1S E2S; and the shifts
-    E_j P_n, E_j P1_n.  S defaults to the Stieltjes series of `data`.
-    `data` may be attached after construction: the Riccati check needs only
-    S, and the recurrence exists only once it has passed.
+    Holds q_n = P_n S - P1_{n-1} (q_0 is S itself); the (D, M) images of S
+    and of each q_n, and their (E1, E2) images where a relation reads them;
+    E1S E2S; and (D f, M f) for f = P_n, P1_n, walked up the recurrence
+    (E2 f = M f + sqrt(r) D f, and E1 f is its conjugate).  S defaults to the
+    Stieltjes series of `data`.  `data` may be attached after construction:
+    the Riccati check needs only S, and the recurrence exists only once it
+    has passed.
     """
 
     def __init__(self, lattice: Lattice, s: LaurentSeries | None = None,
@@ -256,9 +256,10 @@ class Workspace:
         return self.s if n is None else self.q(n)
 
     def dm(self, n: int | None = None):
-        """(D f, M f) for f = S (n None) or f = q_n."""
-        return self._get(("dm", n), lambda: _operator_series(
-            self.lattice, self.series(n)))
+        """(D f, M f) for f = S (n None) or f = q_n; q_0 shares the images of S."""
+        f = self.series(n)
+        return self._get(("dm", None if f is self.s else n),
+                         lambda: _operator_series(self.lattice, f))
 
     def e1e2(self) -> LaurentSeries:
         """E1S E2S = (MS)^2 - r (DS)^2."""
@@ -266,29 +267,51 @@ class Workspace:
 
     def shifted(self, n: int | None = None):
         """(E1 f, E2 f) for f = S (n None) or f = q_n."""
-        return self._get(("E", n), lambda: tuple(
-            apply_E_series(self.lattice, self.series(n), j, dm=self.dm(n))
-            for j in (1, 2)))
+        f = self.series(n)
+        return self._get(("E", None if f is self.s else n), lambda: tuple(
+            apply_E_series(self.lattice, f, j, dm=self.dm(n)) for j in (1, 2)))
 
-    def poly_shifts(self, n: int) -> tuple[SurdPoly, SurdPoly]:
-        """(E1 P_n, E2 P_n); D P_n and M P_n are the two parts of E2 P_n."""
-        return self._get(("P", n), lambda: self._shifts(self.data.poly(n)))
+    def poly_shifts(self, n: int) -> tuple[Poly, Poly]:
+        """(D P_n, M P_n), with P_{-1} = 0."""
+        return self._walk("P", n, 0)
 
-    def assoc_shifts(self, n: int) -> tuple[SurdPoly, SurdPoly]:
-        """(E1 P1_n, E2 P1_n)."""
-        return self._get(("P1", n), lambda: self._shifts(self.data.assoc(n)))
+    def assoc_shifts(self, n: int) -> tuple[Poly, Poly]:
+        """(D P1_n, M P1_n), with P1_{-1} = 0."""
+        return self._walk("P1", n, 1)
 
     def release_shifts(self, n: int):
-        """Forget E_j P_{n-1} and E_j P1_{n-2}, which a walk over the levels
-        in increasing order does not read after level n."""
-        self._memo.pop(("P", n - 1), None)
-        self._memo.pop(("P1", n - 2), None)
+        """Forget the images of P_{n-2} and P1_{n-3}.  A walk over the levels
+        in increasing order reads P_{n+1}, P_n, P1_n and P1_{n-1} at level
+        n + 1, and steps to P_{n+1} and P1_n from the two levels below each."""
+        self._memo.pop(("P", n - 2), None)
+        self._memo.pop(("P1", n - 3), None)
 
-    def _shifts(self, f: Poly) -> tuple[SurdPoly, SurdPoly]:
-        # f has coefficients in K and y1 is y2 with sqrt(r) negated, so
-        # E1 f is E2 f with its sqrt(r)-part negated
-        e2 = apply_shift(self.lattice, f, 2)
-        return e2.conjugate(), e2
+    def _walk(self, tag: str, n: int, offset: int) -> tuple[Poly, Poly]:
+        """(D f_n, M f_n) for f_{-1} = 0, f_0 = 1 and f_{k+1} = (x - b) f_k
+        - g f_{k-1}, (b, g) = (beta, gamma)_{k+offset}.  Through
+        E2 f_{k+1} = (y2 - b) E2 f_k - g E2 f_{k-1}, y2 - b = (p - b) + sqrt(r):
+
+            M f_{k+1} = (p - b) M f_k + r D f_k - g M f_{k-1},
+            D f_{k+1} = (p - b) D f_k + M f_k - g D f_{k-1},
+
+        O(deg) work per step.  The walk resumes from the highest two
+        consecutive levels held.
+        """
+        if not -1 <= n <= self.data.n_max:
+            raise IndexError(f"level {n} outside -1..{self.data.n_max}")
+        memo, zero = self._memo, Poly.zero(self.lattice.field)
+        memo.setdefault((tag, -1), (zero, zero))
+        memo.setdefault((tag, 0), (zero, Poly.one(zero.field)))
+        k = n
+        while (tag, k) not in memo or (k < n and (tag, k - 1) not in memo):
+            k -= 1
+        p, r = self.lattice.p, self.lattice.r
+        for j in range(k, n):
+            b, g = self.data.beta[j + offset], self.data.gamma[j + offset]
+            (d_prev, m_prev), (d, m) = memo[(tag, j - 1)], memo[(tag, j)]
+            p_b = p - b
+            memo[(tag, j + 1)] = (p_b * d + m - d_prev * g, p_b * m + r * d - m_prev * g)
+        return memo[(tag, n)]
 
 
 def _workspace(workspace: Workspace | None, lattice: Lattice,
@@ -591,11 +614,18 @@ def structure_coeffs_direct(ric: RiccatiData, data: SMOPData, n_max: int,
                             workspace: Workspace | None = None) -> StructureCoeffs:
     """Compute l_n, pi_n, Theta_n for n = -1..n_max-1 the constructive way.
 
-    For each n >= 1: build Theta_hat_{n-1} from the shifted polynomials and
-    assert it is a genuine polynomial within its degree bound, divide it by
-    gamma_0..gamma_{n-1}, recover L_{n-1} by exact surd division, split off
-    l_{n-1} and pi_{n-1}, and verify the remaining three structure equations
-    exactly.  Each failure mode maps to the matching exception.
+    For each n >= 1, with (D f, M f) of P_n, P1 = P1_{n-1} from the workspace
+    and N(f) = (M f)^2 - r (D f)^2 = E1 f E2 f, Theta_hat_{n-1} is
+
+        A (D P_n M P1 - D P1 M P_n) + B N(P1) + C (M P1 M P_n - r D P1 D P_n)
+        + D N(P_n),
+
+    a polynomial by construction (in SurdPoly form its sqrt(r)-part cancels
+    identically), checked against its degree bound and divided by
+    gamma_0..gamma_{n-1}.  L_{n-1} = l_{n-1} + 2 pi_{n-1} sqrt(r) comes from
+    the first structure equation by exact surd division, which checks both
+    remainders, and the second equation is checked exactly; the E2 variants
+    are their sqrt(r)-conjugates.  Each failure raises the matching exception.
     """
     lattice = ric.lattice
     ws = _workspace(workspace, lattice, data=data)
@@ -607,52 +637,40 @@ def structure_coeffs_direct(ric: RiccatiData, data: SMOPData, n_max: int,
                 f"Riccati residual nonzero at x^{res.leading_exponent()}",
             )
     A, B, C, D = ric.polys()
+    r = lattice.r
     half_C = C * HALF
     bound = _theta_degree_bound(ric)
     coeffs = initial_structure_coeffs(ric, data)
-    two_r = lattice.r * 2
     for n in range(1, n_max + 1):
-        e1_pn, e2_pn = ws.poly_shifts(n)
-        d_pn = e2_pn.v
-        e1_p1, e2_p1 = ws.assoc_shifts(n - 1)
-        d_p1 = e2_p1.v
-        e1_pn_prev, e2_pn_prev = ws.poly_shifts(n - 1)
-        e1_p1_prev, e2_p1_prev = ws.assoc_shifts(n - 2)
+        d_pn, m_pn = ws.poly_shifts(n)
+        d_p1, m_p1 = ws.assoc_shifts(n - 1)
+        d_pn_prev, m_pn_prev = ws.poly_shifts(n - 1)
+        d_p1_prev, m_p1_prev = ws.assoc_shifts(n - 2)
 
-        theta_hat_surd = (
-            (A * d_pn) * e1_p1
-            - (A * d_p1) * e1_pn
-            + B * (e1_p1 * e2_p1)
-            + half_C * (e1_p1 * e2_pn + e1_pn * e2_p1)
-            + D * (e1_pn * e2_pn)
+        theta_hat = (
+            A * (d_pn * m_p1 - d_p1 * m_pn)
+            + B * (m_p1 * m_p1 - r * (d_p1 * d_p1))
+            + C * (m_p1 * m_pn - r * (d_p1 * d_pn))
+            + D * (m_pn * m_pn - r * (d_pn * d_pn))
         )
-        if not theta_hat_surd.is_polynomial:
-            raise NotLaguerreHahn(
-                n, f"theta_hat has sqrt(r)-component {theta_hat_surd.v}"
-            )
-        theta_hat = theta_hat_surd.u
         if not theta_hat.is_zero and theta_hat.degree > bound:
             raise DegreeBoundExceeded(n - 1, theta_hat.degree, bound)
         theta = theta_hat / data.gamma_product(n - 1)
 
-        numerator = A * d_pn + half_C * e2_pn + B * e2_p1 - theta * e1_pn_prev
-        l_surd = surd_exact_div(numerator, e1_pn)
-        l_poly = l_surd.u
+        # L E1 P_n = A D P_n + (C/2) E2 P_n + B E2 P1_{n-1} - Theta E1 P_{n-1}
+        numerator = SurdPoly(A * d_pn + half_C * m_pn + B * m_p1 - theta * m_pn_prev,
+                             half_C * d_pn + B * d_p1 + theta * d_pn_prev, r)
+        l_surd = surd_exact_div(numerator, SurdPoly(m_pn, -d_pn, r))
         pi_poly = l_surd.v * HALF
 
-        lhs2 = A * d_p1 - half_C * e2_p1 - D * e2_pn - theta * e1_p1_prev
-        if lhs2 != l_surd * e1_p1:
+        # L E1 P1_{n-1} = A D P1_{n-1} - (C/2) E2 P1_{n-1} - D E2 P_n - Theta E1 P1_{n-2}
+        lhs2 = SurdPoly(A * d_p1 - half_C * m_p1 - D * m_pn - theta * m_p1_prev,
+                        theta * d_p1_prev - half_C * d_p1 - D * d_pn, r)
+        if lhs2 != l_surd * SurdPoly(m_p1, -d_p1, r):
             raise NotLaguerreHahn(n, "second structure equation (E1 variant) failed")
-        l_conj = l_surd.conjugate()
-        lhs3 = A * d_pn + half_C * e1_pn + B * e1_p1 - theta * e2_pn_prev
-        if lhs3 != l_conj * e2_pn:
-            raise NotLaguerreHahn(n, "first structure equation (E2 variant) failed")
-        lhs4 = A * d_p1 - half_C * e1_p1 - D * e1_pn - theta * e2_p1_prev
-        if lhs4 != l_conj * e2_p1:
-            raise NotLaguerreHahn(n, "second structure equation (E2 variant) failed")
 
-        coeffs.append_level(l_poly, pi_poly, theta, theta_hat)
-        coeffs.A_gathered.append(A + two_r * pi_poly)
+        coeffs.append_level(l_surd.u, pi_poly, theta, theta_hat)
+        coeffs.A_gathered.append(A + r * 2 * pi_poly)
         if workspace is None:
             ws.release_shifts(n)      # no later stage reads a private workspace
     return coeffs
@@ -662,32 +680,29 @@ def verify_structure_relations(ric: RiccatiData, data: SMOPData,
                                coeffs: StructureCoeffs, n: int,
                                workspace: Workspace | None = None):
     """Residuals of both lines of the two structure-relation variants at
-    level n (exact SurdPoly identities; all four must be zero)."""
+    level n (exact SurdPoly identities; all four must be zero).  The E2
+    variant is the sqrt(r)-conjugate of the E1 variant, line by line."""
     if n < 1:
         raise ValueError("structure relations are stated for n >= 1")
     lattice = ric.lattice
+    r = lattice.r
     A, B, C, D = ric.polys()
     half_C = C * HALF
     l = coeffs.l_at(n - 1)
     pi = coeffs.pi_at(n - 1)
     theta = coeffs.theta_at(n - 1)
-    sqrt_r = SurdPoly.sqrt_r(lattice.r)
-    l_plus = l + sqrt_r * (pi * 2)      # l_{n-1} + Delta_y pi_{n-1}
-    l_minus = l - sqrt_r * (pi * 2)
+    l_plus = l + SurdPoly.sqrt_r(r) * (pi * 2)      # l_{n-1} + Delta_y pi_{n-1}
 
     ws = _workspace(workspace, lattice, data=data)
-    e1_pn, e2_pn = ws.poly_shifts(n)
-    d_pn = e2_pn.v
-    e1_p1, e2_p1 = ws.assoc_shifts(n - 1)
-    d_p1 = e2_p1.v
-    e1_pn_prev, e2_pn_prev = ws.poly_shifts(n - 1)
-    e1_p1_prev, e2_p1_prev = ws.assoc_shifts(n - 2)
+    # E1 f = M f - sqrt(r) D f
+    e1_pn, e1_p1, e1_pn_prev, e1_p1_prev = (SurdPoly(m, -d, r) for d, m in (
+        ws.poly_shifts(n), ws.assoc_shifts(n - 1),
+        ws.poly_shifts(n - 1), ws.assoc_shifts(n - 2)))
+    e2_pn, e2_p1 = e1_pn.conjugate(), e1_p1.conjugate()
 
-    res1a = (A * d_pn) - l_plus * e1_pn + half_C * e2_pn + B * e2_p1 - theta * e1_pn_prev
-    res1b = (A * d_p1) - l_plus * e1_p1 - half_C * e2_p1 - D * e2_pn - theta * e1_p1_prev
-    res2a = (A * d_pn) - l_minus * e2_pn + half_C * e1_pn + B * e1_p1 - theta * e2_pn_prev
-    res2b = (A * d_p1) - l_minus * e2_p1 - half_C * e1_p1 - D * e1_pn - theta * e2_p1_prev
-    return (res1a, res1b), (res2a, res2b)
+    res1a = (A * e2_pn.v) - l_plus * e1_pn + half_C * e2_pn + B * e2_p1 - theta * e1_pn_prev
+    res1b = (A * e2_p1.v) - l_plus * e1_p1 - half_C * e2_p1 - D * e2_pn - theta * e1_p1_prev
+    return (res1a, res1b), (res1a.conjugate(), res1b.conjugate())
 
 
 def verify_second_kind_relations(ric: RiccatiData, data: SMOPData,
@@ -744,24 +759,13 @@ def gathered_relations(ric: RiccatiData, data: SMOPData,
     theta_n = coeffs.theta_at(n)
     a_next = coeffs.A_at(n + 1)
     ws = _workspace(workspace, ric.lattice, s, data)
-    # D f and M f are the sqrt(r)- and polynomial parts of E2 f
-    _, e2_pnext = ws.poly_shifts(n + 1)
-    _, e2_pn = ws.poly_shifts(n)
-    _, e2_p1 = ws.assoc_shifts(n)
-    _, e2_p1_prev = ws.assoc_shifts(n - 1)
+    d_pnext, m_pnext = ws.poly_shifts(n + 1)
+    m_pn = ws.poly_shifts(n)[1]
+    d_p1, m_p1 = ws.assoc_shifts(n)
+    m_p1_prev = ws.assoc_shifts(n - 1)[1]
 
-    res_p = (
-        a_next * e2_pnext.v
-        - (l_n - half_C) * e2_pnext.u
-        + B * e2_p1.u
-        - theta_n * e2_pn.u
-    )
-    res_p1 = (
-        a_next * e2_p1.v
-        - (l_n + half_C) * e2_p1.u
-        - D * e2_pnext.u
-        - theta_n * e2_p1_prev.u
-    )
+    res_p = a_next * d_pnext - (l_n - half_C) * m_pnext + B * m_p1 - theta_n * m_pn
+    res_p1 = a_next * d_p1 - (l_n + half_C) * m_p1 - D * m_pnext - theta_n * m_p1_prev
 
     l_prev = coeffs.l_at(n - 1)
     theta_prev = coeffs.theta_at(n - 1)
@@ -1013,13 +1017,24 @@ def certify(ric: RiccatiData, n_max: int, order: int,
         cert.timings[result.name] = now - stage_start
         stage_start = now
 
-    def guarded(name: str, run):
-        """Record the stage's result, or a SnulError it raises as a fail."""
+    def guarded(run, *names: str) -> bool:
+        """Record the results `run` returns for the stages `names`, or a
+        SnulError it raises as a fail of the first stage and a skip of the
+        others; True when every stage passed."""
         try:
-            result = run()
+            results = run()
         except SnulError as exc:
-            result = CheckResult(name, "fail", detail=str(exc))
-        record(result)
+            results = [CheckResult(names[0], "fail", detail=str(exc))]
+            results += [CheckResult(nm, "skip") for nm in names[1:]]
+        if isinstance(results, CheckResult):
+            results = [results]
+        for result in results:
+            record(result)
+        return all(result.verdict == "pass" for result in results)
+
+    def verdict(name: str, bad: list[int], window: int | None = None) -> CheckResult:
+        return CheckResult(name, "pass" if not bad else "fail", window=window,
+                           detail="" if not bad else f"nonzero at n = {bad[0]}")
 
     def abort():
         for nm in _CERTIFY_STAGES:
@@ -1030,86 +1045,83 @@ def certify(ric: RiccatiData, n_max: int, order: int,
 
     # moments: solved sequentially from the equation, or supplied
     order = max(order, 2 * n_max + 2)
-    if moments is None:
-        try:
+
+    def moments_stage():
+        nonlocal moments
+        if moments is None:
             moments = solve_moments_from_riccati(ric, order, free_values)
-            record(CheckResult("moments", "pass",
-                               detail=f"solved u_0..u_{order} sequentially"))
-        except SnulError as exc:
-            record(CheckResult("moments", "fail", detail=str(exc)))
-            return abort()
-    else:
+            return CheckResult("moments", "pass",
+                               detail=f"solved u_0..u_{order} sequentially")
         moments = [Fraction(m) for m in moments]
         if len(moments) < 2 * n_max + 2:
-            record(CheckResult(
-                "moments", "fail",
-                detail=f"need at least {2 * n_max + 2} moments, got {len(moments)}"))
-            return abort()
-        record(CheckResult("moments", "pass",
-                           detail=f"supplied u_0..u_{len(moments) - 1}"))
+            return CheckResult("moments", "fail", detail=f"need at least {2 * n_max + 2} "
+                               f"moments, got {len(moments)}")
+        return CheckResult("moments", "pass", detail=f"supplied u_0..u_{len(moments) - 1}")
+    if not guarded(moments_stage, "moments"):
+        return abort()
 
     field = ric.lattice.field
     s = LaurentSeries.from_moments(field, moments)
     ws = Workspace(ric.lattice, s)
 
     # Riccati residual: the (a) statement, checked on the honest window
-    try:
+    def riccati():
         res = riccati_residual(ric, s, workspace=ws)
-        ok = res.is_zero_within_window()
-        record(CheckResult("riccati", "pass" if ok else "fail",
+        return CheckResult("riccati", "pass" if res.is_zero_within_window() else "fail",
                            window=res.truncation_order,
-                           residual_summary=_series_summary(res)))
-        if not ok:
-            return abort()
-    except SnulError as exc:
-        record(CheckResult("riccati", "fail", detail=str(exc)))
+                           residual_summary=_series_summary(res))
+    if not guarded(riccati, "riccati"):
         return abort()
 
     # quasi-definiteness and the recurrence data
-    try:
-        beta, gamma = recurrence_from_moments(moments, n_max)
-        record(CheckResult("quasi-definite", "pass"))
-    except NotQuasiDefinite as exc:
-        record(CheckResult("quasi-definite", "fail",
-                           detail=f"failing n = {exc.n}: {exc}"))
+    def quasi_definite():
+        try:
+            beta, gamma = recurrence_from_moments(moments, n_max)
+        except NotQuasiDefinite as exc:
+            return CheckResult("quasi-definite", "fail",
+                               detail=f"failing n = {exc.n}: {exc}")
+        ws.data = smop_from_recurrence(field, beta, gamma, n_max, moments=list(moments))
+        return CheckResult("quasi-definite", "pass")
+    if not guarded(quasi_definite, "quasi-definite"):
         return abort()
-
-    data = smop_from_recurrence(field, beta, gamma, n_max, moments=list(moments))
-    ws.data = data
+    data = ws.data
 
     def liouville():
         bad = [n for n in range(n_max) if not liouville_defect(data, n).is_zero]
         return CheckResult("liouville", "pass" if not bad else "fail",
                            detail="" if not bad else f"nonzero defect at n = {bad[0]}")
-    guarded("liouville", liouville)
+    guarded(liouville, "liouville")
 
     # constructive (a) => (b)
-    try:
+    coeffs = None
+
+    def structure_direct():
+        nonlocal coeffs
         coeffs = structure_coeffs_direct(ric, data, n_max, check_riccati=False,
                                          workspace=ws)
         cert.degrees = coeffs.degrees()
-        record(CheckResult("structure-direct", "pass",
-                           detail=f"levels -1..{coeffs.max_level}"))
-    except (NotLaguerreHahn, DegreeBoundExceeded, DivisionNotExact) as exc:
-        record(CheckResult("structure-direct", "fail", detail=str(exc)))
+        return CheckResult("structure-direct", "pass",
+                           detail=f"levels -1..{coeffs.max_level}")
+    if not guarded(structure_direct, "structure-direct"):
         return abort()
 
     # structure relations, both variants
-    bad1, bad2 = [], []
-    for n in range(1, n_max + 1):
-        (r1a, r1b), (r2a, r2b) = verify_structure_relations(ric, data, coeffs, n, workspace=ws)
-        if not (r1a.is_zero and r1b.is_zero):
-            bad1.append(n)
-        if not (r2a.is_zero and r2b.is_zero):
-            bad2.append(n)
-    record(CheckResult("structure-relations-1", "pass" if not bad1 else "fail",
-                       detail="" if not bad1 else f"nonzero at n = {bad1[0]}"))
-    record(CheckResult("structure-relations-2", "pass" if not bad2 else "fail",
-                       detail="" if not bad2 else f"nonzero at n = {bad2[0]}"))
+    def structure_relations():
+        bad1, bad2 = [], []
+        for n in range(1, n_max + 1):
+            (r1a, r1b), (r2a, r2b) = verify_structure_relations(ric, data, coeffs, n,
+                                                                 workspace=ws)
+            if not (r1a.is_zero and r1b.is_zero):
+                bad1.append(n)
+            if not (r2a.is_zero and r2b.is_zero):
+                bad2.append(n)
+        return [verdict("structure-relations-1", bad1),
+                verdict("structure-relations-2", bad2)]
+    guarded(structure_relations, "structure-relations-1", "structure-relations-2")
 
     # second-kind relations
-    bad1, bad2, min_window = [], [], None
-    try:
+    def second_kind():
+        bad1, bad2, min_window = [], [], None
         for n in range(0, n_max + 1):
             r1, r2 = verify_second_kind_relations(ric, data, coeffs, s, n, workspace=ws)
             w = min(r1.truncation_order, r2.truncation_order)
@@ -1118,37 +1130,28 @@ def certify(ric: RiccatiData, n_max: int, order: int,
                 bad1.append(n)
             if not r2.is_zero_within_window():
                 bad2.append(n)
-        record(CheckResult("second-kind-1", "pass" if not bad1 else "fail",
-                           window=min_window,
-                           detail="" if not bad1 else f"nonzero at n = {bad1[0]}"))
-        record(CheckResult("second-kind-2", "pass" if not bad2 else "fail",
-                           window=min_window,
-                           detail="" if not bad2 else f"nonzero at n = {bad2[0]}"))
-    except SnulError as exc:
-        record(CheckResult("second-kind-1", "fail", detail=str(exc)))
-        record(CheckResult("second-kind-2", "skip"))
+        return [verdict("second-kind-1", bad1, min_window),
+                verdict("second-kind-2", bad2, min_window)]
+    guarded(second_kind, "second-kind-1", "second-kind-2")
 
     # gathered relations
-    badg, min_window = [], None
-    try:
+    def gathered():
+        badg, min_window = [], None
         for n in range(0, n_max):
             rp, rp1, rq = gathered_relations(ric, data, coeffs, s, n, workspace=ws)
             min_window = (rq.truncation_order if min_window is None
                           else min(min_window, rq.truncation_order))
             if not (rp.is_zero and rp1.is_zero and rq.is_zero_within_window()):
                 badg.append(n)
-        record(CheckResult("gathered", "pass" if not badg else "fail",
-                           window=min_window,
-                           detail="" if not badg else f"nonzero at n = {badg[0]}"))
-    except SnulError as exc:
-        record(CheckResult("gathered", "fail", detail=str(exc)))
+        return verdict("gathered", badg, min_window)
+    guarded(gathered, "gathered")
 
     # recursion oracles
     def corollary():
         ok = coeffs.same_as(corollary_coeffs(ric, data, n_max))
         return CheckResult("recursion-corollary", "pass" if ok else "fail",
                            detail="" if ok else "level recursion disagrees with direct route")
-    guarded("recursion-corollary", corollary)
+    guarded(corollary, "recursion-corollary")
 
     def magnus():
         for n in range(0, coeffs.max_level):
@@ -1160,23 +1163,20 @@ def certify(ric: RiccatiData, n_max: int, order: int,
                 return CheckResult("recursion-magnus", "fail",
                                    detail=f"step {n} -> {n + 1} disagrees")
         return CheckResult("recursion-magnus", "pass")
-    guarded("recursion-magnus", magnus)
+    guarded(magnus, "recursion-magnus")
 
     # telescopes
     def telescopes():
         bad = [n for n, lres, tres in telescope_residuals(ric, data, coeffs)
                if not (lres.is_zero and tres.is_zero)]
-        return CheckResult("telescopes", "pass" if not bad else "fail",
-                           detail="" if not bad else f"nonzero at n = {bad[0]}")
-    guarded("telescopes", telescopes)
+        return verdict("telescopes", bad)
+    guarded(telescopes, "telescopes")
 
     # reconstruction
-    try:
-        rec = reconstruct_riccati(coeffs, ric.lattice)
-        ok = rec.proportional_to(ric)
-        record(CheckResult("reconstruction", "pass" if ok else "fail",
-                           detail="" if ok else "reconstructed data not proportional"))
-    except (NotLaguerreHahn, Underdetermined) as exc:
-        record(CheckResult("reconstruction", "fail", detail=str(exc)))
+    def reconstruction():
+        ok = reconstruct_riccati(coeffs, ric.lattice).proportional_to(ric)
+        return CheckResult("reconstruction", "pass" if ok else "fail",
+                           detail="" if ok else "reconstructed data not proportional")
+    guarded(reconstruction, "reconstruction")
     cert.timings["total"] = time.perf_counter() - t0
     return cert

@@ -106,10 +106,6 @@ class Lattice:
         sign = -1 if j == 1 else 1
         return SurdPoly(self.p, Poly.constant(self.field, sign), self.r)
 
-    def delta_sq(self) -> Poly:
-        """Delta_y^2 = 4 r."""
-        return self.r * 4
-
     def sqrt_r_series(self, order: int) -> LaurentSeries:
         """Expansion of sqrt(r) at infinity down to x^(-order), read from the
         one expansion kept at the deepest window asked for so far."""

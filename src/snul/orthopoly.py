@@ -32,7 +32,13 @@ def _check_recurrence(beta: Sequence[Fraction], gamma: Sequence[Fraction], n_max
 
 @dataclass
 class SMOPData:
-    """A sequence of monic orthogonal polynomials with everything attached."""
+    """A sequence of monic orthogonal polynomials with everything attached.
+
+    P and P1 follow beta and gamma (P_{n+1} = (x - beta_n) P_n - gamma_n P_{n-1},
+    P1_{n+1} = (x - beta_{n+1}) P1_n - gamma_{n+1} P1_{n-1}), as
+    `smop_from_recurrence` builds them; the `laguerre_hahn` workspace relies
+    on it and walks the shifts of both up these recurrences.
+    """
 
     field: QuadField
     beta: list[Fraction]
@@ -215,8 +221,9 @@ def second_kind_series(data: SMOPData, s: LaurentSeries, n: int) -> LaurentSerie
     required = 2 * n + 2
     if s.truncation_order < required:
         raise InsufficientTruncation(required=required, available=s.truncation_order)
-    q_def = s.mul_poly(data.poly(n)) - LaurentSeries.from_poly(
-        data.assoc(n - 1), s.truncation_order - max(n, 0)
+    # q_0 = P_0 S - P1_{-1} is S itself; returning S lets callers share its images
+    q_def = s if n == 0 else s.mul_poly(data.poly(n)) - LaurentSeries.from_poly(
+        data.assoc(n - 1), s.truncation_order - n
     )
     # recurrence route: q_{k+1} = (x - beta_k) q_k - gamma_k q_{k-1}
     q_prev = LaurentSeries.constant(data.field, 1, s.truncation_order)

@@ -46,11 +46,6 @@ class SurdPoly:
     def is_polynomial(self) -> bool:
         return self.v.is_zero
 
-    def polynomial_part(self) -> Poly:
-        if not self.v.is_zero:
-            raise ValueError(f"nonzero sqrt(r)-component: {self.v}")
-        return self.u
-
     def conjugate(self) -> "SurdPoly":
         return SurdPoly(self.u, -self.v, self.r)
 

@@ -152,6 +152,23 @@ class TestCertifyCommand:
         assert cert["passed"] is False
         assert "no Laguerre-Hahn relation" in cert["checks"][0]["detail"]
 
+    def test_images_of_s_formed_once_per_workspace(self, capsys, monkeypatch):
+        # certify on a moments-only file fits in one workspace and certifies
+        # in another; each forms D S and M S once
+        import snul.laguerre_hahn as lh
+        original = lh._operator_series
+        seen = []
+
+        def counting(lattice, f):
+            seen.append(f)
+            return original(lattice, f)
+
+        monkeypatch.setattr(lh, "_operator_series", counting)
+        code = main(["certify", str(PROBLEMS / "qhermite_recurrence.json")])
+        assert json.loads(capsys.readouterr().out)["passed"]
+        assert code == 0
+        assert sum(f == seen[0] for f in seen) == 2
+
 
 class TestFitCommand:
     def test_fit_recovers_fixture(self, capsys):

@@ -9,7 +9,11 @@ version whose Poly and LaurentSeries products were schoolbook loops over
 Fraction, so they are an oracle independent of the integer-numerator product
 kernel.  The cases with extra arguments and fit_random_moments.json were
 written by the version whose fit nullspace was Gauss-Jordan over Fraction,
-so they are an oracle independent of the integer elimination.  To
+so they are an oracle independent of the integer elimination.  The derive
+cases at --n-max 20 were written by the version that formed every shift of
+P_n and P1_n by Horner substitution and Theta_hat as a SurdPoly, so they are
+an oracle independent of the recurrence walk and the D/M-form structure
+stage.  To
 regenerate after an intended change of the output, run
 `snul <command> <problem> <extra arguments>` and, for certify, delete the
 "timings" entry; the file is tests/data/<command>_<name>.json, with <name>
@@ -39,6 +43,9 @@ CASES = (
        ("certify", RECURRENCE, WIDE_BOUNDS),
        # 34 random moments on the reference conic: no relation found
        ("fit", DATA / "random_moments.json", [])]
+    # the depth of the derive benchmark
+    + [("derive", ROOT / "problems" / f"{stem}.json", ["--n-max", "20"])
+       for stem in ("qhermite", "qhermite_corecursive")]
 )
 
 

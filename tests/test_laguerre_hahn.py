@@ -550,6 +550,51 @@ class TestCertify:
             (stage, "fail", f"{name} rejected")]
         assert set(cert.timings) >= {stage, "total"}
 
+    @pytest.mark.parametrize("stage, module, name", [
+        ("quasi-definite", "snul.orthopoly", "recurrence_from_moments"),
+        ("quasi-definite", "snul.orthopoly", "smop_from_recurrence"),
+        ("structure-direct", "snul.laguerre_hahn", "structure_coeffs_direct"),
+        ("structure-relations-1", "snul.laguerre_hahn", "verify_structure_relations"),
+    ])
+    def test_structural_stage_errors_recorded_not_raised(self, reference_lattice, monkeypatch,
+                                                         stage, module, name):
+        import importlib
+        from snul.laguerre_hahn import _CERTIFY_STAGES
+
+        def rejecting(*args, **kwargs):
+            raise InvalidRecurrence(f"{name} rejected")
+
+        monkeypatch.setattr(importlib.import_module(module), name, rejecting)
+        cert = certify(qhermite_riccati(reference_lattice), n_max=3, order=16)
+        assert not cert.passed
+        failed = [(c.name, c.verdict, c.detail) for c in cert.checks if c.verdict != "pass"]
+        # a failed gate skips every later stage; the second relation variant
+        # is computed with the first
+        after = (["structure-relations-2"] if stage == "structure-relations-1"
+                 else _CERTIFY_STAGES[_CERTIFY_STAGES.index(stage) + 1:])
+        assert failed == [(stage, "fail", f"{name} rejected")] + [
+            (nm, "skip", "") for nm in after]
+
+    def test_images_of_s_formed_once(self, reference_lattice, monkeypatch):
+        # q_0 is S itself, so D S and M S are formed once per workspace
+        import snul.laguerre_hahn as lh
+        original = lh._operator_series
+        seen = []
+
+        def counting(lattice, f):
+            seen.append(f)
+            return original(lattice, f)
+
+        monkeypatch.setattr(lh, "_operator_series", counting)
+        for make in (qhermite_riccati, qhermite_corecursive_riccati):
+            ric = make(reference_lattice)
+            moments = solve_moments_from_riccati(ric, 18)
+            s = LaurentSeries.from_moments(reference_lattice.field, moments)
+            seen.clear()
+            assert certify(ric, n_max=4, order=18, moments=moments).passed
+            assert sum(f == s for f in seen) == 1
+            assert len(seen) == 6          # S, q_-1 and q_1..q_4
+
     def test_each_q_formed_once(self, reference_lattice, monkeypatch):
         import snul.laguerre_hahn as lh
         levels = []

@@ -1,0 +1,277 @@
+"""The structure stage against the SurdPoly route it replaced.
+
+`structure_coeffs_direct` and `verify_structure_relations` work on the pairs
+(D f, M f) that `Workspace` walks up the three-term recurrence.  The
+reference below is the earlier route, kept verbatim in substance: every
+shift E_j P_n, E_j P1_n by Horner substitution (`apply_shift`), Theta_hat as
+a SurdPoly whose sqrt(r)-part is asserted zero, and all four structure
+identities checked.  Both routes must give equal coefficients and residuals,
+or raise the same exception with the same text, on the shipped instances,
+on +/-1 mutations of A, B, C, D and on single-moment perturbations.
+"""
+import random
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from snul import (
+    NotLaguerreHahn,
+    NotQuasiDefinite,
+    RiccatiData,
+    SnulError,
+    Workspace,
+    build_lattice,
+    recurrence_from_moments,
+    smop_from_recurrence,
+    solve_moments_from_riccati,
+    structure_coeffs_direct,
+    verify_structure_relations,
+)
+from snul.cli import ProblemFile
+from snul.errors import DegreeBoundExceeded
+from snul.laguerre_hahn import HALF, _theta_degree_bound, initial_structure_coeffs
+from snul.lattice import apply_shift
+from snul.poly import Poly
+from snul.surd import SurdPoly, surd_exact_div
+
+from conftest import (
+    IMAGINARY_CONIC,
+    RATIONAL_CONICS,
+    SURD_CONIC,
+    random_quasi_definite_recurrence,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+INSTANCES = [ROOT / "problems" / f"{stem}.json"
+             for stem in ("qhermite", "qhermite_corecursive", "qhermite_wide")]
+INSTANCES.append(Path(__file__).resolve().parent / "data" / "surd_conic.json")
+MUTATION_N_MAX = 5
+
+
+# -- the reference route ---------------------------------------------------------
+
+def _ref_shifts(lattice, f):
+    e2 = apply_shift(lattice, f, 2)
+    return e2.conjugate(), e2
+
+
+def reference_structure(ric, data, n_max, sqrt_r_parts):
+    """The SurdPoly-form constructive route; appends the sqrt(r)-part of
+    every Theta_hat it forms to `sqrt_r_parts`."""
+    lattice = ric.lattice
+    A, B, C, D = ric.polys()
+    half_C = C * HALF
+    bound = _theta_degree_bound(ric)
+    coeffs = initial_structure_coeffs(ric, data)
+    for n in range(1, n_max + 1):
+        e1_pn, e2_pn = _ref_shifts(lattice, data.poly(n))
+        d_pn = e2_pn.v
+        e1_p1, e2_p1 = _ref_shifts(lattice, data.assoc(n - 1))
+        d_p1 = e2_p1.v
+        e1_pn_prev, e2_pn_prev = _ref_shifts(lattice, data.poly(n - 1))
+        e1_p1_prev, e2_p1_prev = _ref_shifts(lattice, data.assoc(n - 2))
+
+        theta_hat_surd = (
+            (A * d_pn) * e1_p1
+            - (A * d_p1) * e1_pn
+            + B * (e1_p1 * e2_p1)
+            + half_C * (e1_p1 * e2_pn + e1_pn * e2_p1)
+            + D * (e1_pn * e2_pn)
+        )
+        sqrt_r_parts.append(theta_hat_surd.v)
+        if not theta_hat_surd.is_polynomial:
+            raise NotLaguerreHahn(
+                n, f"theta_hat has sqrt(r)-component {theta_hat_surd.v}"
+            )
+        theta_hat = theta_hat_surd.u
+        if not theta_hat.is_zero and theta_hat.degree > bound:
+            raise DegreeBoundExceeded(n - 1, theta_hat.degree, bound)
+        theta = theta_hat / data.gamma_product(n - 1)
+
+        numerator = A * d_pn + half_C * e2_pn + B * e2_p1 - theta * e1_pn_prev
+        l_surd = surd_exact_div(numerator, e1_pn)
+        l_poly = l_surd.u
+        pi_poly = l_surd.v * HALF
+
+        lhs2 = A * d_p1 - half_C * e2_p1 - D * e2_pn - theta * e1_p1_prev
+        if lhs2 != l_surd * e1_p1:
+            raise NotLaguerreHahn(n, "second structure equation (E1 variant) failed")
+        l_conj = l_surd.conjugate()
+        lhs3 = A * d_pn + half_C * e1_pn + B * e1_p1 - theta * e2_pn_prev
+        if lhs3 != l_conj * e2_pn:
+            raise NotLaguerreHahn(n, "first structure equation (E2 variant) failed")
+        lhs4 = A * d_p1 - half_C * e1_p1 - D * e1_pn - theta * e2_p1_prev
+        if lhs4 != l_conj * e2_p1:
+            raise NotLaguerreHahn(n, "second structure equation (E2 variant) failed")
+
+        coeffs.append_level(l_poly, pi_poly, theta, theta_hat)
+        coeffs.A_gathered.append(A + lattice.r * 2 * pi_poly)
+    return coeffs
+
+
+def reference_relations(ric, data, coeffs, n):
+    """All four structure-relation residuals, each formed on its own."""
+    lattice = ric.lattice
+    A, B, C, D = ric.polys()
+    half_C = C * HALF
+    l, pi, theta = coeffs.l_at(n - 1), coeffs.pi_at(n - 1), coeffs.theta_at(n - 1)
+    sqrt_r = SurdPoly.sqrt_r(lattice.r)
+    l_plus = l + sqrt_r * (pi * 2)
+    l_minus = l - sqrt_r * (pi * 2)
+    e1_pn, e2_pn = _ref_shifts(lattice, data.poly(n))
+    d_pn = e2_pn.v
+    e1_p1, e2_p1 = _ref_shifts(lattice, data.assoc(n - 1))
+    d_p1 = e2_p1.v
+    e1_pn_prev, e2_pn_prev = _ref_shifts(lattice, data.poly(n - 1))
+    e1_p1_prev, e2_p1_prev = _ref_shifts(lattice, data.assoc(n - 2))
+
+    res1a = (A * d_pn) - l_plus * e1_pn + half_C * e2_pn + B * e2_p1 - theta * e1_pn_prev
+    res1b = (A * d_p1) - l_plus * e1_p1 - half_C * e2_p1 - D * e2_pn - theta * e1_p1_prev
+    res2a = (A * d_pn) - l_minus * e2_pn + half_C * e1_pn + B * e1_p1 - theta * e2_pn_prev
+    res2b = (A * d_p1) - l_minus * e2_p1 - half_C * e1_p1 - D * e1_pn - theta * e2_p1_prev
+    return (res1a, res1b), (res2a, res2b)
+
+
+# -- inputs --------------------------------------------------------------------
+
+def _instance(path):
+    problem = ProblemFile.load(str(path))
+    lattice = problem.build_lattice()
+    ric = problem.riccati_data(lattice)
+    moments = solve_moments_from_riccati(ric, max(problem.trunc, 2 * problem.n_max + 2))
+    return ric, moments, problem.n_max
+
+
+def _data(ric, moments, n_max):
+    beta, gamma = recurrence_from_moments(moments, n_max)
+    return smop_from_recurrence(ric.lattice.field, beta, gamma, n_max, moments=moments)
+
+
+def _riccati_mutants(ric):
+    """+/-1 on each coefficient of A, B, C and D up to one past its degree."""
+    for k, name in enumerate("ABCD"):
+        poly = ric.polys()[k]
+        for i in range((poly.degree or 0) + 2):
+            for delta in (1, -1):
+                coeffs = list(poly.coeffs) + [0] * (i + 1 - len(poly.coeffs))
+                coeffs[i] += delta
+                polys = list(ric.polys())
+                polys[k] = Poly(ric.lattice.field, coeffs)
+                if not polys[0].is_zero:
+                    yield f"{name}[{i}]{delta:+d}", RiccatiData(*polys, ric.lattice)
+
+
+def _cases():
+    """(id, ric, data, n_max): each instance as shipped, then its Riccati
+    mutants and single-moment perturbations at MUTATION_N_MAX levels."""
+    out = []
+    for path in INSTANCES:
+        ric, moments, n_max = _instance(path)
+        out.append((path.stem, ric, _data(ric, moments, n_max), n_max))
+        n_mut = min(n_max, MUTATION_N_MAX)
+        data = _data(ric, moments, n_mut)
+        for tag, mutant in _riccati_mutants(ric):
+            out.append((f"{path.stem}-{tag}", mutant, data, n_mut))
+        for k in range(1, 2 * n_mut + 2):
+            bad = list(moments)
+            bad[k] += 1
+            try:
+                out.append((f"{path.stem}-u{k}+1", ric, _data(ric, bad, n_mut), n_mut))
+            except NotQuasiDefinite:
+                pass
+    return out
+
+
+CASES = _cases()
+
+
+def _outcome(run):
+    try:
+        return "ok", run()
+    except (SnulError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+# -- the oracle tests ---------------------------------------------------------------
+
+def test_routes_agree():
+    outcomes = {}
+    for case_id, ric, data, n_max in CASES:
+        sqrt_r_parts = []
+        kind, ref = _outcome(lambda: reference_structure(ric, data, n_max, sqrt_r_parts))
+        got_kind, got = _outcome(
+            lambda: structure_coeffs_direct(ric, data, n_max, check_riccati=False))
+        assert all(v.is_zero for v in sqrt_r_parts), case_id
+        assert got_kind == kind, case_id
+        outcomes[case_id] = ref if kind != "ok" else "ok"
+        if kind != "ok":
+            assert got == ref, case_id
+            continue
+        for name in ("l", "pi", "theta", "theta_hat", "A_gathered"):
+            assert getattr(got, name) == getattr(ref, name), (case_id, name)
+        ws = Workspace(ric.lattice, data=data)
+        for n in range(1, n_max + 1):
+            assert (verify_structure_relations(ric, data, got, n, workspace=ws)
+                    == reference_relations(ric, data, ref, n)), (case_id, n)
+    # every instance passes, and mutants stop at the degree bound of Theta_hat
+    # at level 0 and at later levels; none of these inputs gets past the bound
+    # to a failing exact division or second structure equation
+    texts = set(outcomes.values())
+    assert "ok" in texts
+    assert {t[-5:] for t in texts if "exceeds bound" in t} >= {f"n = {n}" for n in range(4)}
+
+
+@pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.stem)
+def test_relations_agree_on_tampered_coefficients(path):
+    # nonzero residuals: each of l, pi, Theta at level 0 moved by one
+    ric, moments, _ = _instance(path)
+    data = _data(ric, moments, 2)
+    coeffs = structure_coeffs_direct(ric, data, 2, check_riccati=False)
+    for which in range(3):
+        tampered = initial_structure_coeffs(ric, data)
+        level = [coeffs.l_at(0), coeffs.pi_at(0), coeffs.theta_at(0)]
+        level[which] = level[which] + 1
+        tampered.append_level(*level, coeffs.theta_hat_at(0))
+        got = verify_structure_relations(ric, data, tampered, 1)
+        assert got == reference_relations(ric, data, tampered, 1)
+        assert not all(res.is_zero for pair in got for res in pair)
+
+
+# -- the shift walk ------------------------------------------------------------------
+
+SHIFT_N = 20
+
+
+@pytest.mark.parametrize("conic", RATIONAL_CONICS + [SURD_CONIC, IMAGINARY_CONIC],
+                         ids=lambda c: ",".join(str(v) for v in c))
+def test_shift_walk_matches_horner(conic):
+    lattice = build_lattice(*conic)
+    rng = random.Random(str(conic))
+    for _ in range(2):
+        beta, gamma = random_quasi_definite_recurrence(rng, SHIFT_N + 1)
+        data = smop_from_recurrence(lattice.field, beta, gamma, SHIFT_N, moments=[F(1)])
+        # in increasing order, releasing as the structure stage does, and
+        # straight to the top on a fresh workspace
+        walked = Workspace(lattice, data=data)
+        for n in range(-1, SHIFT_N + 1):
+            for got, f in ((walked.poly_shifts(n), data.poly(n)),
+                           (walked.assoc_shifts(n), data.assoc(n))):
+                e2 = apply_shift(lattice, f, 2)
+                assert got == (e2.v, e2.u), (n, f)
+            walked.release_shifts(n)
+        top = Workspace(lattice, data=data)
+        e2 = apply_shift(lattice, data.assoc(SHIFT_N), 2)
+        assert top.assoc_shifts(SHIFT_N) == (e2.v, e2.u)
+        e2 = apply_shift(lattice, data.poly(SHIFT_N), 2)
+        assert top.poly_shifts(SHIFT_N) == (e2.v, e2.u)
+
+
+def test_shift_walk_stops_at_n_max(reference_lattice):
+    data = smop_from_recurrence(reference_lattice.field, [F(0)] * 4, [F(1)] * 4, 3,
+                                moments=[F(1)])
+    ws = Workspace(reference_lattice, data=data)
+    with pytest.raises(IndexError):
+        ws.poly_shifts(4)
+    with pytest.raises(IndexError):
+        ws.assoc_shifts(4)
