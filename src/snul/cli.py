@@ -231,6 +231,8 @@ def _emit(payload: dict):
 
 def _load_problem(args) -> ProblemFile:
     """Load the problem file and fold in command-line overrides."""
+    if getattr(args, "points", 0) < 0:
+        raise ProblemFileError("--points must be nonnegative")
     problem = ProblemFile.load(args.file)
     if getattr(args, "n_max", None) is not None:
         if args.n_max < 1:

@@ -37,8 +37,6 @@ from .lattice import (
     Lattice,
     _operator_series,
     add_dm_row,
-    apply_E_series,
-    apply_M_series,
     e1e2_coefficient,
     e1e2_series,
 )
@@ -227,12 +225,12 @@ class Workspace:
     use.
 
     Holds q_n = P_n S - P1_{n-1} (q_0 is S itself); the (D, M) images of S
-    and of each q_n, and their (E1, E2) images where a relation reads them;
-    E1S E2S; and (D f, M f) for f = P_n, P1_n, walked up the recurrence
-    (E2 f = M f + sqrt(r) D f, and E1 f is its conjugate).  S defaults to the
-    Stieltjes series of `data`.  `data` may be attached after construction:
-    the Riccati check needs only S, and the recurrence exists only once it
-    has passed.
+    and of each q_n; E1S E2S; (D f, M f) for f = P_n, P1_n, walked up the
+    recurrence (E2 f = M f + sqrt(r) D f, and E1 f is its conjugate); and
+    the rational pair (R, I) of the second-kind relations at each level
+    (`second_kind_pair`).  S defaults to the Stieltjes series of `data`.
+    `data` may be attached after construction: the Riccati check needs only
+    S, and the recurrence exists only once it has passed.
     """
 
     def __init__(self, lattice: Lattice, s: LaurentSeries | None = None,
@@ -265,11 +263,40 @@ class Workspace:
         """E1S E2S = (MS)^2 - r (DS)^2."""
         return self._get("e1e2", lambda: e1e2_series(self.lattice, self.s, *self.dm()))
 
-    def shifted(self, n: int | None = None):
-        """(E1 f, E2 f) for f = S (n None) or f = q_n."""
-        f = self.series(n)
-        return self._get(("E", None if f is self.s else n), lambda: tuple(
-            apply_E_series(self.lattice, f, j, dm=self.dm(n)) for j in (1, 2)))
+    def second_kind_pair(self, ric: RiccatiData, coeffs: StructureCoeffs,
+                         n: int) -> tuple[LaurentSeries, LaurentSeries]:
+        """(R, I) at level n >= 0, the one place where the second-kind
+        relations are formed.  With E_j f = M f -/+ sqrt(r) D f and
+        (l, pi, Theta) at level n - 1, the residuals of the two relations are
+        res1 = R + sqrt(r) I and res2 = R - sqrt(r) I, where
+
+            R = (A + 2 r pi) Dq_n - (l + C/2) Mq_n - Theta Mq_{n-1}
+                - B (MS Mq_n - r DS Dq_n),
+            I = (l - C/2) Dq_n - 2 pi Mq_n + Theta Dq_{n-1}
+                - B (MS Dq_n - DS Mq_n),
+
+        both over Q when S is.  A + 2 r pi is formed from pi, not read from
+        the gathered A_n, so that every coefficient the caller passes reaches
+        R.  The memo key holds the coefficient values, so a workspace read
+        with other coefficients never returns a stale pair.
+        """
+        A, B, C = ric.A, ric.B, ric.C
+        l, pi, theta = coeffs.l_at(n - 1), coeffs.pi_at(n - 1), coeffs.theta_at(n - 1)
+
+        def make():
+            r = self.lattice.r
+            half_C = C * HALF
+            d_q, m_q = self.dm(n)
+            d_prev, m_prev = self.dm(n - 1)
+            re = (d_q.mul_poly(A + r * 2 * pi) - m_q.mul_poly(l + half_C)
+                  - m_prev.mul_poly(theta))
+            im = d_q.mul_poly(l - half_C) - m_q.mul_poly(pi * 2) + d_prev.mul_poly(theta)
+            if not B.is_zero:
+                d_s, m_s = self.dm()
+                re = re - (m_s * m_q - (d_s * d_q).mul_poly(r)).mul_poly(B)
+                im = im - (m_s * d_q - d_s * m_q).mul_poly(B)
+            return re, im
+        return self._get(("RI", n, A, B, C, l, pi, theta), make)
 
     def poly_shifts(self, n: int) -> tuple[Poly, Poly]:
         """(D P_n, M P_n), with P_{-1} = 0."""
@@ -330,15 +357,6 @@ def _workspace(workspace: Workspace | None, lattice: Lattice,
 # ---------------------------------------------------------------------------
 # small helpers
 # ---------------------------------------------------------------------------
-
-def _surd_coeff_series(lattice: Lattice, l: Poly, pi: Poly, sign: int,
-                       order: int) -> LaurentSeries:
-    """l +/- Delta_y pi = l +/- 2 sqrt(r) pi as a Laurent series."""
-    out = LaurentSeries.from_poly(l, order)
-    if not pi.is_zero:
-        out = out + lattice.sqrt_r_series(order + 2).mul_poly(pi) * (2 * sign)
-    return out
-
 
 def _m_of_linear(lattice: Lattice, beta) -> Poly:
     """M(x - beta) = p - beta."""
@@ -708,41 +726,21 @@ def verify_structure_relations(ric: RiccatiData, data: SMOPData,
 def verify_second_kind_relations(ric: RiccatiData, data: SMOPData,
                                  coeffs: StructureCoeffs, s: LaurentSeries,
                                  n: int, workspace: Workspace | None = None):
-    """Residuals of the two second-kind difference relations at level n >= 0,
-    as windowed series (both must vanish within their windows).  At n = 0
-    they reduce to the Riccati equation itself."""
+    """The pair (R, I) of the two second-kind difference relations at level
+    n >= 0 (`Workspace.second_kind_pair`): their residuals are
+    R + sqrt(r) I and R - sqrt(r) I.
+
+    Both relations hold iff R and I both vanish, each within its own window.
+    R alone is not enough, even where lambda is a square and sqrt(r) is a
+    rational series: the two residuals agree only when sqrt(r) I = 0.  Since
+    sqrt(r) leads with x^1, sqrt(r) I is known one step less deep than I, so
+    the window of both residuals is min(window of R, window of I - 1).  At
+    n = 0, I vanishes identically and R is the Riccati residual.
+    """
     if n < 0:
         raise ValueError("second-kind relations are stated for n >= 0")
-    lattice = ric.lattice
-    A, B, C, D = ric.polys()
-    l = coeffs.l_at(n - 1)
-    pi = coeffs.pi_at(n - 1)
-    theta = coeffs.theta_at(n - 1)
-
-    ws = _workspace(workspace, lattice, s, data)
-    e1_qn, e2_qn = ws.shifted(n)
-    d_qn = ws.dm(n)[0]
-    e1_qprev, e2_qprev = ws.shifted(n - 1)
-    e1_s, e2_s = ws.shifted()
-
-    w = min(x.truncation_order for x in (d_qn, e1_qn, e2_qn, e1_qprev, e2_qprev))
-    l_plus = _surd_coeff_series(lattice, l, pi, +1, w)
-    l_minus = _surd_coeff_series(lattice, l, pi, -1, w)
-    c_half = LaurentSeries.from_poly(C * HALF, w)
-
-    res1 = (
-        d_qn.mul_poly(A)
-        - l_plus * e1_qn
-        - (e1_s.mul_poly(B) + c_half) * e2_qn
-        - e1_qprev.mul_poly(theta)
-    )
-    res2 = (
-        d_qn.mul_poly(A)
-        - l_minus * e2_qn
-        - (e2_s.mul_poly(B) + c_half) * e1_qn
-        - e2_qprev.mul_poly(theta)
-    )
-    return res1, res2
+    ws = _workspace(workspace, ric.lattice, s, data)
+    return ws.second_kind_pair(ric, coeffs, n)
 
 
 def gathered_relations(ric: RiccatiData, data: SMOPData,
@@ -750,11 +748,17 @@ def gathered_relations(ric: RiccatiData, data: SMOPData,
                        workspace: Workspace | None = None):
     """Residuals of the gathered (M-form) relations at level n >= 0: two
     exact polynomial identities for P_{n+1} and P1_n, and one windowed series
-    identity for q_n including the B(2 MS Mq_n - M(S q_n)) term."""
+    identity for q_n,
+
+        A_n Dq_n - (l_{n-1} + C/2) Mq_n - Theta_{n-1} Mq_{n-1}
+        - B (2 MS Mq_n - M(S q_n)),
+
+    which is the R of `verify_second_kind_relations` at level n, since
+    M(S q_n) = MS Mq_n + r DS Dq_n."""
     if n < 0:
         raise ValueError("gathered relations are stated for n >= 0")
-    A, B, C, D = ric.polys()
-    half_C = C * HALF
+    B, D = ric.B, ric.D
+    half_C = ric.C * HALF
     l_n = coeffs.l_at(n)
     theta_n = coeffs.theta_at(n)
     a_next = coeffs.A_at(n + 1)
@@ -766,23 +770,7 @@ def gathered_relations(ric: RiccatiData, data: SMOPData,
 
     res_p = a_next * d_pnext - (l_n - half_C) * m_pnext + B * m_p1 - theta_n * m_pn
     res_p1 = a_next * d_p1 - (l_n + half_C) * m_p1 - D * m_pnext - theta_n * m_p1_prev
-
-    l_prev = coeffs.l_at(n - 1)
-    theta_prev = coeffs.theta_at(n - 1)
-    a_n = coeffs.A_at(n)
-    d_qn, m_qn = ws.dm(n)
-    m_qprev = ws.dm(n - 1)[1]
-    res_q = (
-        d_qn.mul_poly(a_n)
-        - m_qn.mul_poly(l_prev + half_C)
-        - m_qprev.mul_poly(theta_prev)
-    )
-    if not B.is_zero:
-        m_s = ws.dm()[1]
-        # S q_n is used at this level only, so its image is not kept
-        m_sq = apply_M_series(ric.lattice, s * ws.q(n))
-        res_q = res_q - (m_s * m_qn * 2 - m_sq).mul_poly(B)
-    return res_p, res_p1, res_q
+    return res_p, res_p1, ws.second_kind_pair(ric, coeffs, n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1121,17 +1109,16 @@ def certify(ric: RiccatiData, n_max: int, order: int,
 
     # second-kind relations
     def second_kind():
-        bad1, bad2, min_window = [], [], None
+        # both relations hold iff R and I vanish, so they fail together
+        bad, min_window = [], None
         for n in range(0, n_max + 1):
-            r1, r2 = verify_second_kind_relations(ric, data, coeffs, s, n, workspace=ws)
-            w = min(r1.truncation_order, r2.truncation_order)
+            re, im = verify_second_kind_relations(ric, data, coeffs, s, n, workspace=ws)
+            w = min(re.truncation_order, im.truncation_order - 1)
             min_window = w if min_window is None else min(min_window, w)
-            if not r1.is_zero_within_window():
-                bad1.append(n)
-            if not r2.is_zero_within_window():
-                bad2.append(n)
-        return [verdict("second-kind-1", bad1, min_window),
-                verdict("second-kind-2", bad2, min_window)]
+            if not (re.is_zero_within_window() and im.is_zero_within_window()):
+                bad.append(n)
+        return [verdict("second-kind-1", bad, min_window),
+                verdict("second-kind-2", bad, min_window)]
     guarded(second_kind, "second-kind-1", "second-kind-2")
 
     # gathered relations

@@ -14,7 +14,9 @@ Delta_y = 2 sqrt(r) exact by construction.  On Laurent series D and M act
 through one rational table: with N = y1 y2 = p^2 - r, both take x^(-k) to
 rational functions over Q, whose expansions the lattice keeps row by row
 (`Lattice.dm_table`).  D s and M s are linear combinations of those rows, and
-E_j s = M s -/+ sqrt(r) D s is the only image that needs sqrt(r).
+E_j s = M s -/+ sqrt(r) D s is the only image that needs sqrt(r); the
+relations of the characterization are checked on D s and M s alone, so E_j s
+(with the sqrt(r) and 1/y_j expansions) serves as an independent oracle.
 """
 from __future__ import annotations
 

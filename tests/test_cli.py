@@ -63,6 +63,14 @@ class TestExitCodes:
         assert "q-quadratic" in out
         assert "9/16" in out and "-9/16" in out
 
+    def test_classify_points(self, capsys):
+        assert main(["classify", str(PROBLEMS / "qhermite.json"), "--points", "2"]) == 0
+        assert "x(2)=" in capsys.readouterr().out
+
+    def test_negative_points_exit_2(self, capsys):
+        assert main(["classify", str(PROBLEMS / "qhermite.json"), "--points", "-3"]) == 2
+        assert "--points must be nonnegative" in capsys.readouterr().err
+
     def test_invalid_conic_exit_2(self, tmp_path, capsys):
         doc = reference_doc()
         doc["lattice"][0] = "0"
@@ -151,6 +159,18 @@ class TestCertifyCommand:
         assert code == 1
         assert cert["passed"] is False
         assert "no Laguerre-Hahn relation" in cert["checks"][0]["detail"]
+
+    def test_second_kind_windows_tight(self, capsys):
+        # one moment fewer (still above 2 n_max + 2 = 18) shortens the
+        # second-kind and gathered windows by exactly one
+        windows = []
+        for trunc in ("28", "27"):
+            code = main(["certify", str(PROBLEMS / "qhermite.json"), "--trunc", trunc])
+            cert = json.loads(capsys.readouterr().out)
+            assert code == 0
+            windows.append({c["name"]: c["window"] for c in cert["checks"]})
+        for name in ("second-kind-1", "second-kind-2", "gathered"):
+            assert windows[1][name] == windows[0][name] - 1, name
 
     def test_images_of_s_formed_once_per_workspace(self, capsys, monkeypatch):
         # certify on a moments-only file fits in one workspace and certifies

@@ -13,7 +13,10 @@ so they are an oracle independent of the integer elimination.  The derive
 cases at --n-max 20 were written by the version that formed every shift of
 P_n and P1_n by Horner substitution and Theta_hat as a SurdPoly, so they are
 an oracle independent of the recurrence walk and the D/M-form structure
-stage.  To
+stage.  The certify cases at --n-max 12 were written by the version that
+formed E1 q_n, E2 q_n and E1 S, E2 S with the sqrt(r) series and the gathered
+B term through the product S q_n, so they are an oracle independent of the
+rational (R, I) route of the second-kind and gathered relations.  To
 regenerate after an intended change of the output, run
 `snul <command> <problem> <extra arguments>` and, for certify, delete the
 "timings" entry; the file is tests/data/<command>_<name>.json, with <name>
@@ -45,6 +48,9 @@ CASES = (
        ("fit", DATA / "random_moments.json", [])]
     # the depth of the derive benchmark
     + [("derive", ROOT / "problems" / f"{stem}.json", ["--n-max", "20"])
+       for stem in ("qhermite", "qhermite_corecursive")]
+    # twelve levels of the second-kind and gathered relations, B = 0 and B != 0
+    + [("certify", ROOT / "problems" / f"{stem}.json", ["--n-max", "12"])
        for stem in ("qhermite", "qhermite_corecursive")]
 )
 

@@ -308,17 +308,20 @@ class TestRelations:
         for ric, data, coeffs in (semiclassical, corecursive):
             s = data.stieltjes()
             for n in range(0, 4):
-                r1, r2 = verify_second_kind_relations(ric, data, coeffs, s, n)
-                assert r1.is_zero_within_window()
-                assert r2.is_zero_within_window()
+                R, I = verify_second_kind_relations(ric, data, coeffs, s, n)
+                assert R.is_zero_within_window()
+                assert I.is_zero_within_window()
 
-    def test_second_kind_at_zero_is_riccati(self, semiclassical):
-        ric, data, coeffs = semiclassical
-        s = data.stieltjes()
-        r1, _ = verify_second_kind_relations(ric, data, coeffs, s, 0)
-        res = riccati_residual(ric, s)
-        w = min(r1.truncation_order, res.truncation_order)
-        assert r1.restrict(w).agrees_with(res.restrict(w))
+    def test_second_kind_at_zero_is_riccati(self, semiclassical, corecursive):
+        # l_-1 = C/2, pi_-1 = 0, Theta_-1 = D and q_-1 = 1: I vanishes
+        # identically and R is A DS - C MS - D - B E1S E2S
+        for ric, data, coeffs in (semiclassical, corecursive):
+            s = data.stieltjes()
+            R, I = verify_second_kind_relations(ric, data, coeffs, s, 0)
+            assert I.is_zero
+            res = riccati_residual(ric, s)
+            assert R.truncation_order == res.truncation_order
+            assert R.agrees_with(res)
 
     def test_second_kind_window_guard(self, semiclassical):
         ric, data, coeffs = semiclassical
@@ -528,6 +531,30 @@ class TestCertify:
         assert cert.check("second-kind-2").verdict == "skip"
         assert cert.check("gathered").verdict == "fail"
         assert cert.check("reconstruction").verdict == "pass"
+
+    def test_second_kind_reads_I(self, reference_lattice, monkeypatch):
+        # R = 0 with I != 0 at the top level: both relations fail there, since
+        # their residuals are R + sqrt(r) I and R - sqrt(r) I; with I as deep
+        # as R, sqrt(r) I and so both residuals are one step shallower
+        import snul.laguerre_hahn as lh
+        original = lh.verify_second_kind_relations
+        windows = []
+
+        def only_I(ric, data, coeffs, s, n, workspace=None):
+            R, I = original(ric, data, coeffs, s, n, workspace=workspace)
+            if n != 3:
+                return R, I
+            field = ric.lattice.field
+            windows.append(R.truncation_order)
+            return (LaurentSeries.zero(field, R.truncation_order),
+                    LaurentSeries(field, -5, [1], R.truncation_order))
+
+        monkeypatch.setattr(lh, "verify_second_kind_relations", only_I)
+        cert = certify(qhermite_corecursive_riccati(reference_lattice), n_max=3, order=16)
+        failed = [(c.name, c.verdict, c.detail, c.window)
+                  for c in cert.checks if c.verdict != "pass"]
+        assert failed == [(name, "fail", "nonzero at n = 3", windows[0] - 1)
+                          for name in ("second-kind-1", "second-kind-2")]
 
     @pytest.mark.parametrize("stage, module, name", [
         ("liouville", "snul.orthopoly", "liouville_defect"),

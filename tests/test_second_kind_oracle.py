@@ -1,0 +1,197 @@
+"""The second-kind and gathered relations against the E-image route they
+replaced.
+
+`verify_second_kind_relations` returns the rational pair (R, I) with
+res1 = R + sqrt(r) I and res2 = R - sqrt(r) I, and `gathered_relations`
+reads R as its series residual.  The reference below is the earlier route,
+kept verbatim in substance: E1 q_n, E2 q_n and E1 S, E2 S composed with the
+sqrt(r) series (`apply_E_series`), l +/- 2 sqrt(r) pi as a series, and the
+gathered B term through the product S q_n and its M image.  Both routes must
+give the same coefficients on the same windows, on the shipped instances and
+on structure coefficients moved by +/-1 in one coefficient at one level.
+"""
+from pathlib import Path
+
+import pytest
+
+from snul import (
+    LaurentSeries,
+    Workspace,
+    fit_riccati,
+    gathered_relations,
+    recurrence_from_moments,
+    riccati_residual,
+    smop_from_recurrence,
+    solve_moments_from_riccati,
+    structure_coeffs_direct,
+    verify_second_kind_relations,
+)
+from snul.cli import ProblemFile
+from snul.laguerre_hahn import HALF, StructureCoeffs
+from snul.lattice import apply_E_series, apply_M_series
+from snul.poly import Poly
+
+ROOT = Path(__file__).resolve().parent.parent
+INSTANCES = sorted((ROOT / "problems").glob("*.json"))
+INSTANCES.append(Path(__file__).resolve().parent / "data" / "surd_conic.json")
+# levels whose coefficients are tampered with: -1 .. TAMPER_LEVELS - 2
+TAMPER_LEVELS = 4
+
+
+# -- the reference route -------------------------------------------------------
+
+def _surd_coeff_series(lattice, l, pi, sign, order):
+    """l +/- Delta_y pi = l +/- 2 sqrt(r) pi as a Laurent series."""
+    out = LaurentSeries.from_poly(l, order)
+    if not pi.is_zero:
+        out = out + lattice.sqrt_r_series(order + 2).mul_poly(pi) * (2 * sign)
+    return out
+
+
+def _shifted(ws, n=None):
+    """(E1 f, E2 f) for f = S (n None) or f = q_n."""
+    f = ws.series(n)
+    return tuple(apply_E_series(ws.lattice, f, j, dm=ws.dm(n)) for j in (1, 2))
+
+
+def reference_second_kind(ric, coeffs, ws, n):
+    lattice = ric.lattice
+    A, B, C, _ = ric.polys()
+    l, pi, theta = coeffs.l_at(n - 1), coeffs.pi_at(n - 1), coeffs.theta_at(n - 1)
+    e1_qn, e2_qn = _shifted(ws, n)
+    d_qn = ws.dm(n)[0]
+    e1_qprev, e2_qprev = _shifted(ws, n - 1)
+    e1_s, e2_s = _shifted(ws)
+
+    w = min(x.truncation_order for x in (d_qn, e1_qn, e2_qn, e1_qprev, e2_qprev))
+    l_plus = _surd_coeff_series(lattice, l, pi, +1, w)
+    l_minus = _surd_coeff_series(lattice, l, pi, -1, w)
+    c_half = LaurentSeries.from_poly(C * HALF, w)
+    res1 = (d_qn.mul_poly(A) - l_plus * e1_qn
+            - (e1_s.mul_poly(B) + c_half) * e2_qn - e1_qprev.mul_poly(theta))
+    res2 = (d_qn.mul_poly(A) - l_minus * e2_qn
+            - (e2_s.mul_poly(B) + c_half) * e1_qn - e2_qprev.mul_poly(theta))
+    return res1, res2
+
+
+def reference_res_q(ric, coeffs, ws, n):
+    B, C = ric.B, ric.C
+    d_qn, m_qn = ws.dm(n)
+    m_qprev = ws.dm(n - 1)[1]
+    res_q = (d_qn.mul_poly(coeffs.A_at(n))
+             - m_qn.mul_poly(coeffs.l_at(n - 1) + C * HALF)
+             - m_qprev.mul_poly(coeffs.theta_at(n - 1)))
+    if not B.is_zero:
+        m_sq = apply_M_series(ric.lattice, ws.s * ws.q(n))
+        res_q = res_q - (ws.dm()[1] * m_qn * 2 - m_sq).mul_poly(B)
+    return res_q
+
+
+# -- inputs ----------------------------------------------------------------------
+
+def _instance(path):
+    """(ric, data, n_max) as `snul certify` builds them; a moments-only file
+    certifies its first verified fitted candidate."""
+    problem = ProblemFile.load(str(path))
+    lattice = problem.build_lattice()
+    order = max(problem.trunc, 2 * problem.n_max + 2)
+    moments = problem.moment_list(order)
+    if problem.riccati is not None:
+        ric = problem.riccati_data(lattice)
+        if moments is None:
+            moments = solve_moments_from_riccati(ric, order)
+    else:
+        s = LaurentSeries.from_moments(lattice.field, moments)
+        ric = next(c for c in fit_riccati(lattice, s, problem.deg_bounds)
+                   if riccati_residual(c, s).is_zero_within_window())
+    beta, gamma = recurrence_from_moments(moments, problem.n_max)
+    data = smop_from_recurrence(lattice.field, beta, gamma, problem.n_max,
+                                moments=moments)
+    return ric, data, problem.n_max
+
+
+def _tampered(ric, coeffs, name, level, index, delta):
+    """A copy of `coeffs` with coefficient `index` of `name` at `level` moved
+    by delta, and every gathered A_k = A + 2 r pi_{k-1} formed again."""
+    out = StructureCoeffs(ric, coeffs.data)
+    for store in ("l", "pi", "theta", "theta_hat"):
+        setattr(out, store, list(getattr(coeffs, store)))
+    polys = getattr(out, name)
+    old = polys[level + 1]
+    values = list(old.coeffs) + [0] * (index + 1 - len(old.coeffs))
+    values[index] += delta
+    polys[level + 1] = Poly(old.field, values)
+    out.A_gathered = [ric.A + ric.lattice.r * 2 * pi for pi in out.pi]
+    return out
+
+
+def _same(x, y):
+    return ((x.truncation_order, x.lowest_power, x.coefficients)
+            == (y.truncation_order, y.lowest_power, y.coefficients))
+
+
+def _sqrt_r_times(lattice, im):
+    """sqrt(r) I, with sqrt(r) deep enough that only I limits the window."""
+    depth = max(im.truncation_order - 1 + im._effective_top(), 1)
+    return lattice.sqrt_r_series(depth) * im
+
+
+# -- the oracle tests ------------------------------------------------------------------
+
+def _check_level(ric, data, coeffs, ws, n, case):
+    re, im = verify_second_kind_relations(ric, data, coeffs, ws.s, n, workspace=ws)
+    assert all(c.is_rational for c in re.coefficients + im.coefficients), case
+    root_im = _sqrt_r_times(ric.lattice, im)
+    res1, res2 = reference_second_kind(ric, coeffs, ws, n)
+    assert _same(re + root_im, res1), case
+    assert _same(re - root_im, res2), case
+    assert min(re.truncation_order, im.truncation_order - 1) == res1.truncation_order, case
+    if n < data.n_max:
+        res_q = gathered_relations(ric, data, coeffs, ws.s, n, workspace=ws)[2]
+        assert _same(res_q, reference_res_q(ric, coeffs, ws, n)), case
+        assert _same(res_q, re), case
+    return re, im
+
+
+@pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.stem)
+def test_routes_agree(path):
+    ric, data, n_max = _instance(path)
+    coeffs = structure_coeffs_direct(ric, data, n_max, check_riccati=False)
+    ws = Workspace(ric.lattice, data=data)
+    for n in range(0, n_max + 1):
+        re, im = _check_level(ric, data, coeffs, ws, n, (path.stem, n))
+        assert re.is_zero_within_window() and im.is_zero_within_window()
+
+
+@pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.stem)
+def test_routes_agree_on_tampered_coefficients(path):
+    # one workspace serves the shipped and every tampered set of coefficients,
+    # so a pair formed for one set must never be read for another
+    ric, data, n_max = _instance(path)
+    coeffs = structure_coeffs_direct(ric, data, n_max, check_riccati=False)
+    ws = Workspace(ric.lattice, data=data)
+    for n in range(0, TAMPER_LEVELS):
+        verify_second_kind_relations(ric, data, coeffs, ws.s, n, workspace=ws)
+    for name in ("l", "pi", "theta"):
+        for level in range(-1, TAMPER_LEVELS - 1):
+            poly = getattr(coeffs, name)[level + 1]
+            for index in sorted({0, max(poly.degree or 0, 0)}):
+                for delta in (1, -1):
+                    case = (path.stem, name, level, index, delta)
+                    tampered = _tampered(ric, coeffs, name, level, index, delta)
+                    re, im = _check_level(ric, data, tampered, ws, level + 1, case)
+                    if name == "pi":
+                        # A + 2 r pi is formed from pi, not read from the
+                        # gathered A_n: stale A_n leave the pair unchanged
+                        tampered.A_gathered = coeffs.A_gathered
+                        fresh = Workspace(ric.lattice, data=data)
+                        stale = verify_second_kind_relations(
+                            ric, data, tampered, fresh.s, level + 1, workspace=fresh)
+                        assert all(map(_same, stale, (re, im))), case
+                    # the move shows in I: l and pi through Dq_n and Mq_n,
+                    # Theta through Dq_{n-1}, except at n = 0 where q_-1 = 1
+                    # and it shows in R alone
+                    if name == "theta" and level == -1:
+                        assert im.is_zero and not re.is_zero_within_window(), case
+                    else:
+                        assert not im.is_zero_within_window(), case
