@@ -450,6 +450,11 @@ def main(argv: list[str] | None = None) -> int:
     except SnulError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # not a documented failure: one line and the usage exit code, never
+        # a traceback or exit 1, which would read as a mathematical verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

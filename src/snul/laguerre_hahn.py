@@ -422,10 +422,10 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
     # the equation for u_k sits at x^(m0 - k) and reads DS, MS and E1S E2S
     # at most max_deg powers lower
     depth = count - m0 + max_deg
-    rows = lattice.dm_table(depth, count + 1)
+    n2, rows = lattice.dm_table(depth, count + 1)
     # DS and MS of the moments so far, u_0 = 1: coefficients of x^0 .. x^-depth
     ds, ms = [Fraction(0)] * (depth + 1), [Fraction(0)] * (depth + 1)
-    add_dm_row(ds, ms, Fraction(1), rows[1], 1)
+    add_dm_row(ds, ms, Fraction(1), rows[1], 1, n2)
 
     def at_power(poly, e, value):
         """Coefficient of x^e in poly times the series whose x^-m
@@ -451,7 +451,8 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
     for k in range(1, count + 1):
         # u_k enters S with x^(-k-1), whose images are row k + 1
         row = rows[k + 1]
-        dk, mk = row
+        dk, mk = [Fraction(0)] * (depth + 1), [Fraction(0)] * (depth + 1)
+        add_dm_row(dk, mk, Fraction(1), row, k + 1, n2)
         target = m0 - k
         beta_k = residual(target)
         alpha_k = (
@@ -473,7 +474,7 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
             raise Inconsistent(k, f"moment u_{k} = {uk} is not rational")
         u = uk.rational_value()
         moments.append(u)
-        add_dm_row(ds, ms, u, row, k + 1)
+        add_dm_row(ds, ms, u, row, k + 1, n2)
     return moments
 
 

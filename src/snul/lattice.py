@@ -11,12 +11,15 @@ and the operators act by
 On polynomials the images of E_j live in K[x][sqrt(r)]; D and M are read off
 the two components of a single E2 expansion, which makes the cancellation of
 Delta_y = 2 sqrt(r) exact by construction.  On Laurent series D and M act
-through one rational table: with N = y1 y2 = p^2 - r, both take x^(-k) to
-rational functions over Q, whose expansions the lattice keeps row by row
-(`Lattice.dm_table`).  D s and M s are linear combinations of those rows, and
-E_j s = M s -/+ sqrt(r) D s is the only image that needs sqrt(r); the
-relations of the characterization are checked on D s and M s alone, so E_j s
-(with the sqrt(r) and 1/y_j expansions) serves as an independent oracle.
+through one table: with N = y1 y2 = p^2 - r, both take x^(-k) to rational
+functions over Q, whose expansions the lattice keeps row by row
+(`Lattice.dm_table`) as integer numerators over powers of the leading
+coefficient of N, scaled to an integer polynomial.  D s and M s are integer
+linear combinations of those rows, with one Fraction formed per output
+coefficient, and E_j s = M s -/+ sqrt(r) D s is the only image that needs
+sqrt(r); the relations of the characterization are checked on D s and M s
+alone, so E_j s (with the sqrt(r) and 1/y_j expansions) serves as an
+independent oracle.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from .errors import (
     InvalidConic,
     UnsupportedLatticeClass,
 )
-from .fieldext import QuadField, QuadNumber, Rational
+from .fieldext import QuadField, QuadNumber, Rational, _numerators
 from .poly import Poly
 from .series import LaurentSeries, sqrt_series
 from .surd import SurdPoly
@@ -66,21 +69,22 @@ class Lattice:
     The only interior state is memoization of series expansions: 1/y_j per
     window (an oracle; the operators do not read it), the expansion of
     sqrt(r), and one table whose row k holds the expansions of D x^(-k) and
-    M x^(-k), k = 0, 1, 2, ..., with rational coefficients.  The last two are
-    kept at the deepest window asked for so far and read at shallower
-    windows.  Every entry is exact within its window, so recomputing one
-    gives the same value.  Nothing is changed in place: a longer or deeper
-    table is built aside as a new tuple and swapped in by a single
-    assignment, and each reader keeps the tuple it was handed.  A reader
-    therefore always sees a complete table, two threads that grow the same
-    table at once only repeat each other's work, and instances are safe to
-    share across threads.
+    M x^(-k), k = 0, 1, 2, ..., as integer numerators, entry i of row k over
+    n2^(k+i) with n2 the leading coefficient of c N, c the least common
+    denominator of p, r and N = p^2 - r.  The last two are kept at the
+    deepest window asked for so far and read at shallower windows.  Every
+    entry is exact within its window, so recomputing one gives the same
+    value.  Nothing is changed in place: a longer or deeper table is built
+    aside as a new tuple and swapped in by a single assignment, and each
+    reader keeps the tuple it was handed.  A reader therefore always sees a
+    complete table, two threads that grow the same table at once only repeat
+    each other's work, and instances are safe to share across threads.
     """
 
     __slots__ = (
         "a_hat", "b_hat", "c_hat", "d_hat", "e_hat", "f_hat",
         "field", "p", "r", "lam", "tau", "q_trace", "lattice_class",
-        "_sqrt_r", "_invy_cache", "_dm_table",
+        "_sqrt_r", "_invy_cache", "_dm_ints", "_dm_table",
     )
 
     def __init__(self, a_hat, b_hat, c_hat, d_hat, e_hat, f_hat, field,
@@ -100,6 +104,7 @@ class Lattice:
         self.lattice_class = lattice_class
         self._sqrt_r = None
         self._invy_cache = {}
+        self._dm_ints = None
         self._dm_table = (-1, ())
 
     # -- derived objects ------------------------------------------------------
@@ -133,64 +138,87 @@ class Lattice:
         self._invy_cache[key] = w
         return w
 
-    def dm_table(self, depth: int, count: int) -> tuple:
-        """Rows k = 0..count (or more) of the table of D x^(-k) and M x^(-k).
+    def _scaled_coefficients(self) -> tuple:
+        """(c, c p0, c p1, c r0, c r1, c r2, c n0, c n1, c n2) as ints, with
+        N = p^2 - r = n0 + n1 x + n2 x^2 and c the least common denominator
+        of p, r and N.  Raises DegenerateLattice when n2 = 0."""
+        ints = self._dm_ints
+        if ints is None:
+            p0, p1 = (self.p.coefficient(i).rational_value() for i in (0, 1))
+            r0, r1, r2 = (self.r.coefficient(i).rational_value() for i in (0, 1, 2))
+            n0, n1, n2 = p0 * p0 - r0, 2 * p0 * p1 - r1, p1 * p1 - r2
+            if n2 == 0:
+                # y1 y2 has lost its x^2 term: one branch, p -/+ sqrt(r), has
+                # no x term
+                j = 1 if self.field.sqrt(r2) == p1 else 2
+                raise DegenerateLattice(
+                    f"y_{j} has degenerate leading behaviour; 1/y_{j} expansion impossible"
+                )
+            values = (p0, p1, r0, r1, r2, n0, n1, n2)
+            c = math.lcm(*(v.denominator for v in values))
+            ints = self._dm_ints = (c,) + tuple(v.numerator * (c // v.denominator)
+                                                for v in values)
+        return ints
 
-        Row k is a pair of tuples (d, m) with d[i], m[i] the rational
-        coefficients of x^(-i) in D x^(-k) and M x^(-k), i = 0..table depth,
-        where the table depth is at least `depth`.  With N = y1 y2 = p^2 - r,
+    def dm_table(self, depth: int, count: int) -> tuple:
+        """(n2, rows): rows k = 0..count (or more) of the table of D x^(-k)
+        and M x^(-k), and the int n2 their entries are over.
+
+        Row k is a pair of tuples (d, m) of ints, with d[i] / n2^(k+i) and
+        m[i] / n2^(k+i) the coefficients of x^(-i) in D x^(-k) and M x^(-k),
+        i = 0..table depth, where the table depth is at least `depth`.  With
+        N = y1 y2 = p^2 - r,
 
             D x^(-k-1) = (p D x^(-k) - M x^(-k)) / N,
             M x^(-k-1) = (p M x^(-k) - r D x^(-k)) / N,
 
-        from D 1 = 0, M 1 = 1.  Dividing by the quadratic N is a three-term
-        recurrence, so each row costs O(depth) rational operations, and a
-        row that is exact down to x^(-depth) gives the next one exact there.
+        from D 1 = 0, M 1 = 1.  Scaled by c, N becomes the integer
+        polynomial n0 + n1 x + n2 x^2, and row k + 1 is f / (n0 + n1 x +
+        n2 x^2) for f = c p D x^(-k) - c M x^(-k) or c p M x^(-k) -
+        c r D x^(-k).  Dividing by the quadratic is a three-term recurrence
+        on the numerators G_j = n2^(k+1+j) g_j of the quotient g,
+
+            G_j = n2^(k+j) f_(j-2) - n1 G_(j-1) - n0 n2 G_(j-2),
+
+        where n2^(k+j) f_(j-2) is an integer combination of the numerators
+        of row k.  No Fraction and no gcd is formed, each row costs O(depth)
+        integer operations, and a row that is exact down to x^(-depth) gives
+        the next one exact there.
         """
         table_depth, rows = self._dm_table
         if table_depth < depth:
             table_depth = max(depth, 2)     # M x^-1 = p/N reaches x^-2
-            rows = (((_ZERO,) * (table_depth + 1),
-                     (Fraction(1),) + (_ZERO,) * table_depth),)
+            rows = (((0,) * (table_depth + 1), (1,) + (0,) * table_depth),)
         elif len(rows) > count:
-            return rows
-        p0, p1 = (self.p.coefficient(i).rational_value() for i in (0, 1))
-        r0, r1, r2 = (self.r.coefficient(i).rational_value() for i in (0, 1, 2))
-        n0, n1, n2 = p0 * p0 - r0, 2 * p0 * p1 - r1, p1 * p1 - r2
-        if n2 == 0:
-            # y1 y2 has lost its x^2 term: one branch, p -/+ sqrt(r), has no
-            # x term
-            j = 1 if self.field.sqrt(r2) == p1 else 2
-            raise DegenerateLattice(
-                f"y_{j} has degenerate leading behaviour; 1/y_{j} expansion impossible"
-            )
-        inv_n2 = 1 / n2
-        zeros = (_ZERO,) * (table_depth + 1)
-
-        def over_n(numerator, lead, x1=_ZERO):
-            # g = f / N, f[i] = numerator(i) the x^(-i) coefficient; g has
-            # x1 at x^-1 and is zero above x^(-lead) otherwise
-            g = list(zeros)
-            g[1] = x1
-            for j in range(lead, table_depth + 1):
-                g[j] = (numerator(j - 2) - n1 * g[j - 1] - n0 * g[j - 2]) * inv_n2
-            return tuple(g)
-
+            return self._dm_ints[-1], rows
+        c, p0, p1, r0, r1, r2, n0, n1, n2 = self._scaled_coefficients()
+        n02 = n0 * n2
+        zeros = [0] * (table_depth + 1)
         grown = list(rows)
         while len(grown) <= count:
             # D x^(-k-1) leads at x^(-k-2) at the highest, M x^(-k-1) at
             # x^(-k-1); only p M 1 = p reaches x^1, where M x^-1 = p/N starts
+            # with p1/n2 at x^-1.  Entry i of the numerators f of row k + 1
+            # is over n2^(k+i+1) for D and n2^(k+i+2) for M.
             k = len(grown) - 1
             d, m = grown[-1]
-            grown.append((
-                over_n(lambda i: p0 * d[i] + p1 * d[i + 1] - m[i], k + 2),
-                over_n(lambda i: (p0 * m[i] + p1 * m[i + 1]
-                                  - r0 * d[i] - r1 * d[i + 1] - r2 * d[i + 2]),
-                       max(k + 1, 2), p1 * inv_n2 if k == 0 else _ZERO),
-            ))
+            gd = zeros[:]
+            for j in range(k + 2, table_depth + 1):
+                i = j - 2
+                f = n2 * (p0 * d[i] - c * m[i]) + p1 * d[i + 1]
+                gd[j] = n2 * f - n1 * gd[j - 1] - n02 * gd[j - 2]
+            gm = zeros[:]
+            if k == 0:
+                gm[1] = n2 * p1
+            for j in range(max(k + 1, 2), table_depth + 1):
+                i = j - 2
+                f = (n2 * (n2 * (p0 * m[i] - r0 * d[i]) + p1 * m[i + 1] - r1 * d[i + 1])
+                     - r2 * d[i + 2])
+                gm[j] = f - n1 * gm[j - 1] - n02 * gm[j - 2]
+            grown.append((tuple(gd), tuple(gm)))
         rows = tuple(grown)
         self._dm_table = (table_depth, rows)
-        return rows
+        return n2, rows
 
     def conic_value(self, x: float, y: float) -> float:
         """Float evaluation of the conic (diagnostics only)."""
@@ -279,18 +307,40 @@ def apply_M(lattice: Lattice, f: Poly) -> Poly:
 
 # -- operators on Laurent series ----------------------------------------------
 
-def add_dm_row(ds: list, ms: list, value, row, k: int) -> None:
+def add_dm_row(ds: list, ms: list, value: Fraction, row, k: int, n2: int) -> None:
     """ds += value D x^(-k) and ms += value M x^(-k), in place, for row k of
-    `Lattice.dm_table` and coefficient lists indexed by the power of 1/x.
+    `Lattice.dm_table` (entry i over n2^(k+i)) and lists of Fractions
+    indexed by the power of 1/x.
 
     D x^(-k) has no term above x^(-k-1) and M x^(-k) none above x^(-k); each
     list is updated as deep as it goes (the table must reach that deep).
+    Each nonzero term is formed as one Fraction from integer products.
     """
-    d, m = row
-    for i in range(k + 1, len(ds)):
-        ds[i] += value * d[i]
-    for i in range(k, len(ms)):
-        ms[i] += value * m[i]
+    num, den = value.numerator, value.denominator * n2 ** k
+    for acc, nums, start in ((ds, row[0], k + 1), (ms, row[1], k)):
+        scale = den * n2 ** start
+        for i in range(start, len(acc)):
+            if nums[i]:
+                acc[i] += Fraction(num * nums[i], scale)
+            scale *= n2
+
+
+def _row_combination(rows, n2: int, low: int, nums: list[int], n: int):
+    """Integer numerators of sum_k w_k D x^(-k) (x^0 .. x^-(n+1)) and of
+    sum_k w_k M x^(-k) (x^0 .. x^-n) for k = low .. K, where w_k is
+    nums[k - low] over a common denominator den; entry i of each is over
+    den n2^(K+i)."""
+    high = low + len(nums) - 1
+    acc_d, acc_m = [0] * (n + 2), [0] * (n + 1)
+    for k, num in enumerate(nums, low):
+        if num:
+            w = num * n2 ** (high - k)
+            d, m = rows[k]
+            for i in range(k + 1, n + 2):
+                acc_d[i] += w * d[i]
+            for i in range(k, n + 1):
+                acc_m[i] += w * m[i]
+    return acc_d, acc_m
 
 
 def _operator_series(lattice: Lattice, s: LaurentSeries):
@@ -298,34 +348,39 @@ def _operator_series(lattice: Lattice, s: LaurentSeries):
 
     With n the window of s, D s is known down to x^(-(n+1)) and M s down to
     x^(-n): an unknown coefficient of s at x^(-n-1) changes D s from
-    x^(-n-2) and M s from x^(-n-1) on.  Negative powers of x are a linear
-    combination of the rows of the lattice's D/M table, formed separately on
-    the rational and the sqrt(d) part of the coefficients; nonnegative
-    powers go through the polynomial images.
+    x^(-n-2) and M s from x^(-n-1) on.  The images of the negative powers
+    x^(-k), k = 1..K, of s are rows of the lattice's D/M table: the rational and the sqrt(d) parts of their coefficients are
+    written as integer numerators over one common denominator den, each
+    image coefficient x^(-i) is one integer combination of row entries over
+    den n2^(K+i), and one Fraction is formed per output coefficient.
+    Nonnegative powers go through the polynomial images.
     """
     if s.field != lattice.field:
         raise ValueError("series over a different field than the lattice")
     n = s.truncation_order
     field = lattice.field
-    # the rational and the sqrt(d) parts of D s (x^0 .. x^-(n+1)) and of
-    # M s (x^0 .. x^-n)
-    d_parts = ([_ZERO] * (n + 2), [_ZERO] * (n + 2))
-    m_parts = ([_ZERO] * (n + 1), [_ZERO] * (n + 1))
+    ds = LaurentSeries.zero(field, n + 1)
+    ms = LaurentSeries.zero(field, n)
     bottom = s.lowest_power - len(s.coefficients) + 1 if s.coefficients else 0
     if bottom <= -1:
-        rows = lattice.dm_table(n + 1, -bottom)
-        for k in range(max(1, -s.lowest_power), -bottom + 1):
-            c = s._padded(-k)
-            for acc_d, acc_m, value in zip(d_parts, m_parts, (c.a, c.b)):
-                if value:
-                    add_dm_row(acc_d, acc_m, value, rows[k], k)
+        low, high = max(1, -s.lowest_power), -bottom
+        n2, rows = lattice.dm_table(n + 1, high)
+        a_nums, b_nums, den = _numerators(
+            field, [s._padded(-k) for k in range(low, high + 1)])
+        a_d, a_m = _row_combination(rows, n2, low, a_nums, n)
+        b_d, b_m = _row_combination(rows, n2, low, b_nums or [0] * len(a_nums), n)
 
-    def assemble(parts, window):
-        return LaurentSeries(field, 0, [QuadNumber(field, a, b) for a, b in zip(*parts)],
-                             window)
+        def assemble(a_part, b_part, window):
+            zero, out, scale = field.zero, [], den * n2 ** high
+            for a, b in zip(a_part, b_part):
+                out.append(QuadNumber(field, Fraction(a, scale),
+                                      Fraction(b, scale) if b else _ZERO)
+                           if a or b else zero)
+                scale *= n2
+            return LaurentSeries(field, 0, out, window)
 
-    ds = assemble(d_parts, n + 1)
-    ms = assemble(m_parts, n)
+        ds = assemble(a_d, b_d, n + 1)
+        ms = assemble(a_m, b_m, n)
     top = s._effective_top()
     if top >= 0:
         poly_part = Poly(field, [s._padded(e) for e in range(top + 1)])

@@ -92,6 +92,32 @@ class TestExitCodes:
     def test_missing_file_exit_2(self):
         assert main(["certify", "/nonexistent/problem.json"]) == 2
 
+    def test_degenerate_lattice(self, tmp_path, capsys):
+        # c = 0: N = y1 y2 has no x^2 term, so the D/M table cannot be built
+        doc = reference_doc(moments=["1", "0", "1", "0", "2", "0", "5", "0", "14"])
+        doc["lattice"] = ["1", "2", "0", "0", "1", "1"]
+        doc["riccati"] = {"A": ["1", "0", "1"], "B": [], "C": ["0", "1"], "D": ["1"]}
+        doc["options"] = {"n_max": 2, "trunc": 8}
+        path = write_problem(tmp_path, doc)
+        for command in ("fit", "derive"):
+            assert main([command, path]) == 2
+            assert ("error: y_2 has degenerate leading behaviour"
+                    in capsys.readouterr().err)
+        assert main(["certify", path]) == 1
+        checks = {c["name"]: c["verdict"]
+                  for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["riccati"] == "fail"
+
+    def test_internal_error_exit_2(self, monkeypatch, capsys):
+        def broken(path):
+            raise RuntimeError("broken on purpose")
+
+        monkeypatch.setattr(ProblemFile, "load", staticmethod(broken))
+        assert main(["certify", str(PROBLEMS / "qhermite.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeError: broken on purpose\n"
+        assert captured.out == ""
+
     def test_discriminant_override(self, capsys):
         code = main(["classify", str(PROBLEMS / "qhermite.json")])
         assert code == 0 and "field:   Q\n" in capsys.readouterr().out

@@ -368,6 +368,47 @@ class TestSeriesWindows:
         assert [a - b for a, b in zip(windows[0], windows[1])] == [1, 1, 1, 1]
 
 
+# N = p^2 - r = 2x^2 - 4x + 3
+DENSE_N_CONIC = (1, F(-1, 3), 2, F(1, 5), -2, 3)
+
+
+def fraction_dm_table(lattice, depth, count):
+    """Rows 0..count of the D/M table at depth `depth`, by the recurrence
+    over Q that the integer table replaced: the oracle for its rows."""
+    _ZERO = F(0)
+    table_depth = max(depth, 2)
+    rows = (((_ZERO,) * (table_depth + 1),
+             (F(1),) + (_ZERO,) * table_depth),)
+    p0, p1 = (lattice.p.coefficient(i).rational_value() for i in (0, 1))
+    r0, r1, r2 = (lattice.r.coefficient(i).rational_value() for i in (0, 1, 2))
+    n0, n1, n2 = p0 * p0 - r0, 2 * p0 * p1 - r1, p1 * p1 - r2
+    inv_n2 = 1 / n2
+    zeros = (_ZERO,) * (table_depth + 1)
+
+    def over_n(numerator, lead, x1=_ZERO):
+        # g = f / N, f[i] = numerator(i) the x^(-i) coefficient; g has
+        # x1 at x^-1 and is zero above x^(-lead) otherwise
+        g = list(zeros)
+        g[1] = x1
+        for j in range(lead, table_depth + 1):
+            g[j] = (numerator(j - 2) - n1 * g[j - 1] - n0 * g[j - 2]) * inv_n2
+        return tuple(g)
+
+    grown = list(rows)
+    while len(grown) <= count:
+        # D x^(-k-1) leads at x^(-k-2) at the highest, M x^(-k-1) at
+        # x^(-k-1); only p M 1 = p reaches x^1, where M x^-1 = p/N starts
+        k = len(grown) - 1
+        d, m = grown[-1]
+        grown.append((
+            over_n(lambda i: p0 * d[i] + p1 * d[i + 1] - m[i], k + 2),
+            over_n(lambda i: (p0 * m[i] + p1 * m[i + 1]
+                              - r0 * d[i] - r1 * d[i + 1] - r2 * d[i + 2]),
+                   max(k + 1, 2), p1 * inv_n2 if k == 0 else _ZERO),
+        ))
+    return tuple(grown)
+
+
 class TestPowerTable:
     @pytest.mark.parametrize("conic", [REFERENCE_CONIC, SURD_CONIC, IMAGINARY_CONIC])
     def test_matches_repeated_products(self, conic):
@@ -393,7 +434,7 @@ class TestPowerTable:
         # E_j x^-k = (1/y_j)^k by repeated products
         lat = build_lattice(*conic)
         depth = 24
-        rows = lat.dm_table(depth, 20)
+        n2, rows = lat.dm_table(depth, 20)
         assert lat._dm_table[0] == depth
         inv_delta = (lat.sqrt_r_series(depth + 4) * 2).inverse()
         w1, w2 = (lat.inv_y_series(j, depth + 2) for j in (1, 2))
@@ -404,9 +445,29 @@ class TestPowerTable:
             d_oracle = (e2 - e1) * inv_delta
             m_oracle = (e1 + e2) * F(1, 2)
             assert min(d_oracle.truncation_order, m_oracle.truncation_order) >= depth
-            d, m = rows[k]
+            d, m = ([F(v, n2 ** (k + i)) for i, v in enumerate(half)] for half in rows[k])
             assert LaurentSeries(lat.field, 0, d, depth).agrees_with(d_oracle)
             assert LaurentSeries(lat.field, 0, m, depth).agrees_with(m_oracle)
+
+    @pytest.mark.parametrize("conic", [REFERENCE_CONIC, SURD_CONIC, IMAGINARY_CONIC,
+                                       DENSE_N_CONIC])
+    def test_integer_rows_match_fraction_recurrence(self, conic):
+        lat = build_lattice(*conic)
+        # grown at depth 20, then rebuilt at depth 44
+        for depth, count in ((20, 5), (20, 44), (44, 44)):
+            n2, rows = lat.dm_table(depth, count)
+            assert lat._dm_table == (depth, rows)
+            expected = fraction_dm_table(lat, depth, count)
+            assert len(rows) == len(expected) == count + 1
+            for k, (row, want) in enumerate(zip(rows, expected)):
+                for nums, values in zip(row, want):
+                    assert all(type(v) is int for v in nums)
+                    assert [F(v, n2 ** (k + i)) for i, v in enumerate(nums)] == list(values)
+        if conic is DENSE_N_CONIC:
+            # every term of N is nonzero and its scaled leading coefficient
+            # is not a unit
+            assert lat.p * lat.p - lat.r == Poly(lat.field, [3, -4, 2])
+            assert abs(n2) > 1
 
     def test_shared_lattice_across_threads(self):
         import sys
