@@ -5,7 +5,6 @@ from .errors import (
     DegenerateLattice,
     DegreeBoundExceeded,
     DivisionNotExact,
-    FieldTooSmall,
     FreeMoment,
     Inconsistent,
     InsufficientTruncation,
@@ -18,7 +17,7 @@ from .errors import (
     Underdetermined,
     UnsupportedLatticeClass,
 )
-from .fieldext import QuadField, QuadNumber, Rational, format_rational, parse_rational
+from .fieldext import format_rational, parse_rational
 from .lattice import (
     Lattice,
     LatticeClass,

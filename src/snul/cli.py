@@ -9,13 +9,12 @@ exactness is ever lost in transit:
       "riccati": {"A": ["8", "0", "-9"], "B": [], "C": ["0", "12"], "D": ["-6"]},
       "moments": ["1", "0", ...],                  # or "recurrence"
       "recurrence": {"beta": [...], "gamma": [...]},
-      "options": {"n_max": 8, "trunc": 28, "deg_bounds": [4, 4, 4, 4],
-                  "discriminant": "9/16"}
+      "options": {"n_max": 8, "trunc": 28, "deg_bounds": [4, 4, 4, 4]}
     }
 
 `riccati` may be combined with one moment source; `moments` and
-`recurrence` are mutually exclusive.  Exit codes: 0 success, 1 mathematical
-failure, 2 input or usage error.
+`recurrence` are mutually exclusive; `options` takes no other keys.  Exit
+codes: 0 success, 1 mathematical failure, 2 input or usage error.
 """
 from __future__ import annotations
 
@@ -34,7 +33,7 @@ from .errors import (
     ProblemFileError,
     SnulError,
 )
-from .fieldext import QuadNumber, format_rational, parse_rational
+from .fieldext import format_rational, parse_rational
 from .laguerre_hahn import (
     CheckResult,
     RiccatiData,
@@ -58,6 +57,7 @@ EXIT_USAGE = 2
 DEFAULT_N_MAX = 8
 DEFAULT_TRUNC = 28
 DEFAULT_DEG_BOUNDS = (4, 4, 4, 4)
+OPTION_KEYS = {"n_max", "trunc", "deg_bounds"}
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +73,6 @@ class ProblemFile:
     n_max: int
     trunc: int
     deg_bounds: tuple[int, int, int, int]
-    discriminant: Fraction | None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ProblemFile":
@@ -129,6 +128,12 @@ class ProblemFile:
         options = raw.get("options", {})
         if not isinstance(options, dict):
             raise ProblemFileError("'options' must be an object")
+        unknown = sorted(set(options) - OPTION_KEYS)
+        if unknown:
+            raise ProblemFileError(
+                f"unknown option(s) {', '.join(map(repr, unknown))}; "
+                f"'options' takes {', '.join(sorted(OPTION_KEYS))}"
+            )
         n_max = options.get("n_max", DEFAULT_N_MAX)
         trunc = options.get("trunc", DEFAULT_TRUNC)
         if not isinstance(n_max, int) or n_max < 1:
@@ -139,10 +144,7 @@ class ProblemFile:
         if (not isinstance(bounds_raw, list) or len(bounds_raw) != 4
                 or not all(isinstance(b, int) and b >= 0 for b in bounds_raw)):
             raise ProblemFileError("options.deg_bounds must be four nonnegative integers")
-        disc = options.get("discriminant")
-        discriminant = _rat(disc, "options.discriminant") if disc is not None else None
-        return cls(conic, riccati, moments, recurrence, n_max, trunc,
-                   tuple(bounds_raw), discriminant)
+        return cls(conic, riccati, moments, recurrence, n_max, trunc, tuple(bounds_raw))
 
     @classmethod
     def load(cls, path: str) -> "ProblemFile":
@@ -170,22 +172,18 @@ class ProblemFile:
                 "beta": [format_rational(v) for v in self.recurrence[0]],
                 "gamma": [format_rational(v) for v in self.recurrence[1]],
             }
-        options: dict = {
+        out["options"] = {
             "n_max": self.n_max,
             "trunc": self.trunc,
             "deg_bounds": list(self.deg_bounds),
         }
-        if self.discriminant is not None:
-            options["discriminant"] = format_rational(self.discriminant)
-        out["options"] = options
         return out
 
     def build_lattice(self) -> Lattice:
-        return build_lattice(*self.conic, discriminant=self.discriminant)
+        return build_lattice(*self.conic)
 
     def riccati_data(self, lattice: Lattice) -> RiccatiData:
-        field = lattice.field
-        polys = {name: Poly(field, arr) for name, arr in self.riccati.items()}
+        polys = {name: Poly(arr) for name, arr in self.riccati.items()}
         if polys["A"].is_zero:
             raise ProblemFileError("riccati.A must be a nonzero polynomial")
         return RiccatiData(polys["A"], polys["B"], polys["C"], polys["D"], lattice)
@@ -210,14 +208,8 @@ def _rat(value, where: str) -> Fraction:
         raise ProblemFileError(f"bad rational at {where}: {value!r}") from exc
 
 
-def _coeff_str(c: QuadNumber) -> str:
-    if c.is_rational:
-        return format_rational(c.rational_value())
-    return repr(c)
-
-
 def _poly_coeffs(p: Poly) -> list[str]:
-    return [_coeff_str(c) for c in p.coeffs]
+    return [format_rational(c) for c in p.coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +236,6 @@ def _load_problem(args) -> ProblemFile:
         problem.trunc = args.trunc
     if getattr(args, "deg_bounds", None) is not None:
         problem.deg_bounds = args.deg_bounds
-    if getattr(args, "discriminant", None) is not None:
-        problem.discriminant = _rat(args.discriminant, "--discriminant")
     return problem
 
 
@@ -260,7 +250,6 @@ def cmd_classify(args) -> int:
         f"tau:     {format_rational(lattice.tau)}",
         "q_trace: " + (format_rational(lattice.q_trace)
                        if lattice.q_trace is not None else "undefined (c_hat = 0)"),
-        f"field:   {lattice.field}",
     ]
     print("\n".join(lines))
     if args.points:
@@ -278,7 +267,7 @@ def _fit_candidates(problem: ProblemFile, lattice: Lattice) -> tuple[list, Works
     moments = problem.moment_list(problem.trunc)
     if moments is None:
         raise ProblemFileError("fit needs a 'moments' or 'recurrence' flavor")
-    ws = Workspace(lattice, LaurentSeries.from_moments(lattice.field, moments))
+    ws = Workspace(lattice, LaurentSeries.from_moments(moments))
     return fit_riccati(lattice, ws.s, problem.deg_bounds, workspace=ws), ws
 
 
@@ -362,8 +351,7 @@ def cmd_derive(args) -> int:
     if moments is None:
         moments = solve_moments_from_riccati(ric, order)
     beta, gamma = recurrence_from_moments(moments, problem.n_max)
-    data = smop_from_recurrence(lattice.field, beta, gamma, problem.n_max,
-                                moments=moments)
+    data = smop_from_recurrence(beta, gamma, problem.n_max, moments=moments)
     direct = structure_coeffs_direct(ric, data, problem.n_max)
     recursed = corollary_coeffs(ric, data, problem.n_max)
     levels = []
@@ -431,8 +419,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--trunc", type=int, default=None, help="series truncation order")
         p.add_argument("--deg-bounds", type=_parse_deg_bounds, default=None,
                        metavar="A,B,C,D", help="degree bounds for fitting")
-        p.add_argument("--discriminant", type=str, default=None, metavar="P/Q",
-                       help="override the field discriminant (default: lambda)")
     return parser
 
 

@@ -18,10 +18,6 @@ class DegenerateLattice(SnulError):
     """A branch y_j has zero leading coefficient; series composition impossible."""
 
 
-class FieldTooSmall(SnulError):
-    """A required square root does not live in the working field Q(sqrt(d))."""
-
-
 class DivisionNotExact(SnulError):
     """Exact division left a nonzero remainder."""
 

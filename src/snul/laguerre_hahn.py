@@ -32,7 +32,6 @@ from .errors import (
     SnulError,
     Underdetermined,
 )
-from .fieldext import QuadNumber
 from .lattice import (
     Lattice,
     _operator_series,
@@ -65,9 +64,6 @@ class RiccatiData:
     def __post_init__(self):
         if self.A.is_zero:
             raise ValueError("Riccati data requires A != 0")
-        for name in "ABCD":
-            if getattr(self, name).field != self.lattice.field:
-                raise ValueError(f"{name} is over a different field than the lattice")
 
     @property
     def is_semiclassical(self) -> bool:
@@ -86,7 +82,7 @@ class RiccatiData:
                 if mine.degree != theirs.degree:
                     return False
                 scale = theirs.leading_coefficient() / mine.leading_coefficient()
-        if scale is None or scale.is_zero:
+        if not scale:
             return False
         return all(m * scale == t for m, t in zip(self.polys(), other.polys()))
 
@@ -326,9 +322,9 @@ class Workspace:
         """
         if not -1 <= n <= self.data.n_max:
             raise IndexError(f"level {n} outside -1..{self.data.n_max}")
-        memo, zero = self._memo, Poly.zero(self.lattice.field)
+        memo, zero = self._memo, Poly.zero()
         memo.setdefault((tag, -1), (zero, zero))
-        memo.setdefault((tag, 0), (zero, Poly.one(zero.field)))
+        memo.setdefault((tag, 0), (zero, Poly.one()))
         k = n
         while (tag, k) not in memo or (k < n and (tag, k - 1) not in memo):
             k -= 1
@@ -409,7 +405,6 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
     the few residual coefficients it reads: O(count) work per moment.
     """
     lattice = ric.lattice
-    field = lattice.field
     A, B, C, D = ric.polys()
     deg_terms = [A.degree - 2]
     if not B.is_zero:
@@ -431,7 +426,7 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
         """Coefficient of x^e in poly times the series whose x^-m
         coefficient is value(m)."""
         return sum((c * value(i - e) for i, c in enumerate(poly.coeffs)
-                    if not c.is_zero and i - e > 0), field.zero)
+                    if c and i - e > 0), Fraction(0))
 
     def residual(e):
         out = (at_power(A, e, ds.__getitem__) - at_power(C, e, ms.__getitem__)
@@ -442,7 +437,7 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
     moments = [Fraction(1)]
     for e in range(top_res, m0 - 1, -1):
         c = residual(e)
-        if not c.is_zero:
+        if c:
             raise Inconsistent(
                 0, f"residual coefficient at x^{e} is {c} with u_0 alone; "
                    "no moment can repair it",
@@ -460,19 +455,14 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
             - at_power(B, target,
                        lambda m: 2 * e1e2_coefficient(lattice, ds, ms, dk, mk, m))
         )
-        if alpha_k.is_zero:
-            if beta_k.is_zero:
-                if k in free_values:
-                    uk = field.coerce(free_values[k])
-                else:
-                    raise FreeMoment(k)
-            else:
+        if not alpha_k:
+            if beta_k:
                 raise Inconsistent(k)
+            if k not in free_values:
+                raise FreeMoment(k)
+            u = Fraction(free_values[k])
         else:
-            uk = -beta_k / alpha_k
-        if not uk.is_rational:
-            raise Inconsistent(k, f"moment u_{k} = {uk} is not rational")
-        u = uk.rational_value()
+            u = -beta_k / alpha_k
         moments.append(u)
         add_dm_row(ds, ms, u, row, k + 1, n2)
     return moments
@@ -538,24 +528,20 @@ def _nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[int]
 
 
 def _rational_coefficients(f: LaurentSeries) -> dict[int, Fraction]:
-    """Exponent -> coefficient of f over Q; ValueError on a coefficient with
-    a sqrt(d) part."""
-    return {f.lowest_power - i: c.rational_value() for i, c in enumerate(f.coefficients)}
+    """Exponent -> coefficient of f."""
+    return {f.lowest_power - i: c for i, c in enumerate(f.coefficients)}
 
 
 def riccati_nullspace(lattice: Lattice, s: LaurentSeries,
                       degree_bounds: tuple[int, int, int, int],
-                      workspace: Workspace | None = None) -> list[list[QuadNumber]]:
+                      workspace: Workspace | None = None) -> list[list[int]]:
     """Nullspace of the linear map (A, B, C, D) -> residual coefficients.
 
-    Returns the primitive integer basis vectors of `_nullspace`, as field
-    elements, laid out A then B then C then D, ascending degree inside each
-    block.  S must be over Q (CLI moments always are): D S, M S and E1S E2S
-    are then over Q too, each row of the map is a list of rationals and the
-    elimination runs over the integers.  A series with a coefficient that has
-    a sqrt(d) part raises ValueError.
+    Returns the primitive integer basis vectors of `_nullspace`, laid out
+    A then B then C then D, ascending degree inside each block.  D S, M S
+    and E1S E2S are over Q, so each row of the map is a list of rationals
+    and the elimination runs over the integers.
     """
-    field = lattice.field
     da, db, dc, dd = degree_bounds
     ws = _workspace(workspace, lattice, s)
     ds, ms = ws.dm()
@@ -580,7 +566,7 @@ def riccati_nullspace(lattice: Lattice, s: LaurentSeries,
         row += [-ms_c.get(e - i, 0) for i in range(dc + 1)]
         row += [-1 if e == i else 0 for i in range(dd + 1)]
         rows.append(row)
-    return [[field(v) for v in vec] for vec in _nullspace(rows, ncols)]
+    return _nullspace(rows, ncols)
 
 
 def fit_riccati(lattice: Lattice, s: LaurentSeries,
@@ -592,13 +578,12 @@ def fit_riccati(lattice: Lattice, s: LaurentSeries,
     within these bounds/window' answer.  A workspace for S lets the caller
     check each candidate's residual on the images the fit formed."""
     da, db, dc, dd = degree_bounds
-    field = lattice.field
     out = []
     for vec in riccati_nullspace(lattice, s, degree_bounds, workspace=workspace):
-        a = Poly(field, vec[: da + 1])
-        b = Poly(field, vec[da + 1: da + db + 2])
-        c = Poly(field, vec[da + db + 2: da + db + dc + 3])
-        d = Poly(field, vec[da + db + dc + 3:])
+        a = Poly(vec[: da + 1])
+        b = Poly(vec[da + 1: da + db + 2])
+        c = Poly(vec[da + db + 2: da + db + dc + 3])
+        d = Poly(vec[da + db + dc + 3:])
         if a.is_zero:
             continue
         out.append(RiccatiData(a, b, c, d, lattice))
@@ -622,8 +607,7 @@ def initial_structure_coeffs(ric: RiccatiData, data: SMOPData) -> StructureCoeff
     """Level -1 entries straight from the definition: l = C/2, pi = 0,
     Theta = D; the gathered A_0 equals A because pi_{-1} = 0."""
     coeffs = StructureCoeffs(ric, data)
-    field = ric.lattice.field
-    coeffs.append_level(ric.C * HALF, Poly.zero(field), ric.D, ric.D)
+    coeffs.append_level(ric.C * HALF, Poly.zero(), ric.D, ric.D)
     coeffs.A_gathered.append(ric.A)
     return coeffs
 
@@ -807,7 +791,7 @@ def corollary_recursion(ric: RiccatiData, data: SMOPData,
     pi_prev = coeffs.pi_at(n - 1)
     l_n = coeffs.l_at(n)
     l_prev = coeffs.l_at(n - 1)
-    tail = Poly.zero(lattice.field)
+    tail = Poly.zero()
     for k in range(0, n + 1):
         tail = tail + coeffs.theta_at(k - 1) / data.gamma[k]
     pi_next = -pi_n - theta_n / (2 * g_next) - tail
@@ -862,7 +846,7 @@ def magnus_data_from_coeffs(ric: RiccatiData, data: SMOPData,
         theta_prev / g_n
     )
     d_n = coeffs.theta_at(n)
-    return MagnusRiccatiData(n, a_n, b_n, c_n, d_n, Poly.one(lattice.field))
+    return MagnusRiccatiData(n, a_n, b_n, c_n, d_n, Poly.one())
 
 
 def magnus_step(m: MagnusRiccatiData, beta_next, gamma_next,
@@ -878,9 +862,8 @@ def magnus_step(m: MagnusRiccatiData, beta_next, gamma_next,
     """
     if gamma_next == 0:
         raise ValueError("gamma_{n+1} must be nonzero")
-    field = lattice.field
     if rho is None:
-        rho = Poly.one(field)
+        rho = Poly.one()
     g = Fraction(gamma_next)
     d_over_g = m.D_n / g
     m_lin = _m_of_linear(lattice, beta_next)
@@ -902,7 +885,7 @@ def telescope_residuals(ric: RiccatiData, data: SMOPData,
     """
     lattice = ric.lattice
     out = []
-    tail = Poly.zero(lattice.field)
+    tail = Poly.zero()
     for n in range(0, coeffs.max_level + 1):
         theta_prev = coeffs.theta_at(n - 1)
         l_tel = (
@@ -917,7 +900,7 @@ def telescope_residuals(ric: RiccatiData, data: SMOPData,
             )
             t_tel = t_next + tail
         else:
-            t_tel = Poly.zero(lattice.field)
+            t_tel = Poly.zero()
         out.append((n, l_tel, t_tel))
     return out
 
@@ -1049,8 +1032,7 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     if not guarded(moments_stage, "moments"):
         return abort()
 
-    field = ric.lattice.field
-    s = LaurentSeries.from_moments(field, moments)
+    s = LaurentSeries.from_moments(moments)
     ws = Workspace(ric.lattice, s)
 
     # Riccati residual: the (a) statement, checked on the honest window
@@ -1069,7 +1051,7 @@ def certify(ric: RiccatiData, n_max: int, order: int,
         except NotQuasiDefinite as exc:
             return CheckResult("quasi-definite", "fail",
                                detail=f"failing n = {exc.n}: {exc}")
-        ws.data = smop_from_recurrence(field, beta, gamma, n_max, moments=list(moments))
+        ws.data = smop_from_recurrence(beta, gamma, n_max, moments=list(moments))
         return CheckResult("quasi-definite", "pass")
     if not guarded(quasi_definite, "quasi-definite"):
         return abort()

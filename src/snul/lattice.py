@@ -8,7 +8,8 @@ and the operators act by
     (D f)(x)   = (E2 f - E1 f)(x) / (y2 - y1)(x),
     (M f)(x)   = (E1 f + E2 f)(x) / 2.
 
-On polynomials the images of E_j live in K[x][sqrt(r)]; D and M are read off
+Coefficients are rational (K = Q), and sqrt(r) is never a number.  On
+polynomials the images of E_j live in K[x][sqrt(r)]; D and M are read off
 the two components of a single E2 expansion, which makes the cancellation of
 Delta_y = 2 sqrt(r) exact by construction.  On Laurent series D and M act
 through one table: with N = y1 y2 = p^2 - r, both take x^(-k) to rational
@@ -16,10 +17,11 @@ functions over Q, whose expansions the lattice keeps row by row
 (`Lattice.dm_table`) as integer numerators over powers of the leading
 coefficient of N, scaled to an integer polynomial.  D s and M s are integer
 linear combinations of those rows, with one Fraction formed per output
-coefficient, and E_j s = M s -/+ sqrt(r) D s is the only image that needs
-sqrt(r); the relations of the characterization are checked on D s and M s
-alone, so E_j s (with the sqrt(r) and 1/y_j expansions) serves as an
-independent oracle.
+coefficient.  E_j s = M s -/+ sqrt(r) D s is the only image that needs
+sqrt(r) as a series; the relations of the characterization are checked on
+D s and M s alone, so E_j s (with the sqrt(r) and 1/y_j expansions) serves
+as an independent oracle, on lattices where the leading coefficient of r
+is the square of a rational (elsewhere these three raise ValueError).
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from .errors import (
     InvalidConic,
     UnsupportedLatticeClass,
 )
-from .fieldext import QuadField, QuadNumber, Rational, _numerators
+from .fieldext import _numerators
 from .poly import Poly
 from .series import LaurentSeries, sqrt_series
 from .surd import SurdPoly
@@ -64,7 +66,7 @@ def classify_invariants(lam: Fraction, tau: Fraction) -> LatticeClass:
 
 
 class Lattice:
-    """Immutable lattice data: conic coefficients, p, r, invariants, field.
+    """Immutable lattice data: conic coefficients, p, r and invariants.
 
     The only interior state is memoization of series expansions: 1/y_j per
     window (an oracle; the operators do not read it), the expansion of
@@ -83,11 +85,11 @@ class Lattice:
 
     __slots__ = (
         "a_hat", "b_hat", "c_hat", "d_hat", "e_hat", "f_hat",
-        "field", "p", "r", "lam", "tau", "q_trace", "lattice_class",
+        "p", "r", "lam", "tau", "q_trace", "lattice_class",
         "_sqrt_r", "_invy_cache", "_dm_ints", "_dm_table",
     )
 
-    def __init__(self, a_hat, b_hat, c_hat, d_hat, e_hat, f_hat, field,
+    def __init__(self, a_hat, b_hat, c_hat, d_hat, e_hat, f_hat,
                  p, r, lam, tau, q_trace, lattice_class):
         self.a_hat = a_hat
         self.b_hat = b_hat
@@ -95,7 +97,6 @@ class Lattice:
         self.d_hat = d_hat
         self.e_hat = e_hat
         self.f_hat = f_hat
-        self.field = field
         self.p = p
         self.r = r
         self.lam = lam
@@ -111,18 +112,20 @@ class Lattice:
     def y_surd(self, j: int) -> SurdPoly:
         """y_j = p -/+ sqrt(r) as an element of K[x][sqrt(r)]."""
         sign = -1 if j == 1 else 1
-        return SurdPoly(self.p, Poly.constant(self.field, sign), self.r)
+        return SurdPoly(self.p, Poly.constant(sign), self.r)
 
     def sqrt_r_series(self, order: int) -> LaurentSeries:
         """Expansion of sqrt(r) at infinity down to x^(-order), read from the
-        one expansion kept at the deepest window asked for so far."""
+        one expansion kept at the deepest window asked for so far.  Raises
+        ValueError unless lc(r) is the square of a rational."""
         cached = self._sqrt_r
         if cached is None or cached.truncation_order < order:
             cached = self._sqrt_r = sqrt_series(self.r, order)
         return cached if cached.truncation_order == order else cached.restrict(order)
 
     def inv_y_series(self, j: int, order: int) -> LaurentSeries:
-        """Expansion of 1/y_j at infinity (leading exponent -1)."""
+        """Expansion of 1/y_j at infinity (leading exponent -1), over Q when
+        lc(r) is the square of a rational (ValueError otherwise)."""
         key = (j, order)
         cached = self._invy_cache.get(key)
         if cached is not None:
@@ -144,13 +147,13 @@ class Lattice:
         of p, r and N.  Raises DegenerateLattice when n2 = 0."""
         ints = self._dm_ints
         if ints is None:
-            p0, p1 = (self.p.coefficient(i).rational_value() for i in (0, 1))
-            r0, r1, r2 = (self.r.coefficient(i).rational_value() for i in (0, 1, 2))
+            p0, p1 = (self.p.coefficient(i) for i in (0, 1))
+            r0, r1, r2 = (self.r.coefficient(i) for i in (0, 1, 2))
             n0, n1, n2 = p0 * p0 - r0, 2 * p0 * p1 - r1, p1 * p1 - r2
             if n2 == 0:
-                # y1 y2 has lost its x^2 term: one branch, p -/+ sqrt(r), has
-                # no x term
-                j = 1 if self.field.sqrt(r2) == p1 else 2
+                # y1 y2 has lost its x^2 term, so r2 = p1^2 and one branch,
+                # p -/+ sqrt(r), has no x term: y_1 when p1 = +sqrt(r2) > 0
+                j = 1 if p1 > 0 else 2
                 raise DegenerateLattice(
                     f"y_{j} has degenerate leading behaviour; 1/y_{j} expansion impossible"
                 )
@@ -238,14 +241,11 @@ class Lattice:
         )
 
 
-def build_lattice(a_hat, b_hat, c_hat, d_hat, e_hat, f_hat,
-                  discriminant: Rational | None = None) -> Lattice:
+def build_lattice(a_hat, b_hat, c_hat, d_hat, e_hat, f_hat) -> Lattice:
     """Construct and validate a q-quadratic lattice from conic coefficients.
 
-    Computes p, r, lambda, tau, q_trace and the class, re-expands the conic
-    from (p, r) as an internal consistency check, and fixes the coefficient
-    field to Q(sqrt(lambda)) unless an explicit discriminant override is
-    given.
+    Computes p, r, lambda, tau, q_trace and the class, and re-expands the
+    conic from (p, r) as an internal consistency check.
     """
     a = Fraction(a_hat)
     b = Fraction(b_hat)
@@ -263,20 +263,19 @@ def build_lattice(a_hat, b_hat, c_hat, d_hat, e_hat, f_hat,
             f"lattice class {cls.label} (lambda = {lam}, tau = {tau}) is outside "
             "the supported general case lambda * tau != 0"
         )
-    field = QuadField.for_radicand(Fraction(discriminant) if discriminant is not None else lam)
     # p = -(b x + d)/a ; r expanded from the closed form around its vertex.
-    p = Poly(field, [-d / a, -b / a])
+    p = Poly([-d / a, -b / a])
     shift = (b * d - a * e) / lam
     r2 = lam / (a * a)
-    r = Poly(field, [r2 * shift * shift + tau / (a * lam), 2 * r2 * shift, r2])
+    r = Poly([r2 * shift * shift + tau / (a * lam), 2 * r2 * shift, r2])
     q_trace = Fraction(4) * b * b / (a * c) - 2 if c != 0 else None
     # Consistency: a(y - y1)(y - y2) must reproduce the conic restricted to y,
     # i.e. -2p = 2(b x + d)/a ... and p^2 - r = (c x^2 + 2 e x + f)/a.
-    sum_check = p * 2 + Poly(field, [2 * d / a, 2 * b / a])
-    prod_check = p * p - r - Poly(field, [f / a, 2 * e / a, c / a])
+    sum_check = p * 2 + Poly([2 * d / a, 2 * b / a])
+    prod_check = p * p - r - Poly([f / a, 2 * e / a, c / a])
     if not sum_check.is_zero or not prod_check.is_zero:
         raise InvalidConic("internal consistency check failed for (p, r)")
-    return Lattice(a, b, c, d, e, f, field, p, r, lam, tau, q_trace, cls)
+    return Lattice(a, b, c, d, e, f, p, r, lam, tau, q_trace, cls)
 
 
 def classify_lattice(lattice: Lattice) -> LatticeClass:
@@ -289,8 +288,6 @@ def apply_shift(lattice: Lattice, f: Poly, j: int) -> SurdPoly:
     """(E_j f)(x) = f(y_j(x)) by Horner substitution in K[x][sqrt(r)]."""
     if j not in (1, 2):
         raise ValueError("shift index must be 1 or 2")
-    if f.field != lattice.field:
-        raise ValueError("polynomial is over a different field than the lattice")
     return f(lattice.y_surd(j))
 
 
@@ -349,41 +346,35 @@ def _operator_series(lattice: Lattice, s: LaurentSeries):
     With n the window of s, D s is known down to x^(-(n+1)) and M s down to
     x^(-n): an unknown coefficient of s at x^(-n-1) changes D s from
     x^(-n-2) and M s from x^(-n-1) on.  The images of the negative powers
-    x^(-k), k = 1..K, of s are rows of the lattice's D/M table: the rational and the sqrt(d) parts of their coefficients are
-    written as integer numerators over one common denominator den, each
-    image coefficient x^(-i) is one integer combination of row entries over
-    den n2^(K+i), and one Fraction is formed per output coefficient.
-    Nonnegative powers go through the polynomial images.
+    x^(-k), k = 1..K, of s are rows of the lattice's D/M table: their
+    coefficients are written as integer numerators over one common
+    denominator den, each image coefficient x^(-i) is one integer
+    combination of row entries over den n2^(K+i), and one Fraction is formed
+    per output coefficient.  Nonnegative powers go through the polynomial
+    images.
     """
-    if s.field != lattice.field:
-        raise ValueError("series over a different field than the lattice")
     n = s.truncation_order
-    field = lattice.field
-    ds = LaurentSeries.zero(field, n + 1)
-    ms = LaurentSeries.zero(field, n)
+    ds = LaurentSeries.zero(n + 1)
+    ms = LaurentSeries.zero(n)
     bottom = s.lowest_power - len(s.coefficients) + 1 if s.coefficients else 0
     if bottom <= -1:
         low, high = max(1, -s.lowest_power), -bottom
         n2, rows = lattice.dm_table(n + 1, high)
-        a_nums, b_nums, den = _numerators(
-            field, [s._padded(-k) for k in range(low, high + 1)])
-        a_d, a_m = _row_combination(rows, n2, low, a_nums, n)
-        b_d, b_m = _row_combination(rows, n2, low, b_nums or [0] * len(a_nums), n)
+        nums, den = _numerators([s._padded(-k) for k in range(low, high + 1)])
 
-        def assemble(a_part, b_part, window):
-            zero, out, scale = field.zero, [], den * n2 ** high
-            for a, b in zip(a_part, b_part):
-                out.append(QuadNumber(field, Fraction(a, scale),
-                                      Fraction(b, scale) if b else _ZERO)
-                           if a or b else zero)
+        def assemble(part, window):
+            out, scale = [], den * n2 ** high
+            for a in part:
+                out.append(Fraction(a, scale) if a else _ZERO)
                 scale *= n2
-            return LaurentSeries(field, 0, out, window)
+            return LaurentSeries(0, out, window)
 
-        ds = assemble(a_d, b_d, n + 1)
-        ms = assemble(a_m, b_m, n)
+        acc_d, acc_m = _row_combination(rows, n2, low, nums, n)
+        ds = assemble(acc_d, n + 1)
+        ms = assemble(acc_m, n)
     top = s._effective_top()
     if top >= 0:
-        poly_part = Poly(field, [s._padded(e) for e in range(top + 1)])
+        poly_part = Poly([s._padded(e) for e in range(top + 1)])
         if not poly_part.is_zero:
             image = apply_shift(lattice, poly_part, 2)
             ds = ds + LaurentSeries.from_poly(image.v, n + 1)
@@ -398,7 +389,8 @@ def apply_E_series(lattice: Lattice, s: LaurentSeries, j: int,
     The one place where E_j of a series is formed.  `dm` may hold (D s, M s)
     from `_operator_series`.  With n the window of s, the result is known
     down to x^(-n), like M s; sqrt(r) D s is too, since D s reaches one step
-    deeper and sqrt(r) has leading exponent 1.
+    deeper and sqrt(r) has leading exponent 1.  Raises ValueError when D s
+    is nonzero and lc(r) is not the square of a rational.
 
     Both branches go through the D/M table, which needs N = y1 y2 to keep its
     x^2 term: when one branch has no x term (c = 0 in the conic), E_1 and
@@ -446,7 +438,7 @@ def e1e2_coefficient(lattice: Lattice, d1, m1, d2, m2, i: int):
     (E1 f1 E2 f2 + E2 f1 E1 f2) / 2, from coefficient lists of the images
     indexed by the power of 1/x, for series f1, f2 without terms above
     x^-1 (so D f has none above x^-2 and M f none above x^-1)."""
-    r0, r1, r2 = (lattice.r.coefficient(e).rational_value() for e in range(3))
+    r0, r1, r2 = (lattice.r.coefficient(e) for e in range(3))
 
     def conv(f, g, m, low):
         # the x^-m coefficient of f g, neither with terms above x^-low

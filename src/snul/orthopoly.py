@@ -7,14 +7,15 @@ P1_n = (x - beta_n) P1_{n-1} - gamma_n P1_{n-2}.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InsufficientTruncation, InvalidRecurrence, NotQuasiDefinite
-from .fieldext import QuadField
 from .poly import Poly
 from .series import LaurentSeries
+
+_ZERO_POLY = Poly.zero()
 
 
 def _check_recurrence(beta: Sequence[Fraction], gamma: Sequence[Fraction], n_max: int):
@@ -40,28 +41,23 @@ class SMOPData:
     on it and walks the shifts of both up these recurrences.
     """
 
-    field: QuadField
     beta: list[Fraction]
     gamma: list[Fraction]
     moments: list[Fraction]
     P: list[Poly]
     P1: list[Poly]
     n_max: int
-    _P1_minus1: Poly = dataclass_field(init=False, repr=False, default=None)
-
-    def __post_init__(self):
-        self._P1_minus1 = Poly.zero(self.field)
 
     def poly(self, n: int) -> Poly:
         """P_n, with P_{-1} = 0."""
         if n == -1:
-            return self._P1_minus1
+            return _ZERO_POLY
         return self.P[n]
 
     def assoc(self, n: int) -> Poly:
         """P1_n, with P1_{-1} = 0."""
         if n == -1:
-            return self._P1_minus1
+            return _ZERO_POLY
         return self.P1[n]
 
     def gamma_product(self, n: int) -> Fraction:
@@ -73,10 +69,10 @@ class SMOPData:
 
     def stieltjes(self) -> LaurentSeries:
         """S = sum u_n x^(-n-1), windowed by the stored moments."""
-        return LaurentSeries.from_moments(self.field, self.moments)
+        return LaurentSeries.from_moments(self.moments)
 
 
-def smop_from_recurrence(field: QuadField, beta, gamma, n_max: int,
+def smop_from_recurrence(beta, gamma, n_max: int,
                          moments: list[Fraction] | None = None,
                          moment_order: int | None = None) -> SMOPData:
     """Generate P_0..P_{n_max} and P1_0..P1_{n_max} exactly.
@@ -88,15 +84,15 @@ def smop_from_recurrence(field: QuadField, beta, gamma, n_max: int,
     beta = [Fraction(b) for b in beta]
     gamma = [Fraction(g) for g in gamma]
     _check_recurrence(beta, gamma, n_max)
-    x = Poly.x(field)
-    P = [Poly.one(field)]
-    prev = Poly.zero(field)
+    x = Poly.x()
+    P = [Poly.one()]
+    prev = _ZERO_POLY
     for n in range(n_max):
         nxt = (x - beta[n]) * P[n] - prev * gamma[n]
         prev = P[n]
         P.append(nxt)
-    P1 = [Poly.one(field)]
-    prev = Poly.zero(field)
+    P1 = [Poly.one()]
+    prev = _ZERO_POLY
     for n in range(1, n_max + 1):
         nxt = (x - beta[n]) * P1[n - 1] - prev * gamma[n]
         prev = P1[n - 1]
@@ -107,7 +103,7 @@ def smop_from_recurrence(field: QuadField, beta, gamma, n_max: int,
         moments = moments_from_recurrence(beta, gamma, moment_order)
     else:
         moments = [Fraction(u) for u in moments]
-    return SMOPData(field, beta, gamma, moments, P, P1, n_max)
+    return SMOPData(beta, gamma, moments, P, P1, n_max)
 
 
 def moments_from_recurrence(beta, gamma, order: int) -> list[Fraction]:
@@ -215,7 +211,7 @@ def second_kind_series(data: SMOPData, s: LaurentSeries, n: int) -> LaurentSerie
     check fails, InsufficientTruncation when S is too short for level n.
     """
     if n == -1:
-        return LaurentSeries.constant(data.field, 1, s.truncation_order)
+        return LaurentSeries.constant(1, s.truncation_order)
     if n > data.n_max:
         raise ValueError(f"n = {n} exceeds n_max = {data.n_max}")
     required = 2 * n + 2
@@ -226,9 +222,9 @@ def second_kind_series(data: SMOPData, s: LaurentSeries, n: int) -> LaurentSerie
         data.assoc(n - 1), s.truncation_order - n
     )
     # recurrence route: q_{k+1} = (x - beta_k) q_k - gamma_k q_{k-1}
-    q_prev = LaurentSeries.constant(data.field, 1, s.truncation_order)
+    q_prev = LaurentSeries.constant(1, s.truncation_order)
     q_cur = s
-    x = Poly.x(data.field)
+    x = Poly.x()
     for k in range(n):
         q_nxt = q_cur.mul_poly(x - data.beta[k]) - q_prev * data.gamma[k]
         q_prev, q_cur = q_cur, q_nxt
@@ -239,7 +235,7 @@ def second_kind_series(data: SMOPData, s: LaurentSeries, n: int) -> LaurentSerie
             "P_n, P1_n do not follow beta, gamma"
         )
     for e in range(q_def._effective_top(), -n - 1, -1):
-        if not q_def.coefficient(e).is_zero:
+        if q_def.coefficient(e):
             raise InvalidRecurrence(
                 f"moments inconsistent with recurrence: q_{n} fails "
                 f"O(x^-{n + 1}) decay at x^{e}"
@@ -254,5 +250,5 @@ def liouville_defect(data: SMOPData, n: int) -> Poly:
     return (
         data.assoc(n) * data.poly(n)
         - data.poly(n + 1) * data.assoc(n - 1)
-        - Poly.constant(data.field, data.gamma_product(n))
+        - Poly.constant(data.gamma_product(n))
     )

@@ -1,8 +1,8 @@
-"""Dense univariate polynomials over a QuadField.
+"""Dense univariate polynomials over Q.
 
-Coefficients are stored ascending (index = degree) with trailing zeros
-trimmed.  The zero polynomial has degree None, a deliberate sentinel: degree
-arithmetic on zero must fail loudly instead of propagating -1.
+Coefficients are Fractions stored ascending (index = degree) with trailing
+zeros trimmed.  The zero polynomial has degree None, a deliberate sentinel:
+degree arithmetic on zero must fail loudly instead of propagating -1.
 
 Products of two polynomials are computed by `fieldext.convolve`, the one
 exact product kernel, which `SurdPoly` products and `surd_exact_div` reach
@@ -14,39 +14,36 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import DivisionNotExact
-from .fieldext import QuadField, QuadNumber, convolve
+from .fieldext import convolve, parse_rational
+
+_ZERO = Fraction(0)
 
 
 class Poly:
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, field: QuadField, coeffs: Iterable = ()):
-        cs = [field.coerce(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
+    def __init__(self, coeffs: Iterable = ()):
+        cs = [c if c.__class__ is Fraction else parse_rational(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
-        self.field = field
         self.coeffs = tuple(cs)
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def zero(cls, field: QuadField) -> "Poly":
-        return cls(field, ())
+    def zero(cls) -> "Poly":
+        return cls(())
 
     @classmethod
-    def one(cls, field: QuadField) -> "Poly":
-        return cls(field, (1,))
+    def one(cls) -> "Poly":
+        return cls((1,))
 
     @classmethod
-    def x(cls, field: QuadField) -> "Poly":
-        return cls(field, (0, 1))
+    def x(cls) -> "Poly":
+        return cls((0, 1))
 
     @classmethod
-    def constant(cls, field: QuadField, c) -> "Poly":
-        return cls(field, (c,))
-
-    @classmethod
-    def monomial(cls, field: QuadField, c, k: int) -> "Poly":
-        return cls(field, [0] * k + [c])
+    def constant(cls, c) -> "Poly":
+        return cls((c,))
 
     # -- structure ---------------------------------------------------------
     @property
@@ -60,12 +57,12 @@ class Poly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def coefficient(self, k: int) -> QuadNumber:
+    def coefficient(self, k: int) -> Fraction:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return self.field.zero
+        return _ZERO
 
-    def leading_coefficient(self) -> QuadNumber:
+    def leading_coefficient(self) -> Fraction:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -75,24 +72,22 @@ class Poly:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     # -- ring operations ---------------------------------------------------
-    def _coerce_operand(self, other) -> "Poly | None":
+    @staticmethod
+    def _coerce_operand(other) -> "Poly | None":
         if isinstance(other, Poly):
-            if other.field != self.field:
-                raise ValueError("mixed coefficient fields")
             return other
-        if isinstance(other, (int, Fraction, QuadNumber)):
-            return Poly.constant(self.field, other)
+        if isinstance(other, (int, Fraction)):
+            return Poly.constant(other)
         return None
 
     def __add__(self, other):
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(
-            self.field,
-            [self.coefficient(k) + o.coefficient(k) for k in range(n)],
-        )
+        a, b = self.coeffs, o.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return Poly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
@@ -100,11 +95,9 @@ class Poly:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(
-            self.field,
-            [self.coefficient(k) - o.coefficient(k) for k in range(n)],
-        )
+        a, b = self.coeffs, o.coeffs
+        out = [x - y for x, y in zip(a, b)]
+        return Poly(out + list(a[len(out):]) + [-y for y in b[len(out):]])
 
     def __rsub__(self, other):
         o = self._coerce_operand(other)
@@ -113,29 +106,26 @@ class Poly:
         return o - self
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        return Poly([-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QuadNumber)):
-            c = self.field.coerce(other)
-            if c.is_zero:
-                return Poly.zero(self.field)
-            return Poly(self.field, [ci * c for ci in self.coeffs])
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return Poly.zero()
+            return Poly([c * other for c in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
-        if other.field != self.field:
-            raise ValueError("mixed coefficient fields")
         if not self.coeffs or not other.coeffs:
-            return Poly.zero(self.field)
+            return Poly.zero()
         n = len(self.coeffs) + len(other.coeffs) - 1
-        return Poly(self.field, convolve(self.field, self.coeffs, other.coeffs, n))
+        return Poly(convolve(self.coeffs, other.coeffs, n))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.one(self.field)
+        result = Poly.one()
         base = self
         while n:
             if n & 1:
@@ -153,16 +143,16 @@ class Poly:
         rem = list(self.coeffs)
         dq = len(rem) - len(o.coeffs)
         if dq < 0:
-            return Poly.zero(self.field), self
-        inv_lead = o.coeffs[-1].inverse()
-        quot = [self.field.zero] * (dq + 1)
+            return Poly.zero(), self
+        inv_lead = 1 / o.coeffs[-1]
+        quot = [_ZERO] * (dq + 1)
         for k in range(dq, -1, -1):
             c = rem[k + len(o.coeffs) - 1] * inv_lead
             quot[k] = c
-            if not c.is_zero:
+            if c:
                 for j, b in enumerate(o.coeffs):
                     rem[k + j] = rem[k + j] - c * b
-        return Poly(self.field, quot), Poly(self.field, rem[: len(o.coeffs) - 1])
+        return Poly(quot), Poly(rem[: len(o.coeffs) - 1])
 
     def exact_div(self, other: "Poly") -> "Poly":
         q, r = divmod(self, other)
@@ -171,47 +161,37 @@ class Poly:
         return q
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, QuadNumber)):
-            return self * self.field.coerce(other).inverse()
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
         if isinstance(other, Poly):
             return self.exact_div(other)
         return NotImplemented
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k (k >= 0)."""
-        if self.is_zero or k == 0:
-            return self
-        return Poly(self.field, [self.field.zero] * k + list(self.coeffs))
-
     # -- evaluation --------------------------------------------------------
     def __call__(self, point):
         """Horner evaluation; works for any point supporting * and + with
-        coefficients (QuadNumber, Poly, SurdPoly, LaurentSeries)."""
+        rationals (int, Fraction, Poly, SurdPoly, LaurentSeries)."""
+        number = isinstance(point, (int, Fraction))
         if not self.coeffs:
-            if isinstance(point, QuadNumber):
-                return self.field.zero
-            return point * self.field.zero
+            return _ZERO if number else point * _ZERO
         acc = None
         for c in reversed(self.coeffs):
             if acc is None:
-                if isinstance(point, QuadNumber):
-                    acc = c
-                else:
-                    acc = point * self.field.zero + c
+                acc = c if number else point * _ZERO + c
             else:
                 acc = acc * point + c
         return acc
 
     # -- comparisons & display ----------------------------------------------
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QuadNumber)):
-            other = Poly.constant(self.field, other)
+        if isinstance(other, (int, Fraction)):
+            other = Poly.constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self):
         return f"Poly({self})"
@@ -222,7 +202,7 @@ class Poly:
         parts = []
         for k in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[k]
-            if c.is_zero:
+            if not c:
                 continue
             if k == 0:
                 parts.append(f"{c}")
@@ -231,7 +211,3 @@ class Poly:
             else:
                 parts.append(f"x^{k}" if c == 1 else f"({c})*x^{k}")
         return " + ".join(parts)
-
-    def to_fraction_list(self) -> list[Fraction]:
-        """Ascending coefficients as plain rationals; fails on surd entries."""
-        return [c.rational_value() for c in self.coeffs]

@@ -1,4 +1,4 @@
-"""Truncated Laurent series at infinity over a QuadField.
+"""Truncated Laurent series at infinity over Q.
 
 A series stores the exponent of its first coefficient (`lowest_power`, which
 is the *leading*, i.e. highest, exponent — coefficients run in descending
@@ -17,60 +17,56 @@ one exact product kernel, cut at the length of the result's window.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable
 
-from .errors import FieldTooSmall, InsufficientTruncation
-from .fieldext import QuadField, QuadNumber, convolve
+from .errors import InsufficientTruncation
+from .fieldext import convolve, parse_rational
 from .poly import Poly
+
+_ZERO = Fraction(0)
 
 
 class LaurentSeries:
-    __slots__ = ("field", "lowest_power", "coefficients", "truncation_order")
+    __slots__ = ("lowest_power", "coefficients", "truncation_order")
 
-    def __init__(
-        self,
-        field: QuadField,
-        lowest_power: int,
-        coefficients: Iterable,
-        truncation_order: int,
-    ):
-        cs = [field.coerce(c) for c in coefficients]
+    def __init__(self, lowest_power: int, coefficients: Iterable, truncation_order: int):
+        cs = [c if c.__class__ is Fraction else parse_rational(c) for c in coefficients]
         top = lowest_power
         # Drop entries below the window, then leading and trailing zeros.
         max_len = top + truncation_order + 1
         if max_len < len(cs):
             cs = cs[: max(max_len, 0)]
-        while cs and cs[0].is_zero:
+        while cs and not cs[0]:
             cs.pop(0)
             top -= 1
-        while cs and cs[-1].is_zero:
+        while cs and not cs[-1]:
             cs.pop()
-        self.field = field
         self.lowest_power = top if cs else -truncation_order - 1
         self.coefficients = tuple(cs)
         self.truncation_order = truncation_order
 
     # -- constructors --------------------------------------------------------
     @classmethod
-    def zero(cls, field: QuadField, order: int) -> "LaurentSeries":
-        return cls(field, -order - 1, (), order)
+    def zero(cls, order: int) -> "LaurentSeries":
+        return cls(-order - 1, (), order)
 
     @classmethod
-    def constant(cls, field: QuadField, c, order: int) -> "LaurentSeries":
-        return cls(field, 0, (c,), order)
+    def constant(cls, c, order: int) -> "LaurentSeries":
+        return cls(0, (c,), order)
 
     @classmethod
     def from_poly(cls, p: Poly, order: int) -> "LaurentSeries":
         """Embed a polynomial; every coefficient down to x^(-order) is known."""
         if p.is_zero:
-            return cls.zero(p.field, order)
-        return cls(p.field, p.degree, list(reversed(p.coeffs)), order)
+            return cls.zero(order)
+        return cls(p.degree, p.coeffs[::-1], order)
 
     @classmethod
-    def from_moments(cls, field: QuadField, moments: Iterable) -> "LaurentSeries":
+    def from_moments(cls, moments: Iterable) -> "LaurentSeries":
         """Sum of u_n x^(-n-1); the window is exactly the moments supplied."""
         ms = list(moments)
-        return cls(field, -1, ms, len(ms))
+        return cls(-1, ms, len(ms))
 
     # -- access ----------------------------------------------------------------
     @property
@@ -80,13 +76,10 @@ class LaurentSeries:
     def known_exponent(self, e: int) -> bool:
         return e >= -self.truncation_order
 
-    def coefficient(self, e: int) -> QuadNumber:
+    def coefficient(self, e: int) -> Fraction:
         if e < -self.truncation_order:
             raise InsufficientTruncation(required=-e, available=self.truncation_order)
-        idx = self.lowest_power - e
-        if 0 <= idx < len(self.coefficients):
-            return self.coefficients[idx]
-        return self.field.zero
+        return self._padded(e)
 
     def _effective_top(self) -> int:
         """Leading exponent for window propagation; a window-zero series may
@@ -98,7 +91,7 @@ class LaurentSeries:
             raise ValueError("series is zero within its window")
         return self.lowest_power
 
-    def leading_coefficient(self) -> QuadNumber:
+    def leading_coefficient(self) -> Fraction:
         if not self.coefficients:
             raise ValueError("series is zero within its window")
         return self.coefficients[0]
@@ -106,11 +99,9 @@ class LaurentSeries:
     # -- arithmetic --------------------------------------------------------------
     def _coerce(self, other) -> "LaurentSeries | None":
         if isinstance(other, LaurentSeries):
-            if other.field != self.field:
-                raise ValueError("mixed coefficient fields")
             return other
-        if isinstance(other, (int, Fraction, QuadNumber)):
-            return LaurentSeries.constant(self.field, other, self.truncation_order)
+        if isinstance(other, (int, Fraction)):
+            return LaurentSeries.constant(other, self.truncation_order)
         return None
 
     def __add__(self, other):
@@ -120,20 +111,20 @@ class LaurentSeries:
         order = min(self.truncation_order, o.truncation_order)
         top = max(self._effective_top(), o._effective_top())
         if top < -order:
-            return LaurentSeries.zero(self.field, order)
+            return LaurentSeries.zero(order)
         cs = [
             self._padded(e) + o._padded(e)
             for e in range(top, -order - 1, -1)
         ]
-        return LaurentSeries(self.field, top, cs, order)
+        return LaurentSeries(top, cs, order)
 
     __radd__ = __add__
 
-    def _padded(self, e: int) -> QuadNumber:
+    def _padded(self, e: int) -> Fraction:
         idx = self.lowest_power - e
         if 0 <= idx < len(self.coefficients):
             return self.coefficients[idx]
-        return self.field.zero
+        return _ZERO
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -149,19 +140,16 @@ class LaurentSeries:
 
     def __neg__(self):
         return LaurentSeries(
-            self.field,
             self.lowest_power,
             [-c for c in self.coefficients],
             self.truncation_order,
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QuadNumber)):
-            c = self.field.coerce(other)
+        if isinstance(other, (int, Fraction)):
             return LaurentSeries(
-                self.field,
                 self.lowest_power,
-                [ci * c for ci in self.coefficients],
+                [c * other for c in self.coefficients],
                 self.truncation_order,
             )
         if isinstance(other, Poly):
@@ -174,28 +162,28 @@ class LaurentSeries:
             o.truncation_order - self._effective_top(),
         )
         if not self.coefficients or not o.coefficients:
-            return LaurentSeries.zero(self.field, order)
+            return LaurentSeries.zero(order)
         top = self.lowest_power + o.lowest_power
         if top < -order:
-            return LaurentSeries.zero(self.field, order)
-        out = convolve(self.field, self.coefficients, o.coefficients, top + order + 1)
-        return LaurentSeries(self.field, top, out, order)
+            return LaurentSeries.zero(order)
+        out = convolve(self.coefficients, o.coefficients, top + order + 1)
+        return LaurentSeries(top, out, order)
 
     __rmul__ = __mul__
 
     def mul_poly(self, p: Poly) -> "LaurentSeries":
         """Multiply by an exact polynomial: only the window shrinks by deg p."""
         if p.is_zero:
-            return LaurentSeries.zero(self.field, self.truncation_order)
+            return LaurentSeries.zero(self.truncation_order)
         order = self.truncation_order - p.degree
         if not self.coefficients:
-            return LaurentSeries.zero(self.field, order)
+            return LaurentSeries.zero(order)
         top = self.lowest_power + p.degree
         if top < -order:
-            return LaurentSeries.zero(self.field, order)
+            return LaurentSeries.zero(order)
         # p's coefficients in descending powers, like the series' own
-        out = convolve(self.field, self.coefficients, p.coeffs[::-1], top + order + 1)
-        return LaurentSeries(self.field, top, out, order)
+        out = convolve(self.coefficients, p.coeffs[::-1], top + order + 1)
+        return LaurentSeries(top, out, order)
 
     def inverse(self) -> "LaurentSeries":
         """Reciprocal series; the window deepens/shrinks by twice the leading
@@ -205,38 +193,29 @@ class LaurentSeries:
         L = self.lowest_power
         order = self.truncation_order + 2 * L
         depth = self.truncation_order + L  # known coefficients of self past the leading one
-        f0_inv = self.coefficients[0].inverse()
+        f0_inv = 1 / self.coefficients[0]
         g = [f0_inv]
         for m in range(1, depth + 1):
-            acc = self.field.zero
-            for i in range(1, m + 1):
-                fi = self.coefficients[i] if i < len(self.coefficients) else self.field.zero
-                if not fi.is_zero:
+            acc = _ZERO
+            for i in range(1, min(m, len(self.coefficients) - 1) + 1):
+                fi = self.coefficients[i]
+                if fi:
                     acc = acc + fi * g[m - i]
             g.append(-acc * f0_inv)
-        return LaurentSeries(self.field, -L, g, order)
+        return LaurentSeries(-L, g, order)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, QuadNumber)):
-            return self * self.field.coerce(other).inverse()
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
-    def shift(self, k: int) -> "LaurentSeries":
-        """Multiply by x^k."""
-        return LaurentSeries(
-            self.field,
-            self.lowest_power + k,
-            self.coefficients,
-            self.truncation_order - k,
-        )
-
     def restrict(self, order: int) -> "LaurentSeries":
         if order > self.truncation_order:
             raise InsufficientTruncation(required=order, available=self.truncation_order)
-        return LaurentSeries(self.field, self.lowest_power, self.coefficients, order)
+        return LaurentSeries(self.lowest_power, self.coefficients, order)
 
     # -- comparison within windows -------------------------------------------
     def common_order(self, other: "LaurentSeries") -> int:
@@ -265,21 +244,20 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         return (
-            self.field == other.field
-            and self.truncation_order == other.truncation_order
+            self.truncation_order == other.truncation_order
             and self.lowest_power == other.lowest_power
             and self.coefficients == other.coefficients
         )
 
     def __hash__(self):
-        return hash((self.field, self.lowest_power, self.coefficients, self.truncation_order))
+        return hash((self.lowest_power, self.coefficients, self.truncation_order))
 
     def __repr__(self):
         if not self.coefficients:
             return f"O(x^-{self.truncation_order + 1})"
         parts = []
         for i, c in enumerate(self.coefficients[:8]):
-            if c.is_zero:
+            if not c:
                 continue
             e = self.lowest_power - i
             if e == 0:
@@ -291,25 +269,25 @@ class LaurentSeries:
 
 
 def sqrt_series(r: Poly, order: int) -> LaurentSeries:
-    """Expansion of sqrt(r) at infinity for a degree-2 polynomial r.
+    """Expansion of sqrt(r) at infinity for a degree-2 polynomial r whose
+    leading coefficient is the square of a rational.
 
-    The leading coefficient is the positive branch of sqrt(lc(r)) in the
-    working field (FieldTooSmall if the field cannot express it); squaring the
-    result reproduces r on the whole window.
+    The leading coefficient is the positive square root of lc(r); squaring
+    the result reproduces r on the whole window.  Raises ValueError when
+    lc(r) is not a rational square: sqrt(r) then has no expansion over Q.
     """
     if r.degree != 2:
         raise ValueError("sqrt_series needs a polynomial of degree exactly 2")
-    field = r.field
     lc = r.leading_coefficient()
-    if not lc.is_rational:
-        raise FieldTooSmall(f"leading coefficient {lc} is not rational")
-    s0 = field.sqrt(lc.rational_value())
-    two_s0_inv = (s0 + s0).inverse()
+    num, den = isqrt(max(lc.numerator, 0)), isqrt(lc.denominator)
+    if lc <= 0 or num * num != lc.numerator or den * den != lc.denominator:
+        raise ValueError(f"leading coefficient {lc} is not the square of a rational")
+    s0 = Fraction(num, den)
+    two_s0_inv = 1 / (2 * s0)
     out = [s0]
     for j in range(1, order + 2):
-        rj = r.coefficient(2 - j) if j <= 2 else field.zero
-        acc = rj
+        acc = r.coefficient(2 - j) if j <= 2 else _ZERO
         for i in range(1, j):
             acc = acc - out[i] * out[j - i]
         out.append(acc * two_s0_inv)
-    return LaurentSeries(field, 1, out, order)
+    return LaurentSeries(1, out, order)

@@ -1,4 +1,4 @@
-"""Elements u(x) + v(x)*sqrt(r(x)) of the quadratic extension of K[x].
+"""Elements u(x) + v(x)*sqrt(r(x)) of the quadratic extension of Q[x].
 
 The modulus r is the lattice's degree-2 polynomial; it is carried on every
 element and must match between operands.  Multiplication reduces through
@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DivisionNotExact
-from .fieldext import QuadNumber
 from .poly import Poly
 
 
@@ -20,23 +19,17 @@ class SurdPoly:
     def __init__(self, u: Poly, v: Poly, r: Poly):
         if r.degree != 2:
             raise ValueError("surd modulus r must have degree 2")
-        if u.field != r.field or v.field != r.field:
-            raise ValueError("components and modulus over different fields")
         self.u = u
         self.v = v
         self.r = r
 
     @classmethod
     def from_poly(cls, p: Poly, r: Poly) -> "SurdPoly":
-        return cls(p, Poly.zero(p.field), r)
+        return cls(p, Poly.zero(), r)
 
     @classmethod
     def sqrt_r(cls, r: Poly) -> "SurdPoly":
-        return cls(Poly.zero(r.field), Poly.one(r.field), r)
-
-    @property
-    def field(self):
-        return self.r.field
+        return cls(Poly.zero(), Poly.one(), r)
 
     @property
     def is_zero(self) -> bool:
@@ -60,8 +53,8 @@ class SurdPoly:
             return other
         if isinstance(other, Poly):
             return SurdPoly.from_poly(other, self.r)
-        if isinstance(other, (int, Fraction, QuadNumber)):
-            return SurdPoly.from_poly(Poly.constant(self.field, other), self.r)
+        if isinstance(other, (int, Fraction)):
+            return SurdPoly.from_poly(Poly.constant(other), self.r)
         return None
 
     def __add__(self, other):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from snul import Poly, RiccatiData, build_lattice
+from snul import LaurentSeries, Poly, RiccatiData, apply_shift, build_lattice
 
 # Reference q-quadratic lattice: p = (5/4)x, r = (9/16)x^2 - 1, lambda = 9/16.
 REFERENCE_CONIC = (1, F(-5, 4), 1, 0, 0, 1)
@@ -18,10 +18,10 @@ RATIONAL_CONICS = [
     (3, F(-15, 4), 3, F(3, 4), F(3, 2), -3),  # lambda = 81/16
 ]
 
-# Genuine quadratic extension Q(sqrt(5)).
+# lambda = 5: sqrt(lambda), and the leading coefficient of sqrt(r), irrational.
 SURD_CONIC = (2, -3, 2, 1, 0, -1)
 
-# Negative discriminant (Chebyshev-flavoured), field Q(sqrt(-1)).
+# lambda = -1 (Chebyshev-flavoured): sqrt(r) has no real expansion.
 IMAGINARY_CONIC = (2, -1, 1, 0, 0, 2)
 
 
@@ -44,14 +44,14 @@ def random_fraction(rng: random.Random, span: int = 4) -> F:
     return F(rng.randint(-span, span), rng.randint(1, span))
 
 
-def random_poly(rng: random.Random, field, max_degree: int = 8,
+def random_poly(rng: random.Random, max_degree: int = 8,
                 min_degree: int = 0) -> Poly:
     deg = rng.randint(min_degree, max_degree)
     coeffs = [random_fraction(rng) for _ in range(deg)]
     lead = F(0)
     while lead == 0:
         lead = random_fraction(rng)
-    return Poly(field, coeffs + [lead])
+    return Poly(coeffs + [lead])
 
 
 def random_rational_lattice(rng: random.Random):
@@ -83,30 +83,104 @@ def random_quasi_definite_recurrence(rng: random.Random, n_top: int):
     return beta, gamma
 
 
+# -- the rational pair oracle for images under E_j ------------------------------
+
+class RootPair:
+    """u + sqrt(r) v for Laurent series u, v over Q, with sqrt(r) kept
+    symbolic as in SurdPoly:
+
+        (u1 + sqrt(r) v1)(u2 + sqrt(r) v2) = (u1 u2 + r v1 v2) + sqrt(r) (u1 v2 + v1 u2).
+
+    Images under E_j are pairs on every lattice, whether or not sqrt(r) has
+    an expansion over Q.  sqrt(r) leads with x^1, so v is read one step
+    deeper than u."""
+
+    def __init__(self, u: LaurentSeries, v: LaurentSeries, r: Poly):
+        self.u, self.v, self.r = u, v, r
+
+    @classmethod
+    def rational(cls, u: LaurentSeries, r: Poly) -> "RootPair":
+        return cls(u, LaurentSeries.zero(u.truncation_order + 1), r)
+
+    def __add__(self, other):
+        return RootPair(self.u + other.u, self.v + other.v, self.r)
+
+    def __sub__(self, other):
+        return RootPair(self.u - other.u, self.v - other.v, self.r)
+
+    def __mul__(self, other):
+        if isinstance(other, RootPair):
+            return RootPair(self.u * other.u + (self.v * other.v).mul_poly(self.r),
+                            self.u * other.v + self.v * other.u, self.r)
+        return RootPair(self.u * other, self.v * other, self.r)     # a number or a Poly
+
+    def conjugate(self) -> "RootPair":
+        return RootPair(self.u, -self.v, self.r)
+
+    @property
+    def window(self) -> int:
+        """The window of u + sqrt(r) v."""
+        return min(self.u.truncation_order, self.v.truncation_order - 1)
+
+    def restrict(self, order: int) -> "RootPair":
+        return RootPair(self.u.restrict(order), self.v.restrict(order + 1), self.r)
+
+
+def inv_y1_pair(lattice, order: int) -> RootPair:
+    """1/y_1 = 1/(p - sqrt(r)) = (p + sqrt(r)) / N, N = y1 y2 = p^2 - r,
+    from the expansion of 1/N."""
+    inv_n = LaurentSeries.from_poly(lattice.p * lattice.p - lattice.r, order).inverse()
+    return RootPair(inv_n.mul_poly(lattice.p), inv_n, lattice.r)
+
+
+def pair_dm_series(lattice, s: LaurentSeries) -> tuple[LaurentSeries, LaurentSeries]:
+    """(D s, M s) read off the pair E_1 s = M s - sqrt(r) D s, formed from
+    the polynomial part of s through `apply_shift` and from each x^(-k)
+    through (1/y_1)^k by repeated products.  D s is known down to
+    x^(-(n+1)) and M s down to x^(-n), n the window of s."""
+    n = s.truncation_order
+    depth = n + 2
+    e1 = RootPair(LaurentSeries.zero(depth), LaurentSeries.zero(depth + 1), lattice.r)
+    top = s._effective_top()
+    if top >= 0:
+        image = apply_shift(lattice, Poly([s._padded(e) for e in range(top + 1)]), 1)
+        e1 = e1 + RootPair(LaurentSeries.from_poly(image.u, depth),
+                           LaurentSeries.from_poly(image.v, depth + 1), lattice.r)
+    bottom = max(-n, s.lowest_power - len(s.coefficients) + 1) if s.coefficients else 0
+    w = inv_y1_pair(lattice, depth)
+    power = w
+    for k in range(1, 1 - bottom):
+        if k > 1:
+            power = power * w
+        c = s._padded(-k)
+        if c:
+            e1 = e1 + power * c
+    e1 = e1.restrict(n)
+    return -e1.v, e1.u
+
+
 # -- the frozen end-to-end fixtures ------------------------------------------
 
 def qhermite_riccati(lattice) -> RiccatiData:
     """Semiclassical instance on the reference lattice (the D-Appell family
     beta_n = 0, gamma_n = (4/9)(1 - 4^n)); discovered by fit_riccati and
     frozen."""
-    field = lattice.field
     return RiccatiData(
-        Poly(field, [8, 0, -9]),
-        Poly.zero(field),
-        Poly(field, [0, 12]),
-        Poly(field, [-6]),
+        Poly([8, 0, -9]),
+        Poly.zero(),
+        Poly([0, 12]),
+        Poly([-6]),
         lattice,
     )
 
 
 def qhermite_corecursive_riccati(lattice) -> RiccatiData:
     """Co-recursive companion (beta_0 shifted by -1): B != 0."""
-    field = lattice.field
     return RiccatiData(
-        Poly(field, [8, 0, -9]),
-        Poly(field, [-6, -12]),
-        Poly(field, [12, 12]),
-        Poly(field, [-6]),
+        Poly([8, 0, -9]),
+        Poly([-6, -12]),
+        Poly([12, 12]),
+        Poly([-6]),
         lattice,
     )
 
@@ -126,11 +200,10 @@ def qhermite_corecursive_recurrence(n_top: int):
 def qhermite_wide_riccati(lattice) -> RiccatiData:
     """The same recurrence family is Laguerre-Hahn on the wide lattice
     (1, -5/2, 4, 0, 0, 1) too, with its own data; discovered and frozen."""
-    field = lattice.field
     return RiccatiData(
-        Poly(field, [4, 0, -18]),
-        Poly.zero(field),
-        Poly(field, [0, 12]),
-        Poly(field, [-3]),
+        Poly([4, 0, -18]),
+        Poly.zero(),
+        Poly([0, 12]),
+        Poly([-3]),
         lattice,
     )

@@ -53,14 +53,14 @@ def test_criterion_1_operator_laws(rational_lattices):
     cases = 0
     while cases < 200:
         lat = lattices[cases % len(lattices)]
-        f = random_poly(rng, lat.field, max_degree=8, min_degree=1)
-        g = random_poly(rng, lat.field, max_degree=8)
+        f = random_poly(rng, max_degree=8, min_degree=1)
+        g = random_poly(rng, max_degree=8)
         check_product_quotient_identities(lat, f, g)
         cases += 1
     # reciprocal rules through honest series arithmetic: D(1/f) and M(1/f)
     for lat in lattices[:4]:
         for _ in range(3):
-            f = random_poly(rng, lat.field, max_degree=3, min_degree=1)
+            f = random_poly(rng, max_degree=3, min_degree=1)
             inv = LaurentSeries.from_poly(f, 12).inverse()
             from snul import apply_D_series, apply_M_series, apply_shift
             e1f, e2f = apply_shift(lat, f, 1), apply_shift(lat, f, 2)
@@ -84,8 +84,8 @@ def test_criterion_2_lemma_suite(rational_lattices):
     cases = 0
     while cases < 100:
         lat = lattices[cases % len(lattices)]
-        f = random_poly(rng, lat.field, max_degree=8, min_degree=1)
-        g = random_poly(rng, lat.field, max_degree=8)
+        f = random_poly(rng, max_degree=8, min_degree=1)
+        g = random_poly(rng, max_degree=8)
         check_lemma_identities(lat, f, g)
         cases += 1
     elapsed = time.monotonic() - start
@@ -100,11 +100,11 @@ def test_criterion_3_degree_law(rational_lattices):
     checked = 0
     for lat in rational_lattices:
         for _ in range(25):
-            f = random_poly(rng, lat.field, max_degree=8, min_degree=1)
+            f = random_poly(rng, max_degree=8, min_degree=1)
             assert apply_D(lat, f).degree == f.degree - 1
             assert apply_M(lat, f).degree == f.degree
             checked += 1
-        assert apply_D(lat, Poly.constant(lat.field, 9)).is_zero
+        assert apply_D(lat, Poly.constant(9)).is_zero
     _report(3, "degree law", time.monotonic() - start, f"{checked} polynomials")
 
 
@@ -112,13 +112,11 @@ def test_criterion_4_orthopoly_suite():
     """liouville_defect == 0 up to n = 12, exact moment/recurrence
     round-trips, and O(x^(-n-1)) decay of q_n up to n = 10."""
     start = time.monotonic()
-    from snul import QuadField
-    field = QuadField.rationals()
     rng = random.Random(31337)
     roundtrips = 0
     for _ in range(8):
         beta, gamma = random_quasi_definite_recurrence(rng, 26)
-        data = smop_from_recurrence(field, beta[:14], gamma[:14], 13,
+        data = smop_from_recurrence(beta[:14], gamma[:14], 13,
                                     moments=moments_from_recurrence(beta, gamma, 27))
         for n in range(13):
             assert liouville_defect(data, n).is_zero
@@ -171,8 +169,7 @@ def test_criterion_6_initial_conditions(reference_lattice):
         ric = make(reference_lattice)
         moments = solve_moments_from_riccati(ric, 18)
         beta, gamma = recurrence_from_moments(moments, 4)
-        data = smop_from_recurrence(reference_lattice.field, beta, gamma, 4,
-                                    moments=moments)
+        data = smop_from_recurrence(beta, gamma, 4, moments=moments)
         coeffs = structure_coeffs_direct(ric, data, 4)
         half_C = ric.C * F(1, 2)
         m0 = reference_lattice.p - data.beta[0]
@@ -197,8 +194,7 @@ def test_criterion_7_reconstruction_and_fit(reference_lattice):
         ric = make(reference_lattice)
         moments = solve_moments_from_riccati(ric, 24)
         beta, gamma = recurrence_from_moments(moments, 5)
-        data = smop_from_recurrence(reference_lattice.field, beta, gamma, 5,
-                                    moments=moments)
+        data = smop_from_recurrence(beta, gamma, 5, moments=moments)
         coeffs = structure_coeffs_direct(ric, data, 5)
         assert reconstruct_riccati(coeffs, reference_lattice).proportional_to(ric)
         bounds = (2, 1, 1, 0)
@@ -231,7 +227,7 @@ def test_criterion_8_negative_controls(reference_lattice):
         random_moments = [F(1)] + [
             F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(33)
         ]
-        s = LaurentSeries.from_moments(reference_lattice.field, random_moments)
+        s = LaurentSeries.from_moments(random_moments)
         if not fit_riccati(reference_lattice, s, (4, 4, 4, 4)):
             empty += 1
     assert empty >= int(0.95 * trials), f"only {empty}/{trials} empty fits"

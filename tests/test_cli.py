@@ -63,6 +63,18 @@ class TestExitCodes:
         assert "q-quadratic" in out
         assert "9/16" in out and "-9/16" in out
 
+    def test_classify_output(self, capsys):
+        # the whole report, line by line
+        assert main(["classify", str(PROBLEMS / "qhermite.json")]) == 0
+        assert capsys.readouterr().out == (
+            "class:   q-quadratic\n"
+            "p:       (5/4)*x\n"
+            "r:       (9/16)*x^2 + -1\n"
+            "lambda:  9/16\n"
+            "tau:     -9/16\n"
+            "q_trace: 17/4\n"
+        )
+
     def test_classify_points(self, capsys):
         assert main(["classify", str(PROBLEMS / "qhermite.json"), "--points", "2"]) == 0
         assert "x(2)=" in capsys.readouterr().out
@@ -118,15 +130,23 @@ class TestExitCodes:
         assert captured.err == "internal error: RuntimeError: broken on purpose\n"
         assert captured.out == ""
 
-    def test_discriminant_override(self, capsys):
-        code = main(["classify", str(PROBLEMS / "qhermite.json")])
-        assert code == 0 and "field:   Q\n" in capsys.readouterr().out
-        code = main(["certify", str(PROBLEMS / "qhermite.json"), "--n-max", "3",
-                     "--trunc", "14", "--discriminant", "5"])
-        cert = json.loads(capsys.readouterr().out)
-        # the mathematics is unchanged inside the bigger field Q(sqrt(5))
-        assert code == 0 and cert["passed"] is True
-        assert cert["instance"]["options"]["discriminant"] == "5"
+    @pytest.mark.parametrize("key", ["discriminant", "nmax"])
+    def test_unknown_option_key_exit_2(self, tmp_path, capsys, key):
+        # a retired option and a typo are refused, not dropped silently
+        doc = reference_doc()
+        doc["options"][key] = "5"
+        path = write_problem(tmp_path, doc)
+        for command in ("classify", "certify"):
+            assert main([command, path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"unknown option(s) '{key}'" in captured.err
+
+    def test_retired_discriminant_flag_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", str(PROBLEMS / "qhermite.json"), "--discriminant", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --discriminant 5" in capsys.readouterr().err
 
 
 class TestCertifyCommand:

@@ -52,8 +52,7 @@ def semiclassical(reference_lattice):
     moments = solve_moments_from_riccati(ric, ORDER)
     from snul import recurrence_from_moments
     beta, gamma = recurrence_from_moments(moments, N_MAX)
-    data = smop_from_recurrence(reference_lattice.field, beta, gamma, N_MAX,
-                                moments=moments)
+    data = smop_from_recurrence(beta, gamma, N_MAX, moments=moments)
     coeffs = structure_coeffs_direct(ric, data, N_MAX)
     return ric, data, coeffs
 
@@ -64,8 +63,7 @@ def corecursive(reference_lattice):
     moments = solve_moments_from_riccati(ric, ORDER)
     from snul import recurrence_from_moments
     beta, gamma = recurrence_from_moments(moments, N_MAX)
-    data = smop_from_recurrence(reference_lattice.field, beta, gamma, N_MAX,
-                                moments=moments)
+    data = smop_from_recurrence(beta, gamma, N_MAX, moments=moments)
     coeffs = structure_coeffs_direct(ric, data, N_MAX)
     return ric, data, coeffs
 
@@ -73,10 +71,9 @@ def corecursive(reference_lattice):
 class TestRiccatiResidual:
     def test_pure_A_term(self, reference_lattice):
         lat = reference_lattice
-        field = lat.field
-        ric = RiccatiData(Poly.one(field), Poly.zero(field), Poly.zero(field),
-                          Poly.zero(field), lat)
-        s = LaurentSeries.from_moments(field, [F(1), F(0), F(1, 2), F(0), F(1, 3)])
+        ric = RiccatiData(Poly.one(), Poly.zero(), Poly.zero(),
+                          Poly.zero(), lat)
+        s = LaurentSeries.from_moments([F(1), F(0), F(1, 2), F(0), F(1, 3)])
         res = riccati_residual(ric, s)
         # residual is exactly D S, nonzero unless D S vanishes
         assert not res.is_zero_within_window()
@@ -91,7 +88,7 @@ class TestRiccatiResidual:
         ric, data, _ = semiclassical
         bad = list(data.moments)
         bad[3] += 1
-        res = riccati_residual(ric, LaurentSeries.from_moments(ric.lattice.field, bad))
+        res = riccati_residual(ric, LaurentSeries.from_moments(bad))
         assert not res.is_zero_within_window()
 
 
@@ -118,9 +115,8 @@ class TestSolveMoments:
         # A = 1, B = C = D = 0 demands D S = 0; already u_0 = 1 makes
         # D(x^-1) = -1/(y1 y2) nonzero, so the pre-constraints fail.
         lat = reference_lattice
-        field = lat.field
-        ric = RiccatiData(Poly.one(field), Poly.zero(field), Poly.zero(field),
-                          Poly.zero(field), lat)
+        ric = RiccatiData(Poly.one(), Poly.zero(), Poly.zero(),
+                          Poly.zero(), lat)
         with pytest.raises(Inconsistent) as exc:
             solve_moments_from_riccati(ric, 4)
         assert exc.value.k == 0
@@ -130,9 +126,8 @@ class TestSolveMoments:
         # C = -20 x the leading contributions -(5/2) a_2 and (17/8) c_1
         # cancel, and D = 8 satisfies the x^0 pre-constraint.
         lat = reference_lattice
-        field = lat.field
-        ric = RiccatiData(Poly(field, [0, 0, 17]), Poly.zero(field),
-                          Poly(field, [0, -20]), Poly(field, [8]), lat)
+        ric = RiccatiData(Poly([0, 0, 17]), Poly.zero(),
+                          Poly([0, -20]), Poly([8]), lat)
         with pytest.raises(FreeMoment) as exc:
             solve_moments_from_riccati(ric, 3)
         assert exc.value.k == 1
@@ -162,42 +157,30 @@ class TestFit:
 
     def test_random_moments_fit_empty(self, reference_lattice):
         rng = random.Random(99)
-        field = reference_lattice.field
         moments = [F(1)] + [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(33)]
-        s = LaurentSeries.from_moments(field, moments)
+        s = LaurentSeries.from_moments(moments)
         assert fit_riccati(reference_lattice, s, (4, 4, 4, 4)) == []
 
-    def test_surd_series_refused(self, surd_lattice):
-        # the nullspace is computed over Q: a coefficient with a sqrt(5) part
-        # is refused, not rounded away
-        field = surd_lattice.field
-        moments = [field(1), field(0, 1)] + [field(F(k, 3)) for k in range(16)]
-        s = LaurentSeries.from_moments(field, moments)
-        with pytest.raises(ValueError, match="surd part"):
-            riccati_nullspace(surd_lattice, s, (2, 0, 1, 0))
-
     def test_recovers_surd_conic_data(self):
-        # the lattice is over Q(sqrt 5), its moments are rational
+        # sqrt(lambda) = sqrt(5) is irrational, the moments are rational
         from snul.cli import ProblemFile
         problem = ProblemFile.load(str(DATA / "surd_conic.json"))
         lattice = problem.build_lattice()
-        assert not lattice.field.is_rational
+        assert lattice.lam == 5
         ric = problem.riccati_data(lattice)
         moments = solve_moments_from_riccati(ric, problem.trunc)
-        s = LaurentSeries.from_moments(lattice.field, moments)
+        s = LaurentSeries.from_moments(moments)
         cands = fit_riccati(lattice, s, (2, 0, 1, 0))
         assert len(cands) == 1
         assert cands[0].proportional_to(ric)
 
     def test_constant_bounds_rejected_by_A_filter(self, reference_lattice):
-        field = reference_lattice.field
         moments = [F(1), F(1, 2), F(1, 3), F(2), F(1), F(0), F(1), F(2), F(3)]
-        s = LaurentSeries.from_moments(field, moments)
+        s = LaurentSeries.from_moments(moments)
         assert fit_riccati(reference_lattice, s, (0, 0, 0, 0)) == []
 
 
 def _vector_of(ric: RiccatiData, bounds) -> list:
-    field = ric.lattice.field
     vec = []
     for poly, bound in zip(ric.polys(), bounds):
         for i in range(bound + 1):
@@ -206,22 +189,22 @@ def _vector_of(ric: RiccatiData, bounds) -> list:
 
 
 def _in_span(basis: list[list], vector: list) -> bool:
-    """Rank test over the field: vector in span(basis)?"""
-    rows = [list(b) for b in basis]
+    """Rank test over Q: vector in span(basis)?"""
+    rows = [[F(v) for v in b] for b in basis]
 
     def rank(mat):
         mat = [row[:] for row in mat]
         r = 0
         ncols = len(mat[0])
         for col in range(ncols):
-            piv = next((i for i in range(r, len(mat)) if not mat[i][col].is_zero), None)
+            piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
             if piv is None:
                 continue
             mat[r], mat[piv] = mat[piv], mat[r]
-            inv = mat[r][col].inverse()
+            inv = 1 / mat[r][col]
             mat[r] = [v * inv for v in mat[r]]
             for i in range(len(mat)):
-                if i != r and not mat[i][col].is_zero:
+                if i != r and mat[i][col]:
                     f = mat[i][col]
                     mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
             r += 1
@@ -276,14 +259,13 @@ class TestStructureCoeffs:
 
     def test_non_lh_rejected(self, reference_lattice):
         lat = reference_lattice
-        field = lat.field
         ric = qhermite_riccati(lat)
         moments = solve_moments_from_riccati(ric, ORDER)
         bad = list(moments)
         bad[5] += F(1, 7)
         from snul import recurrence_from_moments
         beta, gamma = recurrence_from_moments(bad, N_MAX)
-        data = smop_from_recurrence(field, beta, gamma, N_MAX, moments=bad)
+        data = smop_from_recurrence(beta, gamma, N_MAX, moments=bad)
         with pytest.raises(NotLaguerreHahn):
             structure_coeffs_direct(ric, data, N_MAX)
 
@@ -325,14 +307,14 @@ class TestRelations:
 
     def test_second_kind_window_guard(self, semiclassical):
         ric, data, coeffs = semiclassical
-        short = LaurentSeries.from_moments(ric.lattice.field, data.moments[:7])
+        short = LaurentSeries.from_moments(data.moments[:7])
         with pytest.raises(InsufficientTruncation):
             verify_second_kind_relations(ric, data, coeffs, short, 3)
 
     def test_workspace_for_other_series_rejected(self, semiclassical):
         from snul import Workspace
         ric, data, coeffs = semiclassical
-        other = LaurentSeries.from_moments(ric.lattice.field, data.moments[:-1])
+        other = LaurentSeries.from_moments(data.moments[:-1])
         ws = Workspace(ric.lattice, other, data)
         with pytest.raises(ValueError):
             verify_second_kind_relations(ric, data, coeffs, data.stieltjes(), 1,
@@ -396,14 +378,13 @@ class TestRecursions:
 
     def test_magnus_zero_D_specialization(self, reference_lattice):
         lat = reference_lattice
-        field = lat.field
         m = MagnusRiccatiData(
             0,
-            Poly(field, [1, 2]),
-            Poly(field, [3]),
-            Poly(field, [0, 1]),
-            Poly.zero(field),
-            Poly.one(field),
+            Poly([1, 2]),
+            Poly([3]),
+            Poly([0, 1]),
+            Poly.zero(),
+            Poly.one(),
         )
         stepped = magnus_step(m, F(1, 2), F(2), lat)
         assert stepped.A_n == m.A_n
@@ -437,7 +418,7 @@ class TestReconstruction:
     def test_nonzero_pi_minus_one_rejected(self, semiclassical):
         ric, data, coeffs = semiclassical
         tampered = initial_structure_coeffs(ric, data)
-        tampered.pi[0] = Poly.one(ric.lattice.field)
+        tampered.pi[0] = Poly.one()
         with pytest.raises(NotLaguerreHahn):
             reconstruct_riccati(tampered, ric.lattice)
 
@@ -468,9 +449,8 @@ class TestCertify:
 
     def test_non_lh_gating(self, reference_lattice):
         lat = reference_lattice
-        field = lat.field
-        ric = RiccatiData(Poly.one(field), Poly.zero(field), Poly.zero(field),
-                          Poly.zero(field), lat)
+        ric = RiccatiData(Poly.one(), Poly.zero(), Poly.zero(),
+                          Poly.zero(), lat)
         moments = [F(1)] + [F(1, k + 2) for k in range(19)]
         cert = certify(ric, n_max=4, order=18, moments=moments)
         assert not cert.passed
@@ -481,11 +461,10 @@ class TestCertify:
         # moments of a Dirac-type sequence satisfy a Riccati equation but
         # fail quasi-definiteness: certificate records the failing n
         lat = reference_lattice
-        field = lat.field
         # S = 1/(x - t): A = 1, B = -1, C = D = 0 (checked by the residual)
         t = F(1, 2)
-        ric = RiccatiData(Poly.one(field), Poly.constant(field, -1),
-                          Poly.zero(field), Poly.zero(field), lat)
+        ric = RiccatiData(Poly.one(), Poly.constant(-1),
+                          Poly.zero(), Poly.zero(), lat)
         moments = [t ** k for k in range(20)]
         cert = certify(ric, n_max=4, order=18, moments=moments)
         assert not cert.passed
@@ -506,9 +485,8 @@ class TestCertify:
         # image of S exists; certify records the error instead of raising
         from snul import build_lattice
         lat = build_lattice(1, 2, 0, 0, 1, 1)
-        field = lat.field
-        ric = RiccatiData(Poly(field, [1, 0, 1]), Poly.zero(field),
-                          Poly(field, [0, 1]), Poly.one(field), lat)
+        ric = RiccatiData(Poly([1, 0, 1]), Poly.zero(),
+                          Poly([0, 1]), Poly.one(), lat)
         cert = certify(ric, 2, 8, moments=[F(1)] + [F(0)] * 9)
         assert not cert.passed
         riccati = cert.check("riccati")
@@ -544,10 +522,9 @@ class TestCertify:
             R, I = original(ric, data, coeffs, s, n, workspace=workspace)
             if n != 3:
                 return R, I
-            field = ric.lattice.field
             windows.append(R.truncation_order)
-            return (LaurentSeries.zero(field, R.truncation_order),
-                    LaurentSeries(field, -5, [1], R.truncation_order))
+            return (LaurentSeries.zero(R.truncation_order),
+                    LaurentSeries(-5, [1], R.truncation_order))
 
         monkeypatch.setattr(lh, "verify_second_kind_relations", only_I)
         cert = certify(qhermite_corecursive_riccati(reference_lattice), n_max=3, order=16)
@@ -616,7 +593,7 @@ class TestCertify:
         for make in (qhermite_riccati, qhermite_corecursive_riccati):
             ric = make(reference_lattice)
             moments = solve_moments_from_riccati(ric, 18)
-            s = LaurentSeries.from_moments(reference_lattice.field, moments)
+            s = LaurentSeries.from_moments(moments)
             seen.clear()
             assert certify(ric, n_max=4, order=18, moments=moments).passed
             assert sum(f == s for f in seen) == 1

@@ -9,7 +9,6 @@ from snul import (
     LaurentSeries,
     NotQuasiDefinite,
     Poly,
-    QuadField,
     apply_shift,
     hankel_determinant,
     liouville_defect,
@@ -21,11 +20,8 @@ from snul import (
 
 from conftest import random_quasi_definite_recurrence
 
-FIELD = QuadField.rationals()
-
-
 def build(beta, gamma, n_max, **kw):
-    return smop_from_recurrence(FIELD, beta, gamma, n_max, **kw)
+    return smop_from_recurrence(beta, gamma, n_max, **kw)
 
 
 class TestSMOP:
@@ -33,7 +29,7 @@ class TestSMOP:
         beta = [F(0)] * 4
         gamma = [F(1), F(1), F(1), F(1)]
         data = build(beta, gamma, 3)
-        x = Poly.x(FIELD)
+        x = Poly.x()
         assert data.P[1] == x
         assert data.P[2] == x * x - 1
 
@@ -41,13 +37,13 @@ class TestSMOP:
         beta = [F(2, 3), F(1), F(0)]
         gamma = [F(1), F(5), F(1)]
         data = build(beta, gamma, 2)
-        assert data.P[1] == Poly.x(FIELD) - F(2, 3)
+        assert data.P[1] == Poly.x() - F(2, 3)
 
     def test_quarter_gammas(self):
         beta = [F(0)] * 5
         gamma = [F(1)] + [F(1, 4)] * 4
         data = build(beta, gamma, 4)
-        x = Poly.x(FIELD)
+        x = Poly.x()
         assert data.P[3] == x ** 3 - x * F(1, 2)
 
     def test_monic_degrees(self):
@@ -62,7 +58,7 @@ class TestSMOP:
         beta = [F(0), F(1), F(2), F(3)]
         gamma = [F(1), F(2), F(3), F(4)]
         data = build(beta, gamma, 3)
-        x = Poly.x(FIELD)
+        x = Poly.x()
         assert data.P1[1] == x - 1                       # uses beta_1
         assert data.P1[2] == (x - 2) * (x - 1) - 3       # beta_2, gamma_2
 
@@ -144,10 +140,9 @@ class TestSecondKind:
 
     def test_q1_closed_form(self):
         q1 = second_kind_series(self.data, self.s, 1)
-        x = Poly.x(FIELD)
-        expect = self.s.mul_poly(x - self.beta[0]) - LaurentSeries.constant(
-            FIELD, 1, self.s.truncation_order - 1
-        )
+        x = Poly.x()
+        expect = (self.s.mul_poly(x - self.beta[0])
+                  - LaurentSeries.constant(1, self.s.truncation_order - 1))
         assert q1.agrees_with(expect)
         assert q1.coefficient(-2) == self.gamma[1]
 
@@ -156,17 +151,17 @@ class TestSecondKind:
             qn = second_kind_series(self.data, self.s, n)
             assert qn._effective_top() <= -n - 1
             for e in range(0, -n - 1, -1):
-                assert qn.coefficient(e).is_zero
+                assert qn.coefficient(e) == 0
 
     def test_window_guard(self):
-        short = LaurentSeries.from_moments(FIELD, self.data.moments[:6])
+        short = LaurentSeries.from_moments(self.data.moments[:6])
         with pytest.raises(InsufficientTruncation):
             second_kind_series(self.data, short, 4)
 
     def test_decay_failure_on_mismatched_moments(self):
         bad = list(self.data.moments)
         bad[3] += 1
-        s_bad = LaurentSeries.from_moments(FIELD, bad)
+        s_bad = LaurentSeries.from_moments(bad)
         with pytest.raises(InvalidRecurrence):
             second_kind_series(self.data, s_bad, 3)
 
@@ -183,7 +178,7 @@ class TestSecondKind:
         # for q_3 disagree, reported as a SnulError rather than an assertion
         data = build(self.beta[:13], self.gamma[:13], 12,
                      moments=self.data.moments)
-        data.P[3] = data.P[3] + Poly.constant(FIELD, 1)
+        data.P[3] = data.P[3] + Poly.constant(1)
         with pytest.raises(InvalidRecurrence, match="disagree"):
             second_kind_series(data, data.stieltjes(), 3)
 
@@ -208,7 +203,7 @@ class TestLiouville:
         lat = reference_lattice
         beta = [F(0)] * 6
         gamma = [F(1)] + [F(1, 4)] * 5
-        data = smop_from_recurrence(lat.field, beta, gamma, 5, moment_order=0)
+        data = smop_from_recurrence(beta, gamma, 5, moment_order=0)
         defect = liouville_defect(data, 4)
         for j in (1, 2):
             img = apply_shift(lat, defect, j)

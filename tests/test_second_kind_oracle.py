@@ -4,11 +4,14 @@ replaced.
 `verify_second_kind_relations` returns the rational pair (R, I) with
 res1 = R + sqrt(r) I and res2 = R - sqrt(r) I, and `gathered_relations`
 reads R as its series residual.  The reference below is the earlier route,
-kept verbatim in substance: E1 q_n, E2 q_n and E1 S, E2 S composed with the
-sqrt(r) series (`apply_E_series`), l +/- 2 sqrt(r) pi as a series, and the
-gathered B term through the product S q_n and its M image.  Both routes must
-give the same coefficients on the same windows, on the shipped instances and
-on structure coefficients moved by +/-1 in one coefficient at one level.
+kept in substance: E1 q_n, E2 q_n and E1 S, E2 S, l +/- 2 sqrt(r) pi, and
+the two relations written out with the E-images, and the gathered B term
+through the product S q_n and its M image.  Every quantity with sqrt(r) in
+it is a pair u + sqrt(r) v of rational series (`conftest.RootPair`), so the
+route runs on every lattice, the one with sqrt(lambda) = sqrt(5) included.
+Both routes must give the same coefficients on the same windows, on the
+shipped instances and on structure coefficients moved by +/-1 in one
+coefficient at one level.
 """
 from pathlib import Path
 
@@ -28,8 +31,10 @@ from snul import (
 )
 from snul.cli import ProblemFile
 from snul.laguerre_hahn import HALF, StructureCoeffs
-from snul.lattice import apply_E_series, apply_M_series
+from snul.lattice import apply_M_series
 from snul.poly import Poly
+
+from conftest import RootPair
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = sorted((ROOT / "problems").glob("*.json"))
@@ -40,18 +45,17 @@ TAMPER_LEVELS = 4
 
 # -- the reference route -------------------------------------------------------
 
-def _surd_coeff_series(lattice, l, pi, sign, order):
-    """l +/- Delta_y pi = l +/- 2 sqrt(r) pi as a Laurent series."""
-    out = LaurentSeries.from_poly(l, order)
-    if not pi.is_zero:
-        out = out + lattice.sqrt_r_series(order + 2).mul_poly(pi) * (2 * sign)
-    return out
+def _surd_coeff_pair(lattice, l, pi, sign, order):
+    """l +/- Delta_y pi = l +/- 2 sqrt(r) pi as a pair."""
+    return RootPair(LaurentSeries.from_poly(l, order),
+                    LaurentSeries.from_poly(pi * (2 * sign), order + 1), lattice.r)
 
 
 def _shifted(ws, n=None):
-    """(E1 f, E2 f) for f = S (n None) or f = q_n."""
-    f = ws.series(n)
-    return tuple(apply_E_series(ws.lattice, f, j, dm=ws.dm(n)) for j in (1, 2))
+    """(E1 f, E2 f) = (M f - sqrt(r) D f, M f + sqrt(r) D f) for f = S
+    (n None) or f = q_n."""
+    d, m = ws.dm(n)
+    return RootPair(m, -d, ws.lattice.r), RootPair(m, d, ws.lattice.r)
 
 
 def reference_second_kind(ric, coeffs, ws, n):
@@ -59,18 +63,18 @@ def reference_second_kind(ric, coeffs, ws, n):
     A, B, C, _ = ric.polys()
     l, pi, theta = coeffs.l_at(n - 1), coeffs.pi_at(n - 1), coeffs.theta_at(n - 1)
     e1_qn, e2_qn = _shifted(ws, n)
-    d_qn = ws.dm(n)[0]
+    d_qn = RootPair.rational(ws.dm(n)[0], lattice.r)
     e1_qprev, e2_qprev = _shifted(ws, n - 1)
     e1_s, e2_s = _shifted(ws)
 
-    w = min(x.truncation_order for x in (d_qn, e1_qn, e2_qn, e1_qprev, e2_qprev))
-    l_plus = _surd_coeff_series(lattice, l, pi, +1, w)
-    l_minus = _surd_coeff_series(lattice, l, pi, -1, w)
-    c_half = LaurentSeries.from_poly(C * HALF, w)
-    res1 = (d_qn.mul_poly(A) - l_plus * e1_qn
-            - (e1_s.mul_poly(B) + c_half) * e2_qn - e1_qprev.mul_poly(theta))
-    res2 = (d_qn.mul_poly(A) - l_minus * e2_qn
-            - (e2_s.mul_poly(B) + c_half) * e1_qn - e2_qprev.mul_poly(theta))
+    w = min(x.window for x in (d_qn, e1_qn, e2_qn, e1_qprev, e2_qprev))
+    l_plus = _surd_coeff_pair(lattice, l, pi, +1, w)
+    l_minus = _surd_coeff_pair(lattice, l, pi, -1, w)
+    c_half = RootPair.rational(LaurentSeries.from_poly(C * HALF, w), lattice.r)
+    res1 = (d_qn * A - l_plus * e1_qn
+            - (e1_s * B + c_half) * e2_qn - e1_qprev * theta)
+    res2 = (d_qn * A - l_minus * e2_qn
+            - (e2_s * B + c_half) * e1_qn - e2_qprev * theta)
     return res1, res2
 
 
@@ -101,12 +105,11 @@ def _instance(path):
         if moments is None:
             moments = solve_moments_from_riccati(ric, order)
     else:
-        s = LaurentSeries.from_moments(lattice.field, moments)
+        s = LaurentSeries.from_moments(moments)
         ric = next(c for c in fit_riccati(lattice, s, problem.deg_bounds)
                    if riccati_residual(c, s).is_zero_within_window())
     beta, gamma = recurrence_from_moments(moments, problem.n_max)
-    data = smop_from_recurrence(lattice.field, beta, gamma, problem.n_max,
-                                moments=moments)
+    data = smop_from_recurrence(beta, gamma, problem.n_max, moments=moments)
     return ric, data, problem.n_max
 
 
@@ -120,7 +123,7 @@ def _tampered(ric, coeffs, name, level, index, delta):
     old = polys[level + 1]
     values = list(old.coeffs) + [0] * (index + 1 - len(old.coeffs))
     values[index] += delta
-    polys[level + 1] = Poly(old.field, values)
+    polys[level + 1] = Poly(values)
     out.A_gathered = [ric.A + ric.lattice.r * 2 * pi for pi in out.pi]
     return out
 
@@ -130,22 +133,13 @@ def _same(x, y):
             == (y.truncation_order, y.lowest_power, y.coefficients))
 
 
-def _sqrt_r_times(lattice, im):
-    """sqrt(r) I, with sqrt(r) deep enough that only I limits the window."""
-    depth = max(im.truncation_order - 1 + im._effective_top(), 1)
-    return lattice.sqrt_r_series(depth) * im
-
-
 # -- the oracle tests ------------------------------------------------------------------
 
 def _check_level(ric, data, coeffs, ws, n, case):
     re, im = verify_second_kind_relations(ric, data, coeffs, ws.s, n, workspace=ws)
-    assert all(c.is_rational for c in re.coefficients + im.coefficients), case
-    root_im = _sqrt_r_times(ric.lattice, im)
     res1, res2 = reference_second_kind(ric, coeffs, ws, n)
-    assert _same(re + root_im, res1), case
-    assert _same(re - root_im, res2), case
-    assert min(re.truncation_order, im.truncation_order - 1) == res1.truncation_order, case
+    assert _same(re, res1.u) and _same(im, res1.v), case
+    assert _same(re, res2.u) and _same(-im, res2.v), case
     if n < data.n_max:
         res_q = gathered_relations(ric, data, coeffs, ws.s, n, workspace=ws)[2]
         assert _same(res_q, reference_res_q(ric, coeffs, ws, n)), case

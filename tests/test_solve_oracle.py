@@ -1,11 +1,13 @@
 """solve_moments_from_riccati against the full-series solver it replaced.
 
 `reference_solve_moments` is the earlier solver: it forms E_j x^(-k) as
-powers of the expansions of 1/y_j in Q(sqrt(lambda)), D and M by a series
-product with 1/(2 sqrt(r)), and keeps the whole residual series up to date
-after each moment.  The solver under test reads single coefficients of DS
-and MS built from the rational D/M table.  Both must give the same moments,
-or raise the same exception with the same text.
+powers of 1/y_j, D and M from E_1 and E_2, and keeps the whole residual
+series up to date after each moment.  Here the powers are pairs
+u + sqrt(r) v of rational series (`conftest.RootPair`), so E_2 x^(-k) is
+the conjugate of E_1 x^(-k), D x^(-k) = -v and M x^(-k) = u.  The solver
+under test reads single coefficients of DS and MS built from the integer
+D/M table.  Both must give the same moments, or raise the same exception
+with the same text.
 """
 import json
 import random
@@ -28,17 +30,16 @@ from conftest import (
     IMAGINARY_CONIC,
     RATIONAL_CONICS,
     SURD_CONIC,
+    inv_y1_pair,
     random_fraction,
     random_poly,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
-HALF = F(1, 2)
 
 
 def reference_solve_moments(ric, count, free_values=None):
     lattice = ric.lattice
-    field = lattice.field
     A, B, C, D = ric.polys()
     deg_terms = [A.degree - 2]
     if not B.is_zero:
@@ -50,59 +51,59 @@ def reference_solve_moments(ric, count, free_values=None):
     max_deg = max(d.degree for d in (A, B, C, D) if not d.is_zero)
     depth = count + max_deg + abs(m0) + 8
 
-    def powers(j):
-        # w_j^k = E_j x^(-k), k = 1..count+1, by repeated products
-        w = lattice.inv_y_series(j, depth)
-        out = [w]
-        while len(out) < count + 1:
-            out.append((out[-1] * w).restrict(depth))
-        return out
+    # w^k = E_1 x^(-k), k = 1..count+1, by repeated products; E_2 x^(-k)
+    # is the conjugate
+    w = inv_y1_pair(lattice, depth)
+    w1s = [w]
+    while len(w1s) < count + 1:
+        w1s.append((w1s[-1] * w).restrict(depth))
 
-    w1s, w2s = powers(1), powers(2)
-    inv_delta = (lattice.sqrt_r_series(depth) * 2).inverse()
+    def rational(pair):
+        # a pair whose sqrt(r)-part must vanish, such as E1 f E2 f
+        assert pair.v.is_zero_within_window()
+        return pair.u
 
-    def d_and_m(f1, f2):
-        return ((f2 - f1) * inv_delta).mul_poly(A) - ((f1 + f2) * HALF).mul_poly(C)
+    def d_and_m(f1):
+        # A D f - C M f with E_1 f = M f - sqrt(r) D f
+        return (-f1.v).mul_poly(A) - f1.u.mul_poly(C)
 
     free_values = free_values or {}
     moments = [F(1)]
-    e1s, e2s = w1s[0], w2s[0]
-    base = d_and_m(e1s, e2s) - LaurentSeries.from_poly(D, depth)
+    e1s = w1s[0]
+    base = d_and_m(e1s) - LaurentSeries.from_poly(D, depth)
     if not B.is_zero:
-        base = base - (e1s * e2s).mul_poly(B)
+        base = base - rational(e1s * e1s.conjugate()).mul_poly(B)
     for e in range(top_res, m0 - 1, -1):
         c = base.coefficient(e)
-        if not c.is_zero:
+        if c:
             raise Inconsistent(
                 0, f"residual coefficient at x^{e} is {c} with u_0 alone; "
                    "no moment can repair it",
             )
     for k in range(1, count + 1):
-        w1pow, w2pow = w1s[k], w2s[k]
+        w1pow = w1s[k]
         target = m0 - k
         beta_k = base.coefficient(target)
-        alpha = d_and_m(w1pow, w2pow)
+        alpha = d_and_m(w1pow)
         if not B.is_zero:
-            alpha = alpha - (e1s * w2pow + w1pow * e2s).mul_poly(B)
+            cross = e1s * w1pow.conjugate() + w1pow * e1s.conjugate()
+            alpha = alpha - rational(cross).mul_poly(B)
         alpha_k = alpha.coefficient(target)
-        if alpha_k.is_zero:
-            if beta_k.is_zero:
+        if alpha_k == 0:
+            if beta_k == 0:
                 if k in free_values:
-                    uk = field.coerce(free_values[k])
+                    uk = F(free_values[k])
                 else:
                     raise FreeMoment(k)
             else:
                 raise Inconsistent(k)
         else:
             uk = -beta_k / alpha_k
-        if not uk.is_rational:
-            raise Inconsistent(k, f"moment u_{k} = {uk} is not rational")
-        moments.append(uk.rational_value())
+        moments.append(uk)
         base = base + alpha * uk
         if not B.is_zero:
-            base = base - (w1pow * w2pow).mul_poly(B) * (uk * uk)
+            base = base - rational(w1pow * w1pow.conjugate()).mul_poly(B) * (uk * uk)
             e1s = e1s + w1pow * uk
-            e2s = e2s + w2pow * uk
     return moments
 
 
@@ -121,7 +122,7 @@ def problem_instances():
         if "riccati" not in spec:
             continue
         lat = build_lattice(*(F(c) for c in spec["lattice"]))
-        polys = [Poly(lat.field, [F(c) for c in spec["riccati"][name]])
+        polys = [Poly([F(c) for c in spec["riccati"][name]])
                  for name in "ABCD"]
         options = spec.get("options", {})
         count = max(options.get("trunc", 0), 2 * options.get("n_max", 0) + 2)
@@ -140,10 +141,9 @@ def random_instance(rng, lat):
     """Random data; half of it has D chosen so that u_0 = 1 satisfies the
     top equations, which lets the solve run to the end (or to a free or
     inconsistent moment deep down)."""
-    field = lat.field
-    A = random_poly(rng, field, max_degree=3, min_degree=rng.choice((0, 2)))
-    B = random_poly(rng, field, max_degree=2) if rng.random() < 0.6 else Poly.zero(field)
-    C = random_poly(rng, field, max_degree=2)
+    A = random_poly(rng, max_degree=3, min_degree=rng.choice((0, 2)))
+    B = random_poly(rng, max_degree=2) if rng.random() < 0.6 else Poly.zero()
+    C = random_poly(rng, max_degree=2)
     if rng.random() < 0.5:
         # the residual of S = 1/x is (-A - C p - B)/N - D, N = p^2 - r
         N = lat.p * lat.p - lat.r
@@ -151,7 +151,7 @@ def random_instance(rng, lat):
         if rng.random() < 0.3:
             D = D + random_fraction(rng)
     else:
-        D = random_poly(rng, field, max_degree=1)
+        D = random_poly(rng, max_degree=1)
     return RiccatiData(A, B, C, D, lat)
 
 
@@ -179,9 +179,8 @@ def test_random_instances():
 
 def test_free_moment_instance(reference_lattice):
     # the u_1 equation is vacuous (see test_free_moment_surfaced)
-    field = reference_lattice.field
-    ric = RiccatiData(Poly(field, [0, 0, 17]), Poly.zero(field),
-                      Poly(field, [0, -20]), Poly(field, [8]), reference_lattice)
+    ric = RiccatiData(Poly([0, 0, 17]), Poly.zero(),
+                      Poly([0, -20]), Poly([8]), reference_lattice)
     results = []
     for free_values in (None, {1: F(5)}, {1: F(0), 2: F(1, 3)}):
         expect = outcome(reference_solve_moments, ric, 6, free_values)

@@ -145,7 +145,7 @@ def _instance(path):
 
 def _data(ric, moments, n_max):
     beta, gamma = recurrence_from_moments(moments, n_max)
-    return smop_from_recurrence(ric.lattice.field, beta, gamma, n_max, moments=moments)
+    return smop_from_recurrence(beta, gamma, n_max, moments=moments)
 
 
 def _riccati_mutants(ric):
@@ -157,7 +157,7 @@ def _riccati_mutants(ric):
                 coeffs = list(poly.coeffs) + [0] * (i + 1 - len(poly.coeffs))
                 coeffs[i] += delta
                 polys = list(ric.polys())
-                polys[k] = Poly(ric.lattice.field, coeffs)
+                polys[k] = Poly(coeffs)
                 if not polys[0].is_zero:
                     yield f"{name}[{i}]{delta:+d}", RiccatiData(*polys, ric.lattice)
 
@@ -250,7 +250,7 @@ def test_shift_walk_matches_horner(conic):
     rng = random.Random(str(conic))
     for _ in range(2):
         beta, gamma = random_quasi_definite_recurrence(rng, SHIFT_N + 1)
-        data = smop_from_recurrence(lattice.field, beta, gamma, SHIFT_N, moments=[F(1)])
+        data = smop_from_recurrence(beta, gamma, SHIFT_N, moments=[F(1)])
         # in increasing order, releasing as the structure stage does, and
         # straight to the top on a fresh workspace
         walked = Workspace(lattice, data=data)
@@ -268,8 +268,7 @@ def test_shift_walk_matches_horner(conic):
 
 
 def test_shift_walk_stops_at_n_max(reference_lattice):
-    data = smop_from_recurrence(reference_lattice.field, [F(0)] * 4, [F(1)] * 4, 3,
-                                moments=[F(1)])
+    data = smop_from_recurrence([F(0)] * 4, [F(1)] * 4, 3, moments=[F(1)])
     ws = Workspace(reference_lattice, data=data)
     with pytest.raises(IndexError):
         ws.poly_shifts(4)
