@@ -13,8 +13,9 @@ exactness is ever lost in transit:
     }
 
 `riccati` may be combined with one moment source; `moments` and
-`recurrence` are mutually exclusive; `options` takes no other keys.  Exit
-codes: 0 success, 1 mathematical failure, 2 input or usage error.
+`recurrence` are mutually exclusive; an unknown key, at the top level or in
+`recurrence` or `options`, is an input error.  Exit codes: 0 success,
+1 mathematical failure, 2 input or usage error.
 """
 from __future__ import annotations
 
@@ -58,6 +59,8 @@ DEFAULT_N_MAX = 8
 DEFAULT_TRUNC = 28
 DEFAULT_DEG_BOUNDS = (4, 4, 4, 4)
 OPTION_KEYS = {"n_max", "trunc", "deg_bounds"}
+TOP_KEYS = {"lattice", "riccati", "moments", "recurrence", "options"}
+RECURRENCE_KEYS = {"beta", "gamma"}
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +81,7 @@ class ProblemFile:
     def from_dict(cls, raw: dict) -> "ProblemFile":
         if not isinstance(raw, dict):
             raise ProblemFileError("problem file must be a JSON object")
+        _reject_unknown(raw, TOP_KEYS, "key", "a problem file")
         try:
             conic_raw = raw["lattice"]
         except KeyError:
@@ -112,6 +116,7 @@ class ProblemFile:
             block = raw["recurrence"]
             if not isinstance(block, dict) or "beta" not in block or "gamma" not in block:
                 raise ProblemFileError("'recurrence' must contain 'beta' and 'gamma' arrays")
+            _reject_unknown(block, RECURRENCE_KEYS, "recurrence key", "'recurrence'")
             beta = [_rat(v, f"recurrence.beta[{i}]") for i, v in enumerate(block["beta"])]
             gamma = [_rat(v, f"recurrence.gamma[{i}]") for i, v in enumerate(block["gamma"])]
             if not gamma or gamma[0] != 1:
@@ -128,12 +133,7 @@ class ProblemFile:
         options = raw.get("options", {})
         if not isinstance(options, dict):
             raise ProblemFileError("'options' must be an object")
-        unknown = sorted(set(options) - OPTION_KEYS)
-        if unknown:
-            raise ProblemFileError(
-                f"unknown option(s) {', '.join(map(repr, unknown))}; "
-                f"'options' takes {', '.join(sorted(OPTION_KEYS))}"
-            )
+        _reject_unknown(options, OPTION_KEYS, "option", "'options'")
         n_max = options.get("n_max", DEFAULT_N_MAX)
         trunc = options.get("trunc", DEFAULT_TRUNC)
         if not isinstance(n_max, int) or n_max < 1:
@@ -206,6 +206,13 @@ def _rat(value, where: str) -> Fraction:
         return parse_rational(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ProblemFileError(f"bad rational at {where}: {value!r}") from exc
+
+
+def _reject_unknown(block: dict, allowed: set[str], noun: str, owner: str):
+    unknown = sorted(set(block) - allowed)
+    if unknown:
+        raise ProblemFileError(f"unknown {noun}(s) {', '.join(map(repr, unknown))}; "
+                               f"{owner} takes {', '.join(sorted(allowed))}")
 
 
 def _poly_coeffs(p: Poly) -> list[str]:

@@ -1,8 +1,8 @@
 """Coefficient arithmetic: exact rationals in transit and in products.
 
 Every coefficient in the package is a `Fraction`.  No computation needs
-sqrt(r) as a number: D and M map Q[x] and Q((1/x)) into themselves, and
-where sqrt(r) appears it stays symbolic (`SurdPoly`).
+sqrt(r) as a number: D and M map Q[x] and Q((1/x)) into themselves, and a
+sqrt(r) that appears stays symbolic, as v in a pair u + sqrt(r) v.
 
 `convolve` is the one exact product kernel for coefficient sequences.
 """

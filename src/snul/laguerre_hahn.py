@@ -7,12 +7,11 @@ Everything here revolves around the Riccati equation
 for a formal Stieltjes function S on a q-quadratic lattice.  The module
 checks the equation on truncated series, solves for moments sequentially,
 fits (A, B, C, D) by exact linear algebra, constructs the structure
-coefficients l_n, pi_n, Theta_n the constructive way (every divisibility
-fact the construction relies on becomes a runtime assertion), verifies the
-difference relations of the characterization in all their variants, runs
-two independent level recursions as oracles,
-reconstructs the Riccati data from the coefficients, and bundles the
-verdicts into a certificate.
+coefficients l_n, pi_n, Theta_n by Cramer's rule on the structure system
+and checks the result exactly, verifies the difference relations of the
+characterization in all their variants, runs two independent level
+recursions as oracles, reconstructs the Riccati data from the
+coefficients, and bundles the verdicts into a certificate.
 """
 from __future__ import annotations
 
@@ -42,7 +41,7 @@ from .lattice import (
 from .orthopoly import SMOPData, second_kind_series
 from .poly import Poly
 from .series import LaurentSeries
-from .surd import SurdPoly, surd_exact_div
+from .surd import SurdPoly
 
 HALF = Fraction(1, 2)
 
@@ -222,9 +221,10 @@ class Workspace:
 
     Holds q_n = P_n S - P1_{n-1} (q_0 is S itself); the (D, M) images of S
     and of each q_n; E1S E2S; (D f, M f) for f = P_n, P1_n, walked up the
-    recurrence (E2 f = M f + sqrt(r) D f, and E1 f is its conjugate); and
-    the rational pair (R, I) of the second-kind relations at each level
-    (`second_kind_pair`).  S defaults to the Stieltjes series of `data`.
+    recurrence (E2 f = M f + sqrt(r) D f, and E1 f is its conjugate); the
+    sides and residuals of the structure relations (`structure_sides`,
+    `structure_pair`) and of the second-kind relations (`second_kind_pair`)
+    at each level.  S defaults to the Stieltjes series of `data`.
     `data` may be attached after construction: the Riccati check needs only
     S, and the recurrence exists only once it has passed.
     """
@@ -293,6 +293,44 @@ class Workspace:
                 im = im - (m_s * d_q - d_s * m_q).mul_poly(B)
             return re, im
         return self._get(("RI", n, A, B, C, l, pi, theta), make)
+
+    def structure_sides(self, ric: RiccatiData, n: int):
+        """The known sides of the structure system at level n >= 1 as
+        rational pairs (u, v) of u + sqrt(r) v: X_n = A DP_n + (C/2) E2P_n
+        + B E2P1_{n-1} and Y_n = A DP1_{n-1} - (C/2) E2P1_{n-1} - D E2P_n."""
+        A, B, C, D = ric.polys()
+
+        def make():
+            half_C = C * HALF
+            d_pn, m_pn = self.poly_shifts(n)
+            d_p1, m_p1 = self.assoc_shifts(n - 1)
+            return ((A * d_pn + half_C * m_pn + B * m_p1, half_C * d_pn + B * d_p1),
+                    (A * d_p1 - half_C * m_p1 - D * m_pn, -(half_C * d_p1) - D * d_pn))
+        return self._get(("sides", n, A, B, C, D), make)
+
+    def structure_pair(self, ric: RiccatiData, coeffs: StructureCoeffs, n: int):
+        """((Ra, Ia), (Rb, Ib)) at level n >= 1, the one place where the
+        structure relations are formed.  With L = l + 2 pi sqrt(r) and
+        (l, pi, Theta) at level n - 1, the residuals of the E1 variant are
+
+            Ra + sqrt(r) Ia = X_n - L E1P_n - Theta E1P_{n-1},
+            Rb + sqrt(r) Ib = Y_n - L E1P1_{n-1} - Theta E1P1_{n-2},
+
+        and those of the E2 variant their sqrt(r)-conjugates.  Keyed by the
+        coefficient values it reads, like `second_kind_pair`."""
+        l, pi, theta = coeffs.l_at(n - 1), coeffs.pi_at(n - 1), coeffs.theta_at(n - 1)
+
+        def make():
+            r, pi2 = self.lattice.r, pi * 2
+
+            def residual(side, f, f_prev):
+                (u, v), (d, m), (d_prev, m_prev) = side, f, f_prev
+                return (u - l * m + r * (pi2 * d) - theta * m_prev,
+                        v - pi2 * m + l * d + theta * d_prev)
+            x, y = self.structure_sides(ric, n)
+            return (residual(x, self.poly_shifts(n), self.poly_shifts(n - 1)),
+                    residual(y, self.assoc_shifts(n - 1), self.assoc_shifts(n - 2)))
+        return self._get(("structure", n, *ric.polys(), l, pi, theta), make)
 
     def poly_shifts(self, n: int) -> tuple[Poly, Poly]:
         """(D P_n, M P_n), with P_{-1} = 0."""
@@ -617,63 +655,47 @@ def structure_coeffs_direct(ric: RiccatiData, data: SMOPData, n_max: int,
                             workspace: Workspace | None = None) -> StructureCoeffs:
     """Compute l_n, pi_n, Theta_n for n = -1..n_max-1 the constructive way.
 
-    For each n >= 1, with (D f, M f) of P_n, P1 = P1_{n-1} from the workspace
-    and N(f) = (M f)^2 - r (D f)^2 = E1 f E2 f, Theta_hat_{n-1} is
+    At level n >= 1 the two structure relations (`Workspace.structure_pair`)
+    are one linear system in L = l_{n-1} + 2 pi_{n-1} sqrt(r) and Theta_{n-1}:
+    L E1P_n + Theta E1P_{n-1} = X_n and L E1P1_{n-1} + Theta E1P1_{n-2} = Y_n.
+    Its determinant E1(P_n P1_{n-2} - P_{n-1} P1_{n-1}) is the constant
+    -gamma_0..gamma_{n-1} (Liouville-Ostrogradsky), so by Cramer's rule
 
-        A (D P_n M P1 - D P1 M P_n) + B N(P1) + C (M P1 M P_n - r D P1 D P_n)
-        + D N(P_n),
+        Theta_hat_{n-1} = E1P1_{n-1} X_n - E1P_n Y_n,
+        L = (E1P_{n-1} Y_n - E1P1_{n-2} X_n) / (gamma_0..gamma_{n-1}),
 
-    a polynomial by construction (in SurdPoly form its sqrt(r)-part cancels
-    identically), checked against its degree bound and divided by
-    gamma_0..gamma_{n-1}.  L_{n-1} = l_{n-1} + 2 pi_{n-1} sqrt(r) comes from
-    the first structure equation by exact surd division, which checks both
-    remainders, and the second equation is checked exactly; the E2 variants
-    are their sqrt(r)-conjugates.  Each failure raises the matching exception.
-    """
+    and no polynomial is divided.  Theta_hat is a polynomial (its
+    sqrt(r)-part cancels identically), checked against its degree bound;
+    Theta is Theta_hat / (gamma_0..gamma_{n-1}).  Both relations are then
+    checked exactly; each failure raises the matching exception."""
     lattice = ric.lattice
     ws = _workspace(workspace, lattice, data=data)
     if check_riccati:
         res = riccati_residual(ric, ws.s, workspace=ws)
         if not res.is_zero_within_window():
-            raise NotLaguerreHahn(
-                0,
-                f"Riccati residual nonzero at x^{res.leading_exponent()}",
-            )
-    A, B, C, D = ric.polys()
+            raise NotLaguerreHahn(0, f"Riccati residual nonzero at x^{res.leading_exponent()}")
     r = lattice.r
-    half_C = C * HALF
     bound = _theta_degree_bound(ric)
     coeffs = initial_structure_coeffs(ric, data)
     for n in range(1, n_max + 1):
+        (xu, xv), (yu, yv) = ws.structure_sides(ric, n)
         d_pn, m_pn = ws.poly_shifts(n)
         d_p1, m_p1 = ws.assoc_shifts(n - 1)
-        d_pn_prev, m_pn_prev = ws.poly_shifts(n - 1)
-        d_p1_prev, m_p1_prev = ws.assoc_shifts(n - 2)
-
-        theta_hat = (
-            A * (d_pn * m_p1 - d_p1 * m_pn)
-            + B * (m_p1 * m_p1 - r * (d_p1 * d_p1))
-            + C * (m_p1 * m_pn - r * (d_p1 * d_pn))
-            + D * (m_pn * m_pn - r * (d_pn * d_pn))
-        )
+        theta_hat = m_p1 * xu - m_pn * yu + r * (d_pn * yv - d_p1 * xv)
         if not theta_hat.is_zero and theta_hat.degree > bound:
             raise DegreeBoundExceeded(n - 1, theta_hat.degree, bound)
-        theta = theta_hat / data.gamma_product(n - 1)
-
-        # L E1 P_n = A D P_n + (C/2) E2 P_n + B E2 P1_{n-1} - Theta E1 P_{n-1}
-        numerator = SurdPoly(A * d_pn + half_C * m_pn + B * m_p1 - theta * m_pn_prev,
-                             half_C * d_pn + B * d_p1 + theta * d_pn_prev, r)
-        l_surd = surd_exact_div(numerator, SurdPoly(m_pn, -d_pn, r))
-        pi_poly = l_surd.v * HALF
-
-        # L E1 P1_{n-1} = A D P1_{n-1} - (C/2) E2 P1_{n-1} - D E2 P_n - Theta E1 P1_{n-2}
-        lhs2 = SurdPoly(A * d_p1 - half_C * m_p1 - D * m_pn - theta * m_p1_prev,
-                        theta * d_p1_prev - half_C * d_p1 - D * d_pn, r)
-        if lhs2 != l_surd * SurdPoly(m_p1, -d_p1, r):
-            raise NotLaguerreHahn(n, "second structure equation (E1 variant) failed")
-
-        coeffs.append_level(l_surd.u, pi_poly, theta, theta_hat)
-        coeffs.A_gathered.append(A + r * 2 * pi_poly)
+        g = data.gamma_product(n - 1)
+        d_pn_prev, m_pn_prev = ws.poly_shifts(n - 1)
+        d_p1_prev, m_p1_prev = ws.assoc_shifts(n - 2)
+        l_poly = (m_pn_prev * yu - m_p1_prev * xu
+                  + r * (d_p1_prev * xv - d_pn_prev * yv)) / g
+        pi_poly = (m_pn_prev * yv - d_pn_prev * yu
+                   - m_p1_prev * xv + d_p1_prev * xu) / (2 * g)
+        coeffs.append_level(l_poly, pi_poly, theta_hat / g, theta_hat)
+        coeffs.A_gathered.append(ric.A + r * 2 * pi_poly)
+        for which, (re, im) in zip(("first", "second"), ws.structure_pair(ric, coeffs, n)):
+            if not (re.is_zero and im.is_zero):
+                raise NotLaguerreHahn(n, f"{which} structure equation (E1 variant) failed")
         if workspace is None:
             ws.release_shifts(n)      # no later stage reads a private workspace
     return coeffs
@@ -683,29 +705,13 @@ def verify_structure_relations(ric: RiccatiData, data: SMOPData,
                                coeffs: StructureCoeffs, n: int,
                                workspace: Workspace | None = None):
     """Residuals of both lines of the two structure-relation variants at
-    level n (exact SurdPoly identities; all four must be zero).  The E2
-    variant is the sqrt(r)-conjugate of the E1 variant, line by line."""
+    level n as SurdPolys, all four zero when they hold: the E1 variant from
+    `Workspace.structure_pair`, the E2 variant its sqrt(r)-conjugate."""
     if n < 1:
         raise ValueError("structure relations are stated for n >= 1")
-    lattice = ric.lattice
-    r = lattice.r
-    A, B, C, D = ric.polys()
-    half_C = C * HALF
-    l = coeffs.l_at(n - 1)
-    pi = coeffs.pi_at(n - 1)
-    theta = coeffs.theta_at(n - 1)
-    l_plus = l + SurdPoly.sqrt_r(r) * (pi * 2)      # l_{n-1} + Delta_y pi_{n-1}
-
-    ws = _workspace(workspace, lattice, data=data)
-    # E1 f = M f - sqrt(r) D f
-    e1_pn, e1_p1, e1_pn_prev, e1_p1_prev = (SurdPoly(m, -d, r) for d, m in (
-        ws.poly_shifts(n), ws.assoc_shifts(n - 1),
-        ws.poly_shifts(n - 1), ws.assoc_shifts(n - 2)))
-    e2_pn, e2_p1 = e1_pn.conjugate(), e1_p1.conjugate()
-
-    res1a = (A * e2_pn.v) - l_plus * e1_pn + half_C * e2_pn + B * e2_p1 - theta * e1_pn_prev
-    res1b = (A * e2_p1.v) - l_plus * e1_p1 - half_C * e2_p1 - D * e2_pn - theta * e1_p1_prev
-    return (res1a, res1b), (res1a.conjugate(), res1b.conjugate())
+    ws = _workspace(workspace, ric.lattice, data=data)
+    res1 = tuple(SurdPoly(u, v, ric.lattice.r) for u, v in ws.structure_pair(ric, coeffs, n))
+    return res1, tuple(res.conjugate() for res in res1)
 
 
 def verify_second_kind_relations(ric: RiccatiData, data: SMOPData,
@@ -732,7 +738,9 @@ def gathered_relations(ric: RiccatiData, data: SMOPData,
                        coeffs: StructureCoeffs, s: LaurentSeries, n: int,
                        workspace: Workspace | None = None):
     """Residuals of the gathered (M-form) relations at level n >= 0: two
-    exact polynomial identities for P_{n+1} and P1_n, and one windowed series
+    exact polynomial identities for P_{n+1} and P1_n, the parts Ra and Rb of
+    `Workspace.structure_pair` at level n + 1 (A_{n+1} DP_{n+1} - (l_n - C/2)
+    MP_{n+1} + ... with A_{n+1} = A + 2 r pi_n), and one windowed series
     identity for q_n,
 
         A_n Dq_n - (l_{n-1} + C/2) Mq_n - Theta_{n-1} Mq_{n-1}
@@ -742,19 +750,8 @@ def gathered_relations(ric: RiccatiData, data: SMOPData,
     M(S q_n) = MS Mq_n + r DS Dq_n."""
     if n < 0:
         raise ValueError("gathered relations are stated for n >= 0")
-    B, D = ric.B, ric.D
-    half_C = ric.C * HALF
-    l_n = coeffs.l_at(n)
-    theta_n = coeffs.theta_at(n)
-    a_next = coeffs.A_at(n + 1)
     ws = _workspace(workspace, ric.lattice, s, data)
-    d_pnext, m_pnext = ws.poly_shifts(n + 1)
-    m_pn = ws.poly_shifts(n)[1]
-    d_p1, m_p1 = ws.assoc_shifts(n)
-    m_p1_prev = ws.assoc_shifts(n - 1)[1]
-
-    res_p = a_next * d_pnext - (l_n - half_C) * m_pnext + B * m_p1 - theta_n * m_pn
-    res_p1 = a_next * d_p1 - (l_n + half_C) * m_p1 - D * m_pnext - theta_n * m_p1_prev
+    (res_p, _), (res_p1, _) = ws.structure_pair(ric, coeffs, n + 1)
     return res_p, res_p1, ws.second_kind_pair(ric, coeffs, n)[0]
 
 
@@ -1076,18 +1073,14 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     if not guarded(structure_direct, "structure-direct"):
         return abort()
 
-    # structure relations, both variants
+    # structure relations: the E2 variant is the conjugate of the E1
+    # variant, so they fail together
     def structure_relations():
-        bad1, bad2 = [], []
-        for n in range(1, n_max + 1):
-            (r1a, r1b), (r2a, r2b) = verify_structure_relations(ric, data, coeffs, n,
-                                                                 workspace=ws)
-            if not (r1a.is_zero and r1b.is_zero):
-                bad1.append(n)
-            if not (r2a.is_zero and r2b.is_zero):
-                bad2.append(n)
-        return [verdict("structure-relations-1", bad1),
-                verdict("structure-relations-2", bad2)]
+        bad = [n for n in range(1, n_max + 1) if not all(
+            res.is_zero for res in verify_structure_relations(ric, data, coeffs, n,
+                                                              workspace=ws)[0])]
+        return [verdict("structure-relations-1", bad),
+                verdict("structure-relations-2", bad)]
     guarded(structure_relations, "structure-relations-1", "structure-relations-2")
 
     # second-kind relations

@@ -5,8 +5,8 @@ zeros trimmed.  The zero polynomial has degree None, a deliberate sentinel:
 degree arithmetic on zero must fail loudly instead of propagating -1.
 
 Products of two polynomials are computed by `fieldext.convolve`, the one
-exact product kernel, which `SurdPoly` products and `surd_exact_div` reach
-through `Poly.__mul__`.
+exact product kernel, reached from `SurdPoly` through `Poly.__mul__`; no
+job divides by a polynomial (`exact_div` serves `surd_exact_div`).
 """
 from __future__ import annotations
 

@@ -142,6 +142,21 @@ class TestExitCodes:
             assert captured.out == ""
             assert f"unknown option(s) '{key}'" in captured.err
 
+    @pytest.mark.parametrize("block, key", [(None, "option"), ("recurrence", "betas")])
+    def test_unknown_key_exit_2(self, tmp_path, capsys, block, key):
+        # a misspelled block is refused, not certified on the defaults
+        doc = reference_doc(recurrence={"beta": ["0"] * 9,
+                                        "gamma": ["1"] + ["-4/3"] * 8})
+        del doc["riccati"]
+        (doc if block is None else doc[block])[key] = {"n_max": 2}
+        path = write_problem(tmp_path, doc)
+        noun = "key" if block is None else f"{block} key"
+        for command in ("classify", "certify", "fit"):
+            assert main([command, path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"unknown {noun}(s) '{key}'" in captured.err
+
     def test_retired_discriminant_flag_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["certify", str(PROBLEMS / "qhermite.json"), "--discriminant", "5"])

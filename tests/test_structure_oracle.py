@@ -7,7 +7,12 @@ shift E_j P_n, E_j P1_n by Horner substitution (`apply_shift`), Theta_hat as
 a SurdPoly whose sqrt(r)-part is asserted zero, and all four structure
 identities checked.  Both routes must give equal coefficients and residuals,
 or raise the same exception with the same text, on the shipped instances,
-on +/-1 mutations of A, B, C, D and on single-moment perturbations.
+on +/-1 mutations of A, B, C, D and on single-moment perturbations.  With
+the degree bound of Theta_hat lifted, they must also agree on random
+Riccati data and random recurrences: the reference's exact division and
+second-equation check then show that the Cramer solution of the structure
+system is always exact.  The gathered polynomial identities are checked
+against their formulas from A_{n+1}, l_n and Theta_n.
 """
 import random
 from fractions import Fraction as F
@@ -19,6 +24,7 @@ from snul import (
     NotLaguerreHahn,
     NotQuasiDefinite,
     RiccatiData,
+    gathered_relations,
     SnulError,
     Workspace,
     build_lattice,
@@ -30,7 +36,8 @@ from snul import (
 )
 from snul.cli import ProblemFile
 from snul.errors import DegreeBoundExceeded
-from snul.laguerre_hahn import HALF, _theta_degree_bound, initial_structure_coeffs
+import snul.laguerre_hahn as lh
+from snul.laguerre_hahn import HALF, initial_structure_coeffs
 from snul.lattice import apply_shift
 from snul.poly import Poly
 from snul.surd import SurdPoly, surd_exact_div
@@ -39,6 +46,7 @@ from conftest import (
     IMAGINARY_CONIC,
     RATIONAL_CONICS,
     SURD_CONIC,
+    random_poly,
     random_quasi_definite_recurrence,
 )
 
@@ -62,7 +70,7 @@ def reference_structure(ric, data, n_max, sqrt_r_parts):
     lattice = ric.lattice
     A, B, C, D = ric.polys()
     half_C = C * HALF
-    bound = _theta_degree_bound(ric)
+    bound = lh._theta_degree_bound(ric)
     coeffs = initial_structure_coeffs(ric, data)
     for n in range(1, n_max + 1):
         e1_pn, e2_pn = _ref_shifts(lattice, data.poly(n))
@@ -108,6 +116,22 @@ def reference_structure(ric, data, n_max, sqrt_r_parts):
         coeffs.append_level(l_poly, pi_poly, theta, theta_hat)
         coeffs.A_gathered.append(A + lattice.r * 2 * pi_poly)
     return coeffs
+
+
+def reference_gathered(ric, data, coeffs, n):
+    """The gathered polynomial residuals at level n, from A_{n+1}, l_n and
+    Theta_n."""
+    half_C = ric.C * HALF
+    l_n, theta_n, a_next = coeffs.l_at(n), coeffs.theta_at(n), coeffs.A_at(n + 1)
+    m_pn = _ref_shifts(ric.lattice, data.poly(n))[1].u
+    e2_pnext = _ref_shifts(ric.lattice, data.poly(n + 1))[1]
+    e2_p1 = _ref_shifts(ric.lattice, data.assoc(n))[1]
+    m_p1_prev = _ref_shifts(ric.lattice, data.assoc(n - 1))[1].u
+    res_p = (a_next * e2_pnext.v - (l_n - half_C) * e2_pnext.u + ric.B * e2_p1.u
+             - theta_n * m_pn)
+    res_p1 = (a_next * e2_p1.v - (l_n + half_C) * e2_p1.u - ric.D * e2_pnext.u
+              - theta_n * m_p1_prev)
+    return res_p, res_p1
 
 
 def reference_relations(ric, data, coeffs, n):
@@ -215,8 +239,10 @@ def test_routes_agree():
             assert (verify_structure_relations(ric, data, got, n, workspace=ws)
                     == reference_relations(ric, data, ref, n)), (case_id, n)
     # every instance passes, and mutants stop at the degree bound of Theta_hat
-    # at level 0 and at later levels; none of these inputs gets past the bound
-    # to a failing exact division or second structure equation
+    # at level 0 and at later levels.  Past the bound nothing can fail: the
+    # structure system has the constant determinant -gamma_0..gamma_{n-1}, so
+    # its Cramer solution always divides exactly and meets both equations
+    # (test_cramer_solution_is_exact)
     texts = set(outcomes.values())
     assert "ok" in texts
     assert {t[-5:] for t in texts if "exceeds bound" in t} >= {f"n = {n}" for n in range(4)}
@@ -236,6 +262,55 @@ def test_relations_agree_on_tampered_coefficients(path):
         got = verify_structure_relations(ric, data, tampered, 1)
         assert got == reference_relations(ric, data, tampered, 1)
         assert not all(res.is_zero for pair in got for res in pair)
+
+
+@pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.stem)
+def test_gathered_matches_formulas(path):
+    ric, moments, n_max = _instance(path)
+    data = _data(ric, moments, n_max)
+    coeffs = structure_coeffs_direct(ric, data, n_max, check_riccati=False)
+    ws = Workspace(ric.lattice, data=data)
+    for n in range(n_max):
+        got = gathered_relations(ric, data, coeffs, ws.s, n, workspace=ws)[:2]
+        assert got == reference_gathered(ric, data, coeffs, n), (path.stem, n)
+        assert all(res.is_zero for res in got)
+    # each of l, pi, Theta at level 0 moved by one, with A_1 = A + 2 r pi_0
+    for which in range(3):
+        tampered = initial_structure_coeffs(ric, data)
+        level = [coeffs.l_at(0), coeffs.pi_at(0), coeffs.theta_at(0)]
+        level[which] = level[which] + 1
+        tampered.append_level(*level, coeffs.theta_hat_at(0))
+        tampered.A_gathered.append(ric.A + ric.lattice.r * 2 * level[1])
+        got = gathered_relations(ric, data, tampered, ws.s, 0, workspace=ws)[:2]
+        assert got == reference_gathered(ric, data, tampered, 0), (path.stem, which)
+        assert not all(res.is_zero for res in got)
+
+
+CRAMER_N_MAX = 6
+
+
+@pytest.mark.parametrize("conic", RATIONAL_CONICS + [SURD_CONIC, IMAGINARY_CONIC],
+                         ids=lambda c: ",".join(str(v) for v in c))
+def test_cramer_solution_is_exact(conic, monkeypatch):
+    # with no degree bound, random (A, B, C, D) on a random recurrence reach
+    # the exact division and the second equation of the reference route at
+    # every level; the reference raises there if either ever fails
+    monkeypatch.setattr(lh, "_theta_degree_bound", lambda ric: 10 ** 6)
+    lattice = build_lattice(*conic)
+    rng = random.Random(f"cramer {conic}")
+    for _ in range(5):
+        ric = RiccatiData(random_poly(rng, 3), *(
+            random_poly(rng, 3) if rng.random() < 0.75 else Poly.zero()
+            for _ in "BCD"), lattice)
+        beta, gamma = random_quasi_definite_recurrence(rng, CRAMER_N_MAX + 1)
+        data = smop_from_recurrence(beta, gamma, CRAMER_N_MAX, moments=[F(1)])
+        got = structure_coeffs_direct(ric, data, CRAMER_N_MAX, check_riccati=False)
+        ref = reference_structure(ric, data, CRAMER_N_MAX, [])
+        for name in ("l", "pi", "theta", "theta_hat", "A_gathered"):
+            assert getattr(got, name) == getattr(ref, name), name
+        for n in range(1, CRAMER_N_MAX + 1):
+            assert all(res.is_zero for pair in verify_structure_relations(
+                ric, data, got, n) for res in pair), n
 
 
 # -- the shift walk ------------------------------------------------------------------
