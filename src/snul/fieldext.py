@@ -1,17 +1,18 @@
-"""Coefficient arithmetic: exact rationals in transit and in products.
+"""Coefficient arithmetic: exact rationals in transit, integers in the kernels.
 
-Every coefficient in the package is a `Fraction`.  No computation needs
+Every coefficient in the package is rational.  No computation needs
 sqrt(r) as a number: D and M map Q[x] and Q((1/x)) into themselves, and a
 sqrt(r) that appears stays symbolic, as v in a pair u + sqrt(r) v.
 
-`convolve` is the one exact product kernel for coefficient sequences.
+`Poly` and `LaurentSeries` hold their coefficients as integer numerators
+over one denominator; the kernels here work on those integers.
+`_int_convolution` is the one exact product kernel, `_int_sum` the one sum
+and `_reduced` the one normalisation, a single gcd per result.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-
-_ZERO = Fraction(0)
+from math import gcd, lcm
 
 
 def parse_rational(text) -> Fraction:
@@ -29,19 +30,11 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def _numerators(cs) -> tuple[list[int], int]:
-    """Integer numerators of the rationals `cs` over their least common
-    denominator, and that denominator."""
-    dens = [c.denominator for c in cs]
-    den = lcm(*dens)
-    return [c.numerator * (den // q) for c, q in zip(cs, dens)], den
-
-
-def _int_convolution(xs: list[int], ys: list[int], length: int) -> list[int]:
-    """Entries 0..length-1 of the convolution of two integer sequences, cut
-    at the end of the full convolution."""
+def _int_convolution(xs, ys, length: int) -> list[int]:
+    """Entries 0..length-1 of the convolution of two integer sequences;
+    entries past the end of the full convolution are zero."""
     n = max(0, min(length, len(xs) + len(ys) - 1))
-    out = [0] * n
+    out = [0] * max(length, 0)
     for j, b in enumerate(ys[:n]):
         if b:
             for i, a in enumerate(xs[:n - j], j):
@@ -49,19 +42,23 @@ def _int_convolution(xs: list[int], ys: list[int], length: int) -> list[int]:
     return out
 
 
-def convolve(xs, ys, length: int) -> list[Fraction]:
-    """Coefficients 0..length-1 of the product of two coefficient sequences.
+def _int_sum(xs, x_den: int, ys, y_den: int, sign: int = 1) -> tuple[list[int], int]:
+    """Numerators over one denominator of xs / x_den + sign ys / y_den,
+    entry by entry, the shorter sequence padded with zeros at its end."""
+    den = lcm(x_den, y_den)
+    sx, sy = den // x_den, sign * (den // y_den)
+    out = [a * sx + b * sy for a, b in zip(xs, ys)]
+    if len(xs) < len(ys):
+        out += [b * sy for b in ys[len(xs):]]
+    else:
+        out += [a * sx for a in xs[len(ys):]]
+    return out, den
 
-    Output k is the sum of xs[i] * ys[k - i]; entries past the end of the
-    full product are zero.  This is the one exact product kernel behind
-    `Poly`, `LaurentSeries` and `mul_poly`.  Each operand is written as
-    integer numerators over its least common denominator and the plain ints
-    are convolved, so the gcd that normalises a Fraction runs once per
-    output coefficient instead of once per multiply-add.
-    """
-    x_nums, x_den = _numerators(xs)
-    y_nums, y_den = _numerators(ys)
-    den = x_den * y_den
-    out = [Fraction(c, den) if c else _ZERO
-           for c in _int_convolution(x_nums, y_nums, length)]
-    return out + [_ZERO] * (length - len(out))
+
+def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
+    """nums / den with gcd(den, *nums) = 1, for den > 0; all-zero numerators
+    come back over 1."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [a // g for a in nums], den // g

@@ -243,7 +243,9 @@ class Workspace:
         return out
 
     def q(self, n: int) -> LaurentSeries:
-        return self._get(("q", n), lambda: second_kind_series(self.data, self.s, n))
+        """q_n; above level 0 checked by one recurrence step from q_{n-2}, q_{n-1}."""
+        return self._get(("q", n), lambda: second_kind_series(
+            self.data, self.s, n, (self.q(n - 2), self.q(n - 1)) if n > 0 else None))
 
     def series(self, n: int | None = None) -> LaurentSeries:
         """S (n None) or q_n."""
@@ -482,9 +484,11 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
             )
 
     for k in range(1, count + 1):
-        # u_k enters S with x^(-k-1), whose images are row k + 1
+        # u_k enters S with x^(-k-1), whose images are row k + 1; alpha_k
+        # reads them at most max_deg - m0 powers below x^-k
         row = rows[k + 1]
-        dk, mk = [Fraction(0)] * (depth + 1), [Fraction(0)] * (depth + 1)
+        width = k - m0 + max_deg + 1
+        dk, mk = [Fraction(0)] * width, [Fraction(0)] * width
         add_dm_row(dk, mk, Fraction(1), row, k + 1, n2)
         target = m0 - k
         beta_k = residual(target)

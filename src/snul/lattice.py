@@ -16,8 +16,8 @@ through one table: with N = y1 y2 = p^2 - r, both take x^(-k) to rational
 functions over Q, whose expansions the lattice keeps row by row
 (`Lattice.dm_table`) as integer numerators over powers of the leading
 coefficient of N, scaled to an integer polynomial.  D s and M s are integer
-linear combinations of those rows, with one Fraction formed per output
-coefficient.  E_j s = M s -/+ sqrt(r) D s is the only image that needs
+linear combinations of those rows with the numerators of s, each reduced by
+one gcd.  E_j s = M s -/+ sqrt(r) D s is the only image that needs
 sqrt(r) as a series; the relations of the characterization are checked on
 D s and M s alone, so E_j s (with the sqrt(r) and 1/y_j expansions) serves
 as an independent oracle, on lattices where the leading coefficient of r
@@ -34,7 +34,6 @@ from .errors import (
     InvalidConic,
     UnsupportedLatticeClass,
 )
-from .fieldext import _numerators
 from .poly import Poly
 from .series import LaurentSeries, sqrt_series
 from .surd import SurdPoly
@@ -322,7 +321,7 @@ def add_dm_row(ds: list, ms: list, value: Fraction, row, k: int, n2: int) -> Non
             scale *= n2
 
 
-def _row_combination(rows, n2: int, low: int, nums: list[int], n: int):
+def _row_combination(rows, n2: int, low: int, nums: tuple[int, ...], n: int):
     """Integer numerators of sum_k w_k D x^(-k) (x^0 .. x^-(n+1)) and of
     sum_k w_k M x^(-k) (x^0 .. x^-n) for k = low .. K, where w_k is
     nums[k - low] over a common denominator den; entry i of each is over
@@ -347,38 +346,38 @@ def _operator_series(lattice: Lattice, s: LaurentSeries):
     x^(-n): an unknown coefficient of s at x^(-n-1) changes D s from
     x^(-n-2) and M s from x^(-n-1) on.  The images of the negative powers
     x^(-k), k = 1..K, of s are rows of the lattice's D/M table: their
-    coefficients are written as integer numerators over one common
+    coefficients are read as the integer numerators of s over its
     denominator den, each image coefficient x^(-i) is one integer
-    combination of row entries over den n2^(K+i), and one Fraction is formed
-    per output coefficient.  Nonnegative powers go through the polynomial
-    images.
+    combination of row entries over den n2^(K+i), and each image is reduced
+    by one gcd.  Nonnegative powers go through the polynomial images.
     """
     n = s.truncation_order
     ds = LaurentSeries.zero(n + 1)
     ms = LaurentSeries.zero(n)
-    bottom = s.lowest_power - len(s.coefficients) + 1 if s.coefficients else 0
+    top, nums, den = s.lowest_power, s.nums, s.den
+    bottom = top - len(nums) + 1 if nums else 0
     if bottom <= -1:
-        low, high = max(1, -s.lowest_power), -bottom
+        low, high = max(1, -top), -bottom
         n2, rows = lattice.dm_table(n + 1, high)
-        nums, den = _numerators([s._padded(-k) for k in range(low, high + 1)])
 
         def assemble(part, window):
-            out, scale = [], den * n2 ** high
-            for a in part:
-                out.append(Fraction(a, scale) if a else _ZERO)
+            # entry i is over den n2^(high+i): bring all over the last one
+            scale = 1
+            for i in range(len(part) - 1, -1, -1):
+                part[i] *= scale
                 scale *= n2
-            return LaurentSeries(0, out, window)
+            total = den * n2 ** (high - 1) * scale
+            if total < 0:
+                part, total = [-a for a in part], -total
+            return LaurentSeries._from_ints(0, part, total, window)
 
-        acc_d, acc_m = _row_combination(rows, n2, low, nums, n)
+        acc_d, acc_m = _row_combination(rows, n2, low, nums[top + low:], n)
         ds = assemble(acc_d, n + 1)
         ms = assemble(acc_m, n)
-    top = s._effective_top()
     if top >= 0:
-        poly_part = Poly([s._padded(e) for e in range(top + 1)])
-        if not poly_part.is_zero:
-            image = apply_shift(lattice, poly_part, 2)
-            ds = ds + LaurentSeries.from_poly(image.v, n + 1)
-            ms = ms + LaurentSeries.from_poly(image.u, n)
+        image = apply_shift(lattice, Poly._from_ints(s._aligned(top, top + 1)[::-1], den), 2)
+        ds = ds + LaurentSeries.from_poly(image.v, n + 1)
+        ms = ms + LaurentSeries.from_poly(image.u, n)
     return ds, ms
 
 

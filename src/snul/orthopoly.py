@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import InsufficientTruncation, InvalidRecurrence, NotQuasiDefinite
@@ -110,35 +111,35 @@ def moments_from_recurrence(beta, gamma, order: int) -> list[Fraction]:
     """u_k for k = 0..order via powers of the tridiagonal recurrence operator.
 
     u_k is the P_0-component of x^k expanded in the monic basis; each step is
-    one application of the Jacobi-form operator, O(order^2) exact rational
-    work in total.
+    one application of the Jacobi-form operator, O(order^2) exact work in
+    total.  With beta and gamma written over one common denominator L, the
+    components of x^k are integer numerators over L^k, and one Fraction is
+    formed per moment.
     """
     if order < 0:
         raise ValueError("moment order must be nonnegative")
-    beta = [Fraction(b) for b in beta]
-    gamma = [Fraction(g) for g in gamma]
-    size = order + 1
+    beta = [Fraction(b) for b in beta[:order]]
+    gamma = [Fraction(g) for g in gamma[:order]]
     if order > 0 and (len(beta) < order or len(gamma) < order):
         raise InvalidRecurrence(
             f"need recurrence coefficients up to index {order - 1} for u_0..u_{order}"
         )
-    v = [Fraction(0)] * (size + 1)
-    v[0] = Fraction(1)
-    out = [Fraction(1)]
-    support = 0
-    for _ in range(order):
-        nxt = [Fraction(0)] * (size + 1)
-        for i in range(support + 1):
-            vi = v[i]
-            if vi == 0:
-                continue
-            nxt[i + 1] += vi
-            nxt[i] += beta[i] * vi
-            if i > 0:
-                nxt[i - 1] += gamma[i] * vi
-        support += 1
-        v = nxt
-        out.append(v[0])
+    den = lcm(*(c.denominator for c in beta + gamma))
+    b = [c.numerator * (den // c.denominator) for c in beta]
+    g = [c.numerator * (den // c.denominator) for c in gamma]
+    v, out, scale = [1], [Fraction(1)], 1
+    for k in range(1, order + 1):
+        nxt = [0] * (len(v) + 1)
+        for i, vi in enumerate(v):
+            if vi:
+                nxt[i + 1] += den * vi
+                nxt[i] += b[i] * vi
+                if i > 0:
+                    nxt[i - 1] += g[i] * vi
+        # component i reaches u only after i more steps
+        v = nxt[:order - k + 1]
+        scale *= den
+        out.append(Fraction(v[0], scale))
     return out
 
 
@@ -203,12 +204,18 @@ def hankel_determinant(moments, n: int, shift: int = 0) -> Fraction:
     return det
 
 
-def second_kind_series(data: SMOPData, s: LaurentSeries, n: int) -> LaurentSeries:
+def second_kind_series(data: SMOPData, s: LaurentSeries, n: int,
+                       lower: tuple[LaurentSeries, LaurentSeries] | None = None,
+                       ) -> LaurentSeries:
     """q_n = P_n S - P1_{n-1}, cross-checked against the three-term recurrence
-    and against the required O(x^(-n-1)) decay.
+    q_n = (x - beta_{n-1}) q_{n-1} - gamma_{n-1} q_{n-2} and against the
+    required O(x^(-n-1)) decay.
 
-    q_{-1} is the constant series 1.  Raises InvalidRecurrence when either
-    check fails, InsufficientTruncation when S is too short for level n.
+    q_{-1} is the constant series 1.  `lower` holds (q_{n-2}, q_{n-1}), as
+    returned here, for a check by one recurrence step; without it the
+    recurrence is walked up from q_{-1} and q_0 = S.  Raises
+    InvalidRecurrence when either check fails, InsufficientTruncation when S
+    is too short for level n.
     """
     if n == -1:
         return LaurentSeries.constant(1, s.truncation_order)
@@ -222,10 +229,9 @@ def second_kind_series(data: SMOPData, s: LaurentSeries, n: int) -> LaurentSerie
         data.assoc(n - 1), s.truncation_order - n
     )
     # recurrence route: q_{k+1} = (x - beta_k) q_k - gamma_k q_{k-1}
-    q_prev = LaurentSeries.constant(1, s.truncation_order)
-    q_cur = s
+    q_prev, q_cur = lower or (LaurentSeries.constant(1, s.truncation_order), s)
     x = Poly.x()
-    for k in range(n):
+    for k in range(n - 1 if lower else 0, n):
         q_nxt = q_cur.mul_poly(x - data.beta[k]) - q_prev * data.gamma[k]
         q_prev, q_cur = q_cur, q_nxt
     mismatch = q_def.first_disagreement(q_cur)
@@ -234,12 +240,11 @@ def second_kind_series(data: SMOPData, s: LaurentSeries, n: int) -> LaurentSerie
             f"q_{n} by definition and by recurrence disagree at x^{mismatch}: "
             "P_n, P1_n do not follow beta, gamma"
         )
-    for e in range(q_def._effective_top(), -n - 1, -1):
-        if q_def.coefficient(e):
-            raise InvalidRecurrence(
-                f"moments inconsistent with recurrence: q_{n} fails "
-                f"O(x^-{n + 1}) decay at x^{e}"
-            )
+    if not q_def.is_zero and q_def.lowest_power >= -n:
+        raise InvalidRecurrence(
+            f"moments inconsistent with recurrence: q_{n} fails "
+            f"O(x^-{n + 1}) decay at x^{q_def.lowest_power}"
+        )
     return q_def
 
 

@@ -1,32 +1,51 @@
 """Dense univariate polynomials over Q.
 
-Coefficients are Fractions stored ascending (index = degree) with trailing
-zeros trimmed.  The zero polynomial has degree None, a deliberate sentinel:
-degree arithmetic on zero must fail loudly instead of propagating -1.
+Stored as integer numerators `nums`, ascending (index = degree), trailing
+zeros trimmed, over one denominator `den` > 0 with gcd(den, *nums) = 1, so
+equal polynomials have equal (nums, den); `__eq__` and `__hash__` read them.
+Arithmetic runs on the integers with one gcd per result, and `coeffs`, the
+Fractions, is formed on first read.  The zero polynomial is () over 1 and has
+degree None, a deliberate sentinel: degree arithmetic on zero must fail
+loudly instead of propagating -1.
 
-Products of two polynomials are computed by `fieldext.convolve`, the one
-exact product kernel, reached from `SurdPoly` through `Poly.__mul__`; no
-job divides by a polynomial (`exact_div` serves `surd_exact_div`).
+Products of two polynomials are computed by `fieldext._int_convolution`,
+the one exact product kernel, reached from `SurdPoly` through
+`Poly.__mul__`; no job divides by a polynomial (`exact_div` serves
+`surd_exact_div`).
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .errors import DivisionNotExact
-from .fieldext import convolve, parse_rational
+from .fieldext import _int_convolution, _int_sum, _reduced, parse_rational
 
 _ZERO = Fraction(0)
 
 
 class Poly:
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den", "_coeffs")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [c if c.__class__ is Fraction else parse_rational(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
+        # reduced Fractions over the lcm of their denominators need no gcd
+        den = lcm(*(c.denominator for c in cs))
+        self.nums, self.den = tuple(c.numerator * (den // c.denominator) for c in cs), den
+        self._coeffs = tuple(cs)
+
+    @classmethod
+    def _from_ints(cls, nums: list[int], den: int) -> "Poly":
+        """The polynomial sum_k nums[k] x^k / den, for den > 0."""
+        while nums and not nums[-1]:
+            nums.pop()
+        nums, den = _reduced(nums, den)
+        p = cls.__new__(cls)
+        p.nums, p.den, p._coeffs = tuple(nums), den, None
+        return p
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -47,29 +66,36 @@ class Poly:
 
     # -- structure ---------------------------------------------------------
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, ascending, formed on first read."""
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(a, self.den) for a in self.nums)
+        return self._coeffs
+
+    @property
     def degree(self) -> int | None:
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.nums) - 1 if self.nums else None
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
+        if 0 <= k < len(self.nums):
             return self.coeffs[k]
         return _ZERO
 
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.nums) and self.nums[-1] == self.den
 
     # -- ring operations ---------------------------------------------------
     @staticmethod
@@ -77,17 +103,14 @@ class Poly:
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, Fraction)):
-            return Poly.constant(other)
+            return Poly._from_ints([other.numerator], other.denominator)
         return None
 
     def __add__(self, other):
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Poly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+        return Poly._from_ints(*_int_sum(self.nums, self.den, o.nums, o.den))
 
     __radd__ = __add__
 
@@ -95,9 +118,7 @@ class Poly:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        out = [x - y for x, y in zip(a, b)]
-        return Poly(out + list(a[len(out):]) + [-y for y in b[len(out):]])
+        return Poly._from_ints(*_int_sum(self.nums, self.den, o.nums, o.den, -1))
 
     def __rsub__(self, other):
         o = self._coerce_operand(other)
@@ -106,19 +127,19 @@ class Poly:
         return o - self
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return Poly._from_ints([-a for a in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return Poly.zero()
-            return Poly([c * other for c in self.coeffs])
+            num = other.numerator
+            return Poly._from_ints([a * num for a in self.nums], self.den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
+        if not self.nums or not other.nums:
             return Poly.zero()
-        n = len(self.coeffs) + len(other.coeffs) - 1
-        return Poly(convolve(self.coeffs, other.coeffs, n))
+        n = len(self.nums) + len(other.nums) - 1
+        return Poly._from_ints(_int_convolution(self.nums, other.nums, n),
+                               self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -188,10 +209,10 @@ class Poly:
             other = Poly.constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         return f"Poly({self})"

@@ -6,50 +6,69 @@ powers of x from there) and a truncation order N: coefficients of x^(-k) for
 k > N are unknown, not zero.  Exponents above the leading one and exponents
 between the last stored coefficient and -N are known zeros.
 
+The coefficients are integer numerators `nums`, cut at the window, leading
+and trailing zeros trimmed, over one denominator `den` > 0 with
+gcd(den, *nums) = 1 (a series zero within its window is () over 1), so equal
+series have equal stored values.  Arithmetic runs on the integers with one
+gcd per result, and `coefficients`, the Fractions, is formed on first read.
+
 Window propagation is pessimistic by design: a product or inverse is only
 claimed on exponents that are fully determined by the known coefficients of
 the operands.  Equality questions therefore only ever compare the common
 valid window.
 
-Products (`__mul__` and `mul_poly`) are computed by `fieldext.convolve`, the
-one exact product kernel, cut at the length of the result's window.
+Products (`__mul__` and `mul_poly`) are computed by
+`fieldext._int_convolution`, the one exact product kernel, cut at the
+length of the result's window.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable
 
 from .errors import InsufficientTruncation
-from .fieldext import convolve, parse_rational
+from .fieldext import _int_convolution, _int_sum, _reduced, parse_rational
 from .poly import Poly
 
 _ZERO = Fraction(0)
 
 
 class LaurentSeries:
-    __slots__ = ("lowest_power", "coefficients", "truncation_order")
+    __slots__ = ("lowest_power", "nums", "den", "truncation_order", "_coefficients")
 
     def __init__(self, lowest_power: int, coefficients: Iterable, truncation_order: int):
         cs = [c if c.__class__ is Fraction else parse_rational(c) for c in coefficients]
-        top = lowest_power
-        # Drop entries below the window, then leading and trailing zeros.
-        max_len = top + truncation_order + 1
-        if max_len < len(cs):
-            cs = cs[: max(max_len, 0)]
-        while cs and not cs[0]:
-            cs.pop(0)
-            top -= 1
-        while cs and not cs[-1]:
-            cs.pop()
-        self.lowest_power = top if cs else -truncation_order - 1
-        self.coefficients = tuple(cs)
-        self.truncation_order = truncation_order
+        # entries below the window must not reach the denominator
+        del cs[max(lowest_power + truncation_order + 1, 0):]
+        den = lcm(*(c.denominator for c in cs))
+        self._set(lowest_power, [c.numerator * (den // c.denominator) for c in cs],
+                  den, truncation_order)
+
+    @classmethod
+    def _from_ints(cls, top: int, nums: list[int], den: int, order: int) -> "LaurentSeries":
+        """sum_i nums[i] x^(top-i) / den known down to x^-order, for den > 0."""
+        s = cls.__new__(cls)
+        s._set(top, nums, den, order)
+        return s
+
+    def _set(self, top: int, nums: list[int], den: int, order: int) -> None:
+        """Cut nums at the window, trim its zeros and reduce it by one gcd."""
+        end = max(min(len(nums), top + order + 1), 0)
+        while end > 0 and not nums[end - 1]:
+            end -= 1
+        start = 0
+        while start < end and not nums[start]:
+            start += 1
+        nums, den = _reduced(nums[start:end], den)
+        self.lowest_power = top - start if nums else -order - 1
+        self.nums, self.den, self.truncation_order = tuple(nums), den, order
+        self._coefficients = None
 
     # -- constructors --------------------------------------------------------
     @classmethod
     def zero(cls, order: int) -> "LaurentSeries":
-        return cls(-order - 1, (), order)
+        return cls._from_ints(-order - 1, [], 1, order)
 
     @classmethod
     def constant(cls, c, order: int) -> "LaurentSeries":
@@ -60,7 +79,7 @@ class LaurentSeries:
         """Embed a polynomial; every coefficient down to x^(-order) is known."""
         if p.is_zero:
             return cls.zero(order)
-        return cls(p.degree, p.coeffs[::-1], order)
+        return cls._from_ints(p.degree, list(p.nums[::-1]), p.den, order)
 
     @classmethod
     def from_moments(cls, moments: Iterable) -> "LaurentSeries":
@@ -70,8 +89,15 @@ class LaurentSeries:
 
     # -- access ----------------------------------------------------------------
     @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The stored coefficients as Fractions, formed on first read."""
+        if self._coefficients is None:
+            self._coefficients = tuple(Fraction(a, self.den) for a in self.nums)
+        return self._coefficients
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self.nums
 
     def known_exponent(self, e: int) -> bool:
         return e >= -self.truncation_order
@@ -84,45 +110,55 @@ class LaurentSeries:
     def _effective_top(self) -> int:
         """Leading exponent for window propagation; a window-zero series may
         first become nonzero just below the window."""
-        return self.lowest_power if self.coefficients else -self.truncation_order - 1
+        return self.lowest_power if self.nums else -self.truncation_order - 1
 
     def leading_exponent(self) -> int:
-        if not self.coefficients:
+        if not self.nums:
             raise ValueError("series is zero within its window")
         return self.lowest_power
 
     def leading_coefficient(self) -> Fraction:
-        if not self.coefficients:
+        if not self.nums:
             raise ValueError("series is zero within its window")
         return self.coefficients[0]
+
+    def _aligned(self, top: int, length: int) -> list[int]:
+        """Numerators of x^top .. x^(top-length+1), zeros outside the stored
+        range; top is at least the leading exponent."""
+        out = [0] * (top - self.lowest_power) + list(self.nums) if self.nums else []
+        del out[length:]
+        return out + [0] * (length - len(out))
 
     # -- arithmetic --------------------------------------------------------------
     def _coerce(self, other) -> "LaurentSeries | None":
         if isinstance(other, LaurentSeries):
             return other
         if isinstance(other, (int, Fraction)):
-            return LaurentSeries.constant(other, self.truncation_order)
+            return LaurentSeries._from_ints(0, [other.numerator], other.denominator,
+                                            self.truncation_order)
         return None
+
+    def _combine(self, o: "LaurentSeries", sign: int) -> "LaurentSeries":
+        order = min(self.truncation_order, o.truncation_order)
+        top = max(self._effective_top(), o._effective_top())
+        if top < -order:
+            return LaurentSeries.zero(order)
+        length = top + order + 1
+        nums, den = _int_sum(self._aligned(top, length), self.den,
+                             o._aligned(top, length), o.den, sign)
+        return LaurentSeries._from_ints(top, nums, den, order)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        order = min(self.truncation_order, o.truncation_order)
-        top = max(self._effective_top(), o._effective_top())
-        if top < -order:
-            return LaurentSeries.zero(order)
-        cs = [
-            self._padded(e) + o._padded(e)
-            for e in range(top, -order - 1, -1)
-        ]
-        return LaurentSeries(top, cs, order)
+        return self._combine(o, 1)
 
     __radd__ = __add__
 
     def _padded(self, e: int) -> Fraction:
         idx = self.lowest_power - e
-        if 0 <= idx < len(self.coefficients):
+        if 0 <= idx < len(self.nums):
             return self.coefficients[idx]
         return _ZERO
 
@@ -130,28 +166,24 @@ class LaurentSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._combine(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o._combine(self, -1)
 
     def __neg__(self):
-        return LaurentSeries(
-            self.lowest_power,
-            [-c for c in self.coefficients],
-            self.truncation_order,
-        )
+        return LaurentSeries._from_ints(self.lowest_power, [-a for a in self.nums],
+                                        self.den, self.truncation_order)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return LaurentSeries(
-                self.lowest_power,
-                [c * other for c in self.coefficients],
-                self.truncation_order,
-            )
+            num = other.numerator
+            return LaurentSeries._from_ints(self.lowest_power, [a * num for a in self.nums],
+                                            self.den * other.denominator,
+                                            self.truncation_order)
         if isinstance(other, Poly):
             return self.mul_poly(other)
         o = self._coerce(other)
@@ -161,13 +193,13 @@ class LaurentSeries:
             self.truncation_order - o._effective_top(),
             o.truncation_order - self._effective_top(),
         )
-        if not self.coefficients or not o.coefficients:
+        if not self.nums or not o.nums:
             return LaurentSeries.zero(order)
         top = self.lowest_power + o.lowest_power
         if top < -order:
             return LaurentSeries.zero(order)
-        out = convolve(self.coefficients, o.coefficients, top + order + 1)
-        return LaurentSeries(top, out, order)
+        out = _int_convolution(self.nums, o.nums, top + order + 1)
+        return LaurentSeries._from_ints(top, out, self.den * o.den, order)
 
     __rmul__ = __mul__
 
@@ -176,19 +208,19 @@ class LaurentSeries:
         if p.is_zero:
             return LaurentSeries.zero(self.truncation_order)
         order = self.truncation_order - p.degree
-        if not self.coefficients:
+        if not self.nums:
             return LaurentSeries.zero(order)
         top = self.lowest_power + p.degree
         if top < -order:
             return LaurentSeries.zero(order)
         # p's coefficients in descending powers, like the series' own
-        out = convolve(self.coefficients, p.coeffs[::-1], top + order + 1)
-        return LaurentSeries(top, out, order)
+        out = _int_convolution(self.nums, p.nums[::-1], top + order + 1)
+        return LaurentSeries._from_ints(top, out, self.den * p.den, order)
 
     def inverse(self) -> "LaurentSeries":
         """Reciprocal series; the window deepens/shrinks by twice the leading
         exponent, so relative precision is preserved exactly."""
-        if not self.coefficients:
+        if not self.nums:
             raise ZeroDivisionError("inverse of a series with no nonzero known coefficient")
         L = self.lowest_power
         order = self.truncation_order + 2 * L
@@ -215,7 +247,7 @@ class LaurentSeries:
     def restrict(self, order: int) -> "LaurentSeries":
         if order > self.truncation_order:
             raise InsufficientTruncation(required=order, available=self.truncation_order)
-        return LaurentSeries(self.lowest_power, self.coefficients, order)
+        return LaurentSeries._from_ints(self.lowest_power, list(self.nums), self.den, order)
 
     # -- comparison within windows -------------------------------------------
     def common_order(self, other: "LaurentSeries") -> int:
@@ -226,9 +258,10 @@ class LaurentSeries:
         o = self._coerce(other)
         order = self.common_order(o)
         top = max(self._effective_top(), o._effective_top())
-        for e in range(top, -order - 1, -1):
-            if self._padded(e) != o._padded(e):
-                return e
+        length = max(top + order + 1, 0)
+        for i, (a, b) in enumerate(zip(self._aligned(top, length), o._aligned(top, length))):
+            if a * o.den != b * self.den:
+                return top - i
         return None
 
     def agrees_with(self, other) -> bool:
@@ -238,7 +271,7 @@ class LaurentSeries:
         return self.first_disagreement(o) is None
 
     def is_zero_within_window(self) -> bool:
-        return not self.coefficients
+        return not self.nums
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -246,14 +279,15 @@ class LaurentSeries:
         return (
             self.truncation_order == other.truncation_order
             and self.lowest_power == other.lowest_power
-            and self.coefficients == other.coefficients
+            and self.nums == other.nums
+            and self.den == other.den
         )
 
     def __hash__(self):
-        return hash((self.lowest_power, self.coefficients, self.truncation_order))
+        return hash((self.lowest_power, self.nums, self.den, self.truncation_order))
 
     def __repr__(self):
-        if not self.coefficients:
+        if not self.nums:
             return f"O(x^-{self.truncation_order + 1})"
         parts = []
         for i, c in enumerate(self.coefficients[:8]):

@@ -498,7 +498,7 @@ class TestCertify:
     def test_second_kind_errors_recorded_not_raised(self, reference_lattice, monkeypatch):
         import snul.laguerre_hahn as lh
 
-        def rejecting(data, s, n):
+        def rejecting(data, s, n, lower=None):
             raise InvalidRecurrence(f"q_{n} rejected")
 
         monkeypatch.setattr(lh, "second_kind_series", rejecting)
@@ -603,9 +603,9 @@ class TestCertify:
         import snul.laguerre_hahn as lh
         levels = []
 
-        def counting(data, s, n):
+        def counting(data, s, n, lower=None):
             levels.append(n)
-            return second_kind_series(data, s, n)
+            return second_kind_series(data, s, n, lower)
 
         monkeypatch.setattr(lh, "second_kind_series", counting)
         cert = certify(qhermite_corecursive_riccati(reference_lattice), n_max=4, order=18)

@@ -179,8 +179,13 @@ class TestSecondKind:
         data = build(self.beta[:13], self.gamma[:13], 12,
                      moments=self.data.moments)
         data.P[3] = data.P[3] + Poly.constant(1)
+        s = data.stieltjes()
         with pytest.raises(InvalidRecurrence, match="disagree"):
-            second_kind_series(data, data.stieltjes(), 3)
+            second_kind_series(data, s, 3)
+        # one step from the two levels below, as a workspace forms it
+        lower = (second_kind_series(data, s, 1), second_kind_series(data, s, 2))
+        with pytest.raises(InvalidRecurrence, match="disagree"):
+            second_kind_series(data, s, 3, lower)
 
 
 class TestLiouville:

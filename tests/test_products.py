@@ -1,20 +1,22 @@
-"""The exact product kernel against a schoolbook reference.
+"""The exact product kernel and the integer storage against schoolbook
+references.
 
-`fieldext.convolve` computes every Poly product, LaurentSeries product and
-`mul_poly` on integer numerators over each operand's common denominator.
-The references here multiply coefficient by coefficient with Fraction
-arithmetic, one exact operation per multiply-add, and index series
-coefficients by exponent, so they share no code with the kernel.
+`fieldext._int_convolution` computes every Poly product, LaurentSeries
+product and `mul_poly` on the integer numerators each object stores over its
+one denominator.  The references here multiply coefficient by coefficient
+with Fraction arithmetic, one exact operation per multiply-add, and index
+series coefficients by exponent, so they share no code with the kernel.
 """
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snul import LaurentSeries, Poly
-from snul.fieldext import convolve
+from snul.fieldext import _int_convolution
 
 
 def schoolbook(xs, ys, length):
@@ -68,14 +70,22 @@ CASES = [
 over_q = pytest.mark.parametrize("cases", [CASES], ids=["Q"])
 
 
+def numerators(cs):
+    """Integer numerators of the rationals cs over their least common
+    denominator."""
+    den = lcm(*(c.denominator for c in cs))
+    return [int(c * den) for c in cs]
+
+
 class TestKernel:
     @over_q
     def test_matches_schoolbook_at_every_length(self, cases):
         for xs, ys in cases:
+            xs, ys = numerators(xs), numerators(ys)
             full = len(xs) + len(ys) - 1 if xs and ys else 0
             for length in range(0, full + 3):
                 for a, b in ((xs, ys), (ys, xs)):
-                    out = convolve(a, b, length)
+                    out = _int_convolution(a, b, length)
                     assert len(out) == length
                     assert out == schoolbook(a, b, length)
 
@@ -170,3 +180,134 @@ class TestMulPoly:
                 assert prod.is_zero and prod.truncation_order == order
                 continue
             assert_series_product(prod, by_exponent(f), dict(enumerate(p.coeffs)), order)
+
+
+# -- the integer storage ---------------------------------------------------------
+
+def assert_stored_form(x):
+    """den > 0, one gcd of 1, no zero at either end of a series or at the top
+    of a polynomial, nothing below a series' window, and the Fractions the
+    integers stand for."""
+    nums, den = x.nums, x.den
+    assert den > 0 and gcd(den, *nums) == 1
+    if isinstance(x, Poly):
+        assert not nums or nums[-1]
+        assert x.coeffs == tuple(F(a, den) for a in nums)
+    else:
+        assert x.coefficients == tuple(F(a, den) for a in nums)
+        if nums:
+            assert nums[0] and nums[-1]
+            assert x.lowest_power - len(nums) + 1 >= -x.truncation_order
+        else:
+            assert x.lowest_power == -x.truncation_order - 1
+
+
+def assert_poly(p, terms):
+    """p has the coefficients {degree: value} of terms."""
+    assert_stored_form(p)
+    for k in range(max([len(p.nums), *(k + 1 for k in terms)])):
+        assert p.coefficient(k) == terms.get(k, 0), k
+
+
+def assert_series(s, terms, order):
+    """s is known down to x^-order with the coefficients {exponent: value}
+    of terms there."""
+    assert_stored_form(s)
+    assert s.truncation_order == order
+    for e in range(max([0, s.lowest_power, *terms]) + 1, -order - 1, -1):
+        assert s.coefficient(e) == terms.get(e, 0), e
+
+
+def combine(f_terms, g_terms, sign=1, cut=None):
+    out = dict(f_terms)
+    for e, b in g_terms.items():
+        out[e] = out.get(e, 0) + sign * b
+    return {e: c for e, c in out.items() if c and (cut is None or e >= -cut)}
+
+
+def product(f_terms, g_terms, cut=None):
+    out = {}
+    for ea, a in f_terms.items():
+        for eb, b in g_terms.items():
+            out[ea + eb] = out.get(ea + eb, 0) + a * b
+    return {e: c for e, c in out.items() if c and (cut is None or e >= -cut)}
+
+
+# mixed signs, unrelated denominators and zeros
+rationals = st.one_of(st.just(F(0)), coefficients)
+scalars = st.one_of(st.integers(-6, 6), rationals)
+raw_polys = st.lists(rationals, max_size=6)
+
+
+@st.composite
+def raw_series(draw):
+    """(top, entries, order); entries may run past the window."""
+    return (draw(st.integers(-3, 3)), draw(st.lists(rationals, max_size=12)),
+            draw(st.integers(0, 9)))
+
+
+def build_series(raw):
+    top, entries, order = raw
+    terms = {top - i: c for i, c in enumerate(entries) if c and top - i >= -order}
+    return LaurentSeries(top, entries, order), terms, order
+
+
+class TestIntegerStorage:
+    @settings(max_examples=80, deadline=None)
+    @given(xs=raw_polys, ys=raw_polys, c=scalars)
+    def test_poly_operations(self, xs, ys, c):
+        a, b = Poly(xs), Poly(ys)
+        a_terms = {k: v for k, v in enumerate(xs) if v}
+        b_terms = {k: v for k, v in enumerate(ys) if v}
+        assert_poly(a, a_terms)
+        assert_poly(a + b, combine(a_terms, b_terms))
+        assert_poly(a - b, combine(a_terms, b_terms, -1))
+        assert_poly(-a, {k: -v for k, v in a_terms.items()})
+        assert_poly(a * c, {k: v * c for k, v in a_terms.items() if c})
+        assert_poly(a * b, product(a_terms, b_terms))
+
+    @settings(max_examples=80, deadline=None)
+    @given(f_raw=raw_series(), g_raw=raw_series(), ps=raw_polys, c=scalars,
+           cut=st.integers(0, 9))
+    def test_series_operations(self, f_raw, g_raw, ps, c, cut):
+        f, f_terms, f_order = build_series(f_raw)
+        g, g_terms, g_order = build_series(g_raw)
+        assert_series(f, f_terms, f_order)
+        order = min(f_order, g_order)
+        assert_series(f + g, combine(f_terms, g_terms, cut=order), order)
+        assert_series(f - g, combine(f_terms, g_terms, -1, cut=order), order)
+        assert_series(-f, {e: -v for e, v in f_terms.items()}, f_order)
+        assert_series(f * c, {e: v * c for e, v in f_terms.items() if c}, f_order)
+
+        def top(terms, order):
+            return max(terms) if terms else -order - 1
+        order = min(f_order - top(g_terms, g_order), g_order - top(f_terms, f_order))
+        assert_series(f * g, product(f_terms, g_terms, cut=order), order)
+
+        p = Poly(ps)
+        p_terms = {k: v for k, v in enumerate(ps) if v}
+        if p_terms:
+            order = f_order - max(p_terms)
+            assert_series(f.mul_poly(p), product(f_terms, p_terms, cut=order), order)
+        else:
+            assert_series(f.mul_poly(p), {}, f_order)
+        cut = min(cut, f_order)
+        assert_series(f.restrict(cut), {e: v for e, v in f_terms.items() if e >= -cut}, cut)
+        assert_series(LaurentSeries.from_poly(p, cut),
+                      {k: v for k, v in p_terms.items() if k >= -cut}, cut)
+
+    def test_equal_values_are_equal_and_hash_equal(self):
+        a, b = Poly([F(1, 2), 1]), Poly([2, 4]) * F(1, 4)
+        assert a == b and hash(a) == hash(b)
+        c = Poly([F(1, 6), F(1, 3)]) + Poly([F(1, 3), F(2, 3)])   # over 6, reduced
+        assert c == a and hash(c) == hash(a) and c.den == 2
+        routes = [
+            LaurentSeries(1, [F(1, 2), 1, 0, F(5, 7)], 1),
+            LaurentSeries.from_poly(Poly([1, F(1, 2)]), 1),
+            (LaurentSeries(1, [2, 4], 7) * F(1, 4)).restrict(1),
+            LaurentSeries(1, [F(1, 6), F(1, 3)], 1) + LaurentSeries(1, [F(1, 3), F(2, 3)], 4),
+            LaurentSeries(0, [1, 2], 2) * LaurentSeries(1, [F(1, 2)], 9),
+        ]
+        for s in routes:
+            assert_stored_form(s)
+            assert s == routes[0] and hash(s) == hash(routes[0])
