@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -33,9 +34,8 @@ from .errors import (
 )
 from .lattice import (
     Lattice,
+    _add_row,
     _operator_series,
-    add_dm_row,
-    e1e2_coefficient,
     e1e2_series,
 )
 from .orthopoly import SMOPData, second_kind_series
@@ -438,65 +438,79 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
     power down; each is affine in the newest moment (the quadratic term pairs
     it with u_0 only at lower powers).  Raises Inconsistent(k) when an
     equation cannot be satisfied, FreeMoment(k) when the equation is vacuous
-    and no value for u_k was supplied in free_values.
+    and no value for u_k was supplied in free_values, ValueError when count
+    is negative.
 
-    DS and MS are kept as running sums of the rows of the lattice's D/M
-    table, and E1S E2S enters as (MS)^2 - r (DS)^2, so each equation costs
-    the few residual coefficients it reads: O(count) work per moment.
+    DS and MS are running sums of the rows of the lattice's D/M table, as
+    integer numerators: entry i is over L n2^(K+i), with K = count + 1, L
+    the lcm of the moment denominators so far and n2 the int the table is
+    over, so row k enters with weight n2^(K-k).  E1S E2S enters as (MS)^2 -
+    r (DS)^2.  Each equation costs O(count) integer work and one Fraction
+    per A, B, C and D term.
     """
+    if count < 0:
+        raise ValueError("moment count must be nonnegative")
     lattice = ric.lattice
     A, B, C, D = ric.polys()
-    deg_terms = [A.degree - 2]
-    if not B.is_zero:
-        deg_terms.append(B.degree - 2)
-    if not C.is_zero:
-        deg_terms.append(C.degree - 1)
-    m0 = max(deg_terms)
+    m0 = max(p.degree - drop for p, drop in ((A, 2), (B, 2), (C, 1)) if not p.is_zero)
     top_res = max(m0, D.degree if not D.is_zero else m0)
     max_deg = max(d.degree for d in (A, B, C, D) if not d.is_zero)
     # the equation for u_k sits at x^(m0 - k) and reads DS, MS and E1S E2S
     # at most max_deg powers lower
-    depth = count - m0 + max_deg
-    n2, rows = lattice.dm_table(depth, count + 1)
+    depth, K = count - m0 + max_deg, count + 1
+    n2, rows = lattice.dm_table(depth, K)
+    n2_K = n2 ** K
+    c, _, _, r0, r1, r2 = lattice._scaled_coefficients()[:6]
     # DS and MS of the moments so far, u_0 = 1: coefficients of x^0 .. x^-depth
-    ds, ms = [Fraction(0)] * (depth + 1), [Fraction(0)] * (depth + 1)
-    add_dm_row(ds, ms, Fraction(1), rows[1], 1, n2)
+    ds, ms, L = [0] * (depth + 1), [0] * (depth + 1), 1
+    _add_row(ds, ms, n2 ** (K - 1), rows[1], 1)
 
-    def at_power(poly, e, value):
-        """Coefficient of x^e in poly times the series whose x^-m
-        coefficient is value(m)."""
-        return sum((c * value(i - e) for i, c in enumerate(poly.coeffs)
-                    if c and i - e > 0), Fraction(0))
+    def conv(f, g, m, low_f, low_g):
+        # the x^-m coefficient of f g; f has no terms above x^-low_f, g none above x^-low_g
+        if m < low_f + low_g:
+            return 0
+        return sum(map(mul, f[low_f:m - low_g + 1], g[m - low_f:low_g - 1:-1]))
+
+    def at_power(poly, e, value, den):
+        # the x^e coefficient of poly times the series whose x^-m
+        # coefficient is value(m) / (den n2^m)
+        top = max(len(poly.nums) - 1 - e, 0)
+        total = sum(a * value(i - e) * n2 ** (top - i + e)
+                    for i, a in enumerate(poly.nums) if a and i > e)
+        return Fraction(total, poly.den * den * n2 ** top)
+
+    def terms(e, d, m, low, den, factor):
+        # the x^e coefficient of A Df - C Mf - factor B (MS Mf - r DS Df) for the
+        # lists d, m of Df, Mf over den n2^i, Mf without terms above x^-low; with
+        # r = (r0 + r1 x + r2 x^2) / c, e1e2(j) is over c L n2^K den n2^(j+2)
+        def e1e2(j):
+            dd0, dd1, dd2 = (conv(ds, d, i, 2, low + 1) for i in (j, j + 1, j + 2))
+            mm = conv(ms, m, j, 1, low)
+            return factor * (n2 * (n2 * (c * mm - r0 * dd0) - r1 * dd1) - r2 * dd2)
+        return (at_power(A, e, d.__getitem__, den) - at_power(C, e, m.__getitem__, den)
+                - at_power(B, e, e1e2, c * L * n2_K * den * n2 * n2))
 
     def residual(e):
-        out = (at_power(A, e, ds.__getitem__) - at_power(C, e, ms.__getitem__)
-               - at_power(B, e, lambda m: e1e2_coefficient(lattice, ds, ms, ds, ms, m)))
-        return out - D.coefficient(e) if e >= 0 else out
+        return terms(e, ds, ms, 1, L * n2_K, 1) - D.coefficient(e)
 
     free_values = free_values or {}
     moments = [Fraction(1)]
     for e in range(top_res, m0 - 1, -1):
-        c = residual(e)
-        if c:
+        res = residual(e)
+        if res:
             raise Inconsistent(
-                0, f"residual coefficient at x^{e} is {c} with u_0 alone; "
+                0, f"residual coefficient at x^{e} is {res} with u_0 alone; "
                    "no moment can repair it",
             )
 
     for k in range(1, count + 1):
-        # u_k enters S with x^(-k-1), whose images are row k + 1; alpha_k
-        # reads them at most max_deg - m0 powers below x^-k
-        row = rows[k + 1]
-        width = k - m0 + max_deg + 1
-        dk, mk = [Fraction(0)] * width, [Fraction(0)] * width
-        add_dm_row(dk, mk, Fraction(1), row, k + 1, n2)
-        target = m0 - k
-        beta_k = residual(target)
-        alpha_k = (
-            at_power(A, target, dk.__getitem__) - at_power(C, target, mk.__getitem__)
-            - at_power(B, target,
-                       lambda m: 2 * e1e2_coefficient(lattice, ds, ms, dk, mk, m))
-        )
+        # u_k enters S with x^(-k-1), whose images are row k + 1 (over n2^(K+i)
+        # once weighted); alpha_k reads them at most max_deg - m0 powers below x^-k
+        row, weight = rows[k + 1], n2 ** (K - k - 1)
+        dk, mk = [0] * (k - m0 + max_deg + 1), [0] * (k - m0 + max_deg + 1)
+        _add_row(dk, mk, weight, row, k + 1)
+        beta_k = residual(m0 - k)
+        alpha_k = terms(m0 - k, dk, mk, k + 1, n2_K, 2)
         if not alpha_k:
             if beta_k:
                 raise Inconsistent(k)
@@ -506,7 +520,10 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
         else:
             u = -beta_k / alpha_k
         moments.append(u)
-        add_dm_row(ds, ms, u, row, k + 1, n2)
+        if L % u.denominator:
+            scale = u.denominator // gcd(L, u.denominator)
+            ds, ms, L = [a * scale for a in ds], [a * scale for a in ms], L * scale
+        _add_row(ds, ms, u.numerator * (L // u.denominator) * weight, row, k + 1)
     return moments
 
 

@@ -39,9 +39,6 @@ from .series import LaurentSeries, sqrt_series
 from .surd import SurdPoly
 
 
-_ZERO = Fraction(0)
-
-
 class LatticeClass(Enum):
     LINEAR = "linear"
     Q_LINEAR = "q-linear"
@@ -303,22 +300,18 @@ def apply_M(lattice: Lattice, f: Poly) -> Poly:
 
 # -- operators on Laurent series ----------------------------------------------
 
-def add_dm_row(ds: list, ms: list, value: Fraction, row, k: int, n2: int) -> None:
-    """ds += value D x^(-k) and ms += value M x^(-k), in place, for row k of
-    `Lattice.dm_table` (entry i over n2^(k+i)) and lists of Fractions
-    indexed by the power of 1/x.
+def _add_row(acc_d: list, acc_m: list, w: int, row, k: int) -> None:
+    """acc_d += w d and acc_m += w m, in place, for row k = (d, m) of
+    `Lattice.dm_table` and integer lists indexed by the power of 1/x.
 
-    D x^(-k) has no term above x^(-k-1) and M x^(-k) none above x^(-k); each
-    list is updated as deep as it goes (the table must reach that deep).
-    Each nonzero term is formed as one Fraction from integer products.
+    D x^(-k) has no term above x^(-k-1) and M x^(-k) none above x^(-k);
+    each list is updated as deep as it goes (the row must reach that deep).
     """
-    num, den = value.numerator, value.denominator * n2 ** k
-    for acc, nums, start in ((ds, row[0], k + 1), (ms, row[1], k)):
-        scale = den * n2 ** start
-        for i in range(start, len(acc)):
-            if nums[i]:
-                acc[i] += Fraction(num * nums[i], scale)
-            scale *= n2
+    d, m = row
+    for i in range(k + 1, len(acc_d)):
+        acc_d[i] += w * d[i]
+    for i in range(k, len(acc_m)):
+        acc_m[i] += w * m[i]
 
 
 def _row_combination(rows, n2: int, low: int, nums: tuple[int, ...], n: int):
@@ -330,12 +323,7 @@ def _row_combination(rows, n2: int, low: int, nums: tuple[int, ...], n: int):
     acc_d, acc_m = [0] * (n + 2), [0] * (n + 1)
     for k, num in enumerate(nums, low):
         if num:
-            w = num * n2 ** (high - k)
-            d, m = rows[k]
-            for i in range(k + 1, n + 2):
-                acc_d[i] += w * d[i]
-            for i in range(k, n + 1):
-                acc_m[i] += w * m[i]
+            _add_row(acc_d, acc_m, num * n2 ** (high - k), rows[k], k)
     return acc_d, acc_m
 
 
@@ -430,21 +418,6 @@ def e1e2_series(lattice: Lattice, s: LaurentSeries, ds: LaurentSeries,
     n = ms.truncation_order
     prod = ms * ms - (ds * ds).mul_poly(lattice.r)
     return prod.restrict(n - s._effective_top())
-
-
-def e1e2_coefficient(lattice: Lattice, d1, m1, d2, m2, i: int):
-    """The x^(-i) coefficient of M f1 M f2 - r D f1 D f2, which is
-    (E1 f1 E2 f2 + E2 f1 E1 f2) / 2, from coefficient lists of the images
-    indexed by the power of 1/x, for series f1, f2 without terms above
-    x^-1 (so D f has none above x^-2 and M f none above x^-1)."""
-    r0, r1, r2 = (lattice.r.coefficient(e) for e in range(3))
-
-    def conv(f, g, m, low):
-        # the x^-m coefficient of f g, neither with terms above x^-low
-        return sum((f[a] * g[m - a] for a in range(low, m - low + 1)), _ZERO)
-
-    return (conv(m1, m2, i, 1) - r0 * conv(d1, d2, i, 2)
-            - r1 * conv(d1, d2, i + 1, 2) - r2 * conv(d1, d2, i + 2, 2))
 
 
 # -- floating-point lattice point diagnostics ----------------------------------

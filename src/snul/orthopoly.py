@@ -13,6 +13,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import InsufficientTruncation, InvalidRecurrence, NotQuasiDefinite
+from .fieldext import _reduced
 from .poly import Poly
 from .series import LaurentSeries
 
@@ -148,8 +149,12 @@ def recurrence_from_moments(moments, n_max: int) -> tuple[list[Fraction], list[F
 
     Returns beta_0..beta_{n_max} and gamma_0..gamma_{n_max} (gamma_0 = 1).
     Raises NotQuasiDefinite naming the first level whose Hankel determinant
-    vanishes.  Needs moments u_0..u_{2 n_max + 1}.
+    vanishes, ValueError when n_max is negative.  Needs moments
+    u_0..u_{2 n_max + 1}.  Each row sigma_k is integer numerators over one
+    denominator, reduced by one gcd; only beta_k and gamma_k are Fractions.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     u = [Fraction(m) for m in moments]
     need = 2 * n_max + 2
     if len(u) < need:
@@ -157,20 +162,27 @@ def recurrence_from_moments(moments, n_max: int) -> tuple[list[Fraction], list[F
                                      message=f"need {need} moments for n_max = {n_max}")
     if u[0] != 1:
         raise InvalidRecurrence(f"u_0 must equal 1 (got {u[0]})")
-    sigma_prev = [Fraction(0)] * len(u)          # sigma_{k-2, l}
-    sigma = list(u)                              # sigma_{k-1, l} starting at k = 1
+    den = lcm(*(m.denominator for m in u))
+    # sigma_{k-2, l} over den_prev and sigma_{k-1, l} over den, from k = 1
+    den_prev, sigma_prev = 1, [0] * len(u)
+    sigma = [m.numerator * (den // m.denominator) for m in u]
     beta = [u[1] / u[0]]
     gamma = [Fraction(1)]
     for k in range(1, n_max + 1):
-        top = len(u) - k
-        nxt = [Fraction(0)] * len(u)
-        for l in range(k, top):
-            nxt[l] = sigma[l + 1] - beta[k - 1] * sigma[l] - gamma[k - 1] * sigma_prev[l]
+        # sigma_{k,l} = sigma_{k-1,l+1} - beta_{k-1} sigma_{k-1,l} - gamma_{k-1} sigma_{k-2,l}
+        b, g = beta[-1], gamma[-1]
+        den_next = lcm(den * b.denominator, den_prev * g.denominator)
+        w, wg = den_next // den, g.numerator * (den_next // (den_prev * g.denominator))
+        wb = b.numerator * (w // b.denominator)
+        nxt = [0] * k + [w * sigma[l + 1] - wb * sigma[l] - wg * sigma_prev[l]
+                         for l in range(k, len(u) - k)]
         if nxt[k] == 0:
             raise NotQuasiDefinite(k)
-        gamma.append(nxt[k] / sigma[k - 1])
-        beta.append(nxt[k + 1] / nxt[k] - sigma[k] / sigma[k - 1])
-        sigma_prev, sigma = sigma, nxt
+        nxt, den_next = _reduced(nxt, den_next)
+        gamma.append(Fraction(nxt[k] * den, den_next * sigma[k - 1]))
+        beta.append(Fraction(nxt[k + 1] * sigma[k - 1] - sigma[k] * nxt[k],
+                             nxt[k] * sigma[k - 1]))
+        den_prev, sigma_prev, den, sigma = den, sigma, den_next, nxt
     return beta, gamma
 
 

@@ -99,9 +99,6 @@ class LaurentSeries:
     def is_zero(self) -> bool:
         return not self.nums
 
-    def known_exponent(self, e: int) -> bool:
-        return e >= -self.truncation_order
-
     def coefficient(self, e: int) -> Fraction:
         if e < -self.truncation_order:
             raise InsufficientTruncation(required=-e, available=self.truncation_order)

@@ -16,7 +16,11 @@ an oracle independent of the recurrence walk and the D/M-form structure
 stage.  The certify cases at --n-max 12 were written by the version that
 formed E1 q_n, E2 q_n and E1 S, E2 S with the sqrt(r) series and the gathered
 B term through the product S q_n, so they are an oracle independent of the
-rational (R, I) route of the second-kind and gathered relations.  To
+rational (R, I) route of the second-kind and gathered relations.  The
+co-recursive certify case at --n-max 16 was written by the version whose
+Riccati moment solver and Chebyshev algorithm did one Fraction operation per
+multiply-add, so it is an oracle independent of the integer moment maps at
+trunc 34 and 16 levels.  To
 regenerate after an intended change of the output, run
 `snul <command> <problem> <extra arguments>` and, for certify, delete the
 "timings" entry; the file is tests/data/<command>_<name>.json, with <name>
@@ -52,6 +56,8 @@ CASES = (
     # twelve levels of the second-kind and gathered relations, B = 0 and B != 0
     + [("certify", ROOT / "problems" / f"{stem}.json", ["--n-max", "12"])
        for stem in ("qhermite", "qhermite_corecursive")]
+    # both moment maps at depth, B != 0
+    + [("certify", ROOT / "problems" / "qhermite_corecursive.json", ["--n-max", "16"])]
 )
 
 

@@ -121,6 +121,12 @@ class TestSolveMoments:
             solve_moments_from_riccati(ric, 4)
         assert exc.value.k == 0
 
+    @pytest.mark.parametrize("count", [-1, -3])
+    def test_negative_count_rejected(self, semiclassical, count):
+        ric, _, _ = semiclassical
+        with pytest.raises(ValueError):
+            solve_moments_from_riccati(ric, count)
+
     def test_free_moment_surfaced(self, reference_lattice):
         # engineered so the u_1 equation is vacuous: with A = 17 x^2,
         # C = -20 x the leading contributions -(5/2) a_2 and (17/8) c_1

@@ -20,6 +20,20 @@ from snul import (
 
 from conftest import random_quasi_definite_recurrence
 
+
+def wide_recurrence(rng, n_top):
+    """(beta, gamma) with gamma_0 = 1, nonzero gamma_n and unrelated
+    denominators up to 97."""
+    def entry():
+        return F(rng.randint(-97, 97), rng.randint(1, 97))
+    beta = [entry() for _ in range(n_top + 1)]
+    gamma = [F(1)]
+    while len(gamma) <= n_top:
+        g = entry()
+        if g:
+            gamma.append(g)
+    return beta, gamma
+
 def build(beta, gamma, n_max, **kw):
     return smop_from_recurrence(beta, gamma, n_max, **kw)
 
@@ -88,15 +102,17 @@ class TestMoments:
         assert moments[4] == F(1, 8)
 
     def test_roundtrip_with_recurrence(self):
+        # with every gamma_n != 0 the Hankel determinants H_n = prod_k
+        # gamma_k^(n-k) never vanish, so no instance may raise
         rng = random.Random(17)
-        for _ in range(10):
-            n_max = 6
-            beta, gamma = random_quasi_definite_recurrence(rng, 2 * n_max + 2)
+        for i in range(40):
+            n_max = rng.randint(1, 9)
+            if i % 2:
+                beta, gamma = wide_recurrence(rng, 2 * n_max + 2)
+            else:
+                beta, gamma = random_quasi_definite_recurrence(rng, 2 * n_max + 2)
             moments = moments_from_recurrence(beta, gamma, 2 * n_max + 1)
-            try:
-                beta2, gamma2 = recurrence_from_moments(moments, n_max)
-            except NotQuasiDefinite:
-                continue  # random gammas occasionally hit a degenerate Hankel
+            beta2, gamma2 = recurrence_from_moments(moments, n_max)
             assert beta2 == beta[: n_max + 1]
             assert gamma2 == gamma[: n_max + 1]
 
@@ -111,6 +127,52 @@ class TestMoments:
         for n in range(1, 6):
             assert gamma2[n] == h[n + 1] * h[n - 1] / (h[n] ** 2)
 
+    def test_hankel_oracle_unrelated_denominators(self):
+        rng = random.Random(29)
+        for _ in range(6):
+            n_max = rng.randint(2, 6)
+            beta, gamma = wide_recurrence(rng, 2 * n_max + 2)
+            moments = moments_from_recurrence(beta, gamma, 2 * n_max + 1)
+            _, gamma2 = recurrence_from_moments(moments, n_max)
+            h = [hankel_determinant(moments, n) for n in range(n_max + 2)]
+            for n in range(1, n_max + 1):
+                assert gamma2[n] == h[n + 1] * h[n - 1] / (h[n] ** 2)
+
+    @pytest.mark.parametrize("positive", [True, False], ids=["positive", "signed"])
+    def test_not_quasi_definite_matches_hankel(self, positive):
+        # the moments of a measure with m distinct nodes give a Hankel
+        # matrix of rank m: H_{m+1} = 0, and H_1..H_m > 0 for positive
+        # weights; with signed weights the last one is chosen in half the
+        # cases to make H_2 = sum_{i<j} w_i w_j (x_i - x_j)^2 vanish
+        rng = random.Random(31 if positive else 37)
+        early = 0
+        for _ in range(16):
+            m = rng.randint(1, 5)
+            nodes = rng.sample(sorted({F(a, b) for a in range(-9, 10) for b in (1, 2, 3, 7)}), m)
+            weights = [F(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(m)]
+            if not positive:
+                weights = [w * rng.choice((-1, 1)) for w in weights]
+                if m >= 3 and rng.random() < 0.5:
+                    *ws, _ = weights
+                    pairs = sum(ws[i] * ws[j] * (nodes[i] - nodes[j]) ** 2
+                                for i in range(m - 1) for j in range(i))
+                    weights[-1] = -pairs / sum(w * (x - nodes[-1]) ** 2 for w, x in zip(ws, nodes))
+            if 0 in weights or sum(weights) == 0:
+                continue
+            total = sum(weights)
+            n_max = m + rng.randint(0, 2)
+            moments = [sum(w * x ** j for w, x in zip(weights, nodes)) / total
+                       for j in range(2 * n_max + 2)]
+            first = next(n for n in range(1, n_max + 1)
+                         if hankel_determinant(moments, n + 1) == 0)
+            with pytest.raises(NotQuasiDefinite) as exc:
+                recurrence_from_moments(moments, n_max)
+            assert exc.value.n == first
+            if positive:
+                assert first == m
+            early += first < m
+        assert early >= (0 if positive else 3)
+
     def test_two_periodic_moments(self):
         # u = (1, 0, 1, 0): beta_0 = 0, gamma_1 = 1 from the 2x2 Hankel data
         beta, gamma = recurrence_from_moments([F(1), F(0), F(1), F(0)], 1)
@@ -124,6 +186,8 @@ class TestMoments:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             moments_from_recurrence([F(0)], [F(1)], -1)
+        with pytest.raises(ValueError):
+            recurrence_from_moments([F(1), F(0), F(1), F(0)], -1)
 
 
 class TestSecondKind:
