@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -32,6 +32,7 @@ from .errors import (
     SnulError,
     Underdetermined,
 )
+from .fieldext import _nullspace
 from .lattice import (
     Lattice,
     _add_row,
@@ -44,6 +45,7 @@ from .series import LaurentSeries
 from .surd import SurdPoly
 
 HALF = Fraction(1, 2)
+_ZERO_PAIR, _ONE_PAIR = (Poly.zero(), Poly.zero()), (Poly.zero(), Poly.one())
 
 
 # ---------------------------------------------------------------------------
@@ -133,20 +135,11 @@ class StructureCoeffs:
         return self.A_gathered[n]
 
     def degrees(self) -> dict[str, list[int | None]]:
-        return {
-            "l": [p.degree for p in self.l],
-            "pi": [p.degree for p in self.pi],
-            "theta": [p.degree for p in self.theta],
-            "theta_hat": [p.degree for p in self.theta_hat],
-            "A_gathered": [p.degree for p in self.A_gathered],
-        }
+        return {name: [p.degree for p in getattr(self, name)]
+                for name in ("l", "pi", "theta", "theta_hat", "A_gathered")}
 
     def same_as(self, other: "StructureCoeffs") -> bool:
-        return (
-            self.l == other.l
-            and self.pi == other.pi
-            and self.theta == other.theta
-        )
+        return (self.l, self.pi, self.theta) == (other.l, other.pi, other.theta)
 
 
 @dataclass
@@ -303,11 +296,13 @@ class Workspace:
         A, B, C, D = ric.polys()
 
         def make():
-            half_C = C * HALF
+            half_C, dot = C * HALF, Poly.dot
             d_pn, m_pn = self.poly_shifts(n)
             d_p1, m_p1 = self.assoc_shifts(n - 1)
-            return ((A * d_pn + half_C * m_pn + B * m_p1, half_C * d_pn + B * d_p1),
-                    (A * d_p1 - half_C * m_p1 - D * m_pn, -(half_C * d_p1) - D * d_pn))
+            return ((dot(((A, d_pn), (half_C, m_pn), (B, m_p1))),
+                     dot(((half_C, d_pn), (B, d_p1)))),
+                    (dot(((A, d_p1), (-half_C, m_p1), (-D, m_pn))),
+                     dot(((-half_C, d_p1), (-D, d_pn)))))
         return self._get(("sides", n, A, B, C, D), make)
 
     def structure_pair(self, ric: RiccatiData, coeffs: StructureCoeffs, n: int):
@@ -323,12 +318,13 @@ class Workspace:
         l, pi, theta = coeffs.l_at(n - 1), coeffs.pi_at(n - 1), coeffs.theta_at(n - 1)
 
         def make():
-            r, pi2 = self.lattice.r, pi * 2
+            pi2 = pi * 2
+            r_pi2 = self.lattice.r * pi2
 
             def residual(side, f, f_prev):
                 (u, v), (d, m), (d_prev, m_prev) = side, f, f_prev
-                return (u - l * m + r * (pi2 * d) - theta * m_prev,
-                        v - pi2 * m + l * d + theta * d_prev)
+                return (Poly.dot(((u, 1), (-l, m), (r_pi2, d), (-theta, m_prev))),
+                        Poly.dot(((v, 1), (-pi2, m), (l, d), (theta, d_prev))))
             x, y = self.structure_sides(ric, n)
             return (residual(x, self.poly_shifts(n), self.poly_shifts(n - 1)),
                     residual(y, self.assoc_shifts(n - 1), self.assoc_shifts(n - 2)))
@@ -362,9 +358,9 @@ class Workspace:
         """
         if not -1 <= n <= self.data.n_max:
             raise IndexError(f"level {n} outside -1..{self.data.n_max}")
-        memo, zero = self._memo, Poly.zero()
-        memo.setdefault((tag, -1), (zero, zero))
-        memo.setdefault((tag, 0), (zero, Poly.one()))
+        memo = self._memo
+        memo.setdefault((tag, -1), _ZERO_PAIR)       # f_{-1} = 0
+        memo.setdefault((tag, 0), _ONE_PAIR)         # f_0 = 1
         k = n
         while (tag, k) not in memo or (k < n and (tag, k - 1) not in memo):
             k -= 1
@@ -373,7 +369,8 @@ class Workspace:
             b, g = self.data.beta[j + offset], self.data.gamma[j + offset]
             (d_prev, m_prev), (d, m) = memo[(tag, j - 1)], memo[(tag, j)]
             p_b = p - b
-            memo[(tag, j + 1)] = (p_b * d + m - d_prev * g, p_b * m + r * d - m_prev * g)
+            memo[(tag, j + 1)] = (Poly.dot(((p_b, d), (m, 1), (d_prev, -g))),
+                                  Poly.dot(((p_b, m), (r, d), (m_prev, -g))))
         return memo[(tag, n)]
 
 
@@ -531,61 +528,6 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
 # exact linear fit of Riccati data from a series
 # ---------------------------------------------------------------------------
 
-def _nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[int]]:
-    """Primitive integer basis of the nullspace of a matrix over Q.
-
-    Each row is scaled by the lcm of its denominators, which does not change
-    the nullspace, and the integer matrix is brought to reduced row echelon
-    form by fraction-free Gauss-Jordan elimination: with pivot value a, every
-    other row with b in the pivot column becomes a*row - b*pivot_row, divided
-    by the gcd of its entries, so the numbers stay near the size of the
-    minors (as in Bareiss 1968, where the common factor is a known minor).
-    No Fraction is formed.  The basis vector of free column c is
-    the reduced-row-echelon one (1 at c, minus each pivot row's entry in
-    column c at its pivot column), cleared to integers, divided by its content
-    and signed so that its first nonzero entry is positive.  That vector is
-    unique, so the basis depends neither on the row scaling nor on the choice
-    of pivot rows.
-    """
-    m = []
-    for row in rows:
-        den = lcm(*(c.denominator for c in row))
-        ints = [c.numerator * (den // c.denominator) for c in row]
-        g = gcd(*ints)
-        if g:
-            m.append([v // g for v in ints] if g > 1 else ints)
-    pivots: list[int] = []
-    for col in range(ncols):
-        rank = len(pivots)
-        found = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if found is None:
-            continue
-        m[rank], m[found] = m[found], m[rank]
-        pivot_row = m[rank]
-        a = pivot_row[col]
-        for r, row in enumerate(m):
-            b = row[col]
-            if b and r != rank:
-                new = [a * x - b * y for x, y in zip(row, pivot_row)]
-                g = gcd(*new)
-                m[r] = [v // g for v in new] if g > 1 else new
-        pivots.append(col)
-        # rows below the pivots that are now zero take no further part
-        m[rank + 1:] = [row for row in m[rank + 1:] if any(row)]
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        entries = [(pc, m[i][pc], m[i][fc]) for i, pc in enumerate(pivots) if m[i][fc]]
-        scale = lcm(*(abs(a) for _, a, _ in entries))
-        vec = [0] * ncols
-        vec[fc] = scale
-        for pc, a, v in entries:
-            vec[pc] = -v * (scale // a)
-        g = gcd(*vec)
-        sign = -1 if next(v for v in vec if v) < 0 else 1
-        basis.append([sign * v // g for v in vec])
-    return basis
-
-
 def _rational_coefficients(f: LaurentSeries) -> dict[int, Fraction]:
     """Exponent -> coefficient of f."""
     return {f.lowest_power - i: c for i, c in enumerate(f.coefficients)}
@@ -654,12 +596,8 @@ def fit_riccati(lattice: Lattice, s: LaurentSeries,
 # ---------------------------------------------------------------------------
 
 def _theta_degree_bound(ric: RiccatiData) -> int:
-    bounds = [ric.A.degree - 2]
-    if not ric.B.is_zero:
-        bounds.append(ric.B.degree - 2)
-    if not ric.C.is_zero:
-        bounds.append(ric.C.degree - 1)
-    return max(bounds)
+    """max(deg A - 2, deg B - 2, deg C - 1); a zero B or C counts for nothing."""
+    return max(len(ric.A.nums) - 3, len(ric.B.nums) - 3, len(ric.C.nums) - 2)
 
 
 def initial_structure_coeffs(ric: RiccatiData, data: SMOPData) -> StructureCoeffs:
@@ -669,6 +607,13 @@ def initial_structure_coeffs(ric: RiccatiData, data: SMOPData) -> StructureCoeff
     coeffs.append_level(ric.C * HALF, Poly.zero(), ric.D, ric.D)
     coeffs.A_gathered.append(ric.A)
     return coeffs
+
+
+def _structure_window(ric: RiccatiData) -> int:
+    """One more than the largest degree the corollary recursion allows
+    Theta_hat, l and pi: deg C (l_{-1}), deg D + 1 (l_0) or the Theta
+    bound plus 1 (l_n through M(x - beta) Theta_{n-1})."""
+    return max(len(ric.C.nums) - 1, len(ric.D.nums), _theta_degree_bound(ric) + 1) + 1
 
 
 def structure_coeffs_direct(ric: RiccatiData, data: SMOPData, n_max: int,
@@ -688,35 +633,48 @@ def structure_coeffs_direct(ric: RiccatiData, data: SMOPData, n_max: int,
     and no polynomial is divided.  Theta_hat is a polynomial (its
     sqrt(r)-part cancels identically), checked against its degree bound;
     Theta is Theta_hat / (gamma_0..gamma_{n-1}).  Both relations are then
-    checked exactly; each failure raises the matching exception."""
+    checked exactly; each failure raises the matching exception.
+
+    The numerators are formed below x^`_structure_window` only, in O(n)
+    work per level.  The determinant is a unit, so windowed values that
+    pass both exact checks are the solution; a level whose windowed values
+    fail is solved again in full, which raises what the full route does."""
     lattice = ric.lattice
     ws = _workspace(workspace, lattice, data=data)
     if check_riccati:
         res = riccati_residual(ric, ws.s, workspace=ws)
         if not res.is_zero_within_window():
             raise NotLaguerreHahn(0, f"Riccati residual nonzero at x^{res.leading_exponent()}")
-    r = lattice.r
-    bound = _theta_degree_bound(ric)
+    r, dot = lattice.r, Poly.dot
+    bound, window = _theta_degree_bound(ric), _structure_window(ric)
     coeffs = initial_structure_coeffs(ric, data)
     for n in range(1, n_max + 1):
-        (xu, xv), (yu, yv) = ws.structure_sides(ric, n)
+        sides = [p for side in ws.structure_sides(ric, n) for p in side]
         d_pn, m_pn = ws.poly_shifts(n)
         d_p1, m_p1 = ws.assoc_shifts(n - 1)
-        theta_hat = m_p1 * xu - m_pn * yu + r * (d_pn * yv - d_p1 * xv)
-        if not theta_hat.is_zero and theta_hat.degree > bound:
-            raise DegreeBoundExceeded(n - 1, theta_hat.degree, bound)
-        g = data.gamma_product(n - 1)
         d_pn_prev, m_pn_prev = ws.poly_shifts(n - 1)
         d_p1_prev, m_p1_prev = ws.assoc_shifts(n - 2)
-        l_poly = (m_pn_prev * yu - m_p1_prev * xu
-                  + r * (d_p1_prev * xv - d_pn_prev * yv)) / g
-        pi_poly = (m_pn_prev * yv - d_pn_prev * yu
-                   - m_p1_prev * xv + d_p1_prev * xu) / (2 * g)
-        coeffs.append_level(l_poly, pi_poly, theta_hat / g, theta_hat)
-        coeffs.A_gathered.append(ric.A + r * 2 * pi_poly)
-        for which, (re, im) in zip(("first", "second"), ws.structure_pair(ric, coeffs, n)):
-            if not (re.is_zero and im.is_zero):
-                raise NotLaguerreHahn(n, f"{which} structure equation (E1 variant) failed")
+        g = data.gamma_product(n - 1)
+        for length in (window, None):
+            xu, xv, yu, yv = (dot(((p, 1),), length) for p in sides)
+            rx, ry = dot(((r, xv),), length), dot(((r, yv),), length)
+            theta_hat = dot(((m_p1, xu), (m_pn, -yu), (d_pn, ry), (d_p1, -rx)), length)
+            l_poly = dot(((m_pn_prev, yu), (m_p1_prev, -xu), (d_p1_prev, rx),
+                          (d_pn_prev, -ry)), length) / g
+            pi_poly = dot(((m_pn_prev, yv), (d_pn_prev, -yu), (m_p1_prev, -xv),
+                           (d_p1_prev, xu)), length) / (2 * g)
+            coeffs.append_level(l_poly, pi_poly, theta_hat / g, theta_hat)
+            coeffs.A_gathered.append(ric.A + r * 2 * pi_poly)
+            over = len(theta_hat.nums) > bound + 1
+            failed = [] if over else [which for which, (re, im) in zip(
+                ("first", "second"), ws.structure_pair(ric, coeffs, n)) if re or im]
+            if not (over or failed):
+                break
+            if length is None:
+                raise (DegreeBoundExceeded(n - 1, theta_hat.degree, bound) if over else
+                       NotLaguerreHahn(n, f"{failed[0]} structure equation (E1 variant) failed"))
+            for store in (coeffs.l, coeffs.pi, coeffs.theta, coeffs.theta_hat, coeffs.A_gathered):
+                store.pop()                 # the failed level, before the full solve
         if workspace is None:
             ws.release_shifts(n)      # no later stage reads a private workspace
     return coeffs
@@ -797,32 +755,24 @@ def corollary_level_zero(ric: RiccatiData, data: SMOPData) -> tuple[Poly, Poly, 
 
 def corollary_recursion(ric: RiccatiData, data: SMOPData,
                         coeffs: StructureCoeffs, n: int) -> tuple[Poly, Poly, Poly]:
-    """One step n -> n+1 of the three-term level recursions (n >= 0):
-    pi and l telescope against Theta/gamma, Theta closes through the shifted
-    linear factors."""
-    lattice = ric.lattice
-    A = ric.A
-    g_next = data.gamma[n + 1]
-    theta_n = coeffs.theta_at(n)
-    theta_prev = coeffs.theta_at(n - 1)
-    pi_n = coeffs.pi_at(n)
-    pi_prev = coeffs.pi_at(n - 1)
-    l_n = coeffs.l_at(n)
-    l_prev = coeffs.l_at(n - 1)
-    tail = Poly.zero()
-    for k in range(0, n + 1):
-        tail = tail + coeffs.theta_at(k - 1) / data.gamma[k]
-    pi_next = -pi_n - theta_n / (2 * g_next) - tail
+    """One step n -> n+1 of the three-term level recursions (n >= 0): l and
+    pi telescope against Theta/gamma, pi to pi_{n+1} = pi_{n-1} - Theta_n/(2
+    gamma_{n+1}) - Theta_{n-1}/(2 gamma_n), true at n = 0 too as pi_{-1} = 0,
+    Theta_{-1} = D; Theta closes through the shifted linear factors."""
+    lattice, r = ric.lattice, ric.lattice.r
+    g_here, g_next = data.gamma[n], data.gamma[n + 1]
+    theta_n, theta_prev = coeffs.theta_at(n), coeffs.theta_at(n - 1)
+    pi_n, pi_prev = coeffs.pi_at(n), coeffs.pi_at(n - 1)
+    l_n, l_prev = coeffs.l_at(n), coeffs.l_at(n - 1)
+    pi_next = Poly.dot(((pi_prev, 1), (theta_n, -1 / (2 * g_next)),
+                        (theta_prev, -1 / (2 * g_here))))
     m_next = _m_of_linear(lattice, data.beta[n + 1])
     l_next = -l_n - m_next * (theta_n / g_next)
     m_here = _m_of_linear(lattice, data.beta[n])
-    theta_next = (
-        A
-        + (lattice.r * 2) * (pi_n + pi_prev)
-        + (theta_prev / data.gamma[n]) * (g_next - m_here * m_next - lattice.r)
-        + (theta_n / g_next) * _e1e2_of_linear(lattice, data.beta[n + 1])
-        + m_next * (l_n - l_prev)
-    )
+    theta_next = Poly.dot(((ric.A, 1), (r, (pi_n + pi_prev) * 2),
+                           (theta_prev / g_here, g_next - m_here * m_next - r),
+                           (theta_n / g_next, _e1e2_of_linear(lattice, data.beta[n + 1])),
+                           (m_next, l_n - l_prev)))
     return l_next, pi_next, theta_next
 
 
@@ -830,16 +780,11 @@ def corollary_coeffs(ric: RiccatiData, data: SMOPData, n_max: int) -> StructureC
     """Structure coefficients for levels -1..n_max-1 entirely from the
     level recursions (independent of the constructive route)."""
     coeffs = initial_structure_coeffs(ric, data)
-    l0, pi0, theta0 = corollary_level_zero(ric, data)
-    if n_max >= 1:
-        coeffs.append_level(l0, pi0, theta0, theta0 * data.gamma_product(0))
-        coeffs.A_gathered.append(ric.A + (ric.lattice.r * 2) * pi0)
-    for n in range(0, n_max - 1):
-        l_next, pi_next, theta_next = corollary_recursion(ric, data, coeffs, n)
-        coeffs.append_level(
-            l_next, pi_next, theta_next, theta_next * data.gamma_product(n + 1)
-        )
-        coeffs.A_gathered.append(ric.A + (ric.lattice.r * 2) * pi_next)
+    for n in range(-1, n_max - 1):
+        l, pi, theta = (corollary_level_zero(ric, data) if n < 0
+                        else corollary_recursion(ric, data, coeffs, n))
+        coeffs.append_level(l, pi, theta, theta * data.gamma_product(n + 1))
+        coeffs.A_gathered.append(ric.A + (ric.lattice.r * 2) * pi)
     return coeffs
 
 
@@ -901,24 +846,15 @@ def telescope_residuals(ric: RiccatiData, data: SMOPData,
     Both entries must be identically zero: L_n telescopes to L_0 = 0 and
     T_{n+1} telescopes to -sum Theta_{k-1}/gamma_k.
     """
-    lattice = ric.lattice
-    out = []
-    tail = Poly.zero()
+    out, tail = [], Poly.zero()
     for n in range(0, coeffs.max_level + 1):
-        theta_prev = coeffs.theta_at(n - 1)
-        l_tel = (
-            coeffs.l_at(n) + coeffs.l_at(n - 1)
-            + _m_of_linear(lattice, data.beta[n]) * (theta_prev / data.gamma[n])
-        )
-        tail = tail + theta_prev / data.gamma[n]
-        if n + 1 <= coeffs.max_level:
-            t_next = (
-                coeffs.pi_at(n + 1) + coeffs.pi_at(n)
-                + coeffs.theta_at(n) / (2 * data.gamma[n + 1])
-            )
-            t_tel = t_next + tail
-        else:
-            t_tel = Poly.zero()
+        step = coeffs.theta_at(n - 1) / data.gamma[n]
+        l_tel = Poly.dot(((coeffs.l_at(n), 1), (coeffs.l_at(n - 1), 1),
+                          (_m_of_linear(ric.lattice, data.beta[n]), step)))
+        tail = tail + step
+        t_tel = Poly.zero() if n == coeffs.max_level else Poly.dot((
+            (coeffs.pi_at(n + 1), 1), (coeffs.pi_at(n), 1), (tail, 1),
+            (coeffs.theta_at(n), 1 / (2 * data.gamma[n + 1]))))
         out.append((n, l_tel, t_tel))
     return out
 
@@ -944,9 +880,7 @@ def reconstruct_riccati(coeffs: StructureCoeffs, lattice: Lattice) -> RiccatiDat
         )
     a = coeffs.A_at(0)
     try:
-        l0 = coeffs.l_at(0)
-        theta0 = coeffs.theta_at(0)
-        pi0 = coeffs.pi_at(0)
+        l0, theta0, pi0 = coeffs.l_at(0), coeffs.theta_at(0), coeffs.pi_at(0)
     except IndexError as exc:
         raise Underdetermined("level 0 entries unavailable") from exc
     beta0 = coeffs.data.beta[0]

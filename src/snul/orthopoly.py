@@ -9,7 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import InsufficientTruncation, InvalidRecurrence, NotQuasiDefinite
@@ -63,11 +66,12 @@ class SMOPData:
         return self.P1[n]
 
     def gamma_product(self, n: int) -> Fraction:
-        """gamma_0 * ... * gamma_n."""
-        out = Fraction(1)
-        for k in range(n + 1):
-            out *= self.gamma[k]
-        return out
+        """gamma_0 * ... * gamma_n (1 at n = -1), from prefix products formed once."""
+        return self._gamma_prefix[n + 1]
+
+    @cached_property
+    def _gamma_prefix(self) -> list[Fraction]:
+        return list(accumulate(self.gamma, mul, initial=Fraction(1)))
 
     def stieltjes(self) -> LaurentSeries:
         """S = sum u_n x^(-n-1), windowed by the stored moments."""
@@ -87,25 +91,17 @@ def smop_from_recurrence(beta, gamma, n_max: int,
     gamma = [Fraction(g) for g in gamma]
     _check_recurrence(beta, gamma, n_max)
     x = Poly.x()
-    P = [Poly.one()]
-    prev = _ZERO_POLY
+    P, P1 = [_ZERO_POLY, Poly.one()], [_ZERO_POLY, Poly.one()]   # from P_-1 = P1_-1 = 0
     for n in range(n_max):
-        nxt = (x - beta[n]) * P[n] - prev * gamma[n]
-        prev = P[n]
-        P.append(nxt)
-    P1 = [Poly.one()]
-    prev = _ZERO_POLY
-    for n in range(1, n_max + 1):
-        nxt = (x - beta[n]) * P1[n - 1] - prev * gamma[n]
-        prev = P1[n - 1]
-        P1.append(nxt)
+        P.append(Poly.dot(((x - beta[n], P[-1]), (P[-2], -gamma[n]))))
+        P1.append(Poly.dot(((x - beta[n + 1], P1[-1]), (P1[-2], -gamma[n + 1]))))
     if moments is None:
         if moment_order is None:
             moment_order = min(2 * n_max + 2, len(beta), len(gamma))
         moments = moments_from_recurrence(beta, gamma, moment_order)
     else:
         moments = [Fraction(u) for u in moments]
-    return SMOPData(beta, gamma, moments, P, P1, n_max)
+    return SMOPData(beta, gamma, moments, P[1:], P1[1:], n_max)
 
 
 def moments_from_recurrence(beta, gamma, order: int) -> list[Fraction]:

@@ -8,10 +8,10 @@ Fractions, is formed on first read.  The zero polynomial is () over 1 and has
 degree None, a deliberate sentinel: degree arithmetic on zero must fail
 loudly instead of propagating -1.
 
-Products of two polynomials are computed by `fieldext._int_convolution`,
-the one exact product kernel, reached from `SurdPoly` through
-`Poly.__mul__`; no job divides by a polynomial (`exact_div` serves
-`surd_exact_div`).
+Products go through `fieldext._int_dot`, the one exact product kernel:
+`Poly.dot` forms a sum of products, optionally cut below a power of x, and
+a product of two polynomials is its one-term case.  No job divides by a
+polynomial (`exact_div` serves `surd_exact_div`).
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from math import lcm
 from typing import Iterable
 
 from .errors import DivisionNotExact
-from .fieldext import _int_convolution, _int_sum, _reduced, parse_rational
+from .fieldext import _int_dot, _int_sum, _reduced, parse_rational
 
 _ZERO = Fraction(0)
 
@@ -135,13 +135,19 @@ class Poly:
             return Poly._from_ints([a * num for a in self.nums], self.den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.nums or not other.nums:
-            return Poly.zero()
-        n = len(self.nums) + len(other.nums) - 1
-        return Poly._from_ints(_int_convolution(self.nums, other.nums, n),
-                               self.den * other.den)
+        return Poly._from_ints(_int_dot(((1, self.nums, other.nums),)), self.den * other.den)
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def dot(pairs, length: int | None = None) -> "Poly":
+        """sum a b over the pairs (Poly, Poly or rational), cut below
+        x^length when given: over one denominator, with one gcd."""
+        terms = [(a.nums, a.den, b.nums, b.den) if isinstance(b, Poly)
+                 else (a.nums, a.den, (b.numerator,), b.denominator) for a, b in pairs]
+        den = lcm(*(a_den * b_den for _, a_den, _, b_den in terms))
+        return Poly._from_ints(_int_dot([(den // (a_den * b_den), a, b)
+                                         for a, a_den, b, b_den in terms], length), den)
 
     def __pow__(self, n: int):
         if n < 0:

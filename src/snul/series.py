@@ -17,9 +17,9 @@ claimed on exponents that are fully determined by the known coefficients of
 the operands.  Equality questions therefore only ever compare the common
 valid window.
 
-Products (`__mul__` and `mul_poly`) are computed by
-`fieldext._int_convolution`, the one exact product kernel, cut at the
-length of the result's window.
+Products (`__mul__` and `mul_poly`) are computed by `fieldext._int_dot`,
+the one exact product kernel, as one-term sums cut at the length of the
+result's window.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from math import isqrt, lcm
 from typing import Iterable
 
 from .errors import InsufficientTruncation
-from .fieldext import _int_convolution, _int_sum, _reduced, parse_rational
+from .fieldext import _int_dot, _int_sum, _reduced, parse_rational
 from .poly import Poly
 
 _ZERO = Fraction(0)
@@ -195,7 +195,7 @@ class LaurentSeries:
         top = self.lowest_power + o.lowest_power
         if top < -order:
             return LaurentSeries.zero(order)
-        out = _int_convolution(self.nums, o.nums, top + order + 1)
+        out = _int_dot(((1, self.nums, o.nums),), top + order + 1)
         return LaurentSeries._from_ints(top, out, self.den * o.den, order)
 
     __rmul__ = __mul__
@@ -211,7 +211,7 @@ class LaurentSeries:
         if top < -order:
             return LaurentSeries.zero(order)
         # p's coefficients in descending powers, like the series' own
-        out = _int_convolution(self.nums, p.nums[::-1], top + order + 1)
+        out = _int_dot(((1, self.nums, p.nums[::-1]),), top + order + 1)
         return LaurentSeries._from_ints(top, out, self.den * p.den, order)
 
     def inverse(self) -> "LaurentSeries":

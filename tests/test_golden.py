@@ -20,7 +20,11 @@ rational (R, I) route of the second-kind and gathered relations.  The
 co-recursive certify case at --n-max 16 was written by the version whose
 Riccati moment solver and Chebyshev algorithm did one Fraction operation per
 multiply-add, so it is an oracle independent of the integer moment maps at
-trunc 34 and 16 levels.  To
+trunc 34 and 16 levels.  The surd_conic derive case at --n-max 24 was
+written by the version that formed Theta_hat, l and pi from full products of
+degree-n polynomials, each a separate Poly operation, so it is an oracle
+independent of the fused sum-of-products kernel and the windowed Cramer
+solve.  To
 regenerate after an intended change of the output, run
 `snul <command> <problem> <extra arguments>` and, for certify, delete the
 "timings" entry; the file is tests/data/<command>_<name>.json, with <name>
@@ -58,6 +62,8 @@ CASES = (
        for stem in ("qhermite", "qhermite_corecursive")]
     # both moment maps at depth, B != 0
     + [("certify", ROOT / "problems" / "qhermite_corecursive.json", ["--n-max", "16"])]
+    # the structure stage at depth on the instance with the largest coefficients
+    + [("derive", DATA / "surd_conic.json", ["--n-max", "24"])]
 )
 
 

@@ -357,6 +357,18 @@ class TestRecursions:
             assert pi_next == coeffs.pi_at(n + 1)
             assert theta_next == coeffs.theta_at(n + 1)
 
+    def test_pi_step_matches_tail_formula(self, semiclassical, corecursive):
+        # the untelescoped pi recursion, pi_{n+1} = -pi_n - Theta_n/(2 gamma_{n+1})
+        # - sum_{k<=n} Theta_{k-1}/gamma_k, as an oracle for the two-term step
+        for ric, data, coeffs in (semiclassical, corecursive):
+            tail = Poly.zero()
+            for n in range(0, N_MAX - 1):
+                tail = tail + coeffs.theta_at(n - 1) / data.gamma[n]
+                want = (-coeffs.pi_at(n) - coeffs.theta_at(n) / (2 * data.gamma[n + 1])
+                        - tail)
+                assert corollary_recursion(ric, data, coeffs, n)[1] == want, n
+                assert want == coeffs.pi_at(n + 1), n
+
     def test_telescopes(self, semiclassical, corecursive):
         for ric, data, coeffs in (semiclassical, corecursive):
             for n, l_res, t_res in telescope_residuals(ric, data, coeffs):

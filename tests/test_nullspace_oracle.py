@@ -13,7 +13,7 @@ from math import gcd, lcm
 
 import pytest
 
-from snul.laguerre_hahn import _nullspace
+from snul.fieldext import _nullspace
 
 
 def reference_nullspace(rows, ncols):

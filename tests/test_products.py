@@ -1,11 +1,12 @@
 """The exact product kernel and the integer storage against schoolbook
 references.
 
-`fieldext._int_convolution` computes every Poly product, LaurentSeries
-product and `mul_poly` on the integer numerators each object stores over its
-one denominator.  The references here multiply coefficient by coefficient
-with Fraction arithmetic, one exact operation per multiply-add, and index
-series coefficients by exponent, so they share no code with the kernel.
+`fieldext._int_dot` computes every Poly product, sum of products
+(`Poly.dot`), LaurentSeries product and `mul_poly` on the integer numerators
+each object stores over its one denominator.  The references here multiply
+coefficient by coefficient with Fraction arithmetic, one exact operation per
+multiply-add, and index series coefficients by exponent, so they share no
+code with the kernel.
 """
 import random
 from fractions import Fraction as F
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snul import LaurentSeries, Poly
-from snul.fieldext import _int_convolution
+from snul.fieldext import _int_dot
 
 
 def schoolbook(xs, ys, length):
@@ -85,9 +86,30 @@ class TestKernel:
             full = len(xs) + len(ys) - 1 if xs and ys else 0
             for length in range(0, full + 3):
                 for a, b in ((xs, ys), (ys, xs)):
-                    out = _int_convolution(a, b, length)
-                    assert len(out) == length
-                    assert out == schoolbook(a, b, length)
+                    # a one-term sum, cut at the full product's length
+                    out = _int_dot([(1, a, b)], length)
+                    assert len(out) == min(length, full)
+                    assert out + [0] * (length - len(out)) == schoolbook(a, b, length)
+
+
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    def test_weighted_sums_match_schoolbook(self, seed):
+        rng = random.Random(seed)
+        for _ in range(30):
+            terms = [(rng.randint(-5, 5),
+                      [rng.randint(-20, 20) for _ in range(rng.randint(0, 7))],
+                      [rng.randint(-20, 20) for _ in range(rng.randint(0, 7))])
+                     for _ in range(rng.randint(0, 4))]
+            full = max([len(x) + len(y) - 1 for w, x, y in terms if w and x and y],
+                       default=0)
+            ref = [F(0)] * (full + 2)
+            for w, x, y in terms:
+                for k, c in enumerate(schoolbook(x, y, full + 2)):
+                    ref[k] += w * c
+            for length in (None, 0, 1, full // 2, full, full + 2):
+                out = _int_dot(terms, length)
+                n = full if length is None else min(length, full)
+                assert out == ref[:n], (terms, length)
 
 
 coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=12)
@@ -109,6 +131,50 @@ class TestPolyProducts:
         a, b = data.draw(polys), data.draw(polys)
         n = len(a.coeffs) + len(b.coeffs) - 1 if a and b else 0
         assert a * b == Poly(schoolbook(a.coeffs, b.coeffs, n))
+
+
+class TestPolyDot:
+    """`Poly.dot` against a sum of Fraction schoolbook products, cut at the
+    given length: signs and denominators at random, zero polynomials,
+    int and Fraction weights."""
+
+    @pytest.mark.parametrize("seed", [51, 52, 53, 54])
+    def test_against_schoolbook(self, seed):
+        rng = random.Random(seed)
+
+        def rational():
+            return F(rng.randint(-30, 30), rng.choice([1, 2, 3, 5, 12, 49]))
+
+        def poly():
+            return Poly([rational() for _ in range(rng.choice([0, 1, 2, 5, 8]))])
+
+        for _ in range(40):
+            pairs = []
+            for _ in range(rng.randint(0, 4)):
+                a = poly()
+                b = rng.choice([poly(), rng.randint(-4, 4), rational()])
+                pairs.append((a, b))
+            full = max([len(a.coeffs) + (len(b.coeffs) if isinstance(b, Poly) else 1) - 1
+                        for a, b in pairs], default=0)
+            ref = [F(0)] * full
+            for a, b in pairs:
+                bs = b.coeffs if isinstance(b, Poly) else (F(b),)
+                for k, c in enumerate(schoolbook(a.coeffs, bs, full)):
+                    ref[k] += c
+            for length in (None, 0, 1, 3, full, full + 4):
+                got = Poly.dot(pairs, length)
+                assert_stored_form(got)
+                assert got == Poly(ref[:length]), (pairs, length)
+
+    def test_products_and_scalings_are_one_term_sums(self):
+        a, b = Poly([F(1, 2), F(-3, 4), 5]), Poly([F(2, 3), 0, F(7, 9)])
+        assert Poly.dot([(a, b)]) == a * b
+        assert Poly.dot([(a, F(-6, 7))]) == a * F(-6, 7)
+        assert Poly.dot([(a, 3)]) == a * 3
+        assert Poly.dot([(a, b), (a, -b)]) == Poly.zero()
+        assert Poly.dot([]) == Poly.zero()
+        assert Poly.dot([(Poly.zero(), b), (a, 0)]) == Poly.zero()
+        assert Poly.dot([(a, b)], 2) == Poly((a * b).coeffs[:2])
 
 
 def random_series(rng, top, order, zero_share=0.3):

@@ -37,6 +37,7 @@ from snul import (
 from snul.cli import ProblemFile
 from snul.errors import DegreeBoundExceeded
 import snul.laguerre_hahn as lh
+import snul.poly as poly_module
 from snul.laguerre_hahn import HALF, initial_structure_coeffs
 from snul.lattice import apply_shift
 from snul.poly import Poly
@@ -246,6 +247,53 @@ def test_routes_agree():
     texts = set(outcomes.values())
     assert "ok" in texts
     assert {t[-5:] for t in texts if "exceeds bound" in t} >= {f"n = {n}" for n in range(4)}
+
+
+def test_full_solve_after_every_window_agrees(monkeypatch):
+    # a window of one coefficient fails wherever l, pi or Theta is not
+    # constant, so nearly every level is solved a second time in full; the
+    # results and the exception texts must still be the reference's
+    monkeypatch.setattr(lh, "_structure_window", lambda ric: 1)
+    for case_id, ric, data, n_max in CASES:
+        kind, ref = _outcome(lambda: reference_structure(ric, data, n_max, []))
+        got_kind, got = _outcome(
+            lambda: structure_coeffs_direct(ric, data, n_max, check_riccati=False))
+        assert got_kind == kind, case_id
+        if kind != "ok":
+            assert got == ref, case_id
+            continue
+        for name in ("l", "pi", "theta", "theta_hat", "A_gathered"):
+            assert getattr(got, name) == getattr(ref, name), (case_id, name)
+
+
+DEEP_N_MAX = 20
+
+
+@pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.stem)
+def test_no_level_falls_back(path, monkeypatch):
+    # every level of a shipped instance passes in its window, and the
+    # structure stage multiplies no two polynomials of degree about n: each
+    # product either is cut at the window or has a factor of bounded degree
+    ric, _, _ = _instance(path)
+    moments = solve_moments_from_riccati(ric, 2 * DEEP_N_MAX + 2)
+    data = _data(ric, moments, DEEP_N_MAX)
+    window = lh._structure_window(ric)
+    small = max([window + 2] + [len(p.nums) for p in ric.polys()])
+    calls = []
+
+    def recording(terms, length=None):
+        calls.append((length, [min(len(xs), len(ys)) for w, xs, ys in terms if w]))
+        return kernel(terms, length)
+    kernel = poly_module._int_dot
+    monkeypatch.setattr(poly_module, "_int_dot", recording)
+    coeffs = structure_coeffs_direct(ric, data, DEEP_N_MAX, check_riccati=False)
+    assert coeffs.max_level == DEEP_N_MAX - 1
+    assert {length for length, _ in calls} == {window, None}
+    assert all(m <= small for length, shorter in calls if length is None
+               for m in shorter), path.stem
+    # the windowed numerators: four cut sides, r times two of them and
+    # Theta_hat, l and pi, at every level and never again in full
+    assert sum(length == window for length, _ in calls) == 9 * DEEP_N_MAX
 
 
 @pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.stem)
