@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 def parse_rational(text) -> Fraction:
@@ -73,56 +73,56 @@ def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
     return [a // g for a in nums], den // g
 
 
-def _nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[int]]:
+def _nullspace(rows: Iterable[Sequence[Fraction | int]], ncols: int) -> list[list[int]]:
     """Primitive integer basis of the nullspace of a matrix over Q.
 
-    Each row is scaled by the lcm of its denominators, which does not change
-    the nullspace, and the integer matrix is brought to reduced row echelon
-    form by fraction-free Gauss-Jordan elimination: with pivot value a, every
-    other row with b in the pivot column becomes a*row - b*pivot_row, divided
-    by the gcd of its entries, so the numbers stay near the size of the
-    minors (as in Bareiss 1968, where the common factor is a known minor).
-    No Fraction is formed.  The basis vector of free column c is
-    the reduced-row-echelon one (1 at c, minus each pivot row's entry in
-    column c at its pivot column), cleared to integers, divided by its content
-    and signed so that its first nonzero entry is positive.  That vector is
-    unique, so the basis depends neither on the row scaling nor on the choice
-    of pivot rows.
+    The rows, of ints or Fractions, are read one at a time, made primitive
+    integer rows (the nullspace stays the same) and reduced against the
+    pivot rows so far, in column order, by fraction-free elimination: with
+    pivot value a and entry b in its column, the row becomes
+    a*row - b*pivot_row over the gcd of its entries, so the numbers stay
+    near the size of the minors (as in Bareiss 1968, where the common factor
+    is a known minor).  No Fraction is formed.  A row not then zero is the
+    pivot row of its leading column; once every column has one, [] comes
+    back and no further row is read.  Else the pivot rows are brought to
+    reduced row echelon form, and the basis vector of free column c (1 at c,
+    minus each pivot row's entry in column c at its pivot column) is cleared
+    to integers, divided by its content and signed so that its first nonzero
+    entry is positive.  That vector is unique, so the basis depends neither
+    on the row scaling nor on the order or choice of pivot rows.
     """
-    m = []
+    def primitive(row):
+        g = gcd(*row)
+        return [v // g for v in row] if g > 1 else row
+
+    def reduce(row, pc, pivot_row):
+        a, b = pivot_row[pc], row[pc]
+        return primitive([a * x - b * y for x, y in zip(row, pivot_row)])
+
+    echelon: dict[int, list[int]] = {}          # pivot column -> pivot row
     for row in rows:
         den = lcm(*(c.denominator for c in row))
-        ints = [c.numerator * (den // c.denominator) for c in row]
-        g = gcd(*ints)
-        if g:
-            m.append([v // g for v in ints] if g > 1 else ints)
-    pivots: list[int] = []
-    for col in range(ncols):
-        rank = len(pivots)
-        found = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if found is None:
-            continue
-        m[rank], m[found] = m[found], m[rank]
-        pivot_row = m[rank]
-        a = pivot_row[col]
-        for r, row in enumerate(m):
-            b = row[col]
-            if b and r != rank:
-                new = [a * x - b * y for x, y in zip(row, pivot_row)]
-                g = gcd(*new)
-                m[r] = [v // g for v in new] if g > 1 else new
-        pivots.append(col)
-        # rows below the pivots that are now zero take no further part
-        m[rank + 1:] = [row for row in m[rank + 1:] if any(row)]
+        row = primitive([c.numerator * (den // c.denominator) for c in row])
+        for pc in sorted(echelon):
+            if row[pc]:
+                row = reduce(row, pc, echelon[pc])
+        if any(row):
+            echelon[next(c for c, v in enumerate(row) if v)] = row
+            if len(echelon) == ncols:
+                return []
+    pivots = sorted(echelon)
+    for i, pc in reversed(list(enumerate(pivots))):
+        for above in pivots[:i]:
+            if echelon[above][pc]:
+                echelon[above] = reduce(echelon[above], pc, echelon[pc])
     basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        entries = [(pc, m[i][pc], m[i][fc]) for i, pc in enumerate(pivots) if m[i][fc]]
+    for fc in (c for c in range(ncols) if c not in echelon):
+        entries = [(pc, echelon[pc][pc], echelon[pc][fc]) for pc in pivots if echelon[pc][fc]]
         scale = lcm(*(abs(a) for _, a, _ in entries))
         vec = [0] * ncols
         vec[fc] = scale
         for pc, a, v in entries:
             vec[pc] = -v * (scale // a)
-        g = gcd(*vec)
-        sign = -1 if next(v for v in vec if v) < 0 else 1
-        basis.append([sign * v // g for v in vec])
+        g = gcd(*vec) if next(v for v in vec if v) > 0 else -gcd(*vec)
+        basis.append([v // g for v in vec])
     return basis

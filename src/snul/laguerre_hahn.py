@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -528,26 +528,22 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
 # exact linear fit of Riccati data from a series
 # ---------------------------------------------------------------------------
 
-def _rational_coefficients(f: LaurentSeries) -> dict[int, Fraction]:
-    """Exponent -> coefficient of f."""
-    return {f.lowest_power - i: c for i, c in enumerate(f.coefficients)}
-
-
 def riccati_nullspace(lattice: Lattice, s: LaurentSeries,
                       degree_bounds: tuple[int, int, int, int],
                       workspace: Workspace | None = None) -> list[list[int]]:
     """Nullspace of the linear map (A, B, C, D) -> residual coefficients.
 
     Returns the primitive integer basis vectors of `_nullspace`, laid out
-    A then B then C then D, ascending degree inside each block.  D S, M S
-    and E1S E2S are over Q, so each row of the map is a list of rationals
-    and the elimination runs over the integers.
+    A then B then C then D, ascending degree inside each block.  The row of
+    x^e, from the top exponent down, is read off the integer numerators of
+    D S, E1S E2S and M S, all put over L, the lcm of their denominators:
+    each row is L times the row over Q, so the nullspace is the same.  The
+    rows are formed as `_nullspace` reads them, none after it has its answer.
     """
     da, db, dc, dd = degree_bounds
     ws = _workspace(workspace, lattice, s)
     ds, ms = ws.dm()
     q = ws.e1e2()
-    ds_c, q_c, ms_c = (_rational_coefficients(f) for f in (ds, q, ms))
     ncols = da + db + dc + dd + 4
     e_top = max(
         da + ds._effective_top(),
@@ -560,13 +556,16 @@ def riccati_nullspace(lattice: Lattice, s: LaurentSeries,
         db - q.truncation_order,
         dc - ms.truncation_order,
     )
-    rows = []
-    for e in range(e_top, e_min - 1, -1):
-        row = [ds_c.get(e - i, 0) for i in range(da + 1)]
-        row += [-q_c.get(e - i, 0) for i in range(db + 1)]
-        row += [-ms_c.get(e - i, 0) for i in range(dc + 1)]
-        row += [-1 if e == i else 0 for i in range(dd + 1)]
-        rows.append(row)
+    L = lcm(ds.den, q.den, ms.den)
+    # x^(e - i) of a block with degree bound d sits at e_top - e + i of its
+    # numerators over L, padded with zeros down from x^e_top
+    blocks = []
+    for f, d, sign in ((ds, da, 1), (q, db, -1), (ms, dc, -1)):
+        nums = [0] * (e_top - f.lowest_power) + [sign * (L // f.den) * a for a in f.nums]
+        blocks.append((d, nums + [0] * (e_top - e_min + d + 1 - len(nums))))
+    rows = ([v for d, nums in blocks for v in nums[e_top - e: e_top - e + d + 1]]
+            + [-L * (e == i) for i in range(dd + 1)]
+            for e in range(e_top, e_min - 1, -1))
     return _nullspace(rows, ncols)
 
 

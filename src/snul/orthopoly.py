@@ -257,11 +257,11 @@ def second_kind_series(data: SMOPData, s: LaurentSeries, n: int,
 
 
 def liouville_defect(data: SMOPData, n: int) -> Poly:
-    """P1_n P_n - P_{n+1} P1_{n-1} - prod_{k=0}^n gamma_k; identically zero."""
+    """P1_n P_n - P_{n+1} P1_{n-1} - prod_{k=0}^n gamma_k; identically zero.
+
+    One `Poly.dot` over one denominator; its two products of degree-n
+    polynomials still cost O(n^2) per level."""
     if n > data.n_max - 1:
         raise ValueError(f"liouville_defect needs P_{n + 1}; n_max = {data.n_max}")
-    return (
-        data.assoc(n) * data.poly(n)
-        - data.poly(n + 1) * data.assoc(n - 1)
-        - Poly.constant(data.gamma_product(n))
-    )
+    return Poly.dot(((data.assoc(n), data.poly(n)), (data.poly(n + 1), -data.assoc(n - 1)),
+                     (Poly.one(), -data.gamma_product(n))))

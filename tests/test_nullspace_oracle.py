@@ -6,14 +6,27 @@ reduced-row-echelon basis vector cleared of denominators, divided by its
 content and signed so that its first nonzero entry is positive.  That basis is
 unique, so `_nullspace` must return it entry for entry, whatever the row
 scaling and the choice of pivot rows.
+
+`fraction_riccati_rows` is the way the fit built its rows before it read the
+integer numerators of the series: Fractions read off `.coefficients`.  The
+reference nullspace of those rows is what `riccati_nullspace` must return.
 """
+import json
 import random
 from fractions import Fraction as F
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
+from snul import (LaurentSeries, build_lattice, laguerre_hahn, riccati_nullspace,
+                  solve_moments_from_riccati)
 from snul.fieldext import _nullspace
+from snul.laguerre_hahn import Workspace
+
+from conftest import REFERENCE_CONIC, qhermite_corecursive_riccati, qhermite_riccati
+
+DATA = Path(__file__).parent / "data"
 
 
 def reference_nullspace(rows, ncols):
@@ -145,3 +158,141 @@ def test_negative_first_entry_is_flipped():
     assert _nullspace([[F(1, 2), F(1, 2)]], 2) == [[1, -1]]
     # rows with different denominators: 2 x0 = 3 x1, nullspace (3, 2)
     assert _nullspace([[F(2, 3), F(-1, 1)], [F(1, 7), F(-3, 14)]], 2) == [[3, 2]]
+
+
+def _recorded(rows, read):
+    """rows, one at a time, each appended to the list read as it is taken."""
+    for row in rows:
+        read.append(row)
+        yield row
+
+
+def test_full_column_rank_reads_no_further_row():
+    # the rows after the first ncols are of several hundred bits; once the
+    # rank reaches ncols, [] comes back and none of them is read
+    rng = random.Random(19)
+    for _ in range(10):
+        ncols = rng.randint(2, 8)
+        head = _matrix_of_rank(rng, ncols, ncols, ncols)
+        tail = _matrix_of_rank(rng, rng.randint(1, 6), ncols, rng.randint(1, ncols),
+                               num_bits=400, den_bits=300)
+        rows, read = head + tail, []
+        assert reference_nullspace(rows, ncols) == []
+        assert _nullspace(_recorded(rows, read), ncols) == []
+        assert len(read) == ncols
+        _check(rows, ncols, ncols)
+
+
+def _echelon_generators(rng, ncols, rank):
+    """rank rows with distinct leading columns, in ascending column order."""
+    leads = sorted(rng.sample(range(ncols), rank))
+    return [[F(0)] * lead + [_fraction(rng, 5, 3) or F(1)]
+            + [_fraction(rng, 5, 3) for _ in range(ncols - lead - 1)] for lead in leads]
+
+
+def test_pivot_rows_arrive_out_of_column_order():
+    # row j leads at column lead_j, the generators come last leading column
+    # first, each mixed with the generators after it, then combinations of all
+    rng = random.Random(23)
+    for _ in range(40):
+        ncols = rng.randint(3, 9)
+        rank = rng.randint(1, ncols - 1)
+        gens = _echelon_generators(rng, ncols, rank)
+        rows = []
+        for j in reversed(range(rank)):
+            row = list(gens[j])
+            for later in gens[j + 1:]:
+                c = _fraction(rng, 3, 2)
+                row = [a + c * b for a, b in zip(row, later)]
+            rows.append(row)
+        for _ in range(rng.randint(0, 3)):
+            cs = [_fraction(rng, 3, 2) for _ in gens]
+            rows.append([sum((c * g[k] for c, g in zip(cs, gens)), F(0)) for k in range(ncols)])
+        rng.shuffle(rows[rank:])
+        _check(rows, ncols, rank)
+
+
+def test_int_rows_and_mixed_rows():
+    rng = random.Random(29)
+    for _ in range(30):
+        ncols = rng.randint(2, 8)
+        rank = rng.randint(0, ncols)
+        rows = _matrix_of_rank(rng, rng.randint(max(rank, 1), ncols + 3), ncols, rank)
+        den = lcm(*(v.denominator for row in rows for v in row))
+        ints = [[int(v * den) for v in row] for row in rows]
+        assert all(type(v) is int for row in ints for v in row)
+        _check(ints, ncols, rank)
+        # each entry an int where it is one, a Fraction elsewhere
+        mixed = [[int(v) if v.denominator == 1 and rng.random() < 0.7 else v for v in row]
+                 for row in (ints[:1] + rows[1:])]
+        assert _nullspace(mixed, ncols) == _nullspace(rows, ncols)
+        _check(mixed, ncols, rank)
+
+
+def fraction_riccati_rows(lattice, s, degree_bounds):
+    """The rows of x^e, e from the top exponent down, as Fractions."""
+    da, db, dc, dd = degree_bounds
+    ws = Workspace(lattice, s)
+    ds, ms = ws.dm()
+    q = ws.e1e2()
+    ds_c, q_c, ms_c = ({f.lowest_power - i: c for i, c in enumerate(f.coefficients)}
+                       for f in (ds, q, ms))
+    e_top = max(da + ds._effective_top(), db + q._effective_top(),
+                dc + ms._effective_top(), dd)
+    e_min = max(da - ds.truncation_order, db - q.truncation_order,
+                dc - ms.truncation_order)
+    rows = []
+    for e in range(e_top, e_min - 1, -1):
+        row = [ds_c.get(e - i, 0) for i in range(da + 1)]
+        row += [-q_c.get(e - i, 0) for i in range(db + 1)]
+        row += [-ms_c.get(e - i, 0) for i in range(dc + 1)]
+        row += [-1 if e == i else 0 for i in range(dd + 1)]
+        rows.append(row)
+    return rows
+
+
+def _riccati_moments(make, k=None, delta=0):
+    """28 moments of the Riccati data make(lattice), the k-th moved by delta."""
+    lattice = build_lattice(*REFERENCE_CONIC)
+    moments = solve_moments_from_riccati(make(lattice), 28)
+    if k is not None:
+        moments[k] += delta
+    return lattice, moments
+
+
+def _random_moments():
+    problem = json.loads((DATA / "random_moments.json").read_text(encoding="utf-8"))
+    return build_lattice(*map(F, problem["lattice"])), [F(m) for m in problem["moments"]]
+
+
+@pytest.mark.parametrize("make, empty", [
+    (lambda: _riccati_moments(qhermite_riccati), False),
+    (lambda: _riccati_moments(qhermite_corecursive_riccati), False),
+    (_random_moments, True),
+    (lambda: _riccati_moments(qhermite_riccati, 3, 1), True),
+    (lambda: _riccati_moments(qhermite_riccati, 20, -1), True),
+    (lambda: _riccati_moments(qhermite_corecursive_riccati, 10, 1), True),
+], ids=["qhermite", "corecursive", "random_moments", "qhermite_u3+1", "qhermite_u20-1",
+        "corecursive_u10+1"])
+def test_riccati_rows_match_fraction_rows(make, empty, monkeypatch):
+    bounds = (4, 4, 4, 4)
+    lattice, moments = make()
+    s = LaurentSeries.from_moments(moments)
+    read = []
+    monkeypatch.setattr(laguerre_hahn, "_nullspace",
+                        lambda rows, ncols: _nullspace(_recorded(rows, read), ncols))
+    got = riccati_nullspace(lattice, s, bounds)
+    fraction_rows = fraction_riccati_rows(lattice, s, bounds)
+    assert got == reference_nullspace(fraction_rows, 20)
+    assert (got == []) == empty
+    # each row read is the row over Q times one positive integer, all ints
+    assert all(type(v) is int for row in read for v in row)
+    scale = F(next(a for a in read[0] if a)) / next(a for a in fraction_rows[0] if a)
+    assert scale.denominator == 1 and scale > 0
+    assert read == [[scale * v for v in row] for row in fraction_rows[:len(read)]]
+    # reading stops at the first rows of full column rank, or at the end
+    if empty:
+        assert reference_nullspace(fraction_rows[:len(read)], 20) == []
+        assert reference_nullspace(fraction_rows[:len(read) - 1], 20) != []
+    else:
+        assert len(read) == len(fraction_rows)
