@@ -20,6 +20,7 @@ exactness is ever lost in transit:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -36,6 +37,7 @@ from .errors import (
 )
 from .fieldext import format_rational, parse_rational
 from .laguerre_hahn import (
+    Certificate,
     CheckResult,
     RiccatiData,
     Workspace,
@@ -275,7 +277,7 @@ def _fit_candidates(problem: ProblemFile, lattice: Lattice) -> tuple[list, Works
     if moments is None:
         raise ProblemFileError("fit needs a 'moments' or 'recurrence' flavor")
     ws = Workspace(lattice, LaurentSeries.from_moments(moments))
-    return fit_riccati(lattice, ws.s, problem.deg_bounds, workspace=ws), ws
+    return fit_riccati(ws, problem.deg_bounds), ws
 
 
 def cmd_fit(args) -> int:
@@ -284,7 +286,7 @@ def cmd_fit(args) -> int:
     candidates, ws = _fit_candidates(problem, lattice)
     entries = []
     for cand in candidates:
-        res = riccati_residual(cand, ws.s, workspace=ws)
+        res = riccati_residual(cand, ws)
         entries.append({
             "A": _poly_coeffs(cand.A),
             "B": _poly_coeffs(cand.B),
@@ -312,26 +314,16 @@ def cmd_certify(args) -> int:
     extra_checks: list[CheckResult] = []
     if problem.riccati is not None:
         ric = problem.riccati_data(lattice)
-        moments = problem.moment_list(order)
     else:
         candidates, ws = _fit_candidates(problem, lattice)
-        verified = [c for c in candidates
-                    if riccati_residual(c, ws.s, workspace=ws).is_zero_within_window()]
+        verified = [c for c in candidates if riccati_residual(c, ws).is_zero_within_window()]
         if not verified:
-            cert_dict = {
-                "instance": problem.echo(),
-                "options": {"n_max": problem.n_max, "trunc": order},
-                "passed": False,
-                "checks": [{
-                    "name": "riccati", "verdict": "fail", "window": ws.s.truncation_order,
-                    "residual_summary": "",
-                    "detail": f"no Laguerre-Hahn relation within degree bounds "
-                              f"{list(problem.deg_bounds)}",
-                }],
-                "degrees": {},
-                "timings": {},
-            }
-            _emit(cert_dict)
+            _emit(Certificate(
+                instance=problem.echo(), options={"n_max": problem.n_max, "trunc": order},
+                checks=[CheckResult("riccati", "fail", window=ws.s.truncation_order,
+                                    detail=f"no Laguerre-Hahn relation within degree "
+                                           f"bounds {list(problem.deg_bounds)}")],
+            ).to_dict())
             return EXIT_MATH_FAIL
         ric = verified[0]
         extra_checks.append(CheckResult(
@@ -339,8 +331,7 @@ def cmd_certify(args) -> int:
             detail=f"{len(verified)} verified candidate(s) within bounds "
                    f"{list(problem.deg_bounds)}; certifying the first",
         ))
-        moments = problem.moment_list(order)
-    cert = certify(ric, problem.n_max, order, moments=moments,
+    cert = certify(ric, problem.n_max, order, moments=problem.moment_list(order),
                    instance=problem.echo())
     cert.checks[0:0] = extra_checks
     _emit(cert.to_dict())
@@ -359,7 +350,7 @@ def cmd_derive(args) -> int:
         moments = solve_moments_from_riccati(ric, order)
     beta, gamma = recurrence_from_moments(moments, problem.n_max)
     data = smop_from_recurrence(beta, gamma, problem.n_max, moments=moments)
-    direct = structure_coeffs_direct(ric, data, problem.n_max)
+    direct = structure_coeffs_direct(ric, Workspace(lattice, data=data), problem.n_max)
     recursed = corollary_coeffs(ric, data, problem.n_max)
     levels = []
     for n in range(-1, direct.max_level + 1):
@@ -396,7 +387,9 @@ def _parse_deg_bounds(text: str) -> tuple[int, int, int, int]:
     return bounds
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The `snul` parser, built on first use and then kept for the process."""
     parser = argparse.ArgumentParser(
         prog="snul",
         description="Exact Laguerre-Hahn toolkit on quadratic non-uniform lattices",

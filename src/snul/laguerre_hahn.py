@@ -12,6 +12,10 @@ and checks the result exactly, verifies the difference relations of the
 characterization in all their variants, runs two independent level
 recursions as oracles, reconstructs the Riccati data from the
 coefficients, and bundles the verdicts into a certificate.
+
+One job is one `Workspace`: every stage function reads S, the recurrence
+and the lattice from it, and every relation residual it returns is over Q,
+a rational pair (u, v) of u + sqrt(r) v where sqrt(r) enters.
 """
 from __future__ import annotations
 
@@ -42,7 +46,6 @@ from .lattice import (
 from .orthopoly import SMOPData, second_kind_series
 from .poly import Poly
 from .series import LaurentSeries
-from .surd import SurdPoly
 
 HALF = Fraction(1, 2)
 _ZERO_PAIR, _ONE_PAIR = (Poly.zero(), Poly.zero()), (Poly.zero(), Poly.one())
@@ -151,7 +154,6 @@ class MagnusRiccatiData:
     B_n: Poly
     C_n: Poly
     D_n: Poly
-    rho: Poly
 
     def as_tuple(self):
         return self.A_n, self.B_n, self.C_n, self.D_n
@@ -209,8 +211,10 @@ class Certificate:
 # ---------------------------------------------------------------------------
 
 class Workspace:
-    """The operator images of one certify or fit job, each computed on first
-    use.
+    """One certify, fit or derive job: its lattice, its Stieltjes series S,
+    its recurrence `data`, and the operator images of S and of the
+    recurrence, each computed on first use.  Every stage function reads S,
+    the recurrence and the lattice from here alone.
 
     Holds q_n = P_n S - P1_{n-1} (q_0 is S itself); the (D, M) images of S
     and of each q_n; E1S E2S; (D f, M f) for f = P_n, P1_n, walked up the
@@ -374,19 +378,6 @@ class Workspace:
         return memo[(tag, n)]
 
 
-def _workspace(workspace: Workspace | None, lattice: Lattice,
-               s: LaurentSeries | None = None,
-               data: SMOPData | None = None) -> Workspace:
-    """The caller's workspace, checked to hold this S and this data, or a
-    fresh one; images of another S would turn a check into a wrong pass."""
-    if workspace is None:
-        return Workspace(lattice, s, data)
-    if (s is not None and workspace.s is not s) or (
-            data is not None and workspace.data is not data):
-        raise ValueError("workspace was built for a different series or recurrence")
-    return workspace
-
-
 # ---------------------------------------------------------------------------
 # small helpers
 # ---------------------------------------------------------------------------
@@ -405,14 +396,13 @@ def _e1e2_of_linear(lattice: Lattice, beta) -> Poly:
 # the Riccati equation on series
 # ---------------------------------------------------------------------------
 
-def riccati_residual(ric: RiccatiData, s: LaurentSeries,
-                     workspace: Workspace | None = None) -> LaurentSeries:
-    """A DS - B E1S E2S - C MS - D as a series with an explicit window.
+def riccati_residual(ric: RiccatiData, ws: Workspace) -> LaurentSeries:
+    """A DS - B E1S E2S - C MS - D for the S of `ws`, as a series with an
+    explicit window.
 
     The instance is Laguerre-Hahn (relative to the window) iff the result is
     zero within its window.
     """
-    ws = _workspace(workspace, ric.lattice, s)
     ds, ms = ws.dm()
     res = ds.mul_poly(ric.A) - ms.mul_poly(ric.C)
     if not ric.B.is_zero:
@@ -528,10 +518,10 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
 # exact linear fit of Riccati data from a series
 # ---------------------------------------------------------------------------
 
-def riccati_nullspace(lattice: Lattice, s: LaurentSeries,
-                      degree_bounds: tuple[int, int, int, int],
-                      workspace: Workspace | None = None) -> list[list[int]]:
-    """Nullspace of the linear map (A, B, C, D) -> residual coefficients.
+def riccati_nullspace(ws: Workspace,
+                      degree_bounds: tuple[int, int, int, int]) -> list[list[int]]:
+    """Nullspace of the linear map (A, B, C, D) -> residual coefficients on
+    the S of `ws`.
 
     Returns the primitive integer basis vectors of `_nullspace`, laid out
     A then B then C then D, ascending degree inside each block.  The row of
@@ -541,7 +531,6 @@ def riccati_nullspace(lattice: Lattice, s: LaurentSeries,
     rows are formed as `_nullspace` reads them, none after it has its answer.
     """
     da, db, dc, dd = degree_bounds
-    ws = _workspace(workspace, lattice, s)
     ds, ms = ws.dm()
     q = ws.e1e2()
     ncols = da + db + dc + dd + 4
@@ -569,24 +558,23 @@ def riccati_nullspace(lattice: Lattice, s: LaurentSeries,
     return _nullspace(rows, ncols)
 
 
-def fit_riccati(lattice: Lattice, s: LaurentSeries,
-                degree_bounds: tuple[int, int, int, int],
-                workspace: Workspace | None = None) -> list[RiccatiData]:
-    """Candidate Riccati data within the degree bounds, from the exact
-    nullspace.  Basis vectors whose A-part vanishes are dropped (A != 0 is
-    part of the definition); an empty list is a valid 'not Laguerre-Hahn
-    within these bounds/window' answer.  A workspace for S lets the caller
-    check each candidate's residual on the images the fit formed."""
+def fit_riccati(ws: Workspace,
+                degree_bounds: tuple[int, int, int, int]) -> list[RiccatiData]:
+    """Candidate Riccati data on the lattice of `ws` within the degree
+    bounds, from the exact nullspace for its S.  Basis vectors whose A-part
+    vanishes are dropped (A != 0 is part of the definition); an empty list
+    is a valid 'not Laguerre-Hahn within these bounds/window' answer.  Each
+    candidate's residual on the same `ws` reuses the images the fit formed."""
     da, db, dc, dd = degree_bounds
     out = []
-    for vec in riccati_nullspace(lattice, s, degree_bounds, workspace=workspace):
+    for vec in riccati_nullspace(ws, degree_bounds):
         a = Poly(vec[: da + 1])
         b = Poly(vec[da + 1: da + db + 2])
         c = Poly(vec[da + db + 2: da + db + dc + 3])
         d = Poly(vec[da + db + dc + 3:])
         if a.is_zero:
             continue
-        out.append(RiccatiData(a, b, c, d, lattice))
+        out.append(RiccatiData(a, b, c, d, ws.lattice))
     return out
 
 
@@ -615,10 +603,11 @@ def _structure_window(ric: RiccatiData) -> int:
     return max(len(ric.C.nums) - 1, len(ric.D.nums), _theta_degree_bound(ric) + 1) + 1
 
 
-def structure_coeffs_direct(ric: RiccatiData, data: SMOPData, n_max: int,
-                            check_riccati: bool = True,
-                            workspace: Workspace | None = None) -> StructureCoeffs:
-    """Compute l_n, pi_n, Theta_n for n = -1..n_max-1 the constructive way.
+def structure_coeffs_direct(ric: RiccatiData, ws: Workspace, n_max: int,
+                            check_riccati: bool = True) -> StructureCoeffs:
+    """Compute l_n, pi_n, Theta_n for n = -1..n_max-1 the constructive way,
+    on the recurrence of `ws` (and, with `check_riccati`, after checking the
+    Riccati residual on its S).
 
     At level n >= 1 the two structure relations (`Workspace.structure_pair`)
     are one linear system in L = l_{n-1} + 2 pi_{n-1} sqrt(r) and Theta_{n-1}:
@@ -637,14 +626,15 @@ def structure_coeffs_direct(ric: RiccatiData, data: SMOPData, n_max: int,
     The numerators are formed below x^`_structure_window` only, in O(n)
     work per level.  The determinant is a unit, so windowed values that
     pass both exact checks are the solution; a level whose windowed values
-    fail is solved again in full, which raises what the full route does."""
-    lattice = ric.lattice
-    ws = _workspace(workspace, lattice, data=data)
+    fail is solved again in full, which raises what the full route does.
+    The images of P_n and P1_n are released as the levels pass; later
+    stages read the memoised `structure_pair` and `structure_sides`."""
+    data = ws.data
     if check_riccati:
-        res = riccati_residual(ric, ws.s, workspace=ws)
+        res = riccati_residual(ric, ws)
         if not res.is_zero_within_window():
             raise NotLaguerreHahn(0, f"Riccati residual nonzero at x^{res.leading_exponent()}")
-    r, dot = lattice.r, Poly.dot
+    r, dot = ws.lattice.r, Poly.dot
     bound, window = _theta_degree_bound(ric), _structure_window(ric)
     coeffs = initial_structure_coeffs(ric, data)
     for n in range(1, n_max + 1):
@@ -674,30 +664,26 @@ def structure_coeffs_direct(ric: RiccatiData, data: SMOPData, n_max: int,
                        NotLaguerreHahn(n, f"{failed[0]} structure equation (E1 variant) failed"))
             for store in (coeffs.l, coeffs.pi, coeffs.theta, coeffs.theta_hat, coeffs.A_gathered):
                 store.pop()                 # the failed level, before the full solve
-        if workspace is None:
-            ws.release_shifts(n)      # no later stage reads a private workspace
+        ws.release_shifts(n)
     return coeffs
 
 
-def verify_structure_relations(ric: RiccatiData, data: SMOPData,
-                               coeffs: StructureCoeffs, n: int,
-                               workspace: Workspace | None = None):
-    """Residuals of both lines of the two structure-relation variants at
-    level n as SurdPolys, all four zero when they hold: the E1 variant from
-    `Workspace.structure_pair`, the E2 variant its sqrt(r)-conjugate."""
+def verify_structure_relations(ric: RiccatiData, ws: Workspace,
+                               coeffs: StructureCoeffs, n: int):
+    """The residuals ((Ra, Ia), (Rb, Ib)) of the two structure relations at
+    level n >= 1 (`Workspace.structure_pair`), as rational pairs (u, v) of
+    u + sqrt(r) v: those of the E1 variant.  The E2 variant's residuals are
+    their sqrt(r)-conjugates, so both variants hold iff all four vanish."""
     if n < 1:
         raise ValueError("structure relations are stated for n >= 1")
-    ws = _workspace(workspace, ric.lattice, data=data)
-    res1 = tuple(SurdPoly(u, v, ric.lattice.r) for u, v in ws.structure_pair(ric, coeffs, n))
-    return res1, tuple(res.conjugate() for res in res1)
+    return ws.structure_pair(ric, coeffs, n)
 
 
-def verify_second_kind_relations(ric: RiccatiData, data: SMOPData,
-                                 coeffs: StructureCoeffs, s: LaurentSeries,
-                                 n: int, workspace: Workspace | None = None):
+def verify_second_kind_relations(ric: RiccatiData, ws: Workspace,
+                                 coeffs: StructureCoeffs, n: int):
     """The pair (R, I) of the two second-kind difference relations at level
-    n >= 0 (`Workspace.second_kind_pair`): their residuals are
-    R + sqrt(r) I and R - sqrt(r) I.
+    n >= 0 for the S and recurrence of `ws` (`Workspace.second_kind_pair`):
+    their residuals are R + sqrt(r) I and R - sqrt(r) I.
 
     Both relations hold iff R and I both vanish, each within its own window.
     R alone is not enough, even where lambda is a square and sqrt(r) is a
@@ -708,13 +694,11 @@ def verify_second_kind_relations(ric: RiccatiData, data: SMOPData,
     """
     if n < 0:
         raise ValueError("second-kind relations are stated for n >= 0")
-    ws = _workspace(workspace, ric.lattice, s, data)
     return ws.second_kind_pair(ric, coeffs, n)
 
 
-def gathered_relations(ric: RiccatiData, data: SMOPData,
-                       coeffs: StructureCoeffs, s: LaurentSeries, n: int,
-                       workspace: Workspace | None = None):
+def gathered_relations(ric: RiccatiData, ws: Workspace,
+                       coeffs: StructureCoeffs, n: int):
     """Residuals of the gathered (M-form) relations at level n >= 0: two
     exact polynomial identities for P_{n+1} and P1_n, the parts Ra and Rb of
     `Workspace.structure_pair` at level n + 1 (A_{n+1} DP_{n+1} - (l_n - C/2)
@@ -728,7 +712,6 @@ def gathered_relations(ric: RiccatiData, data: SMOPData,
     M(S q_n) = MS Mq_n + r DS Dq_n."""
     if n < 0:
         raise ValueError("gathered relations are stated for n >= 0")
-    ws = _workspace(workspace, ric.lattice, s, data)
     (res_p, _), (res_p1, _) = ws.structure_pair(ric, coeffs, n + 1)
     return res_p, res_p1, ws.second_kind_pair(ric, coeffs, n)[0]
 
@@ -808,34 +791,29 @@ def magnus_data_from_coeffs(ric: RiccatiData, data: SMOPData,
         theta_prev / g_n
     )
     d_n = coeffs.theta_at(n)
-    return MagnusRiccatiData(n, a_n, b_n, c_n, d_n, Poly.one())
+    return MagnusRiccatiData(n, a_n, b_n, c_n, d_n)
 
 
 def magnus_step(m: MagnusRiccatiData, beta_next, gamma_next,
-                lattice: Lattice, rho: Poly | None = None) -> MagnusRiccatiData:
+                lattice: Lattice) -> MagnusRiccatiData:
     """Move the ratio-Riccati data one level up.
 
     If g_n = f_{n+1}/f_n for any solution family of the three-term
     recurrence satisfies a Riccati equation with data (A_n, B_n, C_n, D_n),
-    then g_{n+1} satisfies one with data rho * (A_n - (Delta_y^2/2) D_n/g,
-    D_n/g, -C_n - 2 M(x-b) D_n/g, A_n + g B_n + M(x-b) C_n + E1E2(x-b) D_n/g)
-    where b = beta_{n+1}, g = gamma_{n+1} and rho is a polynomial unit of
-    proportionality (1 for the second-kind ratios).
+    then g_{n+1} satisfies one with data (A_n - (Delta_y^2/2) D_n/g, D_n/g,
+    -C_n - 2 M(x-b) D_n/g, A_n + g B_n + M(x-b) C_n + E1E2(x-b) D_n/g)
+    where b = beta_{n+1} and g = gamma_{n+1}.
     """
     if gamma_next == 0:
         raise ValueError("gamma_{n+1} must be nonzero")
-    if rho is None:
-        rho = Poly.one()
     g = Fraction(gamma_next)
     d_over_g = m.D_n / g
     m_lin = _m_of_linear(lattice, beta_next)
-    a_next = rho * (m.A_n - (lattice.r * 2) * d_over_g)
-    b_next = rho * d_over_g
-    c_next = rho * (-m.C_n - m_lin * d_over_g * 2)
-    d_next = rho * (
-        m.A_n + m.B_n * g + m_lin * m.C_n + _e1e2_of_linear(lattice, beta_next) * d_over_g
-    )
-    return MagnusRiccatiData(m.level + 1, a_next, b_next, c_next, d_next, rho)
+    a_next = m.A_n - (lattice.r * 2) * d_over_g
+    c_next = -m.C_n - m_lin * d_over_g * 2
+    d_next = (m.A_n + m.B_n * g + m_lin * m.C_n
+              + _e1e2_of_linear(lattice, beta_next) * d_over_g)
+    return MagnusRiccatiData(m.level + 1, a_next, d_over_g, c_next, d_next)
 
 
 def telescope_residuals(ric: RiccatiData, data: SMOPData,
@@ -913,7 +891,6 @@ _CERTIFY_STAGES = [
 
 def certify(ric: RiccatiData, n_max: int, order: int,
             moments: Sequence[Fraction] | None = None,
-            free_values: dict[int, Fraction] | None = None,
             instance: dict | None = None) -> Certificate:
     """Run the whole equivalence pipeline and aggregate verdicts.
 
@@ -972,7 +949,7 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     def moments_stage():
         nonlocal moments
         if moments is None:
-            moments = solve_moments_from_riccati(ric, order, free_values)
+            moments = solve_moments_from_riccati(ric, order)
             return CheckResult("moments", "pass",
                                detail=f"solved u_0..u_{order} sequentially")
         moments = [Fraction(m) for m in moments]
@@ -983,12 +960,11 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     if not guarded(moments_stage, "moments"):
         return abort()
 
-    s = LaurentSeries.from_moments(moments)
-    ws = Workspace(ric.lattice, s)
+    ws = Workspace(ric.lattice, LaurentSeries.from_moments(moments))
 
     # Riccati residual: the (a) statement, checked on the honest window
     def riccati():
-        res = riccati_residual(ric, s, workspace=ws)
+        res = riccati_residual(ric, ws)
         return CheckResult("riccati", "pass" if res.is_zero_within_window() else "fail",
                            window=res.truncation_order,
                            residual_summary=_series_summary(res))
@@ -1019,8 +995,7 @@ def certify(ric: RiccatiData, n_max: int, order: int,
 
     def structure_direct():
         nonlocal coeffs
-        coeffs = structure_coeffs_direct(ric, data, n_max, check_riccati=False,
-                                         workspace=ws)
+        coeffs = structure_coeffs_direct(ric, ws, n_max, check_riccati=False)
         cert.degrees = coeffs.degrees()
         return CheckResult("structure-direct", "pass",
                            detail=f"levels -1..{coeffs.max_level}")
@@ -1030,9 +1005,8 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     # structure relations: the E2 variant is the conjugate of the E1
     # variant, so they fail together
     def structure_relations():
-        bad = [n for n in range(1, n_max + 1) if not all(
-            res.is_zero for res in verify_structure_relations(ric, data, coeffs, n,
-                                                              workspace=ws)[0])]
+        bad = [n for n in range(1, n_max + 1) if any(
+            res for pair in verify_structure_relations(ric, ws, coeffs, n) for res in pair)]
         return [verdict("structure-relations-1", bad),
                 verdict("structure-relations-2", bad)]
     guarded(structure_relations, "structure-relations-1", "structure-relations-2")
@@ -1042,7 +1016,7 @@ def certify(ric: RiccatiData, n_max: int, order: int,
         # both relations hold iff R and I vanish, so they fail together
         bad, min_window = [], None
         for n in range(0, n_max + 1):
-            re, im = verify_second_kind_relations(ric, data, coeffs, s, n, workspace=ws)
+            re, im = verify_second_kind_relations(ric, ws, coeffs, n)
             w = min(re.truncation_order, im.truncation_order - 1)
             min_window = w if min_window is None else min(min_window, w)
             if not (re.is_zero_within_window() and im.is_zero_within_window()):
@@ -1055,7 +1029,7 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     def gathered():
         badg, min_window = [], None
         for n in range(0, n_max):
-            rp, rp1, rq = gathered_relations(ric, data, coeffs, s, n, workspace=ws)
+            rp, rp1, rq = gathered_relations(ric, ws, coeffs, n)
             min_window = (rq.truncation_order if min_window is None
                           else min(min_window, rq.truncation_order))
             if not (rp.is_zero and rp1.is_zero and rq.is_zero_within_window()):
@@ -1071,12 +1045,11 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     guarded(corollary, "recursion-corollary")
 
     def magnus():
+        here = magnus_data_from_coeffs(ric, data, coeffs, 0)
         for n in range(0, coeffs.max_level):
-            stepped = magnus_step(
-                magnus_data_from_coeffs(ric, data, coeffs, n),
-                data.beta[n + 1], data.gamma[n + 1], ric.lattice,
-            )
-            if stepped.as_tuple() != magnus_data_from_coeffs(ric, data, coeffs, n + 1).as_tuple():
+            stepped = magnus_step(here, data.beta[n + 1], data.gamma[n + 1], ric.lattice)
+            here = magnus_data_from_coeffs(ric, data, coeffs, n + 1)
+            if stepped.as_tuple() != here.as_tuple():
                 return CheckResult("recursion-magnus", "fail",
                                    detail=f"step {n} -> {n + 1} disagrees")
         return CheckResult("recursion-magnus", "pass")

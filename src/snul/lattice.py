@@ -10,8 +10,11 @@ and the operators act by
 
 Coefficients are rational (K = Q), and sqrt(r) is never a number.  On
 polynomials the images of E_j live in K[x][sqrt(r)]; D and M are read off
-the two components of a single E2 expansion, which makes the cancellation of
-Delta_y = 2 sqrt(r) exact by construction.  On Laurent series D and M act
+the two components of a single E2 expansion (`apply_shift`), which makes the
+cancellation of Delta_y = 2 sqrt(r) exact by construction.  The orthogonal
+and associated polynomials of a job do not take this route: the job's
+`laguerre_hahn.Workspace` walks their pairs (D f, M f) up the three-term
+recurrence.  On Laurent series D and M act
 through one table: with N = y1 y2 = p^2 - r, both take x^(-k) to rational
 functions over Q, whose expansions the lattice keeps row by row
 (`Lattice.dm_table`) as integer numerators over powers of the leading

@@ -2,8 +2,11 @@
 
 The modulus r is the lattice's degree-2 polynomial; it is carried on every
 element and must match between operands.  Multiplication reduces through
-(sqrt r)^2 = r.  This is where images of polynomials under the shift
-operators live.
+(sqrt r)^2 = r.  `lattice.apply_shift` returns the images of polynomials
+under the shift operators in this form.  No relation residual is a SurdPoly:
+the characterization is checked on rational pairs (u, v) of u + sqrt(r) v,
+so division (`surd_exact_div`) and most of the arithmetic here serve only
+the tests' oracles.
 """
 from __future__ import annotations
 

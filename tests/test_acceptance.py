@@ -12,6 +12,7 @@ from fractions import Fraction as F
 from snul import (
     LaurentSeries,
     Poly,
+    Workspace,
     apply_D,
     apply_M,
     certify,
@@ -170,7 +171,7 @@ def test_criterion_6_initial_conditions(reference_lattice):
         moments = solve_moments_from_riccati(ric, 18)
         beta, gamma = recurrence_from_moments(moments, 4)
         data = smop_from_recurrence(beta, gamma, 4, moments=moments)
-        coeffs = structure_coeffs_direct(ric, data, 4)
+        coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), 4)
         half_C = ric.C * F(1, 2)
         m0 = reference_lattice.p - data.beta[0]
         assert coeffs.l_at(-1) == half_C
@@ -195,10 +196,10 @@ def test_criterion_7_reconstruction_and_fit(reference_lattice):
         moments = solve_moments_from_riccati(ric, 24)
         beta, gamma = recurrence_from_moments(moments, 5)
         data = smop_from_recurrence(beta, gamma, 5, moments=moments)
-        coeffs = structure_coeffs_direct(ric, data, 5)
+        coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), 5)
         assert reconstruct_riccati(coeffs, reference_lattice).proportional_to(ric)
         bounds = (2, 1, 1, 0)
-        basis = riccati_nullspace(reference_lattice, data.stieltjes(), bounds)
+        basis = riccati_nullspace(Workspace(reference_lattice, data=data), bounds)
         assert basis
         assert _in_span(basis, _vector_of(ric, bounds))
     _report(7, "reconstruction and fit", time.monotonic() - start,
@@ -228,7 +229,7 @@ def test_criterion_8_negative_controls(reference_lattice):
             F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(33)
         ]
         s = LaurentSeries.from_moments(random_moments)
-        if not fit_riccati(reference_lattice, s, (4, 4, 4, 4)):
+        if not fit_riccati(Workspace(reference_lattice, s), (4, 4, 4, 4)):
             empty += 1
     assert empty >= int(0.95 * trials), f"only {empty}/{trials} empty fits"
     elapsed = time.monotonic() - start

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from snul.cli import ProblemFile, main
+from snul.cli import ProblemFile, main, make_parser
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -57,6 +57,17 @@ class TestProblemFile:
 
 
 class TestExitCodes:
+    def test_parser_built_once(self, capsys):
+        # the parser is kept between calls, and a flag of one call does not
+        # reach the next
+        path = str(PROBLEMS / "qhermite.json")
+        assert main(["derive", path, "--n-max", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["instance"]["options"]["n_max"] == 2
+        assert main(["derive", path]) == 0
+        n_max = json.loads(capsys.readouterr().out)["instance"]["options"]["n_max"]
+        assert n_max == ProblemFile.load(path).n_max != 2
+        assert make_parser() is make_parser()
+
     def test_classify_reference(self, capsys):
         assert main(["classify", str(PROBLEMS / "qhermite.json")]) == 0
         out = capsys.readouterr().out
@@ -216,10 +227,25 @@ class TestCertifyCommand:
         path = write_problem(tmp_path, doc)
         code = main(["certify", path, "--n-max", "3", "--trunc", "18",
                      "--deg-bounds", "2,2,2,2"])
-        cert = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        cert = json.loads(out)
         assert code == 1
         assert cert["passed"] is False
         assert "no Laguerre-Hahn relation" in cert["checks"][0]["detail"]
+        # the whole document, key order and layout included
+        echo = dict(doc, options={"n_max": 3, "trunc": 18, "deg_bounds": [2, 2, 2, 2]})
+        assert out == json.dumps({
+            "instance": {k: echo[k] for k in ("lattice", "moments", "options")},
+            "options": {"n_max": 3, "trunc": 18},
+            "passed": False,
+            "checks": [{
+                "name": "riccati", "verdict": "fail", "window": 20,
+                "residual_summary": "",
+                "detail": "no Laguerre-Hahn relation within degree bounds [2, 2, 2, 2]",
+            }],
+            "degrees": {},
+            "timings": {},
+        }, indent=2) + "\n"
 
     def test_second_kind_windows_tight(self, capsys):
         # one moment fewer (still above 2 n_max + 2 = 18) shortens the
@@ -249,6 +275,27 @@ class TestCertifyCommand:
         assert json.loads(capsys.readouterr().out)["passed"]
         assert code == 0
         assert sum(f == seen[0] for f in seen) == 2
+
+    def test_each_shift_walked_once(self, capsys, monkeypatch):
+        # the structure stage releases the images of P_n and P1_n as it climbs;
+        # no later stage walks a level again
+        import snul.laguerre_hahn as lh
+        original = lh.Workspace._walk
+        steps = []
+
+        def counting(ws, tag, n, offset):
+            held = set(ws._memo)
+            out = original(ws, tag, n, offset)
+            steps.extend(k for k in ws._memo.keys() - held if k[0] == tag and k[1] > 0)
+            return out
+
+        monkeypatch.setattr(lh.Workspace, "_walk", counting)
+        path = PROBLEMS / "qhermite_corecursive.json"
+        assert main(["certify", str(path)]) == 0
+        n_max = ProblemFile.load(str(path)).n_max
+        assert json.loads(capsys.readouterr().out)["passed"]
+        assert sorted(steps) == sorted([("P", n) for n in range(1, n_max + 1)]
+                                       + [("P1", n) for n in range(1, n_max)])
 
 
 class TestFitCommand:

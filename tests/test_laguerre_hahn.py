@@ -15,6 +15,7 @@ from snul import (
     Poly,
     RiccatiData,
     Underdetermined,
+    Workspace,
     certify,
     corollary_coeffs,
     corollary_recursion,
@@ -53,7 +54,7 @@ def semiclassical(reference_lattice):
     from snul import recurrence_from_moments
     beta, gamma = recurrence_from_moments(moments, N_MAX)
     data = smop_from_recurrence(beta, gamma, N_MAX, moments=moments)
-    coeffs = structure_coeffs_direct(ric, data, N_MAX)
+    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), N_MAX)
     return ric, data, coeffs
 
 
@@ -64,7 +65,7 @@ def corecursive(reference_lattice):
     from snul import recurrence_from_moments
     beta, gamma = recurrence_from_moments(moments, N_MAX)
     data = smop_from_recurrence(beta, gamma, N_MAX, moments=moments)
-    coeffs = structure_coeffs_direct(ric, data, N_MAX)
+    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), N_MAX)
     return ric, data, coeffs
 
 
@@ -74,13 +75,13 @@ class TestRiccatiResidual:
         ric = RiccatiData(Poly.one(), Poly.zero(), Poly.zero(),
                           Poly.zero(), lat)
         s = LaurentSeries.from_moments([F(1), F(0), F(1, 2), F(0), F(1, 3)])
-        res = riccati_residual(ric, s)
+        res = riccati_residual(ric, Workspace(lat, s))
         # residual is exactly D S, nonzero unless D S vanishes
         assert not res.is_zero_within_window()
 
     def test_fixture_residual_zero(self, semiclassical):
         ric, data, _ = semiclassical
-        res = riccati_residual(ric, data.stieltjes())
+        res = riccati_residual(ric, Workspace(ric.lattice, data=data))
         assert res.is_zero_within_window()
         assert res.truncation_order >= ORDER - 2
 
@@ -88,7 +89,7 @@ class TestRiccatiResidual:
         ric, data, _ = semiclassical
         bad = list(data.moments)
         bad[3] += 1
-        res = riccati_residual(ric, LaurentSeries.from_moments(bad))
+        res = riccati_residual(ric, Workspace(ric.lattice, LaurentSeries.from_moments(bad)))
         assert not res.is_zero_within_window()
 
 
@@ -149,14 +150,14 @@ class TestFit:
     def test_recovers_fixture(self, semiclassical):
         ric, data, _ = semiclassical
         s = data.stieltjes()
-        cands = fit_riccati(ric.lattice, s, (2, 0, 1, 0))
+        cands = fit_riccati(Workspace(ric.lattice, s), (2, 0, 1, 0))
         assert len(cands) == 1
         assert cands[0].proportional_to(ric)
 
     def test_nullspace_contains_original_with_loose_bounds(self, semiclassical):
         ric, data, _ = semiclassical
         s = data.stieltjes()
-        basis = riccati_nullspace(ric.lattice, s, (3, 1, 2, 1))
+        basis = riccati_nullspace(Workspace(ric.lattice, s), (3, 1, 2, 1))
         assert basis, "nullspace should not be empty"
         original = _vector_of(ric, (3, 1, 2, 1))
         assert _in_span(basis, original)
@@ -165,7 +166,7 @@ class TestFit:
         rng = random.Random(99)
         moments = [F(1)] + [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(33)]
         s = LaurentSeries.from_moments(moments)
-        assert fit_riccati(reference_lattice, s, (4, 4, 4, 4)) == []
+        assert fit_riccati(Workspace(reference_lattice, s), (4, 4, 4, 4)) == []
 
     def test_recovers_surd_conic_data(self):
         # sqrt(lambda) = sqrt(5) is irrational, the moments are rational
@@ -176,14 +177,14 @@ class TestFit:
         ric = problem.riccati_data(lattice)
         moments = solve_moments_from_riccati(ric, problem.trunc)
         s = LaurentSeries.from_moments(moments)
-        cands = fit_riccati(lattice, s, (2, 0, 1, 0))
+        cands = fit_riccati(Workspace(lattice, s), (2, 0, 1, 0))
         assert len(cands) == 1
         assert cands[0].proportional_to(ric)
 
     def test_constant_bounds_rejected_by_A_filter(self, reference_lattice):
         moments = [F(1), F(1, 2), F(1, 3), F(2), F(1), F(0), F(1), F(2), F(3)]
         s = LaurentSeries.from_moments(moments)
-        assert fit_riccati(reference_lattice, s, (0, 0, 0, 0)) == []
+        assert fit_riccati(Workspace(reference_lattice, s), (0, 0, 0, 0)) == []
 
 
 def _vector_of(ric: RiccatiData, bounds) -> list:
@@ -273,14 +274,15 @@ class TestStructureCoeffs:
         beta, gamma = recurrence_from_moments(bad, N_MAX)
         data = smop_from_recurrence(beta, gamma, N_MAX, moments=bad)
         with pytest.raises(NotLaguerreHahn):
-            structure_coeffs_direct(ric, data, N_MAX)
+            structure_coeffs_direct(ric, Workspace(lat, data=data), N_MAX)
 
 
 class TestRelations:
     def test_structure_relations_zero(self, semiclassical, corecursive):
         for ric, data, coeffs in (semiclassical, corecursive):
+            ws = Workspace(ric.lattice, data=data)
             for n in range(1, N_MAX + 1):
-                (r1a, r1b), (r2a, r2b) = verify_structure_relations(ric, data, coeffs, n)
+                (r1a, r1b), (r2a, r2b) = verify_structure_relations(ric, ws, coeffs, n)
                 assert r1a.is_zero and r1b.is_zero
                 assert r2a.is_zero and r2b.is_zero
 
@@ -289,14 +291,15 @@ class TestRelations:
         tampered = initial_structure_coeffs(ric, data)
         tampered.append_level(coeffs.l_at(0), coeffs.pi_at(0),
                               coeffs.theta_at(0) + 1, coeffs.theta_hat_at(0))
-        (r1a, _), _ = verify_structure_relations(ric, data, tampered, 1)
+        (r1a, _), _ = verify_structure_relations(
+            ric, Workspace(ric.lattice, data=data), tampered, 1)
         assert not r1a.is_zero
 
     def test_second_kind_zero(self, semiclassical, corecursive):
         for ric, data, coeffs in (semiclassical, corecursive):
-            s = data.stieltjes()
+            ws = Workspace(ric.lattice, data=data)
             for n in range(0, 4):
-                R, I = verify_second_kind_relations(ric, data, coeffs, s, n)
+                R, I = verify_second_kind_relations(ric, ws, coeffs, n)
                 assert R.is_zero_within_window()
                 assert I.is_zero_within_window()
 
@@ -304,10 +307,10 @@ class TestRelations:
         # l_-1 = C/2, pi_-1 = 0, Theta_-1 = D and q_-1 = 1: I vanishes
         # identically and R is A DS - C MS - D - B E1S E2S
         for ric, data, coeffs in (semiclassical, corecursive):
-            s = data.stieltjes()
-            R, I = verify_second_kind_relations(ric, data, coeffs, s, 0)
+            ws = Workspace(ric.lattice, data=data)
+            R, I = verify_second_kind_relations(ric, ws, coeffs, 0)
             assert I.is_zero
-            res = riccati_residual(ric, s)
+            res = riccati_residual(ric, Workspace(ric.lattice, data=data))
             assert R.truncation_order == res.truncation_order
             assert R.agrees_with(res)
 
@@ -315,23 +318,14 @@ class TestRelations:
         ric, data, coeffs = semiclassical
         short = LaurentSeries.from_moments(data.moments[:7])
         with pytest.raises(InsufficientTruncation):
-            verify_second_kind_relations(ric, data, coeffs, short, 3)
-
-    def test_workspace_for_other_series_rejected(self, semiclassical):
-        from snul import Workspace
-        ric, data, coeffs = semiclassical
-        other = LaurentSeries.from_moments(data.moments[:-1])
-        ws = Workspace(ric.lattice, other, data)
-        with pytest.raises(ValueError):
-            verify_second_kind_relations(ric, data, coeffs, data.stieltjes(), 1,
-                                         workspace=ws)
+            verify_second_kind_relations(ric, Workspace(ric.lattice, short, data), coeffs, 3)
 
     def test_gathered_zero(self, semiclassical, corecursive):
         from snul import gathered_relations
         for ric, data, coeffs in (semiclassical, corecursive):
-            s = data.stieltjes()
+            ws = Workspace(ric.lattice, data=data)
             for n in range(0, 4):
-                rp, rp1, rq = gathered_relations(ric, data, coeffs, s, n)
+                rp, rp1, rq = gathered_relations(ric, ws, coeffs, n)
                 assert rp.is_zero and rp1.is_zero
                 assert rq.is_zero_within_window()
 
@@ -386,7 +380,7 @@ class TestRecursions:
                 assert stepped.as_tuple() == direct.as_tuple()
 
     def test_magnus_b_update(self, semiclassical):
-        # B_{n+1} = D_n / gamma_{n+1} with rho = 1, i.e. Theta_n/gamma_{n+1}
+        # B_{n+1} = D_n / gamma_{n+1}, i.e. Theta_n/gamma_{n+1}
         ric, data, coeffs = semiclassical
         for n in range(0, coeffs.max_level):
             m = magnus_data_from_coeffs(ric, data, coeffs, n)
@@ -402,7 +396,6 @@ class TestRecursions:
             Poly([3]),
             Poly([0, 1]),
             Poly.zero(),
-            Poly.one(),
         )
         stepped = magnus_step(m, F(1, 2), F(2), lat)
         assert stepped.A_n == m.A_n
@@ -417,7 +410,7 @@ class TestRecursions:
             m = magnus_data_from_coeffs(ric, data, coeffs, n)
             g = second_kind_series(data, s, n + 1) / second_kind_series(data, s, n)
             res = riccati_residual(
-                RiccatiData(m.A_n, m.B_n, m.C_n, m.D_n, lat), g
+                RiccatiData(m.A_n, m.B_n, m.C_n, m.D_n, lat), Workspace(lat, g)
             )
             assert res.is_zero_within_window()
 
@@ -536,8 +529,8 @@ class TestCertify:
         original = lh.verify_second_kind_relations
         windows = []
 
-        def only_I(ric, data, coeffs, s, n, workspace=None):
-            R, I = original(ric, data, coeffs, s, n, workspace=workspace)
+        def only_I(ric, ws, coeffs, n):
+            R, I = original(ric, ws, coeffs, n)
             if n != 3:
                 return R, I
             windows.append(R.truncation_order)
@@ -629,6 +622,21 @@ class TestCertify:
         cert = certify(qhermite_corecursive_riccati(reference_lattice), n_max=4, order=18)
         assert cert.passed
         assert sorted(levels) == list(range(-1, 5))
+
+    def test_magnus_data_formed_once_per_level(self, reference_lattice, monkeypatch):
+        # the recursion-magnus stage carries level n + 1 into the next step
+        import snul.laguerre_hahn as lh
+        original = lh.magnus_data_from_coeffs
+        levels = []
+
+        def counting(ric, data, coeffs, n):
+            levels.append(n)
+            return original(ric, data, coeffs, n)
+
+        monkeypatch.setattr(lh, "magnus_data_from_coeffs", counting)
+        cert = certify(qhermite_corecursive_riccati(reference_lattice), n_max=4, order=18)
+        assert cert.check("recursion-magnus").verdict == "pass"
+        assert levels == list(range(0, 4))
 
     def test_certificate_json_roundtrip(self, reference_lattice):
         ric = qhermite_riccati(reference_lattice)

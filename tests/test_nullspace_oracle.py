@@ -281,7 +281,7 @@ def test_riccati_rows_match_fraction_rows(make, empty, monkeypatch):
     read = []
     monkeypatch.setattr(laguerre_hahn, "_nullspace",
                         lambda rows, ncols: _nullspace(_recorded(rows, read), ncols))
-    got = riccati_nullspace(lattice, s, bounds)
+    got = riccati_nullspace(Workspace(lattice, s), bounds)
     fraction_rows = fraction_riccati_rows(lattice, s, bounds)
     assert got == reference_nullspace(fraction_rows, 20)
     assert (got == []) == empty

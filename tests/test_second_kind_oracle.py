@@ -105,9 +105,9 @@ def _instance(path):
         if moments is None:
             moments = solve_moments_from_riccati(ric, order)
     else:
-        s = LaurentSeries.from_moments(moments)
-        ric = next(c for c in fit_riccati(lattice, s, problem.deg_bounds)
-                   if riccati_residual(c, s).is_zero_within_window())
+        ws = Workspace(lattice, LaurentSeries.from_moments(moments))
+        ric = next(c for c in fit_riccati(ws, problem.deg_bounds)
+                   if riccati_residual(c, ws).is_zero_within_window())
     beta, gamma = recurrence_from_moments(moments, problem.n_max)
     data = smop_from_recurrence(beta, gamma, problem.n_max, moments=moments)
     return ric, data, problem.n_max
@@ -136,12 +136,12 @@ def _same(x, y):
 # -- the oracle tests ------------------------------------------------------------------
 
 def _check_level(ric, data, coeffs, ws, n, case):
-    re, im = verify_second_kind_relations(ric, data, coeffs, ws.s, n, workspace=ws)
+    re, im = verify_second_kind_relations(ric, ws, coeffs, n)
     res1, res2 = reference_second_kind(ric, coeffs, ws, n)
     assert _same(re, res1.u) and _same(im, res1.v), case
     assert _same(re, res2.u) and _same(-im, res2.v), case
     if n < data.n_max:
-        res_q = gathered_relations(ric, data, coeffs, ws.s, n, workspace=ws)[2]
+        res_q = gathered_relations(ric, ws, coeffs, n)[2]
         assert _same(res_q, reference_res_q(ric, coeffs, ws, n)), case
         assert _same(res_q, re), case
     return re, im
@@ -150,7 +150,8 @@ def _check_level(ric, data, coeffs, ws, n, case):
 @pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.stem)
 def test_routes_agree(path):
     ric, data, n_max = _instance(path)
-    coeffs = structure_coeffs_direct(ric, data, n_max, check_riccati=False)
+    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), n_max,
+                                     check_riccati=False)
     ws = Workspace(ric.lattice, data=data)
     for n in range(0, n_max + 1):
         re, im = _check_level(ric, data, coeffs, ws, n, (path.stem, n))
@@ -162,10 +163,11 @@ def test_routes_agree_on_tampered_coefficients(path):
     # one workspace serves the shipped and every tampered set of coefficients,
     # so a pair formed for one set must never be read for another
     ric, data, n_max = _instance(path)
-    coeffs = structure_coeffs_direct(ric, data, n_max, check_riccati=False)
+    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), n_max,
+                                     check_riccati=False)
     ws = Workspace(ric.lattice, data=data)
     for n in range(0, TAMPER_LEVELS):
-        verify_second_kind_relations(ric, data, coeffs, ws.s, n, workspace=ws)
+        verify_second_kind_relations(ric, ws, coeffs, n)
     for name in ("l", "pi", "theta"):
         for level in range(-1, TAMPER_LEVELS - 1):
             poly = getattr(coeffs, name)[level + 1]
@@ -179,8 +181,7 @@ def test_routes_agree_on_tampered_coefficients(path):
                         # gathered A_n: stale A_n leave the pair unchanged
                         tampered.A_gathered = coeffs.A_gathered
                         fresh = Workspace(ric.lattice, data=data)
-                        stale = verify_second_kind_relations(
-                            ric, data, tampered, fresh.s, level + 1, workspace=fresh)
+                        stale = verify_second_kind_relations(ric, fresh, tampered, level + 1)
                         assert all(map(_same, stale, (re, im))), case
                     # the move shows in I: l and pi through Dq_n and Mq_n,
                     # Theta through Dq_{n-1}, except at n = 0 where q_-1 = 1

@@ -136,7 +136,9 @@ def reference_gathered(ric, data, coeffs, n):
 
 
 def reference_relations(ric, data, coeffs, n):
-    """All four structure-relation residuals, each formed on its own."""
+    """All four structure-relation residuals, each formed on its own.  The
+    E2 pair must be the sqrt(r)-conjugate of the E1 pair, which is returned
+    as rational pairs (u, v) of u + sqrt(r) v."""
     lattice = ric.lattice
     A, B, C, D = ric.polys()
     half_C = C * HALF
@@ -155,7 +157,8 @@ def reference_relations(ric, data, coeffs, n):
     res1b = (A * d_p1) - l_plus * e1_p1 - half_C * e2_p1 - D * e2_pn - theta * e1_p1_prev
     res2a = (A * d_pn) - l_minus * e2_pn + half_C * e1_pn + B * e1_p1 - theta * e2_pn_prev
     res2b = (A * d_p1) - l_minus * e2_p1 - half_C * e1_p1 - D * e1_pn - theta * e2_p1_prev
-    return (res1a, res1b), (res2a, res2b)
+    assert (res2a, res2b) == (res1a.conjugate(), res1b.conjugate())
+    return (res1a.u, res1a.v), (res1b.u, res1b.v)
 
 
 # -- inputs --------------------------------------------------------------------
@@ -226,7 +229,8 @@ def test_routes_agree():
         sqrt_r_parts = []
         kind, ref = _outcome(lambda: reference_structure(ric, data, n_max, sqrt_r_parts))
         got_kind, got = _outcome(
-            lambda: structure_coeffs_direct(ric, data, n_max, check_riccati=False))
+            lambda: structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), n_max,
+                                            check_riccati=False))
         assert all(v.is_zero for v in sqrt_r_parts), case_id
         assert got_kind == kind, case_id
         outcomes[case_id] = ref if kind != "ok" else "ok"
@@ -237,7 +241,7 @@ def test_routes_agree():
             assert getattr(got, name) == getattr(ref, name), (case_id, name)
         ws = Workspace(ric.lattice, data=data)
         for n in range(1, n_max + 1):
-            assert (verify_structure_relations(ric, data, got, n, workspace=ws)
+            assert (verify_structure_relations(ric, ws, got, n)
                     == reference_relations(ric, data, ref, n)), (case_id, n)
     # every instance passes, and mutants stop at the degree bound of Theta_hat
     # at level 0 and at later levels.  Past the bound nothing can fail: the
@@ -257,7 +261,8 @@ def test_full_solve_after_every_window_agrees(monkeypatch):
     for case_id, ric, data, n_max in CASES:
         kind, ref = _outcome(lambda: reference_structure(ric, data, n_max, []))
         got_kind, got = _outcome(
-            lambda: structure_coeffs_direct(ric, data, n_max, check_riccati=False))
+            lambda: structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), n_max,
+                                            check_riccati=False))
         assert got_kind == kind, case_id
         if kind != "ok":
             assert got == ref, case_id
@@ -286,7 +291,8 @@ def test_no_level_falls_back(path, monkeypatch):
         return kernel(terms, length)
     kernel = poly_module._int_dot
     monkeypatch.setattr(poly_module, "_int_dot", recording)
-    coeffs = structure_coeffs_direct(ric, data, DEEP_N_MAX, check_riccati=False)
+    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), DEEP_N_MAX,
+                                     check_riccati=False)
     assert coeffs.max_level == DEEP_N_MAX - 1
     assert {length for length, _ in calls} == {window, None}
     assert all(m <= small for length, shorter in calls if length is None
@@ -301,13 +307,14 @@ def test_relations_agree_on_tampered_coefficients(path):
     # nonzero residuals: each of l, pi, Theta at level 0 moved by one
     ric, moments, _ = _instance(path)
     data = _data(ric, moments, 2)
-    coeffs = structure_coeffs_direct(ric, data, 2, check_riccati=False)
+    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), 2,
+                                     check_riccati=False)
     for which in range(3):
         tampered = initial_structure_coeffs(ric, data)
         level = [coeffs.l_at(0), coeffs.pi_at(0), coeffs.theta_at(0)]
         level[which] = level[which] + 1
         tampered.append_level(*level, coeffs.theta_hat_at(0))
-        got = verify_structure_relations(ric, data, tampered, 1)
+        got = verify_structure_relations(ric, Workspace(ric.lattice, data=data), tampered, 1)
         assert got == reference_relations(ric, data, tampered, 1)
         assert not all(res.is_zero for pair in got for res in pair)
 
@@ -316,10 +323,11 @@ def test_relations_agree_on_tampered_coefficients(path):
 def test_gathered_matches_formulas(path):
     ric, moments, n_max = _instance(path)
     data = _data(ric, moments, n_max)
-    coeffs = structure_coeffs_direct(ric, data, n_max, check_riccati=False)
+    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), n_max,
+                                     check_riccati=False)
     ws = Workspace(ric.lattice, data=data)
     for n in range(n_max):
-        got = gathered_relations(ric, data, coeffs, ws.s, n, workspace=ws)[:2]
+        got = gathered_relations(ric, ws, coeffs, n)[:2]
         assert got == reference_gathered(ric, data, coeffs, n), (path.stem, n)
         assert all(res.is_zero for res in got)
     # each of l, pi, Theta at level 0 moved by one, with A_1 = A + 2 r pi_0
@@ -329,7 +337,7 @@ def test_gathered_matches_formulas(path):
         level[which] = level[which] + 1
         tampered.append_level(*level, coeffs.theta_hat_at(0))
         tampered.A_gathered.append(ric.A + ric.lattice.r * 2 * level[1])
-        got = gathered_relations(ric, data, tampered, ws.s, 0, workspace=ws)[:2]
+        got = gathered_relations(ric, ws, tampered, 0)[:2]
         assert got == reference_gathered(ric, data, tampered, 0), (path.stem, which)
         assert not all(res.is_zero for res in got)
 
@@ -352,13 +360,15 @@ def test_cramer_solution_is_exact(conic, monkeypatch):
             for _ in "BCD"), lattice)
         beta, gamma = random_quasi_definite_recurrence(rng, CRAMER_N_MAX + 1)
         data = smop_from_recurrence(beta, gamma, CRAMER_N_MAX, moments=[F(1)])
-        got = structure_coeffs_direct(ric, data, CRAMER_N_MAX, check_riccati=False)
+        got = structure_coeffs_direct(ric, Workspace(lattice, data=data), CRAMER_N_MAX,
+                                      check_riccati=False)
         ref = reference_structure(ric, data, CRAMER_N_MAX, [])
         for name in ("l", "pi", "theta", "theta_hat", "A_gathered"):
             assert getattr(got, name) == getattr(ref, name), name
+        ws = Workspace(lattice, data=data)
         for n in range(1, CRAMER_N_MAX + 1):
             assert all(res.is_zero for pair in verify_structure_relations(
-                ric, data, got, n) for res in pair), n
+                ric, ws, got, n) for res in pair), n
 
 
 # -- the shift walk ------------------------------------------------------------------
