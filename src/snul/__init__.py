@@ -55,8 +55,7 @@ from .laguerre_hahn import (
 )
 from .orthopoly import (
     SMOPData,
-    hankel_determinant,
-    liouville_defect,
+    check_liouville,
     moments_from_recurrence,
     recurrence_from_moments,
     second_kind_series,

@@ -270,20 +270,21 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _fit_candidates(problem: ProblemFile, lattice: Lattice) -> tuple[list, Workspace]:
-    """The fitted candidates and the workspace of S in which they were found,
-    so that each candidate's residual reuses the images of S."""
+def _fit_candidates(problem: ProblemFile, lattice: Lattice) -> tuple[list, Workspace, list]:
+    """The fitted candidates, the workspace of S in which they were found,
+    so that each candidate's residual reuses the images of S, and the
+    moments of S."""
     moments = problem.moment_list(problem.trunc)
     if moments is None:
         raise ProblemFileError("fit needs a 'moments' or 'recurrence' flavor")
     ws = Workspace(lattice, LaurentSeries.from_moments(moments))
-    return fit_riccati(ws, problem.deg_bounds), ws
+    return fit_riccati(ws, problem.deg_bounds), ws, moments
 
 
 def cmd_fit(args) -> int:
     problem = _load_problem(args)
     lattice = problem.build_lattice()
-    candidates, ws = _fit_candidates(problem, lattice)
+    candidates, ws, _ = _fit_candidates(problem, lattice)
     entries = []
     for cand in candidates:
         res = riccati_residual(cand, ws)
@@ -313,9 +314,9 @@ def cmd_certify(args) -> int:
     order = max(problem.trunc, 2 * problem.n_max + 2)
     extra_checks: list[CheckResult] = []
     if problem.riccati is not None:
-        ric = problem.riccati_data(lattice)
+        ric, moments = problem.riccati_data(lattice), problem.moment_list(order)
     else:
-        candidates, ws = _fit_candidates(problem, lattice)
+        candidates, ws, moments = _fit_candidates(problem, lattice)
         verified = [c for c in candidates if riccati_residual(c, ws).is_zero_within_window()]
         if not verified:
             _emit(Certificate(
@@ -331,8 +332,10 @@ def cmd_certify(args) -> int:
             detail=f"{len(verified)} verified candidate(s) within bounds "
                    f"{list(problem.deg_bounds)}; certifying the first",
         ))
-    cert = certify(ric, problem.n_max, order, moments=problem.moment_list(order),
-                   instance=problem.echo())
+        if problem.moments is None and order > problem.trunc:
+            # a recurrence gives more moments at the larger order
+            moments = problem.moment_list(order)
+    cert = certify(ric, problem.n_max, order, moments=moments, instance=problem.echo())
     cert.checks[0:0] = extra_checks
     _emit(cert.to_dict())
     return EXIT_OK if cert.passed else EXIT_MATH_FAIL

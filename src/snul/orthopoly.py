@@ -7,7 +7,7 @@ P1_n = (x - beta_n) P1_{n-1} - gamma_n P1_{n-2}.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -52,6 +52,7 @@ class SMOPData:
     P: list[Poly]
     P1: list[Poly]
     n_max: int
+    _checked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def poly(self, n: int) -> Poly:
         """P_n, with P_{-1} = 0."""
@@ -72,6 +73,31 @@ class SMOPData:
     @cached_property
     def _gamma_prefix(self) -> list[Fraction]:
         return list(accumulate(self.gamma, mul, initial=Fraction(1)))
+
+    def check_level(self, n: int) -> None:
+        """Raise InvalidRecurrence unless the stored P_n and P1_{n-1} follow
+        beta, gamma from the two levels below, with P_0 = P1_0 = 1:
+
+            (P_n, P1_{n-1}) = (x - beta_{n-1}) (P_{n-1}, P1_{n-2})
+                              - gamma_{n-1} (P_{n-2}, P1_{n-3}),
+
+        one `Poly.dot` each.  A level passes once for the polynomials stored
+        at it, so `check_liouville` and `second_kind_series` share the check.
+        """
+        stored = (self.poly(n), self.assoc(n - 1))
+        if self._checked.get(n) == stored:
+            return
+        x = Poly.x()
+
+        def step(f, k):
+            return Poly.dot(((x - self.beta[n - 1], f(k - 1)), (f(k - 2), -self.gamma[n - 1])))
+        wanted = (step(self.poly, n) if n > 0 else Poly.one(),
+                  step(self.assoc, n - 1) if n > 1 else (_ZERO_POLY, Poly.one())[n])
+        for name, k, have, want in zip(("P", "P1"), (n, n - 1), stored, wanted):
+            if have != want:
+                raise InvalidRecurrence(f"{name}_{k} disagrees with the recurrence at "
+                                        f"level {n}: P_n, P1_n do not follow beta, gamma")
+        self._checked[n] = stored
 
     def stieltjes(self) -> LaurentSeries:
         """S = sum u_n x^(-n-1), windowed by the stored moments."""
@@ -182,46 +208,19 @@ def recurrence_from_moments(moments, n_max: int) -> tuple[list[Fraction], list[F
     return beta, gamma
 
 
-def hankel_determinant(moments, n: int, shift: int = 0) -> Fraction:
-    """det[u_{i+j+shift}] for i, j = 0..n-1, by exact Gaussian elimination.
-
-    Kept as the independent oracle against the Chebyshev algorithm.
-    """
-    if n == 0:
-        return Fraction(1)
-    m = [[Fraction(moments[i + j + shift]) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for row in range(col, n):
-            if m[row][col] != 0:
-                pivot = row
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for row in range(col + 1, n):
-            factor = m[row][col] * inv
-            if factor:
-                for j in range(col, n):
-                    m[row][j] -= factor * m[col][j]
-    return det
-
-
 def second_kind_series(data: SMOPData, s: LaurentSeries, n: int,
                        lower: tuple[LaurentSeries, LaurentSeries] | None = None,
                        ) -> LaurentSeries:
-    """q_n = P_n S - P1_{n-1}, cross-checked against the three-term recurrence
-    q_n = (x - beta_{n-1}) q_{n-1} - gamma_{n-1} q_{n-2} and against the
-    required O(x^(-n-1)) decay.
+    """q_n = P_n S - P1_{n-1} by the three-term recurrence
+    q_n = (x - beta_{n-1}) q_{n-1} - gamma_{n-1} q_{n-2}, from q_{-1} = 1 and
+    q_0 = S, on the window of S less n; O(window) work per step.
 
-    q_{-1} is the constant series 1.  `lower` holds (q_{n-2}, q_{n-1}), as
-    returned here, for a check by one recurrence step; without it the
-    recurrence is walked up from q_{-1} and q_0 = S.  Raises
+    `lower` holds (q_{n-2}, q_{n-1}), as returned here, for one step; without
+    it the recurrence is walked up from q_{-1} and q_0.  The recurrence value
+    is P_n S - P1_{n-1} because the stored P_n and P1_{n-1} follow beta, gamma
+    (`SMOPData.check_level`, at level n after a step from `lower`, at every
+    level up to n otherwise), and P_n is the orthogonal polynomial of S
+    because q_n decays as O(x^(-n-1)), the Pade condition.  Raises
     InvalidRecurrence when either check fails, InsufficientTruncation when S
     is too short for level n.
     """
@@ -232,36 +231,28 @@ def second_kind_series(data: SMOPData, s: LaurentSeries, n: int,
     required = 2 * n + 2
     if s.truncation_order < required:
         raise InsufficientTruncation(required=required, available=s.truncation_order)
-    # q_0 = P_0 S - P1_{-1} is S itself; returning S lets callers share its images
-    q_def = s if n == 0 else s.mul_poly(data.poly(n)) - LaurentSeries.from_poly(
-        data.assoc(n - 1), s.truncation_order - n
-    )
-    # recurrence route: q_{k+1} = (x - beta_k) q_k - gamma_k q_{k-1}
-    q_prev, q_cur = lower or (LaurentSeries.constant(1, s.truncation_order), s)
+    for k in range(n if lower else 0, n + 1):
+        data.check_level(k)
+    # q_0 is S itself; returning S lets callers share its images
+    q_prev, q = lower or (LaurentSeries.constant(1, s.truncation_order), s)
     x = Poly.x()
     for k in range(n - 1 if lower else 0, n):
-        q_nxt = q_cur.mul_poly(x - data.beta[k]) - q_prev * data.gamma[k]
-        q_prev, q_cur = q_cur, q_nxt
-    mismatch = q_def.first_disagreement(q_cur)
-    if mismatch is not None:
-        raise InvalidRecurrence(
-            f"q_{n} by definition and by recurrence disagree at x^{mismatch}: "
-            "P_n, P1_n do not follow beta, gamma"
-        )
-    if not q_def.is_zero and q_def.lowest_power >= -n:
+        q_prev, q = q, LaurentSeries.dot(((q, x - data.beta[k]), (q_prev, -data.gamma[k])))
+    if not q.is_zero and q.lowest_power >= -n:
         raise InvalidRecurrence(
             f"moments inconsistent with recurrence: q_{n} fails "
-            f"O(x^-{n + 1}) decay at x^{q_def.lowest_power}"
+            f"O(x^-{n + 1}) decay at x^{q.lowest_power}"
         )
-    return q_def
+    return q
 
 
-def liouville_defect(data: SMOPData, n: int) -> Poly:
-    """P1_n P_n - P_{n+1} P1_{n-1} - prod_{k=0}^n gamma_k; identically zero.
-
-    One `Poly.dot` over one denominator; its two products of degree-n
-    polynomials still cost O(n^2) per level."""
-    if n > data.n_max - 1:
-        raise ValueError(f"liouville_defect needs P_{n + 1}; n_max = {data.n_max}")
-    return Poly.dot(((data.assoc(n), data.poly(n)), (data.poly(n + 1), -data.assoc(n - 1)),
-                     (Poly.one(), -data.gamma_product(n))))
+def check_liouville(data: SMOPData) -> None:
+    """The Liouville-Ostrogradsky identity W_n = P1_n P_n - P_{n+1} P1_{n-1}
+    = gamma_0 ... gamma_n for n < n_max, by its proof: with P, P1 following
+    beta, gamma from P_0 = P1_0 = 1 (`SMOPData.check_level` at levels
+    0..n_max), W_n = gamma_n W_{n-1}, and W_0 = 1 = gamma_0.  O(n) work per
+    level; raises InvalidRecurrence naming the first level that fails."""
+    if data.gamma[0] != 1:
+        raise InvalidRecurrence(f"gamma_0 must equal 1 (got {data.gamma[0]})")
+    for n in range(data.n_max + 1):
+        data.check_level(n)

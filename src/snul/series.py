@@ -17,9 +17,9 @@ claimed on exponents that are fully determined by the known coefficients of
 the operands.  Equality questions therefore only ever compare the common
 valid window.
 
-Products (`__mul__` and `mul_poly`) are computed by `fieldext._int_dot`,
-the one exact product kernel, as one-term sums cut at the length of the
-result's window.
+Sums, differences and products are cases of `dot`, a sum of products
+formed by one call of `fieldext._int_dot`, the one exact product kernel, cut
+at the length of the result's window.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from math import isqrt, lcm
 from typing import Iterable
 
 from .errors import InsufficientTruncation
-from .fieldext import _int_dot, _int_sum, _reduced, parse_rational
+from .fieldext import _int_dot, _reduced, parse_rational
 from .poly import Poly
 
 _ZERO = Fraction(0)
@@ -135,21 +135,11 @@ class LaurentSeries:
                                             self.truncation_order)
         return None
 
-    def _combine(self, o: "LaurentSeries", sign: int) -> "LaurentSeries":
-        order = min(self.truncation_order, o.truncation_order)
-        top = max(self._effective_top(), o._effective_top())
-        if top < -order:
-            return LaurentSeries.zero(order)
-        length = top + order + 1
-        nums, den = _int_sum(self._aligned(top, length), self.den,
-                             o._aligned(top, length), o.den, sign)
-        return LaurentSeries._from_ints(top, nums, den, order)
-
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._combine(o, 1)
+        return LaurentSeries.dot(((self, 1), (o, 1)))
 
     __radd__ = __add__
 
@@ -163,56 +153,67 @@ class LaurentSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._combine(o, -1)
+        return LaurentSeries.dot(((self, 1), (o, -1)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o._combine(self, -1)
+        return LaurentSeries.dot(((o, 1), (self, -1)))
 
     def __neg__(self):
         return LaurentSeries._from_ints(self.lowest_power, [-a for a in self.nums],
                                         self.den, self.truncation_order)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            num = other.numerator
-            return LaurentSeries._from_ints(self.lowest_power, [a * num for a in self.nums],
-                                            self.den * other.denominator,
-                                            self.truncation_order)
-        if isinstance(other, Poly):
-            return self.mul_poly(other)
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction, Poly, LaurentSeries)):
             return NotImplemented
-        order = min(
-            self.truncation_order - o._effective_top(),
-            o.truncation_order - self._effective_top(),
-        )
-        if not self.nums or not o.nums:
-            return LaurentSeries.zero(order)
-        top = self.lowest_power + o.lowest_power
-        if top < -order:
-            return LaurentSeries.zero(order)
-        out = _int_dot(((1, self.nums, o.nums),), top + order + 1)
-        return LaurentSeries._from_ints(top, out, self.den * o.den, order)
+        return LaurentSeries.dot(((self, other),))
 
     __rmul__ = __mul__
 
     def mul_poly(self, p: Poly) -> "LaurentSeries":
         """Multiply by an exact polynomial: only the window shrinks by deg p."""
-        if p.is_zero:
-            return LaurentSeries.zero(self.truncation_order)
-        order = self.truncation_order - p.degree
-        if not self.nums:
-            return LaurentSeries.zero(order)
-        top = self.lowest_power + p.degree
+        return LaurentSeries.dot(((self, p),))
+
+    @staticmethod
+    def dot(pairs) -> "LaurentSeries":
+        """sum s b over the pairs (series s, b a Poly, rational or series),
+        over one denominator, with one `_int_dot` call and one gcd.
+
+        The window is the one the chained products and differences give:
+        s b is known down to the window of s less deg b for a nonzero Poly
+        b, as deep as s for a rational or a zero Poly, and for a series b
+        down to x^-min(N_s - top_b, N_b - top_s), with N the windows and top
+        the leading exponents; the sum is known as deep as its shallowest
+        term.
+        """
+        order, terms = None, []
+        for s, b in pairs:
+            if isinstance(b, LaurentSeries):
+                window = min(s.truncation_order - b._effective_top(),
+                             b.truncation_order - s._effective_top())
+                ys, top, den = b.nums, b.lowest_power, b.den
+            elif isinstance(b, Poly):
+                window = s.truncation_order - (b.degree or 0)
+                # b's coefficients in descending powers, like the series' own
+                ys, top, den = b.nums[::-1], b.degree, b.den
+            else:
+                window = s.truncation_order
+                ys, top, den = (b.numerator,), 0, b.denominator
+            order = window if order is None else min(order, window)
+            if s.nums and ys:
+                terms.append((s.lowest_power + top, s.nums, ys, s.den * den))
+        top = max((t for t, *_ in terms), default=-order - 1)
         if top < -order:
             return LaurentSeries.zero(order)
-        # p's coefficients in descending powers, like the series' own
-        out = _int_dot(((1, self.nums, p.nums[::-1]),), top + order + 1)
-        return LaurentSeries._from_ints(top, out, self.den * p.den, order)
+        den = lcm(*(d for *_, d in terms))
+        # a term leading below the sum is shifted down by zeros before its
+        # shorter factor, which the kernel's outer loop skips
+        out = _int_dot([(den // d, xs, (0,) * (top - t) + ys) if len(ys) <= len(xs)
+                        else (den // d, (0,) * (top - t) + xs, ys)
+                        for t, xs, ys, d in terms], top + order + 1)
+        return LaurentSeries._from_ints(top, out, den, order)
 
     def inverse(self) -> "LaurentSeries":
         """Reciprocal series; the window deepens/shrinks by twice the leading
@@ -250,22 +251,12 @@ class LaurentSeries:
     def common_order(self, other: "LaurentSeries") -> int:
         return min(self.truncation_order, other.truncation_order)
 
-    def first_disagreement(self, other: "LaurentSeries") -> int | None:
-        """Highest exponent (within the common window) where the two differ."""
-        o = self._coerce(other)
-        order = self.common_order(o)
-        top = max(self._effective_top(), o._effective_top())
-        length = max(top + order + 1, 0)
-        for i, (a, b) in enumerate(zip(self._aligned(top, length), o._aligned(top, length))):
-            if a * o.den != b * self.den:
-                return top - i
-        return None
-
     def agrees_with(self, other) -> bool:
+        """Equal on the common window."""
         o = self._coerce(other)
         if o is None:
             raise TypeError(f"cannot compare series with {other!r}")
-        return self.first_disagreement(o) is None
+        return (self - o).is_zero
 
     def is_zero_within_window(self) -> bool:
         return not self.nums

@@ -159,6 +159,52 @@ def pair_dm_series(lattice, s: LaurentSeries) -> tuple[LaurentSeries, LaurentSer
     return -e1.v, e1.u
 
 
+# -- oracles for orthopoly -----------------------------------------------------
+
+def hankel_determinant(moments, n: int, shift: int = 0) -> F:
+    """det[u_{i+j+shift}] for i, j = 0..n-1, by exact Gaussian elimination,
+    the oracle against the Chebyshev algorithm."""
+    if n == 0:
+        return F(1)
+    m = [[F(moments[i + j + shift]) for j in range(n)] for i in range(n)]
+    det = F(1)
+    for col in range(n):
+        pivot = None
+        for row in range(col, n):
+            if m[row][col] != 0:
+                pivot = row
+                break
+        if pivot is None:
+            return F(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for row in range(col + 1, n):
+            factor = m[row][col] * inv
+            if factor:
+                for j in range(col, n):
+                    m[row][j] -= factor * m[col][j]
+    return det
+
+
+def liouville_defect(data, n: int) -> Poly:
+    """P1_n P_n - P_{n+1} P1_{n-1} - gamma_0 ... gamma_n from the stored
+    polynomials, two full products; zero when they follow the recurrence."""
+    return (data.assoc(n) * data.poly(n) - data.poly(n + 1) * data.assoc(n - 1)
+            - data.gamma_product(n))
+
+
+def second_kind_by_definition(data, s: LaurentSeries, n: int) -> LaurentSeries:
+    """q_n = P_n S - P1_{n-1} from the stored polynomials, a full product,
+    on the window of S less n (q_{-1} = 1 on the window of S)."""
+    if n == -1:
+        return LaurentSeries.constant(1, s.truncation_order)
+    return s.mul_poly(data.poly(n)) - LaurentSeries.from_poly(data.assoc(n - 1),
+                                                              s.truncation_order - n)
+
+
 # -- the frozen end-to-end fixtures ------------------------------------------
 
 def qhermite_riccati(lattice) -> RiccatiData:

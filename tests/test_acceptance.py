@@ -17,7 +17,6 @@ from snul import (
     apply_M,
     certify,
     fit_riccati,
-    liouville_defect,
     moments_from_recurrence,
     recurrence_from_moments,
     riccati_nullspace,
@@ -27,6 +26,7 @@ from snul import (
 )
 
 from conftest import (
+    liouville_defect,
     qhermite_corecursive_riccati,
     qhermite_riccati,
     random_poly,

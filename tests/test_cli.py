@@ -276,6 +276,39 @@ class TestCertifyCommand:
         assert code == 0
         assert sum(f == seen[0] for f in seen) == 2
 
+    def test_moments_formed_once(self, capsys, monkeypatch):
+        # the fit's moments serve certify unless certify's order asks for
+        # more than the file's trunc
+        original = ProblemFile.moment_list
+        orders = []
+
+        def counting(problem, order):
+            orders.append(order)
+            return original(problem, order)
+
+        monkeypatch.setattr(ProblemFile, "moment_list", counting)
+        path = str(PROBLEMS / "qhermite_recurrence.json")
+        for extra, expected in (([], [28]), (["--n-max", "14"], [28, 30])):
+            orders.clear()
+            assert main(["certify", path] + extra) == 0
+            assert json.loads(capsys.readouterr().out)["passed"]
+            assert orders == expected
+
+    def test_short_recurrence_after_failed_fit(self, capsys, tmp_path):
+        # 28 recurrence coefficients give u_0..u_28 for the fit but not
+        # u_0..u_30 for certify at n_max 14: a failed fit reports as such,
+        # a passed one stops at the recurrence
+        doc = json.loads((PROBLEMS / "qhermite_recurrence.json").read_text())
+        doc["recurrence"] = {k: v[:28] for k, v in doc["recurrence"].items()}
+        doc["options"]["n_max"] = 14
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        assert main(["certify", str(path), "--deg-bounds", "0,0,0,0"]) == 1
+        cert = json.loads(capsys.readouterr().out)
+        assert [(c["name"], c["verdict"]) for c in cert["checks"]] == [("riccati", "fail")]
+        assert main(["certify", str(path)]) == 2
+        assert "need recurrence coefficients up to index 29" in capsys.readouterr().err
+
     def test_each_shift_walked_once(self, capsys, monkeypatch):
         # the structure stage releases the images of P_n and P1_n as it climbs;
         # no later stage walks a level again

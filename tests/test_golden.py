@@ -24,8 +24,11 @@ trunc 34 and 16 levels.  The surd_conic derive case at --n-max 24 was
 written by the version that formed Theta_hat, l and pi from full products of
 degree-n polynomials, each a separate Poly operation, so it is an oracle
 independent of the fused sum-of-products kernel and the windowed Cramer
-solve.  To
-regenerate after an intended change of the output, run
+solve.  The surd_conic certify case at --n-max 32 was written by the version
+that formed each q_n as the full product P_n S - P1_{n-1}, the images of
+each q_n from the D/M table and R, I from separately reduced products, so it
+is an oracle independent of the recurrence route of the second-kind stage.
+To regenerate after an intended change of the output, run
 `snul <command> <problem> <extra arguments>` and, for certify, delete the
 "timings" entry; the file is tests/data/<command>_<name>.json, with <name>
 as `_name` builds it.
@@ -64,6 +67,8 @@ CASES = (
     + [("certify", ROOT / "problems" / "qhermite_corecursive.json", ["--n-max", "16"])]
     # the structure stage at depth on the instance with the largest coefficients
     + [("derive", DATA / "surd_conic.json", ["--n-max", "24"])]
+    # the second-kind stage at depth on the same instance
+    + [("certify", DATA / "surd_conic.json", ["--n-max", "32"])]
 )
 
 

@@ -545,7 +545,7 @@ class TestCertify:
                           for name in ("second-kind-1", "second-kind-2")]
 
     @pytest.mark.parametrize("stage, module, name", [
-        ("liouville", "snul.orthopoly", "liouville_defect"),
+        ("liouville", "snul.orthopoly", "check_liouville"),
         ("recursion-corollary", "snul.laguerre_hahn", "corollary_coeffs"),
         ("recursion-magnus", "snul.laguerre_hahn", "magnus_step"),
         ("telescopes", "snul.laguerre_hahn", "telescope_residuals"),
@@ -590,8 +590,46 @@ class TestCertify:
         assert failed == [(stage, "fail", f"{name} rejected")] + [
             (nm, "skip", "") for nm in after]
 
+    def test_moved_polynomial_fails_at_liouville(self, reference_lattice, monkeypatch):
+        # every coefficient of every stored P_n and P1_{n-1} that certify
+        # reads (n <= n_max), moved by +/-1: liouville fails first and names
+        # the level; a moved moment still fails at riccati
+        import snul.orthopoly as op
+        original = op.smop_from_recurrence
+        n_max = 3
+        for make in (qhermite_riccati, qhermite_corecursive_riccati):
+            ric = make(reference_lattice)
+            moments = solve_moments_from_riccati(ric, 16)
+            stored = [("P", k) for k in range(n_max + 1)] + [("P1", k) for k in range(n_max)]
+            for name, k in stored:
+                for i, delta in [(i, d) for i in range(k + 1) for d in (1, -1)]:
+                    def moved(*args, **kwargs):
+                        data = original(*args, **kwargs)
+                        polys = getattr(data, name)
+                        coeffs = list(polys[k].coeffs)
+                        coeffs[i] += delta
+                        polys[k] = Poly(coeffs)
+                        return data
+
+                    monkeypatch.setattr(op, "smop_from_recurrence", moved)
+                    cert = certify(ric, n_max=n_max, order=16, moments=moments)
+                    level = k if name == "P" else k + 1
+                    first = next(c for c in cert.checks if c.verdict != "pass")
+                    assert (first.name, first.verdict) == ("liouville", "fail")
+                    assert first.detail.startswith(
+                        f"{name}_{k} disagrees with the recurrence at level {level}:")
+            monkeypatch.setattr(op, "smop_from_recurrence", original)
+            for k in range(len(moments)):
+                for delta in (1, -1):
+                    moved = list(moments)
+                    moved[k] += delta
+                    cert = certify(ric, n_max=n_max, order=16, moments=moved)
+                    first = next(c for c in cert.checks if c.verdict != "pass")
+                    assert (first.name, first.verdict) == ("riccati", "fail"), k
+
     def test_images_of_s_formed_once(self, reference_lattice, monkeypatch):
-        # q_0 is S itself, so D S and M S are formed once per workspace
+        # q_0 is S itself, so D S and M S are formed once per workspace; the
+        # images of q_-1 = 1 are (0, 1) and those of q_1..q_n are walked
         import snul.laguerre_hahn as lh
         original = lh._operator_series
         seen = []
@@ -608,7 +646,7 @@ class TestCertify:
             seen.clear()
             assert certify(ric, n_max=4, order=18, moments=moments).passed
             assert sum(f == s for f in seen) == 1
-            assert len(seen) == 6          # S, q_-1 and q_1..q_4
+            assert len(seen) == 1          # S alone
 
     def test_each_q_formed_once(self, reference_lattice, monkeypatch):
         import snul.laguerre_hahn as lh

@@ -10,15 +10,19 @@ from snul import (
     NotQuasiDefinite,
     Poly,
     apply_shift,
-    hankel_determinant,
-    liouville_defect,
+    check_liouville,
     moments_from_recurrence,
     recurrence_from_moments,
     second_kind_series,
     smop_from_recurrence,
 )
 
-from conftest import random_quasi_definite_recurrence
+from conftest import (
+    hankel_determinant,
+    liouville_defect,
+    random_quasi_definite_recurrence,
+    second_kind_by_definition,
+)
 
 
 def wide_recurrence(rng, n_top):
@@ -217,6 +221,12 @@ class TestSecondKind:
             for e in range(0, -n - 1, -1):
                 assert qn.coefficient(e) == 0
 
+    def test_matches_definition(self):
+        # the recurrence route against the full product P_n S - P1_{n-1}
+        for n in range(-1, 13):
+            q = second_kind_series(self.data, self.s, n)
+            assert q == second_kind_by_definition(self.data, self.s, n), n
+
     def test_window_guard(self):
         short = LaurentSeries.from_moments(self.data.moments[:6])
         with pytest.raises(InsufficientTruncation):
@@ -238,8 +248,8 @@ class TestSecondKind:
             second_kind_series(data, data.stieltjes(), 5)
 
     def test_polynomials_off_recurrence_typed_error(self):
-        # P_3 no longer follows beta, gamma: definition and recurrence routes
-        # for q_3 disagree, reported as a SnulError rather than an assertion
+        # P_3 no longer follows beta, gamma: the stored P_3 and the recurrence
+        # disagree at level 3, reported as a SnulError rather than an assertion
         data = build(self.beta[:13], self.gamma[:13], 12,
                      moments=self.data.moments)
         data.P[3] = data.P[3] + Poly.constant(1)
@@ -266,6 +276,23 @@ class TestLiouville:
             data = build(beta, gamma, 7, moment_order=0)
             for n in range(7):
                 assert liouville_defect(data, n).is_zero
+
+    def test_check_fails_where_the_products_do(self):
+        # check_liouville, the identity by its proof, against the full
+        # products: both pass on a recurrence, both fail on a moved P1_3
+        rng = random.Random(37)
+        beta, gamma = random_quasi_definite_recurrence(rng, 7)
+        data = build(beta, gamma, 7, moment_order=0)
+        check_liouville(data)
+        data.P1[3] = data.P1[3] + Poly.constant(1)
+        assert not all(liouville_defect(data, n).is_zero for n in range(7))
+        with pytest.raises(InvalidRecurrence, match="P1_3 disagrees with the recurrence at level 4"):
+            check_liouville(data)
+        data = build(beta, gamma, 7, moment_order=0)
+        data.gamma[0] = F(2)
+        assert not liouville_defect(data, 0).is_zero
+        with pytest.raises(InvalidRecurrence, match="gamma_0 must equal 1"):
+            check_liouville(data)
 
     def test_shifted_image_is_zero(self, reference_lattice):
         # E_j of the identically-zero defect stays zero in the surd ring

@@ -377,3 +377,68 @@ class TestIntegerStorage:
         for s in routes:
             assert_stored_form(s)
             assert s == routes[0] and hash(s) == hash(routes[0])
+
+
+# -- fused sums of products --------------------------------------------------------
+
+@st.composite
+def dot_pairs(draw):
+    """1 to 4 pairs (series, weight, series terms, weight terms, window of
+    their product), a weight being a Poly, a rational or a series, and
+    sometimes the first pair again with its weight negated, so that the sum
+    cancels it."""
+    def top(terms, order):
+        return max(terms) if terms else -order - 1
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        s, s_terms, s_order = build_series(draw(raw_series()))
+        kind = draw(st.sampled_from(["poly", "scalar", "series"]))
+        if kind == "poly":
+            ps = draw(raw_polys)
+            b, b_terms = Poly(ps), {k: v for k, v in enumerate(ps) if v}
+            window = s_order - max(b_terms, default=0)
+        elif kind == "scalar":
+            b = draw(scalars)
+            b_terms, window = ({0: F(b)} if b else {}), s_order
+        else:
+            b, b_terms, b_order = build_series(draw(raw_series()))
+            window = min(s_order - top(b_terms, b_order), b_order - top(s_terms, s_order))
+        pairs.append((s, b, s_terms, b_terms, window))
+    if draw(st.booleans()):
+        s, b, s_terms, b_terms, window = pairs[0]
+        pairs.append((s, -b, s_terms, {e: -v for e, v in b_terms.items()}, window))
+    return pairs
+
+
+class TestSeriesDot:
+    @settings(max_examples=80, deadline=None)
+    @given(pairs=dot_pairs())
+    def test_equals_the_chained_products(self, pairs):
+        fused = LaurentSeries.dot([(s, b) for s, b, *_ in pairs])
+        chained = None
+        for s, b, *_ in pairs:
+            term = s.mul_poly(b) if isinstance(b, Poly) else s * b
+            chained = term if chained is None else chained + term
+        assert fused == chained
+        total = {}
+        for _, _, s_terms, b_terms, _ in pairs:
+            total = combine(total, product(s_terms, b_terms))
+        order = min(window for *_, window in pairs)
+        assert_series(fused, {e: c for e, c in total.items() if e >= -order}, order)
+
+    def test_zero_operands_and_cancelling_weights(self):
+        f = LaurentSeries(-1, [1, F(1, 2), 3, 0, 5], 6)
+        g = LaurentSeries(0, [2, 0, F(-1, 3)], 4)
+        p = Poly([1, 2, F(3, 7)])
+        # a zero Poly leaves the series' own window; a zero series shrinks
+        # by the other factor's degree or leading exponent
+        assert LaurentSeries.dot([(f, Poly.zero())]) == LaurentSeries.zero(6)
+        assert LaurentSeries.dot([(f, Poly.zero()), (g, p)]) == g.mul_poly(p)
+        assert LaurentSeries.dot([(LaurentSeries.zero(6), p)]) == LaurentSeries.zero(4)
+        assert LaurentSeries.dot([(LaurentSeries.zero(6), g)]) == LaurentSeries.zero(6)
+        for pairs in ([(f, p), (f, -p)], [(f, g), (g, -f)], [(f, F(2, 3)), (f * 2, F(-1, 3))],
+                      [(g, p), (g.mul_poly(p), -1)]):
+            fused = LaurentSeries.dot(pairs)
+            assert fused.is_zero and fused == LaurentSeries.zero(fused.truncation_order)
+        assert LaurentSeries.dot([(f, g), (g, -f)]).truncation_order == (f * g).truncation_order
+        assert LaurentSeries.dot([(f, p), (g, 1)]).truncation_order == 4

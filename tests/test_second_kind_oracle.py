@@ -12,7 +12,13 @@ route runs on every lattice, the one with sqrt(lambda) = sqrt(5) included.
 Both routes must give the same coefficients on the same windows, on the
 shipped instances and on structure coefficients moved by +/-1 in one
 coefficient at one level.
+
+q_n and its images, which the workspace forms by the three-term recurrence,
+are checked against the definition q_n = P_n S - P1_{n-1} as a full product
+and against `_operator_series` of it, windows included, on the three conics
+of `conftest`.
 """
+import random
 from pathlib import Path
 
 import pytest
@@ -20,8 +26,10 @@ import pytest
 from snul import (
     LaurentSeries,
     Workspace,
+    build_lattice,
     fit_riccati,
     gathered_relations,
+    moments_from_recurrence,
     recurrence_from_moments,
     riccati_residual,
     smop_from_recurrence,
@@ -31,10 +39,17 @@ from snul import (
 )
 from snul.cli import ProblemFile
 from snul.laguerre_hahn import HALF, StructureCoeffs
-from snul.lattice import apply_M_series
+from snul.lattice import _operator_series, apply_M_series
 from snul.poly import Poly
 
-from conftest import RootPair
+from conftest import (
+    IMAGINARY_CONIC,
+    REFERENCE_CONIC,
+    SURD_CONIC,
+    RootPair,
+    random_quasi_definite_recurrence,
+    second_kind_by_definition,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = sorted((ROOT / "problems").glob("*.json"))
@@ -190,3 +205,25 @@ def test_routes_agree_on_tampered_coefficients(path):
                         assert im.is_zero and not re.is_zero_within_window(), case
                     else:
                         assert not im.is_zero_within_window(), case
+
+
+# -- q_n and its images against the definition route ------------------------------
+
+@pytest.mark.parametrize("conic", [REFERENCE_CONIC, SURD_CONIC, IMAGINARY_CONIC],
+                         ids=["reference", "sqrt5", "sqrt-1"])
+def test_walked_images_of_q_match_the_definition(conic):
+    lattice = build_lattice(*conic)
+    rng = random.Random(4711)
+    for _ in range(2):
+        beta, gamma = random_quasi_definite_recurrence(rng, 26)
+        data = smop_from_recurrence(beta[:13], gamma[:13], 12,
+                                    moments=moments_from_recurrence(beta, gamma, 27))
+        ws = Workspace(lattice, data=data)
+        window = ws.s.truncation_order
+        for n in range(-1, 13):
+            # q_-1 = 1 is known on the window of S, q_n for n >= 0 on it less n
+            q, w = second_kind_by_definition(data, ws.s, n), window - max(n, 0)
+            assert ws.q(n) == q and q.truncation_order == w, n
+            d, m = ws.dm(n)
+            assert (d, m) == _operator_series(lattice, q), n
+            assert (d.truncation_order, m.truncation_order) == (w + 1, w), n

@@ -56,7 +56,7 @@ class TestWindows:
         assert f.agrees_with(g)
         h = LaurentSeries(-1, [1, 2, 9], 3)
         assert not f.agrees_with(h)
-        assert f.first_disagreement(h) == -3
+        assert (f - h).leading_exponent() == -3
 
 
 class TestArithmetic:
