@@ -15,7 +15,9 @@ coefficients, and bundles the verdicts into a certificate.
 
 One job is one `Workspace`: every stage function reads S, the recurrence
 and the lattice from it, and every relation residual it returns is over Q,
-a rational pair (u, v) of u + sqrt(r) v where sqrt(r) enters.
+a rational pair (u, v) of u + sqrt(r) v where sqrt(r) enters.  One level set
+is one `StructureCoeffs`: the functions that read l, pi and Theta take the
+Riccati data and the recurrence from it.
 """
 from __future__ import annotations
 
@@ -92,28 +94,26 @@ class RiccatiData:
 
 
 class StructureCoeffs:
-    """l_n, pi_n, Theta_n (levels -1 and up), Theta_hat_n and the gathered
-    A_n = A + (Delta_y^2 / 2) pi_{n-1}.  Internal lists are offset by one so
-    index 0 holds level -1."""
+    """l_n, pi_n, Theta_n of `ric` on the recurrence `data`, from level -1 =
+    (C/2, 0, D) up; Theta_hat_n and the gathered A_n = A + (Delta_y^2 / 2)
+    pi_{n-1} are read off them.  Internal lists are offset by one so index 0
+    holds level -1."""
 
     def __init__(self, ric: RiccatiData, data: SMOPData):
         self.ric = ric
         self.data = data
-        self.l: list[Poly] = []
-        self.pi: list[Poly] = []
-        self.theta: list[Poly] = []
-        self.theta_hat: list[Poly] = []
-        self.A_gathered: list[Poly] = []
+        self.l: list[Poly] = [ric.C * HALF]
+        self.pi: list[Poly] = [Poly.zero()]
+        self.theta: list[Poly] = [ric.D]
 
     @property
     def max_level(self) -> int:
         return len(self.l) - 2
 
-    def append_level(self, l: Poly, pi: Poly, theta: Poly, theta_hat: Poly):
+    def append_level(self, l: Poly, pi: Poly, theta: Poly):
         self.l.append(l)
         self.pi.append(pi)
         self.theta.append(theta)
-        self.theta_hat.append(theta_hat)
 
     def _at(self, store: list[Poly], n: int) -> Poly:
         if n < -1 or n + 1 >= len(store):
@@ -130,16 +130,19 @@ class StructureCoeffs:
         return self._at(self.theta, n)
 
     def theta_hat_at(self, n: int) -> Poly:
-        return self._at(self.theta_hat, n)
+        """gamma_0..gamma_n Theta_n."""
+        return self.theta_at(n) * self.data.gamma_product(n)
 
     def A_at(self, n: int) -> Poly:
-        if n < 0 or n >= len(self.A_gathered):
-            raise IndexError(f"A_n not computed at level {n}")
-        return self.A_gathered[n]
+        """A + 2 r pi_{n-1}; A_0 = A, since pi_{-1} = 0."""
+        return self.ric.A + self.ric.lattice.r * 2 * self.pi_at(n - 1)
 
     def degrees(self) -> dict[str, list[int | None]]:
-        return {name: [p.degree for p in getattr(self, name)]
-                for name in ("l", "pi", "theta", "theta_hat", "A_gathered")}
+        levels = range(-1, self.max_level + 1)
+        polys = {"l": self.l, "pi": self.pi, "theta": self.theta,
+                 "theta_hat": [self.theta_hat_at(n) for n in levels],
+                 "A_gathered": [self.A_at(n + 1) for n in levels]}
+        return {name: [p.degree for p in ps] for name, ps in polys.items()}
 
     def same_as(self, other: "StructureCoeffs") -> bool:
         return (self.l, self.pi, self.theta) == (other.l, other.pi, other.theta)
@@ -261,32 +264,31 @@ class Workspace:
         """E1S E2S = (MS)^2 - r (DS)^2."""
         return self._get("e1e2", lambda: e1e2_series(self.lattice, self.s, *self.dm()))
 
-    def second_kind_pair(self, ric: RiccatiData, coeffs: StructureCoeffs,
+    def second_kind_pair(self, coeffs: StructureCoeffs,
                          n: int) -> tuple[LaurentSeries, LaurentSeries]:
         """(R, I) at level n >= 0, the one place where the second-kind
         relations are formed.  With E_j f = M f -/+ sqrt(r) D f and
         (l, pi, Theta) at level n - 1, the residuals of the two relations are
         res1 = R + sqrt(r) I and res2 = R - sqrt(r) I, where
 
-            R = (A + 2 r pi) Dq_n - (l + C/2) Mq_n - Theta Mq_{n-1}
+            R = A_n Dq_n - (l + C/2) Mq_n - Theta Mq_{n-1}
                 - B (MS Mq_n - r DS Dq_n),
             I = (l - C/2) Dq_n - 2 pi Mq_n + Theta Dq_{n-1}
                 - B (MS Dq_n - DS Mq_n),
 
-        both over Q when S is, each one `LaurentSeries.dot` with B MS, B DS
-        and r B DS formed once.  A + 2 r pi is formed from pi, not read from
-        the gathered A_n, so that every coefficient the caller passes reaches
-        R.  The memo key holds the coefficient values, so a workspace read
-        with other coefficients never returns a stale pair.
+        A_n = A + 2 r pi, both over Q when S is, each one `LaurentSeries.dot`
+        with B MS, B DS and r B DS formed once.  The memo key holds the
+        coefficient values, so a workspace read with other coefficients
+        never returns a stale pair.
         """
-        A, B, C = ric.A, ric.B, ric.C
+        A, B, C = coeffs.ric.A, coeffs.ric.B, coeffs.ric.C
         l, pi, theta = coeffs.l_at(n - 1), coeffs.pi_at(n - 1), coeffs.theta_at(n - 1)
 
         def make():
             half_C = C * HALF
             d_q, m_q = self.dm(n)
             d_prev, m_prev = self.dm(n - 1)
-            re = [(d_q, A + self.lattice.r * 2 * pi), (m_q, -(l + half_C)), (m_prev, -theta)]
+            re = [(d_q, coeffs.A_at(n)), (m_q, -(l + half_C)), (m_prev, -theta)]
             im = [(d_q, l - half_C), (m_q, pi * -2), (d_prev, theta)]
             if not B.is_zero:
                 neg_b_ms, b_ds, r_b_ds = self._get(("B", B), lambda: (
@@ -312,7 +314,7 @@ class Workspace:
                      dot(((-half_C, d_p1), (-D, d_pn)))))
         return self._get(("sides", n, A, B, C, D), make)
 
-    def structure_pair(self, ric: RiccatiData, coeffs: StructureCoeffs, n: int):
+    def structure_pair(self, coeffs: StructureCoeffs, n: int):
         """((Ra, Ia), (Rb, Ib)) at level n >= 1, the one place where the
         structure relations are formed.  With L = l + 2 pi sqrt(r) and
         (l, pi, Theta) at level n - 1, the residuals of the E1 variant are
@@ -332,10 +334,10 @@ class Workspace:
                 (u, v), (d, m), (d_prev, m_prev) = side, f, f_prev
                 return (Poly.dot(((u, 1), (-l, m), (r_pi2, d), (-theta, m_prev))),
                         Poly.dot(((v, 1), (-pi2, m), (l, d), (theta, d_prev))))
-            x, y = self.structure_sides(ric, n)
+            x, y = self.structure_sides(coeffs.ric, n)
             return (residual(x, self.poly_shifts(n), self.poly_shifts(n - 1)),
                     residual(y, self.assoc_shifts(n - 1), self.assoc_shifts(n - 2)))
-        return self._get(("structure", n, *ric.polys(), l, pi, theta), make)
+        return self._get(("structure", n, *coeffs.ric.polys(), l, pi, theta), make)
 
     def poly_shifts(self, n: int) -> tuple[Poly, Poly]:
         """(D P_n, M P_n), with P_{-1} = 0."""
@@ -595,15 +597,6 @@ def _theta_degree_bound(ric: RiccatiData) -> int:
     return max(len(ric.A.nums) - 3, len(ric.B.nums) - 3, len(ric.C.nums) - 2)
 
 
-def initial_structure_coeffs(ric: RiccatiData, data: SMOPData) -> StructureCoeffs:
-    """Level -1 entries straight from the definition: l = C/2, pi = 0,
-    Theta = D; the gathered A_0 equals A because pi_{-1} = 0."""
-    coeffs = StructureCoeffs(ric, data)
-    coeffs.append_level(ric.C * HALF, Poly.zero(), ric.D, ric.D)
-    coeffs.A_gathered.append(ric.A)
-    return coeffs
-
-
 def _structure_window(ric: RiccatiData) -> int:
     """One more than the largest degree the corollary recursion allows
     Theta_hat, l and pi: deg C (l_{-1}), deg D + 1 (l_0) or the Theta
@@ -644,7 +637,7 @@ def structure_coeffs_direct(ric: RiccatiData, ws: Workspace, n_max: int,
             raise NotLaguerreHahn(0, f"Riccati residual nonzero at x^{res.leading_exponent()}")
     r, dot = ws.lattice.r, Poly.dot
     bound, window = _theta_degree_bound(ric), _structure_window(ric)
-    coeffs = initial_structure_coeffs(ric, data)
+    coeffs = StructureCoeffs(ric, data)
     for n in range(1, n_max + 1):
         sides = [p for side in ws.structure_sides(ric, n) for p in side]
         d_pn, m_pn = ws.poly_shifts(n)
@@ -660,35 +653,32 @@ def structure_coeffs_direct(ric: RiccatiData, ws: Workspace, n_max: int,
                           (d_pn_prev, -ry)), length) / g
             pi_poly = dot(((m_pn_prev, yv), (d_pn_prev, -yu), (m_p1_prev, -xv),
                            (d_p1_prev, xu)), length) / (2 * g)
-            coeffs.append_level(l_poly, pi_poly, theta_hat / g, theta_hat)
-            coeffs.A_gathered.append(ric.A + r * 2 * pi_poly)
+            coeffs.append_level(l_poly, pi_poly, theta_hat / g)
             over = len(theta_hat.nums) > bound + 1
             failed = [] if over else [which for which, (re, im) in zip(
-                ("first", "second"), ws.structure_pair(ric, coeffs, n)) if re or im]
+                ("first", "second"), ws.structure_pair(coeffs, n)) if re or im]
             if not (over or failed):
                 break
             if length is None:
                 raise (DegreeBoundExceeded(n - 1, theta_hat.degree, bound) if over else
                        NotLaguerreHahn(n, f"{failed[0]} structure equation (E1 variant) failed"))
-            for store in (coeffs.l, coeffs.pi, coeffs.theta, coeffs.theta_hat, coeffs.A_gathered):
+            for store in (coeffs.l, coeffs.pi, coeffs.theta):
                 store.pop()                 # the failed level, before the full solve
         ws.release_shifts(n)
     return coeffs
 
 
-def verify_structure_relations(ric: RiccatiData, ws: Workspace,
-                               coeffs: StructureCoeffs, n: int):
+def verify_structure_relations(ws: Workspace, coeffs: StructureCoeffs, n: int):
     """The residuals ((Ra, Ia), (Rb, Ib)) of the two structure relations at
     level n >= 1 (`Workspace.structure_pair`), as rational pairs (u, v) of
     u + sqrt(r) v: those of the E1 variant.  The E2 variant's residuals are
     their sqrt(r)-conjugates, so both variants hold iff all four vanish."""
     if n < 1:
         raise ValueError("structure relations are stated for n >= 1")
-    return ws.structure_pair(ric, coeffs, n)
+    return ws.structure_pair(coeffs, n)
 
 
-def verify_second_kind_relations(ric: RiccatiData, ws: Workspace,
-                                 coeffs: StructureCoeffs, n: int):
+def verify_second_kind_relations(ws: Workspace, coeffs: StructureCoeffs, n: int):
     """The pair (R, I) of the two second-kind difference relations at level
     n >= 0 for the S and recurrence of `ws` (`Workspace.second_kind_pair`):
     their residuals are R + sqrt(r) I and R - sqrt(r) I.
@@ -702,11 +692,10 @@ def verify_second_kind_relations(ric: RiccatiData, ws: Workspace,
     """
     if n < 0:
         raise ValueError("second-kind relations are stated for n >= 0")
-    return ws.second_kind_pair(ric, coeffs, n)
+    return ws.second_kind_pair(coeffs, n)
 
 
-def gathered_relations(ric: RiccatiData, ws: Workspace,
-                       coeffs: StructureCoeffs, n: int):
+def gathered_relations(ws: Workspace, coeffs: StructureCoeffs, n: int):
     """Residuals of the gathered (M-form) relations at level n >= 0: two
     exact polynomial identities for P_{n+1} and P1_n, the parts Ra and Rb of
     `Workspace.structure_pair` at level n + 1 (A_{n+1} DP_{n+1} - (l_n - C/2)
@@ -720,8 +709,8 @@ def gathered_relations(ric: RiccatiData, ws: Workspace,
     M(S q_n) = MS Mq_n + r DS Dq_n."""
     if n < 0:
         raise ValueError("gathered relations are stated for n >= 0")
-    (res_p, _), (res_p1, _) = ws.structure_pair(ric, coeffs, n + 1)
-    return res_p, res_p1, ws.second_kind_pair(ric, coeffs, n)[0]
+    (res_p, _), (res_p1, _) = ws.structure_pair(coeffs, n + 1)
+    return res_p, res_p1, ws.second_kind_pair(coeffs, n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -743,12 +732,12 @@ def corollary_level_zero(ric: RiccatiData, data: SMOPData) -> tuple[Poly, Poly, 
     return l0, pi0, theta0
 
 
-def corollary_recursion(ric: RiccatiData, data: SMOPData,
-                        coeffs: StructureCoeffs, n: int) -> tuple[Poly, Poly, Poly]:
+def corollary_recursion(coeffs: StructureCoeffs, n: int) -> tuple[Poly, Poly, Poly]:
     """One step n -> n+1 of the three-term level recursions (n >= 0): l and
     pi telescope against Theta/gamma, pi to pi_{n+1} = pi_{n-1} - Theta_n/(2
     gamma_{n+1}) - Theta_{n-1}/(2 gamma_n), true at n = 0 too as pi_{-1} = 0,
     Theta_{-1} = D; Theta closes through the shifted linear factors."""
+    ric, data = coeffs.ric, coeffs.data
     lattice, r = ric.lattice, ric.lattice.r
     g_here, g_next = data.gamma[n], data.gamma[n + 1]
     theta_n, theta_prev = coeffs.theta_at(n), coeffs.theta_at(n - 1)
@@ -769,17 +758,14 @@ def corollary_recursion(ric: RiccatiData, data: SMOPData,
 def corollary_coeffs(ric: RiccatiData, data: SMOPData, n_max: int) -> StructureCoeffs:
     """Structure coefficients for levels -1..n_max-1 entirely from the
     level recursions (independent of the constructive route)."""
-    coeffs = initial_structure_coeffs(ric, data)
+    coeffs = StructureCoeffs(ric, data)
     for n in range(-1, n_max - 1):
-        l, pi, theta = (corollary_level_zero(ric, data) if n < 0
-                        else corollary_recursion(ric, data, coeffs, n))
-        coeffs.append_level(l, pi, theta, theta * data.gamma_product(n + 1))
-        coeffs.A_gathered.append(ric.A + (ric.lattice.r * 2) * pi)
+        coeffs.append_level(*(corollary_level_zero(ric, data) if n < 0
+                              else corollary_recursion(coeffs, n)))
     return coeffs
 
 
-def magnus_data_from_coeffs(ric: RiccatiData, data: SMOPData,
-                            coeffs: StructureCoeffs, n: int) -> MagnusRiccatiData:
+def magnus_data_from_coeffs(coeffs: StructureCoeffs, n: int) -> MagnusRiccatiData:
     """The Riccati data of the ratio g_n = q_{n+1}/q_n, read off the
     structure coefficients:
 
@@ -788,10 +774,10 @@ def magnus_data_from_coeffs(ric: RiccatiData, data: SMOPData,
         C_n = l_n - l_{n-1} - M(x - beta_n) Theta_{n-1}/gamma_n,
         D_n = Theta_n.
     """
-    lattice = ric.lattice
+    lattice, data = coeffs.ric.lattice, coeffs.data
     g_n = data.gamma[n]
     theta_prev = coeffs.theta_at(n - 1)
-    a_n = ric.A + (lattice.r * 2) * (
+    a_n = coeffs.ric.A + (lattice.r * 2) * (
         coeffs.pi_at(n) + coeffs.pi_at(n - 1) - theta_prev / (2 * g_n)
     )
     b_n = theta_prev / g_n
@@ -824,18 +810,17 @@ def magnus_step(m: MagnusRiccatiData, beta_next, gamma_next,
     return MagnusRiccatiData(m.level + 1, a_next, d_over_g, c_next, d_next)
 
 
-def telescope_residuals(ric: RiccatiData, data: SMOPData,
-                        coeffs: StructureCoeffs) -> list[tuple[int, Poly, Poly]]:
+def telescope_residuals(coeffs: StructureCoeffs) -> list[tuple[int, Poly, Poly]]:
     """(n, L_n, T_{n+1} + sum_{k<=n} Theta_{k-1}/gamma_k) for each level.
 
     Both entries must be identically zero: L_n telescopes to L_0 = 0 and
     T_{n+1} telescopes to -sum Theta_{k-1}/gamma_k.
     """
-    out, tail = [], Poly.zero()
+    data, out, tail = coeffs.data, [], Poly.zero()
     for n in range(0, coeffs.max_level + 1):
         step = coeffs.theta_at(n - 1) / data.gamma[n]
         l_tel = Poly.dot(((coeffs.l_at(n), 1), (coeffs.l_at(n - 1), 1),
-                          (_m_of_linear(ric.lattice, data.beta[n]), step)))
+                          (_m_of_linear(coeffs.ric.lattice, data.beta[n]), step)))
         tail = tail + step
         t_tel = Poly.zero() if n == coeffs.max_level else Poly.dot((
             (coeffs.pi_at(n + 1), 1), (coeffs.pi_at(n), 1), (tail, 1),
@@ -844,32 +829,25 @@ def telescope_residuals(ric: RiccatiData, data: SMOPData,
     return out
 
 
-def reconstruct_riccati(coeffs: StructureCoeffs, lattice: Lattice) -> RiccatiData:
+def reconstruct_riccati(coeffs: StructureCoeffs) -> RiccatiData:
     """Read the Riccati data back from structure coefficients ((c) => (a)).
 
     C and D come from level -1; A from the gathered A_0 (equal to A since
     pi_{-1} = 0 is enforced); B from the Theta_0 closed form rearranged.
-    Raises Underdetermined when the gathered data is absent, and rejects
-    instances whose level-(-1)/0 entries violate the initial-condition
-    closed forms.
+    Raises Underdetermined when level 0 is absent, and rejects instances
+    whose level-(-1)/0 entries violate the initial-condition closed forms.
     """
-    if not coeffs.l:
-        raise ValueError("level -1 data missing")
     if not coeffs.pi_at(-1).is_zero:
         raise NotLaguerreHahn(-1, "pi_{-1} must be zero")
+    lattice = coeffs.ric.lattice
     c = coeffs.l_at(-1) * 2
     d = coeffs.theta_at(-1)
-    if not coeffs.A_gathered:
-        raise Underdetermined(
-            "gathered A_0 unavailable; A and B cannot be separated at level 0"
-        )
     a = coeffs.A_at(0)
     try:
         l0, theta0, pi0 = coeffs.l_at(0), coeffs.theta_at(0), coeffs.pi_at(0)
     except IndexError as exc:
         raise Underdetermined("level 0 entries unavailable") from exc
-    beta0 = coeffs.data.beta[0]
-    m0 = _m_of_linear(lattice, beta0)
+    m0 = _m_of_linear(lattice, coeffs.data.beta[0])
     if pi0 * 2 != -d:
         raise NotLaguerreHahn(0, "pi_0 != -D/2")
     if l0 != -(m0 * d) - c * HALF:
@@ -908,8 +886,10 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     perturbation therefore always surfaces there first.  Every operator
     image the stages share is computed once, in one Workspace.  Each
     `timings` entry is the duration of its own stage; "total" is the whole
-    run.
+    run.  Raises ValueError, before any stage runs, when n_max < 1.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be positive")
     from .orthopoly import check_liouville, recurrence_from_moments, smop_from_recurrence
 
     cert = Certificate(instance=instance or {}, options={"n_max": n_max, "trunc": order})
@@ -1013,7 +993,7 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     # variant, so they fail together
     def structure_relations():
         bad = [n for n in range(1, n_max + 1) if any(
-            res for pair in verify_structure_relations(ric, ws, coeffs, n) for res in pair)]
+            res for pair in verify_structure_relations(ws, coeffs, n) for res in pair)]
         return [verdict("structure-relations-1", bad),
                 verdict("structure-relations-2", bad)]
     guarded(structure_relations, "structure-relations-1", "structure-relations-2")
@@ -1023,7 +1003,7 @@ def certify(ric: RiccatiData, n_max: int, order: int,
         # both relations hold iff R and I vanish, so they fail together
         bad, min_window = [], None
         for n in range(0, n_max + 1):
-            re, im = verify_second_kind_relations(ric, ws, coeffs, n)
+            re, im = verify_second_kind_relations(ws, coeffs, n)
             w = min(re.truncation_order, im.truncation_order - 1)
             min_window = w if min_window is None else min(min_window, w)
             if not (re.is_zero_within_window() and im.is_zero_within_window()):
@@ -1036,7 +1016,7 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     def gathered():
         badg, min_window = [], None
         for n in range(0, n_max):
-            rp, rp1, rq = gathered_relations(ric, ws, coeffs, n)
+            rp, rp1, rq = gathered_relations(ws, coeffs, n)
             min_window = (rq.truncation_order if min_window is None
                           else min(min_window, rq.truncation_order))
             if not (rp.is_zero and rp1.is_zero and rq.is_zero_within_window()):
@@ -1052,10 +1032,10 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     guarded(corollary, "recursion-corollary")
 
     def magnus():
-        here = magnus_data_from_coeffs(ric, data, coeffs, 0)
+        here = magnus_data_from_coeffs(coeffs, 0)
         for n in range(0, coeffs.max_level):
             stepped = magnus_step(here, data.beta[n + 1], data.gamma[n + 1], ric.lattice)
-            here = magnus_data_from_coeffs(ric, data, coeffs, n + 1)
+            here = magnus_data_from_coeffs(coeffs, n + 1)
             if stepped.as_tuple() != here.as_tuple():
                 return CheckResult("recursion-magnus", "fail",
                                    detail=f"step {n} -> {n + 1} disagrees")
@@ -1064,14 +1044,14 @@ def certify(ric: RiccatiData, n_max: int, order: int,
 
     # telescopes
     def telescopes():
-        bad = [n for n, lres, tres in telescope_residuals(ric, data, coeffs)
+        bad = [n for n, lres, tres in telescope_residuals(coeffs)
                if not (lres.is_zero and tres.is_zero)]
         return verdict("telescopes", bad)
     guarded(telescopes, "telescopes")
 
     # reconstruction
     def reconstruction():
-        ok = reconstruct_riccati(coeffs, ric.lattice).proportional_to(ric)
+        ok = reconstruct_riccati(coeffs).proportional_to(ric)
         return CheckResult("reconstruction", "pass" if ok else "fail",
                            detail="" if ok else "reconstructed data not proportional")
     guarded(reconstruction, "reconstruction")

@@ -9,18 +9,18 @@ and the operators act by
     (M f)(x)   = (E1 f + E2 f)(x) / 2.
 
 Coefficients are rational (K = Q), and sqrt(r) is never a number.  On
-polynomials the images of E_j live in K[x][sqrt(r)]; D and M are read off
-the two components of a single E2 expansion (`apply_shift`), which makes the
-cancellation of Delta_y = 2 sqrt(r) exact by construction.  The orthogonal
-and associated polynomials of a job do not take this route: the job's
-`laguerre_hahn.Workspace` walks their pairs (D f, M f) up the three-term
-recurrence.  On Laurent series D and M act
-through one table: with N = y1 y2 = p^2 - r, both take x^(-k) to rational
-functions over Q, whose expansions the lattice keeps row by row
-(`Lattice.dm_table`) as integer numerators over powers of the leading
-coefficient of N, scaled to an integer polynomial.  D s and M s are integer
-linear combinations of those rows with the numerators of s, each reduced by
-one gcd.  E_j s = M s -/+ sqrt(r) D s is the only image that needs
+polynomials the images of E_j live in K[x][sqrt(r)]; `apply_shift`, `apply_D`
+and `apply_M` read D and M off the two components of a single E2 expansion,
+which makes the cancellation of Delta_y = 2 sqrt(r) exact by construction.
+No job calls them: a job's `laguerre_hahn.Workspace` walks the pairs
+(D f, M f) of P_n, P1_n and q_n up the three-term recurrence, and its S has
+no nonnegative powers, so they serve tests and tracing as oracles.  On
+Laurent series D and M act through one table: with N = y1 y2 = p^2 - r,
+both take x^(-k) to rational functions over Q, whose expansions the lattice
+keeps row by row (`Lattice.dm_table`) as integer numerators over powers of
+the leading coefficient of N, scaled to an integer polynomial.  D s and M s
+are integer linear combinations of those rows with the numerators of s, each
+reduced by one gcd.  E_j s = M s -/+ sqrt(r) D s is the only image that needs
 sqrt(r) as a series; the relations of the characterization are checked on
 D s and M s alone, so E_j s (with the sqrt(r) and 1/y_j expansions) serves
 as an independent oracle, on lattices where the leading coefficient of r
@@ -67,25 +67,19 @@ def classify_invariants(lam: Fraction, tau: Fraction) -> LatticeClass:
 class Lattice:
     """Immutable lattice data: conic coefficients, p, r and invariants.
 
-    The only interior state is memoization of series expansions: 1/y_j per
-    window (an oracle; the operators do not read it), the expansion of
-    sqrt(r), and one table whose row k holds the expansions of D x^(-k) and
-    M x^(-k), k = 0, 1, 2, ..., as integer numerators, entry i of row k over
-    n2^(k+i) with n2 the leading coefficient of c N, c the least common
-    denominator of p, r and N = p^2 - r.  The last two are kept at the
-    deepest window asked for so far and read at shallower windows.  Every
-    entry is exact within its window, so recomputing one gives the same
-    value.  Nothing is changed in place: a longer or deeper table is built
-    aside as a new tuple and swapped in by a single assignment, and each
-    reader keeps the tuple it was handed.  A reader therefore always sees a
-    complete table, two threads that grow the same table at once only repeat
-    each other's work, and instances are safe to share across threads.
+    The only interior state is one table whose row k holds the expansions
+    of D x^(-k) and M x^(-k), k = 0, 1, 2, ..., as integer numerators,
+    entry i of row k over n2^(k+i) with n2 the leading coefficient of c N,
+    c the least common denominator of p, r and N = p^2 - r.  It is kept at
+    the deepest window asked for so far and read at shallower windows.  A
+    longer or deeper table is built aside and swapped in by one assignment,
+    so instances are safe to share across threads.
     """
 
     __slots__ = (
         "a_hat", "b_hat", "c_hat", "d_hat", "e_hat", "f_hat",
         "p", "r", "lam", "tau", "q_trace", "lattice_class",
-        "_sqrt_r", "_invy_cache", "_dm_ints", "_dm_table",
+        "_dm_ints", "_dm_table",
     )
 
     def __init__(self, a_hat, b_hat, c_hat, d_hat, e_hat, f_hat,
@@ -102,8 +96,6 @@ class Lattice:
         self.tau = tau
         self.q_trace = q_trace
         self.lattice_class = lattice_class
-        self._sqrt_r = None
-        self._invy_cache = {}
         self._dm_ints = None
         self._dm_table = (-1, ())
 
@@ -114,21 +106,13 @@ class Lattice:
         return SurdPoly(self.p, Poly.constant(sign), self.r)
 
     def sqrt_r_series(self, order: int) -> LaurentSeries:
-        """Expansion of sqrt(r) at infinity down to x^(-order), read from the
-        one expansion kept at the deepest window asked for so far.  Raises
+        """Expansion of sqrt(r) at infinity down to x^(-order).  Raises
         ValueError unless lc(r) is the square of a rational."""
-        cached = self._sqrt_r
-        if cached is None or cached.truncation_order < order:
-            cached = self._sqrt_r = sqrt_series(self.r, order)
-        return cached if cached.truncation_order == order else cached.restrict(order)
+        return sqrt_series(self.r, order)
 
     def inv_y_series(self, j: int, order: int) -> LaurentSeries:
         """Expansion of 1/y_j at infinity (leading exponent -1), over Q when
         lc(r) is the square of a rational (ValueError otherwise)."""
-        key = (j, order)
-        cached = self._invy_cache.get(key)
-        if cached is not None:
-            return cached
         s = self.sqrt_r_series(order)
         pser = LaurentSeries.from_poly(self.p, order)
         y = pser - s if j == 1 else pser + s
@@ -136,9 +120,7 @@ class Lattice:
             raise DegenerateLattice(
                 f"y_{j} has degenerate leading behaviour; 1/y_{j} expansion impossible"
             )
-        w = y.inverse()
-        self._invy_cache[key] = w
-        return w
+        return y.inverse()
 
     def _scaled_coefficients(self) -> tuple:
         """(c, c p0, c p1, c r0, c r1, c r2, c n0, c n1, c n2) as ints, with
@@ -372,14 +354,12 @@ def _operator_series(lattice: Lattice, s: LaurentSeries):
     return ds, ms
 
 
-def apply_E_series(lattice: Lattice, s: LaurentSeries, j: int,
-                   dm=None) -> LaurentSeries:
+def apply_E_series(lattice: Lattice, s: LaurentSeries, j: int) -> LaurentSeries:
     """Compose a Laurent series with y_j: E_j s = M s -/+ sqrt(r) D s.
 
-    The one place where E_j of a series is formed.  `dm` may hold (D s, M s)
-    from `_operator_series`.  With n the window of s, the result is known
-    down to x^(-n), like M s; sqrt(r) D s is too, since D s reaches one step
-    deeper and sqrt(r) has leading exponent 1.  Raises ValueError when D s
+    The one place where E_j of a series is formed.  With n the window of s,
+    the result is known down to x^(-n), like M s; sqrt(r) D s is too, since
+    D s reaches one step deeper and sqrt(r) has leading exponent 1.  Raises ValueError when D s
     is nonzero and lc(r) is not the square of a rational.
 
     Both branches go through the D/M table, which needs N = y1 y2 to keep its
@@ -388,7 +368,7 @@ def apply_E_series(lattice: Lattice, s: LaurentSeries, j: int,
     """
     if j not in (1, 2):
         raise ValueError("shift index must be 1 or 2")
-    ds, ms = dm if dm is not None else _operator_series(lattice, s)
+    ds, ms = _operator_series(lattice, s)
     n = ms.truncation_order
     if ds.is_zero_within_window():
         return ms

@@ -81,17 +81,19 @@ class SMOPData:
             (P_n, P1_{n-1}) = (x - beta_{n-1}) (P_{n-1}, P1_{n-2})
                               - gamma_{n-1} (P_{n-2}, P1_{n-3}),
 
-        one `Poly.dot` each.  A level passes once for the polynomials stored
-        at it, so `check_liouville` and `second_kind_series` share the check.
+        one `Poly.dot` each; at n = n_max + 1, where no P_n is stored,
+        P1_{n_max} alone.  A level passes once for the polynomials stored at
+        it, so `check_liouville` and `second_kind_series` share the check.
         """
-        stored = (self.poly(n), self.assoc(n - 1))
+        top = n > self.n_max
+        stored = (None if top else self.poly(n), self.assoc(n - 1))
         if self._checked.get(n) == stored:
             return
         x = Poly.x()
 
         def step(f, k):
             return Poly.dot(((x - self.beta[n - 1], f(k - 1)), (f(k - 2), -self.gamma[n - 1])))
-        wanted = (step(self.poly, n) if n > 0 else Poly.one(),
+        wanted = (None if top else step(self.poly, n) if n > 0 else Poly.one(),
                   step(self.assoc, n - 1) if n > 1 else (_ZERO_POLY, Poly.one())[n])
         for name, k, have, want in zip(("P", "P1"), (n, n - 1), stored, wanted):
             if have != want:
@@ -250,9 +252,10 @@ def check_liouville(data: SMOPData) -> None:
     """The Liouville-Ostrogradsky identity W_n = P1_n P_n - P_{n+1} P1_{n-1}
     = gamma_0 ... gamma_n for n < n_max, by its proof: with P, P1 following
     beta, gamma from P_0 = P1_0 = 1 (`SMOPData.check_level` at levels
-    0..n_max), W_n = gamma_n W_{n-1}, and W_0 = 1 = gamma_0.  O(n) work per
-    level; raises InvalidRecurrence naming the first level that fails."""
+    0..n_max, and at n_max + 1 for P1_{n_max}), W_n = gamma_n W_{n-1}, and
+    W_0 = 1 = gamma_0.  O(n) work per level; raises InvalidRecurrence naming
+    the first level that fails."""
     if data.gamma[0] != 1:
         raise InvalidRecurrence(f"gamma_0 must equal 1 (got {data.gamma[0]})")
-    for n in range(data.n_max + 1):
+    for n in range(data.n_max + 2):
         data.check_level(n)

@@ -197,7 +197,7 @@ def test_criterion_7_reconstruction_and_fit(reference_lattice):
         beta, gamma = recurrence_from_moments(moments, 5)
         data = smop_from_recurrence(beta, gamma, 5, moments=moments)
         coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), 5)
-        assert reconstruct_riccati(coeffs, reference_lattice).proportional_to(ric)
+        assert reconstruct_riccati(coeffs).proportional_to(ric)
         bounds = (2, 1, 1, 0)
         basis = riccati_nullspace(Workspace(reference_lattice, data=data), bounds)
         assert basis

@@ -33,7 +33,7 @@ from snul import (
     verify_second_kind_relations,
     verify_structure_relations,
 )
-from snul.laguerre_hahn import MagnusRiccatiData, initial_structure_coeffs
+from snul.laguerre_hahn import MagnusRiccatiData, StructureCoeffs
 
 from conftest import (
     qhermite_corecursive_recurrence,
@@ -282,24 +282,22 @@ class TestRelations:
         for ric, data, coeffs in (semiclassical, corecursive):
             ws = Workspace(ric.lattice, data=data)
             for n in range(1, N_MAX + 1):
-                (r1a, r1b), (r2a, r2b) = verify_structure_relations(ric, ws, coeffs, n)
+                (r1a, r1b), (r2a, r2b) = verify_structure_relations(ws, coeffs, n)
                 assert r1a.is_zero and r1b.is_zero
                 assert r2a.is_zero and r2b.is_zero
 
     def test_sensitivity_to_theta(self, semiclassical):
         ric, data, coeffs = semiclassical
-        tampered = initial_structure_coeffs(ric, data)
-        tampered.append_level(coeffs.l_at(0), coeffs.pi_at(0),
-                              coeffs.theta_at(0) + 1, coeffs.theta_hat_at(0))
-        (r1a, _), _ = verify_structure_relations(
-            ric, Workspace(ric.lattice, data=data), tampered, 1)
+        tampered = StructureCoeffs(ric, data)
+        tampered.append_level(coeffs.l_at(0), coeffs.pi_at(0), coeffs.theta_at(0) + 1)
+        (r1a, _), _ = verify_structure_relations(Workspace(ric.lattice, data=data), tampered, 1)
         assert not r1a.is_zero
 
     def test_second_kind_zero(self, semiclassical, corecursive):
         for ric, data, coeffs in (semiclassical, corecursive):
             ws = Workspace(ric.lattice, data=data)
             for n in range(0, 4):
-                R, I = verify_second_kind_relations(ric, ws, coeffs, n)
+                R, I = verify_second_kind_relations(ws, coeffs, n)
                 assert R.is_zero_within_window()
                 assert I.is_zero_within_window()
 
@@ -308,7 +306,7 @@ class TestRelations:
         # identically and R is A DS - C MS - D - B E1S E2S
         for ric, data, coeffs in (semiclassical, corecursive):
             ws = Workspace(ric.lattice, data=data)
-            R, I = verify_second_kind_relations(ric, ws, coeffs, 0)
+            R, I = verify_second_kind_relations(ws, coeffs, 0)
             assert I.is_zero
             res = riccati_residual(ric, Workspace(ric.lattice, data=data))
             assert R.truncation_order == res.truncation_order
@@ -318,14 +316,14 @@ class TestRelations:
         ric, data, coeffs = semiclassical
         short = LaurentSeries.from_moments(data.moments[:7])
         with pytest.raises(InsufficientTruncation):
-            verify_second_kind_relations(ric, Workspace(ric.lattice, short, data), coeffs, 3)
+            verify_second_kind_relations(Workspace(ric.lattice, short, data), coeffs, 3)
 
     def test_gathered_zero(self, semiclassical, corecursive):
         from snul import gathered_relations
         for ric, data, coeffs in (semiclassical, corecursive):
             ws = Workspace(ric.lattice, data=data)
             for n in range(0, 4):
-                rp, rp1, rq = gathered_relations(ric, ws, coeffs, n)
+                rp, rp1, rq = gathered_relations(ws, coeffs, n)
                 assert rp.is_zero and rp1.is_zero
                 assert rq.is_zero_within_window()
 
@@ -346,7 +344,7 @@ class TestRecursions:
     def test_single_step(self, semiclassical):
         ric, data, coeffs = semiclassical
         for n in range(0, N_MAX - 1):
-            l_next, pi_next, theta_next = corollary_recursion(ric, data, coeffs, n)
+            l_next, pi_next, theta_next = corollary_recursion(coeffs, n)
             assert l_next == coeffs.l_at(n + 1)
             assert pi_next == coeffs.pi_at(n + 1)
             assert theta_next == coeffs.theta_at(n + 1)
@@ -360,12 +358,12 @@ class TestRecursions:
                 tail = tail + coeffs.theta_at(n - 1) / data.gamma[n]
                 want = (-coeffs.pi_at(n) - coeffs.theta_at(n) / (2 * data.gamma[n + 1])
                         - tail)
-                assert corollary_recursion(ric, data, coeffs, n)[1] == want, n
+                assert corollary_recursion(coeffs, n)[1] == want, n
                 assert want == coeffs.pi_at(n + 1), n
 
     def test_telescopes(self, semiclassical, corecursive):
         for ric, data, coeffs in (semiclassical, corecursive):
-            for n, l_res, t_res in telescope_residuals(ric, data, coeffs):
+            for n, l_res, t_res in telescope_residuals(coeffs):
                 assert l_res.is_zero, f"L_{n} nonzero"
                 assert t_res.is_zero, f"T_{n + 1} mismatch"
 
@@ -373,17 +371,17 @@ class TestRecursions:
         for ric, data, coeffs in (semiclassical, corecursive):
             for n in range(0, coeffs.max_level):
                 stepped = magnus_step(
-                    magnus_data_from_coeffs(ric, data, coeffs, n),
+                    magnus_data_from_coeffs(coeffs, n),
                     data.beta[n + 1], data.gamma[n + 1], ric.lattice,
                 )
-                direct = magnus_data_from_coeffs(ric, data, coeffs, n + 1)
+                direct = magnus_data_from_coeffs(coeffs, n + 1)
                 assert stepped.as_tuple() == direct.as_tuple()
 
     def test_magnus_b_update(self, semiclassical):
         # B_{n+1} = D_n / gamma_{n+1}, i.e. Theta_n/gamma_{n+1}
         ric, data, coeffs = semiclassical
         for n in range(0, coeffs.max_level):
-            m = magnus_data_from_coeffs(ric, data, coeffs, n)
+            m = magnus_data_from_coeffs(coeffs, n)
             stepped = magnus_step(m, data.beta[n + 1], data.gamma[n + 1], ric.lattice)
             assert stepped.B_n == m.D_n / data.gamma[n + 1]
             assert stepped.B_n == coeffs.theta_at(n) / data.gamma[n + 1]
@@ -407,7 +405,7 @@ class TestRecursions:
         lat = ric.lattice
         s = data.stieltjes()
         for n in (0, 1, 2):
-            m = magnus_data_from_coeffs(ric, data, coeffs, n)
+            m = magnus_data_from_coeffs(coeffs, n)
             g = second_kind_series(data, s, n + 1) / second_kind_series(data, s, n)
             res = riccati_residual(
                 RiccatiData(m.A_n, m.B_n, m.C_n, m.D_n, lat), Workspace(lat, g)
@@ -418,29 +416,25 @@ class TestRecursions:
 class TestReconstruction:
     def test_roundtrip(self, semiclassical, corecursive):
         for ric, data, coeffs in (semiclassical, corecursive):
-            rec = reconstruct_riccati(coeffs, ric.lattice)
+            rec = reconstruct_riccati(coeffs)
             assert rec.proportional_to(ric)
 
     def test_semiclassical_B_recovered_zero(self, semiclassical):
         ric, data, coeffs = semiclassical
-        rec = reconstruct_riccati(coeffs, ric.lattice)
+        rec = reconstruct_riccati(coeffs)
         assert rec.B.is_zero
 
     def test_nonzero_pi_minus_one_rejected(self, semiclassical):
         ric, data, coeffs = semiclassical
-        tampered = initial_structure_coeffs(ric, data)
+        tampered = StructureCoeffs(ric, data)
         tampered.pi[0] = Poly.one()
         with pytest.raises(NotLaguerreHahn):
-            reconstruct_riccati(tampered, ric.lattice)
+            reconstruct_riccati(tampered)
 
-    def test_underdetermined_without_gathered(self, semiclassical):
+    def test_underdetermined_without_level_zero(self, semiclassical):
         ric, data, coeffs = semiclassical
-        stripped = initial_structure_coeffs(ric, data)
-        stripped.append_level(coeffs.l_at(0), coeffs.pi_at(0),
-                              coeffs.theta_at(0), coeffs.theta_hat_at(0))
-        stripped.A_gathered = []
-        with pytest.raises(Underdetermined):
-            reconstruct_riccati(stripped, ric.lattice)
+        with pytest.raises(Underdetermined, match="level 0 entries unavailable"):
+            reconstruct_riccati(StructureCoeffs(ric, data))
 
 
 class TestCertify:
@@ -450,6 +444,18 @@ class TestCertify:
         assert isinstance(cert, Certificate)
         assert cert.passed
         assert all(c.verdict == "pass" for c in cert.checks)
+
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_nonpositive_n_max_rejected_before_any_stage(self, reference_lattice,
+                                                         monkeypatch, n_max):
+        import snul.laguerre_hahn as lh
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(lh, "solve_moments_from_riccati", unreachable)
+        with pytest.raises(ValueError, match="n_max must be positive"):
+            certify(qhermite_riccati(reference_lattice), n_max, 6)
 
     def test_all_pass_on_wide_lattice(self):
         from snul import build_lattice
@@ -529,8 +535,8 @@ class TestCertify:
         original = lh.verify_second_kind_relations
         windows = []
 
-        def only_I(ric, ws, coeffs, n):
-            R, I = original(ric, ws, coeffs, n)
+        def only_I(ws, coeffs, n):
+            R, I = original(ws, coeffs, n)
             if n != 3:
                 return R, I
             windows.append(R.truncation_order)
@@ -591,16 +597,16 @@ class TestCertify:
             (nm, "skip", "") for nm in after]
 
     def test_moved_polynomial_fails_at_liouville(self, reference_lattice, monkeypatch):
-        # every coefficient of every stored P_n and P1_{n-1} that certify
-        # reads (n <= n_max), moved by +/-1: liouville fails first and names
-        # the level; a moved moment still fails at riccati
+        # every coefficient of every stored P_n and P1_n (n <= n_max), moved
+        # by +/-1: liouville fails first and names the level; a moved moment
+        # still fails at riccati
         import snul.orthopoly as op
         original = op.smop_from_recurrence
         n_max = 3
         for make in (qhermite_riccati, qhermite_corecursive_riccati):
             ric = make(reference_lattice)
             moments = solve_moments_from_riccati(ric, 16)
-            stored = [("P", k) for k in range(n_max + 1)] + [("P1", k) for k in range(n_max)]
+            stored = [("P", k) for k in range(n_max + 1)] + [("P1", k) for k in range(n_max + 1)]
             for name, k in stored:
                 for i, delta in [(i, d) for i in range(k + 1) for d in (1, -1)]:
                     def moved(*args, **kwargs):
@@ -667,9 +673,9 @@ class TestCertify:
         original = lh.magnus_data_from_coeffs
         levels = []
 
-        def counting(ric, data, coeffs, n):
+        def counting(coeffs, n):
             levels.append(n)
-            return original(ric, data, coeffs, n)
+            return original(coeffs, n)
 
         monkeypatch.setattr(lh, "magnus_data_from_coeffs", counting)
         cert = certify(qhermite_corecursive_riccati(reference_lattice), n_max=4, order=18)

@@ -38,7 +38,7 @@ from snul.cli import ProblemFile
 from snul.errors import DegreeBoundExceeded
 import snul.laguerre_hahn as lh
 import snul.poly as poly_module
-from snul.laguerre_hahn import HALF, initial_structure_coeffs
+from snul.laguerre_hahn import HALF, StructureCoeffs
 from snul.lattice import apply_shift
 from snul.poly import Poly
 from snul.surd import SurdPoly, surd_exact_div
@@ -72,7 +72,7 @@ def reference_structure(ric, data, n_max, sqrt_r_parts):
     A, B, C, D = ric.polys()
     half_C = C * HALF
     bound = lh._theta_degree_bound(ric)
-    coeffs = initial_structure_coeffs(ric, data)
+    coeffs = StructureCoeffs(ric, data)
     for n in range(1, n_max + 1):
         e1_pn, e2_pn = _ref_shifts(lattice, data.poly(n))
         d_pn = e2_pn.v
@@ -114,9 +114,17 @@ def reference_structure(ric, data, n_max, sqrt_r_parts):
         if lhs4 != l_conj * e2_p1:
             raise NotLaguerreHahn(n, "second structure equation (E2 variant) failed")
 
-        coeffs.append_level(l_poly, pi_poly, theta, theta_hat)
-        coeffs.A_gathered.append(A + lattice.r * 2 * pi_poly)
+        coeffs.append_level(l_poly, pi_poly, theta)
+        assert coeffs.theta_hat_at(n - 1) == theta_hat    # the derived form
     return coeffs
+
+
+def _levels(coeffs):
+    """Every level list of `coeffs` by name, Theta_hat and A_n included."""
+    levels = range(-1, coeffs.max_level + 1)
+    return {"l": coeffs.l, "pi": coeffs.pi, "theta": coeffs.theta,
+            "theta_hat": [coeffs.theta_hat_at(n) for n in levels],
+            "A_gathered": [coeffs.A_at(n + 1) for n in levels]}
 
 
 def reference_gathered(ric, data, coeffs, n):
@@ -237,11 +245,11 @@ def test_routes_agree():
         if kind != "ok":
             assert got == ref, case_id
             continue
-        for name in ("l", "pi", "theta", "theta_hat", "A_gathered"):
-            assert getattr(got, name) == getattr(ref, name), (case_id, name)
+        for name, polys in _levels(ref).items():
+            assert _levels(got)[name] == polys, (case_id, name)
         ws = Workspace(ric.lattice, data=data)
         for n in range(1, n_max + 1):
-            assert (verify_structure_relations(ric, ws, got, n)
+            assert (verify_structure_relations(ws, got, n)
                     == reference_relations(ric, data, ref, n)), (case_id, n)
     # every instance passes, and mutants stop at the degree bound of Theta_hat
     # at level 0 and at later levels.  Past the bound nothing can fail: the
@@ -267,8 +275,8 @@ def test_full_solve_after_every_window_agrees(monkeypatch):
         if kind != "ok":
             assert got == ref, case_id
             continue
-        for name in ("l", "pi", "theta", "theta_hat", "A_gathered"):
-            assert getattr(got, name) == getattr(ref, name), (case_id, name)
+        for name, polys in _levels(ref).items():
+            assert _levels(got)[name] == polys, (case_id, name)
 
 
 DEEP_N_MAX = 20
@@ -310,11 +318,11 @@ def test_relations_agree_on_tampered_coefficients(path):
     coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), 2,
                                      check_riccati=False)
     for which in range(3):
-        tampered = initial_structure_coeffs(ric, data)
+        tampered = StructureCoeffs(ric, data)
         level = [coeffs.l_at(0), coeffs.pi_at(0), coeffs.theta_at(0)]
         level[which] = level[which] + 1
-        tampered.append_level(*level, coeffs.theta_hat_at(0))
-        got = verify_structure_relations(ric, Workspace(ric.lattice, data=data), tampered, 1)
+        tampered.append_level(*level)
+        got = verify_structure_relations(Workspace(ric.lattice, data=data), tampered, 1)
         assert got == reference_relations(ric, data, tampered, 1)
         assert not all(res.is_zero for pair in got for res in pair)
 
@@ -327,17 +335,16 @@ def test_gathered_matches_formulas(path):
                                      check_riccati=False)
     ws = Workspace(ric.lattice, data=data)
     for n in range(n_max):
-        got = gathered_relations(ric, ws, coeffs, n)[:2]
+        got = gathered_relations(ws, coeffs, n)[:2]
         assert got == reference_gathered(ric, data, coeffs, n), (path.stem, n)
         assert all(res.is_zero for res in got)
     # each of l, pi, Theta at level 0 moved by one, with A_1 = A + 2 r pi_0
     for which in range(3):
-        tampered = initial_structure_coeffs(ric, data)
+        tampered = StructureCoeffs(ric, data)
         level = [coeffs.l_at(0), coeffs.pi_at(0), coeffs.theta_at(0)]
         level[which] = level[which] + 1
-        tampered.append_level(*level, coeffs.theta_hat_at(0))
-        tampered.A_gathered.append(ric.A + ric.lattice.r * 2 * level[1])
-        got = gathered_relations(ric, ws, tampered, 0)[:2]
+        tampered.append_level(*level)
+        got = gathered_relations(ws, tampered, 0)[:2]
         assert got == reference_gathered(ric, data, tampered, 0), (path.stem, which)
         assert not all(res.is_zero for res in got)
 
@@ -363,12 +370,12 @@ def test_cramer_solution_is_exact(conic, monkeypatch):
         got = structure_coeffs_direct(ric, Workspace(lattice, data=data), CRAMER_N_MAX,
                                       check_riccati=False)
         ref = reference_structure(ric, data, CRAMER_N_MAX, [])
-        for name in ("l", "pi", "theta", "theta_hat", "A_gathered"):
-            assert getattr(got, name) == getattr(ref, name), name
+        for name, polys in _levels(ref).items():
+            assert _levels(got)[name] == polys, name
         ws = Workspace(lattice, data=data)
         for n in range(1, CRAMER_N_MAX + 1):
             assert all(res.is_zero for pair in verify_structure_relations(
-                ric, ws, got, n) for res in pair), n
+                ws, got, n) for res in pair), n
 
 
 # -- the shift walk ------------------------------------------------------------------
