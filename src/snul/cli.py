@@ -354,7 +354,7 @@ def cmd_derive(args) -> int:
     beta, gamma = recurrence_from_moments(moments, problem.n_max)
     data = smop_from_recurrence(beta, gamma, problem.n_max, moments=moments)
     direct = structure_coeffs_direct(ric, Workspace(lattice, data=data), problem.n_max)
-    recursed = corollary_coeffs(ric, data, problem.n_max)
+    agreement = direct.same_as(corollary_coeffs(ric, data, problem.n_max))
     levels = []
     for n in range(-1, direct.max_level + 1):
         levels.append({
@@ -368,9 +368,9 @@ def cmd_derive(args) -> int:
         "instance": problem.echo(),
         "levels": levels,
         "degrees": direct.degrees(),
-        "agreement": direct.same_as(recursed),
+        "agreement": agreement,
     })
-    return EXIT_OK if direct.same_as(recursed) else EXIT_MATH_FAIL
+    return EXIT_OK if agreement else EXIT_MATH_FAIL
 
 
 # ---------------------------------------------------------------------------

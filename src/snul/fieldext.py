@@ -8,8 +8,15 @@ sqrt(r) that appears stays symbolic, as v in a pair u + sqrt(r) v.
 over one denominator; the kernels here work on those integers.
 `_int_dot`, a sum of weighted products cut at a length, is the one exact
 product kernel, `_int_sum` the one sum and `_reduced` the one
-normalisation, a single gcd per result.  `_nullspace` is the fit's
-fraction-free elimination over the integers.
+normalisation, a single gcd per result.
+
+`_nullspace` is the fit's exact nullspace.  It first ranks the rows modulo
+one word-size prime P: full column rank mod P implies full column rank over
+Q, since a minor nonzero mod P is a nonzero integer, so an empty nullspace,
+the usual answer of a fit, is proved without keeping a number past P.
+Nothing else is concluded mod P.  Only when the rows run out below full
+rank mod P does `_exact_nullspace`, fraction-free elimination over the
+integers, decide.
 """
 from __future__ import annotations
 
@@ -73,36 +80,77 @@ def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
     return [a // g for a in nums], den // g
 
 
+# the largest prime below 2**30, the modulus of the fit's rank certificate
+P = 1073741789
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
 def _nullspace(rows: Iterable[Sequence[Fraction | int]], ncols: int) -> list[list[int]]:
     """Primitive integer basis of the nullspace of a matrix over Q.
 
     The rows, of ints or Fractions, are read one at a time, made primitive
-    integer rows (the nullspace stays the same) and reduced against the
-    pivot rows so far, in column order, by fraction-free elimination: with
-    pivot value a and entry b in its column, the row becomes
-    a*row - b*pivot_row over the gcd of its entries, so the numbers stay
-    near the size of the minors (as in Bareiss 1968, where the common factor
-    is a known minor).  No Fraction is formed.  A row not then zero is the
-    pivot row of its leading column; once every column has one, [] comes
-    back and no further row is read.  Else the pivot rows are brought to
+    integer rows (the nullspace stays the same) and kept.  Each is also
+    reduced modulo the prime P against the pivot rows so far mod P, in the
+    order they were found, each step touching only the entries from its
+    pivot column on: a pivot row is zero before its pivot column and in the
+    pivot columns found before it, so a column once cleared stays clear.
+
+    A matrix of full column rank mod P has full column rank over Q: one of
+    its ncols x ncols minors is nonzero mod P, so it is a nonzero integer.
+    So once the rank mod P reaches ncols, [] comes back and no further row
+    is read.  That is all that is concluded mod P: a lower rank mod P says
+    nothing, since P may divide every maximal minor.
+
+    When the rows run out below full rank mod P, `_exact_nullspace` decides
+    over the rows read, and its basis (or [], when P was unlucky) is the
+    answer.  Dumas, Giorgi and Pernet (ACM TOMS 2008) compute ranks this way
+    over word-size prime fields; here it only certifies an empty nullspace.
+    """
+    read, pivots = [], {}                # pivot column -> row mod P from it on, led by 1
+    for row in rows:
+        den = lcm(*(c.denominator for c in row))
+        row = _primitive([c.numerator * (den // c.denominator) for c in row])
+        read.append(row)
+        r = [v % P for v in row]
+        for pc, pivot_row in pivots.items():
+            c = r[pc]
+            if c:
+                r[pc:] = [(a - c * b) % P for a, b in zip(r[pc:], pivot_row)]
+        lead = next((c for c, v in enumerate(r) if v), None)
+        if lead is not None:
+            inv = pow(r[lead], -1, P)
+            pivots[lead] = [v * inv % P for v in r[lead:]]
+            if len(pivots) == ncols:
+                return []
+    return _exact_nullspace(read, ncols)
+
+
+def _exact_nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Primitive integer basis of the nullspace of primitive integer rows.
+
+    The rows are reduced one at a time against the pivot rows so far, in
+    column order, by fraction-free elimination: with pivot value a and entry
+    b in its column, the row becomes a*row - b*pivot_row over the gcd of its
+    entries, so the numbers stay near the size of the minors (as in Bareiss
+    1968, where the common factor is a known minor).  No Fraction is formed.
+    A row not then zero is the pivot row of its leading column; once every
+    column has one, [] comes back.  Else the pivot rows are brought to
     reduced row echelon form, and the basis vector of free column c (1 at c,
     minus each pivot row's entry in column c at its pivot column) is cleared
     to integers, divided by its content and signed so that its first nonzero
     entry is positive.  That vector is unique, so the basis depends neither
     on the row scaling nor on the order or choice of pivot rows.
     """
-    def primitive(row):
-        g = gcd(*row)
-        return [v // g for v in row] if g > 1 else row
-
     def reduce(row, pc, pivot_row):
         a, b = pivot_row[pc], row[pc]
-        return primitive([a * x - b * y for x, y in zip(row, pivot_row)])
+        return _primitive([a * x - b * y for x, y in zip(row, pivot_row)])
 
     echelon: dict[int, list[int]] = {}          # pivot column -> pivot row
     for row in rows:
-        den = lcm(*(c.denominator for c in row))
-        row = primitive([c.numerator * (den // c.denominator) for c in row])
         for pc in sorted(echelon):
             if row[pc]:
                 row = reduce(row, pc, echelon[pc])

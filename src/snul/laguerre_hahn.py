@@ -539,6 +539,8 @@ def riccati_nullspace(ws: Workspace,
     D S, E1S E2S and M S, all put over L, the lcm of their denominators:
     each row is L times the row over Q, so the nullspace is the same.  The
     rows are formed as `_nullspace` reads them, none after it has its answer.
+    A window with fewer rows than unknowns raises InsufficientTruncation:
+    its nullspace is nonzero whatever the moments, so it would fit anything.
     """
     da, db, dc, dd = degree_bounds
     ds, ms = ws.dm()
@@ -555,6 +557,13 @@ def riccati_nullspace(ws: Workspace,
         db - q.truncation_order,
         dc - ms.truncation_order,
     )
+    nrows = max(e_top - e_min + 1, 0)
+    if nrows < ncols:
+        raise InsufficientTruncation(
+            required=ncols, available=nrows,
+            message=f"the fit window gives {nrows} equations for {ncols} unknowns: "
+                    f"give more moments or lower the degree bounds",
+        )
     L = lcm(ds.den, q.den, ms.den)
     # x^(e - i) of a block with degree bound d sits at e_top - e + i of its
     # numerators over L, padded with zeros down from x^e_top

@@ -7,6 +7,7 @@ import pytest
 from snul.cli import ProblemFile, main, make_parser
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+RANDOM_MOMENTS = Path(__file__).resolve().parent / "data" / "random_moments.json"
 
 
 def write_problem(tmp_path, doc, name="problem.json") -> str:
@@ -370,6 +371,21 @@ class TestFitCommand:
 
     def test_fit_needs_moment_source(self, capsys):
         assert main(["fit", str(PROBLEMS / "qhermite.json")]) == 2
+
+    @pytest.mark.parametrize("command", ["fit", "certify"])
+    def test_underdetermined_fit_refused(self, capsys, command):
+        # 34 random moments give 35 equations: 36 unknowns at 8,8,8,8 would
+        # leave a nonzero nullspace for any moments, 32 at 7,7,7,7 do not
+        code = main([command, str(RANDOM_MOMENTS), "--deg-bounds", "8,8,8,8"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "35 equations for 36 unknowns" in captured.err
+        assert "more moments or lower the degree bounds" in captured.err
+        if command == "fit":
+            code = main([command, str(RANDOM_MOMENTS), "--deg-bounds", "7,7,7,7"])
+            assert code == 0
+            assert json.loads(capsys.readouterr().out)["count"] == 0
 
 
 class TestDeriveCommand:

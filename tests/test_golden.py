@@ -28,6 +28,10 @@ solve.  The surd_conic certify case at --n-max 32 was written by the version
 that formed each q_n as the full product P_n S - P1_{n-1}, the images of
 each q_n from the D/M table and R, I from separately reduced products, so it
 is an oracle independent of the recurrence route of the second-kind stage.
+The fit cases at --deg-bounds 6,6,6,6 were written by the version whose fit
+nullspace was fraction-free elimination alone, so they are an oracle
+independent of the modular certificate: on the random moments the
+certificate answers, on the recurrence file the exact elimination does.
 To regenerate after an intended change of the output, run
 `snul <command> <problem> <extra arguments>` and, for certify, delete the
 "timings" entry; the file is tests/data/<command>_<name>.json, with <name>
@@ -69,6 +73,9 @@ CASES = (
     + [("derive", DATA / "surd_conic.json", ["--n-max", "24"])]
     # the second-kind stage at depth on the same instance
     + [("certify", DATA / "surd_conic.json", ["--n-max", "32"])]
+    # 28 columns: none fit the random moments, five candidates the recurrence
+    + [("fit", problem, ["--deg-bounds", "6,6,6,6"])
+       for problem in (DATA / "random_moments.json", RECURRENCE)]
 )
 
 

@@ -21,7 +21,7 @@ import pytest
 
 from snul import (LaurentSeries, build_lattice, laguerre_hahn, riccati_nullspace,
                   solve_moments_from_riccati)
-from snul.fieldext import _nullspace
+from snul.fieldext import P, _nullspace
 from snul.laguerre_hahn import Workspace
 
 from conftest import REFERENCE_CONIC, qhermite_corecursive_riccati, qhermite_riccati
@@ -143,6 +143,22 @@ def test_coprime_and_large_denominators():
         _check(rows, ncols, rank)
 
 
+def test_multiples_of_the_modulus():
+    # rank deficient, some columns and some rows times a power of P: the
+    # rank over Q is unchanged, the rank mod P drops, and the exact
+    # elimination must give the basis over Q
+    rng = random.Random(37)
+    powers = (P, -P, P * P)
+    for _ in range(20):
+        ncols = rng.randint(3, 8)
+        rank = rng.randint(1, ncols - 1)
+        rows = _matrix_of_rank(rng, rng.randint(rank, ncols + 3), ncols, rank)
+        col_scale = [rng.choice(powers) if rng.random() < 0.5 else 1 for _ in range(ncols)]
+        row_scale = [rng.choice(powers) if rng.random() < 0.3 else 1 for _ in rows]
+        rows = [[v * c * r for v, c in zip(row, col_scale)] for row, r in zip(rows, row_scale)]
+        _check(rows, ncols, rank)
+
+
 def test_entries_of_several_hundred_bits():
     rng = random.Random(17)
     for _ in range(6):
@@ -167,20 +183,52 @@ def _recorded(rows, read):
         yield row
 
 
+def _wide_full_rank_prefix(rng, ncols):
+    """Rows whose first full-rank prefix ends at the last row: a triangular
+    matrix of 300-bit entries with a nonzero diagonal, its columns mixed by
+    a unimodular matrix (full rank by construction), in a random order with
+    combinations of the rows so far between them."""
+    big = lambda: rng.getrandbits(300) * rng.choice((1, -1))
+    rows = [[0] * i + [big() or 1] + [big() for _ in range(ncols - i - 1)] for i in range(ncols)]
+    for _ in range(3 * ncols):
+        i, j = rng.sample(range(ncols), 2)
+        c = rng.randint(-3, 3)
+        for row in rows:
+            row[i] += c * row[j]
+    rng.shuffle(rows)
+    prefix = []
+    for row in rows:
+        for _ in range(rng.randint(0, 1) if prefix else 0):
+            cs = [rng.randint(-2, 2) for _ in prefix]
+            prefix.append([sum(c * r[k] for c, r in zip(cs, prefix)) for k in range(ncols)])
+        prefix.append(row)
+    return prefix
+
+
 def test_full_column_rank_reads_no_further_row():
-    # the rows after the first ncols are of several hundred bits; once the
-    # rank reaches ncols, [] comes back and none of them is read
+    # the rows after the first full-rank prefix are of several hundred bits;
+    # once the rank reaches ncols, [] comes back and none of them is read
     rng = random.Random(19)
-    for _ in range(10):
-        ncols = rng.randint(2, 8)
-        head = _matrix_of_rank(rng, ncols, ncols, ncols)
-        tail = _matrix_of_rank(rng, rng.randint(1, 6), ncols, rng.randint(1, ncols),
+
+    def tail(ncols):
+        return _matrix_of_rank(rng, rng.randint(1, 6), ncols, rng.randint(1, ncols),
                                num_bits=400, den_bits=300)
-        rows, read = head + tail, []
-        assert reference_nullspace(rows, ncols) == []
-        assert _nullspace(_recorded(rows, read), ncols) == []
-        assert len(read) == ncols
-        _check(rows, ncols, ncols)
+
+    cases = [(_matrix_of_rank(rng, ncols, ncols, ncols), tail(ncols), ncols)
+             for ncols in (rng.randint(2, 8) for _ in range(10))]
+    # 36 columns, as a fit at degree bounds 8,8,8,8, and a longer prefix
+    cases.append((_wide_full_rank_prefix(rng, 36), tail(36), 36))
+    # the determinant is P: rank 2 over Q but 1 mod P, so the mod-P stage
+    # reads on to the end, and the exact elimination answers
+    cases.append(([[1, 1], [1, 1 + P]], [], 2))
+    for prefix, rest, ncols in cases:
+        read = []
+        assert _nullspace(_recorded(prefix + rest, read), ncols) == []
+        assert read == prefix
+        if ncols < 36:        # Gauss-Jordan over Fraction takes seconds at 36
+            assert reference_nullspace(prefix, ncols) == []
+            assert reference_nullspace(prefix[:-1], ncols) != []
+            _check(prefix + rest, ncols, ncols)
 
 
 def _echelon_generators(rng, ncols, rank):
