@@ -92,12 +92,13 @@ def _primitive(row: list[int]) -> list[int]:
 def _nullspace(rows: Iterable[Sequence[Fraction | int]], ncols: int) -> list[list[int]]:
     """Primitive integer basis of the nullspace of a matrix over Q.
 
-    The rows, of ints or Fractions, are read one at a time, made primitive
-    integer rows (the nullspace stays the same) and kept.  Each is also
-    reduced modulo the prime P against the pivot rows so far mod P, in the
-    order they were found, each step touching only the entries from its
-    pivot column on: a pivot row is zero before its pivot column and in the
-    pivot columns found before it, so a column once cleared stays clear.
+    The rows, of ints or Fractions, are read one at a time and kept, a row
+    with a Fraction in it cleared to integers (the nullspace stays the
+    same).  Each is also reduced modulo the prime P against the pivot rows
+    so far mod P, in the order they were found, each step touching only the
+    entries from its pivot column on: a pivot row is zero before its pivot
+    column and in the pivot columns found before it, so a column once
+    cleared stays clear.
 
     A matrix of full column rank mod P has full column rank over Q: one of
     its ncols x ncols minors is nonzero mod P, so it is a nonzero integer.
@@ -105,15 +106,19 @@ def _nullspace(rows: Iterable[Sequence[Fraction | int]], ncols: int) -> list[lis
     is read.  That is all that is concluded mod P: a lower rank mod P says
     nothing, since P may divide every maximal minor.
 
-    When the rows run out below full rank mod P, `_exact_nullspace` decides
-    over the rows read, and its basis (or [], when P was unlucky) is the
-    answer.  Dumas, Giorgi and Pernet (ACM TOMS 2008) compute ranks this way
-    over word-size prime fields; here it only certifies an empty nullspace.
+    A row scaled by a nonzero integer scales each minor by an integer, so
+    rows need not be primitive here: one whose content P divides only sends
+    the job to the fallback.  When the rows run out below full rank mod P,
+    `_exact_nullspace` decides over the rows read, made primitive, and its
+    basis (or [], when P was unlucky) is the answer.  Dumas, Giorgi and
+    Pernet (ACM TOMS 2008) compute ranks this way over word-size prime
+    fields; here it only certifies an empty nullspace.
     """
     read, pivots = [], {}                # pivot column -> row mod P from it on, led by 1
     for row in rows:
-        den = lcm(*(c.denominator for c in row))
-        row = _primitive([c.numerator * (den // c.denominator) for c in row])
+        if any(c.__class__ is not int for c in row):
+            den = lcm(*(c.denominator for c in row))
+            row = [c.numerator * (den // c.denominator) for c in row]
         read.append(row)
         r = [v % P for v in row]
         for pc, pivot_row in pivots.items():
@@ -126,7 +131,7 @@ def _nullspace(rows: Iterable[Sequence[Fraction | int]], ncols: int) -> list[lis
             pivots[lead] = [v * inv % P for v in r[lead:]]
             if len(pivots) == ncols:
                 return []
-    return _exact_nullspace(read, ncols)
+    return _exact_nullspace([_primitive(row) for row in read], ncols)
 
 
 def _exact_nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:

@@ -220,11 +220,12 @@ class Workspace:
     the recurrence and the lattice from here alone.
 
     Holds q_n = P_n S - P1_{n-1} (q_0 is S itself); the (D, M) images of S;
-    E1S E2S; (D f, M f) for f = q_n, P_n, P1_n, walked up the recurrence
-    (E2 f = M f + sqrt(r) D f, and E1 f is its conjugate); the
-    sides and residuals of the structure relations (`structure_sides`,
-    `structure_pair`) and of the second-kind relations (`second_kind_pair`)
-    at each level.  S defaults to the Stieltjes series of `data`.
+    E1S E2S; (D f, M f) for f = q_n, P_n, P1_n and the pair of E1S E2q_n,
+    each walked up the recurrence (E2 f = M f + sqrt(r) D f, and E1 f is its
+    conjugate); the sides and residuals of the structure relations
+    (`structure_sides`, `structure_pair`) and of the second-kind relations
+    (`second_kind_pair`) at each level.  S defaults to the Stieltjes series
+    of `data`.
     `data` may be attached after construction: the Riccati check needs only
     S, and the recurrence exists only once it has passed.
     """
@@ -264,6 +265,17 @@ class Workspace:
         """E1S E2S = (MS)^2 - r (DS)^2."""
         return self._get("e1e2", lambda: e1e2_series(self.lattice, self.s, *self.dm()))
 
+    def e1s_e2q(self, n: int):
+        """(V_n, U_n) of E1S E2q_n = U_n + sqrt(r) V_n, n >= -1, so U_n = MS
+        Mq_n - r DS Dq_n and V_n = MS Dq_n - DS Mq_n, walked like (Dq_n, Mq_n)
+        from (-DS, MS) at q_{-1} = 1 and (0, E1S E2S) at q_0 = S: no series
+        product per level, and nothing read but S and the recurrence."""
+        if ("VU", 0) not in self._memo:
+            (d_s, m_s), e1e2 = self.dm(), self.e1e2()
+            self._memo[("VU", -1)] = -d_s, m_s
+            self._memo[("VU", 0)] = LaurentSeries.zero(e1e2.truncation_order + 1), e1e2
+        return self._climb("VU", n, 0)
+
     def second_kind_pair(self, coeffs: StructureCoeffs,
                          n: int) -> tuple[LaurentSeries, LaurentSeries]:
         """(R, I) at level n >= 0, the one place where the second-kind
@@ -271,13 +283,12 @@ class Workspace:
         (l, pi, Theta) at level n - 1, the residuals of the two relations are
         res1 = R + sqrt(r) I and res2 = R - sqrt(r) I, where
 
-            R = A_n Dq_n - (l + C/2) Mq_n - Theta Mq_{n-1}
-                - B (MS Mq_n - r DS Dq_n),
-            I = (l - C/2) Dq_n - 2 pi Mq_n + Theta Dq_{n-1}
-                - B (MS Dq_n - DS Mq_n),
+            R = A_n Dq_n - (l + C/2) Mq_n - Theta Mq_{n-1} - B U_n,
+            I = (l - C/2) Dq_n - 2 pi Mq_n + Theta Dq_{n-1} - B V_n,
 
-        A_n = A + 2 r pi, both over Q when S is, each one `LaurentSeries.dot`
-        with B MS, B DS and r B DS formed once.  The memo key holds the
+        A_n = A + 2 r pi and E1S E2q_n = U_n + sqrt(r) V_n (`e1s_e2q`), both
+        over Q when S is, each one `LaurentSeries.dot` of series by
+        polynomials, O(window) work per level.  The memo key holds the
         coefficient values, so a workspace read with other coefficients
         never returns a stale pair.
         """
@@ -291,10 +302,9 @@ class Workspace:
             re = [(d_q, coeffs.A_at(n)), (m_q, -(l + half_C)), (m_prev, -theta)]
             im = [(d_q, l - half_C), (m_q, pi * -2), (d_prev, theta)]
             if not B.is_zero:
-                neg_b_ms, b_ds, r_b_ds = self._get(("B", B), lambda: (
-                    self.dm()[1] * -B, self.dm()[0] * B, self.dm()[0] * (self.lattice.r * B)))
-                re += [(m_q, neg_b_ms), (d_q, r_b_ds)]
-                im += [(d_q, neg_b_ms), (m_q, b_ds)]
+                v_q, u_q = self.e1s_e2q(n)
+                re.append((u_q, -B))
+                im.append((v_q, -B))
             return LaurentSeries.dot(re), LaurentSeries.dot(im)
         return self._get(("RI", n, A, B, C, l, pi, theta), make)
 
@@ -372,8 +382,9 @@ class Workspace:
             M f_{k+1} = (p - b) M f_k + r D f_k - g M f_{k-1},
             D f_{k+1} = (p - b) D f_k + M f_k - g D f_{k-1},
 
-        one `dot` each, O(deg) or O(window) work per step.  The walk resumes
-        from the highest two consecutive levels held.
+        one `dot` each, O(deg) or O(window) work per step; a pair (V, U) of
+        E1S E2 f = U + sqrt(r) V steps the same way.  The walk resumes from
+        the highest two consecutive levels held.
         """
         memo = self._memo
         k = n

@@ -331,6 +331,27 @@ class TestCertifyCommand:
         assert sorted(steps) == sorted([("P", n) for n in range(1, n_max + 1)]
                                        + [("P1", n) for n in range(1, n_max)])
 
+    def test_series_products_independent_of_depth(self, capsys, monkeypatch):
+        # with B != 0 the only series x series products of certify are the
+        # two of E1S E2S: the images of q_n and E1S E2q_n are walked up the
+        # recurrence, so the count does not grow with n_max
+        from snul.series import LaurentSeries
+        original = LaurentSeries.dot
+        counts = []
+
+        def counting(pairs):
+            pairs = list(pairs)
+            counts[-1] += sum(isinstance(b, LaurentSeries) for _, b in pairs)
+            return original(pairs)
+
+        monkeypatch.setattr(LaurentSeries, "dot", staticmethod(counting))
+        for n_max in ("8", "16"):
+            counts.append(0)
+            assert main(["certify", str(PROBLEMS / "qhermite_corecursive.json"),
+                         "--n-max", n_max]) == 0
+            assert json.loads(capsys.readouterr().out)["passed"]
+        assert counts == [2, 2]
+
 
 class TestFitCommand:
     def test_fit_recovers_fixture(self, capsys):

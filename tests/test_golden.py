@@ -32,6 +32,10 @@ The fit cases at --deg-bounds 6,6,6,6 were written by the version whose fit
 nullspace was fraction-free elimination alone, so they are an oracle
 independent of the modular certificate: on the random moments the
 certificate answers, on the recurrence file the exact elimination does.
+The co-recursive certify case at --n-max 32 was written by the version that
+formed the B term of the second-kind relations from series products of the
+images of S and of each q_n, so it is an oracle independent of the
+recurrence walk of E1S E2q_n.
 To regenerate after an intended change of the output, run
 `snul <command> <problem> <extra arguments>` and, for certify, delete the
 "timings" entry; the file is tests/data/<command>_<name>.json, with <name>
@@ -69,6 +73,8 @@ CASES = (
        for stem in ("qhermite", "qhermite_corecursive")]
     # both moment maps at depth, B != 0
     + [("certify", ROOT / "problems" / "qhermite_corecursive.json", ["--n-max", "16"])]
+    # the B term of the second-kind stage at depth
+    + [("certify", ROOT / "problems" / "qhermite_corecursive.json", ["--n-max", "32"])]
     # the structure stage at depth on the instance with the largest coefficients
     + [("derive", DATA / "surd_conic.json", ["--n-max", "24"])]
     # the second-kind stage at depth on the same instance

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from snul import (LaurentSeries, build_lattice, laguerre_hahn, riccati_nullspace,
+from snul import (LaurentSeries, build_lattice, fieldext, laguerre_hahn, riccati_nullspace,
                   solve_moments_from_riccati)
 from snul.fieldext import P, _nullspace
 from snul.laguerre_hahn import Workspace
@@ -157,6 +157,35 @@ def test_multiples_of_the_modulus():
         row_scale = [rng.choice(powers) if rng.random() < 0.3 else 1 for _ in rows]
         rows = [[v * c * r for v, c in zip(row, col_scale)] for row, r in zip(rows, row_scale)]
         _check(rows, ncols, rank)
+
+
+@pytest.mark.parametrize("kind", ["int", "Fraction"])
+def test_row_whose_content_the_modulus_divides(kind, monkeypatch):
+    # rows are not made primitive before the pass mod P, so a row P times a
+    # row of the matrix is zero there: full column rank over Q is then not
+    # seen mod P, and the exact elimination must answer over primitive rows
+    handed = []
+    exact = fieldext._exact_nullspace
+    monkeypatch.setattr(fieldext, "_exact_nullspace",
+                        lambda rows, ncols: handed.append(rows) or exact(rows, ncols))
+    rng = random.Random(41)
+    for _ in range(10):
+        ncols = rng.randint(2, 7)
+        for rank in (ncols, ncols - 1):
+            rows = _matrix_of_rank(rng, ncols, ncols, rank)
+            den = lcm(*(v.denominator for row in rows for v in row))
+            rows = [[int(v * den) for v in row] for row in rows]
+            del handed[:]
+            if rank == ncols:
+                # without the multiple of P the pass mod P answers alone
+                assert _nullspace(rows, ncols) == [] and not handed, ncols
+            i = rng.randrange(ncols)
+            rows[i] = [v * P for v in rows[i]]
+            if kind == "Fraction":
+                rows[i] = [F(v, 3) for v in rows[i]]
+            _check(rows, ncols, rank)
+            assert len(handed) == 1, (ncols, rank)
+            assert all(gcd(*row) in (0, 1) for row in handed[0]), (ncols, rank)
 
 
 def test_entries_of_several_hundred_bits():

@@ -10,15 +10,18 @@ through the product S q_n and its M image.  Every quantity with sqrt(r) in
 it is a pair u + sqrt(r) v of rational series (`conftest.RootPair`), so the
 route runs on every lattice, the one with sqrt(lambda) = sqrt(5) included.
 Both routes must give the same coefficients on the same windows, on the
-shipped instances and on structure coefficients moved by +/-1 in one
-coefficient at one level.
+shipped instances, on structure coefficients moved by +/-1 in one
+coefficient at one level, and on the co-recursive instance with its B moved
+by +/-1 in its lowest or its top coefficient.
 
 q_n and its images, which the workspace forms by the three-term recurrence,
 are checked against the definition q_n = P_n S - P1_{n-1} as a full product
 and against `_operator_series` of it, windows included, on the three conics
-of `conftest`.
+of `conftest`; so is the walked pair of E1S E2q_n, against the products of
+the images of S and q_n.
 """
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -128,17 +131,22 @@ def _instance(path):
     return ric, data, problem.n_max
 
 
-def _tampered(ric, coeffs, name, level, index, delta):
-    """A copy of `coeffs` with coefficient `index` of `name` at `level` moved
-    by delta."""
+def _moved(poly, index, delta):
+    """poly with its coefficient of x^index moved by delta."""
+    values = list(poly.coeffs) + [0] * (index + 1 - len(poly.coeffs))
+    values[index] += delta
+    return Poly(values)
+
+
+def _tampered(ric, coeffs, name=None, level=None, index=None, delta=None):
+    """A copy of `coeffs` read with `ric`, with coefficient `index` of `name`
+    at `level` moved by delta when a name is given."""
     out = StructureCoeffs(ric, coeffs.data)
     for store in ("l", "pi", "theta"):
         setattr(out, store, list(getattr(coeffs, store)))
-    polys = getattr(out, name)
-    old = polys[level + 1]
-    values = list(old.coeffs) + [0] * (index + 1 - len(old.coeffs))
-    values[index] += delta
-    polys[level + 1] = Poly(values)
+    if name is not None:
+        polys = getattr(out, name)
+        polys[level + 1] = _moved(polys[level + 1], index, delta)
     return out
 
 
@@ -197,6 +205,21 @@ def test_routes_agree_on_tampered_coefficients(path):
                         assert im.is_zero and not re.is_zero_within_window(), case
                     else:
                         assert not im.is_zero_within_window(), case
+    # B enters through E1S E2q_n = U_n + sqrt(r) V_n, walked up the recurrence,
+    # against the reference's products E1S B E2q_n at every level
+    if path.stem != "qhermite_corecursive":
+        return
+    assert not ric.B.is_zero
+    for index in sorted({0, ric.B.degree}):
+        for delta in (1, -1):
+            moved = replace(ric, B=_moved(ric.B, index, delta))
+            tampered = _tampered(moved, coeffs)
+            for n in range(0, n_max + 1):
+                case = (path.stem, "B", index, delta, n)
+                re, im = _check_level(moved, data, tampered, ws, n, case)
+                # the move shows in R, and in I from level 1 on: V_0 = 0
+                assert not re.is_zero_within_window(), case
+                assert im.is_zero_within_window() == (n == 0), case
 
 
 # -- q_n and its images against the definition route ------------------------------
@@ -219,3 +242,25 @@ def test_walked_images_of_q_match_the_definition(conic):
             d, m = ws.dm(n)
             assert (d, m) == _operator_series(lattice, q), n
             assert (d.truncation_order, m.truncation_order) == (w + 1, w), n
+
+
+@pytest.mark.parametrize("conic", [REFERENCE_CONIC, SURD_CONIC, IMAGINARY_CONIC],
+                         ids=["reference", "sqrt5", "sqrt-1"])
+def test_walked_e1s_e2q_matches_the_products(conic):
+    # (V_n, U_n) of E1S E2q_n = U_n + sqrt(r) V_n, walked up the recurrence
+    # with no Riccati data, against the series products of the images of S
+    # and q_n, windows included
+    lattice = build_lattice(*conic)
+    rng = random.Random(4712)
+    for _ in range(2):
+        beta, gamma = random_quasi_definite_recurrence(rng, 26)
+        data = smop_from_recurrence(beta[:13], gamma[:13], 12,
+                                    moments=moments_from_recurrence(beta, gamma, 27))
+        ws = Workspace(lattice, data=data)
+        walked = [ws.e1s_e2q(n) for n in range(-1, 13)]
+        d_s, m_s = ws.dm()
+        for n, (v, u) in zip(range(-1, 13), walked):
+            d, m = ws.dm(n)
+            assert v == m_s * d - d_s * m, n
+            assert u == m_s * m - (d_s * d).mul_poly(lattice.r), n
+        assert walked[1][0].is_zero and not walked[1][1].is_zero      # level 0
