@@ -347,14 +347,22 @@ def cmd_derive(args) -> int:
         raise ProblemFileError("derive needs the 'riccati' flavor")
     lattice = problem.build_lattice()
     ric = problem.riccati_data(lattice)
-    order = max(problem.trunc, 2 * problem.n_max + 2)
+    n_max = problem.n_max
+    order = max(problem.trunc, 2 * n_max + 2)
     moments = problem.moment_list(order)
     if moments is None:
         moments = solve_moments_from_riccati(ric, order)
-    beta, gamma = recurrence_from_moments(moments, problem.n_max)
-    data = smop_from_recurrence(beta, gamma, problem.n_max, moments=moments)
-    direct = structure_coeffs_direct(ric, Workspace(lattice, data=data), problem.n_max)
-    agreement = direct.same_as(corollary_coeffs(ric, data, problem.n_max))
+    if problem.recurrence is None:
+        beta, gamma = recurrence_from_moments(moments, n_max)
+    else:
+        # the moments come from this recurrence, so the Chebyshev algorithm
+        # would give it back, and stop where it does: at the first gamma_k = 0
+        beta, gamma = (c[:n_max + 1] for c in problem.recurrence)
+        if 0 in gamma:
+            raise NotQuasiDefinite(gamma.index(0))
+    data = smop_from_recurrence(beta, gamma, n_max, moments=moments)
+    direct = structure_coeffs_direct(ric, Workspace(lattice, data=data), n_max)
+    agreement = direct.same_as(corollary_coeffs(ric, data, n_max))
     levels = []
     for n in range(-1, direct.max_level + 1):
         levels.append({

@@ -24,6 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -96,8 +97,8 @@ class RiccatiData:
 class StructureCoeffs:
     """l_n, pi_n, Theta_n of `ric` on the recurrence `data`, from level -1 =
     (C/2, 0, D) up; Theta_hat_n and the gathered A_n = A + (Delta_y^2 / 2)
-    pi_{n-1} are read off them.  Internal lists are offset by one so index 0
-    holds level -1."""
+    pi_{n-1} are read off them, and the linear factors of each level are
+    formed once.  Internal lists are offset by one so index 0 holds level -1."""
 
     def __init__(self, ric: RiccatiData, data: SMOPData):
         self.ric = ric
@@ -105,6 +106,7 @@ class StructureCoeffs:
         self.l: list[Poly] = [ric.C * HALF]
         self.pi: list[Poly] = [Poly.zero()]
         self.theta: list[Poly] = [ric.D]
+        self._r2, self._linear = ric.lattice.r * 2, {}
 
     @property
     def max_level(self) -> int:
@@ -135,7 +137,15 @@ class StructureCoeffs:
 
     def A_at(self, n: int) -> Poly:
         """A + 2 r pi_{n-1}; A_0 = A, since pi_{-1} = 0."""
-        return self.ric.A + self.ric.lattice.r * 2 * self.pi_at(n - 1)
+        return Poly.dot(((self.ric.A, 1), (self._r2, self.pi_at(n - 1))))
+
+    def linear_at(self, n: int) -> tuple[Poly, Poly]:
+        """M(x - beta_n) = p - beta_n and E1E2(x - beta_n) = (p - beta_n)^2 - r."""
+        out = self._linear.get(n)
+        if out is None:
+            m = _m_of_linear(self.ric.lattice, self.data.beta[n])
+            out = self._linear[n] = m, m * m - self.ric.lattice.r
+        return out
 
     def degrees(self) -> dict[str, list[int | None]]:
         levels = range(-1, self.max_level + 1)
@@ -222,10 +232,9 @@ class Workspace:
     Holds q_n = P_n S - P1_{n-1} (q_0 is S itself); the (D, M) images of S;
     E1S E2S; (D f, M f) for f = q_n, P_n, P1_n and the pair of E1S E2q_n,
     each walked up the recurrence (E2 f = M f + sqrt(r) D f, and E1 f is its
-    conjugate); the sides and residuals of the structure relations
-    (`structure_sides`, `structure_pair`) and of the second-kind relations
-    (`second_kind_pair`) at each level.  S defaults to the Stieltjes series
-    of `data`.
+    conjugate); the residuals of the structure relations (`structure_pair`)
+    and of the second-kind relations (`second_kind_pair`) at each level.  S
+    defaults to the Stieltjes series of `data`.
     `data` may be attached after construction: the Riccati check needs only
     S, and the recurrence exists only once it has passed.
     """
@@ -308,46 +317,45 @@ class Workspace:
             return LaurentSeries.dot(re), LaurentSeries.dot(im)
         return self._get(("RI", n, A, B, C, l, pi, theta), make)
 
-    def structure_sides(self, ric: RiccatiData, n: int):
-        """The known sides of the structure system at level n >= 1 as
-        rational pairs (u, v) of u + sqrt(r) v: X_n = A DP_n + (C/2) E2P_n
-        + B E2P1_{n-1} and Y_n = A DP1_{n-1} - (C/2) E2P1_{n-1} - D E2P_n."""
+    def structure_sides(self, ric: RiccatiData, n: int, length: int | None):
+        """The known sides of the structure system at level n >= 1, below
+        x^length (whole when None), as rational pairs (u, v) of u + sqrt(r) v:
+        X_n = A DP_n + (C/2) E2P_n + B E2P1_{n-1} and Y_n = A DP1_{n-1} -
+        (C/2) E2P1_{n-1} - D E2P_n."""
         A, B, C, D = ric.polys()
-
-        def make():
-            half_C, dot = C * HALF, Poly.dot
-            d_pn, m_pn = self.poly_shifts(n)
-            d_p1, m_p1 = self.assoc_shifts(n - 1)
-            return ((dot(((A, d_pn), (half_C, m_pn), (B, m_p1))),
-                     dot(((half_C, d_pn), (B, d_p1)))),
-                    (dot(((A, d_p1), (-half_C, m_p1), (-D, m_pn))),
-                     dot(((-half_C, d_p1), (-D, d_pn)))))
-        return self._get(("sides", n, A, B, C, D), make)
+        half_C, dot = C * HALF, Poly.dot
+        (d_pn, m_pn), (d_p1, m_p1) = self.poly_shifts(n), self.assoc_shifts(n - 1)
+        return ((dot(((A, d_pn), (half_C, m_pn), (B, m_p1)), length),
+                 dot(((half_C, d_pn), (B, d_p1)), length)),
+                (dot(((A, d_p1), (-half_C, m_p1), (-D, m_pn)), length),
+                 dot(((-half_C, d_p1), (-D, d_pn)), length)))
 
     def structure_pair(self, coeffs: StructureCoeffs, n: int):
         """((Ra, Ia), (Rb, Ib)) at level n >= 1, the one place where the
-        structure relations are formed.  With L = l + 2 pi sqrt(r) and
-        (l, pi, Theta) at level n - 1, the residuals of the E1 variant are
+        structure relations are formed: Ra + sqrt(r) Ia and Rb + sqrt(r) Ib
+        are the residuals of the E1 variant, their sqrt(r)-conjugates those
+        of the E2 variant.  With A_n = A + 2 r pi and (l, pi, Theta) at level
+        n - 1, each is one `Poly.dot`:
 
-            Ra + sqrt(r) Ia = X_n - L E1P_n - Theta E1P_{n-1},
-            Rb + sqrt(r) Ib = Y_n - L E1P1_{n-1} - Theta E1P1_{n-2},
+            Ra = A_n DP_n - (l - C/2) MP_n + B MP1_{n-1} - Theta MP_{n-1},
+            Ia = (l + C/2) DP_n - 2 pi MP_n + B DP1_{n-1} + Theta DP_{n-1},
+            Rb = A_n DP1_{n-1} - (l + C/2) MP1_{n-1} - D MP_n - Theta MP1_{n-2},
+            Ib = (l - C/2) DP1_{n-1} - 2 pi MP1_{n-1} - D DP_n + Theta DP1_{n-2}.
 
-        and those of the E2 variant their sqrt(r)-conjugates.  Keyed by the
-        coefficient values it reads, like `second_kind_pair`."""
+        Keyed by the coefficient values it reads, like `second_kind_pair`."""
+        A, B, C, D = coeffs.ric.polys()
         l, pi, theta = coeffs.l_at(n - 1), coeffs.pi_at(n - 1), coeffs.theta_at(n - 1)
 
         def make():
-            pi2 = pi * 2
-            r_pi2 = self.lattice.r * pi2
-
-            def residual(side, f, f_prev):
-                (u, v), (d, m), (d_prev, m_prev) = side, f, f_prev
-                return (Poly.dot(((u, 1), (-l, m), (r_pi2, d), (-theta, m_prev))),
-                        Poly.dot(((v, 1), (-pi2, m), (l, d), (theta, d_prev))))
-            x, y = self.structure_sides(coeffs.ric, n)
-            return (residual(x, self.poly_shifts(n), self.poly_shifts(n - 1)),
-                    residual(y, self.assoc_shifts(n - 1), self.assoc_shifts(n - 2)))
-        return self._get(("structure", n, *coeffs.ric.polys(), l, pi, theta), make)
+            a_n, dot, half_C = coeffs.A_at(n), Poly.dot, C * HALF
+            l_minus, l_plus, pi2 = l - half_C, l + half_C, pi * -2
+            (d_pn, m_pn), (d_pp, m_pp) = self.poly_shifts(n), self.poly_shifts(n - 1)
+            (d_p1, m_p1), (d_pq, m_pq) = self.assoc_shifts(n - 1), self.assoc_shifts(n - 2)
+            return ((dot(((a_n, d_pn), (-l_minus, m_pn), (B, m_p1), (-theta, m_pp))),
+                     dot(((l_plus, d_pn), (pi2, m_pn), (B, d_p1), (theta, d_pp)))),
+                    (dot(((a_n, d_p1), (-l_plus, m_p1), (-D, m_pn), (-theta, m_pq))),
+                     dot(((l_minus, d_p1), (pi2, m_p1), (-D, d_pn), (theta, d_pq)))))
+        return self._get(("structure", n, A, B, C, D, l, pi, theta), make)
 
     def poly_shifts(self, n: int) -> tuple[Poly, Poly]:
         """(D P_n, M P_n), with P_{-1} = 0."""
@@ -407,11 +415,6 @@ class Workspace:
 def _m_of_linear(lattice: Lattice, beta) -> Poly:
     """M(x - beta) = p - beta."""
     return lattice.p - Fraction(beta)
-
-def _e1e2_of_linear(lattice: Lattice, beta) -> Poly:
-    """E1(x - beta) E2(x - beta) = (p - beta)^2 - r."""
-    m = _m_of_linear(lattice, beta)
-    return m * m - lattice.r
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +493,15 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
     def terms(e, d, m, low, den, factor):
         # the x^e coefficient of A Df - C Mf - factor B (MS Mf - r DS Df) for the
         # lists d, m of Df, Mf over den n2^i, Mf without terms above x^-low; with
-        # r = (r0 + r1 x + r2 x^2) / c, e1e2(j) is over c L n2^K den n2^(j+2)
+        # r = (r0 + r1 x + r2 x^2) / c, e1e2(j) is over c L n2^K den n2^(j+2), and
+        # each DS Df coefficient is formed once for all the powers of B
+        @cache
+        def dd(i):
+            return conv(ds, d, i, 2, low + 1)
+
         def e1e2(j):
-            dd0, dd1, dd2 = (conv(ds, d, i, 2, low + 1) for i in (j, j + 1, j + 2))
             mm = conv(ms, m, j, 1, low)
-            return factor * (n2 * (n2 * (c * mm - r0 * dd0) - r1 * dd1) - r2 * dd2)
+            return factor * (n2 * (n2 * (c * mm - r0 * dd(j)) - r1 * dd(j + 1)) - r2 * dd(j + 2))
         return (at_power(A, e, d.__getitem__, den) - at_power(C, e, m.__getitem__, den)
                 - at_power(B, e, e1e2, c * L * n2_K * den * n2 * n2))
 
@@ -644,12 +651,12 @@ def structure_coeffs_direct(ric: RiccatiData, ws: Workspace, n_max: int,
     Theta is Theta_hat / (gamma_0..gamma_{n-1}).  Both relations are then
     checked exactly; each failure raises the matching exception.
 
-    The numerators are formed below x^`_structure_window` only, in O(n)
-    work per level.  The determinant is a unit, so windowed values that
-    pass both exact checks are the solution; a level whose windowed values
-    fail is solved again in full, which raises what the full route does.
-    The images of P_n and P1_n are released as the levels pass; later
-    stages read the memoised `structure_pair` and `structure_sides`."""
+    The sides and numerators are formed below x^`_structure_window` only,
+    in O(n) work per level.  The determinant is a unit, so windowed values
+    that pass both exact checks are the solution; a level whose windowed
+    values fail is solved again from whole sides, which raises what the full
+    route does.  The images of P_n and P1_n are released as the levels
+    pass; later stages read the memoised `structure_pair`."""
     data = ws.data
     if check_riccati:
         res = riccati_residual(ric, ws)
@@ -659,14 +666,13 @@ def structure_coeffs_direct(ric: RiccatiData, ws: Workspace, n_max: int,
     bound, window = _theta_degree_bound(ric), _structure_window(ric)
     coeffs = StructureCoeffs(ric, data)
     for n in range(1, n_max + 1):
-        sides = [p for side in ws.structure_sides(ric, n) for p in side]
         d_pn, m_pn = ws.poly_shifts(n)
         d_p1, m_p1 = ws.assoc_shifts(n - 1)
         d_pn_prev, m_pn_prev = ws.poly_shifts(n - 1)
         d_p1_prev, m_p1_prev = ws.assoc_shifts(n - 2)
         g = data.gamma_product(n - 1)
         for length in (window, None):
-            xu, xv, yu, yv = (dot(((p, 1),), length) for p in sides)
+            (xu, xv), (yu, yv) = ws.structure_sides(ric, n, length)
             rx, ry = dot(((r, xv),), length), dot(((r, yv),), length)
             theta_hat = dot(((m_p1, xu), (m_pn, -yu), (d_pn, ry), (d_p1, -rx)), length)
             l_poly = dot(((m_pn_prev, yu), (m_p1_prev, -xu), (d_p1_prev, rx),
@@ -690,9 +696,8 @@ def structure_coeffs_direct(ric: RiccatiData, ws: Workspace, n_max: int,
 
 def verify_structure_relations(ws: Workspace, coeffs: StructureCoeffs, n: int):
     """The residuals ((Ra, Ia), (Rb, Ib)) of the two structure relations at
-    level n >= 1 (`Workspace.structure_pair`), as rational pairs (u, v) of
-    u + sqrt(r) v: those of the E1 variant.  The E2 variant's residuals are
-    their sqrt(r)-conjugates, so both variants hold iff all four vanish."""
+    level n >= 1 (`Workspace.structure_pair`): both variants hold iff all
+    four vanish."""
     if n < 1:
         raise ValueError("structure relations are stated for n >= 1")
     return ws.structure_pair(coeffs, n)
@@ -718,8 +723,7 @@ def verify_second_kind_relations(ws: Workspace, coeffs: StructureCoeffs, n: int)
 def gathered_relations(ws: Workspace, coeffs: StructureCoeffs, n: int):
     """Residuals of the gathered (M-form) relations at level n >= 0: two
     exact polynomial identities for P_{n+1} and P1_n, the parts Ra and Rb of
-    `Workspace.structure_pair` at level n + 1 (A_{n+1} DP_{n+1} - (l_n - C/2)
-    MP_{n+1} + ... with A_{n+1} = A + 2 r pi_n), and one windowed series
+    `Workspace.structure_pair` at level n + 1, and one windowed series
     identity for q_n,
 
         A_n Dq_n - (l_{n-1} + C/2) Mq_n - Theta_{n-1} Mq_{n-1}
@@ -737,19 +741,17 @@ def gathered_relations(ws: Workspace, coeffs: StructureCoeffs, n: int):
 # level recursions: two independent oracles for l_n, pi_n, Theta_n
 # ---------------------------------------------------------------------------
 
-def corollary_level_zero(ric: RiccatiData, data: SMOPData) -> tuple[Poly, Poly, Poly]:
+def corollary_level_zero(coeffs: StructureCoeffs) -> tuple[Poly, Poly, Poly]:
     """Closed forms of the level-0 coefficients:
 
         l_0 = -M(x - beta_0) D - C/2,  pi_0 = -D/2,
         Theta_0 = A - (Delta_y^2/4) D - (l_0 - C/2) M(x - beta_0) + B.
     """
-    lattice = ric.lattice
+    ric, m0 = coeffs.ric, coeffs.linear_at(0)[0]
     A, B, C, D = ric.polys()
-    m0 = _m_of_linear(lattice, data.beta[0])
     l0 = -(m0 * D) - C * HALF
-    pi0 = D * Fraction(-1, 2)
-    theta0 = A - lattice.r * D - (l0 - C * HALF) * m0 + B
-    return l0, pi0, theta0
+    theta0 = A - ric.lattice.r * D - (l0 - C * HALF) * m0 + B
+    return l0, D * Fraction(-1, 2), theta0
 
 
 def corollary_recursion(coeffs: StructureCoeffs, n: int) -> tuple[Poly, Poly, Poly]:
@@ -757,22 +759,15 @@ def corollary_recursion(coeffs: StructureCoeffs, n: int) -> tuple[Poly, Poly, Po
     pi telescope against Theta/gamma, pi to pi_{n+1} = pi_{n-1} - Theta_n/(2
     gamma_{n+1}) - Theta_{n-1}/(2 gamma_n), true at n = 0 too as pi_{-1} = 0,
     Theta_{-1} = D; Theta closes through the shifted linear factors."""
-    ric, data = coeffs.ric, coeffs.data
-    lattice, r = ric.lattice, ric.lattice.r
-    g_here, g_next = data.gamma[n], data.gamma[n + 1]
-    theta_n, theta_prev = coeffs.theta_at(n), coeffs.theta_at(n - 1)
-    pi_n, pi_prev = coeffs.pi_at(n), coeffs.pi_at(n - 1)
-    l_n, l_prev = coeffs.l_at(n), coeffs.l_at(n - 1)
-    pi_next = Poly.dot(((pi_prev, 1), (theta_n, -1 / (2 * g_next)),
-                        (theta_prev, -1 / (2 * g_here))))
-    m_next = _m_of_linear(lattice, data.beta[n + 1])
-    l_next = -l_n - m_next * (theta_n / g_next)
-    m_here = _m_of_linear(lattice, data.beta[n])
-    theta_next = Poly.dot(((ric.A, 1), (r, (pi_n + pi_prev) * 2),
-                           (theta_prev / g_here, g_next - m_here * m_next - r),
-                           (theta_n / g_next, _e1e2_of_linear(lattice, data.beta[n + 1])),
-                           (m_next, l_n - l_prev)))
-    return l_next, pi_next, theta_next
+    ric, gamma, dot = coeffs.ric, coeffs.data.gamma, Poly.dot
+    step, step_prev = coeffs.theta_at(n) / gamma[n + 1], coeffs.theta_at(n - 1) / gamma[n]
+    pi_n, pi_prev, l_n = coeffs.pi_at(n), coeffs.pi_at(n - 1), coeffs.l_at(n)
+    (m_here, _), (m_next, e_next) = coeffs.linear_at(n), coeffs.linear_at(n + 1)
+    pi_next = dot(((pi_prev, 1), (step, -HALF), (step_prev, -HALF)))
+    theta_next = dot(((ric.A, 1), (ric.lattice.r, (pi_n + pi_prev) * 2),
+                      (step_prev, gamma[n + 1] - m_here * m_next - ric.lattice.r),
+                      (step, e_next), (m_next, l_n - coeffs.l_at(n - 1))))
+    return -dot(((l_n, 1), (m_next, step))), pi_next, theta_next
 
 
 def corollary_coeffs(ric: RiccatiData, data: SMOPData, n_max: int) -> StructureCoeffs:
@@ -780,7 +775,7 @@ def corollary_coeffs(ric: RiccatiData, data: SMOPData, n_max: int) -> StructureC
     level recursions (independent of the constructive route)."""
     coeffs = StructureCoeffs(ric, data)
     for n in range(-1, n_max - 1):
-        coeffs.append_level(*(corollary_level_zero(ric, data) if n < 0
+        coeffs.append_level(*(corollary_level_zero(coeffs) if n < 0
                               else corollary_recursion(coeffs, n)))
     return coeffs
 
@@ -794,18 +789,12 @@ def magnus_data_from_coeffs(coeffs: StructureCoeffs, n: int) -> MagnusRiccatiDat
         C_n = l_n - l_{n-1} - M(x - beta_n) Theta_{n-1}/gamma_n,
         D_n = Theta_n.
     """
-    lattice, data = coeffs.ric.lattice, coeffs.data
-    g_n = data.gamma[n]
-    theta_prev = coeffs.theta_at(n - 1)
-    a_n = coeffs.ric.A + (lattice.r * 2) * (
-        coeffs.pi_at(n) + coeffs.pi_at(n - 1) - theta_prev / (2 * g_n)
-    )
-    b_n = theta_prev / g_n
-    c_n = coeffs.l_at(n) - coeffs.l_at(n - 1) - _m_of_linear(lattice, data.beta[n]) * (
-        theta_prev / g_n
-    )
-    d_n = coeffs.theta_at(n)
-    return MagnusRiccatiData(n, a_n, b_n, c_n, d_n)
+    b_n = coeffs.theta_at(n - 1) / coeffs.data.gamma[n]
+    pi_sum = coeffs.pi_at(n) + coeffs.pi_at(n - 1)
+    a_n = coeffs.ric.A + coeffs.ric.lattice.r * (pi_sum * 2 - b_n)
+    m_n = coeffs.linear_at(n)[0]
+    c_n = Poly.dot(((coeffs.l_at(n), 1), (coeffs.l_at(n - 1), -1), (m_n, -b_n)))
+    return MagnusRiccatiData(n, a_n, b_n, c_n, coeffs.theta_at(n))
 
 
 def magnus_step(m: MagnusRiccatiData, beta_next, gamma_next,
@@ -826,7 +815,7 @@ def magnus_step(m: MagnusRiccatiData, beta_next, gamma_next,
     a_next = m.A_n - (lattice.r * 2) * d_over_g
     c_next = -m.C_n - m_lin * d_over_g * 2
     d_next = (m.A_n + m.B_n * g + m_lin * m.C_n
-              + _e1e2_of_linear(lattice, beta_next) * d_over_g)
+              + (m_lin * m_lin - lattice.r) * d_over_g)
     return MagnusRiccatiData(m.level + 1, a_next, d_over_g, c_next, d_next)
 
 
@@ -839,8 +828,8 @@ def telescope_residuals(coeffs: StructureCoeffs) -> list[tuple[int, Poly, Poly]]
     data, out, tail = coeffs.data, [], Poly.zero()
     for n in range(0, coeffs.max_level + 1):
         step = coeffs.theta_at(n - 1) / data.gamma[n]
-        l_tel = Poly.dot(((coeffs.l_at(n), 1), (coeffs.l_at(n - 1), 1),
-                          (_m_of_linear(coeffs.ric.lattice, data.beta[n]), step)))
+        m_n = coeffs.linear_at(n)[0]
+        l_tel = Poly.dot(((coeffs.l_at(n), 1), (coeffs.l_at(n - 1), 1), (m_n, step)))
         tail = tail + step
         t_tel = Poly.zero() if n == coeffs.max_level else Poly.dot((
             (coeffs.pi_at(n + 1), 1), (coeffs.pi_at(n), 1), (tail, 1),
@@ -867,7 +856,7 @@ def reconstruct_riccati(coeffs: StructureCoeffs) -> RiccatiData:
         l0, theta0, pi0 = coeffs.l_at(0), coeffs.theta_at(0), coeffs.pi_at(0)
     except IndexError as exc:
         raise Underdetermined("level 0 entries unavailable") from exc
-    m0 = _m_of_linear(lattice, coeffs.data.beta[0])
+    m0 = coeffs.linear_at(0)[0]
     if pi0 * 2 != -d:
         raise NotLaguerreHahn(0, "pi_0 != -D/2")
     if l0 != -(m0 * d) - c * HALF:

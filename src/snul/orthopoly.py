@@ -40,19 +40,35 @@ def _check_recurrence(beta: Sequence[Fraction], gamma: Sequence[Fraction], n_max
 class SMOPData:
     """A sequence of monic orthogonal polynomials with everything attached.
 
-    P and P1 follow beta and gamma (P_{n+1} = (x - beta_n) P_n - gamma_n P_{n-1},
-    P1_{n+1} = (x - beta_{n+1}) P1_n - gamma_{n+1} P1_{n-1}), as
-    `smop_from_recurrence` builds them; the `laguerre_hahn` workspace relies
-    on it and walks the shifts of both up these recurrences.
+    P_0..P_{n_max} and P1_0..P1_{n_max} are formed from beta and gamma on
+    first read of `P` and `P1` (P_{n+1} = (x - beta_n) P_n - gamma_n P_{n-1},
+    P1_{n+1} = (x - beta_{n+1}) P1_n - gamma_{n+1} P1_{n-1}); the
+    `laguerre_hahn` workspace walks the shifts of both up these recurrences
+    and reads neither, so only `check_level` (the `liouville` and
+    second-kind stages of certify) and the tests form them.
     """
 
     beta: list[Fraction]
     gamma: list[Fraction]
     moments: list[Fraction]
-    P: list[Poly]
-    P1: list[Poly]
     n_max: int
     _checked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def P(self) -> list[Poly]:
+        return self._polys(0)
+
+    @cached_property
+    def P1(self) -> list[Poly]:
+        return self._polys(1)
+
+    def _polys(self, offset: int) -> list[Poly]:
+        """f_0..f_{n_max} for f_{-1} = 0, f_0 = 1 and f_{k+1} = (x - beta_{k+offset})
+        f_k - gamma_{k+offset} f_{k-1}."""
+        x, out = Poly.x(), [_ZERO_POLY, Poly.one()]
+        for k in range(offset, self.n_max + offset):
+            out.append(Poly.dot(((x - self.beta[k], out[-1]), (out[-2], -self.gamma[k]))))
+        return out[1:]
 
     def poly(self, n: int) -> Poly:
         """P_n, with P_{-1} = 0."""
@@ -109,7 +125,8 @@ class SMOPData:
 def smop_from_recurrence(beta, gamma, n_max: int,
                          moments: list[Fraction] | None = None,
                          moment_order: int | None = None) -> SMOPData:
-    """Generate P_0..P_{n_max} and P1_0..P1_{n_max} exactly.
+    """The sequence of beta and gamma up to level n_max, whose P_n and P1_n
+    are formed on first read (`SMOPData`).
 
     Moments are attached from `moments` or computed through the tridiagonal
     operator; the default order is 2 n_max + 2 capped at what the supplied
@@ -118,18 +135,13 @@ def smop_from_recurrence(beta, gamma, n_max: int,
     beta = [Fraction(b) for b in beta]
     gamma = [Fraction(g) for g in gamma]
     _check_recurrence(beta, gamma, n_max)
-    x = Poly.x()
-    P, P1 = [_ZERO_POLY, Poly.one()], [_ZERO_POLY, Poly.one()]   # from P_-1 = P1_-1 = 0
-    for n in range(n_max):
-        P.append(Poly.dot(((x - beta[n], P[-1]), (P[-2], -gamma[n]))))
-        P1.append(Poly.dot(((x - beta[n + 1], P1[-1]), (P1[-2], -gamma[n + 1]))))
     if moments is None:
         if moment_order is None:
             moment_order = min(2 * n_max + 2, len(beta), len(gamma))
         moments = moments_from_recurrence(beta, gamma, moment_order)
     else:
         moments = [Fraction(u) for u in moments]
-    return SMOPData(beta, gamma, moments, P[1:], P1[1:], n_max)
+    return SMOPData(beta, gamma, moments, n_max)
 
 
 def moments_from_recurrence(beta, gamma, order: int) -> list[Fraction]:

@@ -8,6 +8,10 @@ from snul.cli import ProblemFile, main, make_parser
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 RANDOM_MOMENTS = Path(__file__).resolve().parent / "data" / "random_moments.json"
+# the co-recursive Riccati data with the recurrence it has: beta_0 = -1, the
+# q-Hermite gamma_n
+CORECURSIVE_RECURRENCE = (Path(__file__).resolve().parent / "data"
+                          / "qhermite_corecursive_recurrence.json")
 
 
 def write_problem(tmp_path, doc, name="problem.json") -> str:
@@ -424,3 +428,39 @@ class TestDeriveCommand:
 
     def test_derive_needs_riccati(self, capsys):
         assert main(["derive", str(PROBLEMS / "qhermite_recurrence.json")]) == 2
+
+    def test_zero_gamma_exit_1(self, tmp_path, capsys):
+        # a supplied recurrence is read as it stands, and stops where the
+        # Chebyshev algorithm on its moments would: at the first gamma_k = 0
+        doc = json.loads(CORECURSIVE_RECURRENCE.read_text())
+        doc["recurrence"]["gamma"][5] = "0"
+        path = write_problem(tmp_path, doc)
+        assert main(["derive", path]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: Hankel determinant degenerate at n = 5\n")
+        # below level 5 the recurrence is quasi-definite, but its moments are
+        # no longer those of the Riccati data
+        assert main(["derive", path, "--n-max", "4"]) == 1
+        assert "Riccati residual nonzero" in capsys.readouterr().err
+
+    def test_supplied_recurrence_not_recomputed(self, capsys, monkeypatch):
+        # derive takes beta and gamma from the file, and walks the shifts of
+        # P_n and P1_n without forming either polynomial
+        import snul.cli as cli
+        made = []
+
+        def keeping(*args, **kwargs):
+            made.append(smop(*args, **kwargs))
+            return made[-1]
+
+        def refused(*args):
+            raise AssertionError("Chebyshev algorithm on a supplied recurrence")
+        smop = cli.smop_from_recurrence
+        monkeypatch.setattr(cli, "smop_from_recurrence", keeping)
+        assert main(["derive", str(PROBLEMS / "qhermite_corecursive.json")]) == 0
+        monkeypatch.setattr(cli, "recurrence_from_moments", refused)
+        assert main(["derive", str(CORECURSIVE_RECURRENCE)]) == 0
+        capsys.readouterr()
+        assert len(made) == 2
+        assert not any({"P", "P1"} & set(vars(data)) for data in made)

@@ -35,7 +35,15 @@ certificate answers, on the recurrence file the exact elimination does.
 The co-recursive certify case at --n-max 32 was written by the version that
 formed the B term of the second-kind relations from series products of the
 images of S and of each q_n, so it is an oracle independent of the
-recurrence walk of E1S E2q_n.
+recurrence walk of E1S E2q_n.  The derive cases of
+qhermite_corecursive_recurrence.json, Riccati data with its recurrence
+supplied, were written by the version that recovered beta_n and gamma_n from
+the moments by the Chebyshev algorithm, formed every P_n and P1_n, and
+formed each structure residual from whole sides, so they are an oracle
+independent of reading the recurrence as given and of the fused residuals.
+The same goes for derive_surd_conic_n-max_64.json and
+derive_qhermite_corecursive_recurrence_n-max_64.json, which CI diffs
+against.
 To regenerate after an intended change of the output, run
 `snul <command> <problem> <extra arguments>` and, for certify, delete the
 "timings" entry; the file is tests/data/<command>_<name>.json, with <name>
@@ -82,6 +90,10 @@ CASES = (
     # 28 columns: none fit the random moments, five candidates the recurrence
     + [("fit", problem, ["--deg-bounds", "6,6,6,6"])
        for problem in (DATA / "random_moments.json", RECURRENCE)]
+    # Riccati data with its recurrence supplied, the input of the derive
+    # benchmark
+    + [("derive", DATA / "qhermite_corecursive_recurrence.json", extra)
+       for extra in ([], ["--n-max", "20"])]
 )
 
 

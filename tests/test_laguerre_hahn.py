@@ -682,6 +682,25 @@ class TestCertify:
         assert cert.check("recursion-magnus").verdict == "pass"
         assert levels == list(range(0, 4))
 
+    def test_linear_factors_formed_once_per_level(self, reference_lattice, monkeypatch):
+        # M(x - beta_n) at most once per level for each of the two level sets,
+        # the direct route's and the corollary's; magnus_step forms its own
+        import sys
+        import snul.laguerre_hahn as lh
+        original = lh._m_of_linear
+        calls = []
+
+        def counting(lattice, beta):
+            if sys._getframe(1).f_code.co_name != "magnus_step":
+                calls.append(beta)
+            return original(lattice, beta)
+
+        monkeypatch.setattr(lh, "_m_of_linear", counting)
+        n_max = 8
+        cert = certify(qhermite_corecursive_riccati(reference_lattice), n_max=n_max, order=28)
+        assert cert.passed
+        assert len(calls) <= 2 * (n_max + 1)
+
     def test_certificate_json_roundtrip(self, reference_lattice):
         ric = qhermite_riccati(reference_lattice)
         cert = certify(ric, n_max=3, order=16, instance={"tag": "fixture"})

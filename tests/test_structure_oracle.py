@@ -311,6 +311,27 @@ def test_no_level_falls_back(path, monkeypatch):
 
 
 @pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.stem)
+def test_sides_formed_on_the_window_only(path, monkeypatch):
+    # every level of a shipped instance passes in its window, so the sides of
+    # the structure system are formed there and never whole, by the
+    # structure stage or by the relation checks after it
+    ric, moments, n_max = _instance(path)
+    data = _data(ric, moments, n_max)
+    original, lengths = Workspace.structure_sides, []
+
+    def recording(ws, ric, n, length=None):
+        lengths.append(length)
+        return original(ws, ric, n, length)
+    monkeypatch.setattr(Workspace, "structure_sides", recording)
+    ws = Workspace(ric.lattice, data=data)
+    coeffs = structure_coeffs_direct(ric, ws, n_max, check_riccati=False)
+    for n in range(1, n_max + 1):
+        assert not any(res for pair in verify_structure_relations(ws, coeffs, n)
+                       for res in pair)
+    assert lengths == [lh._structure_window(ric)] * n_max
+
+
+@pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.stem)
 def test_relations_agree_on_tampered_coefficients(path):
     # nonzero residuals: each of l, pi, Theta at level 0 moved by one
     ric, moments, _ = _instance(path)
@@ -347,6 +368,31 @@ def test_gathered_matches_formulas(path):
         got = gathered_relations(ws, tampered, 0)[:2]
         assert got == reference_gathered(ric, data, tampered, 0), (path.stem, which)
         assert not all(res.is_zero for res in got)
+
+
+FUSED_N_MAX = 4
+
+
+@pytest.mark.parametrize("conic", RATIONAL_CONICS + [SURD_CONIC, IMAGINARY_CONIC],
+                         ids=lambda c: ",".join(str(v) for v in c))
+def test_fused_residuals_match_reference(conic):
+    # random (l, pi, Theta) on random Riccati data and a random recurrence:
+    # every residual is nonzero, and from level 3 on every term of each of
+    # the four is, so a wrong weight in `Workspace.structure_pair` shows
+    lattice = build_lattice(*conic)
+    rng = random.Random(f"fused {conic}")
+    for _ in range(3):
+        ric = RiccatiData(*(random_poly(rng, 3) for _ in "ABCD"), lattice)
+        beta, gamma = random_quasi_definite_recurrence(rng, FUSED_N_MAX + 1)
+        data = smop_from_recurrence(beta, gamma, FUSED_N_MAX, moments=[F(1)])
+        coeffs = StructureCoeffs(ric, data)
+        for _ in range(FUSED_N_MAX):
+            coeffs.append_level(*(random_poly(rng, 3) for _ in range(3)))
+        ws = Workspace(lattice, data=data)
+        for n in range(1, FUSED_N_MAX + 1):
+            got = ws.structure_pair(coeffs, n)
+            assert got == reference_relations(ric, data, coeffs, n), n
+            assert all(res for pair in got for res in pair), n
 
 
 CRAMER_N_MAX = 6
