@@ -229,12 +229,13 @@ class Workspace:
     recurrence, each computed on first use.  Every stage function reads S,
     the recurrence and the lattice from here alone.
 
-    Holds q_n = P_n S - P1_{n-1} (q_0 is S itself); the (D, M) images of S;
-    E1S E2S; (D f, M f) for f = q_n, P_n, P1_n and the pair of E1S E2q_n,
-    each walked up the recurrence (E2 f = M f + sqrt(r) D f, and E1 f is its
-    conjugate); the residuals of the structure relations (`structure_pair`)
-    and of the second-kind relations (`second_kind_pair`) at each level.  S
-    defaults to the Stieltjes series of `data`.
+    Holds q_n = P_n S - P1_{n-1}, walked from S by `second_kind_series` (q_0
+    is S itself); the (D, M) images of S; E1S E2S; (D f, M f) for f = q_n,
+    P_n, P1_n and the pair of E1S E2q_n, each walked up the recurrence
+    (E2 f = M f + sqrt(r) D f, and E1 f is its conjugate); the residuals of
+    the structure relations (`structure_pair`) and of the second-kind
+    relations (`second_kind_pair`) at each level.  S defaults to the
+    Stieltjes series of `data`.
     `data` may be attached after construction: the Riccati check needs only
     S, and the recurrence exists only once it has passed.
     """
@@ -261,7 +262,7 @@ class Workspace:
         """(D f, M f) for f = S (n None) or q_n, n >= -1, on the windows of
         `_operator_series`: q_0 = S shares the images of S, q_{-1} = 1 has
         (0, 1), and above they are walked like those of P_n, once q_0..q_n
-        have passed their checks."""
+        have passed their Pade decay checks."""
         if n is None:
             return self._get(("dm", None), lambda: _operator_series(self.lattice, self.s))
         self.q(n)

@@ -7,7 +7,7 @@ P1_n = (x - beta_n) P1_{n-1} - gamma_n P1_{n-2}.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -44,15 +44,14 @@ class SMOPData:
     first read of `P` and `P1` (P_{n+1} = (x - beta_n) P_n - gamma_n P_{n-1},
     P1_{n+1} = (x - beta_{n+1}) P1_n - gamma_{n+1} P1_{n-1}); the
     `laguerre_hahn` workspace walks the shifts of both up these recurrences
-    and reads neither, so only `check_level` (the `liouville` and
-    second-kind stages of certify) and the tests form them.
+    and no certify, fit or derive stage reads them, so only the tests form
+    them, as the reference the recurrence walks are checked against.
     """
 
     beta: list[Fraction]
     gamma: list[Fraction]
     moments: list[Fraction]
     n_max: int
-    _checked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def P(self) -> list[Poly]:
@@ -89,33 +88,6 @@ class SMOPData:
     @cached_property
     def _gamma_prefix(self) -> list[Fraction]:
         return list(accumulate(self.gamma, mul, initial=Fraction(1)))
-
-    def check_level(self, n: int) -> None:
-        """Raise InvalidRecurrence unless the stored P_n and P1_{n-1} follow
-        beta, gamma from the two levels below, with P_0 = P1_0 = 1:
-
-            (P_n, P1_{n-1}) = (x - beta_{n-1}) (P_{n-1}, P1_{n-2})
-                              - gamma_{n-1} (P_{n-2}, P1_{n-3}),
-
-        one `Poly.dot` each; at n = n_max + 1, where no P_n is stored,
-        P1_{n_max} alone.  A level passes once for the polynomials stored at
-        it, so `check_liouville` and `second_kind_series` share the check.
-        """
-        top = n > self.n_max
-        stored = (None if top else self.poly(n), self.assoc(n - 1))
-        if self._checked.get(n) == stored:
-            return
-        x = Poly.x()
-
-        def step(f, k):
-            return Poly.dot(((x - self.beta[n - 1], f(k - 1)), (f(k - 2), -self.gamma[n - 1])))
-        wanted = (None if top else step(self.poly, n) if n > 0 else Poly.one(),
-                  step(self.assoc, n - 1) if n > 1 else (_ZERO_POLY, Poly.one())[n])
-        for name, k, have, want in zip(("P", "P1"), (n, n - 1), stored, wanted):
-            if have != want:
-                raise InvalidRecurrence(f"{name}_{k} disagrees with the recurrence at "
-                                        f"level {n}: P_n, P1_n do not follow beta, gamma")
-        self._checked[n] = stored
 
     def stieltjes(self) -> LaurentSeries:
         """S = sum u_n x^(-n-1), windowed by the stored moments."""
@@ -230,13 +202,14 @@ def second_kind_series(data: SMOPData, s: LaurentSeries, n: int,
     q_0 = S, on the window of S less n; O(window) work per step.
 
     `lower` holds (q_{n-2}, q_{n-1}), as returned here, for one step; without
-    it the recurrence is walked up from q_{-1} and q_0.  The recurrence value
-    is P_n S - P1_{n-1} because the stored P_n and P1_{n-1} follow beta, gamma
-    (`SMOPData.check_level`, at level n after a step from `lower`, at every
-    level up to n otherwise), and P_n is the orthogonal polynomial of S
-    because q_n decays as O(x^(-n-1)), the Pade condition.  Raises
-    InvalidRecurrence when either check fails, InsufficientTruncation when S
-    is too short for level n.
+    it the recurrence is walked up from q_{-1} and q_0.  The walked q_n equals
+    P_n S - P1_{n-1} by induction: both sides satisfy the same linear
+    recurrence from the same start, q_{-1} = P_{-1} S - P1_{-2} = 1 and
+    q_0 = P_0 S - P1_{-1} = S (P1_{-2} = -1 extends the associated recurrence
+    one level down, as gamma_0 = 1).  P_n is the orthogonal polynomial of S
+    because q_n decays as O(x^(-n-1)), the Pade condition, which is checked.
+    Raises InvalidRecurrence when the decay fails, InsufficientTruncation
+    when S is too short for level n.
     """
     if n == -1:
         return LaurentSeries.constant(1, s.truncation_order)
@@ -245,8 +218,6 @@ def second_kind_series(data: SMOPData, s: LaurentSeries, n: int,
     required = 2 * n + 2
     if s.truncation_order < required:
         raise InsufficientTruncation(required=required, available=s.truncation_order)
-    for k in range(n if lower else 0, n + 1):
-        data.check_level(k)
     # q_0 is S itself; returning S lets callers share its images
     q_prev, q = lower or (LaurentSeries.constant(1, s.truncation_order), s)
     x = Poly.x()
@@ -262,12 +233,10 @@ def second_kind_series(data: SMOPData, s: LaurentSeries, n: int,
 
 def check_liouville(data: SMOPData) -> None:
     """The Liouville-Ostrogradsky identity W_n = P1_n P_n - P_{n+1} P1_{n-1}
-    = gamma_0 ... gamma_n for n < n_max, by its proof: with P, P1 following
-    beta, gamma from P_0 = P1_0 = 1 (`SMOPData.check_level` at levels
-    0..n_max, and at n_max + 1 for P1_{n_max}), W_n = gamma_n W_{n-1}, and
-    W_0 = 1 = gamma_0.  O(n) work per level; raises InvalidRecurrence naming
-    the first level that fails."""
+    = gamma_0 ... gamma_n for every level, by its proof.  W_0 = P1_0 P_0 -
+    P_1 P1_{-1} = 1 = gamma_0.  For P_n and P1_n defined by the recurrence,
+    substituting P_{n+1} = (x - beta_n) P_n - gamma_n P_{n-1} and P1_n =
+    (x - beta_n) P1_{n-1} - gamma_n P1_{n-2} gives W_n = gamma_n W_{n-1}.
+    So only gamma_0 = 1 needs checking; raises InvalidRecurrence otherwise."""
     if data.gamma[0] != 1:
         raise InvalidRecurrence(f"gamma_0 must equal 1 (got {data.gamma[0]})")
-    for n in range(data.n_max + 2):
-        data.check_level(n)

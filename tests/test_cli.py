@@ -412,6 +412,31 @@ class TestFitCommand:
             assert code == 0
             assert json.loads(capsys.readouterr().out)["count"] == 0
 
+    def test_no_job_forms_the_polynomials(self, capsys, monkeypatch):
+        # certify and derive walk P_n, P1_n and q_n up the recurrence from
+        # beta, gamma and S: with P_n and P1_n unformable, every output but
+        # its timings is unchanged
+        from snul.orthopoly import SMOPData
+        surd = Path(__file__).resolve().parent / "data" / "surd_conic.json"
+        jobs = [(command, path) for path in (PROBLEMS / "qhermite.json",
+                                              PROBLEMS / "qhermite_corecursive.json")
+                for command in ("certify", "derive")] + [("certify", surd)]
+
+        def outputs():
+            out = []
+            for command, path in jobs:
+                assert main([command, str(path), "--n-max", "8"]) == 0, (command, path)
+                doc = json.loads(capsys.readouterr().out)
+                doc.pop("timings", None)
+                out.append(doc)
+            return out
+
+        def refused(*args):
+            raise AssertionError("P_n or P1_n formed by a job")
+        before = outputs()
+        monkeypatch.setattr(SMOPData, "_polys", refused)
+        assert outputs() == before
+
 
 class TestDeriveCommand:
     def test_level_minus_one_row(self, capsys):

@@ -9,6 +9,7 @@ from snul import (
     LaurentSeries,
     NotQuasiDefinite,
     Poly,
+    Workspace,
     apply_shift,
     check_liouville,
     moments_from_recurrence,
@@ -221,11 +222,24 @@ class TestSecondKind:
             for e in range(0, -n - 1, -1):
                 assert qn.coefficient(e) == 0
 
-    def test_matches_definition(self):
-        # the recurrence route against the full product P_n S - P1_{n-1}
-        for n in range(-1, 13):
-            q = second_kind_series(self.data, self.s, n)
-            assert q == second_kind_by_definition(self.data, self.s, n), n
+    def test_matches_definition(self, reference_lattice):
+        # q_n = P_n S - P1_{n-1}, which no job checks at run time: the walk
+        # from scratch, the one step from the two levels below, and the
+        # workspace that jobs read, each against the full product
+        for seed in (23, 29, 31):
+            beta, gamma = random_quasi_definite_recurrence(random.Random(seed), 26)
+            data = build(beta[:13], gamma[:13], 12,
+                         moments=moments_from_recurrence(beta, gamma, 26))
+            s = data.stieltjes()
+            ws = Workspace(reference_lattice, data=data)
+            want = {n: second_kind_by_definition(data, s, n) for n in range(-1, 13)}
+            for n in range(-1, 13):
+                case = (seed, n)
+                assert second_kind_series(data, s, n) == want[n], case
+                if n > 0:
+                    lower = (want[n - 2], want[n - 1])
+                    assert second_kind_series(data, s, n, lower) == want[n], case
+                assert ws.q(n) == want[n], case
 
     def test_window_guard(self):
         short = LaurentSeries.from_moments(self.data.moments[:6])
@@ -247,20 +261,6 @@ class TestSecondKind:
         with pytest.raises(InvalidRecurrence):
             second_kind_series(data, data.stieltjes(), 5)
 
-    def test_polynomials_off_recurrence_typed_error(self):
-        # P_3 no longer follows beta, gamma: the stored P_3 and the recurrence
-        # disagree at level 3, reported as a SnulError rather than an assertion
-        data = build(self.beta[:13], self.gamma[:13], 12,
-                     moments=self.data.moments)
-        data.P[3] = data.P[3] + Poly.constant(1)
-        s = data.stieltjes()
-        with pytest.raises(InvalidRecurrence, match="disagree"):
-            second_kind_series(data, s, 3)
-        # one step from the two levels below, as a workspace forms it
-        lower = (second_kind_series(data, s, 1), second_kind_series(data, s, 2))
-        with pytest.raises(InvalidRecurrence, match="disagree"):
-            second_kind_series(data, s, 3, lower)
-
 
 class TestLiouville:
     def test_level_zero(self):
@@ -279,15 +279,12 @@ class TestLiouville:
 
     def test_check_fails_where_the_products_do(self):
         # check_liouville, the identity by its proof, against the full
-        # products: both pass on a recurrence, both fail on a moved P1_3
+        # products: both pass on a recurrence, both fail at gamma_0 = 2
         rng = random.Random(37)
         beta, gamma = random_quasi_definite_recurrence(rng, 7)
         data = build(beta, gamma, 7, moment_order=0)
         check_liouville(data)
-        data.P1[3] = data.P1[3] + Poly.constant(1)
-        assert not all(liouville_defect(data, n).is_zero for n in range(7))
-        with pytest.raises(InvalidRecurrence, match="P1_3 disagrees with the recurrence at level 4"):
-            check_liouville(data)
+        assert all(liouville_defect(data, n).is_zero for n in range(7))
         data = build(beta, gamma, 7, moment_order=0)
         data.gamma[0] = F(2)
         assert not liouville_defect(data, 0).is_zero
