@@ -9,9 +9,9 @@ degree None, a deliberate sentinel: degree arithmetic on zero must fail
 loudly instead of propagating -1.
 
 Products go through `fieldext._int_dot`, the one exact product kernel:
-`Poly.dot` forms a sum of products, optionally cut below a power of x, and
-a product of two polynomials is its one-term case.  No job divides by a
-polynomial (`exact_div` serves `surd_exact_div`).
+`Poly.dot` forms a sum of products, and a product of two polynomials is its
+one-term case.  No job divides by a polynomial (`exact_div` serves
+`surd_exact_div`).
 """
 from __future__ import annotations
 
@@ -140,14 +140,14 @@ class Poly:
     __rmul__ = __mul__
 
     @staticmethod
-    def dot(pairs, length: int | None = None) -> "Poly":
-        """sum a b over the pairs (Poly, Poly or rational), cut below
-        x^length when given: over one denominator, with one gcd."""
+    def dot(pairs) -> "Poly":
+        """sum a b over the pairs (Poly, Poly or rational): over one
+        denominator, with one gcd."""
         terms = [(a.nums, a.den, b.nums, b.den) if isinstance(b, Poly)
                  else (a.nums, a.den, (b.numerator,), b.denominator) for a, b in pairs]
         den = lcm(*(a_den * b_den for _, a_den, _, b_den in terms))
         return Poly._from_ints(_int_dot([(den // (a_den * b_den), a, b)
-                                         for a, a_den, b, b_den in terms], length), den)
+                                         for a, a_den, b, b_den in terms]), den)
 
     def __pow__(self, n: int):
         if n < 0:

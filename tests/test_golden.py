@@ -43,7 +43,10 @@ formed each structure residual from whole sides, so they are an oracle
 independent of reading the recurrence as given and of the fused residuals.
 The same goes for derive_surd_conic_n-max_64.json and
 derive_qhermite_corecursive_recurrence_n-max_64.json, which CI diffs
-against.
+against.  The qhermite_wide derive case at --n-max 20 was written by the
+version that solved the structure system by Cramer's rule in a window of low
+coefficients, so it is an oracle independent of the recursion route of the
+structure stage.
 To regenerate after an intended change of the output, run
 `snul <command> <problem> <extra arguments>` and, for certify, delete the
 "timings" entry; the file is tests/data/<command>_<name>.json, with <name>
@@ -94,6 +97,8 @@ CASES = (
     # benchmark
     + [("derive", DATA / "qhermite_corecursive_recurrence.json", extra)
        for extra in ([], ["--n-max", "20"])]
+    # twenty levels of the structure stage on the wide conic
+    + [("derive", ROOT / "problems" / "qhermite_wide.json", ["--n-max", "20"])]
 )
 
 

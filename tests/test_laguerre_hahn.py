@@ -264,7 +264,13 @@ class TestStructureCoeffs:
         for n in range(1, coeffs.max_level + 2):
             assert coeffs.A_at(n) == ric.A + (ric.lattice.r * 2) * coeffs.pi_at(n - 1)
 
-    def test_non_lh_rejected(self, reference_lattice):
+    def test_non_lh_rejected(self, reference_lattice, tmp_path, capsys):
+        # the structure stage reads the Riccati data and the recurrence, not
+        # S, so the rejection is the Riccati check's, which `snul derive`
+        # runs first
+        import json
+        from snul.cli import main
+        from snul.fieldext import format_rational
         lat = reference_lattice
         ric = qhermite_riccati(lat)
         moments = solve_moments_from_riccati(ric, ORDER)
@@ -273,8 +279,16 @@ class TestStructureCoeffs:
         from snul import recurrence_from_moments
         beta, gamma = recurrence_from_moments(bad, N_MAX)
         data = smop_from_recurrence(beta, gamma, N_MAX, moments=bad)
-        with pytest.raises(NotLaguerreHahn):
-            structure_coeffs_direct(ric, Workspace(lat, data=data), N_MAX)
+        res = riccati_residual(ric, Workspace(lat, data=data))
+        assert not res.is_zero_within_window()
+        doc = json.loads((DATA.parent.parent / "problems" / "qhermite.json").read_text())
+        doc["moments"] = [format_rational(m) for m in bad]
+        doc["options"].update(n_max=N_MAX, trunc=ORDER)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["derive", str(path)]) == 1
+        expected = NotLaguerreHahn(0, f"Riccati residual nonzero at x^{res.leading_exponent()}")
+        assert capsys.readouterr() == ("", f"error: {expected}\n")
 
 
 class TestRelations:
@@ -552,7 +566,6 @@ class TestCertify:
 
     @pytest.mark.parametrize("stage, module, name", [
         ("liouville", "snul.orthopoly", "check_liouville"),
-        ("recursion-corollary", "snul.laguerre_hahn", "corollary_coeffs"),
         ("recursion-magnus", "snul.laguerre_hahn", "magnus_step"),
         ("telescopes", "snul.laguerre_hahn", "telescope_residuals"),
     ])
@@ -579,6 +592,16 @@ class TestCertify:
     ])
     def test_structural_stage_errors_recorded_not_raised(self, reference_lattice, monkeypatch,
                                                          stage, module, name):
+        self._assert_gate_fails(reference_lattice, monkeypatch, stage, module, name)
+
+    def test_recursion_errors_fail_structure_direct(self, reference_lattice, monkeypatch):
+        # the level recursion runs inside structure-direct, so its errors
+        # are that stage's, and close the gate
+        self._assert_gate_fails(reference_lattice, monkeypatch, "structure-direct",
+                                "snul.laguerre_hahn", "corollary_recursion")
+
+    @staticmethod
+    def _assert_gate_fails(lattice, monkeypatch, stage, module, name):
         import importlib
         from snul.laguerre_hahn import _CERTIFY_STAGES
 
@@ -586,7 +609,7 @@ class TestCertify:
             raise InvalidRecurrence(f"{name} rejected")
 
         monkeypatch.setattr(importlib.import_module(module), name, rejecting)
-        cert = certify(qhermite_riccati(reference_lattice), n_max=3, order=16)
+        cert = certify(qhermite_riccati(lattice), n_max=3, order=16)
         assert not cert.passed
         failed = [(c.name, c.verdict, c.detail) for c in cert.checks if c.verdict != "pass"]
         # a failed gate skips every later stage; the second relation variant

@@ -172,8 +172,7 @@ def _check_level(ric, data, coeffs, ws, n, case):
 @pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.stem)
 def test_routes_agree(path):
     ric, data, n_max = _instance(path)
-    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), n_max,
-                                     check_riccati=False)
+    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), n_max)
     ws = Workspace(ric.lattice, data=data)
     for n in range(0, n_max + 1):
         re, im = _check_level(ric, data, coeffs, ws, n, (path.stem, n))
@@ -185,8 +184,7 @@ def test_routes_agree_on_tampered_coefficients(path):
     # one workspace serves the shipped and every tampered set of coefficients,
     # so a pair formed for one set must never be read for another
     ric, data, n_max = _instance(path)
-    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), n_max,
-                                     check_riccati=False)
+    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), n_max)
     ws = Workspace(ric.lattice, data=data)
     for n in range(0, TAMPER_LEVELS):
         verify_second_kind_relations(ws, coeffs, n)

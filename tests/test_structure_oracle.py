@@ -28,6 +28,7 @@ from snul import (
     SnulError,
     Workspace,
     build_lattice,
+    certify,
     recurrence_from_moments,
     smop_from_recurrence,
     solve_moments_from_riccati,
@@ -38,7 +39,7 @@ from snul.cli import ProblemFile
 from snul.errors import DegreeBoundExceeded
 import snul.laguerre_hahn as lh
 import snul.poly as poly_module
-from snul.laguerre_hahn import HALF, StructureCoeffs
+from snul.laguerre_hahn import _CERTIFY_STAGES, HALF, StructureCoeffs
 from snul.lattice import apply_shift
 from snul.poly import Poly
 from snul.surd import SurdPoly, surd_exact_div
@@ -237,8 +238,7 @@ def test_routes_agree():
         sqrt_r_parts = []
         kind, ref = _outcome(lambda: reference_structure(ric, data, n_max, sqrt_r_parts))
         got_kind, got = _outcome(
-            lambda: structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), n_max,
-                                            check_riccati=False))
+            lambda: structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), n_max))
         assert all(v.is_zero for v in sqrt_r_parts), case_id
         assert got_kind == kind, case_id
         outcomes[case_id] = ref if kind != "ok" else "ok"
@@ -261,74 +261,57 @@ def test_routes_agree():
     assert {t[-5:] for t in texts if "exceeds bound" in t} >= {f"n = {n}" for n in range(4)}
 
 
-def test_full_solve_after_every_window_agrees(monkeypatch):
-    # a window of one coefficient fails wherever l, pi or Theta is not
-    # constant, so nearly every level is solved a second time in full; the
-    # results and the exception texts must still be the reference's
-    monkeypatch.setattr(lh, "_structure_window", lambda ric: 1)
-    for case_id, ric, data, n_max in CASES:
-        kind, ref = _outcome(lambda: reference_structure(ric, data, n_max, []))
-        got_kind, got = _outcome(
-            lambda: structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), n_max,
-                                            check_riccati=False))
-        assert got_kind == kind, case_id
-        if kind != "ok":
-            assert got == ref, case_id
-            continue
-        for name, polys in _levels(ref).items():
-            assert _levels(got)[name] == polys, (case_id, name)
-
-
 DEEP_N_MAX = 20
 
 
 @pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.stem)
 def test_no_level_falls_back(path, monkeypatch):
-    # every level of a shipped instance passes in its window, and the
-    # structure stage multiplies no two polynomials of degree about n: each
-    # product either is cut at the window or has a factor of bounded degree
+    # the structure stage multiplies no two polynomials of degree about n:
+    # every product has a factor no longer than the Riccati data, r or the
+    # coefficients of one level, whose degrees are bounded
     ric, _, _ = _instance(path)
     moments = solve_moments_from_riccati(ric, 2 * DEEP_N_MAX + 2)
     data = _data(ric, moments, DEEP_N_MAX)
-    window = lh._structure_window(ric)
-    small = max([window + 2] + [len(p.nums) for p in ric.polys()])
-    calls = []
+    shorter = []
 
     def recording(terms, length=None):
-        calls.append((length, [min(len(xs), len(ys)) for w, xs, ys in terms if w]))
+        shorter.extend(min(len(xs), len(ys)) for w, xs, ys in terms if w)
         return kernel(terms, length)
     kernel = poly_module._int_dot
     monkeypatch.setattr(poly_module, "_int_dot", recording)
-    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), DEEP_N_MAX,
-                                     check_riccati=False)
+    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), DEEP_N_MAX)
     assert coeffs.max_level == DEEP_N_MAX - 1
-    assert {length for length, _ in calls} == {window, None}
-    assert all(m <= small for length, shorter in calls if length is None
-               for m in shorter), path.stem
-    # the windowed numerators: four cut sides, r times two of them and
-    # Theta_hat, l and pi, at every level and never again in full
-    assert sum(length == window for length, _ in calls) == 9 * DEEP_N_MAX
+    small = max(len(p.nums) for p in [*ric.polys(), ric.lattice.r, *coeffs.l, *coeffs.pi,
+                                      *coeffs.theta])
+    assert max(shorter) <= small < DEEP_N_MAX // 2, path.stem
 
 
 @pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.stem)
-def test_sides_formed_on_the_window_only(path, monkeypatch):
-    # every level of a shipped instance passes in its window, so the sides of
-    # the structure system are formed there and never whole, by the
-    # structure stage or by the relation checks after it
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_moved_theta_fails_the_exact_check(path, k, monkeypatch):
+    # the level recursion is checked, not trusted: Theta_k moved by one fails
+    # the first structure relation at level k + 1, and certify stops there
+    original = lh.corollary_recursion
+    level_zero = lh.corollary_level_zero
+
+    def moved(l, pi, theta, level):
+        return (l, pi, theta + 1) if level == k else (l, pi, theta)
+    monkeypatch.setattr(lh, "corollary_level_zero",
+                        lambda coeffs: moved(*level_zero(coeffs), 0))
+    monkeypatch.setattr(lh, "corollary_recursion",
+                        lambda coeffs, n: moved(*original(coeffs, n), n + 1))
     ric, moments, n_max = _instance(path)
     data = _data(ric, moments, n_max)
-    original, lengths = Workspace.structure_sides, []
-
-    def recording(ws, ric, n, length=None):
-        lengths.append(length)
-        return original(ws, ric, n, length)
-    monkeypatch.setattr(Workspace, "structure_sides", recording)
-    ws = Workspace(ric.lattice, data=data)
-    coeffs = structure_coeffs_direct(ric, ws, n_max, check_riccati=False)
-    for n in range(1, n_max + 1):
-        assert not any(res for pair in verify_structure_relations(ws, coeffs, n)
-                       for res in pair)
-    assert lengths == [lh._structure_window(ric)] * n_max
+    with pytest.raises(NotLaguerreHahn) as info:
+        structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), n_max)
+    assert info.value.level == k + 1
+    assert str(info.value) == (f"not Laguerre-Hahn at level n = {k + 1}: "
+                               "first structure equation (E1 variant) failed")
+    cert = certify(ric, n_max, len(moments) - 1, moments=moments)
+    failed = [(c.name, c.verdict, c.detail) for c in cert.checks if c.verdict != "pass"]
+    after = _CERTIFY_STAGES[_CERTIFY_STAGES.index("structure-direct") + 1:]
+    assert failed == [("structure-direct", "fail", str(info.value))] + [
+        (nm, "skip", "") for nm in after]
 
 
 @pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.stem)
@@ -336,8 +319,7 @@ def test_relations_agree_on_tampered_coefficients(path):
     # nonzero residuals: each of l, pi, Theta at level 0 moved by one
     ric, moments, _ = _instance(path)
     data = _data(ric, moments, 2)
-    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), 2,
-                                     check_riccati=False)
+    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), 2)
     for which in range(3):
         tampered = StructureCoeffs(ric, data)
         level = [coeffs.l_at(0), coeffs.pi_at(0), coeffs.theta_at(0)]
@@ -352,8 +334,7 @@ def test_relations_agree_on_tampered_coefficients(path):
 def test_gathered_matches_formulas(path):
     ric, moments, n_max = _instance(path)
     data = _data(ric, moments, n_max)
-    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), n_max,
-                                     check_riccati=False)
+    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), n_max)
     ws = Workspace(ric.lattice, data=data)
     for n in range(n_max):
         got = gathered_relations(ws, coeffs, n)[:2]
@@ -413,8 +394,7 @@ def test_cramer_solution_is_exact(conic, monkeypatch):
             for _ in "BCD"), lattice)
         beta, gamma = random_quasi_definite_recurrence(rng, CRAMER_N_MAX + 1)
         data = smop_from_recurrence(beta, gamma, CRAMER_N_MAX, moments=[F(1)])
-        got = structure_coeffs_direct(ric, Workspace(lattice, data=data), CRAMER_N_MAX,
-                                      check_riccati=False)
+        got = structure_coeffs_direct(ric, Workspace(lattice, data=data), CRAMER_N_MAX)
         ref = reference_structure(ric, data, CRAMER_N_MAX, [])
         for name, polys in _levels(ref).items():
             assert _levels(got)[name] == polys, name
