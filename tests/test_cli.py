@@ -356,6 +356,44 @@ class TestCertifyCommand:
             assert json.loads(capsys.readouterr().out)["passed"]
         assert counts == [2, 2]
 
+    def test_recorded_stages_recompute_nothing(self, capsys, monkeypatch):
+        # the structure-relations, gathered, Magnus, telescope and
+        # reconstruction entries are read off structure-direct, the
+        # second-kind stage and the recursion's proof: with the functions
+        # that form them directly refused, every output but its timings is
+        # unchanged, and each workspace holds images by level alone
+        import snul.laguerre_hahn as lh
+        paths = [PROBLEMS / "qhermite.json", PROBLEMS / "qhermite_corecursive.json"]
+        workspaces = []
+
+        class Recorded(lh.Workspace):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                workspaces.append(self)
+
+        def outputs():
+            out = []
+            for path in paths:
+                assert main(["certify", str(path)]) == 0, path
+                doc = json.loads(capsys.readouterr().out)
+                assert doc.pop("passed") is True
+                doc.pop("timings")
+                out.append(doc)
+            return out
+
+        def refused(*args):
+            raise AssertionError("certify recomputed a recorded stage")
+        before = outputs()
+        for name in ("verify_structure_relations", "gathered_relations",
+                     "magnus_data_from_coeffs", "magnus_step", "telescope_residuals",
+                     "reconstruct_riccati"):
+            monkeypatch.setattr(lh, name, refused)
+        monkeypatch.setattr(lh, "Workspace", Recorded)
+        assert outputs() == before
+        assert len(workspaces) == len(paths)
+        assert {key if isinstance(key, str) else key[0] for ws in workspaces
+                for key in ws._memo} == {"q", "dm", "e1e2", "VU", "P", "P1"}
+
 
 class TestFitCommand:
     def test_fit_recovers_fixture(self, capsys):

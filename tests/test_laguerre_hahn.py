@@ -16,6 +16,7 @@ from snul import (
     RiccatiData,
     Underdetermined,
     Workspace,
+    build_lattice,
     certify,
     corollary_coeffs,
     corollary_recursion,
@@ -36,14 +37,20 @@ from snul import (
 from snul.laguerre_hahn import MagnusRiccatiData, StructureCoeffs
 
 from conftest import (
+    IMAGINARY_CONIC,
+    RATIONAL_CONICS,
+    SURD_CONIC,
     qhermite_corecursive_recurrence,
     qhermite_corecursive_riccati,
     qhermite_recurrence,
     qhermite_riccati,
+    random_poly,
+    random_quasi_definite_recurrence,
 )
 
 DATA = Path(__file__).resolve().parent / "data"
 N_MAX = 6
+RANDOM_N_MAX = 7
 ORDER = 2 * N_MAX + 12
 
 
@@ -391,6 +398,36 @@ class TestRecursions:
                 direct = magnus_data_from_coeffs(coeffs, n + 1)
                 assert stepped.as_tuple() == direct.as_tuple()
 
+    @pytest.mark.parametrize("conic", RATIONAL_CONICS + [SURD_CONIC, IMAGINARY_CONIC],
+                             ids=lambda c: ",".join(str(v) for v in c))
+    @pytest.mark.parametrize("with_B", [False, True], ids=["B=0", "B!=0"])
+    def test_oracle_identities_hold_for_any_data(self, conic, with_B):
+        # random (A, B, C, D) on a random recurrence with gamma_0 = 1, not
+        # Laguerre-Hahn: the level recursion's output still meets the
+        # telescope, Magnus and reconstruction identities and both structure
+        # relations, so certify records those stages from their proofs
+        lattice = build_lattice(*conic)
+        rng = random.Random(f"oracle identities {conic} {with_B}")
+        for _ in range(2):
+            A, C, D = (random_poly(rng, 3) for _ in "ACD")
+            B = random_poly(rng, 3) if with_B else Poly.zero()
+            ric = RiccatiData(A, B, C, D, lattice)
+            beta, gamma = random_quasi_definite_recurrence(rng, RANDOM_N_MAX + 1)
+            data = smop_from_recurrence(beta, gamma, RANDOM_N_MAX, moments=[F(1)])
+            coeffs = corollary_coeffs(ric, data, RANDOM_N_MAX)
+            for n, l_res, t_res in telescope_residuals(coeffs):
+                assert l_res.is_zero and t_res.is_zero, n
+            for n in range(0, coeffs.max_level):
+                stepped = magnus_step(magnus_data_from_coeffs(coeffs, n),
+                                      beta[n + 1], gamma[n + 1], lattice)
+                direct = magnus_data_from_coeffs(coeffs, n + 1)
+                assert stepped.as_tuple() == direct.as_tuple(), n
+            assert reconstruct_riccati(coeffs).polys() == ric.polys()
+            ws = Workspace(lattice, data=data)
+            for n in range(1, RANDOM_N_MAX + 1):
+                assert not any(res for pair in verify_structure_relations(ws, coeffs, n)
+                               for res in pair), n
+
     def test_magnus_b_update(self, semiclassical):
         # B_{n+1} = D_n / gamma_{n+1}, i.e. Theta_n/gamma_{n+1}
         ric, data, coeffs = semiclassical
@@ -539,6 +576,7 @@ class TestCertify:
         assert "rejected" in cert.check("second-kind-1").detail
         assert cert.check("second-kind-2").verdict == "skip"
         assert cert.check("gathered").verdict == "fail"
+        assert cert.check("gathered").detail == cert.check("second-kind-1").detail
         assert cert.check("reconstruction").verdict == "pass"
 
     def test_second_kind_reads_I(self, reference_lattice, monkeypatch):
@@ -564,10 +602,33 @@ class TestCertify:
         assert failed == [(name, "fail", "nonzero at n = 3", windows[0] - 1)
                           for name in ("second-kind-1", "second-kind-2")]
 
+    def test_gathered_reads_R_below_n_max(self, reference_lattice, monkeypatch):
+        # the series part of the gathered relations is the second-kind R at
+        # levels 0..n_max-1: a nonzero R at level 1 fails gathered there, and
+        # an error at level n_max alone leaves its window and verdict to R
+        import snul.laguerre_hahn as lh
+        original = lh.verify_second_kind_relations
+        windows = []
+
+        def moved(ws, coeffs, n):
+            if n == 3:
+                raise InsufficientTruncation(1, message="level 3 refused")
+            R, I = original(ws, coeffs, n)
+            windows.append(R.truncation_order)
+            if n == 1:
+                R = R + LaurentSeries(-5, [1], R.truncation_order)
+            return R, I
+
+        monkeypatch.setattr(lh, "verify_second_kind_relations", moved)
+        cert = certify(qhermite_corecursive_riccati(reference_lattice), n_max=3, order=16)
+        failed = [(c.name, c.verdict, c.detail, c.window)
+                  for c in cert.checks if c.verdict != "pass"]
+        assert failed == [("second-kind-1", "fail", "level 3 refused", None),
+                          ("second-kind-2", "skip", "", None),
+                          ("gathered", "fail", "nonzero at n = 1", min(windows))]
+
     @pytest.mark.parametrize("stage, module, name", [
         ("liouville", "snul.orthopoly", "check_liouville"),
-        ("recursion-magnus", "snul.laguerre_hahn", "magnus_step"),
-        ("telescopes", "snul.laguerre_hahn", "telescope_residuals"),
     ])
     def test_oracle_stage_errors_recorded_not_raised(self, reference_lattice, monkeypatch,
                                                      stage, module, name):
@@ -588,7 +649,6 @@ class TestCertify:
         ("quasi-definite", "snul.orthopoly", "recurrence_from_moments"),
         ("quasi-definite", "snul.orthopoly", "smop_from_recurrence"),
         ("structure-direct", "snul.laguerre_hahn", "structure_coeffs_direct"),
-        ("structure-relations-1", "snul.laguerre_hahn", "verify_structure_relations"),
     ])
     def test_structural_stage_errors_recorded_not_raised(self, reference_lattice, monkeypatch,
                                                          stage, module, name):
@@ -612,10 +672,8 @@ class TestCertify:
         cert = certify(qhermite_riccati(lattice), n_max=3, order=16)
         assert not cert.passed
         failed = [(c.name, c.verdict, c.detail) for c in cert.checks if c.verdict != "pass"]
-        # a failed gate skips every later stage; the second relation variant
-        # is computed with the first
-        after = (["structure-relations-2"] if stage == "structure-relations-1"
-                 else _CERTIFY_STAGES[_CERTIFY_STAGES.index(stage) + 1:])
+        # a failed gate skips every later stage
+        after = _CERTIFY_STAGES[_CERTIFY_STAGES.index(stage) + 1:]
         assert failed == [(stage, "fail", f"{name} rejected")] + [
             (nm, "skip", "") for nm in after]
 
@@ -667,39 +725,21 @@ class TestCertify:
         assert cert.passed
         assert sorted(levels) == list(range(-1, 5))
 
-    def test_magnus_data_formed_once_per_level(self, reference_lattice, monkeypatch):
-        # the recursion-magnus stage carries level n + 1 into the next step
-        import snul.laguerre_hahn as lh
-        original = lh.magnus_data_from_coeffs
-        levels = []
-
-        def counting(coeffs, n):
-            levels.append(n)
-            return original(coeffs, n)
-
-        monkeypatch.setattr(lh, "magnus_data_from_coeffs", counting)
-        cert = certify(qhermite_corecursive_riccati(reference_lattice), n_max=4, order=18)
-        assert cert.check("recursion-magnus").verdict == "pass"
-        assert levels == list(range(0, 4))
-
     def test_linear_factors_formed_once_per_level(self, reference_lattice, monkeypatch):
-        # M(x - beta_n) at most once per level for each of the two level sets,
-        # the direct route's and the corollary's; magnus_step forms its own
-        import sys
+        # M(x - beta_n) at most once per level: certify forms one level set
         import snul.laguerre_hahn as lh
         original = lh._m_of_linear
         calls = []
 
         def counting(lattice, beta):
-            if sys._getframe(1).f_code.co_name != "magnus_step":
-                calls.append(beta)
+            calls.append(beta)
             return original(lattice, beta)
 
         monkeypatch.setattr(lh, "_m_of_linear", counting)
         n_max = 8
         cert = certify(qhermite_corecursive_riccati(reference_lattice), n_max=n_max, order=28)
         assert cert.passed
-        assert len(calls) <= 2 * (n_max + 1)
+        assert len(calls) <= n_max + 1
 
     def test_certificate_json_roundtrip(self, reference_lattice):
         ric = qhermite_riccati(reference_lattice)
