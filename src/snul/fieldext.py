@@ -10,18 +10,16 @@ over one denominator; the kernels here work on those integers.
 product kernel, `_int_sum` the one sum and `_reduced` the one
 normalisation, a single gcd per result.
 
-`_nullspace` is the fit's exact nullspace.  It first ranks the rows modulo
-one word-size prime P: full column rank mod P implies full column rank over
-Q, since a minor nonzero mod P is a nonzero integer, so an empty nullspace,
-the usual answer of a fit, is proved without keeping a number past P.
-Nothing else is concluded mod P.  Only when the rows run out below full
-rank mod P does `_exact_nullspace`, fraction-free elimination over the
-integers, decide.
+`_nullspace` is the fit's exact nullspace: full column rank modulo one
+word-size prime P proves the usual answer of a fit, an empty nullspace,
+without keeping a number past P; else `_exact_nullspace`, fraction-free
+elimination over the integers, decides.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -109,29 +107,30 @@ def _nullspace(rows: Iterable[Sequence[Fraction | int]], ncols: int) -> list[lis
     A row scaled by a nonzero integer scales each minor by an integer, so
     rows need not be primitive here: one whose content P divides only sends
     the job to the fallback.  When the rows run out below full rank mod P,
-    `_exact_nullspace` decides over the rows read, made primitive, and its
-    basis (or [], when P was unlucky) is the answer.  Dumas, Giorgi and
-    Pernet (ACM TOMS 2008) compute ranks this way over word-size prime
-    fields; here it only certifies an empty nullspace.
+    `_exact_nullspace` decides over the rows read, made primitive, the pivot
+    rows mod P first.  These are independent over Q, as a minor of them is
+    nonzero mod P, so unless P was unlucky it eliminates one more row only.
+    Dumas, Giorgi and Pernet (ACM TOMS 2008) compute ranks this way over
+    word-size prime fields; here it only certifies an empty nullspace.
     """
-    read, pivots = [], {}                # pivot column -> row mod P from it on, led by 1
+    independent, others, pivots = [], [], {}   # pivot column -> row mod P from it on, led by 1
     for row in rows:
         if any(c.__class__ is not int for c in row):
             den = lcm(*(c.denominator for c in row))
             row = [c.numerator * (den // c.denominator) for c in row]
-        read.append(row)
         r = [v % P for v in row]
         for pc, pivot_row in pivots.items():
             c = r[pc]
             if c:
                 r[pc:] = [(a - c * b) % P for a, b in zip(r[pc:], pivot_row)]
         lead = next((c for c, v in enumerate(r) if v), None)
+        (others if lead is None else independent).append(row)
         if lead is not None:
             inv = pow(r[lead], -1, P)
             pivots[lead] = [v * inv % P for v in r[lead:]]
             if len(pivots) == ncols:
                 return []
-    return _exact_nullspace([_primitive(row) for row in read], ncols)
+    return _exact_nullspace([_primitive(row) for row in independent + others], ncols)
 
 
 def _exact_nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
@@ -148,21 +147,26 @@ def _exact_nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
     minus each pivot row's entry in column c at its pivot column) is cleared
     to integers, divided by its content and signed so that its first nonzero
     entry is positive.  That vector is unique, so the basis depends neither
-    on the row scaling nor on the order or choice of pivot rows.
+    on the row scaling nor on the order or choice of pivot rows.  A row that
+    reduces to zero is in the span of the pivot rows so far; the rows after
+    it are only tested against their basis, and eliminated, with the pivot
+    rows, only if some basis vector does not annihilate them.
     """
     def reduce(row, pc, pivot_row):
         a, b = pivot_row[pc], row[pc]
         return _primitive([a * x - b * y for x, y in zip(row, pivot_row)])
 
     echelon: dict[int, list[int]] = {}          # pivot column -> pivot row
+    rows = iter(rows)
     for row in rows:
         for pc in sorted(echelon):
             if row[pc]:
                 row = reduce(row, pc, echelon[pc])
-        if any(row):
-            echelon[next(c for c, v in enumerate(row) if v)] = row
-            if len(echelon) == ncols:
-                return []
+        if not any(row):
+            break
+        echelon[next(c for c, v in enumerate(row) if v)] = row
+        if len(echelon) == ncols:
+            return []
     pivots = sorted(echelon)
     for i, pc in reversed(list(enumerate(pivots))):
         for above in pivots[:i]:
@@ -178,4 +182,5 @@ def _exact_nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
             vec[pc] = -v * (scale // a)
         g = gcd(*vec) if next(v for v in vec if v) > 0 else -gcd(*vec)
         basis.append([v // g for v in vec])
-    return basis
+    outside = [row for row in rows if any(sum(map(mul, row, vec)) for vec in basis)]
+    return _exact_nullspace(list(echelon.values()) + outside, ncols) if outside else basis

@@ -8,10 +8,10 @@ for a formal Stieltjes function S on a q-quadratic lattice.  The module
 checks the equation on truncated series, solves for moments sequentially,
 fits (A, B, C, D) by exact linear algebra, constructs the structure
 coefficients l_n, pi_n, Theta_n by the level recursion and checks each
-level exactly against the structure system, checks the second-kind
-relations on series, and bundles the verdicts into a certificate.  The
-structure-relation, gathered, Magnus, telescope and reconstruction entries
-are read off those two checks and the recursion's proof; the functions that
+level exactly against the structure system, and bundles the verdicts into
+a certificate.  The structure-relation, second-kind, gathered, Magnus,
+telescope and reconstruction entries are read off those two checks and the
+proofs in `second_kind_checks` and `corollary_recursion`; the functions that
 form them directly are kept as the tests' reference.
 
 One job is one `Workspace`: every stage function reads S, the recurrence
@@ -230,14 +230,13 @@ class Workspace:
     recurrence, each computed on first use.  Every stage function reads S,
     the recurrence and the lattice from here alone.
 
-    Holds q_n = P_n S - P1_{n-1}, walked from S by `second_kind_series` (q_0
-    is S itself); the (D, M) images of S; E1S E2S; (D f, M f) for f = q_n,
-    P_n, P1_n and the pair of E1S E2q_n, each walked up the recurrence
-    (E2 f = M f + sqrt(r) D f, and E1 f is its conjugate).  The residuals
-    of the structure relations (`structure_pair`) and of the second-kind
-    relations (`second_kind_pair`) are formed from these, once per level by
-    the stage that checks them, and not held.  S defaults to the Stieltjes
-    series of `data`.
+    A job holds the (D, M) images of S, E1S E2S and (D f, M f) for f = P_n
+    and P1_n, walked up the recurrence (E2 f = M f + sqrt(r) D f, and E1 f
+    is its conjugate); each level's structure residuals (`structure_pair`)
+    are formed from these once, and not held.  Only the tests walk q_n =
+    P_n S - P1_{n-1} (`second_kind_series`; q_0 is S), its images, those of
+    E1S E2q_n and the second-kind residuals (`second_kind_pair`).  S
+    defaults to the Stieltjes series of `data`.
     `data` may be attached after construction: the Riccati check needs only
     S, and the recurrence exists only once it has passed.
     """
@@ -644,34 +643,67 @@ def verify_structure_relations(ws: Workspace, coeffs: StructureCoeffs, n: int):
 
 
 def verify_second_kind_relations(ws: Workspace, coeffs: StructureCoeffs, n: int):
-    """The pair (R, I) of the two second-kind difference relations at level
-    n >= 0 for the S and recurrence of `ws` (`Workspace.second_kind_pair`):
-    their residuals are R + sqrt(r) I and R - sqrt(r) I.
-
-    Both relations hold iff R and I both vanish, each within its own window.
-    R alone is not enough, even where lambda is a square and sqrt(r) is a
-    rational series: the two residuals agree only when sqrt(r) I = 0.  Since
-    sqrt(r) leads with x^1, sqrt(r) I is known one step less deep than I, so
-    the window of both residuals is min(window of R, window of I - 1).  At
-    n = 0, I vanishes identically and R is the Riccati residual.
-    """
+    """The pair (R, I) of `Workspace.second_kind_pair` at level n >= 0: both
+    second-kind relations hold iff R and I vanish, on min(window of R,
+    window of I - 1), as sqrt(r) leads with x^1.  `certify` reads them off
+    the Riccati residual (`second_kind_checks`); this is the tests' oracle."""
     if n < 0:
         raise ValueError("second-kind relations are stated for n >= 0")
     return ws.second_kind_pair(coeffs, n)
 
 
+def second_kind_checks(riccati_window: int, n_max: int) -> list[CheckResult]:
+    """The `second-kind-1`, `second-kind-2` and `gathered` entries of a
+    certify whose `riccati` and `structure-direct` stages passed.  With
+    rho = A DS - B E1S E2S - C MS - D, the (R, I) of
+    `verify_second_kind_relations` at each level n = 0..n_max are
+
+        R_n = MP_n rho,    I_n = DP_n rho.
+
+    Proof.  Take sqrt(r) as a symbol with square r, E2 f = Mf + sqrt(r) Df
+    and E1 f = Mf - sqrt(r) Df: the product rules D(fg) = Df Mg + Mf Dg and
+    M(fg) = Mf Mg + r Df Dg say that E1 and E2 are multiplicative.  With
+    Lam = l_{n-1} + 2 sqrt(r) pi_{n-1} and Theta = Theta_{n-1}, the residual
+    of `Workspace.second_kind_pair` and the E1 variants Z1, Z2 of those of
+    `Workspace.structure_pair` collect to
+
+        R_n + sqrt(r) I_n = A Dq_n - Lam E1q_n - (C/2) E2q_n - Theta E1q_{n-1} - B E1S E2q_n,
+        Z1_n = A DP_n - Lam E1P_n + (C/2) E2P_n - Theta E1P_{n-1} + B E2P1_{n-1},
+        Z2_n = A DP1_{n-1} - Lam E1P1_{n-1} - (C/2) E2P1_{n-1} - D E2P_n - Theta E1P1_{n-2}.
+
+    Put q_k = P_k S - P1_{k-1} in the first, with Dq_n = DP_n MS + MP_n DS -
+    DP1_{n-1}.  The terms free of S sum to -Z2_n - D E2P_n; those with S to
+    E1S Z1_n plus A (DP_n MS + MP_n DS - DP_n E1S) - (C/2) E2P_n (E2S + E1S)
+    - B E1S E2S E2P_n = E2P_n (A DS - C MS - B E1S E2S).  So R_n + sqrt(r) I_n
+    = E2P_n rho + E1S Z1_n - Z2_n, where `structure-direct` required Z1_n =
+    Z2_n = 0 at n = 1..n_max; at n = 0, with level -1 = (C/2, 0, D), q_{-1} = 1
+    and q_0 = S, it is rho itself.  Compare the parts with and without sqrt(r).
+
+    Windows: rho is known and zero down to x^-w, w = `riccati_window`.  As
+    deg MP_n <= n and deg DP_n <= n - 1, R_n and sqrt(r) I_n are zero down
+    to x^-(w - n), as deep as rho's window carries them, so the stage passes
+    on w - n_max.  The gathered relations at n < n_max, R_n and structure
+    residuals at level n + 1 (`gathered_relations`), pass on w - n_max + 1.
+
+    The Pade decay q_n = O(x^(-n-1)) that `second_kind_series` checks holds
+    by construction: certify's recurrence is `recurrence_from_moments` of
+    the same moments, whose beta_{k-1} and gamma_{k-1} make sigma_{k,l} =
+    u(x^l P_k), the x^(-l-1) coefficient of P_k S, vanish for l < k, and
+    P1_{k-1} is the polynomial part of P_k S as u_0 = 1.
+    """
+    window = riccati_window - n_max
+    return [CheckResult("second-kind-1", "pass", window=window),
+            CheckResult("second-kind-2", "pass", window=window),
+            CheckResult("gathered", "pass", window=window + 1)]
+
+
 def gathered_relations(ws: Workspace, coeffs: StructureCoeffs, n: int):
-    """Residuals of the gathered (M-form) relations at level n >= 0: two
-    exact polynomial identities for P_{n+1} and P1_n, the parts Ra and Rb of
-    `Workspace.structure_pair` at level n + 1, and one windowed series
-    identity for q_n,
-
-        A_n Dq_n - (l_{n-1} + C/2) Mq_n - Theta_{n-1} Mq_{n-1}
-        - B (2 MS Mq_n - M(S q_n)),
-
-    which is the R of `verify_second_kind_relations` at level n, since
-    M(S q_n) = MS Mq_n + r DS Dq_n.  `certify` reads the gathered verdict
-    off `structure-direct` and the second-kind stage."""
+    """Residuals of the gathered (M-form) relations at level n >= 0: the
+    parts Ra and Rb of `Workspace.structure_pair` at level n + 1, exact
+    identities for P_{n+1} and P1_n, and the series A_n Dq_n - (l_{n-1} +
+    C/2) Mq_n - Theta_{n-1} Mq_{n-1} - B (2 MS Mq_n - M(S q_n)), the R of
+    `verify_second_kind_relations` at level n, as M(S q_n) = MS Mq_n + r DS
+    Dq_n.  `certify` records them from `second_kind_checks`."""
     if n < 0:
         raise ValueError("gathered relations are stated for n >= 0")
     (res_p, _), (res_p1, _) = ws.structure_pair(coeffs, n + 1)
@@ -853,9 +885,11 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     exception text, dependent stages "skip"), never raised past this
     function.  The Riccati residual gates everything structural; a moment
     perturbation therefore always surfaces there first.  Every operator
-    image the stages share is computed once, in one Workspace.  Each
-    `timings` entry is the duration of its own stage; "total" is the whole
-    run.  Raises ValueError, before any stage runs, when n_max < 1.
+    image the stages share is computed once, in one Workspace, and the
+    stages after `structure-direct` form none (`second_kind_checks`,
+    `corollary_recursion`).  Each `timings` entry is the duration of its own
+    stage; "total" is the whole run.  Raises ValueError, before any stage
+    runs, when n_max < 1.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -864,39 +898,26 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     cert = Certificate(instance=instance or {}, options={"n_max": n_max, "trunc": order})
     checks = cert.checks
     t0 = stage_start = time.perf_counter()
-    done: set[str] = set()
 
     def record(result: CheckResult):
         nonlocal stage_start
         checks.append(result)
-        done.add(result.name)
         now = time.perf_counter()
         cert.timings[result.name] = now - stage_start
         stage_start = now
 
-    def guarded(run, *names: str) -> bool:
-        """Record the results `run` returns for the stages `names`, or a
-        SnulError it raises as a fail of the first stage and a skip of the
-        others; True when every stage passed."""
+    def guarded(run, name: str) -> bool:
+        """Record the result `run` returns for the stage `name`, or a
+        SnulError it raises as a fail; True when the stage passed."""
         try:
-            results = run()
+            result = run()
         except SnulError as exc:
-            results = [CheckResult(names[0], "fail", detail=str(exc))]
-            results += [CheckResult(nm, "skip") for nm in names[1:]]
-        if isinstance(results, CheckResult):
-            results = [results]
-        for result in results:
-            record(result)
-        return all(result.verdict == "pass" for result in results)
+            result = CheckResult(name, "fail", detail=str(exc))
+        record(result)
+        return result.verdict == "pass"
 
-    def verdict(name: str, bad: list[int], window: int | None = None) -> CheckResult:
-        return CheckResult(name, "pass" if not bad else "fail", window=window,
-                           detail="" if not bad else f"nonzero at n = {bad[0]}")
-
-    def abort():
-        for nm in _CERTIFY_STAGES:
-            if nm not in done:
-                checks.append(CheckResult(nm, "skip"))
+    def abort():                 # the stages so far were recorded in order
+        checks.extend(CheckResult(nm, "skip") for nm in _CERTIFY_STAGES[len(checks):])
         cert.timings["total"] = time.perf_counter() - t0
         return cert
 
@@ -946,10 +967,7 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     guarded(liouville, "liouville")
 
     # constructive (a) => (b)
-    coeffs = None
-
     def structure_direct():
-        nonlocal coeffs
         coeffs = structure_coeffs_direct(ric, ws, n_max)
         cert.degrees = coeffs.degrees()
         return CheckResult("structure-direct", "pass",
@@ -962,32 +980,9 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     record(CheckResult("structure-relations-1", "pass"))
     record(CheckResult("structure-relations-2", "pass"))
 
-    # second-kind relations; their R at levels 0..n_max, as far as formed
-    rs: list[LaurentSeries] = []
-
-    def second_kind():
-        # both relations hold iff R and I vanish, so they fail together
-        bad, min_window = [], None
-        for n in range(0, n_max + 1):
-            re, im = verify_second_kind_relations(ws, coeffs, n)
-            rs.append(re)
-            w = min(re.truncation_order, im.truncation_order - 1)
-            min_window = w if min_window is None else min(min_window, w)
-            if not (re.is_zero_within_window() and im.is_zero_within_window()):
-                bad.append(n)
-        return [verdict("second-kind-1", bad, min_window),
-                verdict("second-kind-2", bad, min_window)]
-    guarded(second_kind, "second-kind-1", "second-kind-2")
-
-    # gathered relations (`gathered_relations`) at levels 0..n_max-1: their
-    # polynomial parts are structure residuals at levels 1..n_max, which
-    # structure-direct required to vanish, and their series part is R
-    below = rs[:n_max]
-    if len(below) < n_max:
-        record(CheckResult("gathered", "fail", detail=cert.check("second-kind-1").detail))
-    else:
-        bad = [n for n, re in enumerate(below) if not re.is_zero_within_window()]
-        record(verdict("gathered", bad, min(re.truncation_order for re in below)))
+    # second-kind and gathered relations, read off the Riccati residual
+    for result in second_kind_checks(cert.check("riccati").window, n_max):
+        record(result)
 
     # structure-direct took every level from the level recursion and checked
     # both structure relations on it exactly; their solution is unique, so the

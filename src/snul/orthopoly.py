@@ -206,10 +206,10 @@ def second_kind_series(data: SMOPData, s: LaurentSeries, n: int,
     P_n S - P1_{n-1} by induction: both sides satisfy the same linear
     recurrence from the same start, q_{-1} = P_{-1} S - P1_{-2} = 1 and
     q_0 = P_0 S - P1_{-1} = S (P1_{-2} = -1 extends the associated recurrence
-    one level down, as gamma_0 = 1).  P_n is the orthogonal polynomial of S
-    because q_n decays as O(x^(-n-1)), the Pade condition, which is checked.
-    Raises InvalidRecurrence when the decay fails, InsufficientTruncation
-    when S is too short for level n.
+    one level down, as gamma_0 = 1).  The Pade decay q_n = O(x^(-n-1)) is
+    checked: InvalidRecurrence when it fails, InsufficientTruncation when S
+    is too short for level n.  No job calls this; it is the tests' oracle
+    (`laguerre_hahn.second_kind_checks` says why certify needs no walk).
     """
     if n == -1:
         return LaurentSeries.constant(1, s.truncation_order)

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from snul.cli import ProblemFile, main, make_parser
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+DATA = Path(__file__).resolve().parent / "data"
 RANDOM_MOMENTS = Path(__file__).resolve().parent / "data" / "random_moments.json"
 # the co-recursive Riccati data with the recurrence it has: beta_0 = -1, the
 # q-Hermite gamma_n
@@ -337,8 +339,8 @@ class TestCertifyCommand:
 
     def test_series_products_independent_of_depth(self, capsys, monkeypatch):
         # with B != 0 the only series x series products of certify are the
-        # two of E1S E2S: the images of q_n and E1S E2q_n are walked up the
-        # recurrence, so the count does not grow with n_max
+        # two of E1S E2S: certify forms no q_n and no E1S E2q_n, so the count
+        # does not grow with n_max
         from snul.series import LaurentSeries
         original = LaurentSeries.dot
         counts = []
@@ -392,7 +394,43 @@ class TestCertifyCommand:
         assert outputs() == before
         assert len(workspaces) == len(paths)
         assert {key if isinstance(key, str) else key[0] for ws in workspaces
-                for key in ws._memo} == {"q", "dm", "e1e2", "VU", "P", "P1"}
+                for key in ws._memo} == {"dm", "e1e2", "P", "P1"}
+
+    def test_second_kind_walk_off_the_certify_path(self, capsys, monkeypatch):
+        # second-kind-1/-2 and gathered are read off the Riccati residual:
+        # with the walk of q_n, of its images and of E1S E2q_n refused,
+        # every golden certify input gives its golden output
+        import snul.laguerre_hahn as lh
+        import snul.orthopoly as orthopoly
+
+        def refused(*args, **kwargs):
+            raise AssertionError("certify walked the second-kind functions")
+        original_dm = lh.Workspace.dm
+
+        def dm_of_s_only(ws, n=None):
+            if n is not None:
+                refused()
+            return original_dm(ws)
+        for module in (lh, orthopoly):
+            monkeypatch.setattr(module, "second_kind_series", refused)
+        for name in ("q", "e1s_e2q", "second_kind_pair"):
+            monkeypatch.setattr(lh.Workspace, name, refused)
+        monkeypatch.setattr(lh.Workspace, "dm", dm_of_s_only)
+        monkeypatch.setattr(lh, "verify_second_kind_relations", refused)
+        goldens = sorted(DATA.glob("certify_*.json"))
+        assert len(goldens) >= 13
+        for golden in goldens:
+            stem, *extra = re.split(r"_(n-max|deg-bounds)_", golden.stem[len("certify_"):])
+            args = [arg for flag, value in zip(extra[::2], extra[1::2])
+                    for arg in ("--" + flag, ",".join(value) if flag == "deg-bounds" else value)]
+            if args[:2] == ["--n-max", "96"]:
+                continue                   # CI certifies this one at depth
+            problem = next(p for p in (PROBLEMS / f"{stem}.json", DATA / f"{stem}.json")
+                           if p.exists())
+            main(["certify", str(problem)] + args)
+            doc = json.loads(capsys.readouterr().out)
+            doc.pop("timings")
+            assert json.dumps(doc, indent=2) + "\n" == golden.read_text(), golden.name
 
 
 class TestFitCommand:

@@ -46,7 +46,10 @@ derive_qhermite_corecursive_recurrence_n-max_64.json, which CI diffs
 against.  The qhermite_wide derive case at --n-max 20 was written by the
 version that solved the structure system by Cramer's rule in a window of low
 coefficients, so it is an oracle independent of the recursion route of the
-structure stage.
+structure stage.  certify_surd_conic_n-max_96.json, which CI diffs against,
+was written by the version that walked q_n, (Dq_n, Mq_n) and the second-kind
+residuals at every level, so it is an oracle independent of reading the
+second-kind and gathered entries off the Riccati residual.
 To regenerate after an intended change of the output, run
 `snul <command> <problem> <extra arguments>` and, for certify, delete the
 "timings" entry; the file is tests/data/<command>_<name>.json, with <name>

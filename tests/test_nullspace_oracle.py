@@ -188,6 +188,27 @@ def test_row_whose_content_the_modulus_divides(kind, monkeypatch):
             assert all(gcd(*row) in (0, 1) for row in handed[0]), (ncols, rank)
 
 
+def test_rank_mod_P_below_rank_over_Q(monkeypatch):
+    # the rows that were pivots mod P go first, and once a row they span
+    # reduces to zero the rest are only tested against the basis of the
+    # pivot rows; a last row P times one outside their span is zero mod P,
+    # so it fails that test and the elimination goes on, over the pivot rows
+    # and that row, to the basis over Q
+    handed = []
+    exact = fieldext._exact_nullspace
+    monkeypatch.setattr(fieldext, "_exact_nullspace",
+                        lambda rows, ncols: handed.append(rows) or exact(rows, ncols))
+    rng = random.Random(43)
+    for _ in range(10):
+        ncols = rng.randint(4, 8)
+        rank = rng.randint(2, ncols - 1)
+        rows = _matrix_of_rank(rng, rank + 1, ncols, rank - 1)
+        rows.append([P * _fraction(rng, 4, 3) for _ in range(ncols)])
+        del handed[:]
+        _check(rows, ncols, rank)
+        assert [len(r) for r in handed] == [len(rows), rank], (ncols, rank)
+
+
 def test_entries_of_several_hundred_bits():
     rng = random.Random(17)
     for _ in range(6):

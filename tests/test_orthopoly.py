@@ -225,7 +225,7 @@ class TestSecondKind:
     def test_matches_definition(self, reference_lattice):
         # q_n = P_n S - P1_{n-1}, which no job checks at run time: the walk
         # from scratch, the one step from the two levels below, and the
-        # workspace that jobs read, each against the full product
+        # workspace walk of the tests' oracle, each against the full product
         for seed in (23, 29, 31):
             beta, gamma = random_quasi_definite_recurrence(random.Random(seed), 26)
             data = build(beta[:13], gamma[:13], 12,

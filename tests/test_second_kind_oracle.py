@@ -14,6 +14,11 @@ shipped instances, on structure coefficients moved by +/-1 in one
 coefficient at one level, and on the co-recursive instance with its B moved
 by +/-1 in its lowest or its top coefficient.
 
+On random (A, B, C, D) and a random recurrence, which are not Laguerre-Hahn,
+(R, I) is the Riccati residual rho times (MP_n, DP_n), the identity
+`laguerre_hahn.second_kind_checks` proves and `certify` records its
+second-kind and gathered stages from.
+
 q_n and its images, which the workspace forms by the three-term recurrence,
 are checked against the definition q_n = P_n S - P1_{n-1} as a full product
 and against `_operator_series` of it, windows included, on the three conics
@@ -28,8 +33,10 @@ import pytest
 
 from snul import (
     LaurentSeries,
+    RiccatiData,
     Workspace,
     build_lattice,
+    corollary_coeffs,
     fit_riccati,
     gathered_relations,
     moments_from_recurrence,
@@ -47,9 +54,11 @@ from snul.poly import Poly
 
 from conftest import (
     IMAGINARY_CONIC,
+    RATIONAL_CONICS,
     REFERENCE_CONIC,
     SURD_CONIC,
     RootPair,
+    random_poly,
     random_quasi_definite_recurrence,
     second_kind_by_definition,
 )
@@ -262,3 +271,39 @@ def test_walked_e1s_e2q_matches_the_products(conic):
             assert v == m_s * d - d_s * m, n
             assert u == m_s * m - (d_s * d).mul_poly(lattice.r), n
         assert walked[1][0].is_zero and not walked[1][1].is_zero      # level 0
+
+
+# -- (R, I) from the Riccati residual ---------------------------------------------
+
+@pytest.mark.parametrize("conic", RATIONAL_CONICS + [SURD_CONIC, IMAGINARY_CONIC],
+                         ids=lambda c: ",".join(str(v) for v in c))
+@pytest.mark.parametrize("with_B", [False, True], ids=["B=0", "B!=0"])
+def test_second_kind_pair_is_riccati_residual_times_P(conic, with_B):
+    # R_n = MP_n rho and I_n = DP_n rho at levels 0..10 on data that is not
+    # Laguerre-Hahn, so rho and R_n are nonzero; the walk's own window never
+    # exceeds w - n, the window rho gives them, so certify's claim of w - n
+    # is never deeper than the walk could have seen
+    n_max, lattice = 10, build_lattice(*conic)
+    rng = random.Random(f"second kind from rho {conic} {with_B}")
+    A, C, D = (random_poly(rng, 3) for _ in "ACD")
+    B = random_poly(rng, 3) if with_B else Poly.zero()
+    ric = RiccatiData(A, B, C, D, lattice)
+    beta, gamma = random_quasi_definite_recurrence(rng, 2 * n_max + 4)
+    data = smop_from_recurrence(beta[:n_max + 1], gamma[:n_max + 1], n_max,
+                                moments=moments_from_recurrence(beta, gamma, 2 * n_max + 4))
+    coeffs = corollary_coeffs(ric, data, n_max)
+    ws = Workspace(lattice, data=data)
+    rho = riccati_residual(ric, ws)
+    w = rho.truncation_order
+    assert not rho.is_zero_within_window()
+    for n in range(0, n_max + 1):
+        re, im = ws.second_kind_pair(coeffs, n)
+        d_p, m_p = ws.poly_shifts(n)
+        want_re, want_im = rho.mul_poly(m_p), rho.mul_poly(d_p)
+        # deg MP_n <= n and deg DP_n <= n - 1, with less where the leading
+        # terms cancel (MP_2 = -1 on the sqrt(-1) conic); DP_0 = 0
+        assert want_re.truncation_order >= w - n, n
+        assert want_im.truncation_order >= w - n + 1 or n == 0, n
+        assert re.agrees_with(want_re) and im.agrees_with(want_im), n
+        assert min(re.truncation_order, im.truncation_order - 1) <= w - n, n
+        assert not re.is_zero_within_window(), n
