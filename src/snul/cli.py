@@ -225,8 +225,7 @@ def _poly_coeffs(p: Poly) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _emit(payload: dict):
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _load_problem(args) -> ProblemFile:
@@ -378,9 +377,8 @@ def cmd_derive(args) -> int:
         "instance": problem.echo(),
         "levels": levels,
         "degrees": direct.degrees(),
-        # the structure stage took every level from the level recursion and
-        # checked both structure relations on it exactly, and their solution
-        # is unique: the two routes agree whenever it returns
+        # the level recursion is the structure relations' unique solution
+        # (`structure_coeffs_direct`): the two routes agree whenever it returns
         "agreement": True,
     })
     return EXIT_OK

@@ -7,12 +7,12 @@ Everything here revolves around the Riccati equation
 for a formal Stieltjes function S on a q-quadratic lattice.  The module
 checks the equation on truncated series, solves for moments sequentially,
 fits (A, B, C, D) by exact linear algebra, constructs the structure
-coefficients l_n, pi_n, Theta_n by the level recursion and checks each
-level exactly against the structure system, and bundles the verdicts into
-a certificate.  The structure-relation, second-kind, gathered, Magnus,
-telescope and reconstruction entries are read off those two checks and the
-proofs in `second_kind_checks` and `corollary_recursion`; the functions that
-form them directly are kept as the tests' reference.
+coefficients l_n, pi_n, Theta_n by the level recursion, held to the degree
+bound of Theta_hat, and bundles the verdicts into a certificate.  The
+structure-relation, second-kind, gathered, Magnus, telescope and
+reconstruction entries are read off the Riccati check and the proofs in
+`structure_coeffs_direct`, `second_kind_checks` and `corollary_recursion`;
+the functions that form them directly are kept as the tests' reference.
 
 One job is one `Workspace`: every stage function reads S, the recurrence
 and the lattice from it, and every relation residual it returns is over Q,
@@ -230,15 +230,12 @@ class Workspace:
     recurrence, each computed on first use.  Every stage function reads S,
     the recurrence and the lattice from here alone.
 
-    A job holds the (D, M) images of S, E1S E2S and (D f, M f) for f = P_n
-    and P1_n, walked up the recurrence (E2 f = M f + sqrt(r) D f, and E1 f
-    is its conjugate); each level's structure residuals (`structure_pair`)
-    are formed from these once, and not held.  Only the tests walk q_n =
-    P_n S - P1_{n-1} (`second_kind_series`; q_0 is S), its images, those of
-    E1S E2q_n and the second-kind residuals (`second_kind_pair`).  S
-    defaults to the Stieltjes series of `data`.
-    `data` may be attached after construction: the Riccati check needs only
-    S, and the recurrence exists only once it has passed.
+    A job holds the (D, M) images of S and E1S E2S; only the tests walk
+    (D f, M f) up the recurrence for f = P_n and P1_n (`structure_pair`) and
+    q_n = P_n S - P1_{n-1} (`second_kind_series`; q_0 is S), with those of
+    E1S E2q_n (`second_kind_pair`).  S defaults to the Stieltjes series of
+    `data`, which may be attached after construction: the Riccati check
+    needs only S, and the recurrence exists only once it has passed.
     """
 
     def __init__(self, lattice: Lattice, s: LaurentSeries | None = None,
@@ -313,11 +310,10 @@ class Workspace:
         return LaurentSeries.dot(re), LaurentSeries.dot(im)
 
     def structure_pair(self, coeffs: StructureCoeffs, n: int):
-        """((Ra, Ia), (Rb, Ib)) at level n >= 1, the one place where the
-        structure relations are formed: Ra + sqrt(r) Ia and Rb + sqrt(r) Ib
-        are the residuals of the E1 variant, their sqrt(r)-conjugates those
-        of the E2 variant.  With A_n = A + 2 r pi and (l, pi, Theta) at level
-        n - 1, each is one `Poly.dot`:
+        """((Ra, Ia), (Rb, Ib)) at level n >= 1, the tests' one form of the
+        structure relations: Ra + sqrt(r) Ia and Rb + sqrt(r) Ib are the rows
+        of R_n (`structure_coeffs_direct`), each one `Poly.dot`, with A_n =
+        A + 2 r pi and (l, pi, Theta) at level n - 1:
 
             Ra = A_n DP_n - (l - C/2) MP_n + B MP1_{n-1} - Theta MP_{n-1},
             Ia = (l + C/2) DP_n - 2 pi MP_n + B DP1_{n-1} + Theta DP_{n-1},
@@ -343,13 +339,6 @@ class Workspace:
         """(D P1_n, M P1_n), with P1_{-1} = 0."""
         return self._walk("P1", n, 1)
 
-    def release_shifts(self, n: int):
-        """Forget the images of P_{n-2} and P1_{n-3}.  A walk over the levels
-        in increasing order reads P_{n+1}, P_n, P1_n and P1_{n-1} at level
-        n + 1, and steps to P_{n+1} and P1_n from the two levels below each."""
-        self._memo.pop(("P", n - 2), None)
-        self._memo.pop(("P1", n - 3), None)
-
     def _walk(self, tag: str, n: int, offset: int) -> tuple[Poly, Poly]:
         """(D f_n, M f_n) for f_{-1} = 0, f_0 = 1 and f_{k+1} = (x - b) f_k
         - g f_{k-1}, (b, g) = (beta, gamma)_{k+offset} (`_climb`)."""
@@ -369,12 +358,11 @@ class Workspace:
             D f_{k+1} = (p - b) D f_k + M f_k - g D f_{k-1},
 
         one `dot` each, O(deg) or O(window) work per step; a pair (V, U) of
-        E1S E2 f = U + sqrt(r) V steps the same way.  The walk resumes from
-        the highest two consecutive levels held.
+        E1S E2 f = U + sqrt(r) V steps the same way, from the highest level held.
         """
         memo = self._memo
         k = n
-        while (tag, k) not in memo or (k < n and (tag, k - 1) not in memo):
+        while (tag, k) not in memo:
             k -= 1
         p, r = self.lattice.p, self.lattice.r
         for j in range(k, n):
@@ -603,22 +591,47 @@ def _theta_degree_bound(ric: RiccatiData) -> int:
 
 
 def structure_coeffs_direct(ric: RiccatiData, ws: Workspace, n_max: int) -> StructureCoeffs:
-    """Compute l_n, pi_n, Theta_n for n = -1..n_max-1 the constructive way,
-    on the recurrence of `ws`, and check each level exactly.  S is not
-    read: the Riccati residual is the caller's to check.
+    """l_n, pi_n, Theta_n for n = -1..n_max-1 on the recurrence of `ws` from
+    the level recursion (`corollary_level_zero`, `corollary_recursion`); the
+    one failure is DegreeBoundExceeded, a Theta_hat_{n-1} over its bound.  S
+    is not read (the Riccati residual is the caller's).  The levels are the
+    unique solution of both structure relations at levels 1..n_max, by the
+    proof below; `certify` records `structure-relations` from it.
 
-    Level n - 1 comes from the level recursion (`corollary_level_zero`,
-    `corollary_recursion`), Theta_hat_{n-1} is held to its degree bound,
-    and both structure relations at level n (`Workspace.structure_pair`)
-    must vanish; each failure raises the matching exception.  The check
-    leaves one candidate: the relations are one linear system in L =
-    l_{n-1} + 2 pi_{n-1} sqrt(r) and Theta_{n-1} whose determinant
-    E1(P_n P1_{n-2} - P_{n-1} P1_{n-1}) is the constant -gamma_0..gamma_{n-1}
-    (Liouville-Ostrogradsky), and r is not a square in Q[x] since tau != 0,
-    so any (l, pi, Theta) in Q[x] meeting both relations exactly is their
-    unique solution.  The images of P_n and P1_n are released as the levels
-    pass.  Both variants of both relations then hold at levels 1..n_max,
-    and `certify` records its `structure-relations` stages from this check."""
+    Proof.  With sqrt(r) a symbol of square r, E1 f = Mf - sqrt(r) Df and
+    E2 f = Mf + sqrt(r) Df are multiplicative, by D(fg) = Df Mg + Mf Dg and
+    M(fg) = Mf Mg + r Df Dg.  Let v_k = (P_k, P1_{k-1}), so v_{-1} = (0, -1),
+    v_0 = (1, 0) and v_{k+1} = (x - beta_k) v_k - gamma_k v_{k-1}, Lam_k =
+    l_k + 2 sqrt(r) pi_k and K = ((C/2, B), (-D, -C/2)).  The E1 variants at
+    level n (`verify_structure_relations`, the tests' oracle) are the rows of
+
+        R_n = A Dv_n - Lam_{n-1} E1v_n - Theta_{n-1} E1v_{n-1} + K E2v_n = 0,
+
+    the E2 variants their sqrt(r)-conjugates.  (i) R_n = 0 is linear in (Lam,
+    Theta) with matrix (E1v_n, E1v_{n-1}), of determinant E1(P_n P1_{n-2} -
+    P_{n-1} P1_{n-1}) = -gamma_0..gamma_{n-1} (`check_liouville`): one
+    solution, in Q[x][sqrt(r)].  By Cramer its Theta is A (MP_n DP1_{n-1} -
+    MP1_{n-1} DP_n) - (C/2)(E1P_n E2P1_{n-1} + conjugate) - D E1P_n E2P_n -
+    B E1P1_{n-1} E2P1_{n-1} over that constant, each term self-conjugate, so
+    it has no sqrt(r) part.  (ii) R_0 = 0 at level -1 = (C/2, 0, D), and
+    R_1 = 0 at `corollary_level_zero`: substitute P_1 = x - beta_0, P1_0 = 1.
+    (iii) Let R_{n-1} = R_n = 0, n >= 1, m_k and s_k be as in
+    `corollary_recursion`, and e1_k, e2_k = m_k -/+ sqrt(r) the images of
+    x - beta_k.  The recurrence in R_{n+1}, with D((x - beta_n) f) = m_n Df +
+    Mf, R_n and R_{n-1} for A Dv + K E2v and gamma_{n-1} E1v_{n-2} = e1_{n-1}
+    E1v_{n-1} - E1v_n, gives R_{n+1} = a E1v_n + b E1v_{n-1} with
+
+        a = A + e2_n Lam_{n-1} - e1_n Lam_n + gamma_n s_{n-1} - Theta_n,
+        b = gamma_n (Lam_n - Lam_{n-2} - e1_{n-1} s_{n-1} + e2_n s_n).
+
+    The matrix of (i) is invertible, so R_{n+1} = 0 iff a = b = 0.  The parts
+    of b are the pi step and the l step taken twice.  With pi_0 - pi_{-1} =
+    -s_0/2 they give pi_n - pi_{n-1} = -s_n/2, so the sqrt(r) part of a,
+    l_n + l_{n-1} + 2 m_n (pi_{n-1} - pi_n), is zero, and its rational part,
+    Theta_n = A + gamma_n s_{n-1} + m_n (l_{n-1} - l_n) + 2 r (pi_n + pi_{n-1}),
+    is the Theta step.  (iv) By induction the recursion's levels solve R_1..
+    R_{n_max} for any (A, B, C, D) and any recurrence with gamma_0 = 1 and
+    gamma_k != 0, and by (i) nothing else does."""
     bound, coeffs = _theta_degree_bound(ric), StructureCoeffs(ric, ws.data)
     for n in range(1, n_max + 1):
         coeffs.append_level(*(corollary_level_zero(coeffs) if n == 1
@@ -626,17 +639,13 @@ def structure_coeffs_direct(ric: RiccatiData, ws: Workspace, n_max: int) -> Stru
         theta = coeffs.theta_at(n - 1)
         if len(theta.nums) > bound + 1:
             raise DegreeBoundExceeded(n - 1, theta.degree, bound)
-        for which, (re, im) in zip(("first", "second"), ws.structure_pair(coeffs, n)):
-            if re or im:
-                raise NotLaguerreHahn(n, f"{which} structure equation (E1 variant) failed")
-        ws.release_shifts(n)
     return coeffs
 
 
 def verify_structure_relations(ws: Workspace, coeffs: StructureCoeffs, n: int):
     """The residuals ((Ra, Ia), (Rb, Ib)) of the two structure relations at
-    level n >= 1 (`Workspace.structure_pair`): both variants hold iff all
-    four vanish."""
+    level n >= 1 (`Workspace.structure_pair`), the tests' oracle for the
+    proof in `structure_coeffs_direct`: both variants hold iff all four vanish."""
     if n < 1:
         raise ValueError("structure relations are stated for n >= 1")
     return ws.structure_pair(coeffs, n)
@@ -660,24 +669,20 @@ def second_kind_checks(riccati_window: int, n_max: int) -> list[CheckResult]:
 
         R_n = MP_n rho,    I_n = DP_n rho.
 
-    Proof.  Take sqrt(r) as a symbol with square r, E2 f = Mf + sqrt(r) Df
-    and E1 f = Mf - sqrt(r) Df: the product rules D(fg) = Df Mg + Mf Dg and
-    M(fg) = Mf Mg + r Df Dg say that E1 and E2 are multiplicative.  With
-    Lam = l_{n-1} + 2 sqrt(r) pi_{n-1} and Theta = Theta_{n-1}, the residual
-    of `Workspace.second_kind_pair` and the E1 variants Z1, Z2 of those of
-    `Workspace.structure_pair` collect to
+    Proof.  With sqrt(r), E1 and E2 as in `structure_coeffs_direct`, Lam =
+    Lam_{n-1} and Theta = Theta_{n-1}, the residual of
+    `Workspace.second_kind_pair` is
 
-        R_n + sqrt(r) I_n = A Dq_n - Lam E1q_n - (C/2) E2q_n - Theta E1q_{n-1} - B E1S E2q_n,
-        Z1_n = A DP_n - Lam E1P_n + (C/2) E2P_n - Theta E1P_{n-1} + B E2P1_{n-1},
-        Z2_n = A DP1_{n-1} - Lam E1P1_{n-1} - (C/2) E2P1_{n-1} - D E2P_n - Theta E1P1_{n-2}.
+        R_n + sqrt(r) I_n = A Dq_n - Lam E1q_n - (C/2) E2q_n - Theta E1q_{n-1} - B E1S E2q_n.
 
-    Put q_k = P_k S - P1_{k-1} in the first, with Dq_n = DP_n MS + MP_n DS -
-    DP1_{n-1}.  The terms free of S sum to -Z2_n - D E2P_n; those with S to
-    E1S Z1_n plus A (DP_n MS + MP_n DS - DP_n E1S) - (C/2) E2P_n (E2S + E1S)
-    - B E1S E2S E2P_n = E2P_n (A DS - C MS - B E1S E2S).  So R_n + sqrt(r) I_n
-    = E2P_n rho + E1S Z1_n - Z2_n, where `structure-direct` required Z1_n =
-    Z2_n = 0 at n = 1..n_max; at n = 0, with level -1 = (C/2, 0, D), q_{-1} = 1
-    and q_0 = S, it is rho itself.  Compare the parts with and without sqrt(r).
+    Put q_k = P_k S - P1_{k-1} in it, with Dq_n = DP_n MS + MP_n DS -
+    DP1_{n-1}, and let Z1_n, Z2_n be the rows of R_n there.  The terms free
+    of S sum to -Z2_n - D E2P_n; those with S to E1S Z1_n plus A (DP_n MS +
+    MP_n DS - DP_n E1S) - (C/2) E2P_n (E2S + E1S) - B E1S E2S E2P_n = E2P_n
+    (A DS - C MS - B E1S E2S).  So R_n + sqrt(r) I_n = E2P_n rho + E1S Z1_n -
+    Z2_n, where Z1_n = Z2_n = 0 at n = 1..n_max by that proof; at n = 0, with
+    level -1 = (C/2, 0, D), q_{-1} = 1 and q_0 = S, it is rho itself.
+    Compare the parts with and without sqrt(r).
 
     Windows: rho is known and zero down to x^-w, w = `riccati_window`.  As
     deg MP_n <= n and deg DP_n <= n - 1, R_n and sqrt(r) I_n are zero down
@@ -764,7 +769,7 @@ def corollary_recursion(coeffs: StructureCoeffs, n: int) -> tuple[Poly, Poly, Po
 
 def corollary_coeffs(ric: RiccatiData, data: SMOPData, n_max: int) -> StructureCoeffs:
     """Structure coefficients for levels -1..n_max-1 from the level
-    recursions alone: `structure_coeffs_direct` without its exact check."""
+    recursions alone: `structure_coeffs_direct` without its degree bound."""
     coeffs = StructureCoeffs(ric, data)
     for n in range(-1, n_max - 1):
         coeffs.append_level(*(corollary_level_zero(coeffs) if n < 0
@@ -886,10 +891,10 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     function.  The Riccati residual gates everything structural; a moment
     perturbation therefore always surfaces there first.  Every operator
     image the stages share is computed once, in one Workspace, and the
-    stages after `structure-direct` form none (`second_kind_checks`,
-    `corollary_recursion`).  Each `timings` entry is the duration of its own
-    stage; "total" is the whole run.  Raises ValueError, before any stage
-    runs, when n_max < 1.
+    stages after `structure-direct` form none (the proofs in
+    `structure_coeffs_direct`, `second_kind_checks`, `corollary_recursion`).
+    Each `timings` entry is the duration of its own stage; "total" is the
+    whole run.  Raises ValueError, before any stage runs, when n_max < 1.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -975,8 +980,7 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     if not guarded(structure_direct, "structure-direct"):
         return abort()
 
-    # structure-direct required both structure relations, in the E1 variant
-    # and so in its conjugate, the E2 variant, to vanish at levels 1..n_max
+    # both variants of both relations hold at 1..n_max: `structure_coeffs_direct`
     record(CheckResult("structure-relations-1", "pass"))
     record(CheckResult("structure-relations-2", "pass"))
 
@@ -984,11 +988,9 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     for result in second_kind_checks(cert.check("riccati").window, n_max):
         record(result)
 
-    # structure-direct took every level from the level recursion and checked
-    # both structure relations on it exactly; their solution is unique, so the
-    # recursion holds by that check.  The Magnus, telescope and reconstruction
-    # identities hold for the recursion's levels by `corollary_recursion`'s
-    # proof, since gamma_0 = 1 (`recurrence_from_moments`; `liouville` checks it)
+    # structure-direct's levels are the recursion's; the Magnus, telescope and
+    # reconstruction identities hold for them by `corollary_recursion`'s
+    # proof, as gamma_0 = 1 (`liouville` checks it)
     for name in ("recursion-corollary", "recursion-magnus", "telescopes", "reconstruction"):
         record(CheckResult(name, "pass"))
     cert.timings["total"] = time.perf_counter() - t0

@@ -22,6 +22,27 @@ def write_problem(tmp_path, doc, name="problem.json") -> str:
     return str(path)
 
 
+def golden_outputs_match(capsys, command) -> int:
+    """Run `command` on the input of every tests/data/<command>_*.json and
+    compare its output without "timings" to the file; returns the number of
+    files.  The certify case at --n-max 96 is left to CI, which runs it at
+    depth."""
+    goldens = sorted(DATA.glob(f"{command}_*.json"))
+    for golden in goldens:
+        stem, *extra = re.split(r"_(n-max|deg-bounds)_", golden.stem[len(command) + 1:])
+        args = [arg for flag, value in zip(extra[::2], extra[1::2])
+                for arg in ("--" + flag, ",".join(value) if flag == "deg-bounds" else value)]
+        if command == "certify" and args[:2] == ["--n-max", "96"]:
+            continue
+        problem = next(p for p in (PROBLEMS / f"{stem}.json", DATA / f"{stem}.json")
+                       if p.exists())
+        main([command, str(problem)] + args)
+        doc = json.loads(capsys.readouterr().out)
+        doc.pop("timings", None)
+        assert json.dumps(doc, indent=2) + "\n" == golden.read_text(), golden.name
+    return len(goldens)
+
+
 def reference_doc(**extra) -> dict:
     doc = {
         "lattice": ["1", "-5/4", "1", "0", "0", "1"],
@@ -316,27 +337,6 @@ class TestCertifyCommand:
         assert main(["certify", str(path)]) == 2
         assert "need recurrence coefficients up to index 29" in capsys.readouterr().err
 
-    def test_each_shift_walked_once(self, capsys, monkeypatch):
-        # the structure stage releases the images of P_n and P1_n as it climbs;
-        # no later stage walks a level again
-        import snul.laguerre_hahn as lh
-        original = lh.Workspace._walk
-        steps = []
-
-        def counting(ws, tag, n, offset):
-            held = set(ws._memo)
-            out = original(ws, tag, n, offset)
-            steps.extend(k for k in ws._memo.keys() - held if k[0] == tag and k[1] > 0)
-            return out
-
-        monkeypatch.setattr(lh.Workspace, "_walk", counting)
-        path = PROBLEMS / "qhermite_corecursive.json"
-        assert main(["certify", str(path)]) == 0
-        n_max = ProblemFile.load(str(path)).n_max
-        assert json.loads(capsys.readouterr().out)["passed"]
-        assert sorted(steps) == sorted([("P", n) for n in range(1, n_max + 1)]
-                                       + [("P1", n) for n in range(1, n_max)])
-
     def test_series_products_independent_of_depth(self, capsys, monkeypatch):
         # with B != 0 the only series x series products of certify are the
         # two of E1S E2S: certify forms no q_n and no E1S E2q_n, so the count
@@ -360,10 +360,11 @@ class TestCertifyCommand:
 
     def test_recorded_stages_recompute_nothing(self, capsys, monkeypatch):
         # the structure-relations, gathered, Magnus, telescope and
-        # reconstruction entries are read off structure-direct, the
-        # second-kind stage and the recursion's proof: with the functions
-        # that form them directly refused, every output but its timings is
-        # unchanged, and each workspace holds images by level alone
+        # reconstruction entries are read off the proofs in
+        # structure_coeffs_direct, second_kind_checks and corollary_recursion:
+        # with the functions that form them directly refused, every output
+        # but its timings is unchanged, and each workspace holds the images
+        # of S alone
         import snul.laguerre_hahn as lh
         paths = [PROBLEMS / "qhermite.json", PROBLEMS / "qhermite_corecursive.json"]
         workspaces = []
@@ -394,7 +395,7 @@ class TestCertifyCommand:
         assert outputs() == before
         assert len(workspaces) == len(paths)
         assert {key if isinstance(key, str) else key[0] for ws in workspaces
-                for key in ws._memo} == {"dm", "e1e2", "P", "P1"}
+                for key in ws._memo} == {"dm", "e1e2"}
 
     def test_second_kind_walk_off_the_certify_path(self, capsys, monkeypatch):
         # second-kind-1/-2 and gathered are read off the Riccati residual:
@@ -417,20 +418,21 @@ class TestCertifyCommand:
             monkeypatch.setattr(lh.Workspace, name, refused)
         monkeypatch.setattr(lh.Workspace, "dm", dm_of_s_only)
         monkeypatch.setattr(lh, "verify_second_kind_relations", refused)
-        goldens = sorted(DATA.glob("certify_*.json"))
-        assert len(goldens) >= 13
-        for golden in goldens:
-            stem, *extra = re.split(r"_(n-max|deg-bounds)_", golden.stem[len("certify_"):])
-            args = [arg for flag, value in zip(extra[::2], extra[1::2])
-                    for arg in ("--" + flag, ",".join(value) if flag == "deg-bounds" else value)]
-            if args[:2] == ["--n-max", "96"]:
-                continue                   # CI certifies this one at depth
-            problem = next(p for p in (PROBLEMS / f"{stem}.json", DATA / f"{stem}.json")
-                           if p.exists())
-            main(["certify", str(problem)] + args)
-            doc = json.loads(capsys.readouterr().out)
-            doc.pop("timings")
-            assert json.dumps(doc, indent=2) + "\n" == golden.read_text(), golden.name
+        assert golden_outputs_match(capsys, "certify") >= 13
+
+    def test_structure_walk_off_the_job_path(self, capsys, monkeypatch):
+        # both structure relations hold by the proof in structure_coeffs_direct:
+        # with the walk of (DP_n, MP_n) and (DP1_n, MP1_n) and the residuals
+        # formed from it refused, every golden certify and derive input gives
+        # its golden output
+        import snul.laguerre_hahn as lh
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a job walked the images of P_n or P1_n")
+        for name in ("structure_pair", "poly_shifts", "assoc_shifts"):
+            monkeypatch.setattr(lh.Workspace, name, refused)
+        assert golden_outputs_match(capsys, "certify") >= 13
+        assert golden_outputs_match(capsys, "derive") >= 12
 
 
 class TestFitCommand:

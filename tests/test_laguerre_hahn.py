@@ -7,6 +7,7 @@ import pytest
 
 from snul import (
     Certificate,
+    DegreeBoundExceeded,
     FreeMoment,
     Inconsistent,
     InsufficientTruncation,
@@ -265,6 +266,30 @@ class TestStructureCoeffs:
             for n in range(0, coeffs.max_level + 1):
                 th = coeffs.theta_hat_at(n)
                 assert th.is_zero or th.degree <= bound
+
+    @pytest.mark.parametrize("conic", RATIONAL_CONICS + [SURD_CONIC, IMAGINARY_CONIC],
+                             ids=lambda c: ",".join(str(v) for v in c))
+    @pytest.mark.parametrize("with_B", [False, True], ids=["B=0", "B!=0"])
+    def test_degree_bound_is_the_one_failure(self, conic, with_B):
+        # random (A, B, C, D) on a random recurrence, not Laguerre-Hahn: the
+        # structure stage raises at the first level of the recursion whose
+        # Theta_hat is over max(deg A - 2, deg B - 2, deg C - 1), B = 0
+        # counting for nothing
+        lattice = build_lattice(*conic)
+        rng = random.Random(f"degree bound {conic} {with_B}")
+        for _ in range(2):
+            A, C, D = (random_poly(rng, 3) for _ in "ACD")
+            B = random_poly(rng, 3) if with_B else Poly.zero()
+            ric = RiccatiData(A, B, C, D, lattice)
+            beta, gamma = random_quasi_definite_recurrence(rng, RANDOM_N_MAX + 1)
+            data = smop_from_recurrence(beta, gamma, RANDOM_N_MAX, moments=[F(1)])
+            bound = max([A.degree - 2, C.degree - 1] + ([B.degree - 2] if with_B else []))
+            levels = corollary_coeffs(ric, data, RANDOM_N_MAX)
+            degrees = [levels.theta_hat_at(n).degree for n in range(RANDOM_N_MAX)]
+            over = [(n, d) for n, d in enumerate(degrees) if d is not None and d > bound]
+            with pytest.raises(DegreeBoundExceeded) as info:
+                structure_coeffs_direct(ric, Workspace(lattice, data=data), RANDOM_N_MAX)
+            assert (info.value.level, info.value.degree, info.value.bound) == (*over[0], bound)
 
     def test_gathered_A_definition(self, semiclassical):
         ric, data, coeffs = semiclassical

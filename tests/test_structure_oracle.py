@@ -1,11 +1,11 @@
 """The structure stage against the SurdPoly route it replaced.
 
-`structure_coeffs_direct` and `verify_structure_relations` work on the pairs
-(D f, M f) that `Workspace` walks up the three-term recurrence.  The
-reference below is the earlier route, kept verbatim in substance: every
-shift E_j P_n, E_j P1_n by Horner substitution (`apply_shift`), Theta_hat as
-a SurdPoly whose sqrt(r)-part is asserted zero, and all four structure
-identities checked.  Both routes must give equal coefficients and residuals,
+`structure_coeffs_direct` takes each level from the level recursion, and
+`verify_structure_relations` works on the pairs (D f, M f) that `Workspace`
+walks up the three-term recurrence.  The reference below is the earlier
+route, kept verbatim in substance: every shift E_j P_n, E_j P1_n by Horner
+substitution (`apply_shift`), Theta_hat as a SurdPoly whose sqrt(r)-part is
+asserted zero, and all four structure identities checked.  Both routes must give equal coefficients and residuals,
 or raise the same exception with the same text, on the shipped instances,
 on +/-1 mutations of A, B, C, D and on single-moment perturbations.  With
 the degree bound of Theta_hat lifted, they must also agree on random
@@ -29,6 +29,7 @@ from snul import (
     Workspace,
     build_lattice,
     certify,
+    corollary_coeffs,
     recurrence_from_moments,
     smop_from_recurrence,
     solve_moments_from_riccati,
@@ -286,32 +287,50 @@ def test_no_level_falls_back(path, monkeypatch):
     assert max(shorter) <= small < DEEP_N_MAX // 2, path.stem
 
 
-@pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.stem)
-@pytest.mark.parametrize("k", [0, 1, 2])
-def test_moved_theta_fails_the_exact_check(path, k, monkeypatch):
-    # the level recursion is checked, not trusted: Theta_k moved by one fails
-    # the first structure relation at level k + 1, and certify stops there
+def _move_theta(monkeypatch, k, delta):
+    """Make the level recursion add `delta` to Theta_k."""
     original = lh.corollary_recursion
     level_zero = lh.corollary_level_zero
 
     def moved(l, pi, theta, level):
-        return (l, pi, theta + 1) if level == k else (l, pi, theta)
+        return (l, pi, theta + delta) if level == k else (l, pi, theta)
     monkeypatch.setattr(lh, "corollary_level_zero",
                         lambda coeffs: moved(*level_zero(coeffs), 0))
     monkeypatch.setattr(lh, "corollary_recursion",
                         lambda coeffs, n: moved(*original(coeffs, n), n + 1))
+
+
+@pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_moved_theta_fails_the_exact_check(path, k, monkeypatch):
+    # the oracle sees a wrong recursion: Theta_k moved by one keeps its
+    # degree, and the relations hold below level k + 1 and fail there
+    _move_theta(monkeypatch, k, 1)
     ric, moments, n_max = _instance(path)
     data = _data(ric, moments, n_max)
-    with pytest.raises(NotLaguerreHahn) as info:
-        structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), n_max)
-    assert info.value.level == k + 1
-    assert str(info.value) == (f"not Laguerre-Hahn at level n = {k + 1}: "
-                               "first structure equation (E1 variant) failed")
+    coeffs = corollary_coeffs(ric, data, n_max)
+    ws = Workspace(ric.lattice, data=data)
+    for n in range(1, k + 1):
+        assert not any(res for pair in verify_structure_relations(ws, coeffs, n)
+                       for res in pair), n
+    first, _ = verify_structure_relations(ws, coeffs, k + 1)
+    assert any(first)
+
+
+@pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_theta_over_the_bound_fails_structure_direct(path, k, monkeypatch):
+    # the degree bound of Theta_hat is the stage's one check: Theta_k plus
+    # x^(bound + 1) fails structure-direct at level k, and certify stops there
+    ric, moments, n_max = _instance(path)
+    bound = lh._theta_degree_bound(ric)
+    _move_theta(monkeypatch, k, Poly([0] * (bound + 1) + [1]))
     cert = certify(ric, n_max, len(moments) - 1, moments=moments)
     failed = [(c.name, c.verdict, c.detail) for c in cert.checks if c.verdict != "pass"]
     after = _CERTIFY_STAGES[_CERTIFY_STAGES.index("structure-direct") + 1:]
-    assert failed == [("structure-direct", "fail", str(info.value))] + [
-        (nm, "skip", "") for nm in after]
+    text = str(DegreeBoundExceeded(k, bound + 1, bound))
+    assert text == f"theta_hat degree {bound + 1} exceeds bound {bound} at level n = {k}"
+    assert failed == [("structure-direct", "fail", text)] + [(nm, "skip", "") for nm in after]
 
 
 @pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.stem)
@@ -417,15 +436,13 @@ def test_shift_walk_matches_horner(conic):
     for _ in range(2):
         beta, gamma = random_quasi_definite_recurrence(rng, SHIFT_N + 1)
         data = smop_from_recurrence(beta, gamma, SHIFT_N, moments=[F(1)])
-        # in increasing order, releasing as the structure stage does, and
-        # straight to the top on a fresh workspace
+        # in increasing order, and straight to the top on a fresh workspace
         walked = Workspace(lattice, data=data)
         for n in range(-1, SHIFT_N + 1):
             for got, f in ((walked.poly_shifts(n), data.poly(n)),
                            (walked.assoc_shifts(n), data.assoc(n))):
                 e2 = apply_shift(lattice, f, 2)
                 assert got == (e2.v, e2.u), (n, f)
-            walked.release_shifts(n)
         top = Workspace(lattice, data=data)
         e2 = apply_shift(lattice, data.assoc(SHIFT_N), 2)
         assert top.assoc_shifts(SHIFT_N) == (e2.v, e2.u)
