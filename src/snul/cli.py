@@ -45,6 +45,7 @@ from .laguerre_hahn import (
     fit_riccati,
     riccati_residual,
     solve_moments_from_riccati,
+    solved_riccati_window,
     structure_coeffs_direct,
 )
 from .lattice import Lattice, build_lattice, lattice_points
@@ -348,7 +349,8 @@ def cmd_derive(args) -> int:
     n_max = problem.n_max
     order = max(problem.trunc, 2 * n_max + 2)
     moments = problem.moment_list(order)
-    if moments is None:
+    solved = moments is None
+    if solved:
         moments = solve_moments_from_riccati(ric, order)
     if problem.recurrence is None:
         beta, gamma = recurrence_from_moments(moments, n_max)
@@ -359,10 +361,17 @@ def cmd_derive(args) -> int:
         if 0 in gamma:
             raise NotQuasiDefinite(gamma.index(0))
     data = smop_from_recurrence(beta, gamma, n_max, moments=moments)
-    ws = Workspace(lattice, data=data)
-    res = riccati_residual(ric, ws)
-    if not res.is_zero_within_window():
-        raise NotLaguerreHahn(0, f"Riccati residual nonzero at x^{res.leading_exponent()}")
+    if solved:
+        # each coefficient of the Riccati residual on its window is an
+        # equation the solve imposed (`solve_moments_from_riccati`): S is not read
+        solved_riccati_window(ric, order)
+        ws = Workspace(lattice)
+        ws.data = data
+    else:
+        ws = Workspace(lattice, data=data)
+        res = riccati_residual(ric, ws)
+        if not res.is_zero_within_window():
+            raise NotLaguerreHahn(0, f"Riccati residual nonzero at x^{res.leading_exponent()}")
     direct = structure_coeffs_direct(ric, ws, n_max)
     levels = []
     for n in range(-1, direct.max_level + 1):

@@ -25,7 +25,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -41,12 +40,7 @@ from .errors import (
     Underdetermined,
 )
 from .fieldext import _nullspace
-from .lattice import (
-    Lattice,
-    _add_row,
-    _operator_series,
-    e1e2_series,
-)
+from .lattice import Lattice, _add_row, _operator_series, e1e2_series
 from .orthopoly import SMOPData, second_kind_series
 from .poly import Poly
 from .series import LaurentSeries
@@ -149,10 +143,9 @@ class StructureCoeffs:
         return out
 
     def degrees(self) -> dict[str, list[int | None]]:
-        levels = range(-1, self.max_level + 1)
-        polys = {"l": self.l, "pi": self.pi, "theta": self.theta,
-                 "theta_hat": [self.theta_hat_at(n) for n in levels],
-                 "A_gathered": [self.A_at(n + 1) for n in levels]}
+        # deg Theta_hat_n = deg Theta_n: a job's gamma_k are nonzero
+        polys = {"l": self.l, "pi": self.pi, "theta": self.theta, "theta_hat": self.theta,
+                 "A_gathered": [self.A_at(n + 1) for n in range(-1, self.max_level + 1)]}
         return {name: [p.degree for p in ps] for name, ps in polys.items()}
 
     def same_as(self, other: "StructureCoeffs") -> bool:
@@ -230,7 +223,7 @@ class Workspace:
     recurrence, each computed on first use.  Every stage function reads S,
     the recurrence and the lattice from here alone.
 
-    A job holds the (D, M) images of S and E1S E2S; only the tests walk
+    A job forms at most the (D, M) images of S and E1S E2S; the tests walk
     (D f, M f) up the recurrence for f = P_n and P1_n (`structure_pair`) and
     q_n = P_n S - P1_{n-1} (`second_kind_series`; q_0 is S), with those of
     E1S E2q_n (`second_kind_pair`).  S defaults to the Stieltjes series of
@@ -397,13 +390,21 @@ def riccati_residual(ric: RiccatiData, ws: Workspace) -> LaurentSeries:
     ds, ms = ws.dm()
     terms = [(ds, ric.A), (ms, -ric.C)] + ([(ws.e1e2(), -ric.B)] if ric.B else [])
     res = LaurentSeries.dot(terms)
-    res = res - LaurentSeries.from_poly(ric.D, res.truncation_order)
-    if res.truncation_order < 1:
-        raise InsufficientTruncation(
-            required=1, available=res.truncation_order,
-            message="window exhausted before any residual coefficient is known",
-        )
-    return res
+    _checked_window(res.truncation_order)
+    return res - LaurentSeries.from_poly(ric.D, res.truncation_order)
+
+
+def solved_riccati_window(ric: RiccatiData, count: int) -> int:
+    """The window of `riccati_residual` on u_0..u_count of
+    `solve_moments_from_riccati`, where the proof there makes it zero."""
+    return _checked_window(count - max(_theta_degree_bound(ric), -1))
+
+
+def _checked_window(window: int) -> int:
+    if window < 1:
+        raise InsufficientTruncation(required=1, available=window, message="window "
+                                     "exhausted before any residual coefficient is known")
+    return window
 
 
 def solve_moments_from_riccati(ric: RiccatiData, count: int,
@@ -412,18 +413,27 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
     """Solve the Riccati equation for u_0..u_count by coefficient matching.
 
     u_0 = 1 is imposed.  Coefficient equations are processed from the top
-    power down; each is affine in the newest moment (the quadratic term pairs
-    it with u_0 only at lower powers).  Raises Inconsistent(k) when an
-    equation cannot be satisfied, FreeMoment(k) when the equation is vacuous
-    and no value for u_k was supplied in free_values, ValueError when count
-    is negative.
+    power down; each is affine in the newest moment.  Raises Inconsistent(k)
+    when an equation cannot be satisfied, FreeMoment(k) when the equation is
+    vacuous and no value for u_k was supplied in free_values, ValueError
+    when count is negative.
 
     DS and MS are running sums of the rows of the lattice's D/M table, as
     integer numerators: entry i is over L n2^(K+i), with K = count + 1, L
     the lcm of the moment denominators so far and n2 the int the table is
     over, so row k enters with weight n2^(K-k).  E1S E2S enters as (MS)^2 -
-    r (DS)^2.  Each equation costs O(count) integer work and one Fraction
-    per A, B, C and D term.
+    r (DS)^2.  The equation of u_k is two ints, beta_k of u_0..u_{k-1} and
+    alpha_k, the coefficient of u_k, so u_k = -beta_k / (alpha_k L) is its
+    one Fraction.
+
+    Proof that rho = A DS - B E1S E2S - C MS - D, S = sum u_k x^(-k-1), is
+    zero on the window w = count - max(m0, -1) of `riccati_residual`: DS, MS
+    and E1S E2S lead at x^-2, x^-1, x^-2 and are known down to x^-(count+2),
+    x^-(count+1), x^-(count+2).  Above x^top_res rho is zero; at top_res >= e
+    >= m0 it reads u_0 alone (the first checks).  u_j enters A DS and C MS at
+    x^(m0-j) and below, u_j u_l enters B E1S E2S at x^(m0-j-l) and below, so
+    rho at x^(m0-k) is beta_k + alpha_k u_k, zero or the solve raised, down
+    to x^(m0-count), at or below x^-w.
     """
     if count < 0:
         raise ValueError("moment count must be nonnegative")
@@ -438,6 +448,11 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
     n2, rows = lattice.dm_table(depth, K)
     n2_K = n2 ** K
     c, _, _, r0, r1, r2 = lattice._scaled_coefficients()[:6]
+    # over G, coefficient i of A, C and D enters the x^e equation with weight
+    # n2^(top - i), that of B with n2^(max_deg - i)
+    G, top = lcm(A.den, B.den, C.den, D.den), max_deg + 2 * (not B.is_zero)
+    wa, wb, wc, wd = ([(i, a * (G // p.den) * n2 ** (t - i)) for i, a in enumerate(p.nums) if a]
+                      for p, t in ((A, top), (B, max_deg), (C, top), (D, top)))
     # DS and MS of the moments so far, u_0 = 1: coefficients of x^0 .. x^-depth
     ds, ms, L = [0] * (depth + 1), [0] * (depth + 1), 1
     _add_row(ds, ms, n2 ** (K - 1), rows[1], 1)
@@ -446,43 +461,38 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
         # the x^-m coefficient of f g; f has no terms above x^-low_f, g none above x^-low_g
         if m < low_f + low_g:
             return 0
-        return sum(map(mul, f[low_f:m - low_g + 1], g[m - low_f:low_g - 1:-1]))
+        if f is not g:
+            return sum(map(mul, f[low_f:m - low_g + 1], g[m - low_f:low_g - 1:-1]))
+        # a square (low_f = low_g): each product of two entries once
+        h = (m + 1) // 2
+        out = 2 * sum(map(mul, f[low_f:h], f[m - low_f:m - h:-1]))
+        return out if m % 2 else out + f[h] * f[h]
 
-    def at_power(poly, e, value, den):
-        # the x^e coefficient of poly times the series whose x^-m
-        # coefficient is value(m) / (den n2^m)
-        top = max(len(poly.nums) - 1 - e, 0)
-        total = sum(a * value(i - e) * n2 ** (top - i + e)
-                    for i, a in enumerate(poly.nums) if a and i > e)
-        return Fraction(total, poly.den * den * n2 ** top)
-
-    def terms(e, d, m, low, den, factor):
-        # the x^e coefficient of A Df - C Mf - factor B (MS Mf - r DS Df) for the
-        # lists d, m of Df, Mf over den n2^i, Mf without terms above x^-low; with
-        # r = (r0 + r1 x + r2 x^2) / c, e1e2(j) is over c L n2^K den n2^(j+2), and
-        # each DS Df coefficient is formed once for all the powers of B
-        @cache
-        def dd(i):
-            return conv(ds, d, i, 2, low + 1)
-
-        def e1e2(j):
-            mm = conv(ms, m, j, 1, low)
-            return factor * (n2 * (n2 * (c * mm - r0 * dd(j)) - r1 * dd(j + 1)) - r2 * dd(j + 2))
-        return (at_power(A, e, d.__getitem__, den) - at_power(C, e, m.__getitem__, den)
-                - at_power(B, e, e1e2, c * L * n2_K * den * n2 * n2))
+    def equation(e, d, m, low, factor, total=0):
+        # total plus the x^e coefficient of A Df - C Mf - factor B (MS Mf - r DS Df)
+        # for the lists d, m of Df, Mf over den n2^i, Mf without terms above x^-low,
+        # as one int over G den n2^(top - e), times c L n2^K when B != 0 (r =
+        # (r0 + r1 x + r2 x^2) / c); each DS Df coefficient is formed once
+        total += sum(w * d[i - e] for i, w in wa if i > e) - sum(w * m[i - e] for i, w in wc if i > e)
+        if not wb:
+            return total
+        js = [(i - e, w) for i, w in wb if i > e]
+        dd = {t: conv(ds, d, t, 2, low + 1) for t in {j + s for j, _ in js for s in (0, 1, 2)}}
+        return total * c * L * n2_K - factor * sum(
+            w * (n2 * (n2 * (c * conv(ms, m, j, 1, low) - r0 * dd[j]) - r1 * dd[j + 1])
+                 - r2 * dd[j + 2]) for j, w in js)
 
     def residual(e):
-        return terms(e, ds, ms, 1, L * n2_K, 1) - D.coefficient(e)
+        return equation(e, ds, ms, 1, 1, -sum(w * L * n2_K for i, w in wd if i == e))
 
     free_values = free_values or {}
     moments = [Fraction(1)]
     for e in range(top_res, m0 - 1, -1):
         res = residual(e)
         if res:
-            raise Inconsistent(
-                0, f"residual coefficient at x^{e} is {res} with u_0 alone; "
-                   "no moment can repair it",
-            )
+            res = Fraction(res, G * n2_K * n2 ** (top - e) * (c * n2_K if wb else 1))
+            raise Inconsistent(0, f"residual coefficient at x^{e} is {res} with u_0 alone; "
+                                  "no moment can repair it")
 
     for k in range(1, count + 1):
         # u_k enters S with x^(-k-1), whose images are row k + 1 (over n2^(K+i)
@@ -491,7 +501,7 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
         dk, mk = [0] * (k - m0 + max_deg + 1), [0] * (k - m0 + max_deg + 1)
         _add_row(dk, mk, weight, row, k + 1)
         beta_k = residual(m0 - k)
-        alpha_k = terms(m0 - k, dk, mk, k + 1, n2_K, 2)
+        alpha_k = equation(m0 - k, dk, mk, k + 1, 2)
         if not alpha_k:
             if beta_k:
                 raise Inconsistent(k)
@@ -499,7 +509,7 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
                 raise FreeMoment(k)
             u = Fraction(free_values[k])
         else:
-            u = -beta_k / alpha_k
+            u = Fraction(-beta_k, alpha_k * L)
         moments.append(u)
         if L % u.denominator:
             scale = u.denominator // gcd(L, u.denominator)
@@ -530,24 +540,13 @@ def riccati_nullspace(ws: Workspace,
     ds, ms = ws.dm()
     q = ws.e1e2()
     ncols = da + db + dc + dd + 4
-    e_top = max(
-        da + ds._effective_top(),
-        db + q._effective_top(),
-        dc + ms._effective_top(),
-        dd,
-    )
-    e_min = max(
-        da - ds.truncation_order,
-        db - q.truncation_order,
-        dc - ms.truncation_order,
-    )
+    e_top = max(da + ds._effective_top(), db + q._effective_top(), dc + ms._effective_top(), dd)
+    e_min = max(da - ds.truncation_order, db - q.truncation_order, dc - ms.truncation_order)
     nrows = max(e_top - e_min + 1, 0)
     if nrows < ncols:
-        raise InsufficientTruncation(
-            required=ncols, available=nrows,
-            message=f"the fit window gives {nrows} equations for {ncols} unknowns: "
-                    f"give more moments or lower the degree bounds",
-        )
+        raise InsufficientTruncation(required=ncols, available=nrows, message=f"the fit window "
+                                     f"gives {nrows} equations for {ncols} unknowns: "
+                                     f"give more moments or lower the degree bounds")
     L = lcm(ds.den, q.den, ms.den)
     # x^(e - i) of a block with degree bound d sits at e_top - e + i of its
     # numerators over L, padded with zeros down from x^e_top
@@ -684,7 +683,8 @@ def second_kind_checks(riccati_window: int, n_max: int) -> list[CheckResult]:
     level -1 = (C/2, 0, D), q_{-1} = 1 and q_0 = S, it is rho itself.
     Compare the parts with and without sqrt(r).
 
-    Windows: rho is known and zero down to x^-w, w = `riccati_window`.  As
+    Windows: rho is known and zero down to x^-w, w = `riccati_window`, the
+    window of the `riccati` entry: formed, or `solved_riccati_window`.  As
     deg MP_n <= n and deg DP_n <= n - 1, R_n and sqrt(r) I_n are zero down
     to x^-(w - n), as deep as rho's window carries them, so the stage passes
     on w - n_max.  The gathered relations at n < n_max, R_n and structure
@@ -866,12 +866,6 @@ def reconstruct_riccati(coeffs: StructureCoeffs) -> RiccatiData:
 # certification pipeline
 # ---------------------------------------------------------------------------
 
-def _series_summary(res: LaurentSeries) -> str:
-    if res.is_zero_within_window():
-        return f"zero down to x^-{res.truncation_order}"
-    return f"nonzero at x^{res.leading_exponent()}: {res.leading_coefficient()}"
-
-
 _CERTIFY_STAGES = [
     "moments", "riccati", "quasi-definite", "liouville", "structure-direct",
     "structure-relations-1", "structure-relations-2",
@@ -889,9 +883,10 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     Stage errors are recorded in the certificate (verdict "fail" with the
     exception text, dependent stages "skip"), never raised past this
     function.  The Riccati residual gates everything structural; a moment
-    perturbation therefore always surfaces there first.  Every operator
-    image the stages share is computed once, in one Workspace, and the
-    stages after `structure-direct` form none (the proofs in
+    perturbation therefore always surfaces there first.  On moments it
+    solves, `riccati` is recorded from the solve and no stage forms an image
+    of S; otherwise each is formed once, in one Workspace.  The stages after
+    `structure-direct` form none (the proofs in `solve_moments_from_riccati`,
     `structure_coeffs_direct`, `second_kind_checks`, `corollary_recursion`).
     Each `timings` entry is the duration of its own stage; "total" is the
     whole run.  Raises ValueError, before any stage runs, when n_max < 1.
@@ -927,7 +922,7 @@ def certify(ric: RiccatiData, n_max: int, order: int,
         return cert
 
     # moments: solved sequentially from the equation, or supplied
-    order = max(order, 2 * n_max + 2)
+    order, solved = max(order, 2 * n_max + 2), moments is None
 
     def moments_stage():
         nonlocal moments
@@ -943,14 +938,18 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     if not guarded(moments_stage, "moments"):
         return abort()
 
-    ws = Workspace(ric.lattice, LaurentSeries.from_moments(moments))
+    ws = Workspace(ric.lattice, None if solved else LaurentSeries.from_moments(moments))
 
-    # Riccati residual: the (a) statement, checked on the honest window
+    # Riccati residual: the (a) statement on the honest window, formed from
+    # supplied moments, and zero there on solved ones, each of whose
+    # coefficients is an equation the solve imposed (`solve_moments_from_riccati`)
     def riccati():
-        res = riccati_residual(ric, ws)
-        return CheckResult("riccati", "pass" if res.is_zero_within_window() else "fail",
-                           window=res.truncation_order,
-                           residual_summary=_series_summary(res))
+        res = (LaurentSeries.zero(solved_riccati_window(ric, order)) if solved
+               else riccati_residual(ric, ws))
+        zero, window = res.is_zero_within_window(), res.truncation_order
+        return CheckResult("riccati", "pass" if zero else "fail", window=window,
+                           residual_summary=f"zero down to x^-{window}" if zero else
+                           f"nonzero at x^{res.leading_exponent()}: {res.leading_coefficient()}")
     if not guarded(riccati, "riccati"):
         return abort()
 

@@ -22,13 +22,14 @@ def write_problem(tmp_path, doc, name="problem.json") -> str:
     return str(path)
 
 
-def golden_outputs_match(capsys, command) -> int:
-    """Run `command` on the input of every tests/data/<command>_*.json and
+def golden_outputs_match(capsys, command, riccati_only=False) -> int:
+    """Run `command` on the input of every tests/data/<command>_*.json, or
+    of those whose problem file gives neither moments nor a recurrence, and
     compare its output without "timings" to the file; returns the number of
-    files.  The certify case at --n-max 96 is left to CI, which runs it at
-    depth."""
-    goldens = sorted(DATA.glob(f"{command}_*.json"))
-    for golden in goldens:
+    files compared.  The certify case at --n-max 96 is left to CI, which runs
+    it at depth."""
+    compared = 0
+    for golden in sorted(DATA.glob(f"{command}_*.json")):
         stem, *extra = re.split(r"_(n-max|deg-bounds)_", golden.stem[len(command) + 1:])
         args = [arg for flag, value in zip(extra[::2], extra[1::2])
                 for arg in ("--" + flag, ",".join(value) if flag == "deg-bounds" else value)]
@@ -36,11 +37,14 @@ def golden_outputs_match(capsys, command) -> int:
             continue
         problem = next(p for p in (PROBLEMS / f"{stem}.json", DATA / f"{stem}.json")
                        if p.exists())
+        if riccati_only and {"moments", "recurrence"} & set(json.loads(problem.read_text())):
+            continue
         main([command, str(problem)] + args)
         doc = json.loads(capsys.readouterr().out)
         doc.pop("timings", None)
         assert json.dumps(doc, indent=2) + "\n" == golden.read_text(), golden.name
-    return len(goldens)
+        compared += 1
+    return compared
 
 
 def reference_doc(**extra) -> dict:
@@ -339,8 +343,10 @@ class TestCertifyCommand:
 
     def test_series_products_independent_of_depth(self, capsys, monkeypatch):
         # with B != 0 the only series x series products of certify are the
-        # two of E1S E2S: certify forms no q_n and no E1S E2q_n, so the count
-        # does not grow with n_max
+        # two of E1S E2S, formed with the Riccati residual of supplied
+        # moments (here from a recurrence); on moments it solved, certify
+        # forms none.  It forms no q_n and no E1S E2q_n, so neither count
+        # grows with n_max
         from snul.series import LaurentSeries
         original = LaurentSeries.dot
         counts = []
@@ -351,20 +357,22 @@ class TestCertifyCommand:
             return original(pairs)
 
         monkeypatch.setattr(LaurentSeries, "dot", staticmethod(counting))
-        for n_max in ("8", "16"):
-            counts.append(0)
-            assert main(["certify", str(PROBLEMS / "qhermite_corecursive.json"),
-                         "--n-max", n_max]) == 0
-            assert json.loads(capsys.readouterr().out)["passed"]
-        assert counts == [2, 2]
+        for path, expected in ((PROBLEMS / "qhermite_corecursive.json", [0, 0]),
+                               (CORECURSIVE_RECURRENCE, [2, 2])):
+            counts.clear()
+            for n_max in ("8", "16"):
+                counts.append(0)
+                assert main(["certify", str(path), "--n-max", n_max]) == 0
+                assert json.loads(capsys.readouterr().out)["passed"]
+            assert counts == expected, path.name
 
     def test_recorded_stages_recompute_nothing(self, capsys, monkeypatch):
         # the structure-relations, gathered, Magnus, telescope and
         # reconstruction entries are read off the proofs in
-        # structure_coeffs_direct, second_kind_checks and corollary_recursion:
-        # with the functions that form them directly refused, every output
-        # but its timings is unchanged, and each workspace holds the images
-        # of S alone
+        # structure_coeffs_direct, second_kind_checks and corollary_recursion,
+        # and `riccati` off the moment solve: with the functions that form
+        # them directly refused, every output but its timings is unchanged,
+        # and no workspace forms an image of S
         import snul.laguerre_hahn as lh
         paths = [PROBLEMS / "qhermite.json", PROBLEMS / "qhermite_corecursive.json"]
         workspaces = []
@@ -394,8 +402,28 @@ class TestCertifyCommand:
         monkeypatch.setattr(lh, "Workspace", Recorded)
         assert outputs() == before
         assert len(workspaces) == len(paths)
-        assert {key if isinstance(key, str) else key[0] for ws in workspaces
-                for key in ws._memo} == {"dm", "e1e2"}
+        assert [ws._memo for ws in workspaces] == [{}, {}]
+
+    def test_riccati_residual_off_the_solved_path(self, capsys, monkeypatch):
+        # on moments it solved, certify records `riccati` and derive passes
+        # its residual check by the proof in solve_moments_from_riccati: with
+        # riccati_residual refused, every golden certify and derive output of
+        # a file without moments or a recurrence is unchanged, and supplied
+        # moments still form the residual
+        import snul.cli as cli
+        import snul.laguerre_hahn as lh
+
+        def refused(*args):
+            raise AssertionError("the Riccati residual was formed")
+        for module in (cli, lh):
+            monkeypatch.setattr(module, "riccati_residual", refused)
+        assert golden_outputs_match(capsys, "certify", riccati_only=True) >= 11
+        assert golden_outputs_match(capsys, "derive", riccati_only=True) >= 9
+        for command in ("certify", "derive"):
+            assert main([command, str(CORECURSIVE_RECURRENCE)]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", "internal error: AssertionError: the Riccati residual was formed\n")
 
     def test_second_kind_walk_off_the_certify_path(self, capsys, monkeypatch):
         # second-kind-1/-2 and gathered are read off the Riccati residual:

@@ -50,6 +50,11 @@ structure stage.  certify_surd_conic_n-max_96.json, which CI diffs against,
 was written by the version that walked q_n, (Dq_n, Mq_n) and the second-kind
 residuals at every level, so it is an oracle independent of reading the
 second-kind and gathered entries off the Riccati residual.
+certify_qhermite_corecursive_recurrence_n-max_64.json, which CI diffs
+against too, was written by the version that formed the Riccati residual of
+every certify, also on moments it had solved; Riccati data with its
+recurrence supplied is the one certify input whose residual is still formed,
+so this is the case that holds it to its golden output at depth, with B != 0.
 To regenerate after an intended change of the output, run
 `snul <command> <problem> <extra arguments>` and, for certify, delete the
 "timings" entry; the file is tests/data/<command>_<name>.json, with <name>
@@ -102,6 +107,8 @@ CASES = (
        for extra in ([], ["--n-max", "20"])]
     # twenty levels of the structure stage on the wide conic
     + [("derive", ROOT / "problems" / "qhermite_wide.json", ["--n-max", "20"])]
+    # the Riccati residual of supplied moments at depth, B != 0
+    + [("certify", DATA / "qhermite_corecursive_recurrence.json", ["--n-max", "64"])]
 )
 
 

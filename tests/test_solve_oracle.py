@@ -8,6 +8,10 @@ the conjugate of E_1 x^(-k), D x^(-k) = -v and M x^(-k) = u.  The solver
 under test reads single coefficients of DS and MS built from the integer
 D/M table.  Both must give the same moments, or raise the same exception
 with the same text.
+
+`certify` records its `riccati` entry from the solve when it solves S
+itself (the proof in `solve_moments_from_riccati`); the tests at the end
+check that entry against the residual formed from the same moments.
 """
 import json
 import random
@@ -22,9 +26,13 @@ from snul import (
     LaurentSeries,
     Poly,
     RiccatiData,
+    Workspace,
     build_lattice,
+    certify,
+    riccati_residual,
     solve_moments_from_riccati,
 )
+from snul.laguerre_hahn import solved_riccati_window
 
 from conftest import (
     IMAGINARY_CONIC,
@@ -36,6 +44,7 @@ from conftest import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+CONICS = list(RATIONAL_CONICS) + [SURD_CONIC, IMAGINARY_CONIC]
 
 
 def reference_solve_moments(ric, count, free_values=None):
@@ -157,8 +166,7 @@ def random_instance(rng, lat):
 
 def test_random_instances():
     rng = random.Random(2026)
-    conics = list(RATIONAL_CONICS) + [SURD_CONIC, IMAGINARY_CONIC]
-    lattices = [build_lattice(*conic) for conic in conics]
+    lattices = [build_lattice(*conic) for conic in CONICS]
     kinds = []
     for i in range(72):
         ric = random_instance(rng, lattices[i % len(lattices)])
@@ -187,3 +195,85 @@ def test_free_moment_instance(reference_lattice):
         assert outcome(solve_moments_from_riccati, ric, 6, free_values) == expect
         results.append(expect)
     assert results[0] == (FreeMoment, str(FreeMoment(1)))
+
+
+def test_random_instances_deep():
+    # counts 24..32, where the common denominator L of the moments and the
+    # table's n2^K are large: two instances per conic, B = 0 and B != 0,
+    # each with and without free values
+    rng = random.Random(2027)
+    solved = 0
+    for conic in CONICS:
+        for with_B in (False, True):
+            ric = u0_instance(rng, build_lattice(*conic), with_B)
+            count = rng.randint(24, 32)
+            for free_values in (None, {k: random_fraction(rng) for k in range(1, count + 1)}):
+                expect = outcome(reference_solve_moments, ric, count, free_values)
+                got = outcome(solve_moments_from_riccati, ric, count, free_values)
+                assert got == expect, (conic, with_B, free_values)
+                solved += isinstance(expect, list)
+    assert solved >= 16
+
+
+# (A, B, C, D) times g has the solutions of (A, B, C, D) and m0 + deg g
+MULTIPLIERS = [Poly([1]), Poly([1, 1]), Poly([2, 0, 1]), Poly([3, -1, 0, 1])]
+
+
+def u0_instance(rng, lat, with_B):
+    """A of degree 2, so m0 = 0, C of degree <= 1, B zero or of degree <= 2,
+    and D the polynomial part of the residual of S = 1/x, so that u_0 = 1
+    meets the top equations."""
+    A = random_poly(rng, max_degree=2, min_degree=2)
+    B = random_poly(rng, max_degree=2) if with_B else Poly.zero()
+    C = random_poly(rng, max_degree=1)
+    N = lat.p * lat.p - lat.r
+    return RiccatiData(A, B, C, divmod(-(A + C * lat.p + B), N)[0], lat)
+
+
+def laguerre_hahn_instance(rng, lat, with_B):
+    """A `u0_instance` drawn again until u_1..u_12 solve, so that the data
+    is Laguerre-Hahn for the solved S."""
+    while True:
+        ric = u0_instance(rng, lat, with_B)
+        if isinstance(outcome(solve_moments_from_riccati, ric, 12), list):
+            return ric
+
+
+@pytest.mark.parametrize("conic", CONICS, ids=range(len(CONICS)))
+def test_recorded_riccati_entry_is_the_residual_one(conic):
+    # certify records `riccati` from the solve when it solves S, and forms
+    # the residual when the same moments are supplied: the certificates agree
+    # from `riccati` on at m0 = 0..3, B = 0 and B != 0, and where the window
+    # order - m0 is exhausted
+    lat = build_lattice(*conic)
+    rng = random.Random(repr(conic))
+    runs = [(g, 3, 8) for g in MULTIPLIERS] + [(Poly([1, 0, 0, 0, 1]), 1, 4),
+                                               (Poly([-2, 0, 0, 0, 0, 1]), 1, 4)]
+    for with_B in (False, True):
+        base = laguerre_hahn_instance(rng, lat, with_B)
+        for g, n_max, order in runs:
+            ric = RiccatiData(*(p * g for p in base.polys()), lat)
+            recorded = certify(ric, n_max, order)
+            formed = certify(ric, n_max, order, moments=solve_moments_from_riccati(ric, order))
+            assert ([c.to_dict() for c in recorded.checks[1:]]
+                    == [c.to_dict() for c in formed.checks[1:]]), (with_B, g)
+            assert recorded.degrees == formed.degrees
+            entry = recorded.check("riccati")
+            if order > g.degree:
+                assert (entry.verdict, entry.window) == ("pass", order - g.degree)
+            else:
+                assert entry.verdict == "fail"
+                assert entry.detail.startswith("window exhausted before any residual")
+
+
+@pytest.mark.parametrize("conic", CONICS, ids=range(len(CONICS)))
+def test_solved_window_below_m0_minus_one(conic):
+    # A constant, B = -A and C = D = 0 give m0 = -2; u_1 is free.  The
+    # residual keeps the window of MS, count + 1, not count - m0
+    lat = build_lattice(*conic)
+    ric = RiccatiData(Poly([3]), Poly([-3]), Poly.zero(), Poly.zero(), lat)
+    assert outcome(solve_moments_from_riccati, ric, 10) == (FreeMoment, str(FreeMoment(1)))
+    moments = solve_moments_from_riccati(ric, 10, {k: F(k, 3) for k in range(1, 11)})
+    res = riccati_residual(ric, Workspace(lat, LaurentSeries.from_moments(moments)))
+    assert res.is_zero_within_window()
+    assert res.truncation_order == solved_riccati_window(ric, 10) == 11
