@@ -218,7 +218,8 @@ def _reject_unknown(block: dict, allowed: set[str], noun: str, owner: str):
 
 
 def _poly_coeffs(p: Poly) -> list[str]:
-    return [format_rational(c) for c in p.coeffs]
+    den = p.den
+    return [format_rational(a, den) for a in p.nums]
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +374,11 @@ def cmd_derive(args) -> int:
         if not res.is_zero_within_window():
             raise NotLaguerreHahn(0, f"Riccati residual nonzero at x^{res.leading_exponent()}")
     direct = structure_coeffs_direct(ric, ws, n_max)
-    levels = []
-    for n in range(-1, direct.max_level + 1):
-        levels.append({
-            "n": n,
-            "l": _poly_coeffs(direct.l_at(n)),
-            "pi": _poly_coeffs(direct.pi_at(n)),
-            "theta": _poly_coeffs(direct.theta_at(n)),
-            "A_gathered": _poly_coeffs(direct.A_at(n + 1)),
-        })
+    # level n is index n + 1 of l, pi and theta, and A_{n+1} index n + 1 of gathered
+    levels = [{"n": n, "l": _poly_coeffs(l), "pi": _poly_coeffs(pi),
+               "theta": _poly_coeffs(theta), "A_gathered": _poly_coeffs(a)}
+              for n, l, pi, theta, a in zip(range(-1, direct.max_level + 1), direct.l,
+                                            direct.pi, direct.theta, direct.gathered)]
     _emit({
         "instance": problem.echo(),
         "levels": levels,

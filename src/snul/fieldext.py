@@ -34,8 +34,14 @@ def parse_rational(text) -> Fraction:
     raise TypeError(f"cannot parse rational from {text!r}")
 
 
-def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+def format_rational(value: Fraction | int, den: int = 1) -> str:
+    """value / den as str(Fraction) writes it, "p/q" in lowest terms or "p":
+    a Fraction value as it is (den 1), an int over the int den > 0 reduced
+    by one gcd."""
+    if value.__class__ is Fraction:
+        return str(value)
+    g = gcd(value, den)
+    return str(value // g) if g == den else f"{value // g}/{den // g}"
 
 
 def _int_dot(terms, length: int | None = None) -> list[int]:

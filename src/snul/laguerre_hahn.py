@@ -91,9 +91,12 @@ class RiccatiData:
 
 class StructureCoeffs:
     """l_n, pi_n, Theta_n of `ric` on the recurrence `data`, from level -1 =
-    (C/2, 0, D) up; Theta_hat_n and the gathered A_n = A + (Delta_y^2 / 2)
-    pi_{n-1} are read off them, and the linear factors of each level are
-    formed once.  Internal lists are offset by one so index 0 holds level -1."""
+    (C/2, 0, D) up, and the gathered A_n = A + (Delta_y^2 / 2) pi_{n-1} =
+    A + 2 r pi_{n-1} and the step s_n = Theta_{n-1}/gamma_n of the level
+    recursions, each formed once as level n - 1 is appended; Theta_hat_n is
+    read off Theta_n.  The lists l, pi and theta are offset by one so index 0
+    holds level -1; index n of `gathered` and `steps` holds A_n and s_n, from
+    A_0 = A and s_0 = D (gamma_0 = 1)."""
 
     def __init__(self, ric: RiccatiData, data: SMOPData):
         self.ric = ric
@@ -101,7 +104,12 @@ class StructureCoeffs:
         self.l: list[Poly] = [ric.C * HALF]
         self.pi: list[Poly] = [Poly.zero()]
         self.theta: list[Poly] = [ric.D]
-        self._r2, self._linear = ric.lattice.r * 2, {}
+        self.gathered: list[Poly] = [ric.A]
+        self.steps: list[Poly] = [ric.D]
+        # p^2 - r = E1E2 x, in which the level recursions write out
+        # E1E2(x - beta) = (p^2 - r) - 2 beta p + beta^2
+        p = ric.lattice.p
+        self._p2_r = Poly.dot(((p, p), (ric.lattice.r, -1)))
 
     @property
     def max_level(self) -> int:
@@ -111,6 +119,8 @@ class StructureCoeffs:
         self.l.append(l)
         self.pi.append(pi)
         self.theta.append(theta)
+        self.gathered.append(Poly.dot(((self.ric.A, 1), (self.ric.lattice.r, pi, 2))))
+        self.steps.append(Poly.dot(((theta, 1 / self.data.gamma[len(self.steps)]),)))
 
     def _at(self, store: list[Poly], n: int) -> Poly:
         if n < -1 or n + 1 >= len(store):
@@ -132,20 +142,12 @@ class StructureCoeffs:
 
     def A_at(self, n: int) -> Poly:
         """A + 2 r pi_{n-1}; A_0 = A, since pi_{-1} = 0."""
-        return Poly.dot(((self.ric.A, 1), (self._r2, self.pi_at(n - 1))))
-
-    def linear_at(self, n: int) -> tuple[Poly, Poly]:
-        """M(x - beta_n) = p - beta_n and E1E2(x - beta_n) = (p - beta_n)^2 - r."""
-        out = self._linear.get(n)
-        if out is None:
-            m = _m_of_linear(self.ric.lattice, self.data.beta[n])
-            out = self._linear[n] = m, m * m - self.ric.lattice.r
-        return out
+        return self._at(self.gathered, n - 1)
 
     def degrees(self) -> dict[str, list[int | None]]:
         # deg Theta_hat_n = deg Theta_n: a job's gamma_k are nonzero
         polys = {"l": self.l, "pi": self.pi, "theta": self.theta, "theta_hat": self.theta,
-                 "A_gathered": [self.A_at(n + 1) for n in range(-1, self.max_level + 1)]}
+                 "A_gathered": self.gathered}
         return {name: [p.degree for p in ps] for name, ps in polys.items()}
 
     def same_as(self, other: "StructureCoeffs") -> bool:
@@ -720,16 +722,18 @@ def gathered_relations(ws: Workspace, coeffs: StructureCoeffs, n: int):
 # ---------------------------------------------------------------------------
 
 def corollary_level_zero(coeffs: StructureCoeffs) -> tuple[Poly, Poly, Poly]:
-    """Closed forms of the level-0 coefficients:
+    """Closed forms of the level-0 coefficients, with m_0 = M(x - beta_0):
 
-        l_0 = -M(x - beta_0) D - C/2,  pi_0 = -D/2,
-        Theta_0 = A - (Delta_y^2/4) D - (l_0 - C/2) M(x - beta_0) + B.
+        l_0 = -m_0 D - C/2,  pi_0 = -D/2,
+        Theta_0 = A - (Delta_y^2/4) D - (l_0 - C/2) m_0 + B = A + B + (m_0^2 - r) D + m_0 C,
+
+    each one `Poly.dot`, with m_0 and m_0^2 - r written out in p and p^2 - r.
     """
-    ric, m0 = coeffs.ric, coeffs.linear_at(0)[0]
-    A, B, C, D = ric.polys()
-    l0 = -(m0 * D) - C * HALF
-    theta0 = A - ric.lattice.r * D - (l0 - C * HALF) * m0 + B
-    return l0, D * Fraction(-1, 2), theta0
+    A, B, C, D = coeffs.ric.polys()
+    p, p2_r, b, dot = coeffs.ric.lattice.p, coeffs._p2_r, coeffs.data.beta[0], Poly.dot
+    l0 = dot(((p, D, -1), (D, b), (C, HALF, -1)))
+    theta0 = dot(((A, 1), (B, 1), (p2_r, D), (p, D, -2 * b), (D, b, b), (p, C), (C, b, -1)))
+    return l0, dot(((D, HALF, -1),)), theta0
 
 
 def corollary_recursion(coeffs: StructureCoeffs, n: int) -> tuple[Poly, Poly, Poly]:
@@ -739,8 +743,8 @@ def corollary_recursion(coeffs: StructureCoeffs, n: int) -> tuple[Poly, Poly, Po
 
         l_{n+1} = -l_n - m_{n+1} s_{n+1},
         pi_{n+1} = pi_{n-1} - s_{n+1}/2 - s_n/2,
-        Theta_{n+1} = A + 2 r (pi_n + pi_{n-1}) + (gamma_{n+1} - m_n m_{n+1} - r) s_n
-                      + (m_{n+1}^2 - r) s_{n+1} + m_{n+1} (l_n - l_{n-1}).
+        Theta_{n+1} = A + 2 r (pi_n + pi_{n-1}) + (gamma_{n+1} - r) s_n
+                      + (m_{n+1}^2 - r) s_{n+1} + 2 m_{n+1} l_n.
 
     Levels from `corollary_level_zero` and these steps, with gamma_0 = 1
     (so s_0 = D), meet the identities below for any A, B, C, D and any
@@ -751,20 +755,28 @@ def corollary_recursion(coeffs: StructureCoeffs, n: int) -> tuple[Poly, Poly, Po
       is T_1 = pi_1 + pi_0 + D + s_1/2, as pi_0 = -D/2.
     - `magnus_step` of `magnus_data_from_coeffs(coeffs, n)` against level
       n + 1: B is s_{n+1} on both sides, the two A differ by 2 r (T_{n+1}
-      - T_n) and the two C by -L_n (after the l step at n + 1), and the new
-      D, written out term by term, is the Theta step.
+      - T_n) and the two C by -L_n (after the l step at n + 1).  The new D
+      is a + gamma_{n+1} s_n + m_{n+1} c + (m_{n+1}^2 - r) s_{n+1}, with the
+      Magnus a = A + 2 r (pi_n + pi_{n-1}) - r s_n and c = l_n - l_{n-1} -
+      m_n s_n = 2 l_n - L_n: the Theta step, as L_n = 0.
     - `reconstruct_riccati` reads C = 2 l_{-1}, D = Theta_{-1}, A = A_0 (as
       pi_{-1} = 0) and B from the level-0 closed forms, which it also
-      checks, so it returns (A, B, C, D) itself."""
-    ric, gamma, dot = coeffs.ric, coeffs.data.gamma, Poly.dot
-    step, step_prev = coeffs.theta_at(n) / gamma[n + 1], coeffs.theta_at(n - 1) / gamma[n]
-    pi_n, pi_prev, l_n = coeffs.pi_at(n), coeffs.pi_at(n - 1), coeffs.l_at(n)
-    (m_here, _), (m_next, e_next) = coeffs.linear_at(n), coeffs.linear_at(n + 1)
-    pi_next = dot(((pi_prev, 1), (step, -HALF), (step_prev, -HALF)))
-    theta_next = dot(((ric.A, 1), (ric.lattice.r, (pi_n + pi_prev) * 2),
-                      (step_prev, gamma[n + 1] - m_here * m_next - ric.lattice.r),
-                      (step, e_next), (m_next, l_n - coeffs.l_at(n - 1))))
-    return -dot(((l_n, 1), (m_next, step))), pi_next, theta_next
+      checks, so it returns (A, B, C, D) itself.
+
+    Each of the three is one `Poly.dot` of the stored s_k and A_k (A + 2 r
+    (pi_n + pi_{n-1}) = A_{n+1} + A_n - A), with halves as weights and m_{n+1}
+    = p - b, m_{n+1}^2 - r = (p^2 - r) - 2 b p + b^2 written out, b = beta_{n+1}.
+    They read s, not Theta, as gamma_{n+1} cancels from s_{n+1}: on surd_conic
+    at n = 90, Theta_n has 1010-bit numerators over 760 bits, s_{n+1} 255 over 1."""
+    lattice, b, dot = coeffs.ric.lattice, coeffs.data.beta[n + 1], Poly.dot
+    p, r, l_n = lattice.p, lattice.r, coeffs.l_at(n)
+    step, step_prev = coeffs.steps[n + 1], coeffs.steps[n]
+    return (dot(((l_n, -1), (p, step, -1), (step, b))),
+            dot(((coeffs.pi_at(n - 1), 1), (step, HALF, -1), (step_prev, HALF, -1))),
+            dot(((coeffs.A_at(n + 1), 1), (coeffs.A_at(n), 1), (coeffs.ric.A, -1),
+                 (step_prev, coeffs.data.gamma[n + 1]), (r, step_prev, -1),
+                 (coeffs._p2_r, step), (p, step, -2 * b), (step, b, b),
+                 (p, l_n, 2), (l_n, b, -2))))
 
 
 def corollary_coeffs(ric: RiccatiData, data: SMOPData, n_max: int) -> StructureCoeffs:
@@ -789,7 +801,7 @@ def magnus_data_from_coeffs(coeffs: StructureCoeffs, n: int) -> MagnusRiccatiDat
     b_n = coeffs.theta_at(n - 1) / coeffs.data.gamma[n]
     pi_sum = coeffs.pi_at(n) + coeffs.pi_at(n - 1)
     a_n = coeffs.ric.A + coeffs.ric.lattice.r * (pi_sum * 2 - b_n)
-    m_n = coeffs.linear_at(n)[0]
+    m_n = _m_of_linear(coeffs.ric.lattice, coeffs.data.beta[n])
     c_n = Poly.dot(((coeffs.l_at(n), 1), (coeffs.l_at(n - 1), -1), (m_n, -b_n)))
     return MagnusRiccatiData(n, a_n, b_n, c_n, coeffs.theta_at(n))
 
@@ -825,7 +837,7 @@ def telescope_residuals(coeffs: StructureCoeffs) -> list[tuple[int, Poly, Poly]]
     data, out, tail = coeffs.data, [], Poly.zero()
     for n in range(0, coeffs.max_level + 1):
         step = coeffs.theta_at(n - 1) / data.gamma[n]
-        m_n = coeffs.linear_at(n)[0]
+        m_n = _m_of_linear(coeffs.ric.lattice, coeffs.data.beta[n])
         l_tel = Poly.dot(((coeffs.l_at(n), 1), (coeffs.l_at(n - 1), 1), (m_n, step)))
         tail = tail + step
         t_tel = Poly.zero() if n == coeffs.max_level else Poly.dot((
@@ -853,7 +865,7 @@ def reconstruct_riccati(coeffs: StructureCoeffs) -> RiccatiData:
         l0, theta0, pi0 = coeffs.l_at(0), coeffs.theta_at(0), coeffs.pi_at(0)
     except IndexError as exc:
         raise Underdetermined("level 0 entries unavailable") from exc
-    m0 = coeffs.linear_at(0)[0]
+    m0 = _m_of_linear(lattice, coeffs.data.beta[0])
     if pi0 * 2 != -d:
         raise NotLaguerreHahn(0, "pi_0 != -D/2")
     if l0 != -(m0 * d) - c * HALF:

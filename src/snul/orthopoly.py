@@ -122,8 +122,12 @@ def moments_from_recurrence(beta, gamma, order: int) -> list[Fraction]:
     u_k is the P_0-component of x^k expanded in the monic basis; each step is
     one application of the Jacobi-form operator, O(order^2) exact work in
     total.  With beta and gamma written over one common denominator L, the
-    components of x^k are integer numerators over L^k, and one Fraction is
-    formed per moment.
+    components of x^k are integer numerators over one denominator, which
+    each step multiplies by L and then divides, with the numerators, by their
+    gcd: one gcd per step and one Fraction per moment.  The gcd keeps the
+    numbers at the size of the exact components; L^k would add the size of
+    L at every step, and L, the lcm of every coefficient's denominator, has
+    thousands of bits when the denominators vary.
     """
     if order < 0:
         raise ValueError("moment order must be nonnegative")
@@ -135,19 +139,14 @@ def moments_from_recurrence(beta, gamma, order: int) -> list[Fraction]:
         )
     den = lcm(*(c.denominator for c in beta + gamma))
     b = [c.numerator * (den // c.denominator) for c in beta]
-    g = [c.numerator * (den // c.denominator) for c in gamma]
+    g = [c.numerator * (den // c.denominator) for c in gamma[1:]] + [0]
     v, out, scale = [1], [Fraction(1)], 1
     for k in range(1, order + 1):
-        nxt = [0] * (len(v) + 1)
-        for i, vi in enumerate(v):
-            if vi:
-                nxt[i + 1] += den * vi
-                nxt[i] += b[i] * vi
-                if i > 0:
-                    nxt[i - 1] += g[i] * vi
-        # component i reaches u only after i more steps
-        v = nxt[:order - k + 1]
-        scale *= den
+        # x P_i = P_{i+1} + beta_i P_i + gamma_i P_{i-1}, and component i
+        # reaches u only after i more steps
+        nxt = [den * v_down + b_i * v_i + g_i * v_up for v_down, v_i, v_up, b_i, g_i
+               in zip([0] + v, v + [0], v[1:] + [0, 0], b, g)]
+        v, scale = _reduced(nxt[:order - k + 1], scale * den)
         out.append(Fraction(v[0], scale))
     return out
 

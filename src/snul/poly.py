@@ -9,9 +9,11 @@ degree None, a deliberate sentinel: degree arithmetic on zero must fail
 loudly instead of propagating -1.
 
 Products go through `fieldext._int_dot`, the one exact product kernel:
-`Poly.dot` forms a sum of products, and a product of two polynomials is its
-one-term case.  No job divides by a polynomial (`exact_div` serves
-`surd_exact_div`).
+`Poly.dot` forms a sum of products, each with an optional rational weight,
+so that a result of several products, sums and scalings (one level of the
+structure recursion) takes one lcm, one kernel call and one gcd, and a
+product of two polynomials is its one-term case.  No job divides by a
+polynomial (`exact_div` serves `surd_exact_div`).
 """
 from __future__ import annotations
 
@@ -140,14 +142,25 @@ class Poly:
     __rmul__ = __mul__
 
     @staticmethod
-    def dot(pairs) -> "Poly":
-        """sum a b over the pairs (Poly, Poly or rational): over one
-        denominator, with one gcd."""
-        terms = [(a.nums, a.den, b.nums, b.den) if isinstance(b, Poly)
-                 else (a.nums, a.den, (b.numerator,), b.denominator) for a, b in pairs]
-        den = lcm(*(a_den * b_den for _, a_den, _, b_den in terms))
-        return Poly._from_ints(_int_dot([(den // (a_den * b_den), a, b)
-                                         for a, a_den, b, b_den in terms]), den)
+    def dot(terms) -> "Poly":
+        """sum w a b over the terms (a, b) and (a, b, w), a a Poly, b a Poly
+        or rational and w a rational weight, 1 when left out: over one
+        denominator, with one `_int_dot` call and one gcd.  Terms of weight
+        zero are dropped."""
+        ints, dens = [], []
+        for t in terms:
+            w = t[2] if len(t) > 2 else 1
+            if w:
+                a, b = t[0], t[1]
+                if b.__class__ is Poly:
+                    ints.append((w.numerator, a.nums, b.nums))
+                    dens.append(a.den * b.den * w.denominator)
+                else:
+                    ints.append((w.numerator * b.numerator, a.nums, (1,)))
+                    dens.append(a.den * b.denominator * w.denominator)
+        den = lcm(*dens)
+        return Poly._from_ints(_int_dot([(den // d * w, xs, ys)
+                                         for (w, xs, ys), d in zip(ints, dens)]), den)
 
     def __pow__(self, n: int):
         if n < 0:

@@ -55,6 +55,12 @@ against too, was written by the version that formed the Riccati residual of
 every certify, also on moments it had solved; Riccati data with its
 recurrence supplied is the one certify input whose residual is still formed,
 so this is the case that holds it to its golden output at depth, with B != 0.
+derive_qhermite_wide_n-max_64.json, which CI diffs against as well, was
+written by the version whose level recursion formed each step from separate
+Poly operations (Theta_n/gamma_{n+1}, m_n m_{n+1}, l_n - l_{n-1} and so on,
+each reduced on its own), formed A_n afresh on every read and wrote each
+coefficient through a Fraction, so it is an oracle independent of the
+weighted sums of products, the stored A_n and the numerator formatter.
 To regenerate after an intended change of the output, run
 `snul <command> <problem> <extra arguments>` and, for certify, delete the
 "timings" entry; the file is tests/data/<command>_<name>.json, with <name>

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -17,6 +18,7 @@ from snul import (
     second_kind_series,
     smop_from_recurrence,
 )
+import snul.orthopoly as orthopoly
 
 from conftest import (
     hankel_determinant,
@@ -105,6 +107,39 @@ class TestMoments:
         moments = moments_from_recurrence(beta, gamma, 4)
         assert moments[2] == F(1, 4)
         assert moments[4] == F(1, 8)
+
+    def test_jacobi_operator_oracle_varied_denominators(self, monkeypatch):
+        # beta_k = 1/(k+2) and gamma_k = (k+1)/(2k+3): the lcm of their
+        # denominators has 116 bits.  The oracle applies x P_i = P_{i+1} +
+        # beta_i P_i + gamma_i P_{i-1} to the components of x^k in plain
+        # Fractions; u_k is the P_0-component.  Each step's denominator must
+        # be the lcm of the exact components' denominators, not a power of L
+        order = 40
+        beta = [F(1, k + 2) for k in range(order)]
+        gamma = [F(k + 1, 2 * k + 3) for k in range(order)]
+        components, want = [F(1)], [F(1)]
+        dens_want = []
+        for k in range(1, order + 1):
+            nxt = [F(0)] * (len(components) + 1)
+            for i, c in enumerate(components):
+                nxt[i + 1] += c
+                nxt[i] += beta[i] * c
+                if i:
+                    nxt[i - 1] += gamma[i] * c
+            components = nxt
+            want.append(components[0])
+            # component i reaches u only after i more steps
+            dens_want.append(lcm(*(c.denominator for c in components[:order - k + 1])))
+        dens = []
+        reduced = orthopoly._reduced
+
+        def recording(nums, den):
+            out = reduced(nums, den)
+            dens.append(out[1])
+            return out
+        monkeypatch.setattr(orthopoly, "_reduced", recording)
+        assert moments_from_recurrence(beta, gamma, order) == want
+        assert dens == dens_want
 
     def test_roundtrip_with_recurrence(self):
         # with every gamma_n != 0 the Hankel determinants H_n = prod_k

@@ -156,6 +156,8 @@ def _tampered(ric, coeffs, name=None, level=None, index=None, delta=None):
     if name is not None:
         polys = getattr(out, name)
         polys[level + 1] = _moved(polys[level + 1], index, delta)
+    # A_n = A + 2 r pi_{n-1} from the copied pi, as `append_level` forms it
+    out.gathered = [ric.A + (ric.lattice.r * 2) * pi for pi in out.pi]
     return out
 
 

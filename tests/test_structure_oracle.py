@@ -12,9 +12,12 @@ the degree bound of Theta_hat lifted, they must also agree on random
 Riccati data and random recurrences: the reference's exact division and
 second-equation check then show that the Cramer solution of the structure
 system is always exact.  The gathered polynomial identities are checked
-against their formulas from A_{n+1}, l_n and Theta_n.
+against their formulas from A_{n+1}, l_n and Theta_n, and each step of the
+level recursion, one weighted sum of products per stored polynomial,
+against the same step formed from separate Poly operations.
 """
 import random
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -285,6 +288,105 @@ def test_no_level_falls_back(path, monkeypatch):
     small = max(len(p.nums) for p in [*ric.polys(), ric.lattice.r, *coeffs.l, *coeffs.pi,
                                       *coeffs.theta])
     assert max(shorter) <= small < DEEP_N_MAX // 2, path.stem
+
+
+@pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.stem)
+def test_one_reduction_per_stored_level(path, monkeypatch):
+    # each of l, pi, Theta is one sum of products with one gcd, and A_{n+1}
+    # and s_{n+1} = Theta_n/gamma_{n+1} one more each as the level is
+    # stored: no Poly is formed and dropped, and no product, difference or
+    # division by gamma is a Poly operation
+    ric, _, _ = _instance(path)
+    moments = solve_moments_from_riccati(ric, 2 * DEEP_N_MAX + 2)
+    data = _data(ric, moments, DEEP_N_MAX)
+    counts = Counter()
+
+    def counting(name, method):
+        def wrapped(*args):
+            counts[name] += 1
+            return method(*args)
+        return wrapped
+    for name in ("__mul__", "__sub__", "__truediv__"):
+        monkeypatch.setattr(Poly, name, counting(name, getattr(Poly, name)))
+    from_ints = counting("_from_ints", Poly._from_ints)
+    monkeypatch.setattr(Poly, "_from_ints", classmethod(lambda cls, *args: from_ints(*args)))
+    steps = []
+
+    def per_call(step):
+        def wrapped(*args):
+            before = Counter(counts)
+            out = step(*args)
+            steps.append(dict(counts - before))
+            return out
+        return wrapped
+    for name in ("corollary_level_zero", "corollary_recursion"):
+        monkeypatch.setattr(lh, name, per_call(getattr(lh, name)))
+    counts.clear()
+    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), DEEP_N_MAX)
+    assert coeffs.max_level == DEEP_N_MAX - 1
+    assert steps == [{"_from_ints": 3}] * DEEP_N_MAX, path.stem
+    # plus A_{n+1} and s_{n+1} per level, and C/2 and p^2 - r once
+    assert counts == {"_from_ints": 5 * DEEP_N_MAX + 2, "__mul__": 1}, path.stem
+
+
+def reference_level_zero(coeffs):
+    """The level-0 closed forms as separate Poly operations."""
+    ric, m0 = coeffs.ric, coeffs.ric.lattice.p - coeffs.data.beta[0]
+    A, B, C, D = ric.polys()
+    l0 = -(m0 * D) - C * HALF
+    theta0 = A - ric.lattice.r * D - (l0 - C * HALF) * m0 + B
+    return l0, D * F(-1, 2), theta0
+
+
+def reference_step(coeffs, n):
+    """One step n -> n+1 of the level recursion as the structure stage formed
+    it before each level was one weighted sum of products: s_k = Theta_{k-1}
+    / gamma_k and m_k = M(x - beta_k) as Polys, and Theta_{n+1} with the
+    term (gamma_{n+1} - m_n m_{n+1} - r) s_n + m_{n+1} (l_n - l_{n-1})."""
+    ric, gamma, dot, r = coeffs.ric, coeffs.data.gamma, Poly.dot, coeffs.ric.lattice.r
+    step, step_prev = coeffs.theta_at(n) / gamma[n + 1], coeffs.theta_at(n - 1) / gamma[n]
+    pi_n, pi_prev, l_n = coeffs.pi_at(n), coeffs.pi_at(n - 1), coeffs.l_at(n)
+    m_here, m_next = (ric.lattice.p - coeffs.data.beta[k] for k in (n, n + 1))
+    pi_next = dot(((pi_prev, 1), (step, -HALF), (step_prev, -HALF)))
+    theta_next = dot(((ric.A, 1), (r, (pi_n + pi_prev) * 2),
+                      (step_prev, gamma[n + 1] - m_here * m_next - r),
+                      (step, m_next * m_next - r), (m_next, l_n - coeffs.l_at(n - 1))))
+    return -dot(((l_n, 1), (m_next, step))), pi_next, theta_next
+
+
+STEP_N_MAX = 8
+
+
+@pytest.mark.parametrize("conic", RATIONAL_CONICS + [SURD_CONIC, IMAGINARY_CONIC],
+                         ids=lambda c: ",".join(str(v) for v in c))
+def test_fused_step_matches_reference_step(conic):
+    # random (A, B, C, D), B != 0 in half the cases and not Laguerre-Hahn,
+    # on a random recurrence whose beta_k and gamma_k have unrelated
+    # denominators: every level of the recursion, and A_n, as the separate
+    # Poly operations give them
+    lattice = build_lattice(*conic)
+    rng = random.Random(f"fused step {conic}")
+    for trial in range(4):
+        B = random_poly(rng, 3) if trial % 2 else Poly.zero()
+        ric = RiccatiData(random_poly(rng, 3), B, random_poly(rng, 3), random_poly(rng, 3),
+                          lattice)
+        beta = [F(rng.randint(-97, 97), rng.randint(1, 97)) for _ in range(STEP_N_MAX + 1)]
+        gamma = [F(1)] + [F(rng.choice((-1, 1)) * rng.randint(1, 97), rng.randint(1, 97))
+                          for _ in range(STEP_N_MAX)]
+        data = smop_from_recurrence(beta, gamma, STEP_N_MAX, moments=[F(1)])
+        ref = StructureCoeffs(ric, data)
+        ref.append_level(*reference_level_zero(ref))
+        assert lh.corollary_level_zero(ref) == (ref.l_at(0), ref.pi_at(0), ref.theta_at(0))
+        for n in range(STEP_N_MAX - 1):
+            want = reference_step(ref, n)
+            assert lh.corollary_recursion(ref, n) == want, (trial, n)
+            ref.append_level(*want)
+        got = corollary_coeffs(ric, data, STEP_N_MAX)
+        assert got.same_as(ref) and got.gathered == ref.gathered, trial
+        assert got.gathered == [ric.A + (lattice.r * 2) * pi for pi in got.pi], trial
+        assert got.steps == [theta / g for theta, g in zip(got.theta, gamma)], trial
+        # no Theta_k, k >= 1, is constant, so every product in the step is exercised
+        assert all(theta.degree for theta in got.theta[2:]), trial
 
 
 def _move_theta(monkeypatch, k, delta):
