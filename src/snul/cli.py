@@ -366,14 +366,11 @@ def cmd_derive(args) -> int:
         # each coefficient of the Riccati residual on its window is an
         # equation the solve imposed (`solve_moments_from_riccati`): S is not read
         solved_riccati_window(ric, order)
-        ws = Workspace(lattice)
-        ws.data = data
     else:
-        ws = Workspace(lattice, data=data)
-        res = riccati_residual(ric, ws)
+        res = riccati_residual(ric, Workspace(lattice, data.stieltjes()))
         if not res.is_zero_within_window():
             raise NotLaguerreHahn(0, f"Riccati residual nonzero at x^{res.leading_exponent()}")
-    direct = structure_coeffs_direct(ric, ws, n_max)
+    direct = structure_coeffs_direct(ric, data, n_max)
     # level n is index n + 1 of l, pi and theta, and A_{n+1} index n + 1 of gathered
     levels = [{"n": n, "l": _poly_coeffs(l), "pi": _poly_coeffs(pi),
                "theta": _poly_coeffs(theta), "A_gathered": _poly_coeffs(a)}

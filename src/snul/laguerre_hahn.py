@@ -12,13 +12,14 @@ bound of Theta_hat, and bundles the verdicts into a certificate.  The
 structure-relation, second-kind, gathered, Magnus, telescope and
 reconstruction entries are read off the Riccati check and the proofs in
 `structure_coeffs_direct`, `second_kind_checks` and `corollary_recursion`;
-the functions that form them directly are kept as the tests' reference.
+the functions that form them directly are kept as the tests' reference,
+and take D and M where everything else does: `apply_shift` on
+polynomials, `_operator_series` on series.
 
-One job is one `Workspace`: every stage function reads S, the recurrence
-and the lattice from it, and every relation residual it returns is over Q,
-a rational pair (u, v) of u + sqrt(r) v where sqrt(r) enters.  One level set
-is one `StructureCoeffs`: the functions that read l, pi and Theta take the
-Riccati data and the recurrence from it.
+One job's S and its images are one `Workspace`; every relation residual is
+over Q, a rational pair (u, v) of u + sqrt(r) v where sqrt(r) enters.  One
+level set is one `StructureCoeffs`: the functions that read l, pi and Theta
+take the Riccati data and the recurrence from it.
 """
 from __future__ import annotations
 
@@ -40,13 +41,12 @@ from .errors import (
     Underdetermined,
 )
 from .fieldext import _nullspace
-from .lattice import Lattice, _add_row, _operator_series, e1e2_series
+from .lattice import Lattice, _add_row, _operator_series, apply_shift, e1e2_series
 from .orthopoly import SMOPData, second_kind_series
 from .poly import Poly
 from .series import LaurentSeries
 
 HALF = Fraction(1, 2)
-_ZERO_PAIR, _ONE_PAIR = (Poly.zero(), Poly.zero()), (Poly.zero(), Poly.one())
 
 
 # ---------------------------------------------------------------------------
@@ -220,24 +220,15 @@ class Certificate:
 # ---------------------------------------------------------------------------
 
 class Workspace:
-    """One certify, fit or derive job: its lattice, its Stieltjes series S,
-    its recurrence `data`, and the operator images of S and of the
-    recurrence, each computed on first use.  Every stage function reads S,
-    the recurrence and the lattice from here alone.
+    """One certify, fit or derive job: its lattice, its Stieltjes series S
+    and the images of S that the fit and the Riccati residual share, (D S,
+    M S) and E1S E2S, each formed on first use.  The structure stage takes
+    the recurrence as an argument, and the relation oracles read it from
+    the `StructureCoeffs` they check."""
 
-    A job forms at most the (D, M) images of S and E1S E2S; the tests walk
-    (D f, M f) up the recurrence for f = P_n and P1_n (`structure_pair`) and
-    q_n = P_n S - P1_{n-1} (`second_kind_series`; q_0 is S), with those of
-    E1S E2q_n (`second_kind_pair`).  S defaults to the Stieltjes series of
-    `data`, which may be attached after construction: the Riccati check
-    needs only S, and the recurrence exists only once it has passed.
-    """
-
-    def __init__(self, lattice: Lattice, s: LaurentSeries | None = None,
-                 data: SMOPData | None = None):
+    def __init__(self, lattice: Lattice, s: LaurentSeries | None = None):
         self.lattice = lattice
-        self.s = data.stieltjes() if s is None and data is not None else s
-        self.data = data
+        self.s = s
         self._memo: dict = {}
 
     def _get(self, key, make):
@@ -246,127 +237,13 @@ class Workspace:
             out = self._memo[key] = make()
         return out
 
-    def q(self, n: int) -> LaurentSeries:
-        """q_n; above level 0 one recurrence step from q_{n-2}, q_{n-1}."""
-        return self._get(("q", n), lambda: second_kind_series(
-            self.data, self.s, n, (self.q(n - 2), self.q(n - 1)) if n > 0 else None))
-
-    def dm(self, n: int | None = None):
-        """(D f, M f) for f = S (n None) or q_n, n >= -1, on the windows of
-        `_operator_series`: q_0 = S shares the images of S, q_{-1} = 1 has
-        (0, 1), and above they are walked like those of P_n, once q_0..q_n
-        have passed their Pade decay checks."""
-        if n is None:
-            return self._get(("dm", None), lambda: _operator_series(self.lattice, self.s))
-        self.q(n)
-        if ("dm", 0) not in self._memo:
-            self._memo[("dm", -1)] = LaurentSeries.zero(self.s.truncation_order + 1), self.q(-1)
-            self._memo[("dm", 0)] = self.dm()
-        return self._climb("dm", n, 0)
+    def dm(self) -> tuple[LaurentSeries, LaurentSeries]:
+        """(D S, M S), on the windows of `_operator_series`."""
+        return self._get("dm", lambda: _operator_series(self.lattice, self.s))
 
     def e1e2(self) -> LaurentSeries:
         """E1S E2S = (MS)^2 - r (DS)^2."""
         return self._get("e1e2", lambda: e1e2_series(self.lattice, self.s, *self.dm()))
-
-    def e1s_e2q(self, n: int):
-        """(V_n, U_n) of E1S E2q_n = U_n + sqrt(r) V_n, n >= -1, so U_n = MS
-        Mq_n - r DS Dq_n and V_n = MS Dq_n - DS Mq_n, walked like (Dq_n, Mq_n)
-        from (-DS, MS) at q_{-1} = 1 and (0, E1S E2S) at q_0 = S: no series
-        product per level, and nothing read but S and the recurrence."""
-        if ("VU", 0) not in self._memo:
-            (d_s, m_s), e1e2 = self.dm(), self.e1e2()
-            self._memo[("VU", -1)] = -d_s, m_s
-            self._memo[("VU", 0)] = LaurentSeries.zero(e1e2.truncation_order + 1), e1e2
-        return self._climb("VU", n, 0)
-
-    def second_kind_pair(self, coeffs: StructureCoeffs,
-                         n: int) -> tuple[LaurentSeries, LaurentSeries]:
-        """(R, I) at level n >= 0, the one place where the second-kind
-        relations are formed.  With E_j f = M f -/+ sqrt(r) D f and
-        (l, pi, Theta) at level n - 1, the residuals of the two relations are
-        res1 = R + sqrt(r) I and res2 = R - sqrt(r) I, where
-
-            R = A_n Dq_n - (l + C/2) Mq_n - Theta Mq_{n-1} - B U_n,
-            I = (l - C/2) Dq_n - 2 pi Mq_n + Theta Dq_{n-1} - B V_n,
-
-        A_n = A + 2 r pi and E1S E2q_n = U_n + sqrt(r) V_n (`e1s_e2q`), both
-        over Q when S is, each one `LaurentSeries.dot` of series by
-        polynomials, O(window) work per level.
-        """
-        B, half_C = coeffs.ric.B, coeffs.ric.C * HALF
-        l, pi, theta = coeffs.l_at(n - 1), coeffs.pi_at(n - 1), coeffs.theta_at(n - 1)
-        (d_q, m_q), (d_prev, m_prev) = self.dm(n), self.dm(n - 1)
-        re = [(d_q, coeffs.A_at(n)), (m_q, -(l + half_C)), (m_prev, -theta)]
-        im = [(d_q, l - half_C), (m_q, pi * -2), (d_prev, theta)]
-        if not B.is_zero:
-            v_q, u_q = self.e1s_e2q(n)
-            re.append((u_q, -B))
-            im.append((v_q, -B))
-        return LaurentSeries.dot(re), LaurentSeries.dot(im)
-
-    def structure_pair(self, coeffs: StructureCoeffs, n: int):
-        """((Ra, Ia), (Rb, Ib)) at level n >= 1, the tests' one form of the
-        structure relations: Ra + sqrt(r) Ia and Rb + sqrt(r) Ib are the rows
-        of R_n (`structure_coeffs_direct`), each one `Poly.dot`, with A_n =
-        A + 2 r pi and (l, pi, Theta) at level n - 1:
-
-            Ra = A_n DP_n - (l - C/2) MP_n + B MP1_{n-1} - Theta MP_{n-1},
-            Ia = (l + C/2) DP_n - 2 pi MP_n + B DP1_{n-1} + Theta DP_{n-1},
-            Rb = A_n DP1_{n-1} - (l + C/2) MP1_{n-1} - D MP_n - Theta MP1_{n-2},
-            Ib = (l - C/2) DP1_{n-1} - 2 pi MP1_{n-1} - D DP_n + Theta DP1_{n-2}.
-        """
-        _, B, C, D = coeffs.ric.polys()
-        l, pi, theta = coeffs.l_at(n - 1), coeffs.pi_at(n - 1), coeffs.theta_at(n - 1)
-        a_n, dot, half_C = coeffs.A_at(n), Poly.dot, C * HALF
-        l_minus, l_plus, pi2 = l - half_C, l + half_C, pi * -2
-        (d_pn, m_pn), (d_pp, m_pp) = self.poly_shifts(n), self.poly_shifts(n - 1)
-        (d_p1, m_p1), (d_pq, m_pq) = self.assoc_shifts(n - 1), self.assoc_shifts(n - 2)
-        return ((dot(((a_n, d_pn), (-l_minus, m_pn), (B, m_p1), (-theta, m_pp))),
-                 dot(((l_plus, d_pn), (pi2, m_pn), (B, d_p1), (theta, d_pp)))),
-                (dot(((a_n, d_p1), (-l_plus, m_p1), (-D, m_pn), (-theta, m_pq))),
-                 dot(((l_minus, d_p1), (pi2, m_p1), (-D, d_pn), (theta, d_pq)))))
-
-    def poly_shifts(self, n: int) -> tuple[Poly, Poly]:
-        """(D P_n, M P_n), with P_{-1} = 0."""
-        return self._walk("P", n, 0)
-
-    def assoc_shifts(self, n: int) -> tuple[Poly, Poly]:
-        """(D P1_n, M P1_n), with P1_{-1} = 0."""
-        return self._walk("P1", n, 1)
-
-    def _walk(self, tag: str, n: int, offset: int) -> tuple[Poly, Poly]:
-        """(D f_n, M f_n) for f_{-1} = 0, f_0 = 1 and f_{k+1} = (x - b) f_k
-        - g f_{k-1}, (b, g) = (beta, gamma)_{k+offset} (`_climb`)."""
-        if not -1 <= n <= self.data.n_max:
-            raise IndexError(f"level {n} outside -1..{self.data.n_max}")
-        self._memo.setdefault((tag, -1), _ZERO_PAIR)       # f_{-1} = 0
-        self._memo.setdefault((tag, 0), _ONE_PAIR)         # f_0 = 1
-        return self._climb(tag, n, offset)
-
-    def _climb(self, tag: str, n: int, offset: int):
-        """(D f_n, M f_n), polynomials or series, for f_{k+1} = (x - b) f_k
-        - g f_{k-1}, (b, g) = (beta, gamma)_{k+offset}, from the images at
-        levels -1 and 0.  Through E2 f_{k+1} = (y2 - b) E2 f_k - g E2 f_{k-1},
-        y2 - b = (p - b) + sqrt(r):
-
-            M f_{k+1} = (p - b) M f_k + r D f_k - g M f_{k-1},
-            D f_{k+1} = (p - b) D f_k + M f_k - g D f_{k-1},
-
-        one `dot` each, O(deg) or O(window) work per step; a pair (V, U) of
-        E1S E2 f = U + sqrt(r) V steps the same way, from the highest level held.
-        """
-        memo = self._memo
-        k = n
-        while (tag, k) not in memo:
-            k -= 1
-        p, r = self.lattice.p, self.lattice.r
-        for j in range(k, n):
-            b, g = self.data.beta[j + offset], -self.data.gamma[j + offset]
-            (d_prev, m_prev), (d, m) = memo[(tag, j - 1)], memo[(tag, j)]
-            dot, p_b = type(d).dot, p - b
-            memo[(tag, j + 1)] = (dot(((d, p_b), (m, 1), (d_prev, g))),
-                                  dot(((m, p_b), (d, r), (m_prev, g))))
-        return memo[(tag, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +468,8 @@ def _theta_degree_bound(ric: RiccatiData) -> int:
     return max(len(ric.A.nums) - 3, len(ric.B.nums) - 3, len(ric.C.nums) - 2)
 
 
-def structure_coeffs_direct(ric: RiccatiData, ws: Workspace, n_max: int) -> StructureCoeffs:
-    """l_n, pi_n, Theta_n for n = -1..n_max-1 on the recurrence of `ws` from
+def structure_coeffs_direct(ric: RiccatiData, data: SMOPData, n_max: int) -> StructureCoeffs:
+    """l_n, pi_n, Theta_n for n = -1..n_max-1 on the recurrence `data` from
     the level recursion (`corollary_level_zero`, `corollary_recursion`); the
     one failure is DegreeBoundExceeded, a Theta_hat_{n-1} over its bound.  S
     is not read (the Riccati residual is the caller's).  The levels are the
@@ -633,7 +510,7 @@ def structure_coeffs_direct(ric: RiccatiData, ws: Workspace, n_max: int) -> Stru
     is the Theta step.  (iv) By induction the recursion's levels solve R_1..
     R_{n_max} for any (A, B, C, D) and any recurrence with gamma_0 = 1 and
     gamma_k != 0, and by (i) nothing else does."""
-    bound, coeffs = _theta_degree_bound(ric), StructureCoeffs(ric, ws.data)
+    bound, coeffs = _theta_degree_bound(ric), StructureCoeffs(ric, data)
     for n in range(1, n_max + 1):
         coeffs.append_level(*(corollary_level_zero(coeffs) if n == 1
                               else corollary_recursion(coeffs, n - 2)))
@@ -645,21 +522,65 @@ def structure_coeffs_direct(ric: RiccatiData, ws: Workspace, n_max: int) -> Stru
 
 def verify_structure_relations(ws: Workspace, coeffs: StructureCoeffs, n: int):
     """The residuals ((Ra, Ia), (Rb, Ib)) of the two structure relations at
-    level n >= 1 (`Workspace.structure_pair`), the tests' oracle for the
-    proof in `structure_coeffs_direct`: both variants hold iff all four vanish."""
+    level n >= 1 on the lattice of `ws`, the tests' oracle for the proof in
+    `structure_coeffs_direct`: both variants hold iff all four vanish.
+    Ra + sqrt(r) Ia and Rb + sqrt(r) Ib are the rows of R_n there, each one
+    `Poly.dot`, with (D f, M f) the sqrt(r) and rational parts of E2 f
+    (`apply_shift`), A_n = A + 2 r pi and (l, pi, Theta) at level n - 1:
+
+        Ra = A_n DP_n - (l - C/2) MP_n + B MP1_{n-1} - Theta MP_{n-1},
+        Ia = (l + C/2) DP_n - 2 pi MP_n + B DP1_{n-1} + Theta DP_{n-1},
+        Rb = A_n DP1_{n-1} - (l + C/2) MP1_{n-1} - D MP_n - Theta MP1_{n-2},
+        Ib = (l - C/2) DP1_{n-1} - 2 pi MP1_{n-1} - D DP_n + Theta DP1_{n-2}.
+
+    Raises IndexError above the n_max of the recurrence."""
     if n < 1:
         raise ValueError("structure relations are stated for n >= 1")
-    return ws.structure_pair(coeffs, n)
+    _, B, C, D = coeffs.ric.polys()
+    l, pi, theta = coeffs.l_at(n - 1), coeffs.pi_at(n - 1), coeffs.theta_at(n - 1)
+    a_n, dot, half_C, data = coeffs.A_at(n), Poly.dot, C * HALF, coeffs.data
+    l_minus, l_plus, pi2 = l - half_C, l + half_C, pi * -2
+
+    def shifts(f: Poly) -> tuple[Poly, Poly]:
+        e2 = apply_shift(ws.lattice, f, 2)
+        return e2.v, e2.u
+    (d_pn, m_pn), (d_pp, m_pp) = shifts(data.poly(n)), shifts(data.poly(n - 1))
+    (d_p1, m_p1), (d_pq, m_pq) = shifts(data.assoc(n - 1)), shifts(data.assoc(n - 2))
+    return ((dot(((a_n, d_pn), (-l_minus, m_pn), (B, m_p1), (-theta, m_pp))),
+             dot(((l_plus, d_pn), (pi2, m_pn), (B, d_p1), (theta, d_pp)))),
+            (dot(((a_n, d_p1), (-l_plus, m_p1), (-D, m_pn), (-theta, m_pq))),
+             dot(((l_minus, d_p1), (pi2, m_p1), (-D, d_pn), (theta, d_pq)))))
 
 
 def verify_second_kind_relations(ws: Workspace, coeffs: StructureCoeffs, n: int):
-    """The pair (R, I) of `Workspace.second_kind_pair` at level n >= 0: both
-    second-kind relations hold iff R and I vanish, on min(window of R,
-    window of I - 1), as sqrt(r) leads with x^1.  `certify` reads them off
-    the Riccati residual (`second_kind_checks`); this is the tests' oracle."""
+    """The pair (R, I) at level n >= 0 for the S of `ws`: both second-kind
+    relations hold iff R and I vanish, on min(window of R, window of I - 1),
+    as sqrt(r) leads with x^1.  `certify` reads them off the Riccati residual
+    (`second_kind_checks`); this is the tests' oracle.  With E_j f = M f -/+
+    sqrt(r) D f and (l, pi, Theta) at level n - 1, the residuals of the two
+    relations are res1 = R + sqrt(r) I and res2 = R - sqrt(r) I, where
+
+        R = A_n Dq_n - (l + C/2) Mq_n - Theta Mq_{n-1} - B U_n,
+        I = (l - C/2) Dq_n - 2 pi Mq_n + Theta Dq_{n-1} - B V_n,
+
+    A_n = A + 2 r pi, (Dq_k, Mq_k) is `_operator_series` of q_k
+    (`second_kind_series`; q_{-1} = 1 has (0, 1)) and E1S E2q_n = U_n +
+    sqrt(r) V_n, U_n = MS Mq_n - r DS Dq_n and V_n = MS Dq_n - DS Mq_n, all
+    over Q when S is; each of R and I is one `LaurentSeries.dot`."""
     if n < 0:
         raise ValueError("second-kind relations are stated for n >= 0")
-    return ws.second_kind_pair(coeffs, n)
+    B, half_C = coeffs.ric.B, coeffs.ric.C * HALF
+    l, pi, theta = coeffs.l_at(n - 1), coeffs.pi_at(n - 1), coeffs.theta_at(n - 1)
+    (d_q, m_q), (d_prev, m_prev) = (
+        _operator_series(ws.lattice, second_kind_series(coeffs.data, ws.s, k))
+        for k in (n, n - 1))
+    re = [(d_q, coeffs.A_at(n)), (m_q, -(l + half_C)), (m_prev, -theta)]
+    im = [(d_q, l - half_C), (m_q, pi * -2), (d_prev, theta)]
+    if not B.is_zero:
+        d_s, m_s = ws.dm()
+        re.append((m_s * m_q - (d_s * d_q).mul_poly(ws.lattice.r), -B))
+        im.append((m_s * d_q - d_s * m_q, -B))
+    return LaurentSeries.dot(re), LaurentSeries.dot(im)
 
 
 def second_kind_checks(riccati_window: int, n_max: int) -> list[CheckResult]:
@@ -672,7 +593,7 @@ def second_kind_checks(riccati_window: int, n_max: int) -> list[CheckResult]:
 
     Proof.  With sqrt(r), E1 and E2 as in `structure_coeffs_direct`, Lam =
     Lam_{n-1} and Theta = Theta_{n-1}, the residual of
-    `Workspace.second_kind_pair` is
+    `verify_second_kind_relations` is
 
         R_n + sqrt(r) I_n = A Dq_n - Lam E1q_n - (C/2) E2q_n - Theta E1q_{n-1} - B E1S E2q_n.
 
@@ -706,15 +627,15 @@ def second_kind_checks(riccati_window: int, n_max: int) -> list[CheckResult]:
 
 def gathered_relations(ws: Workspace, coeffs: StructureCoeffs, n: int):
     """Residuals of the gathered (M-form) relations at level n >= 0: the
-    parts Ra and Rb of `Workspace.structure_pair` at level n + 1, exact
+    parts Ra and Rb of `verify_structure_relations` at level n + 1, exact
     identities for P_{n+1} and P1_n, and the series A_n Dq_n - (l_{n-1} +
     C/2) Mq_n - Theta_{n-1} Mq_{n-1} - B (2 MS Mq_n - M(S q_n)), the R of
     `verify_second_kind_relations` at level n, as M(S q_n) = MS Mq_n + r DS
     Dq_n.  `certify` records them from `second_kind_checks`."""
     if n < 0:
         raise ValueError("gathered relations are stated for n >= 0")
-    (res_p, _), (res_p1, _) = ws.structure_pair(coeffs, n + 1)
-    return res_p, res_p1, ws.second_kind_pair(coeffs, n)[0]
+    (res_p, _), (res_p1, _) = verify_structure_relations(ws, coeffs, n + 1)
+    return res_p, res_p1, verify_second_kind_relations(ws, coeffs, n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -966,25 +887,28 @@ def certify(ric: RiccatiData, n_max: int, order: int,
         return abort()
 
     # quasi-definiteness and the recurrence data
+    data = None
+
     def quasi_definite():
+        nonlocal data
         try:
             beta, gamma = recurrence_from_moments(moments, n_max)
         except NotQuasiDefinite as exc:
             return CheckResult("quasi-definite", "fail",
                                detail=f"failing n = {exc.n}: {exc}")
-        ws.data = smop_from_recurrence(beta, gamma, n_max, moments=list(moments))
+        data = smop_from_recurrence(beta, gamma, n_max, moments=list(moments))
         return CheckResult("quasi-definite", "pass")
     if not guarded(quasi_definite, "quasi-definite"):
         return abort()
 
     def liouville():
-        check_liouville(ws.data)
+        check_liouville(data)
         return CheckResult("liouville", "pass")
     guarded(liouville, "liouville")
 
     # constructive (a) => (b)
     def structure_direct():
-        coeffs = structure_coeffs_direct(ric, ws, n_max)
+        coeffs = structure_coeffs_direct(ric, data, n_max)
         cert.degrees = coeffs.degrees()
         return CheckResult("structure-direct", "pass",
                            detail=f"levels -1..{coeffs.max_level}")

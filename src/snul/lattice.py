@@ -12,9 +12,9 @@ Coefficients are rational (K = Q), and sqrt(r) is never a number.  On
 polynomials the images of E_j live in K[x][sqrt(r)]; `apply_shift`, `apply_D`
 and `apply_M` read D and M off the two components of a single E2 expansion,
 which makes the cancellation of Delta_y = 2 sqrt(r) exact by construction.
-No job calls them: a job's `laguerre_hahn.Workspace` walks the pairs
-(D f, M f) of P_n, P1_n and q_n up the three-term recurrence, and its S has
-no nonnegative powers, so they serve tests and tracing as oracles.  On
+No job calls them: a job forms images of its S alone, which has no
+nonnegative powers, so they serve the structure-relation oracle of
+`laguerre_hahn`, the tests and tracing.  On
 Laurent series D and M act through one table: with N = y1 y2 = p^2 - r,
 both take x^(-k) to rational functions over Q, whose expansions the lattice
 keeps row by row (`Lattice.dm_table`) as integer numerators over powers of

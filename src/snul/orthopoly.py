@@ -42,10 +42,9 @@ class SMOPData:
 
     P_0..P_{n_max} and P1_0..P1_{n_max} are formed from beta and gamma on
     first read of `P` and `P1` (P_{n+1} = (x - beta_n) P_n - gamma_n P_{n-1},
-    P1_{n+1} = (x - beta_{n+1}) P1_n - gamma_{n+1} P1_{n-1}); the
-    `laguerre_hahn` workspace walks the shifts of both up these recurrences
-    and no certify, fit or derive stage reads them, so only the tests form
-    them, as the reference the recurrence walks are checked against.
+    P1_{n+1} = (x - beta_{n+1}) P1_n - gamma_{n+1} P1_{n-1}).  No certify,
+    fit or derive stage reads them: only the relation oracles of
+    `laguerre_hahn` and the tests form them.
     """
 
     beta: list[Fraction]
@@ -193,22 +192,19 @@ def recurrence_from_moments(moments, n_max: int) -> tuple[list[Fraction], list[F
     return beta, gamma
 
 
-def second_kind_series(data: SMOPData, s: LaurentSeries, n: int,
-                       lower: tuple[LaurentSeries, LaurentSeries] | None = None,
-                       ) -> LaurentSeries:
+def second_kind_series(data: SMOPData, s: LaurentSeries, n: int) -> LaurentSeries:
     """q_n = P_n S - P1_{n-1} by the three-term recurrence
     q_n = (x - beta_{n-1}) q_{n-1} - gamma_{n-1} q_{n-2}, from q_{-1} = 1 and
     q_0 = S, on the window of S less n; O(window) work per step.
 
-    `lower` holds (q_{n-2}, q_{n-1}), as returned here, for one step; without
-    it the recurrence is walked up from q_{-1} and q_0.  The walked q_n equals
-    P_n S - P1_{n-1} by induction: both sides satisfy the same linear
-    recurrence from the same start, q_{-1} = P_{-1} S - P1_{-2} = 1 and
-    q_0 = P_0 S - P1_{-1} = S (P1_{-2} = -1 extends the associated recurrence
-    one level down, as gamma_0 = 1).  The Pade decay q_n = O(x^(-n-1)) is
-    checked: InvalidRecurrence when it fails, InsufficientTruncation when S
-    is too short for level n.  No job calls this; it is the tests' oracle
-    (`laguerre_hahn.second_kind_checks` says why certify needs no walk).
+    The recurrence's q_n equals P_n S - P1_{n-1} by induction: both sides
+    satisfy the same linear recurrence from the same start, q_{-1} = P_{-1} S
+    - P1_{-2} = 1 and q_0 = P_0 S - P1_{-1} = S (P1_{-2} = -1 extends the
+    associated recurrence one level down, as gamma_0 = 1).  The Pade decay
+    q_n = O(x^(-n-1)) is checked: InvalidRecurrence when it fails,
+    InsufficientTruncation when S is too short for level n.  No job calls
+    this; `laguerre_hahn.verify_second_kind_relations`, the tests' oracle,
+    does (`laguerre_hahn.second_kind_checks` says why certify needs no q_n).
     """
     if n == -1:
         return LaurentSeries.constant(1, s.truncation_order)
@@ -218,9 +214,9 @@ def second_kind_series(data: SMOPData, s: LaurentSeries, n: int,
     if s.truncation_order < required:
         raise InsufficientTruncation(required=required, available=s.truncation_order)
     # q_0 is S itself; returning S lets callers share its images
-    q_prev, q = lower or (LaurentSeries.constant(1, s.truncation_order), s)
+    q_prev, q = LaurentSeries.constant(1, s.truncation_order), s
     x = Poly.x()
-    for k in range(n - 1 if lower else 0, n):
+    for k in range(n):
         q_prev, q = q, LaurentSeries.dot(((q, x - data.beta[k]), (q_prev, -data.gamma[k])))
     if not q.is_zero and q.lowest_power >= -n:
         raise InvalidRecurrence(

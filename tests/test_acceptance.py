@@ -171,7 +171,7 @@ def test_criterion_6_initial_conditions(reference_lattice):
         moments = solve_moments_from_riccati(ric, 18)
         beta, gamma = recurrence_from_moments(moments, 4)
         data = smop_from_recurrence(beta, gamma, 4, moments=moments)
-        coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), 4)
+        coeffs = structure_coeffs_direct(ric, data, 4)
         half_C = ric.C * F(1, 2)
         m0 = reference_lattice.p - data.beta[0]
         assert coeffs.l_at(-1) == half_C
@@ -196,10 +196,10 @@ def test_criterion_7_reconstruction_and_fit(reference_lattice):
         moments = solve_moments_from_riccati(ric, 24)
         beta, gamma = recurrence_from_moments(moments, 5)
         data = smop_from_recurrence(beta, gamma, 5, moments=moments)
-        coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), 5)
+        coeffs = structure_coeffs_direct(ric, data, 5)
         assert reconstruct_riccati(coeffs).proportional_to(ric)
         bounds = (2, 1, 1, 0)
-        basis = riccati_nullspace(Workspace(reference_lattice, data=data), bounds)
+        basis = riccati_nullspace(Workspace(reference_lattice, data.stieltjes()), bounds)
         assert basis
         assert _in_span(basis, _vector_of(ric, bounds))
     _report(7, "reconstruction and fit", time.monotonic() - start,

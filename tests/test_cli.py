@@ -427,38 +427,36 @@ class TestCertifyCommand:
 
     def test_second_kind_walk_off_the_certify_path(self, capsys, monkeypatch):
         # second-kind-1/-2 and gathered are read off the Riccati residual:
-        # with the walk of q_n, of its images and of E1S E2q_n refused,
+        # with q_n and the oracles that form the relations from it refused,
         # every golden certify input gives its golden output
         import snul.laguerre_hahn as lh
         import snul.orthopoly as orthopoly
 
         def refused(*args, **kwargs):
-            raise AssertionError("certify walked the second-kind functions")
-        original_dm = lh.Workspace.dm
-
-        def dm_of_s_only(ws, n=None):
-            if n is not None:
-                refused()
-            return original_dm(ws)
+            raise AssertionError("certify formed the second-kind functions")
         for module in (lh, orthopoly):
             monkeypatch.setattr(module, "second_kind_series", refused)
-        for name in ("q", "e1s_e2q", "second_kind_pair"):
-            monkeypatch.setattr(lh.Workspace, name, refused)
-        monkeypatch.setattr(lh.Workspace, "dm", dm_of_s_only)
-        monkeypatch.setattr(lh, "verify_second_kind_relations", refused)
+        for name in ("verify_second_kind_relations", "gathered_relations"):
+            monkeypatch.setattr(lh, name, refused)
         assert golden_outputs_match(capsys, "certify") >= 13
 
     def test_structure_walk_off_the_job_path(self, capsys, monkeypatch):
         # both structure relations hold by the proof in structure_coeffs_direct:
-        # with the walk of (DP_n, MP_n) and (DP1_n, MP1_n) and the residuals
-        # formed from it refused, every golden certify and derive input gives
-        # its golden output
+        # with P_n, P1_n, their shifts and the oracles that form the relations
+        # from them refused, every golden certify and derive input gives its
+        # golden output
         import snul.laguerre_hahn as lh
+        import snul.lattice as lattice
+        from snul.orthopoly import SMOPData
 
         def refused(*args, **kwargs):
-            raise AssertionError("a job walked the images of P_n or P1_n")
-        for name in ("structure_pair", "poly_shifts", "assoc_shifts"):
-            monkeypatch.setattr(lh.Workspace, name, refused)
+            raise AssertionError("a job formed P_n, P1_n or their shifts")
+        for module in (lattice, lh):
+            monkeypatch.setattr(module, "apply_shift", refused)
+        for name in ("P", "P1"):
+            monkeypatch.setattr(SMOPData, name, property(refused))
+        for name in ("verify_structure_relations", "gathered_relations"):
+            monkeypatch.setattr(lh, name, refused)
         assert golden_outputs_match(capsys, "certify") >= 13
         assert golden_outputs_match(capsys, "derive") >= 12
 
@@ -519,9 +517,8 @@ class TestFitCommand:
             assert json.loads(capsys.readouterr().out)["count"] == 0
 
     def test_no_job_forms_the_polynomials(self, capsys, monkeypatch):
-        # certify and derive walk P_n, P1_n and q_n up the recurrence from
-        # beta, gamma and S: with P_n and P1_n unformable, every output but
-        # its timings is unchanged
+        # certify and derive read beta and gamma, not P_n or P1_n: with
+        # P_n and P1_n unformable, every output but its timings is unchanged
         from snul.orthopoly import SMOPData
         surd = Path(__file__).resolve().parent / "data" / "surd_conic.json"
         jobs = [(command, path) for path in (PROBLEMS / "qhermite.json",
@@ -576,8 +573,8 @@ class TestDeriveCommand:
         assert "Riccati residual nonzero" in capsys.readouterr().err
 
     def test_supplied_recurrence_not_recomputed(self, capsys, monkeypatch):
-        # derive takes beta and gamma from the file, and walks the shifts of
-        # P_n and P1_n without forming either polynomial
+        # derive takes beta and gamma from the file, and forms neither P_n
+        # nor P1_n
         import snul.cli as cli
         made = []
 

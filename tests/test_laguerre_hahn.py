@@ -63,7 +63,7 @@ def semiclassical(reference_lattice):
     from snul import recurrence_from_moments
     beta, gamma = recurrence_from_moments(moments, N_MAX)
     data = smop_from_recurrence(beta, gamma, N_MAX, moments=moments)
-    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), N_MAX)
+    coeffs = structure_coeffs_direct(ric, data, N_MAX)
     return ric, data, coeffs
 
 
@@ -74,7 +74,7 @@ def corecursive(reference_lattice):
     from snul import recurrence_from_moments
     beta, gamma = recurrence_from_moments(moments, N_MAX)
     data = smop_from_recurrence(beta, gamma, N_MAX, moments=moments)
-    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), N_MAX)
+    coeffs = structure_coeffs_direct(ric, data, N_MAX)
     return ric, data, coeffs
 
 
@@ -90,7 +90,7 @@ class TestRiccatiResidual:
 
     def test_fixture_residual_zero(self, semiclassical):
         ric, data, _ = semiclassical
-        res = riccati_residual(ric, Workspace(ric.lattice, data=data))
+        res = riccati_residual(ric, Workspace(ric.lattice, data.stieltjes()))
         assert res.is_zero_within_window()
         assert res.truncation_order >= ORDER - 2
 
@@ -288,7 +288,7 @@ class TestStructureCoeffs:
             degrees = [levels.theta_hat_at(n).degree for n in range(RANDOM_N_MAX)]
             over = [(n, d) for n, d in enumerate(degrees) if d is not None and d > bound]
             with pytest.raises(DegreeBoundExceeded) as info:
-                structure_coeffs_direct(ric, Workspace(lattice, data=data), RANDOM_N_MAX)
+                structure_coeffs_direct(ric, data, RANDOM_N_MAX)
             assert (info.value.level, info.value.degree, info.value.bound) == (*over[0], bound)
 
     def test_gathered_A_definition(self, semiclassical):
@@ -312,7 +312,7 @@ class TestStructureCoeffs:
         from snul import recurrence_from_moments
         beta, gamma = recurrence_from_moments(bad, N_MAX)
         data = smop_from_recurrence(beta, gamma, N_MAX, moments=bad)
-        res = riccati_residual(ric, Workspace(lat, data=data))
+        res = riccati_residual(ric, Workspace(lat, data.stieltjes()))
         assert not res.is_zero_within_window()
         doc = json.loads((DATA.parent.parent / "problems" / "qhermite.json").read_text())
         doc["moments"] = [format_rational(m) for m in bad]
@@ -327,7 +327,7 @@ class TestStructureCoeffs:
 class TestRelations:
     def test_structure_relations_zero(self, semiclassical, corecursive):
         for ric, data, coeffs in (semiclassical, corecursive):
-            ws = Workspace(ric.lattice, data=data)
+            ws = Workspace(ric.lattice, data.stieltjes())
             for n in range(1, N_MAX + 1):
                 (r1a, r1b), (r2a, r2b) = verify_structure_relations(ws, coeffs, n)
                 assert r1a.is_zero and r1b.is_zero
@@ -337,12 +337,12 @@ class TestRelations:
         ric, data, coeffs = semiclassical
         tampered = StructureCoeffs(ric, data)
         tampered.append_level(coeffs.l_at(0), coeffs.pi_at(0), coeffs.theta_at(0) + 1)
-        (r1a, _), _ = verify_structure_relations(Workspace(ric.lattice, data=data), tampered, 1)
+        (r1a, _), _ = verify_structure_relations(Workspace(ric.lattice, data.stieltjes()), tampered, 1)
         assert not r1a.is_zero
 
     def test_second_kind_zero(self, semiclassical, corecursive):
         for ric, data, coeffs in (semiclassical, corecursive):
-            ws = Workspace(ric.lattice, data=data)
+            ws = Workspace(ric.lattice, data.stieltjes())
             for n in range(0, 4):
                 R, I = verify_second_kind_relations(ws, coeffs, n)
                 assert R.is_zero_within_window()
@@ -352,10 +352,10 @@ class TestRelations:
         # l_-1 = C/2, pi_-1 = 0, Theta_-1 = D and q_-1 = 1: I vanishes
         # identically and R is A DS - C MS - D - B E1S E2S
         for ric, data, coeffs in (semiclassical, corecursive):
-            ws = Workspace(ric.lattice, data=data)
+            ws = Workspace(ric.lattice, data.stieltjes())
             R, I = verify_second_kind_relations(ws, coeffs, 0)
             assert I.is_zero
-            res = riccati_residual(ric, Workspace(ric.lattice, data=data))
+            res = riccati_residual(ric, Workspace(ric.lattice, data.stieltjes()))
             assert R.truncation_order == res.truncation_order
             assert R.agrees_with(res)
 
@@ -364,7 +364,7 @@ class TestRelations:
         # and move I by 2 Dq_n: R vanishes and I does not, so both relations,
         # whose residuals are R +/- sqrt(r) I, fail on I alone
         ric, data, coeffs = corecursive
-        ws = Workspace(ric.lattice, data=data)
+        ws = Workspace(ric.lattice, data.stieltjes())
         for n in range(1, 4):
             moved = StructureCoeffs(replace(ric, C=ric.C - 2), data)
             for k in range(0, n):
@@ -378,12 +378,12 @@ class TestRelations:
         ric, data, coeffs = semiclassical
         short = LaurentSeries.from_moments(data.moments[:7])
         with pytest.raises(InsufficientTruncation):
-            verify_second_kind_relations(Workspace(ric.lattice, short, data), coeffs, 3)
+            verify_second_kind_relations(Workspace(ric.lattice, short), coeffs, 3)
 
     def test_gathered_zero(self, semiclassical, corecursive):
         from snul import gathered_relations
         for ric, data, coeffs in (semiclassical, corecursive):
-            ws = Workspace(ric.lattice, data=data)
+            ws = Workspace(ric.lattice, data.stieltjes())
             for n in range(0, 4):
                 rp, rp1, rq = gathered_relations(ws, coeffs, n)
                 assert rp.is_zero and rp1.is_zero
@@ -464,7 +464,7 @@ class TestRecursions:
                 direct = magnus_data_from_coeffs(coeffs, n + 1)
                 assert stepped.as_tuple() == direct.as_tuple(), n
             assert reconstruct_riccati(coeffs).polys() == ric.polys()
-            ws = Workspace(lattice, data=data)
+            ws = Workspace(lattice, data.stieltjes())
             for n in range(1, RANDOM_N_MAX + 1):
                 assert not any(res for pair in verify_structure_relations(ws, coeffs, n)
                                for res in pair), n

@@ -10,7 +10,6 @@ from snul import (
     LaurentSeries,
     NotQuasiDefinite,
     Poly,
-    Workspace,
     apply_shift,
     check_liouville,
     moments_from_recurrence,
@@ -257,24 +256,17 @@ class TestSecondKind:
             for e in range(0, -n - 1, -1):
                 assert qn.coefficient(e) == 0
 
-    def test_matches_definition(self, reference_lattice):
-        # q_n = P_n S - P1_{n-1}, which no job checks at run time: the walk
-        # from scratch, the one step from the two levels below, and the
-        # workspace walk of the tests' oracle, each against the full product
+    def test_matches_definition(self):
+        # q_n = P_n S - P1_{n-1}, which no job checks at run time: the
+        # recurrence against the full product
         for seed in (23, 29, 31):
             beta, gamma = random_quasi_definite_recurrence(random.Random(seed), 26)
             data = build(beta[:13], gamma[:13], 12,
                          moments=moments_from_recurrence(beta, gamma, 26))
             s = data.stieltjes()
-            ws = Workspace(reference_lattice, data=data)
-            want = {n: second_kind_by_definition(data, s, n) for n in range(-1, 13)}
             for n in range(-1, 13):
-                case = (seed, n)
-                assert second_kind_series(data, s, n) == want[n], case
-                if n > 0:
-                    lower = (want[n - 2], want[n - 1])
-                    assert second_kind_series(data, s, n, lower) == want[n], case
-                assert ws.q(n) == want[n], case
+                assert second_kind_series(data, s, n) == second_kind_by_definition(data, s, n), (
+                    seed, n)
 
     def test_window_guard(self):
         short = LaurentSeries.from_moments(self.data.moments[:6])

@@ -19,11 +19,10 @@ On random (A, B, C, D) and a random recurrence, which are not Laguerre-Hahn,
 `laguerre_hahn.second_kind_checks` proves and `certify` records its
 second-kind and gathered stages from.
 
-q_n and its images, which the workspace forms by the three-term recurrence,
-are checked against the definition q_n = P_n S - P1_{n-1} as a full product
-and against `_operator_series` of it, windows included, on the three conics
-of `conftest`; so is the walked pair of E1S E2q_n, against the products of
-the images of S and q_n.
+The oracle forms q_n by the three-term recurrence (`second_kind_series`),
+the reference by the definition q_n = P_n S - P1_{n-1} as a full product,
+and each takes the images of q_n from `_operator_series`; the two q_n are
+checked equal, and their images' windows, on the three conics of `conftest`.
 """
 import random
 from dataclasses import replace
@@ -42,6 +41,7 @@ from snul import (
     moments_from_recurrence,
     recurrence_from_moments,
     riccati_residual,
+    second_kind_series,
     smop_from_recurrence,
     solve_moments_from_riccati,
     structure_coeffs_direct,
@@ -49,7 +49,7 @@ from snul import (
 )
 from snul.cli import ProblemFile
 from snul.laguerre_hahn import HALF, StructureCoeffs
-from snul.lattice import _operator_series, apply_M_series
+from snul.lattice import _operator_series, apply_M_series, apply_shift
 from snul.poly import Poly
 
 from conftest import (
@@ -78,21 +78,29 @@ def _surd_coeff_pair(lattice, l, pi, sign, order):
                     LaurentSeries.from_poly(pi * (2 * sign), order + 1), lattice.r)
 
 
-def _shifted(ws, n=None):
+def _images(ws, data, n=None):
+    """(D f, M f) for f = S (n None) or f = q_n = P_n S - P1_{n-1}, the
+    latter from the definition."""
+    if n is None:
+        return ws.dm()
+    return _operator_series(ws.lattice, second_kind_by_definition(data, ws.s, n))
+
+
+def _shifted(ws, data, n=None):
     """(E1 f, E2 f) = (M f - sqrt(r) D f, M f + sqrt(r) D f) for f = S
     (n None) or f = q_n."""
-    d, m = ws.dm(n)
+    d, m = _images(ws, data, n)
     return RootPair(m, -d, ws.lattice.r), RootPair(m, d, ws.lattice.r)
 
 
 def reference_second_kind(ric, coeffs, ws, n):
-    lattice = ric.lattice
+    lattice, data = ric.lattice, coeffs.data
     A, B, C, _ = ric.polys()
     l, pi, theta = coeffs.l_at(n - 1), coeffs.pi_at(n - 1), coeffs.theta_at(n - 1)
-    e1_qn, e2_qn = _shifted(ws, n)
-    d_qn = RootPair.rational(ws.dm(n)[0], lattice.r)
-    e1_qprev, e2_qprev = _shifted(ws, n - 1)
-    e1_s, e2_s = _shifted(ws)
+    e1_qn, e2_qn = _shifted(ws, data, n)
+    d_qn = RootPair.rational(_images(ws, data, n)[0], lattice.r)
+    e1_qprev, e2_qprev = _shifted(ws, data, n - 1)
+    e1_s, e2_s = _shifted(ws, data)
 
     w = min(x.window for x in (d_qn, e1_qn, e2_qn, e1_qprev, e2_qprev))
     l_plus = _surd_coeff_pair(lattice, l, pi, +1, w)
@@ -107,13 +115,13 @@ def reference_second_kind(ric, coeffs, ws, n):
 
 def reference_res_q(ric, coeffs, ws, n):
     B, C = ric.B, ric.C
-    d_qn, m_qn = ws.dm(n)
-    m_qprev = ws.dm(n - 1)[1]
+    d_qn, m_qn = _images(ws, coeffs.data, n)
+    m_qprev = _images(ws, coeffs.data, n - 1)[1]
     res_q = (d_qn.mul_poly(coeffs.A_at(n))
              - m_qn.mul_poly(coeffs.l_at(n - 1) + C * HALF)
              - m_qprev.mul_poly(coeffs.theta_at(n - 1)))
     if not B.is_zero:
-        m_sq = apply_M_series(ric.lattice, ws.s * ws.q(n))
+        m_sq = apply_M_series(ric.lattice, ws.s * second_kind_by_definition(coeffs.data, ws.s, n))
         res_q = res_q - (ws.dm()[1] * m_qn * 2 - m_sq).mul_poly(B)
     return res_q
 
@@ -183,8 +191,8 @@ def _check_level(ric, data, coeffs, ws, n, case):
 @pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.stem)
 def test_routes_agree(path):
     ric, data, n_max = _instance(path)
-    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), n_max)
-    ws = Workspace(ric.lattice, data=data)
+    coeffs = structure_coeffs_direct(ric, data, n_max)
+    ws = Workspace(ric.lattice, data.stieltjes())
     for n in range(0, n_max + 1):
         re, im = _check_level(ric, data, coeffs, ws, n, (path.stem, n))
         assert re.is_zero_within_window() and im.is_zero_within_window()
@@ -195,8 +203,8 @@ def test_routes_agree_on_tampered_coefficients(path):
     # one workspace serves the shipped and every tampered set of coefficients,
     # so a pair formed for one set must never be read for another
     ric, data, n_max = _instance(path)
-    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), n_max)
-    ws = Workspace(ric.lattice, data=data)
+    coeffs = structure_coeffs_direct(ric, data, n_max)
+    ws = Workspace(ric.lattice, data.stieltjes())
     for n in range(0, TAMPER_LEVELS):
         verify_second_kind_relations(ws, coeffs, n)
     for name in ("l", "pi", "theta"):
@@ -214,8 +222,8 @@ def test_routes_agree_on_tampered_coefficients(path):
                         assert im.is_zero and not re.is_zero_within_window(), case
                     else:
                         assert not im.is_zero_within_window(), case
-    # B enters through E1S E2q_n = U_n + sqrt(r) V_n, walked up the recurrence,
-    # against the reference's products E1S B E2q_n at every level
+    # B enters through E1S E2q_n = U_n + sqrt(r) V_n, formed from the images
+    # of S and q_n, against the reference's products E1S B E2q_n at every level
     if path.stem != "qhermite_corecursive":
         return
     assert not ric.B.is_zero
@@ -235,44 +243,21 @@ def test_routes_agree_on_tampered_coefficients(path):
 
 @pytest.mark.parametrize("conic", [REFERENCE_CONIC, SURD_CONIC, IMAGINARY_CONIC],
                          ids=["reference", "sqrt5", "sqrt-1"])
-def test_walked_images_of_q_match_the_definition(conic):
+def test_images_of_q_match_the_definition(conic):
     lattice = build_lattice(*conic)
     rng = random.Random(4711)
     for _ in range(2):
         beta, gamma = random_quasi_definite_recurrence(rng, 26)
         data = smop_from_recurrence(beta[:13], gamma[:13], 12,
                                     moments=moments_from_recurrence(beta, gamma, 27))
-        ws = Workspace(lattice, data=data)
-        window = ws.s.truncation_order
+        s = data.stieltjes()
         for n in range(-1, 13):
             # q_-1 = 1 is known on the window of S, q_n for n >= 0 on it less n
-            q, w = second_kind_by_definition(data, ws.s, n), window - max(n, 0)
-            assert ws.q(n) == q and q.truncation_order == w, n
-            d, m = ws.dm(n)
-            assert (d, m) == _operator_series(lattice, q), n
+            q, w = second_kind_by_definition(data, s, n), s.truncation_order - max(n, 0)
+            assert second_kind_series(data, s, n) == q and q.truncation_order == w, n
+            d, m = _operator_series(lattice, q)
             assert (d.truncation_order, m.truncation_order) == (w + 1, w), n
-
-
-@pytest.mark.parametrize("conic", [REFERENCE_CONIC, SURD_CONIC, IMAGINARY_CONIC],
-                         ids=["reference", "sqrt5", "sqrt-1"])
-def test_walked_e1s_e2q_matches_the_products(conic):
-    # (V_n, U_n) of E1S E2q_n = U_n + sqrt(r) V_n, walked up the recurrence
-    # with no Riccati data, against the series products of the images of S
-    # and q_n, windows included
-    lattice = build_lattice(*conic)
-    rng = random.Random(4712)
-    for _ in range(2):
-        beta, gamma = random_quasi_definite_recurrence(rng, 26)
-        data = smop_from_recurrence(beta[:13], gamma[:13], 12,
-                                    moments=moments_from_recurrence(beta, gamma, 27))
-        ws = Workspace(lattice, data=data)
-        walked = [ws.e1s_e2q(n) for n in range(-1, 13)]
-        d_s, m_s = ws.dm()
-        for n, (v, u) in zip(range(-1, 13), walked):
-            d, m = ws.dm(n)
-            assert v == m_s * d - d_s * m, n
-            assert u == m_s * m - (d_s * d).mul_poly(lattice.r), n
-        assert walked[1][0].is_zero and not walked[1][1].is_zero      # level 0
+            assert n > -1 or (d.is_zero and m == q)       # (0, 1) at q_-1 = 1
 
 
 # -- (R, I) from the Riccati residual ---------------------------------------------
@@ -282,9 +267,9 @@ def test_walked_e1s_e2q_matches_the_products(conic):
 @pytest.mark.parametrize("with_B", [False, True], ids=["B=0", "B!=0"])
 def test_second_kind_pair_is_riccati_residual_times_P(conic, with_B):
     # R_n = MP_n rho and I_n = DP_n rho at levels 0..10 on data that is not
-    # Laguerre-Hahn, so rho and R_n are nonzero; the walk's own window never
+    # Laguerre-Hahn, so rho and R_n are nonzero; the oracle's own window never
     # exceeds w - n, the window rho gives them, so certify's claim of w - n
-    # is never deeper than the walk could have seen
+    # is never deeper than the oracle could have seen
     n_max, lattice = 10, build_lattice(*conic)
     rng = random.Random(f"second kind from rho {conic} {with_B}")
     A, C, D = (random_poly(rng, 3) for _ in "ACD")
@@ -294,13 +279,14 @@ def test_second_kind_pair_is_riccati_residual_times_P(conic, with_B):
     data = smop_from_recurrence(beta[:n_max + 1], gamma[:n_max + 1], n_max,
                                 moments=moments_from_recurrence(beta, gamma, 2 * n_max + 4))
     coeffs = corollary_coeffs(ric, data, n_max)
-    ws = Workspace(lattice, data=data)
+    ws = Workspace(lattice, data.stieltjes())
     rho = riccati_residual(ric, ws)
     w = rho.truncation_order
     assert not rho.is_zero_within_window()
     for n in range(0, n_max + 1):
-        re, im = ws.second_kind_pair(coeffs, n)
-        d_p, m_p = ws.poly_shifts(n)
+        re, im = verify_second_kind_relations(ws, coeffs, n)
+        e2_p = apply_shift(lattice, data.poly(n), 2)
+        d_p, m_p = e2_p.v, e2_p.u
         want_re, want_im = rho.mul_poly(m_p), rho.mul_poly(d_p)
         # deg MP_n <= n and deg DP_n <= n - 1, with less where the leading
         # terms cancel (MP_2 = -1 on the sqrt(-1) conic); DP_0 = 0

@@ -1,11 +1,12 @@
 """The structure stage against the SurdPoly route it replaced.
 
 `structure_coeffs_direct` takes each level from the level recursion, and
-`verify_structure_relations` works on the pairs (D f, M f) that `Workspace`
-walks up the three-term recurrence.  The reference below is the earlier
-route, kept verbatim in substance: every shift E_j P_n, E_j P1_n by Horner
-substitution (`apply_shift`), Theta_hat as a SurdPoly whose sqrt(r)-part is
-asserted zero, and all four structure identities checked.  Both routes must give equal coefficients and residuals,
+`verify_structure_relations` forms the four residuals as rational pairs,
+one `Poly.dot` each, from (D f, M f) = the parts of E2 f.  The reference
+below is the earlier route, kept verbatim in substance: every shift
+E_j P_n, E_j P1_n by Horner substitution (`apply_shift`) as a SurdPoly,
+Theta_hat as a SurdPoly whose sqrt(r)-part is asserted zero, and all four
+structure identities checked.  Both routes must give equal coefficients and residuals,
 or raise the same exception with the same text, on the shipped instances,
 on +/-1 mutations of A, B, C, D and on single-moment perturbations.  With
 the degree bound of Theta_hat lifted, they must also agree on random
@@ -242,7 +243,7 @@ def test_routes_agree():
         sqrt_r_parts = []
         kind, ref = _outcome(lambda: reference_structure(ric, data, n_max, sqrt_r_parts))
         got_kind, got = _outcome(
-            lambda: structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), n_max))
+            lambda: structure_coeffs_direct(ric, data, n_max))
         assert all(v.is_zero for v in sqrt_r_parts), case_id
         assert got_kind == kind, case_id
         outcomes[case_id] = ref if kind != "ok" else "ok"
@@ -251,7 +252,7 @@ def test_routes_agree():
             continue
         for name, polys in _levels(ref).items():
             assert _levels(got)[name] == polys, (case_id, name)
-        ws = Workspace(ric.lattice, data=data)
+        ws = Workspace(ric.lattice, data.stieltjes())
         for n in range(1, n_max + 1):
             assert (verify_structure_relations(ws, got, n)
                     == reference_relations(ric, data, ref, n)), (case_id, n)
@@ -283,7 +284,7 @@ def test_no_level_falls_back(path, monkeypatch):
         return kernel(terms, length)
     kernel = poly_module._int_dot
     monkeypatch.setattr(poly_module, "_int_dot", recording)
-    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), DEEP_N_MAX)
+    coeffs = structure_coeffs_direct(ric, data, DEEP_N_MAX)
     assert coeffs.max_level == DEEP_N_MAX - 1
     small = max(len(p.nums) for p in [*ric.polys(), ric.lattice.r, *coeffs.l, *coeffs.pi,
                                       *coeffs.theta])
@@ -322,7 +323,7 @@ def test_one_reduction_per_stored_level(path, monkeypatch):
     for name in ("corollary_level_zero", "corollary_recursion"):
         monkeypatch.setattr(lh, name, per_call(getattr(lh, name)))
     counts.clear()
-    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), DEEP_N_MAX)
+    coeffs = structure_coeffs_direct(ric, data, DEEP_N_MAX)
     assert coeffs.max_level == DEEP_N_MAX - 1
     assert steps == [{"_from_ints": 3}] * DEEP_N_MAX, path.stem
     # plus A_{n+1} and s_{n+1} per level, and C/2 and p^2 - r once
@@ -411,7 +412,7 @@ def test_moved_theta_fails_the_exact_check(path, k, monkeypatch):
     ric, moments, n_max = _instance(path)
     data = _data(ric, moments, n_max)
     coeffs = corollary_coeffs(ric, data, n_max)
-    ws = Workspace(ric.lattice, data=data)
+    ws = Workspace(ric.lattice, data.stieltjes())
     for n in range(1, k + 1):
         assert not any(res for pair in verify_structure_relations(ws, coeffs, n)
                        for res in pair), n
@@ -440,13 +441,13 @@ def test_relations_agree_on_tampered_coefficients(path):
     # nonzero residuals: each of l, pi, Theta at level 0 moved by one
     ric, moments, _ = _instance(path)
     data = _data(ric, moments, 2)
-    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), 2)
+    coeffs = structure_coeffs_direct(ric, data, 2)
     for which in range(3):
         tampered = StructureCoeffs(ric, data)
         level = [coeffs.l_at(0), coeffs.pi_at(0), coeffs.theta_at(0)]
         level[which] = level[which] + 1
         tampered.append_level(*level)
-        got = verify_structure_relations(Workspace(ric.lattice, data=data), tampered, 1)
+        got = verify_structure_relations(Workspace(ric.lattice, data.stieltjes()), tampered, 1)
         assert got == reference_relations(ric, data, tampered, 1)
         assert not all(res.is_zero for pair in got for res in pair)
 
@@ -455,8 +456,8 @@ def test_relations_agree_on_tampered_coefficients(path):
 def test_gathered_matches_formulas(path):
     ric, moments, n_max = _instance(path)
     data = _data(ric, moments, n_max)
-    coeffs = structure_coeffs_direct(ric, Workspace(ric.lattice, data=data), n_max)
-    ws = Workspace(ric.lattice, data=data)
+    coeffs = structure_coeffs_direct(ric, data, n_max)
+    ws = Workspace(ric.lattice, data.stieltjes())
     for n in range(n_max):
         got = gathered_relations(ws, coeffs, n)[:2]
         assert got == reference_gathered(ric, data, coeffs, n), (path.stem, n)
@@ -480,7 +481,7 @@ FUSED_N_MAX = 4
 def test_fused_residuals_match_reference(conic):
     # random (l, pi, Theta) on random Riccati data and a random recurrence:
     # every residual is nonzero, and from level 3 on every term of each of
-    # the four is, so a wrong weight in `Workspace.structure_pair` shows
+    # the four is, so a wrong weight in `verify_structure_relations` shows
     lattice = build_lattice(*conic)
     rng = random.Random(f"fused {conic}")
     for _ in range(3):
@@ -490,9 +491,9 @@ def test_fused_residuals_match_reference(conic):
         coeffs = StructureCoeffs(ric, data)
         for _ in range(FUSED_N_MAX):
             coeffs.append_level(*(random_poly(rng, 3) for _ in range(3)))
-        ws = Workspace(lattice, data=data)
+        ws = Workspace(lattice)
         for n in range(1, FUSED_N_MAX + 1):
-            got = ws.structure_pair(coeffs, n)
+            got = verify_structure_relations(ws, coeffs, n)
             assert got == reference_relations(ric, data, coeffs, n), n
             assert all(res for pair in got for res in pair), n
 
@@ -515,47 +516,25 @@ def test_cramer_solution_is_exact(conic, monkeypatch):
             for _ in "BCD"), lattice)
         beta, gamma = random_quasi_definite_recurrence(rng, CRAMER_N_MAX + 1)
         data = smop_from_recurrence(beta, gamma, CRAMER_N_MAX, moments=[F(1)])
-        got = structure_coeffs_direct(ric, Workspace(lattice, data=data), CRAMER_N_MAX)
+        got = structure_coeffs_direct(ric, data, CRAMER_N_MAX)
         ref = reference_structure(ric, data, CRAMER_N_MAX, [])
         for name, polys in _levels(ref).items():
             assert _levels(got)[name] == polys, name
-        ws = Workspace(lattice, data=data)
+        ws = Workspace(lattice, data.stieltjes())
         for n in range(1, CRAMER_N_MAX + 1):
             assert all(res.is_zero for pair in verify_structure_relations(
                 ws, got, n) for res in pair), n
 
 
-# -- the shift walk ------------------------------------------------------------------
-
-SHIFT_N = 20
-
-
-@pytest.mark.parametrize("conic", RATIONAL_CONICS + [SURD_CONIC, IMAGINARY_CONIC],
-                         ids=lambda c: ",".join(str(v) for v in c))
-def test_shift_walk_matches_horner(conic):
-    lattice = build_lattice(*conic)
-    rng = random.Random(str(conic))
-    for _ in range(2):
-        beta, gamma = random_quasi_definite_recurrence(rng, SHIFT_N + 1)
-        data = smop_from_recurrence(beta, gamma, SHIFT_N, moments=[F(1)])
-        # in increasing order, and straight to the top on a fresh workspace
-        walked = Workspace(lattice, data=data)
-        for n in range(-1, SHIFT_N + 1):
-            for got, f in ((walked.poly_shifts(n), data.poly(n)),
-                           (walked.assoc_shifts(n), data.assoc(n))):
-                e2 = apply_shift(lattice, f, 2)
-                assert got == (e2.v, e2.u), (n, f)
-        top = Workspace(lattice, data=data)
-        e2 = apply_shift(lattice, data.assoc(SHIFT_N), 2)
-        assert top.assoc_shifts(SHIFT_N) == (e2.v, e2.u)
-        e2 = apply_shift(lattice, data.poly(SHIFT_N), 2)
-        assert top.poly_shifts(SHIFT_N) == (e2.v, e2.u)
-
-
 def test_shift_walk_stops_at_n_max(reference_lattice):
-    data = smop_from_recurrence([F(0)] * 4, [F(1)] * 4, 3, moments=[F(1)])
-    ws = Workspace(reference_lattice, data=data)
+    # the oracle reads P_n and P1_n of the recurrence, which ends at n_max:
+    # with levels held up to n_max, the relations at n_max + 1 raise
+    data = smop_from_recurrence([F(0)] * 5, [F(1)] * 5, 3, moments=[F(1)])
+    ric = RiccatiData(Poly([8, 0, -9]), Poly.zero(), Poly([0, 12]), Poly([-6]),
+                      reference_lattice)
+    coeffs = corollary_coeffs(ric, data, 4)
+    assert coeffs.max_level == 3
+    ws = Workspace(reference_lattice)
+    verify_structure_relations(ws, coeffs, 3)
     with pytest.raises(IndexError):
-        ws.poly_shifts(4)
-    with pytest.raises(IndexError):
-        ws.assoc_shifts(4)
+        verify_structure_relations(ws, coeffs, 4)
