@@ -43,13 +43,13 @@ from .laguerre_hahn import (
     Workspace,
     certify,
     fit_riccati,
+    job_riccati_residual,
     riccati_residual,
     solve_moments_from_riccati,
-    solved_riccati_window,
     structure_coeffs_direct,
 )
 from .lattice import Lattice, build_lattice, lattice_points
-from .orthopoly import moments_from_recurrence, recurrence_from_moments, smop_from_recurrence
+from .orthopoly import job_recurrence, moments_from_recurrence
 from .poly import Poly
 from .series import LaurentSeries
 
@@ -119,6 +119,9 @@ class ProblemFile:
             if not isinstance(block, dict) or "beta" not in block or "gamma" not in block:
                 raise ProblemFileError("'recurrence' must contain 'beta' and 'gamma' arrays")
             _reject_unknown(block, RECURRENCE_KEYS, "recurrence key", "'recurrence'")
+            for name in ("beta", "gamma"):
+                if not isinstance(block[name], list):
+                    raise ProblemFileError(f"recurrence.{name} must be an array")
             beta = [_rat(v, f"recurrence.beta[{i}]") for i, v in enumerate(block["beta"])]
             gamma = [_rat(v, f"recurrence.gamma[{i}]") for i, v in enumerate(block["gamma"])]
             if not gamma or gamma[0] != 1:
@@ -138,13 +141,14 @@ class ProblemFile:
         _reject_unknown(options, OPTION_KEYS, "option", "'options'")
         n_max = options.get("n_max", DEFAULT_N_MAX)
         trunc = options.get("trunc", DEFAULT_TRUNC)
-        if not isinstance(n_max, int) or n_max < 1:
+        # type(), not isinstance(): JSON true and false are not 1 and 0
+        if type(n_max) is not int or n_max < 1:
             raise ProblemFileError("options.n_max must be a positive integer")
-        if not isinstance(trunc, int) or trunc < 2:
+        if type(trunc) is not int or trunc < 2:
             raise ProblemFileError("options.trunc must be an integer >= 2")
         bounds_raw = options.get("deg_bounds", list(DEFAULT_DEG_BOUNDS))
         if (not isinstance(bounds_raw, list) or len(bounds_raw) != 4
-                or not all(isinstance(b, int) and b >= 0 for b in bounds_raw)):
+                or not all(type(b) is int and b >= 0 for b in bounds_raw)):
             raise ProblemFileError("options.deg_bounds must be four nonnegative integers")
         return cls(conic, riccati, moments, recurrence, n_max, trunc, tuple(bounds_raw))
 
@@ -205,6 +209,8 @@ class ProblemFile:
 
 def _rat(value, where: str) -> Fraction:
     try:
+        if isinstance(value, bool):         # JSON true and false are not 1 and 0
+            raise TypeError
         return parse_rational(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ProblemFileError(f"bad rational at {where}: {value!r}") from exc
@@ -335,7 +341,8 @@ def cmd_certify(args) -> int:
         if problem.moments is None and order > problem.trunc:
             # a recurrence gives more moments at the larger order
             moments = problem.moment_list(order)
-    cert = certify(ric, problem.n_max, order, moments=moments, instance=problem.echo())
+    cert = certify(ric, problem.n_max, order, moments=moments, instance=problem.echo(),
+                   recurrence=problem.recurrence)
     cert.checks[0:0] = extra_checks
     _emit(cert.to_dict())
     return EXIT_OK if cert.passed else EXIT_MATH_FAIL
@@ -345,31 +352,15 @@ def cmd_derive(args) -> int:
     problem = _load_problem(args)
     if problem.riccati is None:
         raise ProblemFileError("derive needs the 'riccati' flavor")
-    lattice = problem.build_lattice()
-    ric = problem.riccati_data(lattice)
+    ric = problem.riccati_data(problem.build_lattice())
     n_max = problem.n_max
     order = max(problem.trunc, 2 * n_max + 2)
-    moments = problem.moment_list(order)
-    solved = moments is None
-    if solved:
-        moments = solve_moments_from_riccati(ric, order)
-    if problem.recurrence is None:
-        beta, gamma = recurrence_from_moments(moments, n_max)
-    else:
-        # the moments come from this recurrence, so the Chebyshev algorithm
-        # would give it back, and stop where it does: at the first gamma_k = 0
-        beta, gamma = (c[:n_max + 1] for c in problem.recurrence)
-        if 0 in gamma:
-            raise NotQuasiDefinite(gamma.index(0))
-    data = smop_from_recurrence(beta, gamma, n_max, moments=moments)
-    if solved:
-        # each coefficient of the Riccati residual on its window is an
-        # equation the solve imposed (`solve_moments_from_riccati`): S is not read
-        solved_riccati_window(ric, order)
-    else:
-        res = riccati_residual(ric, Workspace(lattice, data.stieltjes()))
-        if not res.is_zero_within_window():
-            raise NotLaguerreHahn(0, f"Riccati residual nonzero at x^{res.leading_exponent()}")
+    supplied = problem.moment_list(order)
+    moments = supplied if supplied is not None else solve_moments_from_riccati(ric, order)
+    data = job_recurrence(moments, n_max, problem.recurrence)
+    res = job_riccati_residual(ric, order, supplied)
+    if not res.is_zero_within_window():
+        raise NotLaguerreHahn(0, f"Riccati residual nonzero at x^{res.leading_exponent()}")
     direct = structure_coeffs_direct(ric, data, n_max)
     # level n is index n + 1 of l, pi and theta, and A_{n+1} index n + 1 of gathered
     levels = [{"n": n, "l": _poly_coeffs(l), "pi": _poly_coeffs(pi),

@@ -279,6 +279,18 @@ def solved_riccati_window(ric: RiccatiData, count: int) -> int:
     return _checked_window(count - max(_theta_degree_bound(ric), -1))
 
 
+def job_riccati_residual(ric: RiccatiData, order: int,
+                         moments: Sequence[Fraction] | None) -> LaurentSeries:
+    """The Riccati residual of a certify or derive job on u_0..u_order:
+    formed from supplied `moments`, in a `Workspace` of their S, and with
+    `moments` None, on those `solve_moments_from_riccati` solved, zero on
+    `solved_riccati_window`, as each coefficient there is an equation the
+    solve imposed."""
+    if moments is None:
+        return LaurentSeries.zero(solved_riccati_window(ric, order))
+    return riccati_residual(ric, Workspace(ric.lattice, LaurentSeries.from_moments(moments)))
+
+
 def _checked_window(window: int) -> int:
     if window < 1:
         raise InsufficientTruncation(required=1, available=window, message="window "
@@ -615,9 +627,10 @@ def second_kind_checks(riccati_window: int, n_max: int) -> list[CheckResult]:
 
     The Pade decay q_n = O(x^(-n-1)) that `second_kind_series` checks holds
     by construction: certify's recurrence is `recurrence_from_moments` of
-    the same moments, whose beta_{k-1} and gamma_{k-1} make sigma_{k,l} =
-    u(x^l P_k), the x^(-l-1) coefficient of P_k S, vanish for l < k, and
-    P1_{k-1} is the polynomial part of P_k S as u_0 = 1.
+    the same moments, or the supplied one they were formed from, which that
+    gives back (`job_recurrence`); its beta_{k-1} and gamma_{k-1} make
+    sigma_{k,l} = u(x^l P_k), the x^(-l-1) coefficient of P_k S, vanish for
+    l < k, and P1_{k-1} is the polynomial part of P_k S as u_0 = 1.
     """
     window = riccati_window - n_max
     return [CheckResult("second-kind-1", "pass", window=window),
@@ -809,8 +822,8 @@ _CERTIFY_STAGES = [
 
 
 def certify(ric: RiccatiData, n_max: int, order: int,
-            moments: Sequence[Fraction] | None = None,
-            instance: dict | None = None) -> Certificate:
+            moments: Sequence[Fraction] | None = None, instance: dict | None = None,
+            recurrence: tuple[list[Fraction], list[Fraction]] | None = None) -> Certificate:
     """Run the whole equivalence pipeline and aggregate verdicts.
 
     Stage errors are recorded in the certificate (verdict "fail" with the
@@ -818,7 +831,9 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     function.  The Riccati residual gates everything structural; a moment
     perturbation therefore always surfaces there first.  On moments it
     solves, `riccati` is recorded from the solve and no stage forms an image
-    of S; otherwise each is formed once, in one Workspace.  The stages after
+    of S (`job_riccati_residual`).  A supplied `recurrence` (beta, gamma) is
+    read as it stands (`job_recurrence`): `moments` must then be the ones
+    formed from it, by `moments_from_recurrence`.  The stages after
     `structure-direct` form none (the proofs in `solve_moments_from_riccati`,
     `structure_coeffs_direct`, `second_kind_checks`, `corollary_recursion`).
     Each `timings` entry is the duration of its own stage; "total" is the
@@ -826,7 +841,7 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    from .orthopoly import check_liouville, recurrence_from_moments, smop_from_recurrence
+    from .orthopoly import check_liouville, job_recurrence
 
     cert = Certificate(instance=instance or {}, options={"n_max": n_max, "trunc": order})
     checks = cert.checks
@@ -871,14 +886,9 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     if not guarded(moments_stage, "moments"):
         return abort()
 
-    ws = Workspace(ric.lattice, None if solved else LaurentSeries.from_moments(moments))
-
-    # Riccati residual: the (a) statement on the honest window, formed from
-    # supplied moments, and zero there on solved ones, each of whose
-    # coefficients is an equation the solve imposed (`solve_moments_from_riccati`)
+    # Riccati residual: the (a) statement on the honest window
     def riccati():
-        res = (LaurentSeries.zero(solved_riccati_window(ric, order)) if solved
-               else riccati_residual(ric, ws))
+        res = job_riccati_residual(ric, order, None if solved else moments)
         zero, window = res.is_zero_within_window(), res.truncation_order
         return CheckResult("riccati", "pass" if zero else "fail", window=window,
                            residual_summary=f"zero down to x^-{window}" if zero else
@@ -892,11 +902,10 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     def quasi_definite():
         nonlocal data
         try:
-            beta, gamma = recurrence_from_moments(moments, n_max)
+            data = job_recurrence(moments, n_max, recurrence)
         except NotQuasiDefinite as exc:
             return CheckResult("quasi-definite", "fail",
                                detail=f"failing n = {exc.n}: {exc}")
-        data = smop_from_recurrence(beta, gamma, n_max, moments=list(moments))
         return CheckResult("quasi-definite", "pass")
     if not guarded(quasi_definite, "quasi-definite"):
         return abort()

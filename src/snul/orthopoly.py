@@ -38,7 +38,7 @@ def _check_recurrence(beta: Sequence[Fraction], gamma: Sequence[Fraction], n_max
 
 @dataclass
 class SMOPData:
-    """A sequence of monic orthogonal polynomials with everything attached.
+    """A sequence of monic orthogonal polynomials, as its recurrence to n_max.
 
     P_0..P_{n_max} and P1_0..P1_{n_max} are formed from beta and gamma on
     first read of `P` and `P1` (P_{n+1} = (x - beta_n) P_n - gamma_n P_{n-1},
@@ -49,7 +49,6 @@ class SMOPData:
 
     beta: list[Fraction]
     gamma: list[Fraction]
-    moments: list[Fraction]
     n_max: int
 
     @cached_property
@@ -88,31 +87,30 @@ class SMOPData:
     def _gamma_prefix(self) -> list[Fraction]:
         return list(accumulate(self.gamma, mul, initial=Fraction(1)))
 
-    def stieltjes(self) -> LaurentSeries:
-        """S = sum u_n x^(-n-1), windowed by the stored moments."""
-        return LaurentSeries.from_moments(self.moments)
 
-
-def smop_from_recurrence(beta, gamma, n_max: int,
-                         moments: list[Fraction] | None = None,
-                         moment_order: int | None = None) -> SMOPData:
+def smop_from_recurrence(beta, gamma, n_max: int) -> SMOPData:
     """The sequence of beta and gamma up to level n_max, whose P_n and P1_n
-    are formed on first read (`SMOPData`).
-
-    Moments are attached from `moments` or computed through the tridiagonal
-    operator; the default order is 2 n_max + 2 capped at what the supplied
-    recurrence coefficients determine.
-    """
+    are formed on first read (`SMOPData`)."""
     beta = [Fraction(b) for b in beta]
     gamma = [Fraction(g) for g in gamma]
     _check_recurrence(beta, gamma, n_max)
-    if moments is None:
-        if moment_order is None:
-            moment_order = min(2 * n_max + 2, len(beta), len(gamma))
-        moments = moments_from_recurrence(beta, gamma, moment_order)
+    return SMOPData(beta, gamma, n_max)
+
+
+def job_recurrence(moments, n_max: int, recurrence=None) -> SMOPData:
+    """The recurrence of a certify or derive job up to level n_max, from
+    `moments` by `recurrence_from_moments`, or a supplied (beta, gamma) read
+    as it stands.  `moments` are then the ones formed from it, on which the
+    Chebyshev algorithm would give it back and stop where it does, at the
+    first gamma_k = 0, as H_{n+1} = prod_{k<=n} gamma_k^(n+1-k).  Raises
+    NotQuasiDefinite naming the first failing level."""
+    if recurrence is None:
+        beta, gamma = recurrence_from_moments(moments, n_max)
     else:
-        moments = [Fraction(u) for u in moments]
-    return SMOPData(beta, gamma, moments, n_max)
+        beta, gamma = (c[:n_max + 1] for c in recurrence)
+        if 0 in gamma:
+            raise NotQuasiDefinite(gamma.index(0))
+    return smop_from_recurrence(beta, gamma, n_max)
 
 
 def moments_from_recurrence(beta, gamma, order: int) -> list[Fraction]:

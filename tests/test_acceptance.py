@@ -117,17 +117,17 @@ def test_criterion_4_orthopoly_suite():
     roundtrips = 0
     for _ in range(8):
         beta, gamma = random_quasi_definite_recurrence(rng, 26)
-        data = smop_from_recurrence(beta[:14], gamma[:14], 13,
-                                    moments=moments_from_recurrence(beta, gamma, 27))
+        moments = moments_from_recurrence(beta, gamma, 27)
+        data = smop_from_recurrence(beta[:14], gamma[:14], 13)
         for n in range(13):
             assert liouville_defect(data, n).is_zero
         try:
-            beta2, gamma2 = recurrence_from_moments(data.moments, 12)
+            beta2, gamma2 = recurrence_from_moments(moments, 12)
         except Exception:
             continue
         assert beta2 == beta[:13] and gamma2 == gamma[:13]
         roundtrips += 1
-        s = data.stieltjes()
+        s = LaurentSeries.from_moments(moments)
         for n in range(11):
             qn = second_kind_series(data, s, n)  # raises if decay fails
             assert qn._effective_top() <= -n - 1
@@ -170,7 +170,7 @@ def test_criterion_6_initial_conditions(reference_lattice):
         ric = make(reference_lattice)
         moments = solve_moments_from_riccati(ric, 18)
         beta, gamma = recurrence_from_moments(moments, 4)
-        data = smop_from_recurrence(beta, gamma, 4, moments=moments)
+        data = smop_from_recurrence(beta, gamma, 4)
         coeffs = structure_coeffs_direct(ric, data, 4)
         half_C = ric.C * F(1, 2)
         m0 = reference_lattice.p - data.beta[0]
@@ -195,11 +195,11 @@ def test_criterion_7_reconstruction_and_fit(reference_lattice):
         ric = make(reference_lattice)
         moments = solve_moments_from_riccati(ric, 24)
         beta, gamma = recurrence_from_moments(moments, 5)
-        data = smop_from_recurrence(beta, gamma, 5, moments=moments)
+        data = smop_from_recurrence(beta, gamma, 5)
         coeffs = structure_coeffs_direct(ric, data, 5)
         assert reconstruct_riccati(coeffs).proportional_to(ric)
         bounds = (2, 1, 1, 0)
-        basis = riccati_nullspace(Workspace(reference_lattice, data.stieltjes()), bounds)
+        basis = riccati_nullspace(Workspace(reference_lattice, LaurentSeries.from_moments(moments)), bounds)
         assert basis
         assert _in_span(basis, _vector_of(ric, bounds))
     _report(7, "reconstruction and fit", time.monotonic() - start,

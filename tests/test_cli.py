@@ -22,11 +22,11 @@ def write_problem(tmp_path, doc, name="problem.json") -> str:
     return str(path)
 
 
-def golden_outputs_match(capsys, command, riccati_only=False) -> int:
+def golden_outputs_match(capsys, command, source=None) -> int:
     """Run `command` on the input of every tests/data/<command>_*.json, or
-    of those whose problem file gives neither moments nor a recurrence, and
-    compare its output without "timings" to the file; returns the number of
-    files compared.  The certify case at --n-max 96 is left to CI, which runs
+    of those whose problem file takes its moments from `source`: "moments",
+    "recurrence", or "riccati" when it gives neither; compare its output
+    without "timings" to the file, and return the number of files compared.  The certify case at --n-max 96 is left to CI, which runs
     it at depth."""
     compared = 0
     for golden in sorted(DATA.glob(f"{command}_*.json")):
@@ -37,7 +37,8 @@ def golden_outputs_match(capsys, command, riccati_only=False) -> int:
             continue
         problem = next(p for p in (PROBLEMS / f"{stem}.json", DATA / f"{stem}.json")
                        if p.exists())
-        if riccati_only and {"moments", "recurrence"} & set(json.loads(problem.read_text())):
+        given = {"moments", "recurrence"} & set(json.loads(problem.read_text()))
+        if source is not None and {source} != (given or {"riccati"}):
             continue
         main([command, str(problem)] + args)
         doc = json.loads(capsys.readouterr().out)
@@ -199,6 +200,27 @@ class TestExitCodes:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert f"unknown {noun}(s) '{key}'" in captured.err
+
+    @pytest.mark.parametrize("block, key, value, message", [
+        ("recurrence", "beta", "0" * 42, "recurrence.beta must be an array"),
+        ("recurrence", "beta", 5, "recurrence.beta must be an array"),
+        ("recurrence", "gamma", None, "recurrence.gamma must be an array"),
+        ("options", "n_max", True, "options.n_max must be a positive integer"),
+        ("options", "deg_bounds", [True, 0, 1, 0],
+         "options.deg_bounds must be four nonnegative integers"),
+        ("recurrence", "gamma", [True] + ["1/4"] * 41, "bad rational at recurrence.gamma[0]: True"),
+    ], ids=["beta-string", "beta-number", "gamma-null", "n-max-true", "deg-bounds-true",
+            "gamma-true"])
+    def test_mistyped_field_exit_2(self, tmp_path, capsys, block, key, value, message):
+        # a string is not read as a list of digits, nor true as 1, and a
+        # number or null is an input error, not an internal one
+        doc = json.loads((PROBLEMS / "qhermite_recurrence.json").read_text())
+        doc[block][key] = value
+        path = write_problem(tmp_path, doc)
+        for command in ("fit", "certify"):
+            assert main([command, path]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
     def test_retired_discriminant_flag_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -372,7 +394,7 @@ class TestCertifyCommand:
         # structure_coeffs_direct, second_kind_checks and corollary_recursion,
         # and `riccati` off the moment solve: with the functions that form
         # them directly refused, every output but its timings is unchanged,
-        # and no workspace forms an image of S
+        # and no workspace of S is built
         import snul.laguerre_hahn as lh
         paths = [PROBLEMS / "qhermite.json", PROBLEMS / "qhermite_corecursive.json"]
         workspaces = []
@@ -401,8 +423,7 @@ class TestCertifyCommand:
             monkeypatch.setattr(lh, name, refused)
         monkeypatch.setattr(lh, "Workspace", Recorded)
         assert outputs() == before
-        assert len(workspaces) == len(paths)
-        assert [ws._memo for ws in workspaces] == [{}, {}]
+        assert workspaces == []
 
     def test_riccati_residual_off_the_solved_path(self, capsys, monkeypatch):
         # on moments it solved, certify records `riccati` and derive passes
@@ -417,8 +438,8 @@ class TestCertifyCommand:
             raise AssertionError("the Riccati residual was formed")
         for module in (cli, lh):
             monkeypatch.setattr(module, "riccati_residual", refused)
-        assert golden_outputs_match(capsys, "certify", riccati_only=True) >= 11
-        assert golden_outputs_match(capsys, "derive", riccati_only=True) >= 9
+        assert golden_outputs_match(capsys, "certify", source="riccati") >= 11
+        assert golden_outputs_match(capsys, "derive", source="riccati") >= 9
         for command in ("certify", "derive"):
             assert main([command, str(CORECURSIVE_RECURRENCE)]) == 2
             captured = capsys.readouterr()
@@ -573,9 +594,11 @@ class TestDeriveCommand:
         assert "Riccati residual nonzero" in capsys.readouterr().err
 
     def test_supplied_recurrence_not_recomputed(self, capsys, monkeypatch):
-        # derive takes beta and gamma from the file, and forms neither P_n
-        # nor P1_n
-        import snul.cli as cli
+        # certify and derive take beta and gamma from the file, and form
+        # neither P_n nor P1_n: with the Chebyshev algorithm refused, every
+        # golden output of a file with a recurrence is unchanged, certify's
+        # fit branch (qhermite_recurrence.json) included
+        import snul.orthopoly as orthopoly
         made = []
 
         def keeping(*args, **kwargs):
@@ -584,11 +607,14 @@ class TestDeriveCommand:
 
         def refused(*args):
             raise AssertionError("Chebyshev algorithm on a supplied recurrence")
-        smop = cli.smop_from_recurrence
-        monkeypatch.setattr(cli, "smop_from_recurrence", keeping)
+        smop = orthopoly.smop_from_recurrence
+        monkeypatch.setattr(orthopoly, "smop_from_recurrence", keeping)
         assert main(["derive", str(PROBLEMS / "qhermite_corecursive.json")]) == 0
-        monkeypatch.setattr(cli, "recurrence_from_moments", refused)
+        monkeypatch.setattr(orthopoly, "recurrence_from_moments", refused)
         assert main(["derive", str(CORECURSIVE_RECURRENCE)]) == 0
         capsys.readouterr()
         assert len(made) == 2
+        assert golden_outputs_match(capsys, "certify", source="recurrence") >= 4
+        assert golden_outputs_match(capsys, "derive", source="recurrence") >= 3
+        assert len(made) >= 9
         assert not any({"P", "P1"} & set(vars(data)) for data in made)

@@ -55,6 +55,12 @@ against too, was written by the version that formed the Riccati residual of
 every certify, also on moments it had solved; Riccati data with its
 recurrence supplied is the one certify input whose residual is still formed,
 so this is the case that holds it to its golden output at depth, with B != 0.
+The certify cases of a file with a recurrence, qhermite_recurrence.json
+(also at --n-max 20 and --deg-bounds 4,4,4,4) and
+certify_qhermite_corecursive_recurrence_n-max_64.json, were written by the
+version that recovered beta_n and gamma_n from the recurrence's moments by
+the Chebyshev algorithm, so they are an oracle independent of reading the
+recurrence as given.
 derive_qhermite_wide_n-max_64.json, which CI diffs against as well, was
 written by the version whose level recursion formed each step from separate
 Poly operations (Theta_n/gamma_{n+1}, m_n m_{n+1}, l_n - l_{n-1} and so on,
@@ -115,6 +121,8 @@ CASES = (
     + [("derive", ROOT / "problems" / "qhermite_wide.json", ["--n-max", "20"])]
     # the Riccati residual of supplied moments at depth, B != 0
     + [("certify", DATA / "qhermite_corecursive_recurrence.json", ["--n-max", "64"])]
+    # the deepest certify the shipped 42-entry recurrence allows
+    + [("certify", RECURRENCE, ["--n-max", "20"])]
 )
 
 

@@ -62,7 +62,7 @@ def semiclassical(reference_lattice):
     moments = solve_moments_from_riccati(ric, ORDER)
     from snul import recurrence_from_moments
     beta, gamma = recurrence_from_moments(moments, N_MAX)
-    data = smop_from_recurrence(beta, gamma, N_MAX, moments=moments)
+    data = smop_from_recurrence(beta, gamma, N_MAX)
     coeffs = structure_coeffs_direct(ric, data, N_MAX)
     return ric, data, coeffs
 
@@ -73,9 +73,14 @@ def corecursive(reference_lattice):
     moments = solve_moments_from_riccati(ric, ORDER)
     from snul import recurrence_from_moments
     beta, gamma = recurrence_from_moments(moments, N_MAX)
-    data = smop_from_recurrence(beta, gamma, N_MAX, moments=moments)
+    data = smop_from_recurrence(beta, gamma, N_MAX)
     coeffs = structure_coeffs_direct(ric, data, N_MAX)
     return ric, data, coeffs
+
+
+def stieltjes(ric: RiccatiData) -> LaurentSeries:
+    """The S of a fixture: u_0..u_ORDER solved from its Riccati data."""
+    return LaurentSeries.from_moments(solve_moments_from_riccati(ric, ORDER))
 
 
 class TestRiccatiResidual:
@@ -90,13 +95,13 @@ class TestRiccatiResidual:
 
     def test_fixture_residual_zero(self, semiclassical):
         ric, data, _ = semiclassical
-        res = riccati_residual(ric, Workspace(ric.lattice, data.stieltjes()))
+        res = riccati_residual(ric, Workspace(ric.lattice, stieltjes(ric)))
         assert res.is_zero_within_window()
         assert res.truncation_order >= ORDER - 2
 
     def test_perturbation_detected(self, semiclassical):
         ric, data, _ = semiclassical
-        bad = list(data.moments)
+        bad = solve_moments_from_riccati(ric, ORDER)
         bad[3] += 1
         res = riccati_residual(ric, Workspace(ric.lattice, LaurentSeries.from_moments(bad)))
         assert not res.is_zero_within_window()
@@ -158,14 +163,14 @@ class TestSolveMoments:
 class TestFit:
     def test_recovers_fixture(self, semiclassical):
         ric, data, _ = semiclassical
-        s = data.stieltjes()
+        s = stieltjes(ric)
         cands = fit_riccati(Workspace(ric.lattice, s), (2, 0, 1, 0))
         assert len(cands) == 1
         assert cands[0].proportional_to(ric)
 
     def test_nullspace_contains_original_with_loose_bounds(self, semiclassical):
         ric, data, _ = semiclassical
-        s = data.stieltjes()
+        s = stieltjes(ric)
         basis = riccati_nullspace(Workspace(ric.lattice, s), (3, 1, 2, 1))
         assert basis, "nullspace should not be empty"
         original = _vector_of(ric, (3, 1, 2, 1))
@@ -282,7 +287,7 @@ class TestStructureCoeffs:
             B = random_poly(rng, 3) if with_B else Poly.zero()
             ric = RiccatiData(A, B, C, D, lattice)
             beta, gamma = random_quasi_definite_recurrence(rng, RANDOM_N_MAX + 1)
-            data = smop_from_recurrence(beta, gamma, RANDOM_N_MAX, moments=[F(1)])
+            data = smop_from_recurrence(beta, gamma, RANDOM_N_MAX)
             bound = max([A.degree - 2, C.degree - 1] + ([B.degree - 2] if with_B else []))
             levels = corollary_coeffs(ric, data, RANDOM_N_MAX)
             degrees = [levels.theta_hat_at(n).degree for n in range(RANDOM_N_MAX)]
@@ -309,10 +314,7 @@ class TestStructureCoeffs:
         moments = solve_moments_from_riccati(ric, ORDER)
         bad = list(moments)
         bad[5] += F(1, 7)
-        from snul import recurrence_from_moments
-        beta, gamma = recurrence_from_moments(bad, N_MAX)
-        data = smop_from_recurrence(beta, gamma, N_MAX, moments=bad)
-        res = riccati_residual(ric, Workspace(lat, data.stieltjes()))
+        res = riccati_residual(ric, Workspace(lat, LaurentSeries.from_moments(bad)))
         assert not res.is_zero_within_window()
         doc = json.loads((DATA.parent.parent / "problems" / "qhermite.json").read_text())
         doc["moments"] = [format_rational(m) for m in bad]
@@ -327,7 +329,7 @@ class TestStructureCoeffs:
 class TestRelations:
     def test_structure_relations_zero(self, semiclassical, corecursive):
         for ric, data, coeffs in (semiclassical, corecursive):
-            ws = Workspace(ric.lattice, data.stieltjes())
+            ws = Workspace(ric.lattice, stieltjes(ric))
             for n in range(1, N_MAX + 1):
                 (r1a, r1b), (r2a, r2b) = verify_structure_relations(ws, coeffs, n)
                 assert r1a.is_zero and r1b.is_zero
@@ -337,12 +339,12 @@ class TestRelations:
         ric, data, coeffs = semiclassical
         tampered = StructureCoeffs(ric, data)
         tampered.append_level(coeffs.l_at(0), coeffs.pi_at(0), coeffs.theta_at(0) + 1)
-        (r1a, _), _ = verify_structure_relations(Workspace(ric.lattice, data.stieltjes()), tampered, 1)
+        (r1a, _), _ = verify_structure_relations(Workspace(ric.lattice, stieltjes(ric)), tampered, 1)
         assert not r1a.is_zero
 
     def test_second_kind_zero(self, semiclassical, corecursive):
         for ric, data, coeffs in (semiclassical, corecursive):
-            ws = Workspace(ric.lattice, data.stieltjes())
+            ws = Workspace(ric.lattice, stieltjes(ric))
             for n in range(0, 4):
                 R, I = verify_second_kind_relations(ws, coeffs, n)
                 assert R.is_zero_within_window()
@@ -352,10 +354,10 @@ class TestRelations:
         # l_-1 = C/2, pi_-1 = 0, Theta_-1 = D and q_-1 = 1: I vanishes
         # identically and R is A DS - C MS - D - B E1S E2S
         for ric, data, coeffs in (semiclassical, corecursive):
-            ws = Workspace(ric.lattice, data.stieltjes())
+            ws = Workspace(ric.lattice, stieltjes(ric))
             R, I = verify_second_kind_relations(ws, coeffs, 0)
             assert I.is_zero
-            res = riccati_residual(ric, Workspace(ric.lattice, data.stieltjes()))
+            res = riccati_residual(ric, Workspace(ric.lattice, stieltjes(ric)))
             assert R.truncation_order == res.truncation_order
             assert R.agrees_with(res)
 
@@ -364,7 +366,7 @@ class TestRelations:
         # and move I by 2 Dq_n: R vanishes and I does not, so both relations,
         # whose residuals are R +/- sqrt(r) I, fail on I alone
         ric, data, coeffs = corecursive
-        ws = Workspace(ric.lattice, data.stieltjes())
+        ws = Workspace(ric.lattice, stieltjes(ric))
         for n in range(1, 4):
             moved = StructureCoeffs(replace(ric, C=ric.C - 2), data)
             for k in range(0, n):
@@ -376,14 +378,14 @@ class TestRelations:
 
     def test_second_kind_window_guard(self, semiclassical):
         ric, data, coeffs = semiclassical
-        short = LaurentSeries.from_moments(data.moments[:7])
+        short = LaurentSeries.from_moments(solve_moments_from_riccati(ric, ORDER)[:7])
         with pytest.raises(InsufficientTruncation):
             verify_second_kind_relations(Workspace(ric.lattice, short), coeffs, 3)
 
     def test_gathered_zero(self, semiclassical, corecursive):
         from snul import gathered_relations
         for ric, data, coeffs in (semiclassical, corecursive):
-            ws = Workspace(ric.lattice, data.stieltjes())
+            ws = Workspace(ric.lattice, stieltjes(ric))
             for n in range(0, 4):
                 rp, rp1, rq = gathered_relations(ws, coeffs, n)
                 assert rp.is_zero and rp1.is_zero
@@ -454,7 +456,7 @@ class TestRecursions:
             B = random_poly(rng, 3) if with_B else Poly.zero()
             ric = RiccatiData(A, B, C, D, lattice)
             beta, gamma = random_quasi_definite_recurrence(rng, RANDOM_N_MAX + 1)
-            data = smop_from_recurrence(beta, gamma, RANDOM_N_MAX, moments=[F(1)])
+            data = smop_from_recurrence(beta, gamma, RANDOM_N_MAX)
             coeffs = corollary_coeffs(ric, data, RANDOM_N_MAX)
             for n, l_res, t_res in telescope_residuals(coeffs):
                 assert l_res.is_zero and t_res.is_zero, n
@@ -464,7 +466,7 @@ class TestRecursions:
                 direct = magnus_data_from_coeffs(coeffs, n + 1)
                 assert stepped.as_tuple() == direct.as_tuple(), n
             assert reconstruct_riccati(coeffs).polys() == ric.polys()
-            ws = Workspace(lattice, data.stieltjes())
+            ws = Workspace(lattice)
             for n in range(1, RANDOM_N_MAX + 1):
                 assert not any(res for pair in verify_structure_relations(ws, coeffs, n)
                                for res in pair), n
@@ -495,7 +497,7 @@ class TestRecursions:
         # the g_n = q_{n+1}/q_n data actually satisfies its Riccati equation
         ric, data, coeffs = semiclassical
         lat = ric.lattice
-        s = data.stieltjes()
+        s = stieltjes(ric)
         for n in (0, 1, 2):
             m = magnus_data_from_coeffs(coeffs, n)
             g = second_kind_series(data, s, n + 1) / second_kind_series(data, s, n)

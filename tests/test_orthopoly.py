@@ -222,6 +222,33 @@ class TestMoments:
             recurrence_from_moments([F(1), F(1), F(1), F(1)], 1)
         assert exc.value.n == 1
 
+    def test_job_recurrence_reads_a_supplied_recurrence(self):
+        # a supplied recurrence read as it stands against the Chebyshev
+        # algorithm on its moments: the same beta and gamma, or the same
+        # failing level, the first gamma_k = 0 at k <= n_max
+        rng = random.Random(41)
+        outcomes = []
+        for i in range(48):
+            n_max = rng.randint(1, 8)
+            make = wide_recurrence if i % 2 else random_quasi_definite_recurrence
+            beta, gamma = make(rng, 2 * n_max + 2)
+            for k in rng.sample(range(1, 2 * n_max + 2), rng.choice((0, 0, 1, 2))):
+                gamma[k] = F(0)
+            moments = moments_from_recurrence(beta, gamma, 2 * n_max + 2)
+
+            def outcome(*recurrence):
+                try:
+                    data = orthopoly.job_recurrence(moments, n_max, *recurrence)
+                except NotQuasiDefinite as exc:
+                    return str(exc)
+                return data.beta, data.gamma, data.n_max
+            supplied = outcome((beta, gamma))
+            assert supplied == outcome(), i
+            outcomes.append(supplied)
+        failed = [o for o in outcomes if isinstance(o, str)]
+        assert len(failed) >= 8 and len(outcomes) - len(failed) >= 24
+        assert len(set(failed)) >= 3
+
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             moments_from_recurrence([F(0)], [F(1)], -1)
@@ -233,9 +260,9 @@ class TestSecondKind:
     def setup_method(self):
         rng = random.Random(23)
         self.beta, self.gamma = random_quasi_definite_recurrence(rng, 26)
-        self.data = build(self.beta[:13], self.gamma[:13], 12,
-                          moments=moments_from_recurrence(self.beta, self.gamma, 26))
-        self.s = self.data.stieltjes()
+        self.moments = moments_from_recurrence(self.beta, self.gamma, 26)
+        self.data = build(self.beta[:13], self.gamma[:13], 12)
+        self.s = LaurentSeries.from_moments(self.moments)
 
     def test_q0_is_s(self):
         q0 = second_kind_series(self.data, self.s, 0)
@@ -261,46 +288,44 @@ class TestSecondKind:
         # recurrence against the full product
         for seed in (23, 29, 31):
             beta, gamma = random_quasi_definite_recurrence(random.Random(seed), 26)
-            data = build(beta[:13], gamma[:13], 12,
-                         moments=moments_from_recurrence(beta, gamma, 26))
-            s = data.stieltjes()
+            data = build(beta[:13], gamma[:13], 12)
+            s = LaurentSeries.from_moments(moments_from_recurrence(beta, gamma, 26))
             for n in range(-1, 13):
                 assert second_kind_series(data, s, n) == second_kind_by_definition(data, s, n), (
                     seed, n)
 
     def test_window_guard(self):
-        short = LaurentSeries.from_moments(self.data.moments[:6])
+        short = LaurentSeries.from_moments(self.moments[:6])
         with pytest.raises(InsufficientTruncation):
             second_kind_series(self.data, short, 4)
 
     def test_decay_failure_on_mismatched_moments(self):
-        bad = list(self.data.moments)
+        bad = list(self.moments)
         bad[3] += 1
         s_bad = LaurentSeries.from_moments(bad)
         with pytest.raises(InvalidRecurrence):
             second_kind_series(self.data, s_bad, 3)
 
     def test_inconsistent_smop_moments_typed_error(self):
-        # the SMOPData carries moments that its own recurrence does not produce
-        bad = list(self.data.moments)
+        # S of moments that the recurrence does not produce
+        bad = list(self.moments)
         bad[4] -= F(1, 3)
-        data = build(self.beta[:13], self.gamma[:13], 12, moments=bad)
         with pytest.raises(InvalidRecurrence):
-            second_kind_series(data, data.stieltjes(), 5)
+            second_kind_series(self.data, LaurentSeries.from_moments(bad), 5)
 
 
 class TestLiouville:
     def test_level_zero(self):
         beta = [F(1), F(2)]
         gamma = [F(1), F(3)]
-        data = build(beta, gamma, 1, moment_order=0)
+        data = build(beta, gamma, 1)
         assert liouville_defect(data, 0).is_zero
 
     def test_random_levels(self):
         rng = random.Random(29)
         for _ in range(6):
             beta, gamma = random_quasi_definite_recurrence(rng, 7)
-            data = build(beta, gamma, 7, moment_order=0)
+            data = build(beta, gamma, 7)
             for n in range(7):
                 assert liouville_defect(data, n).is_zero
 
@@ -309,10 +334,10 @@ class TestLiouville:
         # products: both pass on a recurrence, both fail at gamma_0 = 2
         rng = random.Random(37)
         beta, gamma = random_quasi_definite_recurrence(rng, 7)
-        data = build(beta, gamma, 7, moment_order=0)
+        data = build(beta, gamma, 7)
         check_liouville(data)
         assert all(liouville_defect(data, n).is_zero for n in range(7))
-        data = build(beta, gamma, 7, moment_order=0)
+        data = build(beta, gamma, 7)
         data.gamma[0] = F(2)
         assert not liouville_defect(data, 0).is_zero
         with pytest.raises(InvalidRecurrence, match="gamma_0 must equal 1"):
@@ -323,7 +348,7 @@ class TestLiouville:
         lat = reference_lattice
         beta = [F(0)] * 6
         gamma = [F(1)] + [F(1, 4)] * 5
-        data = smop_from_recurrence(beta, gamma, 5, moment_order=0)
+        data = smop_from_recurrence(beta, gamma, 5)
         defect = liouville_defect(data, 4)
         for j in (1, 2):
             img = apply_shift(lat, defect, j)

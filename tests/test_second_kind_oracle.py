@@ -129,7 +129,7 @@ def reference_res_q(ric, coeffs, ws, n):
 # -- inputs ----------------------------------------------------------------------
 
 def _instance(path):
-    """(ric, data, n_max) as `snul certify` builds them; a moments-only file
+    """(ric, data, n_max, S) as `snul certify` builds them; a moments-only file
     certifies its first verified fitted candidate."""
     problem = ProblemFile.load(str(path))
     lattice = problem.build_lattice()
@@ -144,8 +144,8 @@ def _instance(path):
         ric = next(c for c in fit_riccati(ws, problem.deg_bounds)
                    if riccati_residual(c, ws).is_zero_within_window())
     beta, gamma = recurrence_from_moments(moments, problem.n_max)
-    data = smop_from_recurrence(beta, gamma, problem.n_max, moments=moments)
-    return ric, data, problem.n_max
+    data = smop_from_recurrence(beta, gamma, problem.n_max)
+    return ric, data, problem.n_max, LaurentSeries.from_moments(moments)
 
 
 def _moved(poly, index, delta):
@@ -190,9 +190,9 @@ def _check_level(ric, data, coeffs, ws, n, case):
 
 @pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.stem)
 def test_routes_agree(path):
-    ric, data, n_max = _instance(path)
+    ric, data, n_max, s = _instance(path)
     coeffs = structure_coeffs_direct(ric, data, n_max)
-    ws = Workspace(ric.lattice, data.stieltjes())
+    ws = Workspace(ric.lattice, s)
     for n in range(0, n_max + 1):
         re, im = _check_level(ric, data, coeffs, ws, n, (path.stem, n))
         assert re.is_zero_within_window() and im.is_zero_within_window()
@@ -202,9 +202,9 @@ def test_routes_agree(path):
 def test_routes_agree_on_tampered_coefficients(path):
     # one workspace serves the shipped and every tampered set of coefficients,
     # so a pair formed for one set must never be read for another
-    ric, data, n_max = _instance(path)
+    ric, data, n_max, s = _instance(path)
     coeffs = structure_coeffs_direct(ric, data, n_max)
-    ws = Workspace(ric.lattice, data.stieltjes())
+    ws = Workspace(ric.lattice, s)
     for n in range(0, TAMPER_LEVELS):
         verify_second_kind_relations(ws, coeffs, n)
     for name in ("l", "pi", "theta"):
@@ -248,9 +248,8 @@ def test_images_of_q_match_the_definition(conic):
     rng = random.Random(4711)
     for _ in range(2):
         beta, gamma = random_quasi_definite_recurrence(rng, 26)
-        data = smop_from_recurrence(beta[:13], gamma[:13], 12,
-                                    moments=moments_from_recurrence(beta, gamma, 27))
-        s = data.stieltjes()
+        data = smop_from_recurrence(beta[:13], gamma[:13], 12)
+        s = LaurentSeries.from_moments(moments_from_recurrence(beta, gamma, 27))
         for n in range(-1, 13):
             # q_-1 = 1 is known on the window of S, q_n for n >= 0 on it less n
             q, w = second_kind_by_definition(data, s, n), s.truncation_order - max(n, 0)
@@ -276,10 +275,10 @@ def test_second_kind_pair_is_riccati_residual_times_P(conic, with_B):
     B = random_poly(rng, 3) if with_B else Poly.zero()
     ric = RiccatiData(A, B, C, D, lattice)
     beta, gamma = random_quasi_definite_recurrence(rng, 2 * n_max + 4)
-    data = smop_from_recurrence(beta[:n_max + 1], gamma[:n_max + 1], n_max,
-                                moments=moments_from_recurrence(beta, gamma, 2 * n_max + 4))
+    data = smop_from_recurrence(beta[:n_max + 1], gamma[:n_max + 1], n_max)
     coeffs = corollary_coeffs(ric, data, n_max)
-    ws = Workspace(lattice, data.stieltjes())
+    ws = Workspace(lattice, LaurentSeries.from_moments(
+        moments_from_recurrence(beta, gamma, 2 * n_max + 4)))
     rho = riccati_residual(ric, ws)
     w = rho.truncation_order
     assert not rho.is_zero_within_window()
