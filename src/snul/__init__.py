@@ -55,7 +55,6 @@ from .laguerre_hahn import (
 )
 from .orthopoly import (
     SMOPData,
-    check_liouville,
     moments_from_recurrence,
     recurrence_from_moments,
     second_kind_series,

@@ -7,8 +7,8 @@ sqrt(r) that appears stays symbolic, as v in a pair u + sqrt(r) v.
 `Poly` and `LaurentSeries` hold their coefficients as integer numerators
 over one denominator; the kernels here work on those integers.
 `_int_dot`, a sum of weighted products cut at a length, is the one exact
-product kernel, `_int_sum` the one sum and `_reduced` the one
-normalisation, a single gcd per result.
+kernel, of products and sums alike, and `_reduced` the one normalisation,
+a single gcd per result.
 
 `_nullspace` is the fit's exact nullspace: full column rank modulo one
 word-size prime P proves the usual answer of a fit, an empty nullspace,
@@ -60,19 +60,6 @@ def _int_dot(terms, length: int | None = None) -> list[int]:
                 for i, a in enumerate(xs[:n - j], j):
                     out[i] += a * b
     return out
-
-
-def _int_sum(xs, x_den: int, ys, y_den: int, sign: int = 1) -> tuple[list[int], int]:
-    """Numerators over one denominator of xs / x_den + sign ys / y_den,
-    entry by entry, the shorter sequence padded with zeros at its end."""
-    den = lcm(x_den, y_den)
-    sx, sy = den // x_den, sign * (den // y_den)
-    out = [a * sx + b * sy for a, b in zip(xs, ys)]
-    if len(xs) < len(ys):
-        out += [b * sy for b in ys[len(xs):]]
-    else:
-        out += [a * sx for a in xs[len(ys):]]
-    return out, den
 
 
 def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:

@@ -499,7 +499,7 @@ def structure_coeffs_direct(ric: RiccatiData, data: SMOPData, n_max: int) -> Str
 
     the E2 variants their sqrt(r)-conjugates.  (i) R_n = 0 is linear in (Lam,
     Theta) with matrix (E1v_n, E1v_{n-1}), of determinant E1(P_n P1_{n-2} -
-    P_{n-1} P1_{n-1}) = -gamma_0..gamma_{n-1} (`check_liouville`): one
+    P_{n-1} P1_{n-1}) = -gamma_0..gamma_{n-1} (`job_recurrence`): one
     solution, in Q[x][sqrt(r)].  By Cramer its Theta is A (MP_n DP1_{n-1} -
     MP1_{n-1} DP_n) - (C/2)(E1P_n E2P1_{n-1} + conjugate) - D E1P_n E2P_n -
     B E1P1_{n-1} E2P1_{n-1} over that constant, each term self-conjugate, so
@@ -826,116 +826,82 @@ def certify(ric: RiccatiData, n_max: int, order: int,
             recurrence: tuple[list[Fraction], list[Fraction]] | None = None) -> Certificate:
     """Run the whole equivalence pipeline and aggregate verdicts.
 
-    Stage errors are recorded in the certificate (verdict "fail" with the
-    exception text, dependent stages "skip"), never raised past this
-    function.  The Riccati residual gates everything structural; a moment
+    Four stages compute: `moments`, `riccati`, `quasi-definite` and
+    `structure-direct`, in that order, each only if the ones before passed.
+    A SnulError one of them raises is recorded as its fail, with the
+    exception text (and the failing level of a NotQuasiDefinite), never
+    raised past this function; the stages not reached are recorded as
+    skips.  The Riccati residual gates everything structural; a moment
     perturbation therefore always surfaces there first.  On moments it
     solves, `riccati` is recorded from the solve and no stage forms an image
     of S (`job_riccati_residual`).  A supplied `recurrence` (beta, gamma) is
     read as it stands (`job_recurrence`): `moments` must then be the ones
-    formed from it, by `moments_from_recurrence`.  The stages after
-    `structure-direct` form none (the proofs in `solve_moments_from_riccati`,
-    `structure_coeffs_direct`, `second_kind_checks`, `corollary_recursion`).
+    formed from it, by `moments_from_recurrence`.  The other entries are
+    recorded from proofs and form nothing: `liouville` with `quasi-definite`
+    (`job_recurrence`), the rest with `structure-direct`
+    (`structure_coeffs_direct`, `second_kind_checks`, `corollary_recursion`).
     Each `timings` entry is the duration of its own stage; "total" is the
     whole run.  Raises ValueError, before any stage runs, when n_max < 1.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    from .orthopoly import check_liouville, job_recurrence
+    from .orthopoly import job_recurrence
 
     cert = Certificate(instance=instance or {}, options={"n_max": n_max, "trunc": order})
-    checks = cert.checks
+    order, solved = max(order, 2 * n_max + 2), moments is None
     t0 = stage_start = time.perf_counter()
 
-    def record(result: CheckResult):
+    def record(name: str, verdict: str = "pass", **fields):
         nonlocal stage_start
-        checks.append(result)
+        cert.checks.append(CheckResult(name, verdict, **fields))
         now = time.perf_counter()
-        cert.timings[result.name] = now - stage_start
+        cert.timings[name] = now - stage_start
         stage_start = now
 
-    def guarded(run, name: str) -> bool:
-        """Record the result `run` returns for the stage `name`, or a
-        SnulError it raises as a fail; True when the stage passed."""
-        try:
-            result = run()
-        except SnulError as exc:
-            result = CheckResult(name, "fail", detail=str(exc))
-        record(result)
-        return result.verdict == "pass"
-
-    def abort():                 # the stages so far were recorded in order
-        checks.extend(CheckResult(nm, "skip") for nm in _CERTIFY_STAGES[len(checks):])
-        cert.timings["total"] = time.perf_counter() - t0
-        return cert
-
-    # moments: solved sequentially from the equation, or supplied
-    order, solved = max(order, 2 * n_max + 2), moments is None
-
-    def moments_stage():
-        nonlocal moments
-        if moments is None:
+    stage = "moments"
+    try:
+        if solved:
             moments = solve_moments_from_riccati(ric, order)
-            return CheckResult("moments", "pass",
-                               detail=f"solved u_0..u_{order} sequentially")
-        moments = [Fraction(m) for m in moments]
-        if len(moments) < 2 * n_max + 2:
-            return CheckResult("moments", "fail", detail=f"need at least {2 * n_max + 2} "
-                               f"moments, got {len(moments)}")
-        return CheckResult("moments", "pass", detail=f"supplied u_0..u_{len(moments) - 1}")
-    if not guarded(moments_stage, "moments"):
-        return abort()
-
-    # Riccati residual: the (a) statement on the honest window
-    def riccati():
-        res = job_riccati_residual(ric, order, None if solved else moments)
-        zero, window = res.is_zero_within_window(), res.truncation_order
-        return CheckResult("riccati", "pass" if zero else "fail", window=window,
-                           residual_summary=f"zero down to x^-{window}" if zero else
-                           f"nonzero at x^{res.leading_exponent()}: {res.leading_coefficient()}")
-    if not guarded(riccati, "riccati"):
-        return abort()
-
-    # quasi-definiteness and the recurrence data
-    data = None
-
-    def quasi_definite():
-        nonlocal data
-        try:
+            record(stage, detail=f"solved u_0..u_{order} sequentially")
+        else:
+            moments = [Fraction(m) for m in moments]
+            if len(moments) < 2 * n_max + 2:
+                record(stage, "fail", detail=f"need at least {2 * n_max + 2} "
+                       f"moments, got {len(moments)}")
+            else:
+                record(stage, detail=f"supplied u_0..u_{len(moments) - 1}")
+        if cert.passed:          # the (a) statement on the honest window
+            stage = "riccati"
+            res = job_riccati_residual(ric, order, None if solved else moments)
+            window = res.truncation_order
+            if res.is_zero_within_window():
+                record(stage, window=window, residual_summary=f"zero down to x^-{window}")
+            else:
+                record(stage, "fail", window=window, residual_summary=f"nonzero at "
+                       f"x^{res.leading_exponent()}: {res.leading_coefficient()}")
+        if cert.passed:
+            stage = "quasi-definite"
             data = job_recurrence(moments, n_max, recurrence)
-        except NotQuasiDefinite as exc:
-            return CheckResult("quasi-definite", "fail",
-                               detail=f"failing n = {exc.n}: {exc}")
-        return CheckResult("quasi-definite", "pass")
-    if not guarded(quasi_definite, "quasi-definite"):
-        return abort()
-
-    def liouville():
-        check_liouville(data)
-        return CheckResult("liouville", "pass")
-    guarded(liouville, "liouville")
-
-    # constructive (a) => (b)
-    def structure_direct():
-        coeffs = structure_coeffs_direct(ric, data, n_max)
-        cert.degrees = coeffs.degrees()
-        return CheckResult("structure-direct", "pass",
-                           detail=f"levels -1..{coeffs.max_level}")
-    if not guarded(structure_direct, "structure-direct"):
-        return abort()
-
-    # both variants of both relations hold at 1..n_max: `structure_coeffs_direct`
-    record(CheckResult("structure-relations-1", "pass"))
-    record(CheckResult("structure-relations-2", "pass"))
-
-    # second-kind and gathered relations, read off the Riccati residual
-    for result in second_kind_checks(cert.check("riccati").window, n_max):
-        record(result)
-
-    # structure-direct's levels are the recursion's; the Magnus, telescope and
-    # reconstruction identities hold for them by `corollary_recursion`'s
-    # proof, as gamma_0 = 1 (`liouville` checks it)
-    for name in ("recursion-corollary", "recursion-magnus", "telescopes", "reconstruction"):
-        record(CheckResult(name, "pass"))
+            record(stage)
+            record("liouville")          # gamma_0 = 1 holds: `job_recurrence`
+        if cert.passed:          # constructive (a) => (b)
+            stage = "structure-direct"
+            coeffs = structure_coeffs_direct(ric, data, n_max)
+            cert.degrees = coeffs.degrees()
+            record(stage, detail=f"levels -1..{coeffs.max_level}")
+            # both variants of both relations hold at 1..n_max, and the
+            # Magnus, telescope and reconstruction identities for these
+            # levels: `structure_coeffs_direct`, `corollary_recursion`
+            record("structure-relations-1")
+            record("structure-relations-2")
+            for result in second_kind_checks(window, n_max):
+                record(result.name, window=result.window)
+            for name in ("recursion-corollary", "recursion-magnus", "telescopes",
+                         "reconstruction"):
+                record(name)
+    except SnulError as exc:
+        failing = f"failing n = {exc.n}: " if isinstance(exc, NotQuasiDefinite) else ""
+        record(stage, "fail", detail=f"{failing}{exc}")
+    cert.checks.extend(CheckResult(name, "skip") for name in _CERTIFY_STAGES[len(cert.checks):])
     cert.timings["total"] = time.perf_counter() - t0
     return cert

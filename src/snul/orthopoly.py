@@ -103,7 +103,16 @@ def job_recurrence(moments, n_max: int, recurrence=None) -> SMOPData:
     as it stands.  `moments` are then the ones formed from it, on which the
     Chebyshev algorithm would give it back and stop where it does, at the
     first gamma_k = 0, as H_{n+1} = prod_{k<=n} gamma_k^(n+1-k).  Raises
-    NotQuasiDefinite naming the first failing level."""
+    NotQuasiDefinite naming the first failing level.
+
+    The recurrence returned has gamma_0 = 1: the Chebyshev algorithm sets
+    it, and `smop_from_recurrence` refuses a supplied one without it.  So
+    the Liouville-Ostrogradsky identity W_n = P1_n P_n - P_{n+1} P1_{n-1} =
+    gamma_0 ... gamma_n holds at every level, and `certify` records its
+    `liouville` entry with `quasi-definite`.  Proof: W_0 = P1_0 P_0 - P_1
+    P1_{-1} = 1 = gamma_0, and substituting P_{n+1} = (x - beta_n) P_n -
+    gamma_n P_{n-1} and P1_n = (x - beta_n) P1_{n-1} - gamma_n P1_{n-2} gives
+    W_n = gamma_n W_{n-1}."""
     if recurrence is None:
         beta, gamma = recurrence_from_moments(moments, n_max)
     else:
@@ -223,13 +232,3 @@ def second_kind_series(data: SMOPData, s: LaurentSeries, n: int) -> LaurentSerie
         )
     return q
 
-
-def check_liouville(data: SMOPData) -> None:
-    """The Liouville-Ostrogradsky identity W_n = P1_n P_n - P_{n+1} P1_{n-1}
-    = gamma_0 ... gamma_n for every level, by its proof.  W_0 = P1_0 P_0 -
-    P_1 P1_{-1} = 1 = gamma_0.  For P_n and P1_n defined by the recurrence,
-    substituting P_{n+1} = (x - beta_n) P_n - gamma_n P_{n-1} and P1_n =
-    (x - beta_n) P1_{n-1} - gamma_n P1_{n-2} gives W_n = gamma_n W_{n-1}.
-    So only gamma_0 = 1 needs checking; raises InvalidRecurrence otherwise."""
-    if data.gamma[0] != 1:
-        raise InvalidRecurrence(f"gamma_0 must equal 1 (got {data.gamma[0]})")

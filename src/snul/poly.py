@@ -8,12 +8,13 @@ Fractions, is formed on first read.  The zero polynomial is () over 1 and has
 degree None, a deliberate sentinel: degree arithmetic on zero must fail
 loudly instead of propagating -1.
 
-Products go through `fieldext._int_dot`, the one exact product kernel:
+Products and sums go through `fieldext._int_dot`, the one exact kernel:
 `Poly.dot` forms a sum of products, each with an optional rational weight,
 so that a result of several products, sums and scalings (one level of the
-structure recursion) takes one lcm, one kernel call and one gcd, and a
-product of two polynomials is its one-term case.  No job divides by a
-polynomial (`exact_div` serves `surd_exact_div`).
+structure recursion) takes one lcm, one kernel call and one gcd; a product
+of two polynomials is its one-term case, a sum or difference its two-term
+case with constant factors 1 and +/-1.  No job divides by a polynomial
+(`exact_div` serves `surd_exact_div`).
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from math import lcm
 from typing import Iterable
 
 from .errors import DivisionNotExact
-from .fieldext import _int_dot, _int_sum, _reduced, parse_rational
+from .fieldext import _int_dot, _reduced, parse_rational
 
 _ZERO = Fraction(0)
 
@@ -112,7 +113,7 @@ class Poly:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
-        return Poly._from_ints(*_int_sum(self.nums, self.den, o.nums, o.den))
+        return Poly.dot(((self, 1), (o, 1)))
 
     __radd__ = __add__
 
@@ -120,7 +121,7 @@ class Poly:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
-        return Poly._from_ints(*_int_sum(self.nums, self.den, o.nums, o.den, -1))
+        return Poly.dot(((self, 1), (o, -1)))
 
     def __rsub__(self, other):
         o = self._coerce_operand(other)

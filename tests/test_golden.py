@@ -67,6 +67,10 @@ Poly operations (Theta_n/gamma_{n+1}, m_n m_{n+1}, l_n - l_{n-1} and so on,
 each reduced on its own), formed A_n afresh on every read and wrote each
 coefficient through a Fraction, so it is an oracle independent of the
 weighted sums of products, the stored A_n and the numerator formatter.
+The certify cases that fail, FAILING below, were written by the version
+whose certify ran each stage through a function of its own and checked
+gamma_0 = 1 again in its `liouville` stage, so they are an oracle
+independent of the one pass that records every stage now.
 To regenerate after an intended change of the output, run
 `snul <command> <problem> <extra arguments>` and, for certify, delete the
 "timings" entry; the file is tests/data/<command>_<name>.json, with <name>
@@ -87,6 +91,15 @@ PROBLEMS = sorted((ROOT / "problems").glob("qhermite*.json")) + [DATA / "surd_co
 RECURRENCE = ROOT / "problems" / "qhermite_recurrence.json"
 # a basis of dimension 3, and the fit inside certify
 WIDE_BOUNDS = ["--deg-bounds", "4,4,4,4"]
+# certify inputs that fail a stage, exit 1: u_7 of qhermite moved by one
+# (riccati), the Dirac moments (1/2)^k of A = 1, B = -1 (quasi-definite,
+# failing n = 1), the lattice (1, 2, 0, 0, 1, 1), where y_2 has no inverse
+# series (riccati), ten moments for n_max 8 and Riccati data whose residual
+# is -1 at x^2 with u_0 alone (moments), and the random moments, whose fit
+# finds nothing (riccati, the one check)
+FAILING = [("certify", DATA / f"{stem}.json", [])
+           for stem in ("qhermite_moved_moment", "dirac_moments", "degenerate_lattice",
+                        "too_few_moments", "inconsistent_riccati", "random_moments")]
 # (command, problem file, extra arguments)
 CASES = (
     [("certify", p, []) for p in PROBLEMS]
@@ -123,6 +136,7 @@ CASES = (
     + [("certify", DATA / "qhermite_corecursive_recurrence.json", ["--n-max", "64"])]
     # the deepest certify the shipped 42-entry recurrence allows
     + [("certify", RECURRENCE, ["--n-max", "20"])]
+    + FAILING
 )
 
 
@@ -146,8 +160,10 @@ def test_certify_output_matches_golden(case):
         code = main([command, str(problem)] + extra)
     doc = json.loads(out.getvalue())
     if command == "certify":
-        assert code == (0 if doc["passed"] else 1)
-        assert set(doc.pop("timings")) >= {"total"}
+        assert (code, doc["passed"]) == ((1, False) if case in FAILING else (0, True))
+        timings = doc.pop("timings")
+        # the fit's "no relation" certificate runs no stage and times none
+        assert set(timings) >= {"total"} if len(doc["checks"]) > 1 else timings == {}
     elif command == "derive":
         assert code == (0 if doc["agreement"] else 1)
     else:

@@ -11,7 +11,6 @@ from snul import (
     NotQuasiDefinite,
     Poly,
     apply_shift,
-    check_liouville,
     moments_from_recurrence,
     recurrence_from_moments,
     second_kind_series,
@@ -330,18 +329,20 @@ class TestLiouville:
                 assert liouville_defect(data, n).is_zero
 
     def test_check_fails_where_the_products_do(self):
-        # check_liouville, the identity by its proof, against the full
-        # products: both pass on a recurrence, both fail at gamma_0 = 2
+        # the gamma_0 check of smop_from_recurrence, on which certify records
+        # `liouville` (the identity by its proof, `job_recurrence`), against
+        # the full products: both pass on a recurrence, both fail at gamma_0 = 2
         rng = random.Random(37)
         beta, gamma = random_quasi_definite_recurrence(rng, 7)
         data = build(beta, gamma, 7)
-        check_liouville(data)
         assert all(liouville_defect(data, n).is_zero for n in range(7))
         data = build(beta, gamma, 7)
         data.gamma[0] = F(2)
         assert not liouville_defect(data, 0).is_zero
-        with pytest.raises(InvalidRecurrence, match="gamma_0 must equal 1"):
-            check_liouville(data)
+        for make in (lambda g: build(beta, g, 7),
+                     lambda g: orthopoly.job_recurrence(None, 7, (beta, g))):
+            with pytest.raises(InvalidRecurrence, match="gamma_0 must equal 1"):
+                make([F(2)] + gamma[1:])
 
     def test_shifted_image_is_zero(self, reference_lattice):
         # E_j of the identically-zero defect stays zero in the surd ring

@@ -325,6 +325,8 @@ class TestIntegerStorage:
         assert_poly(a, a_terms)
         assert_poly(a + b, combine(a_terms, b_terms))
         assert_poly(a - b, combine(a_terms, b_terms, -1))
+        for s, terms in ((a + c, combine(a_terms, {0: c})), (c - a, combine({0: c}, a_terms, -1))):
+            assert_poly(s, terms)
         assert_poly(-a, {k: -v for k, v in a_terms.items()})
         assert_poly(a * c, {k: v * c for k, v in a_terms.items() if c})
         assert_poly(a * b, product(a_terms, b_terms))
