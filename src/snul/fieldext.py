@@ -24,13 +24,21 @@ from typing import Iterable, Sequence
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "p/q" / "p" strings (or ints) into an exact Fraction."""
+    """Parse "p/q" / "p" strings (or ints) into an exact Fraction.
+
+    "p", "-p" and "p/q" in ASCII digits are read by int(); any other string
+    goes to Fraction(str), which accepts and refuses the same strings."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, str):
-        return Fraction(text.strip())
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isascii() and digits.isdigit() and (
+                not slash or den.isascii() and den.isdigit()):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        return Fraction(text)
     raise TypeError(f"cannot parse rational from {text!r}")
 
 

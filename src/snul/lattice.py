@@ -124,13 +124,15 @@ class Lattice:
 
     def _scaled_coefficients(self) -> tuple:
         """(c, c p0, c p1, c r0, c r1, c r2, c n0, c n1, c n2) as ints, with
-        N = p^2 - r = n0 + n1 x + n2 x^2 and c the least common denominator
-        of p, r and N.  Raises DegenerateLattice when n2 = 0."""
+        N = y1 y2 = p^2 - r = n0 + n1 x + n2 x^2, read off the conic as
+        (f_hat + 2 e_hat x + c_hat x^2)/a_hat, and c the least common
+        denominator of p, r and N.  Raises DegenerateLattice when n2 = 0."""
         ints = self._dm_ints
         if ints is None:
             p0, p1 = (self.p.coefficient(i) for i in (0, 1))
             r0, r1, r2 = (self.r.coefficient(i) for i in (0, 1, 2))
-            n0, n1, n2 = p0 * p0 - r0, 2 * p0 * p1 - r1, p1 * p1 - r2
+            a = self.a_hat
+            n0, n1, n2 = self.f_hat / a, 2 * self.e_hat / a, self.c_hat / a
             if n2 == 0:
                 # y1 y2 has lost its x^2 term, so r2 = p1^2 and one branch,
                 # p -/+ sqrt(r), has no x term: y_1 when p1 = +sqrt(r2) > 0
@@ -225,8 +227,9 @@ class Lattice:
 def build_lattice(a_hat, b_hat, c_hat, d_hat, e_hat, f_hat) -> Lattice:
     """Construct and validate a q-quadratic lattice from conic coefficients.
 
-    Computes p, r, lambda, tau, q_trace and the class, and re-expands the
-    conic from (p, r) as an internal consistency check.
+    Computes lambda, tau, q_trace and the class, and p, r from the two
+    branches of the conic in y: y1 + y2 = 2p with p = -(b x + d)/a, and
+    y1 y2 = p^2 - r = (c x^2 + 2 e x + f)/a, so r = p^2 - (c x^2 + 2 e x + f)/a.
     """
     a = Fraction(a_hat)
     b = Fraction(b_hat)
@@ -244,18 +247,9 @@ def build_lattice(a_hat, b_hat, c_hat, d_hat, e_hat, f_hat) -> Lattice:
             f"lattice class {cls.label} (lambda = {lam}, tau = {tau}) is outside "
             "the supported general case lambda * tau != 0"
         )
-    # p = -(b x + d)/a ; r expanded from the closed form around its vertex.
     p = Poly([-d / a, -b / a])
-    shift = (b * d - a * e) / lam
-    r2 = lam / (a * a)
-    r = Poly([r2 * shift * shift + tau / (a * lam), 2 * r2 * shift, r2])
+    r = Poly.dot([(p, p), (Poly([f, 2 * e, c]), -1 / a)])
     q_trace = Fraction(4) * b * b / (a * c) - 2 if c != 0 else None
-    # Consistency: a(y - y1)(y - y2) must reproduce the conic restricted to y,
-    # i.e. -2p = 2(b x + d)/a ... and p^2 - r = (c x^2 + 2 e x + f)/a.
-    sum_check = p * 2 + Poly([2 * d / a, 2 * b / a])
-    prod_check = p * p - r - Poly([f / a, 2 * e / a, c / a])
-    if not sum_check.is_zero or not prod_check.is_zero:
-        raise InvalidConic("internal consistency check failed for (p, r)")
     return Lattice(a, b, c, d, e, f, p, r, lam, tau, q_trace, cls)
 
 

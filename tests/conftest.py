@@ -71,6 +71,22 @@ def random_rational_lattice(rng: random.Random):
         return build_lattice(a, b, c, d, e, f)
 
 
+def vertex_form_lattice(a_hat, b_hat, c_hat, d_hat, e_hat, f_hat):
+    """(p, r, lambda, tau, q_trace) of a conic with lambda * tau != 0, r
+    written around its vertex: r = (lambda/a^2)(x + (b d - a e)/lambda)^2
+    + tau/(a lambda).  The oracle for `build_lattice`, which forms r as
+    p^2 - (c x^2 + 2 e x + f)/a."""
+    a, b, c, d, e, f = map(F, (a_hat, b_hat, c_hat, d_hat, e_hat, f_hat))
+    lam = b * b - a * c
+    tau = (lam * (d * d - a * f) - (b * d - a * e) ** 2) / a
+    shift = (b * d - a * e) / lam
+    r2 = lam / (a * a)
+    p = Poly([-d / a, -b / a])
+    r = Poly([r2 * shift * shift + tau / (a * lam), 2 * r2 * shift, r2])
+    q_trace = 4 * b * b / (a * c) - 2 if c != 0 else None
+    return p, r, lam, tau, q_trace
+
+
 def random_quasi_definite_recurrence(rng: random.Random, n_top: int):
     """(beta, gamma) with gamma_0 = 1 and nonzero gamma_n, small rationals."""
     beta = [random_fraction(rng, 3) for _ in range(n_top + 1)]

@@ -209,8 +209,11 @@ class TestExitCodes:
         ("options", "deg_bounds", [True, 0, 1, 0],
          "options.deg_bounds must be four nonnegative integers"),
         ("recurrence", "gamma", [True] + ["1/4"] * 41, "bad rational at recurrence.gamma[0]: True"),
+        ("recurrence", "gamma", ["1"] + ["1/0"] * 41, "bad rational at recurrence.gamma[1]: '1/0'"),
+        ("recurrence", "beta", ["3/-4"] * 42, "bad rational at recurrence.beta[0]: '3/-4'"),
+        ("recurrence", "beta", [""] * 42, "bad rational at recurrence.beta[0]: ''"),
     ], ids=["beta-string", "beta-number", "gamma-null", "n-max-true", "deg-bounds-true",
-            "gamma-true"])
+            "gamma-true", "gamma-zero-denominator", "beta-signed-denominator", "beta-empty"])
     def test_mistyped_field_exit_2(self, tmp_path, capsys, block, key, value, message):
         # a string is not read as a list of digits, nor true as 1, and a
         # number or null is an input error, not an internal one

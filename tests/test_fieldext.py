@@ -1,5 +1,7 @@
 from fractions import Fraction as F
 
+import pytest
+
 from snul.fieldext import format_rational, parse_rational
 
 
@@ -21,3 +23,22 @@ def test_numerator_formatter_matches_fraction_str():
         assert format_rational(num, den) == str(F(num, den)), (num, den)
     for value in (F(0), F(-3), F(big, 3 ** 320), F(-1, big)):
         assert format_rational(value) == str(value)
+
+
+# "p", "-p" and "p/q" in ASCII digits take the int() path of parse_rational,
+# the rest go to Fraction(str)
+PARSER_CASES = ["0", "-0/5", "007", "-16/9", "-" + "7" * 600 + "/3", " 3 ", "+3", "1.5",
+                "1e3", "1_000", "3/-4", "--3", "1/0", "", "1/2/3", "\u0663", "\u0663/4"]
+
+
+@pytest.mark.parametrize("text", PARSER_CASES)
+def test_parser_matches_fraction_str(text):
+    try:
+        expected = F(text)
+    except Exception as exc:        # the refusal must match in type
+        with pytest.raises(type(exc)):
+            parse_rational(text)
+    else:
+        got = parse_rational(text)
+        assert got.__class__ is F and got == expected
+

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,7 @@ from snul import (
     classify_lattice,
     lattice_points,
 )
+from snul.fieldext import parse_rational
 from snul.lattice import _operator_series, classify_invariants
 
 from conftest import (
@@ -33,7 +36,10 @@ from conftest import (
     random_fraction,
     random_poly,
     random_rational_lattice,
+    vertex_form_lattice,
 )
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +63,35 @@ class TestBuild:
         lat = build_lattice(1, -2, 1, 3, -6, 1)
         assert lat.r.coefficient(1) == 0
 
+    def test_r_matches_vertex_form(self):
+        # r = p^2 - (c x^2 + 2 e x + f)/a against r written around its vertex
+        shipped = [json.loads(path.read_text())["lattice"]
+                   for path in sorted(PROBLEMS.glob("*.json"))]
+        rng = random.Random(31)
+        drawn = []
+        while len(drawn) < 200:
+            conic = [random_fraction(rng, 6) for _ in range(6)]
+            a, b, c, d, e, f = conic
+            lam = b * b - a * c
+            if a and lam and lam * (d * d - a * f) != (b * d - a * e) ** 2:
+                drawn.append(conic)
+        conics = [REFERENCE_CONIC, SURD_CONIC, IMAGINARY_CONIC] + shipped + drawn
+        assert len(shipped) == 4
+        for conic in conics:
+            conic = [parse_rational(v) for v in conic]
+            lat = build_lattice(*conic)
+            p, r, lam, tau, q_trace = vertex_form_lattice(*conic)
+            assert (lat.p.nums, lat.p.den) == (p.nums, p.den), conic
+            assert (lat.r.nums, lat.r.den) == (r.nums, r.den), conic
+            assert (lat.lam, lat.tau, lat.q_trace) == (lam, tau, q_trace), conic
+
+    def test_c_zero_degenerate_at_first_table_use(self):
+        # y1 y2 = (c x^2 + 2 e x + f)/a loses its x^2 term: the lattice is
+        # built, and its D/M table refuses
+        lat = build_lattice(1, 2, 0, 0, 1, 1)
+        with pytest.raises(DegenerateLattice, match="y_2 has degenerate"):
+            lat.dm_table(4, 1)
+
     def test_invalid_conic(self):
         with pytest.raises(InvalidConic):
             build_lattice(0, 1, 1, 0, 0, 1)
@@ -66,6 +101,8 @@ class TestBuild:
             build_lattice(1, 0, 0, 0, 0, 1)      # lambda = tau = 0
         with pytest.raises(UnsupportedLatticeClass):
             build_lattice(1, 1, 1, 0, 0, 0)      # tau = 0, lambda != 0
+        with pytest.raises(UnsupportedLatticeClass):
+            build_lattice(1, 1, 1, 0, 1, 0)      # lambda = 0, tau != 0
 
     def test_classification_table(self, reference_lattice):
         assert classify_lattice(reference_lattice) is LatticeClass.Q_QUADRATIC
