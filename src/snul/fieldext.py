@@ -24,20 +24,16 @@ from typing import Iterable, Sequence
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "p/q" / "p" strings (or ints) into an exact Fraction.
-
-    "p", "-p" and "p/q" in ASCII digits are read by int(); any other string
-    goes to Fraction(str), which accepts and refuses the same strings."""
+    """Parse "p/q" / "p" strings (or ints) into an exact Fraction: "p", "-p"
+    and "p/q" in ASCII digits by int(), any other string by Fraction(str)."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, str):
         num, slash, den = text.partition("/")
-        digits = num[1:] if num[:1] == "-" else num
-        if digits.isascii() and digits.isdigit() and (
-                not slash or den.isascii() and den.isdigit()):
-            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        if text.isascii() and num.removeprefix("-").isdecimal() and (den.isdecimal() or not slash):
+            return Fraction(int(num), int(den or 1))
         return Fraction(text)
     raise TypeError(f"cannot parse rational from {text!r}")
 

@@ -124,15 +124,14 @@ class Lattice:
 
     def _scaled_coefficients(self) -> tuple:
         """(c, c p0, c p1, c r0, c r1, c r2, c n0, c n1, c n2) as ints, with
-        N = y1 y2 = p^2 - r = n0 + n1 x + n2 x^2, read off the conic as
-        (f_hat + 2 e_hat x + c_hat x^2)/a_hat, and c the least common
-        denominator of p, r and N.  Raises DegenerateLattice when n2 = 0."""
+        N = y1 y2 = (f_hat + 2 e_hat x + c_hat x^2)/a_hat = n0 + n1 x + n2 x^2
+        and c the least common denominator of p, r and N.  Raises
+        DegenerateLattice when n2 = 0."""
         ints = self._dm_ints
         if ints is None:
             p0, p1 = (self.p.coefficient(i) for i in (0, 1))
             r0, r1, r2 = (self.r.coefficient(i) for i in (0, 1, 2))
-            a = self.a_hat
-            n0, n1, n2 = self.f_hat / a, 2 * self.e_hat / a, self.c_hat / a
+            n0, n1, n2 = (v / self.a_hat for v in (self.f_hat, 2 * self.e_hat, self.c_hat))
             if n2 == 0:
                 # y1 y2 has lost its x^2 term, so r2 = p1^2 and one branch,
                 # p -/+ sqrt(r), has no x term: y_1 when p1 = +sqrt(r2) > 0
@@ -227,9 +226,8 @@ class Lattice:
 def build_lattice(a_hat, b_hat, c_hat, d_hat, e_hat, f_hat) -> Lattice:
     """Construct and validate a q-quadratic lattice from conic coefficients.
 
-    Computes lambda, tau, q_trace and the class, and p, r from the two
-    branches of the conic in y: y1 + y2 = 2p with p = -(b x + d)/a, and
-    y1 y2 = p^2 - r = (c x^2 + 2 e x + f)/a, so r = p^2 - (c x^2 + 2 e x + f)/a.
+    Computes lambda, tau, q_trace, the class and the branches p -/+ sqrt(r) of
+    the conic in y: y1 + y2 = 2p = -2(b x + d)/a, y1 y2 = p^2 - r = (c x^2 + 2 e x + f)/a.
     """
     a = Fraction(a_hat)
     b = Fraction(b_hat)
