@@ -320,7 +320,7 @@ def cmd_certify(args) -> int:
     order = max(problem.trunc, 2 * problem.n_max + 2)
     extra_checks: list[CheckResult] = []
     if problem.riccati is not None:
-        ric, moments = problem.riccati_data(lattice), problem.moment_list(order)
+        ric, moments, ws = problem.riccati_data(lattice), problem.moment_list(order), None
     else:
         candidates, ws, moments = _fit_candidates(problem, lattice)
         verified = [c for c in candidates if riccati_residual(c, ws).is_zero_within_window()]
@@ -339,10 +339,11 @@ def cmd_certify(args) -> int:
                    f"{list(problem.deg_bounds)}; certifying the first",
         ))
         if problem.moments is None and order > problem.trunc:
-            # a recurrence gives more moments at the larger order
-            moments = problem.moment_list(order)
+            # a recurrence gives more moments at the larger order, and a
+            # longer S than the fit's
+            moments, ws = problem.moment_list(order), None
     cert = certify(ric, problem.n_max, order, moments=moments, instance=problem.echo(),
-                   recurrence=problem.recurrence)
+                   recurrence=problem.recurrence, workspace=ws)
     cert.checks[0:0] = extra_checks
     _emit(cert.to_dict())
     return EXIT_OK if cert.passed else EXIT_MATH_FAIL

@@ -41,7 +41,7 @@ from .errors import (
     Underdetermined,
 )
 from .fieldext import _nullspace
-from .lattice import Lattice, _add_row, _operator_series, apply_shift, e1e2_series
+from .lattice import Lattice, _kernel_columns, _operator_series, apply_shift, e1e2_series
 from .orthopoly import SMOPData, second_kind_series
 from .poly import Poly
 from .series import LaurentSeries
@@ -279,16 +279,17 @@ def solved_riccati_window(ric: RiccatiData, count: int) -> int:
     return _checked_window(count - max(_theta_degree_bound(ric), -1))
 
 
-def job_riccati_residual(ric: RiccatiData, order: int,
-                         moments: Sequence[Fraction] | None) -> LaurentSeries:
+def job_riccati_residual(ric: RiccatiData, order: int, moments: Sequence[Fraction] | None,
+                         ws: Workspace | None = None) -> LaurentSeries:
     """The Riccati residual of a certify or derive job on u_0..u_order:
-    formed from supplied `moments`, in a `Workspace` of their S, and with
-    `moments` None, on those `solve_moments_from_riccati` solved, zero on
+    formed from supplied `moments`, in `ws` when given (a `Workspace` of
+    their S, such as the fit's) and else in a new one, and with `moments`
+    None, on those `solve_moments_from_riccati` solved, zero on
     `solved_riccati_window`, as each coefficient there is an equation the
     solve imposed."""
     if moments is None:
         return LaurentSeries.zero(solved_riccati_window(ric, order))
-    return riccati_residual(ric, Workspace(ric.lattice, LaurentSeries.from_moments(moments)))
+    return riccati_residual(ric, ws or Workspace(ric.lattice, LaurentSeries.from_moments(moments)))
 
 
 def _checked_window(window: int) -> int:
@@ -309,13 +310,16 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
     vacuous and no value for u_k was supplied in free_values, ValueError
     when count is negative.
 
-    DS and MS are running sums of the rows of the lattice's D/M table, as
-    integer numerators: entry i is over L n2^(K+i), with K = count + 1, L
-    the lcm of the moment denominators so far and n2 the int the table is
-    over, so row k enters with weight n2^(K-k).  E1S E2S enters as (MS)^2 -
-    r (DS)^2.  The equation of u_k is two ints, beta_k of u_0..u_{k-1} and
-    alpha_k, the coefficient of u_k, so u_k = -beta_k / (alpha_k L) is its
-    one Fraction.
+    DS and MS are lists of integer numerators, entry i over g L q2^i, with
+    L the lcm of the moment denominators so far and g, q2 those of
+    `_kernel_columns`: [x^-i] DS reads u_0..u_{i-2} and [x^-i] MS reads
+    u_0..u_{i-1}, so u_k enters the equation of u_k through DS at
+    x^-(k+2) and MS at x^-(k+1) alone.  Each entry is formed once, as a
+    dot product of a kernel column with the numerators of u_0..u_{k-1},
+    and completed by the term of u_k once u_k is known.  E1S E2S enters as
+    (MS)^2 - r (DS)^2.  The equation of u_k is two ints, beta_k of
+    u_0..u_{k-1} and alpha_k, the coefficient of u_k, so u_k = -beta_k /
+    (alpha_k L) is its one Fraction.
 
     Proof that rho = A DS - B E1S E2S - C MS - D, S = sum u_k x^(-k-1), is
     zero on the window w = count - max(m0, -1) of `riccati_residual`: DS, MS
@@ -333,64 +337,65 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
     m0 = max(p.degree - drop for p, drop in ((A, 2), (B, 2), (C, 1)) if not p.is_zero)
     top_res = max(m0, D.degree if not D.is_zero else m0)
     max_deg = max(d.degree for d in (A, B, C, D) if not d.is_zero)
-    # the equation for u_k sits at x^(m0 - k) and reads DS, MS and E1S E2S
-    # at most max_deg powers lower
-    depth, K = count - m0 + max_deg, count + 1
-    n2, rows = lattice.dm_table(depth, K)
-    n2_K = n2 ** K
+    # the equation for u_k sits at x^(m0 - k) and reads DS down to x^-(k+2)
+    # and MS down to x^-(k+1)
+    _, g, q2, cols, mcols = _kernel_columns(lattice, count + 1)
     c, _, _, r0, r1, r2 = lattice._scaled_coefficients()[:6]
     # over G, coefficient i of A, C and D enters the x^e equation with weight
-    # n2^(top - i), that of B with n2^(max_deg - i)
+    # q2^(top - i), that of B with q2^(max_deg - i)
     G, top = lcm(A.den, B.den, C.den, D.den), max_deg + 2 * (not B.is_zero)
-    wa, wb, wc, wd = ([(i, a * (G // p.den) * n2 ** (t - i)) for i, a in enumerate(p.nums) if a]
+    wa, wb, wc, wd = ([(i, a * (G // p.den) * q2 ** (t - i)) for i, a in enumerate(p.nums) if a]
                       for p, t in ((A, top), (B, max_deg), (C, top), (D, top)))
-    # DS and MS of the moments so far, u_0 = 1: coefficients of x^0 .. x^-depth
-    ds, ms, L = [0] * (depth + 1), [0] * (depth + 1), 1
-    _add_row(ds, ms, n2 ** (K - 1), rows[1], 1)
+    # [x^-i] DS = -c' q2^(1-i) sum_j C_ij u_j is -c q2 sum_j C_ij U_j over
+    # g L q2^i, U_j = L u_j; DS and MS of u_0 = 1 lead at x^-2 and x^-1
+    dw = -c * q2
+    ds, ms, U, L = [0] * (count + 3), [0] * (count + 2), [1], 1
+    ds[2], ms[1] = dw, mcols[1][0]
 
-    def conv(f, g, m, low_f, low_g):
-        # the x^-m coefficient of f g; f has no terms above x^-low_f, g none above x^-low_g
-        if m < low_f + low_g:
+    def conv(f, h, m, low_f, low_h):
+        # the x^-m coefficient of f h; f has no terms above x^-low_f, h none above x^-low_h
+        if m < low_f + low_h:
             return 0
-        if f is not g:
-            return sum(map(mul, f[low_f:m - low_g + 1], g[m - low_f:low_g - 1:-1]))
-        # a square (low_f = low_g): each product of two entries once
-        h = (m + 1) // 2
-        out = 2 * sum(map(mul, f[low_f:h], f[m - low_f:m - h:-1]))
-        return out if m % 2 else out + f[h] * f[h]
+        if f is not h:
+            return sum(map(mul, f[low_f:m - low_h + 1], h[m - low_f:low_h - 1:-1]))
+        # a square (low_f = low_h): each product of two entries once
+        mid = (m + 1) // 2
+        out = 2 * sum(map(mul, f[low_f:mid], f[m - low_f:m - mid:-1]))
+        return out if m % 2 else out + f[mid] * f[mid]
 
     def equation(e, d, m, low, factor, total=0):
         # total plus the x^e coefficient of A Df - C Mf - factor B (MS Mf - r DS Df)
-        # for the lists d, m of Df, Mf over den n2^i, Mf without terms above x^-low,
-        # as one int over G den n2^(top - e), times c L n2^K when B != 0 (r =
-        # (r0 + r1 x + r2 x^2) / c); each DS Df coefficient is formed once
+        # for the lists d, m of Df, Mf over g den q2^i, Mf without terms above
+        # x^-low, as one int over G g den q2^(top - e), times c g L when B != 0
+        # (r = (r0 + r1 x + r2 x^2) / c); each DS Df coefficient is formed once
         total += sum(w * d[i - e] for i, w in wa if i > e) - sum(w * m[i - e] for i, w in wc if i > e)
         if not wb:
             return total
         js = [(i - e, w) for i, w in wb if i > e]
         dd = {t: conv(ds, d, t, 2, low + 1) for t in {j + s for j, _ in js for s in (0, 1, 2)}}
-        return total * c * L * n2_K - factor * sum(
-            w * (n2 * (n2 * (c * conv(ms, m, j, 1, low) - r0 * dd[j]) - r1 * dd[j + 1])
+        return total * c * g * L - factor * sum(
+            w * (q2 * (q2 * (c * conv(ms, m, j, 1, low) - r0 * dd[j]) - r1 * dd[j + 1])
                  - r2 * dd[j + 2]) for j, w in js)
 
     def residual(e):
-        return equation(e, ds, ms, 1, 1, -sum(w * L * n2_K for i, w in wd if i == e))
+        return equation(e, ds, ms, 1, 1, -sum(w * g * L for i, w in wd if i == e))
 
     free_values = free_values or {}
     moments = [Fraction(1)]
     for e in range(top_res, m0 - 1, -1):
         res = residual(e)
         if res:
-            res = Fraction(res, G * n2_K * n2 ** (top - e) * (c * n2_K if wb else 1))
+            res = Fraction(res, G * g * q2 ** (top - e) * (c * g if wb else 1))
             raise Inconsistent(0, f"residual coefficient at x^{e} is {res} with u_0 alone; "
                                   "no moment can repair it")
 
     for k in range(1, count + 1):
-        # u_k enters S with x^(-k-1), whose images are row k + 1 (over n2^(K+i)
-        # once weighted); alpha_k reads them at most max_deg - m0 powers below x^-k
-        row, weight = rows[k + 1], n2 ** (K - k - 1)
-        dk, mk = [0] * (k - m0 + max_deg + 1), [0] * (k - m0 + max_deg + 1)
-        _add_row(dk, mk, weight, row, k + 1)
+        # DS at x^-(k+2) and MS at x^-(k+1) from u_0..u_{k-1}; the lists of
+        # u_k alone, over g q2^i, hold its terms there
+        dcol, mcol = cols[k + 2], mcols[k + 1]
+        ds[k + 2], ms[k + 1] = dw * sum(map(mul, dcol, U)), sum(map(mul, mcol, U))
+        dk, mk = [0] * (k + 3), [0] * (k + 2)
+        dk[k + 2], mk[k + 1] = dw * dcol[k], mcol[k]
         beta_k = residual(m0 - k)
         alpha_k = equation(m0 - k, dk, mk, k + 1, 2)
         if not alpha_k:
@@ -404,8 +409,17 @@ def solve_moments_from_riccati(ric: RiccatiData, count: int,
         moments.append(u)
         if L % u.denominator:
             scale = u.denominator // gcd(L, u.denominator)
-            ds, ms, L = [a * scale for a in ds], [a * scale for a in ms], L * scale
-        _add_row(ds, ms, u.numerator * (L // u.denominator) * weight, row, k + 1)
+            L *= scale
+            U = [a * scale for a in U]
+            # later equations, at x^(m0 - k') for k' > k, read DS and MS from
+            # x^-(k' - m0) down when B = 0, and every entry through E1S E2S
+            # when B != 0: only those entries move to the new L
+            low = 0 if wb else max(k + 1 - m0, 0)
+            ds[low:k + 3] = [a * scale for a in ds[low:k + 3]]
+            ms[low:k + 2] = [a * scale for a in ms[low:k + 2]]
+        U.append(u.numerator * (L // u.denominator))
+        ds[k + 2] += dk[k + 2] * U[k]
+        ms[k + 1] += mk[k + 1] * U[k]
     return moments
 
 
@@ -823,7 +837,8 @@ _CERTIFY_STAGES = [
 
 def certify(ric: RiccatiData, n_max: int, order: int,
             moments: Sequence[Fraction] | None = None, instance: dict | None = None,
-            recurrence: tuple[list[Fraction], list[Fraction]] | None = None) -> Certificate:
+            recurrence: tuple[list[Fraction], list[Fraction]] | None = None,
+            workspace: Workspace | None = None) -> Certificate:
     """Run the whole equivalence pipeline and aggregate verdicts.
 
     Four stages compute: `moments`, `riccati`, `quasi-definite` and
@@ -834,7 +849,9 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     skips.  The Riccati residual gates everything structural; a moment
     perturbation therefore always surfaces there first.  On moments it
     solves, `riccati` is recorded from the solve and no stage forms an image
-    of S (`job_riccati_residual`).  A supplied `recurrence` (beta, gamma) is
+    of S (`job_riccati_residual`); on supplied moments the residual reuses
+    the images of S in `workspace`, a `Workspace` of their S, when given.
+    A supplied `recurrence` (beta, gamma) is
     read as it stands (`job_recurrence`): `moments` must then be the ones
     formed from it, by `moments_from_recurrence`.  The other entries are
     recorded from proofs and form nothing: `liouville` with `quasi-definite`
@@ -872,7 +889,7 @@ def certify(ric: RiccatiData, n_max: int, order: int,
                 record(stage, detail=f"supplied u_0..u_{len(moments) - 1}")
         if cert.passed:          # the (a) statement on the honest window
             stage = "riccati"
-            res = job_riccati_residual(ric, order, None if solved else moments)
+            res = job_riccati_residual(ric, order, None if solved else moments, workspace)
             window = res.truncation_order
             if res.is_zero_within_window():
                 record(stage, window=window, residual_summary=f"zero down to x^-{window}")

@@ -14,13 +14,16 @@ and `apply_M` read D and M off the two components of a single E2 expansion,
 which makes the cancellation of Delta_y = 2 sqrt(r) exact by construction.
 No job calls them: a job forms images of its S alone, which has no
 nonnegative powers, so they serve the structure-relation oracle of
-`laguerre_hahn`, the tests and tracing.  On
-Laurent series D and M act through one table: with N = y1 y2 = p^2 - r,
-both take x^(-k) to rational functions over Q, whose expansions the lattice
-keeps row by row (`Lattice.dm_table`) as integer numerators over powers of
-the leading coefficient of N, scaled to an integer polynomial.  D s and M s
-are integer linear combinations of those rows with the numerators of s, each
-reduced by one gcd.  E_j s = M s -/+ sqrt(r) D s is the only image that needs
+`laguerre_hahn`, the tests and tracing.  On Laurent series D and M act
+through one kernel: S = u_t[1/(x - t)] for the moments u_j, and
+
+    D S = -u_t[1/Q],    M S = u_t[(p - t)/Q],    Q = (y1 - t)(y2 - t),
+
+with Q = t^2 - 2 p t + N and N = y1 y2 = p^2 - r.  The expansion of 1/Q in
+1/x has polynomial coefficients in t, the columns of `_kernel_columns`,
+formed by one three-term integer recurrence; each coefficient of D S and
+M S is one dot product of a column with the numerators of the moments.
+E_j s = M s -/+ sqrt(r) D s is the only image that needs
 sqrt(r) as a series; the relations of the characterization are checked on
 D s and M s alone, so E_j s (with the sqrt(r) and 1/y_j expansions) serves
 as an independent oracle, on lattices where the leading coefficient of r
@@ -31,6 +34,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     DegenerateLattice,
@@ -65,21 +69,13 @@ def classify_invariants(lam: Fraction, tau: Fraction) -> LatticeClass:
 
 
 class Lattice:
-    """Immutable lattice data: conic coefficients, p, r and invariants.
-
-    The only interior state is one table whose row k holds the expansions
-    of D x^(-k) and M x^(-k), k = 0, 1, 2, ..., as integer numerators,
-    entry i of row k over n2^(k+i) with n2 the leading coefficient of c N,
-    c the least common denominator of p, r and N = p^2 - r.  It is kept at
-    the deepest window asked for so far and read at shallower windows.  A
-    longer or deeper table is built aside and swapped in by one assignment,
-    so instances are safe to share across threads.
-    """
+    """Immutable lattice data: conic coefficients, p, r and invariants, and
+    the integer form of p and N = y1 y2 that the kernel of D and M on series
+    is built from (`_scaled_coefficients`), formed on first use."""
 
     __slots__ = (
         "a_hat", "b_hat", "c_hat", "d_hat", "e_hat", "f_hat",
-        "p", "r", "lam", "tau", "q_trace", "lattice_class",
-        "_dm_ints", "_dm_table",
+        "p", "r", "lam", "tau", "q_trace", "lattice_class", "_ints",
     )
 
     def __init__(self, a_hat, b_hat, c_hat, d_hat, e_hat, f_hat,
@@ -96,8 +92,7 @@ class Lattice:
         self.tau = tau
         self.q_trace = q_trace
         self.lattice_class = lattice_class
-        self._dm_ints = None
-        self._dm_table = (-1, ())
+        self._ints = None
 
     # -- derived objects ------------------------------------------------------
     def y_surd(self, j: int) -> SurdPoly:
@@ -127,7 +122,7 @@ class Lattice:
         N = y1 y2 = (f_hat + 2 e_hat x + c_hat x^2)/a_hat = n0 + n1 x + n2 x^2
         and c the least common denominator of p, r and N.  Raises
         DegenerateLattice when n2 = 0."""
-        ints = self._dm_ints
+        ints = self._ints
         if ints is None:
             p0, p1 = (self.p.coefficient(i) for i in (0, 1))
             r0, r1, r2 = (self.r.coefficient(i) for i in (0, 1, 2))
@@ -141,69 +136,9 @@ class Lattice:
                 )
             values = (p0, p1, r0, r1, r2, n0, n1, n2)
             c = math.lcm(*(v.denominator for v in values))
-            ints = self._dm_ints = (c,) + tuple(v.numerator * (c // v.denominator)
+            ints = self._ints = (c,) + tuple(v.numerator * (c // v.denominator)
                                                 for v in values)
         return ints
-
-    def dm_table(self, depth: int, count: int) -> tuple:
-        """(n2, rows): rows k = 0..count (or more) of the table of D x^(-k)
-        and M x^(-k), and the int n2 their entries are over.
-
-        Row k is a pair of tuples (d, m) of ints, with d[i] / n2^(k+i) and
-        m[i] / n2^(k+i) the coefficients of x^(-i) in D x^(-k) and M x^(-k),
-        i = 0..table depth, where the table depth is at least `depth`.  With
-        N = y1 y2 = p^2 - r,
-
-            D x^(-k-1) = (p D x^(-k) - M x^(-k)) / N,
-            M x^(-k-1) = (p M x^(-k) - r D x^(-k)) / N,
-
-        from D 1 = 0, M 1 = 1.  Scaled by c, N becomes the integer
-        polynomial n0 + n1 x + n2 x^2, and row k + 1 is f / (n0 + n1 x +
-        n2 x^2) for f = c p D x^(-k) - c M x^(-k) or c p M x^(-k) -
-        c r D x^(-k).  Dividing by the quadratic is a three-term recurrence
-        on the numerators G_j = n2^(k+1+j) g_j of the quotient g,
-
-            G_j = n2^(k+j) f_(j-2) - n1 G_(j-1) - n0 n2 G_(j-2),
-
-        where n2^(k+j) f_(j-2) is an integer combination of the numerators
-        of row k.  No Fraction and no gcd is formed, each row costs O(depth)
-        integer operations, and a row that is exact down to x^(-depth) gives
-        the next one exact there.
-        """
-        table_depth, rows = self._dm_table
-        if table_depth < depth:
-            table_depth = max(depth, 2)     # M x^-1 = p/N reaches x^-2
-            rows = (((0,) * (table_depth + 1), (1,) + (0,) * table_depth),)
-        elif len(rows) > count:
-            return self._dm_ints[-1], rows
-        c, p0, p1, r0, r1, r2, n0, n1, n2 = self._scaled_coefficients()
-        n02 = n0 * n2
-        zeros = [0] * (table_depth + 1)
-        grown = list(rows)
-        while len(grown) <= count:
-            # D x^(-k-1) leads at x^(-k-2) at the highest, M x^(-k-1) at
-            # x^(-k-1); only p M 1 = p reaches x^1, where M x^-1 = p/N starts
-            # with p1/n2 at x^-1.  Entry i of the numerators f of row k + 1
-            # is over n2^(k+i+1) for D and n2^(k+i+2) for M.
-            k = len(grown) - 1
-            d, m = grown[-1]
-            gd = zeros[:]
-            for j in range(k + 2, table_depth + 1):
-                i = j - 2
-                f = n2 * (p0 * d[i] - c * m[i]) + p1 * d[i + 1]
-                gd[j] = n2 * f - n1 * gd[j - 1] - n02 * gd[j - 2]
-            gm = zeros[:]
-            if k == 0:
-                gm[1] = n2 * p1
-            for j in range(max(k + 1, 2), table_depth + 1):
-                i = j - 2
-                f = (n2 * (n2 * (p0 * m[i] - r0 * d[i]) + p1 * m[i + 1] - r1 * d[i + 1])
-                     - r2 * d[i + 2])
-                gm[j] = f - n1 * gm[j - 1] - n02 * gm[j - 2]
-            grown.append((tuple(gd), tuple(gm)))
-        rows = tuple(grown)
-        self._dm_table = (table_depth, rows)
-        return n2, rows
 
     def conic_value(self, x: float, y: float) -> float:
         """Float evaluation of the conic (diagnostics only)."""
@@ -277,31 +212,45 @@ def apply_M(lattice: Lattice, f: Poly) -> Poly:
 
 # -- operators on Laurent series ----------------------------------------------
 
-def _add_row(acc_d: list, acc_m: list, w: int, row, k: int) -> None:
-    """acc_d += w d and acc_m += w m, in place, for row k = (d, m) of
-    `Lattice.dm_table` and integer lists indexed by the power of 1/x.
+def _kernel_columns(lattice: Lattice, n: int) -> tuple:
+    """(c', g, q2, cols, mcols): the expansion of the kernel 1/Q, Q = (y1 -
+    t)(y2 - t), to x^-(n+1), as integer columns.
 
-    D x^(-k) has no term above x^(-k-1) and M x^(-k) none above x^(-k);
-    each list is updated as deep as it goes (the row must reach that deep).
+    With (c, P0, P1, .., N0, N1, N2) of `_scaled_coefficients` and g the
+    content of c Q = c t^2 - 2 (P0 + P1 x) t + N0 + N1 x + N2 x^2,
+
+        c Q / g = q2 x^2 + (q1 - e1 t) x + q0 - e0 t + c' t^2,
+
+    and 1/Q = c' sum_(i >= 2) C_i(t) x^(-i) / q2^(i-1), from C_1 = 0,
+    C_2 = 1 and
+
+        C_i = -(q1 - e1 t) C_(i-1) - q2 (q0 - e0 t + c' t^2) C_(i-2).
+
+    cols[i] lists the coefficients of C_i (degree i - 2), i <= n + 1, and
+    mcols[i] those of P0 q2 C_i + P1 C_(i+1) - c q2 t C_i (degree i - 1),
+    i <= n.  On S = u_t[1/(x - t)] they give
+
+        [x^-i] D S = -c' q2^(1-i) sum_j cols[i][j] u_j,
+        [x^-i] M S = q2^(-i) / g sum_j mcols[i][j] u_j,
+
+    so D S at x^-i reads u_0..u_(i-2) and M S at x^-i reads u_0..u_(i-1).
+    Raises DegenerateLattice when N has no x^2 term.
     """
-    d, m = row
-    for i in range(k + 1, len(acc_d)):
-        acc_d[i] += w * d[i]
-    for i in range(k, len(acc_m)):
-        acc_m[i] += w * m[i]
-
-
-def _row_combination(rows, n2: int, low: int, nums: tuple[int, ...], n: int):
-    """Integer numerators of sum_k w_k D x^(-k) (x^0 .. x^-(n+1)) and of
-    sum_k w_k M x^(-k) (x^0 .. x^-n) for k = low .. K, where w_k is
-    nums[k - low] over a common denominator den; entry i of each is over
-    den n2^(K+i)."""
-    high = low + len(nums) - 1
-    acc_d, acc_m = [0] * (n + 2), [0] * (n + 1)
-    for k, num in enumerate(nums, low):
-        if num:
-            _add_row(acc_d, acc_m, num * n2 ** (high - k), rows[k], k)
-    return acc_d, acc_m
+    c, p0, p1, _, _, _, n0, n1, n2 = lattice._scaled_coefficients()
+    g = math.gcd(c, 2 * p0, 2 * p1, n0, n1, n2)
+    q0, q1, q2, e0, e1, cg = n0 // g, n1 // g, n2 // g, 2 * p0 // g, 2 * p1 // g, c // g
+    a0, a1, a2 = q2 * q0, q2 * e0, q2 * cg
+    cols = [[], [], [1]]
+    for _ in range(3, n + 2):
+        # coefficient j of C_i from those of C_(i-1) at j, j - 1 and of
+        # C_(i-2) at j, j - 1, j - 2, zero outside their degrees
+        c1, c2 = cols[-1], cols[-2]
+        cols.append([e1 * b - q1 * a - a0 * x + a1 * y - a2 * z for a, b, x, y, z in
+                     zip(c1 + [0], [0] + c1, c2 + [0, 0], [0] + c2 + [0], [0, 0] + c2)])
+    p0q2, cq2 = p0 * q2, c * q2
+    mcols = [[]] + [[p0q2 * x + p1 * y - cq2 * z for x, y, z in
+                     zip(cols[i] + [0], cols[i + 1], [0] + cols[i])] for i in range(1, n + 1)]
+    return cg, g, q2, cols, mcols
 
 
 def _operator_series(lattice: Lattice, s: LaurentSeries):
@@ -309,12 +258,13 @@ def _operator_series(lattice: Lattice, s: LaurentSeries):
 
     With n the window of s, D s is known down to x^(-(n+1)) and M s down to
     x^(-n): an unknown coefficient of s at x^(-n-1) changes D s from
-    x^(-n-2) and M s from x^(-n-1) on.  The images of the negative powers
-    x^(-k), k = 1..K, of s are rows of the lattice's D/M table: their
-    coefficients are read as the integer numerators of s over its
-    denominator den, each image coefficient x^(-i) is one integer
-    combination of row entries over den n2^(K+i), and each image is reduced
-    by one gcd.  Nonnegative powers go through the polynomial images.
+    x^(-n-2) and M s from x^(-n-1) on.  The negative powers of s are the
+    moment series u_t[1/(x - t)], u_j the coefficient of x^(-j-1), read as
+    the integer numerators of s over its denominator den: each image
+    coefficient x^(-i) is one dot product of a column of `_kernel_columns`
+    with them, over den q2^(i-1) for D s and g den q2^i for M s, and each
+    image is reduced by one gcd.  Nonnegative powers go through the
+    polynomial images.
     """
     n = s.truncation_order
     ds = LaurentSeries.zero(n + 1)
@@ -322,23 +272,24 @@ def _operator_series(lattice: Lattice, s: LaurentSeries):
     top, nums, den = s.lowest_power, s.nums, s.den
     bottom = top - len(nums) + 1 if nums else 0
     if bottom <= -1:
-        low, high = max(1, -top), -bottom
-        n2, rows = lattice.dm_table(n + 1, high)
+        cg, g, q2, cols, mcols = _kernel_columns(lattice, n)
+        u = nums[top + 1:] if top >= -1 else (0,) * (-1 - top) + nums
 
-        def assemble(part, window):
-            # entry i is over den n2^(high+i): bring all over the last one
+        def assemble(part, total, window):
+            # entry i is over total q2^(i-1): bring all over the last one
             scale = 1
-            for i in range(len(part) - 1, -1, -1):
+            for i in range(window, 0, -1):
                 part[i] *= scale
-                scale *= n2
-            total = den * n2 ** (high - 1) * scale
+                scale *= q2
+            total *= q2 ** (window - 1)
             if total < 0:
                 part, total = [-a for a in part], -total
             return LaurentSeries._from_ints(0, part, total, window)
 
-        acc_d, acc_m = _row_combination(rows, n2, low, nums[top + low:], n)
-        ds = assemble(acc_d, n + 1)
-        ms = assemble(acc_m, n)
+        ds = assemble([0, 0] + [-cg * sum(map(mul, cols[i], u)) for i in range(2, n + 2)],
+                      den, n + 1)
+        ms = assemble([0] + [sum(map(mul, mcols[i], u)) for i in range(1, n + 1)],
+                      g * den * q2, n)
     if top >= 0:
         image = apply_shift(lattice, Poly._from_ints(s._aligned(top, top + 1)[::-1], den), 2)
         ds = ds + LaurentSeries.from_poly(image.v, n + 1)
@@ -354,8 +305,8 @@ def apply_E_series(lattice: Lattice, s: LaurentSeries, j: int) -> LaurentSeries:
     D s reaches one step deeper and sqrt(r) has leading exponent 1.  Raises ValueError when D s
     is nonzero and lc(r) is not the square of a rational.
 
-    Both branches go through the D/M table, which needs N = y1 y2 to keep its
-    x^2 term: when one branch has no x term (c = 0 in the conic), E_1 and
+    Both branches go through the kernel of `_operator_series`, which needs
+    N = y1 y2 to keep its x^2 term: when one branch has no x term (c = 0 in the conic), E_1 and
     E_2 of a series with negative powers both raise DegenerateLattice.
     """
     if j not in (1, 2):

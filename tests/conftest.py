@@ -24,6 +24,10 @@ SURD_CONIC = (2, -3, 2, 1, 0, -1)
 # lambda = -1 (Chebyshev-flavoured): sqrt(r) has no real expansion.
 IMAGINARY_CONIC = (2, -1, 1, 0, 0, 2)
 
+# c/a = -2/3 < 0: the scaled leading coefficient q2 of N = y1 y2 is negative,
+# so the denominators q2^i of the images of a series alternate in sign.
+NEGATIVE_N2_CONIC = (3, 1, -2, F(1, 2), F(2, 3), -1)
+
 
 @pytest.fixture(scope="session")
 def reference_lattice():

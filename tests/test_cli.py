@@ -149,7 +149,8 @@ class TestExitCodes:
         assert main(["certify", "/nonexistent/problem.json"]) == 2
 
     def test_degenerate_lattice(self, tmp_path, capsys):
-        # c = 0: N = y1 y2 has no x^2 term, so the D/M table cannot be built
+        # c = 0: N = y1 y2 has no x^2 term, so the kernel of D and M has no
+        # expansion in 1/x
         doc = reference_doc(moments=["1", "0", "1", "0", "2", "0", "5", "0", "14"])
         doc["lattice"] = ["1", "2", "0", "0", "1", "1"]
         doc["riccati"] = {"A": ["1", "0", "1"], "B": [], "C": ["0", "1"], "D": ["1"]}
@@ -316,9 +317,10 @@ class TestCertifyCommand:
         for name in ("second-kind-1", "second-kind-2", "gathered"):
             assert windows[1][name] == windows[0][name] - 1, name
 
-    def test_images_of_s_formed_once_per_workspace(self, capsys, monkeypatch):
-        # certify on a moments-only file fits in one workspace and certifies
-        # in another; each forms D S and M S once
+    def test_images_of_s_formed_once_per_workspace(self, capsys, monkeypatch, tmp_path):
+        # certify on a recurrence file, at an order within its trunc, and on
+        # the same moments given as such fits and certifies in one
+        # workspace: D S and M S are formed once
         import snul.laguerre_hahn as lh
         original = lh._operator_series
         seen = []
@@ -328,10 +330,19 @@ class TestCertifyCommand:
             return original(lattice, f)
 
         monkeypatch.setattr(lh, "_operator_series", counting)
-        code = main(["certify", str(PROBLEMS / "qhermite_recurrence.json")])
-        assert json.loads(capsys.readouterr().out)["passed"]
-        assert code == 0
-        assert sum(f == seen[0] for f in seen) == 2
+        path = PROBLEMS / "qhermite_recurrence.json"
+        doc = json.loads(path.read_text())
+        moments = ProblemFile.from_dict(doc).moment_list(doc["options"]["trunc"])
+        del doc["recurrence"]
+        doc["moments"] = [str(m) for m in moments]
+        moments_only = tmp_path / "qhermite_moments.json"
+        moments_only.write_text(json.dumps(doc))
+        for problem in (path, moments_only):
+            seen.clear()
+            code = main(["certify", str(problem)])
+            assert json.loads(capsys.readouterr().out)["passed"]
+            assert code == 0
+            assert len(seen) == 1
 
     def test_moments_formed_once(self, capsys, monkeypatch):
         # the fit's moments serve certify unless certify's order asks for

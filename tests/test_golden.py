@@ -50,6 +50,10 @@ structure stage.  certify_surd_conic_n-max_96.json, which CI diffs against,
 was written by the version that walked q_n, (Dq_n, Mq_n) and the second-kind
 residuals at every level, so it is an oracle independent of reading the
 second-kind and gathered entries off the Riccati residual.
+certify_qhermite_corecursive_n-max_96.json, which CI diffs against too,
+was written by the version that formed D S and M S from a table of
+D x^-k and M x^-k kept on the lattice, so it is an oracle independent of
+the kernel columns of the moment solve, at depth and with B != 0.
 certify_qhermite_corecursive_recurrence_n-max_64.json, which CI diffs
 against too, was written by the version that formed the Riccati residual of
 every certify, also on moments it had solved; Riccati data with its

@@ -654,7 +654,7 @@ class TestCertify:
 
     def test_images_of_s_formed_once(self, reference_lattice, monkeypatch):
         # D S and M S are formed once per workspace, and no other series
-        # goes through the D/M table
+        # goes through `_operator_series`
         import snul.laguerre_hahn as lh
         original = lh._operator_series
         seen = []

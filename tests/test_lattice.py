@@ -24,10 +24,11 @@ from snul import (
     lattice_points,
 )
 from snul.fieldext import parse_rational
-from snul.lattice import _operator_series, classify_invariants
+from snul.lattice import _kernel_columns, _operator_series, classify_invariants
 
 from conftest import (
     IMAGINARY_CONIC,
+    NEGATIVE_N2_CONIC,
     REFERENCE_CONIC,
     SURD_CONIC,
     RootPair,
@@ -87,10 +88,17 @@ class TestBuild:
 
     def test_c_zero_degenerate_at_first_table_use(self):
         # y1 y2 = (c x^2 + 2 e x + f)/a loses its x^2 term: the lattice is
-        # built, and its D/M table refuses
+        # built, and the kernel columns of D and M refuse at the first image
+        # of a series with negative powers
         lat = build_lattice(1, 2, 0, 0, 1, 1)
+        x = Poly([0, 1])
+        assert _operator_series(lat, LaurentSeries(1, [1], 4)) == (
+            LaurentSeries.from_poly(apply_D(lat, x), 5),
+            LaurentSeries.from_poly(apply_M(lat, x), 4))
         with pytest.raises(DegenerateLattice, match="y_2 has degenerate"):
-            lat.dm_table(4, 1)
+            _operator_series(lat, LaurentSeries(-1, [1], 4))
+        with pytest.raises(DegenerateLattice, match="y_2 has degenerate"):
+            _kernel_columns(lat, 4)
 
     def test_invalid_conic(self):
         with pytest.raises(InvalidConic):
@@ -344,7 +352,7 @@ class TestSeriesOperators:
             lat = build_lattice(*conic)
             assert lat.q_trace is None
             s = LaurentSeries(-1, [1], 6)
-            # both E_j go through the D/M table, which needs y1 y2 to keep its
+            # both E_j go through the kernel of D and M, which needs y1 y2 to keep its
             # x^2 term; the error names the branch without an x term
             for j in (1, 2):
                 with pytest.raises(DegenerateLattice, match=f"y_{branch} has degenerate"):
@@ -425,8 +433,12 @@ DENSE_N_CONIC = (1, F(-1, 3), 2, F(1, 5), -2, 3)
 
 
 def fraction_dm_table(lattice, depth, count):
-    """Rows 0..count of the D/M table at depth `depth`, by the recurrence
-    over Q that the integer table replaced: the oracle for its rows."""
+    """Rows 0..count of the table of D x^-k and M x^-k at depth `depth`, by
+    the recurrence over Q of the integer row table that the kernel columns
+    replaced: row k is (D x^-k, M x^-k), from D 1 = 0, M 1 = 1 and
+
+        D x^(-k-1) = (p D x^(-k) - M x^(-k)) / N,
+        M x^(-k-1) = (p M x^(-k) - r D x^(-k)) / N."""
     _ZERO = F(0)
     table_depth = max(depth, 2)
     rows = (((_ZERO,) * (table_depth + 1),
@@ -461,13 +473,26 @@ def fraction_dm_table(lattice, depth, count):
     return tuple(grown)
 
 
+def column_images(lattice, depth, k):
+    """D x^-k and M x^-k, k >= 1, down to x^-depth, read off the kernel
+    columns: the images of S = u_t[1/(x - t)] with u_(k-1) = 1 alone."""
+    cg, g, q2, cols, mcols = _kernel_columns(lattice, depth)
+    j = k - 1
+    d = [F(-cg * cols[i][j], q2 ** (i - 1)) if j < len(cols[i]) else F(0)
+         for i in range(depth + 1)]
+    m = [F(mcols[i][j], g * q2 ** i) if j < len(mcols[i]) else F(0)
+         for i in range(depth + 1)]
+    return d, m
+
+
 class TestPowerTable:
-    @pytest.mark.parametrize("conic", [REFERENCE_CONIC, SURD_CONIC, IMAGINARY_CONIC])
+    @pytest.mark.parametrize("conic", [REFERENCE_CONIC, SURD_CONIC, IMAGINARY_CONIC,
+                                       NEGATIVE_N2_CONIC])
     def test_matches_repeated_products(self, conic):
-        lat = build_lattice(*conic)          # a fresh lattice: empty tables
+        lat = build_lattice(*conic)
         rng = random.Random(1306)
-        # windows 12, 16 and 20 go deeper than the table holds at that
-        # point; 4, 9 and 7 read a deeper table
+        # odd and even windows: on the last conic q2 < 0, so the common
+        # denominator q2^(n-1) of an image changes sign with its window
         for window in (6, 4, 12, 9, 16, 7, 20):
             for _ in range(3):
                 s = random_series(rng, window)
@@ -478,50 +503,48 @@ class TestPowerTable:
                     for j in (1, 2):
                         got = apply_E_series(lat, s, j)
                         assert got == repeated_product_E_series(lat, s, j)
-        depth, rows = lat._dm_table
-        assert depth == 21          # window 20, and D s reaches one step deeper
-        # every stored row is complete down to x^-depth
-        assert all(len(d) == len(m) == depth + 1 for d, m in rows)
+        if conic is NEGATIVE_N2_CONIC:
+            assert _kernel_columns(lat, 1)[2] < 0
 
     @pytest.mark.parametrize("conic", [REFERENCE_CONIC, SURD_CONIC, IMAGINARY_CONIC])
     def test_rows_match_repeated_products(self, conic):
-        # row k holds D x^-k and M x^-k; the oracle reads them off
+        # D x^-k and M x^-k off the kernel columns; the oracle reads them off
         # E_1 x^-k = (1/y_1)^k = M x^-k - sqrt(r) D x^-k, by repeated
         # products of the pair 1/y_1 = (p + sqrt(r)) / N
         lat = build_lattice(*conic)
         depth = 24
-        n2, rows = lat.dm_table(depth, 20)
-        assert lat._dm_table[0] == depth
         w = inv_y1_pair(lat, depth)
         power = RootPair.rational(LaurentSeries.constant(1, depth + 2), lat.r)
-        for k in range(0, 21):
-            if k:
-                power = power * w
+        for k in range(1, 22):
+            power = power * w
             d_oracle, m_oracle = -power.v, power.u
             assert min(d_oracle.truncation_order, m_oracle.truncation_order) >= depth
-            d, m = ([F(v, n2 ** (k + i)) for i, v in enumerate(half)] for half in rows[k])
+            d, m = column_images(lat, depth, k)
             assert LaurentSeries(0, d, depth).agrees_with(d_oracle)
             assert LaurentSeries(0, m, depth).agrees_with(m_oracle)
 
     @pytest.mark.parametrize("conic", [REFERENCE_CONIC, SURD_CONIC, IMAGINARY_CONIC,
                                        DENSE_N_CONIC])
     def test_integer_rows_match_fraction_recurrence(self, conic):
+        # [x^-i] D x^-(j+1) = -c' C_ij / q2^(i-1), and M x^-(j+1) off the
+        # M column, against the rows of the recurrence over Q; rows k > depth
+        # are zero down to x^-depth
         lat = build_lattice(*conic)
-        # grown at depth 20, then rebuilt at depth 44
         for depth, count in ((20, 5), (20, 44), (44, 44)):
-            n2, rows = lat.dm_table(depth, count)
-            assert lat._dm_table == (depth, rows)
+            cg, g, q2, cols, mcols = _kernel_columns(lat, depth)
+            assert len(cols) == depth + 2 and len(mcols) == depth + 1
+            assert all(type(v) is int for col in cols + mcols for v in col)
+            assert all(len(col) == i - 1 for i, col in enumerate(cols) if i >= 2)
+            assert all(len(col) == i for i, col in enumerate(mcols))
             expected = fraction_dm_table(lat, depth, count)
-            assert len(rows) == len(expected) == count + 1
-            for k, (row, want) in enumerate(zip(rows, expected)):
-                for nums, values in zip(row, want):
-                    assert all(type(v) is int for v in nums)
-                    assert [F(v, n2 ** (k + i)) for i, v in enumerate(nums)] == list(values)
+            assert len(expected) == count + 1
+            for k, want in enumerate(expected[1:], 1):
+                assert column_images(lat, depth, k) == tuple(list(v) for v in want)
         if conic is DENSE_N_CONIC:
             # every term of N is nonzero and its scaled leading coefficient
             # is not a unit
             assert lat.p * lat.p - lat.r == Poly([3, -4, 2])
-            assert abs(n2) > 1
+            assert abs(q2) > 1
 
     def test_shared_lattice_across_threads(self):
         import sys
@@ -532,7 +555,7 @@ class TestPowerTable:
         cases = [(random_series(rng, window), j)
                  for window in (5, 14, 8, 18, 11, 3) for j in (1, 2)]
         expected = [repeated_product_E_series(oracle_lat, s, j) for s, j in cases]
-        lat = build_lattice(*REFERENCE_CONIC)     # tables grown and rebuilt concurrently
+        lat = build_lattice(*REFERENCE_CONIC)     # shared, its integer form formed concurrently
         results = {}
 
         def worker(w):

@@ -5,9 +5,12 @@ powers of 1/y_j, D and M from E_1 and E_2, and keeps the whole residual
 series up to date after each moment.  Here the powers are pairs
 u + sqrt(r) v of rational series (`conftest.RootPair`), so E_2 x^(-k) is
 the conjugate of E_1 x^(-k), D x^(-k) = -v and M x^(-k) = u.  The solver
-under test reads single coefficients of DS and MS built from the integer
-D/M table.  Both must give the same moments, or raise the same exception
-with the same text.
+under test forms each coefficient of DS and MS once, as a dot product of
+the moment numerators with a column of the expansion of the kernel
+1/((y1 - t)(y2 - t)) (`lattice._kernel_columns`), and keeps only the
+coefficients later equations read over the moments' common denominator.
+Both must give the same moments, or raise the same exception with the same
+text.
 
 `certify` records its `riccati` entry from the solve when it solves S
 itself (the proof in `solve_moments_from_riccati`); the tests at the end
@@ -36,6 +39,7 @@ from snul.laguerre_hahn import solved_riccati_window
 
 from conftest import (
     IMAGINARY_CONIC,
+    NEGATIVE_N2_CONIC,
     RATIONAL_CONICS,
     SURD_CONIC,
     inv_y1_pair,
@@ -166,7 +170,8 @@ def random_instance(rng, lat):
 
 def test_random_instances():
     rng = random.Random(2026)
-    lattices = [build_lattice(*conic) for conic in CONICS]
+    # on the last lattice q2 < 0, and counts of both parities
+    lattices = [build_lattice(*conic) for conic in CONICS + [NEGATIVE_N2_CONIC]]
     kinds = []
     for i in range(72):
         ric = random_instance(rng, lattices[i % len(lattices)])
@@ -199,20 +204,26 @@ def test_free_moment_instance(reference_lattice):
 
 def test_random_instances_deep():
     # counts 24..32, where the common denominator L of the moments and the
-    # table's n2^K are large: two instances per conic, B = 0 and B != 0,
-    # each with and without free values
+    # powers of q2 are large: three instances per conic, B = 0 and B != 0
+    # at m0 = 0, and B = 0 at m0 = 1, 2 or 3 (times a multiplier g), where
+    # L grows at almost every step and the solve moves only the entries from
+    # x^-(k + 1 - m0) on to it; each with and without free values
     rng = random.Random(2027)
     solved = 0
-    for conic in CONICS:
-        for with_B in (False, True):
-            ric = u0_instance(rng, build_lattice(*conic), with_B)
+    for n, conic in enumerate(CONICS):
+        lat = build_lattice(*conic)
+        g = MULTIPLIERS[1 + n % 3]
+        for with_B, scaled in ((False, False), (True, False), (False, True)):
+            ric = u0_instance(rng, lat, with_B)
+            if scaled:
+                ric = RiccatiData(*(p * g for p in ric.polys()), lat)
             count = rng.randint(24, 32)
             for free_values in (None, {k: random_fraction(rng) for k in range(1, count + 1)}):
                 expect = outcome(reference_solve_moments, ric, count, free_values)
                 got = outcome(solve_moments_from_riccati, ric, count, free_values)
-                assert got == expect, (conic, with_B, free_values)
+                assert got == expect, (conic, with_B, scaled, free_values)
                 solved += isinstance(expect, list)
-    assert solved >= 16
+    assert solved >= 28
 
 
 # (A, B, C, D) times g has the solutions of (A, B, C, D) and m0 + deg g
