@@ -37,8 +37,6 @@ from .errors import (
 )
 from .fieldext import format_rational, parse_rational
 from .laguerre_hahn import (
-    Certificate,
-    CheckResult,
     RiccatiData,
     Workspace,
     certify,
@@ -276,23 +274,16 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _fit_candidates(problem: ProblemFile, lattice: Lattice) -> tuple[list, Workspace, list]:
-    """The fitted candidates, the workspace of S in which they were found,
-    so that each candidate's residual reuses the images of S, and the
-    moments of S."""
-    moments = problem.moment_list(problem.trunc)
-    if moments is None:
-        raise ProblemFileError("fit needs a 'moments' or 'recurrence' flavor")
-    ws = Workspace(lattice, LaurentSeries.from_moments(moments))
-    return fit_riccati(ws, problem.deg_bounds), ws, moments
-
-
 def cmd_fit(args) -> int:
     problem = _load_problem(args)
     lattice = problem.build_lattice()
-    candidates, ws, _ = _fit_candidates(problem, lattice)
+    moments = problem.moment_list(problem.trunc)
+    if moments is None:
+        raise ProblemFileError("fit needs a 'moments' or 'recurrence' flavor")
+    # each candidate's residual reuses the images of S that the fit formed
+    ws = Workspace(lattice, LaurentSeries.from_moments(moments))
     entries = []
-    for cand in candidates:
+    for cand in fit_riccati(ws, problem.deg_bounds):
         res = riccati_residual(cand, ws)
         entries.append({
             "A": _poly_coeffs(cand.A),
@@ -318,33 +309,11 @@ def cmd_certify(args) -> int:
     problem = _load_problem(args)
     lattice = problem.build_lattice()
     order = max(problem.trunc, 2 * problem.n_max + 2)
-    extra_checks: list[CheckResult] = []
-    if problem.riccati is not None:
-        ric, moments, ws = problem.riccati_data(lattice), problem.moment_list(order), None
-    else:
-        candidates, ws, moments = _fit_candidates(problem, lattice)
-        verified = [c for c in candidates if riccati_residual(c, ws).is_zero_within_window()]
-        if not verified:
-            _emit(Certificate(
-                instance=problem.echo(), options={"n_max": problem.n_max, "trunc": order},
-                checks=[CheckResult("riccati", "fail", window=ws.s.truncation_order,
-                                    detail=f"no Laguerre-Hahn relation within degree "
-                                           f"bounds {list(problem.deg_bounds)}")],
-            ).to_dict())
-            return EXIT_MATH_FAIL
-        ric = verified[0]
-        extra_checks.append(CheckResult(
-            "fit", "pass",
-            detail=f"{len(verified)} verified candidate(s) within bounds "
-                   f"{list(problem.deg_bounds)}; certifying the first",
-        ))
-        if problem.moments is None and order > problem.trunc:
-            # a recurrence gives more moments at the larger order, and a
-            # longer S than the fit's
-            moments, ws = problem.moment_list(order), None
+    ric = problem.riccati_data(lattice) if problem.riccati is not None else None
+    moments = problem.moment_list(order)
+    ws = Workspace(lattice, LaurentSeries.from_moments(moments)) if moments is not None else None
     cert = certify(ric, problem.n_max, order, moments=moments, instance=problem.echo(),
-                   recurrence=problem.recurrence, workspace=ws)
-    cert.checks[0:0] = extra_checks
+                   recurrence=problem.recurrence, workspace=ws, deg_bounds=problem.deg_bounds)
     _emit(cert.to_dict())
     return EXIT_OK if cert.passed else EXIT_MATH_FAIL
 

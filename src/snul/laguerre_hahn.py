@@ -171,7 +171,7 @@ class MagnusRiccatiData:
 @dataclass
 class CheckResult:
     name: str
-    verdict: str                 # "pass" | "fail" | "skip" | "error"
+    verdict: str                 # "pass" | "fail" | "skip"
     window: int | None = None
     residual_summary: str = ""
     detail: str = ""
@@ -835,10 +835,11 @@ _CERTIFY_STAGES = [
 ]
 
 
-def certify(ric: RiccatiData, n_max: int, order: int,
+def certify(ric: RiccatiData | None, n_max: int, order: int,
             moments: Sequence[Fraction] | None = None, instance: dict | None = None,
             recurrence: tuple[list[Fraction], list[Fraction]] | None = None,
-            workspace: Workspace | None = None) -> Certificate:
+            workspace: Workspace | None = None,
+            deg_bounds: tuple[int, int, int, int] | None = None) -> Certificate:
     """Run the whole equivalence pipeline and aggregate verdicts.
 
     Four stages compute: `moments`, `riccati`, `quasi-definite` and
@@ -857,8 +858,20 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     recorded from proofs and form nothing: `liouville` with `quasi-definite`
     (`job_recurrence`), the rest with `structure-direct`
     (`structure_coeffs_direct`, `second_kind_checks`, `corollary_recursion`).
-    Each `timings` entry is the duration of its own stage; "total" is the
-    whole run.  Raises ValueError, before any stage runs, when n_max < 1.
+
+    With `ric` None the Riccati data come from supplied `moments` first:
+    `fit_riccati` within `deg_bounds` in `workspace`, which must then be
+    given, and the first candidate whose residual there is zero on its
+    window is certified, on the same moments and images of S.  The `fit`
+    entry comes before the stages and gives the number verified; when none
+    is, it fails, with the window of S, and every stage is a skip.  The fit
+    runs before the stages, so its errors are raised, not recorded:
+    InsufficientTruncation for a window with fewer equations than unknowns,
+    DegenerateLattice when a 1/y_j of the lattice has no series.
+
+    Each `timings` entry is the duration of its own stage, the fit's
+    included; "total" is the whole run.  Raises ValueError, before any
+    stage runs, when n_max < 1.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -866,6 +879,7 @@ def certify(ric: RiccatiData, n_max: int, order: int,
 
     cert = Certificate(instance=instance or {}, options={"n_max": n_max, "trunc": order})
     order, solved = max(order, 2 * n_max + 2), moments is None
+    stages = _CERTIFY_STAGES if ric is not None else ["fit"] + _CERTIFY_STAGES
     t0 = stage_start = time.perf_counter()
 
     def record(name: str, verdict: str = "pass", **fields):
@@ -875,17 +889,27 @@ def certify(ric: RiccatiData, n_max: int, order: int,
         cert.timings[name] = now - stage_start
         stage_start = now
 
+    if ric is None:
+        verified = [c for c in fit_riccati(workspace, deg_bounds)
+                    if riccati_residual(c, workspace).is_zero_within_window()]
+        if verified:
+            ric = verified[0]
+            record("fit", detail=f"{len(verified)} verified candidate(s) within bounds "
+                   f"{list(deg_bounds)}; certifying the first")
+        else:
+            record("fit", "fail", window=workspace.s.truncation_order,
+                   detail=f"no Laguerre-Hahn relation within degree bounds {list(deg_bounds)}")
     stage = "moments"
     try:
-        if solved:
-            moments = solve_moments_from_riccati(ric, order)
-            record(stage, detail=f"solved u_0..u_{order} sequentially")
-        else:
-            moments = [Fraction(m) for m in moments]
-            if len(moments) < 2 * n_max + 2:
+        if cert.passed:          # not when the fit found no relation
+            if solved:
+                moments = solve_moments_from_riccati(ric, order)
+                record(stage, detail=f"solved u_0..u_{order} sequentially")
+            elif len(moments) < 2 * n_max + 2:
                 record(stage, "fail", detail=f"need at least {2 * n_max + 2} "
                        f"moments, got {len(moments)}")
             else:
+                moments = [Fraction(m) for m in moments]
                 record(stage, detail=f"supplied u_0..u_{len(moments) - 1}")
         if cert.passed:          # the (a) statement on the honest window
             stage = "riccati"
@@ -919,6 +943,6 @@ def certify(ric: RiccatiData, n_max: int, order: int,
     except SnulError as exc:
         failing = f"failing n = {exc.n}: " if isinstance(exc, NotQuasiDefinite) else ""
         record(stage, "fail", detail=f"{failing}{exc}")
-    cert.checks.extend(CheckResult(name, "skip") for name in _CERTIFY_STAGES[len(cert.checks):])
+    cert.checks.extend(CheckResult(name, "skip") for name in stages[len(cert.checks):])
     cert.timings["total"] = time.perf_counter() - t0
     return cert

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from snul.cli import ProblemFile, main, make_parser
+from snul.laguerre_hahn import _CERTIFY_STAGES
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 DATA = Path(__file__).resolve().parent / "data"
@@ -290,19 +291,23 @@ class TestCertifyCommand:
         assert code == 1
         assert cert["passed"] is False
         assert "no Laguerre-Hahn relation" in cert["checks"][0]["detail"]
-        # the whole document, key order and layout included
+        # the whole document, key order and layout included: the fit's fail,
+        # then a skip for every stage, and the fit's and the total timings
+        timings = cert.pop("timings")
+        assert set(timings) == {"fit", "total"}
         echo = dict(doc, options={"n_max": 3, "trunc": 18, "deg_bounds": [2, 2, 2, 2]})
+        skip = {"verdict": "skip", "window": None, "residual_summary": "", "detail": ""}
         assert out == json.dumps({
             "instance": {k: echo[k] for k in ("lattice", "moments", "options")},
             "options": {"n_max": 3, "trunc": 18},
             "passed": False,
             "checks": [{
-                "name": "riccati", "verdict": "fail", "window": 20,
+                "name": "fit", "verdict": "fail", "window": 20,
                 "residual_summary": "",
                 "detail": "no Laguerre-Hahn relation within degree bounds [2, 2, 2, 2]",
-            }],
+            }] + [{"name": name, **skip} for name in _CERTIFY_STAGES],
             "degrees": {},
-            "timings": {},
+            "timings": timings,
         }, indent=2) + "\n"
 
     def test_second_kind_windows_tight(self, capsys):
@@ -318,9 +323,9 @@ class TestCertifyCommand:
             assert windows[1][name] == windows[0][name] - 1, name
 
     def test_images_of_s_formed_once_per_workspace(self, capsys, monkeypatch, tmp_path):
-        # certify on a recurrence file, at an order within its trunc, and on
-        # the same moments given as such fits and certifies in one
-        # workspace: D S and M S are formed once
+        # certify on a recurrence file, at an order within its trunc and
+        # beyond it, and on the same moments given as such fits and
+        # certifies in one workspace: D S and M S are formed once
         import snul.laguerre_hahn as lh
         original = lh._operator_series
         seen = []
@@ -337,16 +342,17 @@ class TestCertifyCommand:
         doc["moments"] = [str(m) for m in moments]
         moments_only = tmp_path / "qhermite_moments.json"
         moments_only.write_text(json.dumps(doc))
-        for problem in (path, moments_only):
+        for args in ([path], [path, "--n-max", "14"], [moments_only]):
             seen.clear()
-            code = main(["certify", str(problem)])
+            code = main(["certify"] + [str(a) for a in args])
             assert json.loads(capsys.readouterr().out)["passed"]
             assert code == 0
-            assert len(seen) == 1
+            assert len(seen) == 1, args
 
     def test_moments_formed_once(self, capsys, monkeypatch):
-        # the fit's moments serve certify unless certify's order asks for
-        # more than the file's trunc
+        # the moments are formed once, to certify's order, and the fit and
+        # every stage read that one S, also when the order is beyond the
+        # file's trunc
         original = ProblemFile.moment_list
         orders = []
 
@@ -356,26 +362,27 @@ class TestCertifyCommand:
 
         monkeypatch.setattr(ProblemFile, "moment_list", counting)
         path = str(PROBLEMS / "qhermite_recurrence.json")
-        for extra, expected in (([], [28]), (["--n-max", "14"], [28, 30])):
+        for extra, expected in (([], [28]), (["--n-max", "14"], [30])):
             orders.clear()
             assert main(["certify", path] + extra) == 0
             assert json.loads(capsys.readouterr().out)["passed"]
             assert orders == expected
 
     def test_short_recurrence_after_failed_fit(self, capsys, tmp_path):
-        # 28 recurrence coefficients give u_0..u_28 for the fit but not
-        # u_0..u_30 for certify at n_max 14: a failed fit reports as such,
-        # a passed one stops at the recurrence
+        # 28 recurrence coefficients give u_0..u_28 but not u_0..u_30 for
+        # certify at n_max 14: the moments are formed for certify's order
+        # before the fit, so a fit that would find nothing and one that
+        # would pass both stop at the recurrence
         doc = json.loads((PROBLEMS / "qhermite_recurrence.json").read_text())
         doc["recurrence"] = {k: v[:28] for k, v in doc["recurrence"].items()}
         doc["options"]["n_max"] = 14
         path = tmp_path / "short.json"
         path.write_text(json.dumps(doc))
-        assert main(["certify", str(path), "--deg-bounds", "0,0,0,0"]) == 1
-        cert = json.loads(capsys.readouterr().out)
-        assert [(c["name"], c["verdict"]) for c in cert["checks"]] == [("riccati", "fail")]
-        assert main(["certify", str(path)]) == 2
-        assert "need recurrence coefficients up to index 29" in capsys.readouterr().err
+        for extra in (["--deg-bounds", "0,0,0,0"], []):
+            assert main(["certify", str(path)] + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "need recurrence coefficients up to index 29" in captured.err
 
     def test_series_products_independent_of_depth(self, capsys, monkeypatch):
         # with B != 0 the only series x series products of certify are the

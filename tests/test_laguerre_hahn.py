@@ -568,6 +568,44 @@ class TestCertify:
         assert cert.check("riccati").verdict == "fail"
         assert cert.check("structure-direct").verdict == "skip"
 
+    def test_fit_without_relation_skips_every_stage(self, reference_lattice):
+        # random moments fit nothing within the bounds: the fit's fail, then
+        # a skip for every stage, and only the fit and the whole run timed
+        from snul.laguerre_hahn import _CERTIFY_STAGES
+        rng = random.Random(33)
+        moments = [F(1)] + [F(rng.randint(-99, 99), rng.randint(1, 20)) for _ in range(33)]
+        ws = Workspace(reference_lattice, LaurentSeries.from_moments(moments))
+        cert = certify(None, 4, 28, moments=moments, workspace=ws, deg_bounds=(4, 4, 4, 4))
+        assert not cert.passed
+        assert [(c.name, c.verdict) for c in cert.checks] == (
+            [("fit", "fail")] + [(name, "skip") for name in _CERTIFY_STAGES])
+        assert cert.checks[0].window == ws.s.truncation_order
+        assert cert.checks[0].detail == ("no Laguerre-Hahn relation within degree "
+                                         "bounds [4, 4, 4, 4]")
+        assert set(cert.timings) == {"fit", "total"}
+
+    def test_fit_then_every_stage(self, reference_lattice):
+        # the one candidate the fit verifies is certified on the same
+        # workspace: the fit ahead of every stage, all passing, each timed
+        from snul.laguerre_hahn import _CERTIFY_STAGES
+        ric = qhermite_riccati(reference_lattice)
+        moments = solve_moments_from_riccati(ric, 28)
+        ws = Workspace(reference_lattice, LaurentSeries.from_moments(moments))
+        cert = certify(None, 4, 28, moments=moments, workspace=ws, deg_bounds=(2, 0, 1, 0))
+        assert cert.passed
+        assert [c.name for c in cert.checks] == ["fit"] + _CERTIFY_STAGES
+        assert cert.checks[0].detail == ("1 verified candidate(s) within bounds "
+                                         "[2, 0, 1, 0]; certifying the first")
+        assert set(cert.timings) == {"fit", "total"} | set(_CERTIFY_STAGES)
+
+    def test_fit_input_errors_raised(self, reference_lattice):
+        # an underdetermined fit window is an input error of the job, not a
+        # verdict: certify raises it before any stage is recorded
+        moments = [F(1)] + [F(k, k + 2) for k in range(1, 12)]
+        ws = Workspace(reference_lattice, LaurentSeries.from_moments(moments))
+        with pytest.raises(InsufficientTruncation, match="equations for 20 unknowns"):
+            certify(None, 3, 16, moments=moments, workspace=ws, deg_bounds=(4, 4, 4, 4))
+
     def test_quasi_definite_gating(self, reference_lattice):
         # moments of a Dirac-type sequence satisfy a Riccati equation but
         # fail quasi-definiteness: certificate records the failing n
